@@ -94,7 +94,7 @@ def cmd_correctors(args, config):
     cs = ratelab.cell_solution(field, config.get("mesh", {}).get("cell_n", 256), solver)
     out = []
     for eps in eps_list:
-        dm = fem.DomainMesh(int(round(cpp / eps)))
+        dm = fem.DomainMesh(ratelab.mesh_resolution(cpp, eps))
         x0 = None
         if args.pin:
             x, y = (float(t) for t in args.pin.split(","))
@@ -145,7 +145,7 @@ def cmd_expand(args, config):
     solver = _solver(config)
     eps = float(Fraction(args.eps.split(",")[0])) if args.eps else 1 / 8
     cpp = args.cells_per_period or 16
-    dm = fem.DomainMesh(int(round(cpp / eps)))
+    dm = fem.DomainMesh(ratelab.mesh_resolution(cpp, eps))
     sc = rescale(field, eps)
     cs = ratelab.cell_solution(field, config.get("mesh", {}).get("cell_n", 256), solver)
     result = {}
@@ -155,7 +155,7 @@ def cmd_expand(args, config):
         F = np.cos(np.pi * dm.nodes[:, 0])[:, None]
         u_eps = fem.solve_neumann(opn, F, options=solver)
         u0 = fem.solve_neumann(opn0, F, options=solver)
-        cset = corrmod.build(sc, dm, hatA=cs.hatA, options=solver)
+        cset = corrmod.build(sc, dm, hatA=cs.hatA, options=solver, ops={"neumann": opn})
         e = expmod.build_expansion(u_eps, u0, "neumann", correctors=cset)
         result["conormal"] = expmod.conormal_identity_check(e, sc, cs.hatA)
     else:
@@ -164,8 +164,10 @@ def cmd_expand(args, config):
         f = np.ones((dm.nnodes, field.m))
         u_eps = fem.solve_dirichlet(op, f, bdata=0.0, options=solver)
         u0 = fem.solve_dirichlet(op0, f, bdata=0.0, options=solver)
+        if args.family == "dirichlet" or args.experiment == "s-epsilon":
+            cset = corrmod.build(sc, dm, hatA=cs.hatA, with_neumann=False, options=solver,
+                                 ops={"dirichlet": op})
         if args.family == "dirichlet":
-            cset = corrmod.build(sc, dm, hatA=cs.hatA, with_neumann=False, options=solver)
             e = expmod.build_expansion(u_eps, u0, "dirichlet", correctors=cset)
         else:
             e = expmod.build_expansion(u_eps, u0, "chi", cell_solution=cs, epsilon=eps)
@@ -173,10 +175,9 @@ def cmd_expand(args, config):
         if args.check == "residual":
             result["residual"] = expmod.residual_identity_check(e, sc, cs, op=op)["residual"]
         if args.experiment == "s-epsilon":
-            cset = corrmod.build(sc, dm, hatA=cs.hatA, with_neumann=False, options=solver)
             r = expmod.s_epsilon(sc, cset.phi, cset.phi_star, dm,
-                                 np.sin(2 * np.pi * dm.nodes[:, 0]), hatA=cs.hatA,
-                                 options=solver)
+                                 np.sin(2 * np.pi * dm.nodes[:, 0]),
+                                 ops={"dirichlet_eps": op, "dirichlet_0": op0}, options=solver)
             result["s_epsilon_norms"] = r["norms"]
     _emit_json(args, "expand.json", result)
     return 0
@@ -231,8 +232,8 @@ def main(argv=None):
     parser.add_argument("--n", type=int, help="mesh resolution for kernel commands")
     parser.add_argument("--pin", help="x0,y0 pin point for Neumann correctors")
     parser.add_argument("--check", choices=["residual", "conormal"], default=None)
-    parser.add_argument("--experiment", choices=["poisson-approx", "div-approx", "s-epsilon"],
-                        default=None)
+    parser.add_argument("--experiment", choices=["s-epsilon"], default=None,
+                        help="extra expansion experiment for expand")
     args = parser.parse_args(argv)
     config = _load_config(args.config)
 

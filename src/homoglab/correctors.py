@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (DomainMesh, Field, assemble, solve_dirichlet, solve_neumann,
-                   boundary_flux_load, nodal_gradient, interp_torus,
-                   DEFAULT_SOLVER)
+from .mesh import (DomainMesh, Field, solve_dirichlet, solve_neumann,
+                   boundary_flux_load, nodal_gradient, interp_torus, monomial_table,
+                   operator_scope, DEFAULT_SOLVER)
 
 __all__ = ["CorrectorError", "CorrectorSet", "dirichlet_correctors",
            "neumann_correctors", "build", "corrector_report"]
@@ -49,18 +49,19 @@ class CorrectorSet:
 
     def monomials(self):
         """P_j^beta nodal tables with the same layout as the correctors."""
-        d, m = self.d, self.m
-        P = np.zeros((d, m, self.mesh.nnodes, m))
-        for j in range(d):
-            for beta in range(m):
-                P[j, beta, :, beta] = self.mesh.nodes[:, j]
-        return P
+        return monomial_table(self.mesh, self.m)
 
 
-def _monomial_boundary(mesh, j, beta, m):
-    vals = np.zeros((mesh.n_boundary, m))
-    vals[:, beta] = mesh.nodes[mesh.boundary_nodes, j]
-    return vals
+def _monomial_solves(op, options):
+    """Dirichlet solves whose boundary data is each linear monomial x_j e_beta."""
+    mesh = op.mesh
+    P = monomial_table(mesh, op.m)
+    out = np.zeros_like(P)
+    for j in range(mesh.d):
+        for beta in range(op.m):
+            out[j, beta] = solve_dirichlet(op, None, bdata=P[j, beta][mesh.boundary_nodes],
+                                           options=options).values
+    return out
 
 
 def dirichlet_correctors(coeff, mesh, options=DEFAULT_SOLVER, op=None, op_star=None,
@@ -70,38 +71,14 @@ def dirichlet_correctors(coeff, mesh, options=DEFAULT_SOLVER, op=None, op_star=N
     For symmetric coefficients the adjoint family coincides with phi and is
     not re-solved.
     """
-    d, m = 2, coeff.m
-    release = op is None
-    if op is None:
-        op = assemble(coeff, mesh, mode="dirichlet")
-    phi = np.zeros((d, m, mesh.nnodes, m))
-    for j in range(d):
-        for beta in range(m):
-            sol = solve_dirichlet(op, None, bdata=_monomial_boundary(mesh, j, beta, m),
-                                  options=options)
-            phi[j, beta] = sol.values
+    with operator_scope(op, coeff, mesh) as op:
+        phi = _monomial_solves(op, options)
     if not with_adjoint:
-        if release:
-            op.release()
         return phi, None
     if getattr(coeff, "symmetric", False):
-        phi_star = phi.copy()
-    else:
-        release_star = op_star is None
-        if op_star is None:
-            op_star = assemble(coeff.adjoint(), mesh, mode="dirichlet")
-        phi_star = np.zeros((d, m, mesh.nnodes, m))
-        for j in range(d):
-            for beta in range(m):
-                sol = solve_dirichlet(op_star, None,
-                                      bdata=_monomial_boundary(mesh, j, beta, m),
-                                      options=options)
-                phi_star[j, beta] = sol.values
-        if release_star:
-            op_star.release()
-    if release:
-        op.release()
-    return phi, phi_star
+        return phi, phi.copy()
+    with operator_scope(op_star, coeff.adjoint(), mesh) as op_star:
+        return phi, _monomial_solves(op_star, options)
 
 
 def neumann_correctors(coeff, hatA, mesh, x0=None, options=DEFAULT_SOLVER, op=None):
@@ -119,33 +96,29 @@ def neumann_correctors(coeff, hatA, mesh, x0=None, options=DEFAULT_SOLVER, op=No
         x0 = int(np.argmin(np.sum((mesh.nodes - 0.5) ** 2, axis=1)))
     if mesh.boundary_mask[x0]:
         raise CorrectorError("pin node x0 must be interior")
-    release = op is None
-    if op is None:
-        op = assemble(coeff, mesh, mode="neumann")
     hatA = np.asarray(hatA, dtype=float).reshape(2, 2, m, m)
     psi = np.zeros((d, m, mesh.nnodes, m))
-    for j in range(d):
-        for beta in range(m):
-            flux_col = hatA[:, j, :, beta]                       # (i, alpha)
+    with operator_scope(op, coeff, mesh, mode="neumann") as op:
+        for j in range(d):
+            for beta in range(m):
+                flux_col = hatA[:, j, :, beta]                       # (i, alpha)
 
-            def g(pts, normal, col=flux_col):
-                vals = np.einsum("i,ia->a", normal, col)
-                return np.broadcast_to(vals, (pts.shape[0], m))
+                def g(pts, normal, col=flux_col):
+                    vals = np.einsum("i,ia->a", normal, col)
+                    return np.broadcast_to(vals, (pts.shape[0], m))
 
-            fvec = boundary_flux_load(mesh, g, m=m)
-            total = np.abs([fvec[a::m].sum() for a in range(m)]).max()
-            scale = np.abs(fvec).sum() + 1e-30
-            if total > 1e-6 * scale:
-                raise CorrectorError(
-                    f"conormal flux of linear data is not compatible: imbalance {total:.3e}")
-            sol = solve_neumann(op, None, flux=fvec, options=options, check_compat=False)
-            vals = sol.values.copy()
-            pin_target = np.zeros(m)
-            pin_target[beta] = mesh.nodes[x0, j]
-            vals += (pin_target - vals[x0])[None, :]
-            psi[j, beta] = vals
-    if release:
-        op.release()
+                fvec = boundary_flux_load(mesh, g, m=m)
+                total = np.abs([fvec[a::m].sum() for a in range(m)]).max()
+                scale = np.abs(fvec).sum() + 1e-30
+                if total > 1e-6 * scale:
+                    raise CorrectorError(
+                        f"conormal flux of linear data is not compatible: imbalance {total:.3e}")
+                sol = solve_neumann(op, None, flux=fvec, options=options, check_compat=False)
+                vals = sol.values.copy()
+                pin_target = np.zeros(m)
+                pin_target[beta] = mesh.nodes[x0, j]
+                vals += (pin_target - vals[x0])[None, :]
+                psi[j, beta] = vals
     return psi, x0
 
 

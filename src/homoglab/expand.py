@@ -18,16 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (DomainMesh, Field, assemble, solve_dirichlet,
-                   nodal_gradient, interp_torus, element_gauss_values,
-                   element_gauss_gradients, volume_load_from_gauss,
-                   divergence_load_from_gauss, divergence_load, norm,
-                   DEFAULT_SOLVER)
+from .mesh import (DomainMesh, Field, solve_dirichlet, nodal_gradient, interp_torus,
+                   element_gauss_values, element_gauss_gradients, volume_load_from_gauss,
+                   divergence_load_from_gauss, divergence_load, norm, monomial_table,
+                   operator_scope, DEFAULT_SOLVER)
 from .correctors import CorrectorSet, chi_on_domain
 
 __all__ = ["ExpansionError", "Expansion", "build_expansion",
            "residual_identity_check", "conormal_identity_check",
-           "poisson_approx", "divergence_data_approx", "s_epsilon",
+           "poisson_approx", "poisson_approx_0",
+           "divergence_data_approx", "divergence_data_eps", "divergence_data_0",
+           "s_epsilon", "s_epsilon_eps", "s_epsilon_0", "t_apply",
            "second_derivatives"]
 
 FAMILIES = ("chi", "dirichlet", "neumann")
@@ -81,17 +82,9 @@ class Expansion:
         return out
 
 
-def _monomial_table(mesh, d, m):
-    P = np.zeros((d, m, mesh.nnodes, m))
-    for j in range(d):
-        for beta in range(m):
-            P[j, beta, :, beta] = mesh.nodes[:, j]
-    return P
-
-
 def _expansion_remainder(mesh, u_eps, u0, V, du0):
     d, m = V.shape[0], V.shape[1]
-    P = _monomial_table(mesh, d, m)
+    P = monomial_table(mesh, m)
     w = u_eps.values - u0.values
     for j in range(d):
         for beta in range(m):
@@ -112,7 +105,7 @@ def build_expansion(u_eps: Field, u0: Field, family, correctors: CorrectorSet = 
         if cell_solution is None or epsilon is None:
             raise ExpansionError("chi family needs a cell solution and epsilon")
         chi_vals, _ = chi_on_domain(cell_solution, mesh, epsilon)
-        V = _monomial_table(mesh, d, m) + epsilon * chi_vals
+        V = monomial_table(mesh, m) + epsilon * chi_vals
     else:
         if correctors is None:
             raise ExpansionError(f"{family} family needs a corrector set")
@@ -145,19 +138,15 @@ def residual_identity_check(exp: Expansion, coeff, cell_solution, op=None,
         raise ExpansionError("residual identity applies to the chi and dirichlet families")
     mesh, m, eps = exp.mesh, exp.m, exp.epsilon
     grid = cell_solution.grid
-    release = op is None
-    if op is None:
-        op = assemble(coeff, mesh, mode="dirichlet", m=m)
 
     gauss_pts = mesh.gauss_points().reshape(-1, 2)
     A_g = np.asarray(coeff(gauss_pts)).reshape(mesh.nelem, 4, 2, 2, m, m)
     D2 = second_derivatives(mesh, exp.u0.values)
     D2_g = element_gauss_values(mesh, D2.reshape(mesh.nnodes, -1)).reshape(mesh.nelem, 4, 2, 2, m)
 
-    P = _monomial_table(mesh, 2, m)
-    VmP = exp.V - P                                       # (k, gamma_col, nnodes, beta)
+    VmP = exp.V - monomial_table(mesh, m)                 # (k, gamma_col, nnodes, beta)
 
-    rhs = np.zeros(op.ndof)
+    rhs = np.zeros(mesh.nnodes * m)
     term_loads = {}
 
     if "flux" in terms:
@@ -193,11 +182,10 @@ def residual_identity_check(exp: Expansion, coeff, cell_solution, op=None,
         term_loads["gradient"] = load
         rhs += load
 
-    lhs = op.matrix @ exp.w.values.ravel()
-    inter, _ = op.dof_split()
+    with operator_scope(op, coeff, mesh, m=m) as op:
+        lhs = op.matrix @ exp.w.values.ravel()
+        inter, _ = op.dof_split()
     res = lhs[inter] - rhs[inter]
-    if release:
-        op.release()
     return {
         "residual": float(np.linalg.norm(res) / mesh.h),
         "lhs_norm": float(np.linalg.norm(lhs[inter]) / mesh.h),
@@ -233,7 +221,7 @@ def conormal_identity_check(exp: Expansion, coeff, hatA):
     du0 = conormal_of(exp.u0.values, hat_b)
 
     D2 = second_derivatives(mesh, exp.u0.values)[bnodes[mask]]   # (nb', k, j, gamma)
-    P = _monomial_table(mesh, 2, m)
+    P = monomial_table(mesh, m)
     corr = np.zeros((mask.sum(), m))
     for k in range(2):
         for gam in range(m):
@@ -253,6 +241,29 @@ def conormal_identity_check(exp: Expansion, coeff, hatA):
 # approximation experiments
 
 
+def _homogenized_scope(ops, hatA, mesh_, m, who):
+    """ops["dirichlet_0"], or an operator assembled from hatA for the scope."""
+    op0 = ops.get("dirichlet_0")
+    if op0 is None and hatA is None:
+        raise ExpansionError(f"{who} needs hatA when no homogenized operator is given")
+    tensor = None if op0 is not None else np.asarray(hatA).reshape(2, 2, m, m)
+    return operator_scope(op0, tensor, mesh_, m=m)
+
+
+def _difference(mesh_, u_eps, v_eps):
+    diff = Field(mesh_, u_eps.values - v_eps.values)
+    return {
+        "u_eps": u_eps, "v_eps": v_eps,
+        "l1": norm(diff, "Lp", 1.0), "l2": norm(diff, "Lp", 2.0),
+    }
+
+
+def poisson_approx_0(op0, omega_table, fb, options=DEFAULT_SOLVER) -> Field:
+    """The L_0 part of poisson_approx: boundary data omega * fb."""
+    vdata = np.einsum("ngb,nb->ng", omega_table.filled(), fb)
+    return solve_dirichlet(op0, None, bdata=vdata, options=options)
+
+
 def poisson_approx(coeff, mesh_, omega_table, f_eps, ops=None,
                    hatA=None, options=DEFAULT_SOLVER):
     """Solve L_eps with boundary data f, L_0 with data omega*f, and compare.
@@ -267,26 +278,27 @@ def poisson_approx(coeff, mesh_, omega_table, f_eps, ops=None,
         fb = np.asarray(f_eps(mesh_.nodes[mesh_.boundary_nodes]), dtype=float).reshape(mesh_.n_boundary, m)
     else:
         fb = np.asarray(f_eps, dtype=float).reshape(mesh_.n_boundary, m)
-    op_eps = ops.get("dirichlet_eps") or assemble(coeff, mesh_, mode="dirichlet")
-    u_eps = solve_dirichlet(op_eps, None, bdata=fb, options=options)
-    if "dirichlet_eps" not in ops:
-        op_eps.release()
-    wvals = omega_table.filled()                           # (nb, m, m)
-    vdata = np.einsum("ngb,nb->ng", wvals, fb)
-    if "dirichlet_0" in ops:
-        op0 = ops["dirichlet_0"]
-    else:
-        if hatA is None:
-            raise ExpansionError("poisson_approx needs hatA when no homogenized operator is given")
-        op0 = assemble(np.asarray(hatA).reshape(2, 2, m, m), mesh_, mode="dirichlet", m=m)
-    v_eps = solve_dirichlet(op0, None, bdata=vdata, options=options)
-    if "dirichlet_0" not in ops:
-        op0.release()
-    diff = Field(mesh_, u_eps.values - v_eps.values)
-    return {
-        "u_eps": u_eps, "v_eps": v_eps,
-        "l1": norm(diff, "Lp", 1.0), "l2": norm(diff, "Lp", 2.0),
-    }
+    with operator_scope(ops.get("dirichlet_eps"), coeff, mesh_) as op:
+        u_eps = solve_dirichlet(op, None, bdata=fb, options=options)
+    with _homogenized_scope(ops, hatA, mesh_, m, "poisson_approx") as op0:
+        v_eps = poisson_approx_0(op0, omega_table, fb, options)
+    return _difference(mesh_, u_eps, v_eps)
+
+
+def divergence_data_eps(op, f, options=DEFAULT_SOLVER) -> Field:
+    """The L_eps part of divergence_data_approx: L_eps(u) = div f, f (nnodes, 2, m)."""
+    return solve_dirichlet(op, -divergence_load(op.mesh, f, m=op.m), bdata=0.0, options=options)
+
+
+def divergence_data_0(op0, phi_star, f, options=DEFAULT_SOLVER) -> Field:
+    """The L_0 part of divergence_data_approx: L_0(v) = div F_eps."""
+    mesh_, m = op0.mesh, op0.m
+    grad_star = np.empty((2, m, mesh_.nnodes, 2, m))       # [i, alpha, node, j, beta]
+    for i in range(2):
+        for alpha in range(m):
+            grad_star[i, alpha] = nodal_gradient(mesh_, phi_star[i, alpha])
+    F_eps = np.einsum("njb,ianjb->nia", f, grad_star)
+    return solve_dirichlet(op0, -divergence_load(mesh_, F_eps, m=m), bdata=0.0, options=options)
 
 
 def divergence_data_approx(coeff, phi_star, mesh_, f, ops=None, hatA=None,
@@ -299,31 +311,43 @@ def divergence_data_approx(coeff, phi_star, mesh_, f, ops=None, hatA=None,
     m = getattr(coeff, "m", 1)
     ops = ops or {}
     f = np.asarray(f, dtype=float).reshape(mesh_.nnodes, 2, m)
-    op_eps = ops.get("dirichlet_eps") or assemble(coeff, mesh_, mode="dirichlet")
-    u_eps = solve_dirichlet(op_eps, -divergence_load(mesh_, f, m=m), bdata=0.0, options=options)
-    if "dirichlet_eps" not in ops:
-        op_eps.release()
+    with operator_scope(ops.get("dirichlet_eps"), coeff, mesh_) as op:
+        u_eps = divergence_data_eps(op, f, options)
+    with _homogenized_scope(ops, hatA, mesh_, m, "divergence_data_approx") as op0:
+        v_eps = divergence_data_0(op0, phi_star, f, options)
+    return _difference(mesh_, u_eps, v_eps)
 
-    grad_star = np.empty((2, m, mesh_.nnodes, 2, m))       # [i, alpha, node, j, beta]
-    for i in range(2):
-        for alpha in range(m):
-            grad_star[i, alpha] = nodal_gradient(mesh_, phi_star[i, alpha])
-    F_eps = np.einsum("njb,ianjb->nia", f, grad_star)
 
-    if "dirichlet_0" in ops:
-        op0 = ops["dirichlet_0"]
-    else:
-        if hatA is None:
-            raise ExpansionError("divergence_data_approx needs hatA when no homogenized operator is given")
-        op0 = assemble(np.asarray(hatA).reshape(2, 2, m, m), mesh_, mode="dirichlet", m=m)
-    v_eps = solve_dirichlet(op0, -divergence_load(mesh_, F_eps, m=m), bdata=0.0, options=options)
-    if "dirichlet_0" not in ops:
-        op0.release()
-    diff = Field(mesh_, u_eps.values - v_eps.values)
-    return {
-        "u_eps": u_eps, "v_eps": v_eps,
-        "l1": norm(diff, "Lp", 1.0), "l2": norm(diff, "Lp", 2.0),
-    }
+def t_apply(op, data, options=DEFAULT_SOLVER):
+    """Gradient of the zero-Dirichlet solve of L(u) = div(data), scalar case:
+    nodal data (nnodes, 2) -> nodal gradient (nnodes, 2)."""
+    mesh_ = op.mesh
+    u = solve_dirichlet(op, -divergence_load(mesh_, data[:, :, None], m=1), bdata=0.0,
+                        options=options)
+    return nodal_gradient(mesh_, u.values)[:, :, 0]
+
+
+def s_epsilon_eps(op, g, i=1, j=1, options=DEFAULT_SOLVER):
+    """The L_eps term T_eps,ij(g) of s_epsilon, nodal (nnodes,)."""
+    data = np.zeros((op.mesh.nnodes, 2))
+    data[:, j - 1] = g
+    return t_apply(op, data, options)[:, i - 1]
+
+
+def s_epsilon_0(op0, phi, phi_star, g, i=1, j=1, options=DEFAULT_SOLVER):
+    """The L_0 terms of s_epsilon, nodal (nnodes,):
+
+        dPhi_k/dx_i T_0,kl(dPhi*_l/dx_j g) - dPhi_k/dx_i T_0,kl(dPhi*_l/dx_j) g
+    """
+    mesh_ = op0.mesh
+    ii, jj = i - 1, j - 1
+    dphi = np.stack([nodal_gradient(mesh_, phi[k, 0])[:, ii, 0] for k in range(2)], axis=1)
+    dphistar = np.stack([nodal_gradient(mesh_, phi_star[l, 0])[:, jj, 0] for l in range(2)], axis=1)
+    grad2 = t_apply(op0, dphistar * g[:, None], options)   # T_0,.l(dPhi*_l g), (nnodes, k)
+    grad3 = t_apply(op0, dphistar, options)                 # T_0,.l(dPhi*_l)
+    piece2 = (dphi * grad2).sum(axis=1)
+    piece3 = (dphi * grad3).sum(axis=1) * g
+    return piece2 - piece3
 
 
 def s_epsilon(coeff, phi, phi_star, mesh_, g, i=1, j=1, ops=None, hatA=None,
@@ -340,37 +364,9 @@ def s_epsilon(coeff, phi, phi_star, mesh_, g, i=1, j=1, ops=None, hatA=None,
         raise ExpansionError("s_epsilon is implemented for the scalar case m = 1")
     ops = ops or {}
     g = np.asarray(g, dtype=float).reshape(mesh_.nnodes)
-    ii, jj = i - 1, j - 1
-
-    def t_apply(op, data):
-        """d_i of the solve of L(u) = d_j applied to nodal data (nnodes, 2)->sum."""
-        fv = np.zeros((mesh_.nnodes, 2, 1))
-        fv[:, :, 0] = data
-        u = solve_dirichlet(op, -divergence_load(mesh_, fv, m=1), bdata=0.0, options=options)
-        return nodal_gradient(mesh_, u.values)[:, :, 0]    # (nnodes, i)
-
-    op_eps = ops.get("dirichlet_eps") or assemble(coeff, mesh_, mode="dirichlet")
-    data1 = np.zeros((mesh_.nnodes, 2))
-    data1[:, jj] = g
-    piece1 = t_apply(op_eps, data1)[:, ii]
-    if "dirichlet_eps" not in ops:
-        op_eps.release()
-
-    dphi = np.stack([nodal_gradient(mesh_, phi[k, 0])[:, ii, 0] for k in range(2)], axis=1)
-    dphistar = np.stack([nodal_gradient(mesh_, phi_star[l, 0])[:, jj, 0] for l in range(2)], axis=1)
-
-    if "dirichlet_0" in ops:
-        op0 = ops["dirichlet_0"]
-    else:
-        if hatA is None:
-            raise ExpansionError("s_epsilon needs hatA when no homogenized operator is given")
-        op0 = assemble(np.asarray(hatA).reshape(2, 2, 1, 1), mesh_, mode="dirichlet", m=1)
-    grad2 = t_apply(op0, dphistar * g[:, None])            # T_0,.l(dPhi*_l g), (nnodes, k)
-    grad3 = t_apply(op0, dphistar)                          # T_0,.l(dPhi*_l)
-    if "dirichlet_0" not in ops:
-        op0.release()
-
-    piece2 = (dphi * grad2).sum(axis=1)
-    piece3 = (dphi * grad3).sum(axis=1) * g
-    S = Field(mesh_, piece1 - piece2 + piece3)
+    with operator_scope(ops.get("dirichlet_eps"), coeff, mesh_) as op:
+        piece1 = s_epsilon_eps(op, g, i, j, options)
+    with _homogenized_scope(ops, hatA, mesh_, 1, "s_epsilon") as op0:
+        pieces23 = s_epsilon_0(op0, phi, phi_star, g, i, j, options)
+    S = Field(mesh_, piece1 - pieces23)
     return {"field": S, "norms": {q: norm(S, "Lp", q) for q in qs}}

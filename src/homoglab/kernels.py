@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (DomainMesh, Field, assemble, solve_dirichlet, solve_neumann,
-                   point_load, conormal, nodal_gradient, DEFAULT_SOLVER)
+from .mesh import (DomainMesh, Field, solve_dirichlet, solve_neumann, point_load,
+                   conormal, nodal_gradient, operator_scope, DEFAULT_SOLVER)
 
 __all__ = ["KernelError", "KernelTable", "DtNMatrix", "OmegaTable",
            "green", "neumann_fn", "poisson_kernel", "omega", "dtn",
@@ -87,14 +87,9 @@ def green(coeff, mesh, y, beta=0, op=None, options=DEFAULT_SOLVER) -> Field:
     if mesh.boundary_mask[node]:
         raise KernelError("Green source must be an interior node")
     m = getattr(coeff, "m", 1)
-    release = op is None
-    if op is None:
-        op = assemble(coeff, mesh, mode="dirichlet")
-    sol = solve_dirichlet(op, point_load(mesh, node, beta=beta, m=m), bdata=0.0,
-                          options=options)
-    if release:
-        op.release()
-    return sol
+    with operator_scope(op, coeff, mesh) as op:
+        return solve_dirichlet(op, point_load(mesh, node, beta=beta, m=m), bdata=0.0,
+                               options=options)
 
 
 def neumann_fn(coeff, mesh, y, beta=0, op=None, options=DEFAULT_SOLVER) -> Field:
@@ -106,16 +101,11 @@ def neumann_fn(coeff, mesh, y, beta=0, op=None, options=DEFAULT_SOLVER) -> Field
     if mesh.boundary_mask[node]:
         raise KernelError("Neumann source must be an interior node")
     m = getattr(coeff, "m", 1)
-    release = op is None
-    if op is None:
-        op = assemble(coeff, mesh, mode="neumann")
     load = point_load(mesh, node, beta=beta, m=m)
     gconst = np.zeros((mesh.n_boundary, m))
     gconst[:, beta] = -0.25            # -1/|boundary| on the unit square
-    sol = solve_neumann(op, load, flux=gconst, options=options)
-    if release:
-        op.release()
-    return sol
+    with operator_scope(op, coeff, mesh, mode="neumann") as op:
+        return solve_neumann(op, load, flux=gconst, options=options)
 
 
 def poisson_kernel(coeff, mesh, y, op=None, options=DEFAULT_SOLVER) -> Field:
@@ -137,15 +127,10 @@ def poisson_kernel(coeff, mesh, y, op=None, options=DEFAULT_SOLVER) -> Field:
     if pos in mesh.corner_positions:
         raise KernelError("Poisson kernel is not evaluated at corner nodes")
     m = getattr(coeff, "m", 1)
-    release = op is None
-    if op is None:
-        op = assemble(coeff, mesh, mode="dirichlet")
     bdata = np.zeros((mesh.n_boundary, m))
     bdata[pos, :] = 1.0 / mesh.arc_weights[pos]
-    sol = solve_dirichlet(op, None, bdata=bdata, options=options)
-    if release:
-        op.release()
-    return sol
+    with operator_scope(op, coeff, mesh) as op:
+        return solve_dirichlet(op, None, bdata=bdata, options=options)
 
 
 # ---------------------------------------------------------------------------
@@ -282,23 +267,18 @@ def dtn(coeff, mesh, op=None, options=DEFAULT_SOLVER, chunk=128) -> DtNMatrix:
     hat data at boundary node j; assembled in chunks over one factorization.
     """
     m = getattr(coeff, "m", 1)
-    release = op is None
-    if op is None:
-        op = assemble(coeff, mesh, mode="dirichlet")
-    inter, bd = op.dof_split()
-    K = op.matrix
-    Kib = K[inter][:, bd].tocsc()
-    Kbi = K[bd][:, inter].tocsr()
-    Kbb = K[bd][:, bd].toarray()
-    lu = op._dirichlet_lu()
-    nbd = len(bd)
-    S = np.array(Kbb)
-    for start in range(0, nbd, chunk):
-        cols = np.arange(start, min(start + chunk, nbd))
-        X = lu.solve(Kib[:, cols].toarray())
-        S[:, cols] -= Kbi @ X
-    if release:
-        op.release()
+    with operator_scope(op, coeff, mesh) as op:
+        inter, bd = op.dof_split()
+        K = op.matrix
+        Kib = K[inter][:, bd].tocsc()
+        Kbi = K[bd][:, inter].tocsr()
+        S = K[bd][:, bd].toarray()
+        lu = op._dirichlet_lu()
+        nbd = len(bd)
+        for start in range(0, nbd, chunk):
+            cols = np.arange(start, min(start + chunk, nbd))
+            X = lu.solve(Kib[:, cols].toarray())
+            S[:, cols] -= Kbi @ X
     return DtNMatrix(mesh=mesh, epsilon=getattr(coeff, "epsilon", 0.0), mat=S, m=m)
 
 

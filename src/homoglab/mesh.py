@@ -10,6 +10,7 @@ after construction; solves are pure functions of (operator, data).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ __all__ = [
     "SolveError", "DivergenceLoad", "assemble", "volume_load", "divergence_load",
     "point_load", "boundary_flux_load", "solve_dirichlet", "solve_neumann",
     "solve_periodic", "conormal", "norm", "nodal_gradient", "interp_torus",
-    "tangential_derivative", "linear_monomial", "boundary_values",
+    "tangential_derivative", "monomial_table", "boundary_values", "operator_scope",
 ]
 
 # reference Q1 element on [0,1]^2, local node order (0,0),(1,0),(0,1),(1,1)
@@ -192,11 +193,14 @@ class Field:
                     fh.write(f"{x!r},{y!r},{a},{self.values[node, a]!r}\n")
 
 
-def linear_monomial(mesh, j, beta=0, m=1):
-    """Nodal values of the linear data x_j e_beta."""
-    vals = np.zeros((mesh.nnodes, m))
-    vals[:, beta] = mesh.nodes[:, j]
-    return Field(mesh, vals)
+def monomial_table(mesh, m):
+    """Nodal tables of the linear data P_j^beta = x_j e_beta, shaped
+    (d, m, nnodes, m) and indexed [j, beta, node, alpha] like the correctors."""
+    P = np.zeros((mesh.d, m, mesh.nnodes, m))
+    for j in range(mesh.d):
+        for beta in range(m):
+            P[j, beta, :, beta] = mesh.nodes[:, j]
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +211,10 @@ class AssembledOperator:
     """Sparse matrix of the form integral a_ij^{ab} dU^b/dx_j dV^a/dx_i.
 
     mode 'dirichlet' eliminates boundary dofs at solve time; mode 'neumann'
-    (alias 'neumann-with-mean-pin') appends one scalar mean constraint per
-    component over the boundary; mode 'periodic' pins the volume mean on the
-    torus.  Factorizations are cached behind the handle; release() frees
-    them (they are large at fine resolution).
+    appends one scalar mean constraint per component over the boundary;
+    mode 'periodic' pins the volume mean on the torus.  Factorizations are
+    cached behind the handle; release() frees them (they are large at fine
+    resolution).
     """
 
     def __init__(self, mesh, matrix, mode, m, coeff=None, symmetric=False, warnings=()):
@@ -308,8 +312,6 @@ def assemble(coeff, mesh, mode="dirichlet", m=None, A_gauss=None) -> AssembledOp
     oscillation (h > eps/8) is recorded as a warning on the operator, not
     a failure.
     """
-    if mode == "neumann-with-mean-pin":
-        mode = "neumann"
     if mesh.is_torus:
         mode = "periodic"
     elif mode not in ("dirichlet", "neumann"):
@@ -354,6 +356,19 @@ def _tensor_is_symmetric(coeff, m):
     return bool(np.array_equal(tensor, tensor.transpose(1, 0, 3, 2)))
 
 
+@contextmanager
+def operator_scope(op, coeff, mesh, mode="dirichlet", m=None):
+    """Yield op if given; otherwise assemble one and release it on exit."""
+    if op is not None:
+        yield op
+        return
+    op = assemble(coeff, mesh, mode=mode, m=m)
+    try:
+        yield op
+    finally:
+        op.release()
+
+
 # ---------------------------------------------------------------------------
 # load functionals (assembled right-hand-side vectors)
 
@@ -369,14 +384,27 @@ class DivergenceLoad:
     values: object
 
 
-def _gauss_values(mesh, values, trailing):
-    """Evaluate nodal data (or a callable) at the element Gauss points."""
+def element_gauss_values(mesh, values):
+    """Nodal table (nnodes, ...) -> values at the element Gauss points (nelem, 4, ...)."""
+    vals = np.asarray(values, dtype=float)
+    return np.einsum("gp,ep...->eg...", PHI, vals[mesh.elem_dofs])
+
+
+def _load_gauss_values(mesh, values, trailing):
+    """Load data, nodal (nnodes, *trailing) or a callable of the points, at
+    the element Gauss points: (nelem, 4, *trailing)."""
     if callable(values):
         out = values(mesh.gauss_points().reshape(-1, 2))
         return np.asarray(out, dtype=float).reshape((mesh.nelem, 4) + trailing)
     vals = np.asarray(values, dtype=float).reshape((mesh.nnodes,) + trailing)
-    at_nodes = vals[mesh.elem_dofs]          # (nelem, 4 local, ...)
-    return np.einsum("gp,ep...->eg...", PHI, at_nodes)
+    return element_gauss_values(mesh, vals)
+
+
+def _scatter(mesh, loc):
+    """Sum element contributions loc (nelem, 4 local nodes, m) into a dof vector."""
+    m = loc.shape[2]
+    dofs = (mesh.elem_dofs[:, :, None] * m + np.arange(m)).ravel()
+    return np.bincount(dofs, weights=loc.ravel(), minlength=mesh.nnodes * m)
 
 
 def volume_load(mesh, values, m=None):
@@ -385,11 +413,7 @@ def volume_load(mesh, values, m=None):
         values = values.values
     if m is None:
         m = 1 if callable(values) else np.asarray(values).reshape(mesh.nnodes, -1).shape[1]
-    fg = _gauss_values(mesh, values, (m,))
-    loc = mesh.h ** 2 * np.einsum("g,ega,gp->epa", GAUSS_WEIGHTS, fg, PHI)
-    vec = np.zeros(mesh.nnodes * m)
-    np.add.at(vec, (mesh.elem_dofs[:, :, None] * m + np.arange(m)).ravel(), loc.ravel())
-    return vec
+    return volume_load_from_gauss(mesh, _load_gauss_values(mesh, values, (m,)))
 
 
 def divergence_load(mesh, values, m=None):
@@ -398,36 +422,17 @@ def divergence_load(mesh, values, m=None):
         values = values.values
     if m is None:
         m = 1 if callable(values) else np.asarray(values).reshape(mesh.nnodes, 2, -1).shape[2]
-    fg = _gauss_values(mesh, values, (2, m))
-    loc = mesh.h * np.einsum("g,egia,gip->epa", GAUSS_WEIGHTS, fg, DPHI)
-    vec = np.zeros(mesh.nnodes * m)
-    np.add.at(vec, (mesh.elem_dofs[:, :, None] * m + np.arange(m)).ravel(), loc.ravel())
-    return vec
+    return divergence_load_from_gauss(mesh, _load_gauss_values(mesh, values, (2, m)))
 
 
 def volume_load_from_gauss(mesh, fg):
     """Assemble v -> integral f . v from Gauss-point values fg (nelem, 4, m)."""
-    m = fg.shape[2]
-    loc = mesh.h ** 2 * np.einsum("g,ega,gp->epa", GAUSS_WEIGHTS, fg, PHI)
-    vec = np.zeros(mesh.nnodes * m)
-    np.add.at(vec, (mesh.elem_dofs[:, :, None] * m + np.arange(m)).ravel(), loc.ravel())
-    return vec
+    return _scatter(mesh, mesh.h ** 2 * np.einsum("g,ega,gp->epa", GAUSS_WEIGHTS, fg, PHI))
 
 
 def divergence_load_from_gauss(mesh, fg):
     """Assemble v -> integral f_i^a dv^a/dx_i from Gauss values fg (nelem, 4, 2, m)."""
-    m = fg.shape[3]
-    loc = mesh.h * np.einsum("g,egia,gip->epa", GAUSS_WEIGHTS, fg, DPHI)
-    vec = np.zeros(mesh.nnodes * m)
-    np.add.at(vec, (mesh.elem_dofs[:, :, None] * m + np.arange(m)).ravel(), loc.ravel())
-    return vec
-
-
-def element_gauss_values(mesh, values):
-    """Nodal table (nnodes, ...) -> values at the element Gauss points (nelem, 4, ...)."""
-    vals = np.asarray(values, dtype=float)
-    at_nodes = vals[mesh.elem_dofs]
-    return np.einsum("gp,ep...->eg...", PHI, at_nodes)
+    return _scatter(mesh, mesh.h * np.einsum("g,egia,gip->epa", GAUSS_WEIGHTS, fg, DPHI))
 
 
 def element_gauss_gradients(mesh, values):
@@ -463,7 +468,7 @@ def boundary_flux_load(mesh, g, m=1):
         w = np.full(len(pos), mesh.h)
         w[0] = w[-1] = 0.5 * mesh.h
         for a in range(m):
-            np.add.at(vec, nodes * m + a, w * gvals[:, a])
+            vec[nodes * m + a] += w * gvals[:, a]     # an edge's nodes are distinct
     return vec
 
 
@@ -545,6 +550,22 @@ def solve_dirichlet(op: AssembledOperator, source=None, bdata=0.0,
     return Field(mesh, u.reshape(mesh.nnodes, m))
 
 
+def _solve_pinned(op, rhs, options):
+    """Solve [[K, C], [C^T, 0]] [u, lam] = [rhs, 0] with C the mean-pin
+    columns; the residual of K u = rhs - C lam is checked."""
+    m = op.m
+    rhs_full = np.concatenate([rhs, np.zeros(m)])
+    if op._lu is not None or options.kind == "direct":
+        x = op._pinned_lu().solve(rhs_full)
+    else:
+        C = op.pin_columns()
+        B = sp.bmat([[op.matrix, sp.csr_matrix(C)], [sp.csr_matrix(C.T), None]], format="csr")
+        x = _solve_linear(B, rhs_full, options, symmetric_posdef=False)
+    u = x[:op.ndof]
+    _check_residual(op.mode, op.matrix, u, rhs - op.pin_columns() @ x[op.ndof:], options.tol)
+    return Field(op.mesh, u.reshape(op.mesh.nnodes, m))
+
+
 def solve_neumann(op: AssembledOperator, source=None, flux=None,
                   options: SolverOptions = DEFAULT_SOLVER, check_compat=True) -> Field:
     """Solve the Neumann problem with the boundary-mean pin.
@@ -570,17 +591,7 @@ def solve_neumann(op: AssembledOperator, source=None, flux=None,
             if abs(total) > 1e-8 * max(scale, 1e-30):
                 raise SolveError(
                     f"incompatible Neumann data: component {a} imbalance {total:.3e} vs scale {scale:.3e}")
-    rhs_full = np.concatenate([rhs, np.zeros(m)])
-    if op._lu is not None or options.kind == "direct":
-        x = op._pinned_lu().solve(rhs_full)
-    else:
-        C = op.pin_columns()
-        B = sp.bmat([[op.matrix, sp.csr_matrix(C)], [sp.csr_matrix(C.T), None]], format="csr")
-        x = _solve_linear(B, rhs_full, options, symmetric_posdef=False)
-    u = x[:op.ndof]
-    C = op.pin_columns()
-    _check_residual("neumann", op.matrix, u, rhs - C @ x[op.ndof:], options.tol)
-    return Field(mesh, u.reshape(mesh.nnodes, m))
+    return _solve_pinned(op, rhs, options)
 
 
 def solve_periodic(op: AssembledOperator, source=None,
@@ -588,19 +599,7 @@ def solve_periodic(op: AssembledOperator, source=None,
     """Solve on the torus with the volume-mean pin per component."""
     if op.mode != "periodic":
         raise ValueError(f"operator assembled in mode {op.mode!r}, need 'periodic'")
-    mesh, m = op.mesh, op.m
-    load = _as_load_vector(mesh, source, m)
-    rhs_full = np.concatenate([load, np.zeros(m)])
-    if op._lu is not None or options.kind == "direct":
-        x = op._pinned_lu().solve(rhs_full)
-    else:
-        C = op.pin_columns()
-        B = sp.bmat([[op.matrix, sp.csr_matrix(C)], [sp.csr_matrix(C.T), None]], format="csr")
-        x = _solve_linear(B, rhs_full, options, symmetric_posdef=False)
-    u = x[:op.ndof]
-    C = op.pin_columns()
-    _check_residual("periodic", op.matrix, u, load - C @ x[op.ndof:], options.tol)
-    return Field(mesh, u.reshape(mesh.nnodes, m))
+    return _solve_pinned(op, _as_load_vector(op.mesh, source, op.m), options)
 
 
 def conormal(u: Field, op: AssembledOperator, source=None):
@@ -621,13 +620,6 @@ def conormal(u: Field, op: AssembledOperator, source=None):
 # norms and derivative recovery
 
 
-def _gauss_field_and_grad(mesh, values):
-    at_nodes = values[mesh.elem_dofs]                    # (nelem, 4, m)
-    vals = np.einsum("gp,epa->ega", PHI, at_nodes)
-    grads = np.einsum("gip,epa->egia", DPHI, at_nodes) / mesh.h
-    return vals, grads
-
-
 def norm(u: Field, kind="Lp", p=2.0):
     """Norms by elementwise Gauss quadrature / lumped arc quadrature.
 
@@ -645,7 +637,7 @@ def norm(u: Field, kind="Lp", p=2.0):
     h2 = mesh.h ** 2
 
     if kind in ("Lp", "W1p"):
-        vg, gg = _gauss_field_and_grad(mesh, vals)
+        vg, gg = element_gauss_values(mesh, vals), element_gauss_gradients(mesh, vals)
         if np.isinf(p):
             vmax = np.abs(vals).max()
             if kind == "Lp":
@@ -659,7 +651,7 @@ def norm(u: Field, kind="Lp", p=2.0):
         return float(term ** (1.0 / p))
 
     if kind == "weighted_grad":
-        _, gg = _gauss_field_and_grad(mesh, vals)
+        gg = element_gauss_gradients(mesh, vals)
         dist = mesh.dist_to_boundary(mesh.gauss_points())
         gmag2 = (gg ** 2).sum(axis=(2, 3))
         return float(np.sqrt(h2 * (GAUSS_WEIGHTS[None, :] * gmag2 * dist).sum()))

@@ -16,12 +16,12 @@ import numpy as np
 
 from ..coeff import CoefficientField, builtin
 from ..mesh import SolverOptions, DEFAULT_SOLVER
-from .context import EpsilonContext, cell_solution
+from .context import EpsilonContext, cell_solution, mesh_resolution, DEFAULT_MAX_N
 from .experiments import EXPERIMENTS, DEFAULT_EPS, DEGENERATE_FLOOR
 
 __all__ = ["ExperimentConfig", "RateReport", "FitResult", "fit_rate", "emit",
            "run", "run_many", "coefficient_from_spec", "EXPERIMENTS",
-           "EpsilonContext", "cell_solution", "RegistryError"]
+           "EpsilonContext", "cell_solution", "mesh_resolution", "RegistryError"]
 
 
 class RegistryError(KeyError):
@@ -41,7 +41,7 @@ class ExperimentConfig:
     cell_n: int = 256
     seed: int = 0
     solver: SolverOptions = DEFAULT_SOLVER
-    max_n: int = 2048
+    max_n: int = DEFAULT_MAX_N
 
     def __post_init__(self):
         self.eps_list = tuple(float(e) for e in self.eps_list)
@@ -51,9 +51,8 @@ class ExperimentConfig:
             raise ValueError("eps values must be positive")
         if self.cells_per_period < 8:
             raise ValueError("cells_per_period must be at least 8 (under-resolution)")
-        worst = int(round(self.cells_per_period / min(self.eps_list)))
-        if worst > self.max_n:
-            raise ValueError(f"finest mesh n={worst} exceeds the budget {self.max_n}")
+        for eps in self.eps_list:
+            mesh_resolution(self.cells_per_period, eps, self.max_n)
 
     def describe(self):
         coeff = self.coefficient
@@ -169,25 +168,8 @@ def _experiment(config) -> object:
 
 
 def run(config: ExperimentConfig) -> RateReport:
-    """Run a single experiment end to end."""
-    exp = _experiment(config)
-    if exp.kind != "sweep":
-        return exp.runner(config, RateReport)
-    field = coefficient_from_spec(config.coefficient or exp.coefficient)
-    rows_by_q = {}
-    h_list = []
-    for eps in config.eps_list:
-        ctx = EpsilonContext(field, eps, cells_per_period=config.cells_per_period,
-                             cell_n=config.cell_n, options=config.solver,
-                             max_n=config.max_n)
-        ctx.prepare(exp.needs)
-        out = exp.compute(ctx)
-        for q, v in out.items():
-            rows_by_q.setdefault(q, []).append(float(v))
-        h_list.append(ctx.mesh.h)
-        ctx.release()
-        del ctx
-    return _finish_sweep(exp, config, rows_by_q, list(config.eps_list), h_list)
+    """Run a single experiment end to end: run_many of the one config."""
+    return run_many([config])[config.experiment]
 
 
 def run_many(configs) -> dict:

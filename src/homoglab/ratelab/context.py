@@ -4,7 +4,9 @@ All experiments at one epsilon read from one EpsilonContext.  Quantities
 are computed in operator-affine batches (all solves against one
 factorization before moving to the next operator) because only one sparse
 LU fits comfortably in memory at the finest resolution.  Cell solutions
-are cached per coefficient across the whole sweep.
+are cached per coefficient across the whole sweep.  The quantities
+themselves come from the library (kernels, expand, correctors) run with the
+context's cached operators, so each has one implementation.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import numpy as np
 
 from .. import cell as cellmod
 from .. import correctors as corrmod
+from .. import expand as expmod
 from .. import kernels as kermod
 from ..coeff import CoefficientField, rescale
-from ..mesh import (DomainMesh, assemble, solve_dirichlet, solve_neumann,
-                    divergence_load, nodal_gradient, conormal, DEFAULT_SOLVER)
+from ..mesh import DomainMesh, assemble, solve_dirichlet, solve_neumann, conormal, DEFAULT_SOLVER
 
 _CELL_CACHE = {}
+DEFAULT_MAX_N = 2048
 
 # fixed sample geometry (inside every trusted region, reproducible)
 GREEN_SOURCE = (0.75, 0.5)
@@ -28,8 +31,23 @@ POISSON_SOURCES_S = (0.25, 0.5, 0.75, 1.5, 2.5, 3.5)
 KERNEL_X_S = (2.25, 2.5, 2.75, 1.5, 3.5)
 
 
+def mesh_resolution(cells_per_period, eps, max_n=DEFAULT_MAX_N):
+    """Cells per axis of the unit-square mesh with cells_per_period cells in
+    each period of length eps.  Raises ValueError unless cells_per_period/eps
+    is an integer (otherwise the periods do not align with the mesh) or if
+    the mesh exceeds the max_n budget."""
+    ratio = cells_per_period / eps
+    n = int(round(ratio))
+    if abs(ratio - n) > 1e-9 * ratio:
+        raise ValueError(f"eps={eps!r} does not align the periods with the mesh: "
+                         f"cells_per_period/eps = {ratio!r} is not an integer")
+    if n > max_n:
+        raise ValueError(f"mesh resolution n={n} exceeds the budget {max_n}")
+    return n
+
+
 def cell_solution(field: CoefficientField, n: int, options=DEFAULT_SOLVER):
-    key = (field.key(), n)
+    key = (field.key(), n, options)
     if key not in _CELL_CACHE:
         _CELL_CACHE[key] = cellmod.solve(field, n, options=options)
     return _CELL_CACHE[key]
@@ -39,14 +57,11 @@ class EpsilonContext:
     """Lazy, batch-ordered computation of the standard sweep quantities."""
 
     def __init__(self, field: CoefficientField, eps, cells_per_period=16,
-                 cell_n=256, options=DEFAULT_SOLVER, max_n=2048):
+                 cell_n=256, options=DEFAULT_SOLVER, max_n=DEFAULT_MAX_N):
         self.field = field
         self.eps = float(eps)
-        n = int(round(cells_per_period / eps))
-        if n > max_n:
-            raise ValueError(f"mesh resolution n={n} exceeds the budget {max_n}")
-        self.n = n
-        self.mesh = DomainMesh(n)
+        self.n = mesh_resolution(cells_per_period, eps, max_n)
+        self.mesh = DomainMesh(self.n)
         self.scaled = rescale(field, eps)
         self.options = options
         # fine-resolution corrector/flux tables for the expansions
@@ -120,8 +135,8 @@ class EpsilonContext:
         todo = set()
         for name in needs:
             todo |= set(_DEPENDENCIES.get(name, ())) | {name}
-        for batch in ("dir_eps", "post_eps", "dir_0", "neu_eps", "neu_0", "post"):
-            items = [q for q in _BATCH_ORDER[batch] if q in todo and q not in self.data]
+        for batch, order in _BATCH_ORDER.items():
+            items = [q for q in order if q in todo and q not in self.data]
             if items:
                 getattr(self, "_batch_" + batch)(items)
         missing = [q for q in needs if q not in self.data]
@@ -147,59 +162,42 @@ class EpsilonContext:
             self.data["u_poisson_eps"] = solve_dirichlet(op, None, bdata=self.poisson_data(),
                                                          options=self.options)
         if "u_div_eps" in items:
-            load = -divergence_load(mesh, self.div_data(), m=self.m)
-            self.data["u_div_eps"] = solve_dirichlet(op, load, bdata=0.0, options=self.options)
+            self.data["u_div_eps"] = expmod.divergence_data_eps(op, self.div_data(), self.options)
         if "P_eps" in items or "K_eps" in items:
-            cols, fluxes = self._kernel_columns(op)
-            self.data["P_eps"] = cols
-            self.data["K_eps"] = fluxes
+            self.data["P_eps"], self.data["K_eps"] = self._poisson_columns(op)
         if "lambda_eps" in items:
             self.data["lambda_eps"] = self._dtn_applies(op, {"f": self.dtn_f(),
                                                              "x1": None, "x2": None})
         if "s_piece1" in items:
-            g = np.sin(2 * np.pi * mesh.nodes[:, 0])
-            data = np.zeros((mesh.nnodes, 2))
-            data[:, 0] = g                        # j = 1 divergence direction
-            self.data["s_g"] = g
-            self.data["s_piece1"] = self._t_apply(op, data)[:, 0]   # i = 1 component
+            self.data["s_g"] = np.sin(2 * np.pi * mesh.nodes[:, 0])
+            self.data["s_piece1"] = expmod.s_epsilon_eps(op, self.data["s_g"],
+                                                         options=self.options)
 
     def _batch_post_eps(self, items):
         if "omega" in items:
             self.data["omega"] = kermod.omega(self.scaled, self.hatA,
                                               self.data["phi_star"], self.mesh,
                                               op=self._ops.get("dir_eps"))
-        if "grad_phi_star" in items:
-            phi_star = self.data["phi_star"]
-            g = np.empty((2, self.m, self.mesh.nnodes, 2, self.m))
-            for i in range(2):
-                for a in range(self.m):
-                    g[i, a] = nodal_gradient(self.mesh, phi_star[i, a])
-            self.data["grad_phi_star"] = g
 
     def _batch_dir_0(self, items):
         op0 = self.op("dir_0")
         mesh = self.mesh
         if "G_0" in items:
-            self.data["G_0"] = kermod.green(self.hatA_field(), mesh,
+            # with op given, green/neumann_fn read only m and symmetric of the field
+            self.data["G_0"] = kermod.green(self.field, mesh,
                                             self.node_at(GREEN_SOURCE), op=op0,
                                             options=self.options)
         if "u_dir_0" in items:
             self.data["u_dir_0"] = solve_dirichlet(op0, np.ones((mesh.nnodes, self.m)),
                                                    bdata=0.0, options=self.options)
         if "v_poisson" in items:
-            wvals = self.data["omega"].filled()
-            vdata = np.einsum("ngb,nb->ng", wvals, self.poisson_data())
-            self.data["v_poisson"] = solve_dirichlet(op0, None, bdata=vdata,
-                                                     options=self.options)
+            self.data["v_poisson"] = expmod.poisson_approx_0(op0, self.data["omega"],
+                                                             self.poisson_data(), self.options)
         if "v_div" in items:
-            f = self.div_data()
-            F_eps = np.einsum("njb,ianjb->nia", f, self.data["grad_phi_star"])
-            load = -divergence_load(mesh, F_eps, m=self.m)
-            self.data["v_div"] = solve_dirichlet(op0, load, bdata=0.0, options=self.options)
+            self.data["v_div"] = expmod.divergence_data_0(op0, self.data["phi_star"],
+                                                          self.div_data(), self.options)
         if "P_0" in items or "K_0" in items:
-            cols, fluxes = self._kernel_columns(op0)
-            self.data["P_0"] = cols
-            self.data["K_0"] = fluxes
+            self.data["P_0"], self.data["K_0"] = self._poisson_columns(op0)
         if "lambda_0" in items:
             w = self.data["omega"].filled()[:, 0, 0]
             fb = self.dtn_f()
@@ -208,15 +206,9 @@ class EpsilonContext:
                 "omega": w, "omega_f": w * fb,
                 "omega_x1": w * xb[:, 0], "omega_x2": w * xb[:, 1]})
         if "s_piece23" in items:
-            g = self.data["s_g"]
-            phi, phi_star = self.data["phi"], self.data["phi_star"]
-            dphi = np.stack([nodal_gradient(mesh, phi[k, 0])[:, 0, 0] for k in range(2)], axis=1)
-            dphistar = np.stack([nodal_gradient(mesh, phi_star[l, 0])[:, 0, 0] for l in range(2)], axis=1)
-            grad2 = self._t_apply(op0, dphistar * g[:, None])
-            grad3 = self._t_apply(op0, dphistar)
-            piece2 = (dphi * grad2).sum(axis=1)
-            piece3 = (dphi * grad3).sum(axis=1) * g
-            self.data["s_piece23"] = piece2 - piece3
+            self.data["s_piece23"] = expmod.s_epsilon_0(op0, self.data["phi"],
+                                                        self.data["phi_star"], self.data["s_g"],
+                                                        options=self.options)
 
     def _batch_neu_eps(self, items):
         opn = self.op("neu_eps")
@@ -238,47 +230,24 @@ class EpsilonContext:
         opn0 = self.op("neu_0")
         mesh = self.mesh
         if "N_0" in items:
-            self.data["N_0"] = kermod.neumann_fn(self.hatA_field(), mesh,
+            self.data["N_0"] = kermod.neumann_fn(self.field, mesh,
                                                  self.node_at(GREEN_SOURCE), op=opn0,
                                                  options=self.options)
         if "u_neu_0" in items:
             self.data["u_neu_0"] = solve_neumann(opn0, self.neumann_source(),
                                                  options=self.options)
 
-    def _batch_post(self, items):
-        pass
-
     # -- helpers -------------------------------------------------------------
 
-    def hatA_field(self):
-        """The homogenized tensor as a coefficient-like object (m, symmetric)."""
-        tensor = self.hatA
-
-        class _Const:
-            m = self.m
-            symmetric = bool(np.allclose(tensor, tensor.transpose(1, 0, 3, 2)))
-            epsilon = 0.0
-
-            def __call__(self, pts):
-                pts = np.atleast_2d(pts)
-                return np.broadcast_to(tensor, (pts.shape[0],) + tensor.shape).copy()
-
-        return _Const()
-
-    def _kernel_columns(self, op):
-        """Poisson-kernel columns at the standard sources + their conormal
+    def _poisson_columns(self, op):
+        """Poisson-kernel columns at the standard sources and their conormal
         fluxes sampled at the standard boundary x positions."""
-        mesh = self.mesh
-        cols = {}
-        fluxes = {}
         xpos = [self.boundary_pos(s) for s in KERNEL_X_S]
+        cols, fluxes = {}, {}
         for s in POISSON_SOURCES_S:
-            pos = self.boundary_pos(s)
-            bdata = np.zeros((mesh.n_boundary, self.m))
-            bdata[pos, :] = 1.0 / mesh.arc_weights[pos]
-            u = solve_dirichlet(op, None, bdata=bdata, options=self.options)
-            cols[s] = u
-            t = conormal(u, op)
+            cols[s] = kermod.poisson_kernel(self.field, self.mesh, self.boundary_pos(s),
+                                            op=op, options=self.options)
+            t = conormal(cols[s], op)
             fluxes[s] = {sx: t[px, 0] for sx, px in zip(KERNEL_X_S, xpos)}
         return cols, fluxes
 
@@ -293,31 +262,21 @@ class EpsilonContext:
                                                    options=self.options)[:, 0]
         return out
 
-    def _t_apply(self, op, data):
-        """Gradient of the zero-Dirichlet solve of L(u) = div-form data."""
-        fv = np.zeros((self.mesh.nnodes, 2, 1))
-        fv[:, :, 0] = data
-        u = solve_dirichlet(op, -divergence_load(self.mesh, fv, m=1), bdata=0.0,
-                            options=self.options)
-        return nodal_gradient(self.mesh, u.values)[:, :, 0]
-
 
 _BATCH_ORDER = {
     "dir_eps": ("phi", "phi_star", "G_eps", "u_dir_eps", "u_poisson_eps",
                 "u_div_eps", "P_eps", "K_eps", "lambda_eps", "s_piece1"),
-    "post_eps": ("omega", "grad_phi_star"),
+    "post_eps": ("omega",),
     "dir_0": ("G_0", "u_dir_0", "v_poisson", "v_div", "P_0", "K_0",
               "lambda_0", "s_piece23"),
     "neu_eps": ("psi", "N_eps", "u_neu_eps"),
     "neu_0": ("N_0", "u_neu_0"),
-    "post": (),
 }
 
 _DEPENDENCIES = {
     "omega": ("phi_star",),
-    "grad_phi_star": ("phi_star",),
     "v_poisson": ("phi_star", "omega"),
-    "v_div": ("phi_star", "grad_phi_star"),
+    "v_div": ("phi_star",),
     "lambda_0": ("phi_star", "omega"),
     "s_piece23": ("phi", "phi_star", "s_piece1"),
     "K_0": ("P_0",),

@@ -19,7 +19,7 @@ from .. import kernels as kermod
 from .. import mesh as fem
 from ..coeff import builtin, rescale
 from ..mesh import Field, assemble, solve_dirichlet, solve_neumann, nodal_gradient, norm
-from .context import (cell_solution, GREEN_EVAL, INTERIOR_EVAL,
+from .context import (cell_solution, mesh_resolution, GREEN_EVAL, INTERIOR_EVAL,
                       POISSON_SOURCES_S, KERNEL_X_S)
 
 LAYERED = {"family": "layered", "params": {}}
@@ -286,7 +286,7 @@ def _identity_pair(config, which):
     eps = config.eps_list[0]
     vals = []
     for cpp in (config.cells_per_period, 2 * config.cells_per_period):
-        n = int(round(cpp / eps))
+        n = mesh_resolution(cpp, eps, config.max_n)
         dm = fem.DomainMesh(n)
         sc = rescale(field, eps)
         if which == "interior":
@@ -296,7 +296,7 @@ def _identity_pair(config, which):
             u_eps = solve_dirichlet(op, f, bdata=0.0, options=config.solver)
             u0 = solve_dirichlet(op0, f, bdata=0.0, options=config.solver)
             cset = corrmod.build(sc, dm, hatA=cs.hatA, with_neumann=False,
-                                 options=config.solver)
+                                 options=config.solver, ops={"dirichlet": op})
             e = expmod.build_expansion(u_eps, u0, "dirichlet", correctors=cset)
             r = expmod.residual_identity_check(e, sc, cs, op=op)
             vals.append((n, r["residual"]))
@@ -307,7 +307,8 @@ def _identity_pair(config, which):
             F = np.cos(np.pi * dm.nodes[:, 0])[:, None]
             u_eps = solve_neumann(opn, F, options=config.solver)
             u0 = solve_neumann(opn0, F, options=config.solver)
-            cset = corrmod.build(sc, dm, hatA=cs.hatA, options=config.solver)
+            cset = corrmod.build(sc, dm, hatA=cs.hatA, options=config.solver,
+                                 ops={"neumann": opn})
             e = expmod.build_expansion(u_eps, u0, "neumann", correctors=cset)
             c = expmod.conormal_identity_check(e, sc, cs.hatA)
             vals.append((n, c["l2_boundary"]))

@@ -192,3 +192,89 @@ def test_cli_green_subcommand(tmp_path):
     assert rc == 0
     lines = (tmp_path / "green.csv").read_text().strip().split("\n")
     assert lines[0] == "x,y,source_x,source_y,value"
+
+
+def test_config_rejects_misaligned_epsilon():
+    # 8 / 0.3 is not an integer: the periods would not align with the mesh
+    with pytest.raises(ValueError):
+        ratelab.ExperimentConfig("lp-dirichlet", eps_list=(0.3, 0.15, 0.075),
+                                 cells_per_period=8)
+    with pytest.raises(ValueError):
+        ratelab.mesh_resolution(16, 0.3)
+    with pytest.raises(ValueError):
+        ratelab.mesh_resolution(16, 1 / 64, max_n=512)
+    assert ratelab.mesh_resolution(16, 1 / 3) == 48
+
+
+def test_cell_cache_keys_on_solver_options(monkeypatch):
+    from homoglab.ratelab import context
+    from homoglab.coeff import builtin
+    from homoglab.mesh import DEFAULT_SOLVER, SolverOptions
+
+    calls = []
+
+    def fake_solve(field, n, options):
+        calls.append(options)
+        return object()
+
+    monkeypatch.setattr(context, "_CELL_CACHE", {})
+    monkeypatch.setattr(context.cellmod, "solve", fake_solve)
+    field = builtin("layered")
+    direct = ratelab.cell_solution(field, 8)
+    cg = ratelab.cell_solution(field, 8, SolverOptions(kind="cg"))
+    assert cg is not direct
+    assert calls == [DEFAULT_SOLVER, SolverOptions(kind="cg")]
+    assert ratelab.cell_solution(field, 8) is direct
+
+
+def test_context_quantities_match_library():
+    # the sweep context and the library functions give bitwise equal values
+    from homoglab import expand, kernels
+    from homoglab.coeff import builtin
+    from homoglab.ratelab.context import POISSON_SOURCES_S
+
+    ctx = ratelab.EpsilonContext(builtin("layered"), 1 / 4, cells_per_period=8, cell_n=16)
+    ctx.prepare(["u_poisson_eps", "v_poisson", "u_div_eps", "v_div",
+                 "s_piece1", "s_piece23", "P_eps", "P_0"])
+    data, mesh = ctx.data, ctx.mesh
+    op_eps, op_0 = ctx._ops["dir_eps"], ctx._ops["dir_0"]
+    ops = {"dirichlet_eps": op_eps, "dirichlet_0": op_0}
+
+    out = expand.poisson_approx(ctx.scaled, mesh, data["omega"], ctx.poisson_data(), ops=ops)
+    assert np.array_equal(out["u_eps"].values, data["u_poisson_eps"].values)
+    assert np.array_equal(out["v_eps"].values, data["v_poisson"].values)
+
+    out = expand.divergence_data_approx(ctx.scaled, data["phi_star"], mesh, ctx.div_data(),
+                                        ops=ops)
+    assert np.array_equal(out["u_eps"].values, data["u_div_eps"].values)
+    assert np.array_equal(out["v_eps"].values, data["v_div"].values)
+
+    out = expand.s_epsilon(ctx.scaled, data["phi"], data["phi_star"], mesh, data["s_g"],
+                           ops=ops)
+    assert np.array_equal(out["field"].values[:, 0], data["s_piece1"] - data["s_piece23"])
+
+    for s in POISSON_SOURCES_S:
+        pos = ctx.boundary_pos(s)
+        for op, key in ((op_eps, "P_eps"), (op_0, "P_0")):
+            col = kernels.poisson_kernel(ctx.scaled, mesh, pos, op=op)
+            assert np.array_equal(col.values, data[key][s].values)
+    ctx.release()
+
+
+def test_cli_expand_s_epsilon(tmp_path):
+    rc = cli.main(["expand", "--out", str(tmp_path), "--config", _write_small_config(tmp_path),
+                   "--eps", "1/4", "--cells-per-period", "8", "--experiment", "s-epsilon"])
+    assert rc == 0
+    payload = json.loads((tmp_path / "expand.json").read_text())
+    assert "w_h1" in payload
+    assert set(payload["s_epsilon_norms"]) == {"1.5"}
+    assert np.isfinite(payload["s_epsilon_norms"]["1.5"])
+
+
+def _write_small_config(tmp_path):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({
+        "coefficient": {"family": "layered", "params": {}},
+        "mesh": {"cell_n": 16},
+    }))
+    return str(path)
