@@ -31,8 +31,7 @@ from . import mesh as fem
 from .coeff import CoefficientField
 from .mesh import (TorusGrid, Field, assemble, solve_periodic, nodal_gradient,
                    element_gauss_gradients, volume_load_from_gauss,
-                   divergence_load_from_gauss, DEFAULT_SOLVER,
-                   GAUSS_WEIGHTS)
+                   divergence_load_from_gauss, GAUSS_WEIGHTS)
 
 __all__ = ["CellError", "CellSolution", "solve_cell", "homogenize",
            "discrepancy", "flux_corrector", "solve", "flux_divergence_residual"]
@@ -98,7 +97,7 @@ def _coeff_nodes(coeff, grid):
     return np.asarray(coeff(grid.nodes), dtype=float)             # (nnodes, 2, 2, m, m)
 
 
-def solve_cell(coeff, n, options=DEFAULT_SOLVER, op=None, A_gauss=None):
+def solve_cell(coeff, n, op=None, A_gauss=None):
     """Solve the d*m periodic cell problems on an n-grid torus.
 
     Each column chi[j, beta] is the mean-zero periodic weak solution with
@@ -118,7 +117,7 @@ def solve_cell(coeff, n, options=DEFAULT_SOLVER, op=None, A_gauss=None):
         for beta in range(m):
             fg = A_gauss[:, :, :, j, :, beta]          # (nelem, 4, i, alpha)
             load = -divergence_load_from_gauss(grid, fg)
-            sol = solve_periodic(op, load, options=options)
+            sol = solve_periodic(op, load)
             chi[j, beta] = sol.values
     return grid, chi, A_gauss
 
@@ -184,7 +183,7 @@ def discrepancy(coeff, grid, chi, hatA, A_gauss=None, A_nodes=None):
     return b_nodal, b_gauss, b_mean, chi_grad, res
 
 
-def flux_corrector(grid, b_gauss, b_mean=None, options=DEFAULT_SOLVER):
+def flux_corrector(grid, b_gauss, b_mean=None):
     """Solve Laplace(f_ij^{ab}) = b_ij^{ab} on the torus and build
     F_kij^{ab} = d_k f_ij^{ab} - d_i f_kj^{ab}, stored antisymmetrized.
 
@@ -205,7 +204,7 @@ def flux_corrector(grid, b_gauss, b_mean=None, options=DEFAULT_SOLVER):
             for a in range(m):
                 for b in range(m):
                     load = -volume_load_from_gauss(grid, b_gauss[i, j, a, b][:, :, None])
-                    sol = solve_periodic(op, load, options=options)
+                    sol = solve_periodic(op, load)
                     f[i, j, a, b] = sol.values[:, 0]
                     grad_f[i, j, a, b] = nodal_gradient(grid, sol.values)[:, :, 0]
     op.release()
@@ -253,15 +252,15 @@ def _component_field(coeff, a):
                             symmetric=coeff.symmetric, params={"component": a})
 
 
-def _pipeline(coeff, grid, A_gauss, A_nodes, options):
+def _pipeline(coeff, grid, A_gauss, A_nodes):
     """Correctors, hatA, discrepancy and flux corrector as CellSolution fields."""
     op = assemble(coeff, grid, A_gauss=A_gauss)
-    grid, chi, A_gauss = solve_cell(coeff, grid.n, options=options, op=op, A_gauss=A_gauss)
+    grid, chi, A_gauss = solve_cell(coeff, grid.n, op=op, A_gauss=A_gauss)
     hatA = homogenize(coeff, grid, chi, A_gauss=A_gauss)
     b_nodal, b_gauss, b_mean, chi_grad, _ = discrepancy(coeff, grid, chi, hatA,
                                                         A_gauss=A_gauss, A_nodes=A_nodes)
     op.release()
-    f, F = flux_corrector(grid, b_gauss, b_mean=b_mean, options=options)
+    f, F = flux_corrector(grid, b_gauss, b_mean=b_mean)
     return dict(chi=chi, hatA=hatA, b_nodal=b_nodal, b_gauss=b_gauss, b_mean=b_mean,
                 f=f, F=F, chi_grad=chi_grad)
 
@@ -281,7 +280,7 @@ def _block_diagonal(blocks, m):
     return out
 
 
-def solve(coeff, n, options=DEFAULT_SOLVER) -> CellSolution:
+def solve(coeff, n) -> CellSolution:
     """Full cell pipeline: correctors, hatA, discrepancy, flux corrector.
 
     A system with m > 1 whose off-diagonal blocks a^{ab} (a != b) are exactly
@@ -297,9 +296,9 @@ def solve(coeff, n, options=DEFAULT_SOLVER) -> CellSolution:
     if _is_decoupled(A_gauss, A_nodes):
         blocks = [_pipeline(_component_field(coeff, a), grid,
                             np.ascontiguousarray(A_gauss[..., a:a + 1, a:a + 1]),
-                            np.ascontiguousarray(A_nodes[..., a:a + 1, a:a + 1]), options)
+                            np.ascontiguousarray(A_nodes[..., a:a + 1, a:a + 1]))
                   for a in range(m)]
         fields = _block_diagonal(blocks, m)
     else:
-        fields = _pipeline(coeff, grid, A_gauss, A_nodes, options)
+        fields = _pipeline(coeff, grid, A_gauss, A_nodes)
     return CellSolution(grid=grid, coeff=coeff, **fields)

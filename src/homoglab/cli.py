@@ -4,9 +4,9 @@
              [--cells-per-period 16] [--format csv|json]
 
 Subcommands: cell, correctors, green, neumann-fn, poisson, dtn, expand,
-rates, all.  The config is a JSON document with keys {coefficient, mesh,
-solver, experiments[]}; command-line flags override it.  Exit code is 0
-iff all selected experiments pass.
+rates, all.  The config is a JSON object with keys {coefficient, mesh,
+experiments[], seed}; any other key is an error.  Command-line flags
+override it.  Exit code is 0 iff all selected experiments pass.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from . import kernels as kermod
 from . import mesh as fem
 from . import ratelab
 from .coeff import rescale
-from .mesh import SolverOptions
+
+CONFIG_KEYS = ("coefficient", "mesh", "experiments", "seed")
 
 
 def _parse_eps(text):
@@ -34,10 +35,19 @@ def _parse_eps(text):
 
 
 def _load_config(path):
+    """The JSON config at path ({} for None); ValueError on a non-object or
+    on keys outside CONFIG_KEYS."""
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path} must be a JSON object")
+    unknown = sorted(set(config) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"config {path} has unknown keys {', '.join(unknown)}; "
+                         f"allowed: {', '.join(CONFIG_KEYS)}")
+    return config
 
 
 def _coefficient(config, args):
@@ -45,11 +55,6 @@ def _coefficient(config, args):
     if args.coeff_family:
         spec = {"family": args.coeff_family, "params": json.loads(args.coeff_params or "{}")}
     return ratelab.coefficient_from_spec(spec)
-
-
-def _solver(config):
-    s = config.get("solver", {})
-    return SolverOptions(kind=s.get("kind", "direct"), tol=s.get("tol", 1e-10))
 
 
 def _mesh_n(config, args, default=64):
@@ -74,9 +79,8 @@ def _emit_json(args, name, payload):
 
 def cmd_cell(args, config):
     field = _coefficient(config, args)
-    solver = _solver(config)
     n = config.get("mesh", {}).get("cell_n", 256)
-    cs = ratelab.cell_solution(field, n, solver)
+    cs = ratelab.cell_solution(field, n)
     stats = cs.stats()
     stats["F_divergence_residual"] = cellmod.flux_divergence_residual(cs.grid, cs.F, cs.b_gauss)
     _emit_json(args, "cell.json", stats)
@@ -88,10 +92,9 @@ def cmd_cell(args, config):
 
 def cmd_correctors(args, config):
     field = _coefficient(config, args)
-    solver = _solver(config)
     eps_list = _parse_eps(args.eps) if args.eps else (1 / 8, 1 / 16, 1 / 32)
     cpp = args.cells_per_period or config.get("mesh", {}).get("cells_per_period", 16)
-    cs = ratelab.cell_solution(field, config.get("mesh", {}).get("cell_n", 256), solver)
+    cs = ratelab.cell_solution(field, config.get("mesh", {}).get("cell_n", 256))
     out = []
     for eps in eps_list:
         dm = fem.DomainMesh(ratelab.mesh_resolution(cpp, eps))
@@ -99,7 +102,7 @@ def cmd_correctors(args, config):
         if args.pin:
             x, y = (float(t) for t in args.pin.split(","))
             x0 = int(np.argmin(np.sum((dm.nodes - (x, y)) ** 2, axis=1)))
-        cset = corrmod.build(rescale(field, eps), dm, hatA=cs.hatA, x0=x0, options=solver)
+        cset = corrmod.build(rescale(field, eps), dm, hatA=cs.hatA, x0=x0)
         out.append(corrmod.corrector_report(cset, cs))
     _emit_json(args, "correctors.json", out)
     return 0
@@ -107,21 +110,20 @@ def cmd_correctors(args, config):
 
 def _kernel_command(args, config, kind):
     field = _coefficient(config, args)
-    solver = _solver(config)
     n = _mesh_n(config, args)
     dm = fem.DomainMesh(n)
     eps = float(Fraction(args.eps.split(",")[0])) if args.eps else 1 / 8
     sc = rescale(field, eps)
     source = int(np.argmin(np.sum((dm.nodes - (0.75, 0.5)) ** 2, axis=1)))
     if kind == "green":
-        fld = kermod.green(sc, dm, source, options=solver)
+        fld = kermod.green(sc, dm, source)
         table = kermod.KernelTable("green", eps, dm, [source], [fld])
     elif kind == "neumann-fn":
-        fld = kermod.neumann_fn(sc, dm, source, options=solver)
+        fld = kermod.neumann_fn(sc, dm, source)
         table = kermod.KernelTable("neumann-fn", eps, dm, [source], [fld])
     else:
         pos = dm.n_boundary // 8
-        fld = kermod.poisson_kernel(sc, dm, pos, options=solver)
+        fld = kermod.poisson_kernel(sc, dm, pos)
         table = kermod.KernelTable("poisson", eps, dm, [pos], [fld])
     table.to_csv(_outpath(args, f"{kind}.csv"))
     print(f"wrote {_outpath(args, f'{kind}.csv')}")
@@ -130,11 +132,10 @@ def _kernel_command(args, config, kind):
 
 def cmd_dtn(args, config):
     field = _coefficient(config, args)
-    solver = _solver(config)
     n = _mesh_n(config, args)
     dm = fem.DomainMesh(n)
     eps = float(Fraction(args.eps.split(",")[0])) if args.eps else 1 / 8
-    D = kermod.dtn(rescale(field, eps), dm, options=solver)
+    D = kermod.dtn(rescale(field, eps), dm)
     D.to_csv(_outpath(args, "dtn.csv"))
     print(f"wrote {_outpath(args, 'dtn.csv')}")
     return 0
@@ -142,31 +143,31 @@ def cmd_dtn(args, config):
 
 def cmd_expand(args, config):
     field = _coefficient(config, args)
-    solver = _solver(config)
     eps = float(Fraction(args.eps.split(",")[0])) if args.eps else 1 / 8
     cpp = args.cells_per_period or 16
     dm = fem.DomainMesh(ratelab.mesh_resolution(cpp, eps))
     sc = rescale(field, eps)
-    cs = ratelab.cell_solution(field, config.get("mesh", {}).get("cell_n", 256), solver)
+    cs = ratelab.cell_solution(field, config.get("mesh", {}).get("cell_n", 256))
     result = {}
     if args.check == "conormal" or args.family == "neumann":
         opn = fem.assemble(sc, dm, mode="neumann")
         opn0 = fem.assemble(cs.hatA, dm, mode="neumann", m=field.m)
         F = np.cos(np.pi * dm.nodes[:, 0])[:, None]
-        u_eps = fem.solve_neumann(opn, F, options=solver)
-        u0 = fem.solve_neumann(opn0, F, options=solver)
-        cset = corrmod.build(sc, dm, hatA=cs.hatA, options=solver, ops={"neumann": opn})
+        u_eps = fem.solve_neumann(opn, F)
+        u0 = fem.solve_neumann(opn0, F)
+        psi, x0 = corrmod.neumann_correctors(sc, cs.hatA, dm, op=opn)
+        cset = corrmod.CorrectorSet(mesh=dm, epsilon=eps, phi=psi, phi_star=None,
+                                    psi=psi, x0=x0)
         e = expmod.build_expansion(u_eps, u0, "neumann", correctors=cset)
         result["conormal"] = expmod.conormal_identity_check(e, sc, cs.hatA)
     else:
         op = fem.assemble(sc, dm, mode="dirichlet")
         op0 = fem.assemble(cs.hatA, dm, mode="dirichlet", m=field.m)
         f = np.ones((dm.nnodes, field.m))
-        u_eps = fem.solve_dirichlet(op, f, bdata=0.0, options=solver)
-        u0 = fem.solve_dirichlet(op0, f, bdata=0.0, options=solver)
+        u_eps = fem.solve_dirichlet(op, f, bdata=0.0)
+        u0 = fem.solve_dirichlet(op0, f, bdata=0.0)
         if args.family == "dirichlet" or args.experiment == "s-epsilon":
-            cset = corrmod.build(sc, dm, hatA=cs.hatA, with_neumann=False, options=solver,
-                                 ops={"dirichlet": op})
+            cset = corrmod.build(sc, dm, hatA=cs.hatA, with_neumann=False, ops={"dirichlet": op})
         if args.family == "dirichlet":
             e = expmod.build_expansion(u_eps, u0, "dirichlet", correctors=cset)
         else:
@@ -177,14 +178,13 @@ def cmd_expand(args, config):
         if args.experiment == "s-epsilon":
             r = expmod.s_epsilon(sc, cset.phi, cset.phi_star, dm,
                                  np.sin(2 * np.pi * dm.nodes[:, 0]),
-                                 ops={"dirichlet_eps": op, "dirichlet_0": op0}, options=solver)
+                                 ops={"dirichlet_eps": op, "dirichlet_0": op0})
             result["s_epsilon_norms"] = r["norms"]
     _emit_json(args, "expand.json", result)
     return 0
 
 
 def cmd_rates(args, config, experiments=None):
-    solver = _solver(config)
     ids = experiments or config.get("experiments") or ["cell-oracle"]
     if args.experiments:
         ids = args.experiments.split(",")
@@ -194,7 +194,7 @@ def cmd_rates(args, config, experiments=None):
     if args.cells_per_period:
         kwargs["cells_per_period"] = args.cells_per_period
     coeff_spec = config.get("coefficient")
-    configs = [ratelab.ExperimentConfig(i, coefficient=coeff_spec, solver=solver,
+    configs = [ratelab.ExperimentConfig(i, coefficient=coeff_spec,
                                         seed=config.get("seed", 0), **kwargs)
                for i in ids]
     reports = ratelab.run_many(configs)
@@ -235,7 +235,10 @@ def main(argv=None):
     parser.add_argument("--experiment", choices=["s-epsilon"], default=None,
                         help="extra expansion experiment for expand")
     args = parser.parse_args(argv)
-    config = _load_config(args.config)
+    try:
+        config = _load_config(args.config)
+    except ValueError as err:
+        parser.error(str(err))
 
     if args.command == "cell":
         return cmd_cell(args, config)

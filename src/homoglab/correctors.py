@@ -15,7 +15,7 @@ import numpy as np
 
 from .mesh import (DomainMesh, Field, solve_dirichlet, solve_neumann,
                    boundary_flux_load, nodal_gradient, interp_torus, monomial_table,
-                   operator_scope, DEFAULT_SOLVER)
+                   operator_scope)
 
 __all__ = ["CorrectorError", "CorrectorSet", "dirichlet_correctors",
            "neumann_correctors", "build", "corrector_report"]
@@ -52,36 +52,34 @@ class CorrectorSet:
         return monomial_table(self.mesh, self.m)
 
 
-def _monomial_solves(op, options):
+def _monomial_solves(op):
     """Dirichlet solves whose boundary data is each linear monomial x_j e_beta."""
     mesh = op.mesh
     P = monomial_table(mesh, op.m)
     out = np.zeros_like(P)
     for j in range(mesh.d):
         for beta in range(op.m):
-            out[j, beta] = solve_dirichlet(op, None, bdata=P[j, beta][mesh.boundary_nodes],
-                                           options=options).values
+            out[j, beta] = solve_dirichlet(op, None, bdata=P[j, beta][mesh.boundary_nodes]).values
     return out
 
 
-def dirichlet_correctors(coeff, mesh, options=DEFAULT_SOLVER, op=None, op_star=None,
-                         with_adjoint=True):
+def dirichlet_correctors(coeff, mesh, op=None, op_star=None, with_adjoint=True):
     """Solve the d*m Dirichlet corrector columns (and the adjoint family).
 
     For symmetric coefficients the adjoint family coincides with phi and is
     not re-solved.
     """
     with operator_scope(op, coeff, mesh) as op:
-        phi = _monomial_solves(op, options)
+        phi = _monomial_solves(op)
     if not with_adjoint:
         return phi, None
     if getattr(coeff, "symmetric", False):
         return phi, phi.copy()
     with operator_scope(op_star, coeff.adjoint(), mesh) as op_star:
-        return phi, _monomial_solves(op_star, options)
+        return phi, _monomial_solves(op_star)
 
 
-def neumann_correctors(coeff, hatA, mesh, x0=None, options=DEFAULT_SOLVER, op=None):
+def neumann_correctors(coeff, hatA, mesh, x0=None, op=None):
     """Solve the Neumann corrector columns and pin them at x0.
 
     Each column solves the zero-source Neumann problem whose boundary flux
@@ -113,7 +111,7 @@ def neumann_correctors(coeff, hatA, mesh, x0=None, options=DEFAULT_SOLVER, op=No
                 if total > 1e-6 * scale:
                     raise CorrectorError(
                         f"conormal flux of linear data is not compatible: imbalance {total:.3e}")
-                sol = solve_neumann(op, None, flux=fvec, options=options, check_compat=False)
+                sol = solve_neumann(op, None, flux=fvec, check_compat=False)
                 vals = sol.values.copy()
                 pin_target = np.zeros(m)
                 pin_target[beta] = mesh.nodes[x0, j]
@@ -122,19 +120,16 @@ def neumann_correctors(coeff, hatA, mesh, x0=None, options=DEFAULT_SOLVER, op=No
     return psi, x0
 
 
-def build(coeff, mesh, hatA=None, options=DEFAULT_SOLVER, x0=None,
-          with_neumann=True, ops=None) -> CorrectorSet:
+def build(coeff, mesh, hatA=None, x0=None, with_neumann=True, ops=None) -> CorrectorSet:
     """Assemble the full corrector set for a scaled coefficient."""
     ops = ops or {}
-    phi, phi_star = dirichlet_correctors(coeff, mesh, options=options,
-                                         op=ops.get("dirichlet"),
+    phi, phi_star = dirichlet_correctors(coeff, mesh, op=ops.get("dirichlet"),
                                          op_star=ops.get("dirichlet_star"))
     psi = None
     if with_neumann:
         if hatA is None:
             raise CorrectorError("Neumann correctors need the homogenized tensor")
-        psi, x0 = neumann_correctors(coeff, hatA, mesh, x0=x0, options=options,
-                                     op=ops.get("neumann"))
+        psi, x0 = neumann_correctors(coeff, hatA, mesh, x0=x0, op=ops.get("neumann"))
     eps = getattr(coeff, "epsilon", 1.0)
     return CorrectorSet(mesh=mesh, epsilon=eps, phi=phi, phi_star=phi_star,
                         psi=psi, x0=x0)

@@ -21,7 +21,7 @@ import numpy as np
 from .mesh import (DomainMesh, Field, solve_dirichlet, nodal_gradient, interp_torus,
                    element_gauss_values, element_gauss_gradients, volume_load_from_gauss,
                    divergence_load_from_gauss, divergence_load, norm, monomial_table,
-                   operator_scope, DEFAULT_SOLVER)
+                   operator_scope)
 from .correctors import CorrectorSet, chi_on_domain
 
 __all__ = ["ExpansionError", "Expansion", "build_expansion",
@@ -29,7 +29,7 @@ __all__ = ["ExpansionError", "Expansion", "build_expansion",
            "poisson_approx", "poisson_approx_0",
            "divergence_data_approx", "divergence_data_eps", "divergence_data_0",
            "s_epsilon", "s_epsilon_eps", "s_epsilon_0", "t_apply",
-           "second_derivatives"]
+           "gradient_defect", "second_derivatives"]
 
 FAMILIES = ("chi", "dirichlet", "neumann")
 
@@ -74,12 +74,18 @@ class Expansion:
 
     def grad_comparison(self):
         """d_i u_eps^a - d_i V_j^{ab} d_j u0^b at the nodes: (nnodes, 2, m)."""
-        out = nodal_gradient(self.mesh, self.u_eps.values).copy()
-        for j in range(2):
-            for beta in range(self.m):
-                gV = nodal_gradient(self.mesh, self.V[j, beta])    # (nnodes, i, alpha)
-                out -= gV * self.du0[:, j, beta][:, None, None]
-        return out
+        return gradient_defect(self.mesh, self.u_eps, self.V, self.du0)
+
+
+def gradient_defect(mesh, u_eps: Field, V, du0):
+    """d_i u_eps^a - d_i V_j^{ab} d_j u0^b at the nodes, (nnodes, 2, m), for a
+    corrector family V (d, m, nnodes, m) and the recovered gradient du0 of u0."""
+    out = nodal_gradient(mesh, u_eps.values)
+    for j in range(V.shape[0]):
+        for beta in range(V.shape[1]):
+            gV = nodal_gradient(mesh, V[j, beta])    # (nnodes, i, alpha)
+            out -= gV * du0[:, j, beta][:, None, None]
+    return out
 
 
 def _expansion_remainder(mesh, u_eps, u0, V, du0):
@@ -258,14 +264,13 @@ def _difference(mesh_, u_eps, v_eps):
     }
 
 
-def poisson_approx_0(op0, omega_table, fb, options=DEFAULT_SOLVER) -> Field:
+def poisson_approx_0(op0, omega_table, fb) -> Field:
     """The L_0 part of poisson_approx: boundary data omega * fb."""
     vdata = np.einsum("ngb,nb->ng", omega_table.filled(), fb)
-    return solve_dirichlet(op0, None, bdata=vdata, options=options)
+    return solve_dirichlet(op0, None, bdata=vdata)
 
 
-def poisson_approx(coeff, mesh_, omega_table, f_eps, ops=None,
-                   hatA=None, options=DEFAULT_SOLVER):
+def poisson_approx(coeff, mesh_, omega_table, f_eps, ops=None, hatA=None):
     """Solve L_eps with boundary data f, L_0 with data omega*f, and compare.
 
     f_eps: boundary nodal values (n_boundary,) / (n_boundary, m) or a
@@ -279,18 +284,18 @@ def poisson_approx(coeff, mesh_, omega_table, f_eps, ops=None,
     else:
         fb = np.asarray(f_eps, dtype=float).reshape(mesh_.n_boundary, m)
     with operator_scope(ops.get("dirichlet_eps"), coeff, mesh_) as op:
-        u_eps = solve_dirichlet(op, None, bdata=fb, options=options)
+        u_eps = solve_dirichlet(op, None, bdata=fb)
     with _homogenized_scope(ops, hatA, mesh_, m, "poisson_approx") as op0:
-        v_eps = poisson_approx_0(op0, omega_table, fb, options)
+        v_eps = poisson_approx_0(op0, omega_table, fb)
     return _difference(mesh_, u_eps, v_eps)
 
 
-def divergence_data_eps(op, f, options=DEFAULT_SOLVER) -> Field:
+def divergence_data_eps(op, f) -> Field:
     """The L_eps part of divergence_data_approx: L_eps(u) = div f, f (nnodes, 2, m)."""
-    return solve_dirichlet(op, -divergence_load(op.mesh, f, m=op.m), bdata=0.0, options=options)
+    return solve_dirichlet(op, -divergence_load(op.mesh, f, m=op.m), bdata=0.0)
 
 
-def divergence_data_0(op0, phi_star, f, options=DEFAULT_SOLVER) -> Field:
+def divergence_data_0(op0, phi_star, f) -> Field:
     """The L_0 part of divergence_data_approx: L_0(v) = div F_eps."""
     mesh_, m = op0.mesh, op0.m
     grad_star = np.empty((2, m, mesh_.nnodes, 2, m))       # [i, alpha, node, j, beta]
@@ -298,11 +303,10 @@ def divergence_data_0(op0, phi_star, f, options=DEFAULT_SOLVER) -> Field:
         for alpha in range(m):
             grad_star[i, alpha] = nodal_gradient(mesh_, phi_star[i, alpha])
     F_eps = np.einsum("njb,ianjb->nia", f, grad_star)
-    return solve_dirichlet(op0, -divergence_load(mesh_, F_eps, m=m), bdata=0.0, options=options)
+    return solve_dirichlet(op0, -divergence_load(mesh_, F_eps, m=m), bdata=0.0)
 
 
-def divergence_data_approx(coeff, phi_star, mesh_, f, ops=None, hatA=None,
-                           options=DEFAULT_SOLVER):
+def divergence_data_approx(coeff, phi_star, mesh_, f, ops=None, hatA=None):
     """Compare L_eps(u) = div f with L_0(v) = div F_eps,
     F_eps,i^a = f_j^b d_j{Phi*_i^{ba}}.
 
@@ -312,29 +316,28 @@ def divergence_data_approx(coeff, phi_star, mesh_, f, ops=None, hatA=None,
     ops = ops or {}
     f = np.asarray(f, dtype=float).reshape(mesh_.nnodes, 2, m)
     with operator_scope(ops.get("dirichlet_eps"), coeff, mesh_) as op:
-        u_eps = divergence_data_eps(op, f, options)
+        u_eps = divergence_data_eps(op, f)
     with _homogenized_scope(ops, hatA, mesh_, m, "divergence_data_approx") as op0:
-        v_eps = divergence_data_0(op0, phi_star, f, options)
+        v_eps = divergence_data_0(op0, phi_star, f)
     return _difference(mesh_, u_eps, v_eps)
 
 
-def t_apply(op, data, options=DEFAULT_SOLVER):
+def t_apply(op, data):
     """Gradient of the zero-Dirichlet solve of L(u) = div(data), scalar case:
     nodal data (nnodes, 2) -> nodal gradient (nnodes, 2)."""
     mesh_ = op.mesh
-    u = solve_dirichlet(op, -divergence_load(mesh_, data[:, :, None], m=1), bdata=0.0,
-                        options=options)
+    u = solve_dirichlet(op, -divergence_load(mesh_, data[:, :, None], m=1), bdata=0.0)
     return nodal_gradient(mesh_, u.values)[:, :, 0]
 
 
-def s_epsilon_eps(op, g, i=1, j=1, options=DEFAULT_SOLVER):
+def s_epsilon_eps(op, g, i=1, j=1):
     """The L_eps term T_eps,ij(g) of s_epsilon, nodal (nnodes,)."""
     data = np.zeros((op.mesh.nnodes, 2))
     data[:, j - 1] = g
-    return t_apply(op, data, options)[:, i - 1]
+    return t_apply(op, data)[:, i - 1]
 
 
-def s_epsilon_0(op0, phi, phi_star, g, i=1, j=1, options=DEFAULT_SOLVER):
+def s_epsilon_0(op0, phi, phi_star, g, i=1, j=1):
     """The L_0 terms of s_epsilon, nodal (nnodes,):
 
         dPhi_k/dx_i T_0,kl(dPhi*_l/dx_j g) - dPhi_k/dx_i T_0,kl(dPhi*_l/dx_j) g
@@ -343,15 +346,14 @@ def s_epsilon_0(op0, phi, phi_star, g, i=1, j=1, options=DEFAULT_SOLVER):
     ii, jj = i - 1, j - 1
     dphi = np.stack([nodal_gradient(mesh_, phi[k, 0])[:, ii, 0] for k in range(2)], axis=1)
     dphistar = np.stack([nodal_gradient(mesh_, phi_star[l, 0])[:, jj, 0] for l in range(2)], axis=1)
-    grad2 = t_apply(op0, dphistar * g[:, None], options)   # T_0,.l(dPhi*_l g), (nnodes, k)
-    grad3 = t_apply(op0, dphistar, options)                 # T_0,.l(dPhi*_l)
+    grad2 = t_apply(op0, dphistar * g[:, None])    # T_0,.l(dPhi*_l g), (nnodes, k)
+    grad3 = t_apply(op0, dphistar)                  # T_0,.l(dPhi*_l)
     piece2 = (dphi * grad2).sum(axis=1)
     piece3 = (dphi * grad3).sum(axis=1) * g
     return piece2 - piece3
 
 
-def s_epsilon(coeff, phi, phi_star, mesh_, g, i=1, j=1, ops=None, hatA=None,
-              options=DEFAULT_SOLVER, qs=(1.5,)):
+def s_epsilon(coeff, phi, phi_star, mesh_, g, i=1, j=1, ops=None, hatA=None, qs=(1.5,)):
     """The oscillatory singular-integral combination
 
         S(g) = T_eps,ij(g) - dPhi_k/dx_i T_0,kl(dPhi*_l/dx_j g)
@@ -365,8 +367,8 @@ def s_epsilon(coeff, phi, phi_star, mesh_, g, i=1, j=1, ops=None, hatA=None,
     ops = ops or {}
     g = np.asarray(g, dtype=float).reshape(mesh_.nnodes)
     with operator_scope(ops.get("dirichlet_eps"), coeff, mesh_) as op:
-        piece1 = s_epsilon_eps(op, g, i, j, options)
+        piece1 = s_epsilon_eps(op, g, i, j)
     with _homogenized_scope(ops, hatA, mesh_, 1, "s_epsilon") as op0:
-        pieces23 = s_epsilon_0(op0, phi, phi_star, g, i, j, options)
+        pieces23 = s_epsilon_0(op0, phi, phi_star, g, i, j)
     S = Field(mesh_, piece1 - pieces23)
     return {"field": S, "norms": {q: norm(S, "Lp", q) for q in qs}}

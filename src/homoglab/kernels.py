@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import (DomainMesh, Field, solve_dirichlet, solve_neumann, point_load,
-                   conormal, nodal_gradient, operator_scope, DEFAULT_SOLVER)
+                   conormal, nodal_gradient, operator_scope)
 
 __all__ = ["KernelError", "KernelTable", "DtNMatrix", "OmegaTable",
            "green", "neumann_fn", "poisson_kernel", "omega", "dtn",
@@ -81,18 +81,17 @@ class KernelTable:
                     fh.write(f"{x!r},{y!r},{sx!r},{sy!r},{fld.values[node, 0]!r}\n")
 
 
-def green(coeff, mesh, y, beta=0, op=None, options=DEFAULT_SOLVER) -> Field:
+def green(coeff, mesh, y, beta=0, op=None) -> Field:
     """Green column: Dirichlet solve with a unit nodal load at y."""
     node = _as_node(mesh, y)
     if mesh.boundary_mask[node]:
         raise KernelError("Green source must be an interior node")
     m = getattr(coeff, "m", 1)
     with operator_scope(op, coeff, mesh) as op:
-        return solve_dirichlet(op, point_load(mesh, node, beta=beta, m=m), bdata=0.0,
-                               options=options)
+        return solve_dirichlet(op, point_load(mesh, node, beta=beta, m=m), bdata=0.0)
 
 
-def neumann_fn(coeff, mesh, y, beta=0, op=None, options=DEFAULT_SOLVER) -> Field:
+def neumann_fn(coeff, mesh, y, beta=0, op=None) -> Field:
     """Neumann-function column: unit nodal load at y, constant compensating
     boundary flux -1/|boundary|, pinned to zero boundary mean."""
     if not getattr(coeff, "symmetric", True):
@@ -105,10 +104,10 @@ def neumann_fn(coeff, mesh, y, beta=0, op=None, options=DEFAULT_SOLVER) -> Field
     gconst = np.zeros((mesh.n_boundary, m))
     gconst[:, beta] = -0.25            # -1/|boundary| on the unit square
     with operator_scope(op, coeff, mesh, mode="neumann") as op:
-        return solve_neumann(op, load, flux=gconst, options=options)
+        return solve_neumann(op, load, flux=gconst)
 
 
-def poisson_kernel(coeff, mesh, y, op=None, options=DEFAULT_SOLVER) -> Field:
+def poisson_kernel(coeff, mesh, y, op=None) -> Field:
     """Poisson-kernel column: Dirichlet solve whose boundary data is the hat
     at the boundary node y divided by its arc mass.
 
@@ -130,7 +129,7 @@ def poisson_kernel(coeff, mesh, y, op=None, options=DEFAULT_SOLVER) -> Field:
     bdata = np.zeros((mesh.n_boundary, m))
     bdata[pos, :] = 1.0 / mesh.arc_weights[pos]
     with operator_scope(op, coeff, mesh) as op:
-        return solve_dirichlet(op, None, bdata=bdata, options=options)
+        return solve_dirichlet(op, None, bdata=bdata)
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +259,22 @@ class DtNMatrix:
                 fh.write(",".join(repr(v) for v in row) + "\n")
 
 
-def dtn(coeff, mesh, op=None, options=DEFAULT_SOLVER, chunk=128) -> DtNMatrix:
+def dtn(coeff, mesh, op=None, chunk=128) -> DtNMatrix:
     """Dense DtN matrix via the Schur complement of the stiffness matrix.
 
     Column j is the variational conormal flux of the Dirichlet solve with
     hat data at boundary node j; assembled in chunks over one factorization.
     """
     m = getattr(coeff, "m", 1)
+    if op is not None and op.mode != "dirichlet":
+        raise ValueError(f"operator assembled in mode {op.mode!r}, need 'dirichlet'")
     with operator_scope(op, coeff, mesh) as op:
         inter, bd = op.dof_split()
         K = op.matrix
         Kib = K[inter][:, bd].tocsc()
         Kbi = K[bd][:, inter].tocsr()
         S = K[bd][:, bd].toarray()
-        lu = op._dirichlet_lu()
+        lu = op.factorization()
         nbd = len(bd)
         for start in range(0, nbd, chunk):
             cols = np.arange(start, min(start + chunk, nbd))
@@ -282,13 +283,13 @@ def dtn(coeff, mesh, op=None, options=DEFAULT_SOLVER, chunk=128) -> DtNMatrix:
     return DtNMatrix(mesh=mesh, epsilon=getattr(coeff, "epsilon", 0.0), mat=S, m=m)
 
 
-def apply_dtn_via_solve(op, fb, options=DEFAULT_SOLVER):
+def apply_dtn_via_solve(op, fb):
     """Lambda f by one Dirichlet solve plus variational flux recovery.
 
     Agrees with DtNMatrix.apply up to solver accuracy; preferred at fine
     resolution where the dense matrix is too expensive.
     """
-    u = solve_dirichlet(op, None, bdata=fb, options=options)
+    u = solve_dirichlet(op, None, bdata=fb)
     return conormal(u, op)
 
 

@@ -6,6 +6,10 @@ Both meshes are uniform tensor grids with continuous bilinear elements and
 2x2 Gauss quadrature per element.  Degrees of freedom are laid out as
 dof = node * m + component.  Meshes and assembled operators are immutable
 after construction; solves are pure functions of (operator, data).
+
+Each constraint mode (Dirichlet, Neumann, periodic) has one solve: a sparse
+LU of the constrained system, factored once per operator and cached on it,
+followed by a check of the residual of every solution.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "TorusGrid", "DomainMesh", "Field", "AssembledOperator", "SolverOptions",
-    "SolveError", "DivergenceLoad", "assemble", "volume_load", "divergence_load",
+    "TorusGrid", "DomainMesh", "Field", "AssembledOperator", "SolveError",
+    "DivergenceLoad", "assemble", "volume_load", "divergence_load",
     "point_load", "boundary_flux_load", "solve_dirichlet", "solve_neumann",
     "solve_periodic", "conormal", "norm", "nodal_gradient", "interp_torus",
     "tangential_derivative", "monomial_table", "boundary_values", "operator_scope",
@@ -46,20 +50,7 @@ DPHI = np.stack([_shape_grad(x, y) for x, y in GAUSS_POINTS])    # (4 gauss, 2, 
 
 
 class SolveError(RuntimeError):
-    """A linear solve failed to reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    kind: str = "direct"     # "direct" (sparse LU) or "cg" (iterative fallback)
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.kind not in ("direct", "cg"):
-            raise ValueError(f"solver kind must be 'direct' or 'cg', got {self.kind!r}")
-
-
-DEFAULT_SOLVER = SolverOptions()
+    """A linear solve failed its residual check or had incompatible data."""
 
 
 class TorusGrid:
@@ -212,18 +203,18 @@ class AssembledOperator:
 
     mode 'dirichlet' eliminates boundary dofs at solve time; mode 'neumann'
     appends one scalar mean constraint per component over the boundary;
-    mode 'periodic' pins the volume mean on the torus.  Factorizations are
-    cached behind the handle; release() frees them (they are large at fine
-    resolution).
+    mode 'periodic' pins the volume mean on the torus.  Each mode has one
+    direct solve: the sparse LU of its constrained system (factorization())
+    followed by a residual check.  The factorization is cached behind the
+    handle; release() frees it (it is large at fine resolution).
     """
 
-    def __init__(self, mesh, matrix, mode, m, coeff=None, symmetric=False, warnings=()):
+    def __init__(self, mesh, matrix, mode, m, coeff=None, warnings=()):
         self.mesh = mesh
         self.matrix = matrix
         self.mode = mode
         self.m = m
         self.coeff = coeff
-        self.symmetric = symmetric
         self.warnings = list(warnings)
         self._lu = None
         self._interior_dofs = None
@@ -272,17 +263,18 @@ class AssembledOperator:
     def _factor(self, matrix):
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
-    def _dirichlet_lu(self):
+    def factorization(self):
+        """Cached LU of the constrained system: the interior block K_ii in
+        mode 'dirichlet', the bordered [[K, C], [C^T, 0]] with the mean-pin
+        columns C otherwise."""
         if self._lu is None:
-            self._lu = self._factor(self.interior_matrix())
-        return self._lu
-
-    def _pinned_lu(self):
-        if self._lu is None:
-            C = self.pin_columns()
-            B = sp.bmat([[self.matrix, sp.csr_matrix(C)],
-                         [sp.csr_matrix(C.T), None]], format="csc")
-            self._lu = self._factor(B)
+            if self.mode == "dirichlet":
+                self._lu = self._factor(self.interior_matrix())
+            else:
+                C = self.pin_columns()
+                B = sp.bmat([[self.matrix, sp.csr_matrix(C)],
+                             [sp.csr_matrix(C.T), None]], format="csc")
+                self._lu = self._factor(B)
         return self._lu
 
 
@@ -338,22 +330,7 @@ def assemble(coeff, mesh, mode="dirichlet", m=None, A_gauss=None) -> AssembledOp
     ndof = mesh.nnodes * m
     matrix = sp.coo_matrix((Kloc.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
     del Kloc, rows, cols
-
-    if callable(coeff):
-        symmetric = bool(getattr(coeff, "symmetric", False))
-    else:
-        symmetric = _tensor_is_symmetric(coeff, m)
-    return AssembledOperator(mesh, matrix, mode, m, coeff=coeff,
-                             symmetric=symmetric, warnings=warnings)
-
-
-def _tensor_is_symmetric(coeff, m):
-    tensor = np.asarray(coeff, dtype=float)
-    if tensor.ndim == 0:
-        return True
-    if tensor.shape == (2, 2):
-        return bool(np.array_equal(tensor, tensor.T))
-    return bool(np.array_equal(tensor, tensor.transpose(1, 0, 3, 2)))
+    return AssembledOperator(mesh, matrix, mode, m, coeff=coeff, warnings=warnings)
 
 
 @contextmanager
@@ -489,26 +466,14 @@ def _as_load_vector(mesh, source, m):
 # solves
 
 
-def _check_residual(name, matrix, x, rhs, tol):
+def _check_residual(name, matrix, x, rhs):
     res = np.linalg.norm(matrix @ x - rhs)
     scale = np.linalg.norm(rhs) + 1e-300
     # absolute floor for (near-)zero data, tied to the matrix magnitude
     floor = 1e-12 * np.abs(matrix.data).max() * (1.0 + np.linalg.norm(x))
-    if not np.isfinite(res) or res > max(tol * scale, 1e-9 * scale, floor):
-        raise SolveError(f"{name} solve did not converge: residual {res:.3e} vs data scale {scale:.3e}")
-
-
-def _solve_linear(matrix, rhs, options, symmetric_posdef=False):
-    if options.kind == "direct":
-        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        return lu.solve(rhs)
-    diag = matrix.diagonal()
-    M = sp.diags(np.where(np.abs(diag) > 0, 1.0 / np.where(diag == 0, 1.0, diag), 1.0))
-    solver = spla.cg if symmetric_posdef else spla.minres
-    x, info = solver(matrix, rhs, M=M, maxiter=20 * matrix.shape[0], rtol=options.tol)
-    if info != 0:
-        raise SolveError(f"iterative solve returned info={info}")
-    return x
+    if not np.isfinite(res) or res > max(1e-9 * scale, floor):
+        raise SolveError(f"{name} solve failed its residual check: "
+                         f"residual {res:.3e} vs data scale {scale:.3e}")
 
 
 def _boundary_data_vector(mesh, bdata, m):
@@ -529,8 +494,7 @@ def _boundary_data_vector(mesh, bdata, m):
     raise ValueError(f"cannot interpret boundary data of shape {arr.shape}")
 
 
-def solve_dirichlet(op: AssembledOperator, source=None, bdata=0.0,
-                    options: SolverOptions = DEFAULT_SOLVER) -> Field:
+def solve_dirichlet(op: AssembledOperator, source=None, bdata=0.0) -> Field:
     """Solve with Dirichlet data; boundary nodes match bdata exactly."""
     if op.mode != "dirichlet":
         raise ValueError(f"operator assembled in mode {op.mode!r}, need 'dirichlet'")
@@ -541,33 +505,22 @@ def solve_dirichlet(op: AssembledOperator, source=None, bdata=0.0,
     u = np.zeros(op.ndof)
     u[bd] = bvals.ravel()
     rhs = load[inter] - (op.matrix @ u)[inter]
-    if op._lu is not None or options.kind == "direct":
-        x = op._dirichlet_lu().solve(rhs)
-    else:
-        x = _solve_linear(op.interior_matrix(), rhs, options, symmetric_posdef=op.symmetric)
+    x = op.factorization().solve(rhs)
     u[inter] = x
-    _check_residual("dirichlet", op.interior_matrix(), x, rhs, options.tol)
+    _check_residual("dirichlet", op.interior_matrix(), x, rhs)
     return Field(mesh, u.reshape(mesh.nnodes, m))
 
 
-def _solve_pinned(op, rhs, options):
+def _solve_pinned(op, rhs):
     """Solve [[K, C], [C^T, 0]] [u, lam] = [rhs, 0] with C the mean-pin
     columns; the residual of K u = rhs - C lam is checked."""
-    m = op.m
-    rhs_full = np.concatenate([rhs, np.zeros(m)])
-    if op._lu is not None or options.kind == "direct":
-        x = op._pinned_lu().solve(rhs_full)
-    else:
-        C = op.pin_columns()
-        B = sp.bmat([[op.matrix, sp.csr_matrix(C)], [sp.csr_matrix(C.T), None]], format="csr")
-        x = _solve_linear(B, rhs_full, options, symmetric_posdef=False)
+    x = op.factorization().solve(np.concatenate([rhs, np.zeros(op.m)]))
     u = x[:op.ndof]
-    _check_residual(op.mode, op.matrix, u, rhs - op.pin_columns() @ x[op.ndof:], options.tol)
-    return Field(op.mesh, u.reshape(op.mesh.nnodes, m))
+    _check_residual(op.mode, op.matrix, u, rhs - op.pin_columns() @ x[op.ndof:])
+    return Field(op.mesh, u.reshape(op.mesh.nnodes, op.m))
 
 
-def solve_neumann(op: AssembledOperator, source=None, flux=None,
-                  options: SolverOptions = DEFAULT_SOLVER, check_compat=True) -> Field:
+def solve_neumann(op: AssembledOperator, source=None, flux=None, check_compat=True) -> Field:
     """Solve the Neumann problem with the boundary-mean pin.
 
     The returned field satisfies integral_{boundary} u dsigma = 0 per
@@ -591,15 +544,14 @@ def solve_neumann(op: AssembledOperator, source=None, flux=None,
             if abs(total) > 1e-8 * max(scale, 1e-30):
                 raise SolveError(
                     f"incompatible Neumann data: component {a} imbalance {total:.3e} vs scale {scale:.3e}")
-    return _solve_pinned(op, rhs, options)
+    return _solve_pinned(op, rhs)
 
 
-def solve_periodic(op: AssembledOperator, source=None,
-                   options: SolverOptions = DEFAULT_SOLVER) -> Field:
+def solve_periodic(op: AssembledOperator, source=None) -> Field:
     """Solve on the torus with the volume-mean pin per component."""
     if op.mode != "periodic":
         raise ValueError(f"operator assembled in mode {op.mode!r}, need 'periodic'")
-    return _solve_pinned(op, _as_load_vector(op.mesh, source, op.m), options)
+    return _solve_pinned(op, _as_load_vector(op.mesh, source, op.m))
 
 
 def conormal(u: Field, op: AssembledOperator, source=None):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dataclass_field, asdict
 import numpy as np
 
 from ..coeff import CoefficientField, builtin
-from ..mesh import SolverOptions, DEFAULT_SOLVER
 from .context import EpsilonContext, cell_solution, mesh_resolution, DEFAULT_MAX_N
 from .experiments import EXPERIMENTS, DEFAULT_EPS, DEGENERATE_FLOOR
 
@@ -40,7 +39,6 @@ class ExperimentConfig:
     cells_per_period: int = 16
     cell_n: int = 256
     seed: int = 0
-    solver: SolverOptions = DEFAULT_SOLVER
     max_n: int = DEFAULT_MAX_N
 
     def __post_init__(self):
@@ -62,7 +60,6 @@ class ExperimentConfig:
             "experiment": self.experiment, "coefficient": coeff,
             "eps_list": list(self.eps_list), "cells_per_period": self.cells_per_period,
             "cell_n": self.cell_n, "seed": self.seed,
-            "solver": {"kind": self.solver.kind, "tol": self.solver.tol},
         }
 
 
@@ -196,8 +193,7 @@ def run_many(configs) -> dict:
         h_list = []
         for eps in eps_list:
             ctx = EpsilonContext(field, eps, cells_per_period=cpp,
-                                 cell_n=cell_n, options=members[0].solver,
-                                 max_n=members[0].max_n)
+                                 cell_n=cell_n, max_n=members[0].max_n)
             needs = set()
             for c in members:
                 needs |= set(EXPERIMENTS[c.experiment].needs)

@@ -18,7 +18,7 @@ from .. import correctors as corrmod
 from .. import expand as expmod
 from .. import kernels as kermod
 from ..coeff import CoefficientField, rescale
-from ..mesh import DomainMesh, assemble, solve_dirichlet, solve_neumann, conormal, DEFAULT_SOLVER
+from ..mesh import DomainMesh, assemble, solve_dirichlet, solve_neumann, conormal
 
 _CELL_CACHE = {}
 DEFAULT_MAX_N = 2048
@@ -46,10 +46,10 @@ def mesh_resolution(cells_per_period, eps, max_n=DEFAULT_MAX_N):
     return n
 
 
-def cell_solution(field: CoefficientField, n: int, options=DEFAULT_SOLVER):
-    key = (field.key(), n, options)
+def cell_solution(field: CoefficientField, n: int):
+    key = (field.key(), n)
     if key not in _CELL_CACHE:
-        _CELL_CACHE[key] = cellmod.solve(field, n, options=options)
+        _CELL_CACHE[key] = cellmod.solve(field, n)
     return _CELL_CACHE[key]
 
 
@@ -57,20 +57,19 @@ class EpsilonContext:
     """Lazy, batch-ordered computation of the standard sweep quantities."""
 
     def __init__(self, field: CoefficientField, eps, cells_per_period=16,
-                 cell_n=256, options=DEFAULT_SOLVER, max_n=DEFAULT_MAX_N):
+                 cell_n=256, max_n=DEFAULT_MAX_N):
         self.field = field
         self.eps = float(eps)
         self.n = mesh_resolution(cells_per_period, eps, max_n)
         self.mesh = DomainMesh(self.n)
         self.scaled = rescale(field, eps)
-        self.options = options
         # fine-resolution corrector/flux tables for the expansions
-        self.cell = cell_solution(field, cell_n, options)
+        self.cell = cell_solution(field, cell_n)
         # the homogenized operators use the effective tensor of the *discrete*
         # medium (cells_per_period cells per period), so kernel differences
         # measure the discrete homogenization limit without an
         # epsilon-independent tensor-mismatch floor
-        self.hatA = cell_solution(field, cells_per_period, options).hatA
+        self.hatA = cell_solution(field, cells_per_period).hatA
         self.m = field.m
         self._ops = {}
         self.data = {}
@@ -147,22 +146,18 @@ class EpsilonContext:
         op = self.op("dir_eps")
         mesh = self.mesh
         if "phi" in items or "phi_star" in items:
-            phi, phi_star = corrmod.dirichlet_correctors(self.scaled, mesh, op=op,
-                                                         options=self.options)
+            phi, phi_star = corrmod.dirichlet_correctors(self.scaled, mesh, op=op)
             self.data["phi"] = phi
             self.data["phi_star"] = phi_star
         if "G_eps" in items:
             self.data["G_eps"] = kermod.green(self.scaled, mesh,
-                                              self.node_at(GREEN_SOURCE), op=op,
-                                              options=self.options)
+                                              self.node_at(GREEN_SOURCE), op=op)
         if "u_dir_eps" in items:
-            self.data["u_dir_eps"] = solve_dirichlet(op, np.ones((mesh.nnodes, self.m)),
-                                                     bdata=0.0, options=self.options)
+            self.data["u_dir_eps"] = solve_dirichlet(op, np.ones((mesh.nnodes, self.m)), bdata=0.0)
         if "u_poisson_eps" in items:
-            self.data["u_poisson_eps"] = solve_dirichlet(op, None, bdata=self.poisson_data(),
-                                                         options=self.options)
+            self.data["u_poisson_eps"] = solve_dirichlet(op, None, bdata=self.poisson_data())
         if "u_div_eps" in items:
-            self.data["u_div_eps"] = expmod.divergence_data_eps(op, self.div_data(), self.options)
+            self.data["u_div_eps"] = expmod.divergence_data_eps(op, self.div_data())
         if "P_eps" in items or "K_eps" in items:
             self.data["P_eps"], self.data["K_eps"] = self._poisson_columns(op)
         if "lambda_eps" in items:
@@ -170,8 +165,7 @@ class EpsilonContext:
                                                              "x1": None, "x2": None})
         if "s_piece1" in items:
             self.data["s_g"] = np.sin(2 * np.pi * mesh.nodes[:, 0])
-            self.data["s_piece1"] = expmod.s_epsilon_eps(op, self.data["s_g"],
-                                                         options=self.options)
+            self.data["s_piece1"] = expmod.s_epsilon_eps(op, self.data["s_g"])
 
     def _batch_post_eps(self, items):
         if "omega" in items:
@@ -185,17 +179,15 @@ class EpsilonContext:
         if "G_0" in items:
             # with op given, green/neumann_fn read only m and symmetric of the field
             self.data["G_0"] = kermod.green(self.field, mesh,
-                                            self.node_at(GREEN_SOURCE), op=op0,
-                                            options=self.options)
+                                            self.node_at(GREEN_SOURCE), op=op0)
         if "u_dir_0" in items:
-            self.data["u_dir_0"] = solve_dirichlet(op0, np.ones((mesh.nnodes, self.m)),
-                                                   bdata=0.0, options=self.options)
+            self.data["u_dir_0"] = solve_dirichlet(op0, np.ones((mesh.nnodes, self.m)), bdata=0.0)
         if "v_poisson" in items:
             self.data["v_poisson"] = expmod.poisson_approx_0(op0, self.data["omega"],
-                                                             self.poisson_data(), self.options)
+                                                             self.poisson_data())
         if "v_div" in items:
             self.data["v_div"] = expmod.divergence_data_0(op0, self.data["phi_star"],
-                                                          self.div_data(), self.options)
+                                                          self.div_data())
         if "P_0" in items or "K_0" in items:
             self.data["P_0"], self.data["K_0"] = self._poisson_columns(op0)
         if "lambda_0" in items:
@@ -207,35 +199,29 @@ class EpsilonContext:
                 "omega_x1": w * xb[:, 0], "omega_x2": w * xb[:, 1]})
         if "s_piece23" in items:
             self.data["s_piece23"] = expmod.s_epsilon_0(op0, self.data["phi"],
-                                                        self.data["phi_star"], self.data["s_g"],
-                                                        options=self.options)
+                                                        self.data["phi_star"], self.data["s_g"])
 
     def _batch_neu_eps(self, items):
         opn = self.op("neu_eps")
         mesh = self.mesh
         if "psi" in items:
-            psi, x0 = corrmod.neumann_correctors(self.scaled, self.hatA, mesh,
-                                                 op=opn, options=self.options)
+            psi, x0 = corrmod.neumann_correctors(self.scaled, self.hatA, mesh, op=opn)
             self.data["psi"] = psi
             self.data["x0"] = x0
         if "N_eps" in items:
             self.data["N_eps"] = kermod.neumann_fn(self.scaled, mesh,
-                                                   self.node_at(GREEN_SOURCE), op=opn,
-                                                   options=self.options)
+                                                   self.node_at(GREEN_SOURCE), op=opn)
         if "u_neu_eps" in items:
-            self.data["u_neu_eps"] = solve_neumann(opn, self.neumann_source(),
-                                                   options=self.options)
+            self.data["u_neu_eps"] = solve_neumann(opn, self.neumann_source())
 
     def _batch_neu_0(self, items):
         opn0 = self.op("neu_0")
         mesh = self.mesh
         if "N_0" in items:
             self.data["N_0"] = kermod.neumann_fn(self.field, mesh,
-                                                 self.node_at(GREEN_SOURCE), op=opn0,
-                                                 options=self.options)
+                                                 self.node_at(GREEN_SOURCE), op=opn0)
         if "u_neu_0" in items:
-            self.data["u_neu_0"] = solve_neumann(opn0, self.neumann_source(),
-                                                 options=self.options)
+            self.data["u_neu_0"] = solve_neumann(opn0, self.neumann_source())
 
     # -- helpers -------------------------------------------------------------
 
@@ -246,7 +232,7 @@ class EpsilonContext:
         cols, fluxes = {}, {}
         for s in POISSON_SOURCES_S:
             cols[s] = kermod.poisson_kernel(self.field, self.mesh, self.boundary_pos(s),
-                                            op=op, options=self.options)
+                                            op=op)
             t = conormal(cols[s], op)
             fluxes[s] = {sx: t[px, 0] for sx, px in zip(KERNEL_X_S, xpos)}
         return cols, fluxes
@@ -258,8 +244,8 @@ class EpsilonContext:
             if fb is None:                       # coordinate data x1 / x2
                 j = int(name[1]) - 1
                 fb = mesh.nodes[mesh.boundary_nodes, j]
-            out[name] = kermod.apply_dtn_via_solve(op, np.asarray(fb, dtype=float)[:, None],
-                                                   options=self.options)[:, 0]
+            fb = np.asarray(fb, dtype=float)[:, None]
+            out[name] = kermod.apply_dtn_via_solve(op, fb)[:, 0]
         return out
 
 

@@ -90,13 +90,7 @@ def monotone_decreasing(q, slack=1.1):
 
 def _grad_defect_sup(ctx, u_eps, u_0, V, exclude_source=None):
     mesh = ctx.mesh
-    gE = nodal_gradient(mesh, u_eps.values)
-    g0 = nodal_gradient(mesh, u_0.values)
-    defect = gE.copy()
-    for j in range(2):
-        for b in range(ctx.m):
-            gV = nodal_gradient(mesh, V[j, b])
-            defect -= gV * g0[:, j, b][:, None, None]
+    defect = expmod.gradient_defect(mesh, u_eps, V, nodal_gradient(mesh, u_0.values))
     mag = np.sqrt((defect ** 2).sum(axis=(1, 2)))
     mask = corrmod.trusted_interior_mask(mesh, dist=0.1)
     if exclude_source is not None:
@@ -258,7 +252,7 @@ def q_corrector_bounds(ctx):
 
 
 def run_cell_oracle(config, report_cls):
-    cs = cell_solution(builtin("layered"), config.cell_n, config.solver)
+    cs = cell_solution(builtin("layered"), config.cell_n)
     hatA = cs.hatA[:, :, 0, 0]
     rows = [
         (0.0, 1.0 / config.cell_n, "hatA_11_error", float(abs(hatA[0, 0] - np.sqrt(3.0)))),
@@ -282,7 +276,7 @@ def _identity_pair(config, which):
     """Residual of the interior (prop 2.1) or boundary (prop 2.4) identity
     at fixed epsilon for two mesh refinements."""
     field = builtin("layered")
-    cs = cell_solution(field, config.cell_n, config.solver)
+    cs = cell_solution(field, config.cell_n)
     eps = config.eps_list[0]
     vals = []
     for cpp in (config.cells_per_period, 2 * config.cells_per_period):
@@ -293,10 +287,9 @@ def _identity_pair(config, which):
             op = assemble(sc, dm, mode="dirichlet")
             op0 = assemble(cs.hatA, dm, mode="dirichlet", m=1)
             f = np.ones((dm.nnodes, 1))
-            u_eps = solve_dirichlet(op, f, bdata=0.0, options=config.solver)
-            u0 = solve_dirichlet(op0, f, bdata=0.0, options=config.solver)
-            cset = corrmod.build(sc, dm, hatA=cs.hatA, with_neumann=False,
-                                 options=config.solver, ops={"dirichlet": op})
+            u_eps = solve_dirichlet(op, f, bdata=0.0)
+            u0 = solve_dirichlet(op0, f, bdata=0.0)
+            cset = corrmod.build(sc, dm, hatA=cs.hatA, with_neumann=False, ops={"dirichlet": op})
             e = expmod.build_expansion(u_eps, u0, "dirichlet", correctors=cset)
             r = expmod.residual_identity_check(e, sc, cs, op=op)
             vals.append((n, r["residual"]))
@@ -305,10 +298,11 @@ def _identity_pair(config, which):
             opn = assemble(sc, dm, mode="neumann")
             opn0 = assemble(cs.hatA, dm, mode="neumann", m=1)
             F = np.cos(np.pi * dm.nodes[:, 0])[:, None]
-            u_eps = solve_neumann(opn, F, options=config.solver)
-            u0 = solve_neumann(opn0, F, options=config.solver)
-            cset = corrmod.build(sc, dm, hatA=cs.hatA, options=config.solver,
-                                 ops={"neumann": opn})
+            u_eps = solve_neumann(opn, F)
+            u0 = solve_neumann(opn0, F)
+            psi, x0 = corrmod.neumann_correctors(sc, cs.hatA, dm, op=opn)
+            cset = corrmod.CorrectorSet(mesh=dm, epsilon=eps, phi=psi, phi_star=None,
+                                        psi=psi, x0=x0)
             e = expmod.build_expansion(u_eps, u0, "neumann", correctors=cset)
             c = expmod.conormal_identity_check(e, sc, cs.hatA)
             vals.append((n, c["l2_boundary"]))
@@ -334,17 +328,17 @@ def run_prop24(config, report_cls):
                       detail=f"residual ratio per h-halving {ratio:.3f} (need <= 0.6)")
 
 
-def _laplace_dtn(n, solver):
+def _laplace_dtn(n):
     dm = fem.DomainMesh(n)
     eye = builtin("constant", value=np.eye(2))
-    return dm, kermod.dtn(eye, dm, options=solver)
+    return dm, kermod.dtn(eye, dm)
 
 
 def run_leibniz_product(config, report_cls):
     """Product rule: |Lambda(fg) - f Lambda(g)|_2 <= 5 |f|_H1 |g|_inf over a
     seeded random smooth suite (the constant 5 is a fixed harness bound)."""
     n = 256
-    dm, D = _laplace_dtn(n, config.solver)
+    dm, D = _laplace_dtn(n)
     rng = np.random.default_rng(config.seed + 17)
     s = dm.boundary_s
     rows = []
@@ -374,7 +368,7 @@ def run_leibniz_coordinate(config, report_cls):
     """Order-zero coordinate commutator: the Lambda-norm ratio grows >= 4x
     from k=2 to k=16 while the commutator ratio grows <= 2x."""
     n = 256
-    dm, D = _laplace_dtn(n, config.solver)
+    dm, D = _laplace_dtn(n)
     rows = []
     lam, com = {}, {}
     for k in (2, 4, 8, 16):

@@ -209,6 +209,8 @@ def test_dtn_matrix_matches_solve_route(layered_field):
     via_solve = kernels.apply_dtn_via_solve(op, fb[:, None])
     assert np.abs(D.apply(fb)[:, 0] - via_solve[:, 0]).max() <= 1e-8
     op.release()
+    with pytest.raises(ValueError, match="need 'dirichlet'"):
+        kernels.dtn(sc, dm, op=mesh.assemble(sc, dm, mode="neumann"))
 
 
 def test_commutator_with_constant_f(identity_field):

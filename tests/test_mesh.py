@@ -280,18 +280,6 @@ def test_interp_torus_wraps():
     assert vals[0] == pytest.approx(vals[2], abs=1e-12)
 
 
-def test_cg_solver_agrees_with_direct(layered_field):
-    dm = mesh.DomainMesh(16)
-    sc = coeff.rescale(layered_field, 0.5)
-    op = mesh.assemble(sc, dm, mode="dirichlet")
-    f = np.ones((dm.nnodes, 1))
-    u_direct = mesh.solve_dirichlet(op, f, bdata=0.0)
-    op2 = mesh.assemble(sc, dm, mode="dirichlet")
-    u_cg = mesh.solve_dirichlet(op2, f, bdata=0.0,
-                                options=mesh.SolverOptions(kind="cg", tol=1e-12))
-    assert np.abs(u_direct.values - u_cg.values).max() < 1e-8
-
-
 def test_field_csv_roundtrip(tmp_path):
     dm = mesh.DomainMesh(4)
     f = mesh.Field(dm, dm.nodes[:, 0] * 2.0)

@@ -173,10 +173,21 @@ def _write_config(tmp_path):
     path.write_text(json.dumps({
         "coefficient": {"family": "layered", "params": {}},
         "mesh": {"cell_n": 64},
-        "solver": {"kind": "direct", "tol": 1e-10},
         "experiments": ["cell-oracle"],
     }))
     return str(path)
+
+
+def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"coefficient": {"family": "layered", "params": {}},
+                                "solver": {"kind": "cg"}, "meshes": {}}))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["cell", "--out", str(tmp_path), "--config", str(path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown keys meshes, solver" in err
+    assert not (tmp_path / "cell.json").exists()
 
 
 def test_cli_rates_subcommand(tmp_path):
@@ -204,27 +215,6 @@ def test_config_rejects_misaligned_epsilon():
     with pytest.raises(ValueError):
         ratelab.mesh_resolution(16, 1 / 64, max_n=512)
     assert ratelab.mesh_resolution(16, 1 / 3) == 48
-
-
-def test_cell_cache_keys_on_solver_options(monkeypatch):
-    from homoglab.ratelab import context
-    from homoglab.coeff import builtin
-    from homoglab.mesh import DEFAULT_SOLVER, SolverOptions
-
-    calls = []
-
-    def fake_solve(field, n, options):
-        calls.append(options)
-        return object()
-
-    monkeypatch.setattr(context, "_CELL_CACHE", {})
-    monkeypatch.setattr(context.cellmod, "solve", fake_solve)
-    field = builtin("layered")
-    direct = ratelab.cell_solution(field, 8)
-    cg = ratelab.cell_solution(field, 8, SolverOptions(kind="cg"))
-    assert cg is not direct
-    assert calls == [DEFAULT_SOLVER, SolverOptions(kind="cg")]
-    assert ratelab.cell_solution(field, 8) is direct
 
 
 def test_context_quantities_match_library():
