@@ -29,7 +29,7 @@ import numpy as np
 
 from . import mesh as fem
 from .coeff import CoefficientField
-from .mesh import (TorusGrid, Field, assemble, solve_periodic, nodal_gradient,
+from .mesh import (TorusGrid, assemble, solve_periodic, nodal_gradient,
                    element_gauss_gradients, volume_load_from_gauss,
                    divergence_load_from_gauss, GAUSS_WEIGHTS)
 
@@ -63,9 +63,6 @@ class CellSolution:
     @property
     def m(self):
         return self.chi.shape[1]
-
-    def chi_column(self, j, beta=0) -> Field:
-        return Field(self.grid, self.chi[j, beta])
 
     def hatA_matrix(self):
         """hatA as a (d*m, d*m) matrix for Rayleigh/eigen diagnostics."""

@@ -102,7 +102,10 @@ def cmd_correctors(args, config):
         if args.pin:
             x, y = (float(t) for t in args.pin.split(","))
             x0 = int(np.argmin(np.sum((dm.nodes - (x, y)) ** 2, axis=1)))
-        cset = corrmod.build(rescale(field, eps), dm, hatA=cs.hatA, x0=x0)
+        sc = rescale(field, eps)
+        op, opn = fem.assemble(sc, dm), fem.assemble(sc, dm, mode="neumann")
+        cset = corrmod.build(op, opn, hatA=cs.hatA, x0=x0)
+        op.release(); opn.release()
         out.append(corrmod.corrector_report(cset, cs))
     _emit_json(args, "correctors.json", out)
     return 0
@@ -113,18 +116,20 @@ def _kernel_command(args, config, kind):
     n = _mesh_n(config, args)
     dm = fem.DomainMesh(n)
     eps = float(Fraction(args.eps.split(",")[0])) if args.eps else 1 / 8
-    sc = rescale(field, eps)
+    op = fem.assemble(rescale(field, eps), dm,
+                      mode="neumann" if kind == "neumann-fn" else "dirichlet")
     source = int(np.argmin(np.sum((dm.nodes - (0.75, 0.5)) ** 2, axis=1)))
     if kind == "green":
-        fld = kermod.green(sc, dm, source)
+        fld = kermod.green(op, source)
         table = kermod.KernelTable("green", eps, dm, [source], [fld])
     elif kind == "neumann-fn":
-        fld = kermod.neumann_fn(sc, dm, source)
+        fld = kermod.neumann_fn(op, source)
         table = kermod.KernelTable("neumann-fn", eps, dm, [source], [fld])
     else:
         pos = dm.n_boundary // 8
-        fld = kermod.poisson_kernel(sc, dm, pos)
+        fld = kermod.poisson_kernel(op, pos)
         table = kermod.KernelTable("poisson", eps, dm, [pos], [fld])
+    op.release()
     table.to_csv(_outpath(args, f"{kind}.csv"))
     print(f"wrote {_outpath(args, f'{kind}.csv')}")
     return 0
@@ -135,10 +140,25 @@ def cmd_dtn(args, config):
     n = _mesh_n(config, args)
     dm = fem.DomainMesh(n)
     eps = float(Fraction(args.eps.split(",")[0])) if args.eps else 1 / 8
-    D = kermod.dtn(rescale(field, eps), dm)
+    op = fem.assemble(rescale(field, eps), dm)
+    D = kermod.dtn(op)
+    op.release()
     D.to_csv(_outpath(args, "dtn.csv"))
     print(f"wrote {_outpath(args, 'dtn.csv')}")
     return 0
+
+
+def _expand_conflict(args):
+    """The error for an expand flag that its branch would ignore, or None."""
+    if args.check == "conormal" and args.family == "dirichlet":
+        return "--check conormal does not apply to --family dirichlet (it needs the Neumann family)"
+    if args.check == "conormal" or args.family == "neumann":
+        if args.check == "residual":
+            return "--check residual does not apply to --family neumann"
+        if args.experiment is not None:
+            return (f"--experiment {args.experiment} does not apply to the Neumann family "
+                    "(--family neumann or --check conormal)")
+    return None
 
 
 def cmd_expand(args, config):
@@ -152,13 +172,8 @@ def cmd_expand(args, config):
     if args.check == "conormal" or args.family == "neumann":
         opn = fem.assemble(sc, dm, mode="neumann")
         opn0 = fem.assemble(cs.hatA, dm, mode="neumann", m=field.m)
-        F = np.cos(np.pi * dm.nodes[:, 0])[:, None]
-        u_eps = fem.solve_neumann(opn, F)
-        u0 = fem.solve_neumann(opn0, F)
-        psi, x0 = corrmod.neumann_correctors(sc, cs.hatA, dm, op=opn)
-        cset = corrmod.CorrectorSet(mesh=dm, epsilon=eps, phi=psi, phi_star=None,
-                                    psi=psi, x0=x0)
-        e = expmod.build_expansion(u_eps, u0, "neumann", correctors=cset)
+        e = expmod.neumann_expansion(opn, opn0, cs.hatA,
+                                     np.cos(np.pi * dm.nodes[:, 0])[:, None])
         result["conormal"] = expmod.conormal_identity_check(e, sc, cs.hatA)
     else:
         op = fem.assemble(sc, dm, mode="dirichlet")
@@ -167,18 +182,17 @@ def cmd_expand(args, config):
         u_eps = fem.solve_dirichlet(op, f, bdata=0.0)
         u0 = fem.solve_dirichlet(op0, f, bdata=0.0)
         if args.family == "dirichlet" or args.experiment == "s-epsilon":
-            cset = corrmod.build(sc, dm, hatA=cs.hatA, with_neumann=False, ops={"dirichlet": op})
+            cset = corrmod.build(op)
         if args.family == "dirichlet":
             e = expmod.build_expansion(u_eps, u0, "dirichlet", correctors=cset)
         else:
             e = expmod.build_expansion(u_eps, u0, "chi", cell_solution=cs, epsilon=eps)
         result["w_h1"] = fem.norm(e.w, "W1p", 2)
         if args.check == "residual":
-            result["residual"] = expmod.residual_identity_check(e, sc, cs, op=op)["residual"]
+            result["residual"] = expmod.residual_identity_check(e, op, cs)["residual"]
         if args.experiment == "s-epsilon":
-            r = expmod.s_epsilon(sc, cset.phi, cset.phi_star, dm,
-                                 np.sin(2 * np.pi * dm.nodes[:, 0]),
-                                 ops={"dirichlet_eps": op, "dirichlet_0": op0})
+            r = expmod.s_epsilon(op, op0, cset.phi, cset.phi_star,
+                                 np.sin(2 * np.pi * dm.nodes[:, 0]))
             result["s_epsilon_norms"] = r["norms"]
     _emit_json(args, "expand.json", result)
     return 0
@@ -239,6 +253,8 @@ def main(argv=None):
         config = _load_config(args.config)
     except ValueError as err:
         parser.error(str(err))
+    if args.command == "expand" and (conflict := _expand_conflict(args)):
+        parser.error(conflict)
 
     if args.command == "cell":
         return cmd_cell(args, config)

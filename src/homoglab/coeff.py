@@ -97,9 +97,19 @@ class CoefficientField:
                                 params={**self.params, "adjoint": True})
 
     def key(self):
-        """Hashable identity used for caching cell solutions."""
+        """Hashable identity used for caching cell solutions.
+
+        Builtin families and expression fields are keyed on their content,
+        which fixes their values.  Any other field is keyed on its evaluator
+        object as well, so two hand-built fields with equal params but
+        different evaluators never share a key; the key also keeps that
+        evaluator alive, so its identity cannot be reused.
+        """
         items = tuple(sorted((k, repr(v)) for k, v in self.params.items()))
-        return (self.family, self.d, self.m, items, id(self._evaluator) if self.family == "user" and not self.params else 0)
+        content = (self.family, self.d, self.m, items)
+        if self.family in BUILTIN_FAMILIES and (self.family != "user" or "expr" in self.params):
+            return content
+        return content + (self._evaluator,)
 
     def __repr__(self):
         return f"CoefficientField(family={self.family!r}, d={self.d}, m={self.m}, params={self.params})"

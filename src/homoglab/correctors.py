@@ -5,6 +5,11 @@ Each corrector matrix is stored as an array (d, m, nnodes, m) indexed
 [j, beta, node, alpha]: column (j, beta) is the solution that agrees with
 the linear data x_j e_beta on the boundary (Dirichlet) or matches its
 homogenized conormal flux (Neumann, pinned at an interior node x0).
+
+The solvers take the assembled operator of the scaled coefficient (a
+Dirichlet one for Phi, a Neumann one for Psi); the caller owns it and
+releases its factorization.  Only the adjoint operator of a non-symmetric
+coefficient is assembled and released here.
 """
 
 from __future__ import annotations
@@ -13,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (DomainMesh, Field, solve_dirichlet, solve_neumann,
-                   boundary_flux_load, nodal_gradient, interp_torus, monomial_table,
-                   operator_scope)
+from .mesh import (DomainMesh, assemble, solve_dirichlet, solve_neumann,
+                   boundary_flux_load, nodal_gradient, interp_torus, monomial_table)
 
 __all__ = ["CorrectorError", "CorrectorSet", "dirichlet_correctors",
            "neumann_correctors", "build", "corrector_report"]
@@ -31,21 +35,18 @@ class CorrectorSet:
 
     mesh: DomainMesh
     epsilon: float
-    phi: np.ndarray            # (d, m, nnodes, m)
-    phi_star: np.ndarray
+    phi: np.ndarray | None     # (d, m, nnodes, m); None in a Neumann-only set
+    phi_star: np.ndarray | None
     psi: np.ndarray | None
     x0: int | None             # pin node index for Psi
 
     @property
     def d(self):
-        return self.phi.shape[0]
+        return (self.psi if self.phi is None else self.phi).shape[0]
 
     @property
     def m(self):
-        return self.phi.shape[1]
-
-    def column(self, which, j, beta=0) -> Field:
-        return Field(self.mesh, getattr(self, which)[j, beta])
+        return (self.psi if self.phi is None else self.phi).shape[1]
 
     def monomials(self):
         """P_j^beta nodal tables with the same layout as the correctors."""
@@ -63,76 +64,77 @@ def _monomial_solves(op):
     return out
 
 
-def dirichlet_correctors(coeff, mesh, op=None, op_star=None, with_adjoint=True):
-    """Solve the d*m Dirichlet corrector columns (and the adjoint family).
+def dirichlet_correctors(op):
+    """Solve the d*m Dirichlet corrector columns against the Dirichlet
+    operator op, and the adjoint family.
 
     For symmetric coefficients the adjoint family coincides with phi and is
-    not re-solved.
+    not re-solved; otherwise the adjoint of op.coeff is assembled here and
+    released after its solves.
     """
-    with operator_scope(op, coeff, mesh) as op:
-        phi = _monomial_solves(op)
-    if not with_adjoint:
-        return phi, None
-    if getattr(coeff, "symmetric", False):
+    phi = _monomial_solves(op)
+    if getattr(op.coeff, "symmetric", False):
         return phi, phi.copy()
-    with operator_scope(op_star, coeff.adjoint(), mesh) as op_star:
-        return phi, _monomial_solves(op_star)
+    adjoint_op = assemble(op.coeff.adjoint(), op.mesh)
+    try:
+        return phi, _monomial_solves(adjoint_op)
+    finally:
+        adjoint_op.release()
 
 
-def neumann_correctors(coeff, hatA, mesh, x0=None, op=None):
-    """Solve the Neumann corrector columns and pin them at x0.
+def neumann_correctors(op, hatA, x0=None):
+    """Solve the Neumann corrector columns against the Neumann operator op
+    and pin them at x0.
 
     Each column solves the zero-source Neumann problem whose boundary flux
     is the homogenized conormal n_i hatA_ij^{.beta} of the linear data;
     after the mean-pinned solve the column is shifted so that
     psi(x0) = x0_j e_beta exactly.  Requires a symmetric coefficient.
     """
-    if not getattr(coeff, "symmetric", False):
+    if not getattr(op.coeff, "symmetric", False):
         raise CorrectorError("Neumann correctors require a symmetric coefficient (A* = A)")
-    d, m = 2, coeff.m
+    mesh, d, m = op.mesh, 2, op.m
     if x0 is None:
         x0 = int(np.argmin(np.sum((mesh.nodes - 0.5) ** 2, axis=1)))
     if mesh.boundary_mask[x0]:
         raise CorrectorError("pin node x0 must be interior")
     hatA = np.asarray(hatA, dtype=float).reshape(2, 2, m, m)
     psi = np.zeros((d, m, mesh.nnodes, m))
-    with operator_scope(op, coeff, mesh, mode="neumann") as op:
-        for j in range(d):
-            for beta in range(m):
-                flux_col = hatA[:, j, :, beta]                       # (i, alpha)
+    for j in range(d):
+        for beta in range(m):
+            flux_col = hatA[:, j, :, beta]                       # (i, alpha)
 
-                def g(pts, normal, col=flux_col):
-                    vals = np.einsum("i,ia->a", normal, col)
-                    return np.broadcast_to(vals, (pts.shape[0], m))
+            def g(pts, normal, col=flux_col):
+                vals = np.einsum("i,ia->a", normal, col)
+                return np.broadcast_to(vals, (pts.shape[0], m))
 
-                fvec = boundary_flux_load(mesh, g, m=m)
-                total = np.abs([fvec[a::m].sum() for a in range(m)]).max()
-                scale = np.abs(fvec).sum() + 1e-30
-                if total > 1e-6 * scale:
-                    raise CorrectorError(
-                        f"conormal flux of linear data is not compatible: imbalance {total:.3e}")
-                sol = solve_neumann(op, None, flux=fvec, check_compat=False)
-                vals = sol.values.copy()
-                pin_target = np.zeros(m)
-                pin_target[beta] = mesh.nodes[x0, j]
-                vals += (pin_target - vals[x0])[None, :]
-                psi[j, beta] = vals
+            fvec = boundary_flux_load(mesh, g, m=m)
+            total = np.abs([fvec[a::m].sum() for a in range(m)]).max()
+            scale = np.abs(fvec).sum() + 1e-30
+            if total > 1e-6 * scale:
+                raise CorrectorError(
+                    f"conormal flux of linear data is not compatible: imbalance {total:.3e}")
+            sol = solve_neumann(op, None, flux=fvec, check_compat=False)
+            vals = sol.values.copy()
+            pin_target = np.zeros(m)
+            pin_target[beta] = mesh.nodes[x0, j]
+            vals += (pin_target - vals[x0])[None, :]
+            psi[j, beta] = vals
     return psi, x0
 
 
-def build(coeff, mesh, hatA=None, x0=None, with_neumann=True, ops=None) -> CorrectorSet:
-    """Assemble the full corrector set for a scaled coefficient."""
-    ops = ops or {}
-    phi, phi_star = dirichlet_correctors(coeff, mesh, op=ops.get("dirichlet"),
-                                         op_star=ops.get("dirichlet_star"))
+def build(op, neumann_op=None, hatA=None, x0=None) -> CorrectorSet:
+    """The corrector set of the Dirichlet operator op of a scaled
+    coefficient: phi and phi_star, and psi solved against neumann_op when
+    one is given (it then needs the homogenized tensor hatA)."""
+    phi, phi_star = dirichlet_correctors(op)
     psi = None
-    if with_neumann:
+    if neumann_op is not None:
         if hatA is None:
             raise CorrectorError("Neumann correctors need the homogenized tensor")
-        psi, x0 = neumann_correctors(coeff, hatA, mesh, x0=x0, op=ops.get("neumann"))
-    eps = getattr(coeff, "epsilon", 1.0)
-    return CorrectorSet(mesh=mesh, epsilon=eps, phi=phi, phi_star=phi_star,
-                        psi=psi, x0=x0)
+        psi, x0 = neumann_correctors(neumann_op, hatA, x0=x0)
+    return CorrectorSet(mesh=op.mesh, epsilon=getattr(op.coeff, "epsilon", 1.0), phi=phi,
+                        phi_star=phi_star, psi=psi, x0=x0)
 
 
 def trusted_interior_mask(mesh, dist=0.1, corner_margin=None):

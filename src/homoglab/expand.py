@@ -10,6 +10,11 @@ The module assembles both sides of the interior residual identity for w,
 the conormal identity on the boundary, and the kernel-driven approximation
 experiments (Poisson-weight data, divergence-form data, and the oscillatory
 singular-integral combination S_eps).
+
+The solving functions take the assembled operators they solve with: op
+for L_eps and op0 for L_0 (Dirichlet ones, or Neumann ones for
+neumann_expansion).  The caller owns them and releases their
+factorizations.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ import numpy as np
 from .mesh import (DomainMesh, Field, solve_dirichlet, nodal_gradient, interp_torus,
                    element_gauss_values, element_gauss_gradients, volume_load_from_gauss,
                    divergence_load_from_gauss, divergence_load, norm, monomial_table,
-                   operator_scope)
-from .correctors import CorrectorSet, chi_on_domain
+                   solve_neumann)
+from .correctors import CorrectorSet, chi_on_domain, neumann_correctors
 
-__all__ = ["ExpansionError", "Expansion", "build_expansion",
+__all__ = ["ExpansionError", "Expansion", "build_expansion", "neumann_expansion",
            "residual_identity_check", "conormal_identity_check",
            "poisson_approx", "poisson_approx_0",
            "divergence_data_approx", "divergence_data_eps", "divergence_data_0",
@@ -125,13 +130,26 @@ def build_expansion(u_eps: Field, u0: Field, family, correctors: CorrectorSet = 
                      u_eps=u_eps, u0=u0, V=V, du0=du0, w=w)
 
 
+def neumann_expansion(op, op0, hatA, source) -> Expansion:
+    """Neumann-family expansion of the zero-flux pair L_eps(u_eps) = source,
+    L_0(u0) = source, with op and op0 the Neumann operators of L_eps and
+    L_0; Psi is solved against op and pinned at the default interior node."""
+    u_eps = solve_neumann(op, source)
+    u0 = solve_neumann(op0, source)
+    psi, x0 = neumann_correctors(op, hatA)
+    cset = CorrectorSet(mesh=op.mesh, epsilon=getattr(op.coeff, "epsilon", 1.0), phi=None,
+                        phi_star=None, psi=psi, x0=x0)
+    return build_expansion(u_eps, u0, "neumann", correctors=cset)
+
+
 # ---------------------------------------------------------------------------
 # interior residual identity
 
 
-def residual_identity_check(exp: Expansion, coeff, cell_solution, op=None,
+def residual_identity_check(exp: Expansion, op, cell_solution,
                             terms=("flux", "low_order", "gradient")):
-    """Weak mismatch between L_eps(w) and its divergence-form representation.
+    """Weak mismatch between L_eps(w) and its divergence-form representation,
+    with L_eps the operator op (its coefficient supplies a_eps).
 
     Assembles a_eps(w, phi) and the three right-hand-side terms (the
     eps-scaled flux-corrector divergence, the low-order corrector
@@ -146,7 +164,7 @@ def residual_identity_check(exp: Expansion, coeff, cell_solution, op=None,
     grid = cell_solution.grid
 
     gauss_pts = mesh.gauss_points().reshape(-1, 2)
-    A_g = np.asarray(coeff(gauss_pts)).reshape(mesh.nelem, 4, 2, 2, m, m)
+    A_g = np.asarray(op.coeff(gauss_pts)).reshape(mesh.nelem, 4, 2, 2, m, m)
     D2 = second_derivatives(mesh, exp.u0.values)
     D2_g = element_gauss_values(mesh, D2.reshape(mesh.nnodes, -1)).reshape(mesh.nelem, 4, 2, 2, m)
 
@@ -188,9 +206,8 @@ def residual_identity_check(exp: Expansion, coeff, cell_solution, op=None,
         term_loads["gradient"] = load
         rhs += load
 
-    with operator_scope(op, coeff, mesh, m=m) as op:
-        lhs = op.matrix @ exp.w.values.ravel()
-        inter, _ = op.dof_split()
+    lhs = op.matrix @ exp.w.values.ravel()
+    inter, _ = op.dof_split()
     res = lhs[inter] - rhs[inter]
     return {
         "residual": float(np.linalg.norm(res) / mesh.h),
@@ -247,15 +264,6 @@ def conormal_identity_check(exp: Expansion, coeff, hatA):
 # approximation experiments
 
 
-def _homogenized_scope(ops, hatA, mesh_, m, who):
-    """ops["dirichlet_0"], or an operator assembled from hatA for the scope."""
-    op0 = ops.get("dirichlet_0")
-    if op0 is None and hatA is None:
-        raise ExpansionError(f"{who} needs hatA when no homogenized operator is given")
-    tensor = None if op0 is not None else np.asarray(hatA).reshape(2, 2, m, m)
-    return operator_scope(op0, tensor, mesh_, m=m)
-
-
 def _difference(mesh_, u_eps, v_eps):
     diff = Field(mesh_, u_eps.values - v_eps.values)
     return {
@@ -270,23 +278,21 @@ def poisson_approx_0(op0, omega_table, fb) -> Field:
     return solve_dirichlet(op0, None, bdata=vdata)
 
 
-def poisson_approx(coeff, mesh_, omega_table, f_eps, ops=None, hatA=None):
-    """Solve L_eps with boundary data f, L_0 with data omega*f, and compare.
+def poisson_approx(op, op0, omega_table, f_eps):
+    """Solve L_eps (Dirichlet operator op) with boundary data f, L_0 (op0)
+    with data omega*f, and compare.
 
     f_eps: boundary nodal values (n_boundary,) / (n_boundary, m) or a
     callable of the boundary points.  Returns both solutions and their
     L^1/L^2 differences.
     """
-    m = getattr(coeff, "m", 1)
-    ops = ops or {}
+    mesh_, m = op.mesh, op.m
     if callable(f_eps):
         fb = np.asarray(f_eps(mesh_.nodes[mesh_.boundary_nodes]), dtype=float).reshape(mesh_.n_boundary, m)
     else:
         fb = np.asarray(f_eps, dtype=float).reshape(mesh_.n_boundary, m)
-    with operator_scope(ops.get("dirichlet_eps"), coeff, mesh_) as op:
-        u_eps = solve_dirichlet(op, None, bdata=fb)
-    with _homogenized_scope(ops, hatA, mesh_, m, "poisson_approx") as op0:
-        v_eps = poisson_approx_0(op0, omega_table, fb)
+    u_eps = solve_dirichlet(op, None, bdata=fb)
+    v_eps = poisson_approx_0(op0, omega_table, fb)
     return _difference(mesh_, u_eps, v_eps)
 
 
@@ -306,20 +312,17 @@ def divergence_data_0(op0, phi_star, f) -> Field:
     return solve_dirichlet(op0, -divergence_load(mesh_, F_eps, m=m), bdata=0.0)
 
 
-def divergence_data_approx(coeff, phi_star, mesh_, f, ops=None, hatA=None):
+def divergence_data_approx(op, op0, phi_star, f):
     """Compare L_eps(u) = div f with L_0(v) = div F_eps,
-    F_eps,i^a = f_j^b d_j{Phi*_i^{ba}}.
+    F_eps,i^a = f_j^b d_j{Phi*_i^{ba}}, for the Dirichlet operators op of
+    L_eps and op0 of L_0.
 
     f: nodal (nnodes, 2) for m = 1 or (nnodes, 2, m).
     """
-    m = getattr(coeff, "m", 1)
-    ops = ops or {}
-    f = np.asarray(f, dtype=float).reshape(mesh_.nnodes, 2, m)
-    with operator_scope(ops.get("dirichlet_eps"), coeff, mesh_) as op:
-        u_eps = divergence_data_eps(op, f)
-    with _homogenized_scope(ops, hatA, mesh_, m, "divergence_data_approx") as op0:
-        v_eps = divergence_data_0(op0, phi_star, f)
-    return _difference(mesh_, u_eps, v_eps)
+    f = np.asarray(f, dtype=float).reshape(op.mesh.nnodes, 2, op.m)
+    u_eps = divergence_data_eps(op, f)
+    v_eps = divergence_data_0(op0, phi_star, f)
+    return _difference(op.mesh, u_eps, v_eps)
 
 
 def t_apply(op, data):
@@ -353,22 +356,20 @@ def s_epsilon_0(op0, phi, phi_star, g, i=1, j=1):
     return piece2 - piece3
 
 
-def s_epsilon(coeff, phi, phi_star, mesh_, g, i=1, j=1, ops=None, hatA=None, qs=(1.5,)):
+def s_epsilon(op, op0, phi, phi_star, g, i=1, j=1, qs=(1.5,)):
     """The oscillatory singular-integral combination
 
         S(g) = T_eps,ij(g) - dPhi_k/dx_i T_0,kl(dPhi*_l/dx_j g)
                            + dPhi_k/dx_i T_0,kl(dPhi*_l/dx_j) g
 
-    where T_eps,ij(g) = d_i of the zero-Dirichlet solve of L_eps(u) = d_j g.
+    where T_eps,ij(g) = d_i of the zero-Dirichlet solve of L_eps(u) = d_j g,
+    with L_eps the Dirichlet operator op and L_0 the Dirichlet operator op0.
     Scalar case (m = 1); i, j are 1-based.  Returns the field and L^q norms.
     """
-    if getattr(coeff, "m", 1) != 1:
+    if op.m != 1:
         raise ExpansionError("s_epsilon is implemented for the scalar case m = 1")
-    ops = ops or {}
-    g = np.asarray(g, dtype=float).reshape(mesh_.nnodes)
-    with operator_scope(ops.get("dirichlet_eps"), coeff, mesh_) as op:
-        piece1 = s_epsilon_eps(op, g, i, j)
-    with _homogenized_scope(ops, hatA, mesh_, 1, "s_epsilon") as op0:
-        pieces23 = s_epsilon_0(op0, phi, phi_star, g, i, j)
-    S = Field(mesh_, piece1 - pieces23)
+    g = np.asarray(g, dtype=float).reshape(op.mesh.nnodes)
+    piece1 = s_epsilon_eps(op, g, i, j)
+    pieces23 = s_epsilon_0(op0, phi, phi_star, g, i, j)
+    S = Field(op.mesh, piece1 - pieces23)
     return {"field": S, "norms": {q: norm(S, "Lp", q) for q in qs}}

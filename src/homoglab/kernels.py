@@ -7,6 +7,11 @@ kernel column is exact for the discrete bilinear form and reciprocity holds
 to solver accuracy for symmetric coefficients.  Kernel values are trusted
 only off-diagonal: |x - y| >= max(4h, 0.02), and for interior estimates
 dist(x, boundary) >= 0.1.  Corner nodes never carry kernel values.
+
+Every kernel takes the assembled operator it solves with (mesh.assemble)
+and reads the mesh, the number of components, epsilon and the symmetry
+flag from it and its coefficient; the caller owns the operator and
+releases its factorization.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (DomainMesh, Field, solve_dirichlet, solve_neumann, point_load,
-                   conormal, nodal_gradient, operator_scope)
+from .mesh import DomainMesh, Field, solve_dirichlet, solve_neumann, point_load, conormal
 
 __all__ = ["KernelError", "KernelTable", "DtNMatrix", "OmegaTable",
            "green", "neumann_fn", "poisson_kernel", "omega", "dtn",
@@ -81,33 +85,32 @@ class KernelTable:
                     fh.write(f"{x!r},{y!r},{sx!r},{sy!r},{fld.values[node, 0]!r}\n")
 
 
-def green(coeff, mesh, y, beta=0, op=None) -> Field:
+def green(op, y, beta=0) -> Field:
     """Green column: Dirichlet solve with a unit nodal load at y."""
+    mesh = op.mesh
     node = _as_node(mesh, y)
     if mesh.boundary_mask[node]:
         raise KernelError("Green source must be an interior node")
-    m = getattr(coeff, "m", 1)
-    with operator_scope(op, coeff, mesh) as op:
-        return solve_dirichlet(op, point_load(mesh, node, beta=beta, m=m), bdata=0.0)
+    return solve_dirichlet(op, point_load(mesh, node, beta=beta, m=op.m), bdata=0.0)
 
 
-def neumann_fn(coeff, mesh, y, beta=0, op=None) -> Field:
+def neumann_fn(op, y, beta=0) -> Field:
     """Neumann-function column: unit nodal load at y, constant compensating
-    boundary flux -1/|boundary|, pinned to zero boundary mean."""
-    if not getattr(coeff, "symmetric", True):
+    boundary flux -1/|boundary|, pinned to zero boundary mean.  op is a
+    Neumann operator; a constant-tensor op.coeff counts as symmetric."""
+    if not getattr(op.coeff, "symmetric", True):
         raise KernelError("Neumann functions require a symmetric coefficient (A* = A)")
+    mesh, m = op.mesh, op.m
     node = _as_node(mesh, y)
     if mesh.boundary_mask[node]:
         raise KernelError("Neumann source must be an interior node")
-    m = getattr(coeff, "m", 1)
     load = point_load(mesh, node, beta=beta, m=m)
     gconst = np.zeros((mesh.n_boundary, m))
     gconst[:, beta] = -0.25            # -1/|boundary| on the unit square
-    with operator_scope(op, coeff, mesh, mode="neumann") as op:
-        return solve_neumann(op, load, flux=gconst)
+    return solve_neumann(op, load, flux=gconst)
 
 
-def poisson_kernel(coeff, mesh, y, op=None) -> Field:
+def poisson_kernel(op, y) -> Field:
     """Poisson-kernel column: Dirichlet solve whose boundary data is the hat
     at the boundary node y divided by its arc mass.
 
@@ -115,6 +118,7 @@ def poisson_kernel(coeff, mesh, y, op=None) -> Field:
     its second argument.  y may be a boundary position index or a point;
     corner nodes are rejected.
     """
+    mesh = op.mesh
     if np.isscalar(y) or isinstance(y, (int, np.integer)):
         pos = int(y)
     else:
@@ -125,11 +129,9 @@ def poisson_kernel(coeff, mesh, y, op=None) -> Field:
         pos = int(matches[0])
     if pos in mesh.corner_positions:
         raise KernelError("Poisson kernel is not evaluated at corner nodes")
-    m = getattr(coeff, "m", 1)
-    bdata = np.zeros((mesh.n_boundary, m))
+    bdata = np.zeros((mesh.n_boundary, op.m))
     bdata[pos, :] = 1.0 / mesh.arc_weights[pos]
-    with operator_scope(op, coeff, mesh) as op:
-        return solve_dirichlet(op, None, bdata=bdata)
+    return solve_dirichlet(op, None, bdata=bdata)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +140,7 @@ def poisson_kernel(coeff, mesh, y, op=None) -> Field:
 
 @dataclass
 class OmegaTable:
-    """Boundary weight omega_eps^{gb}(y) and the auxiliary inverse h^{ab}(y).
+    """Boundary weight omega_eps^{gb}(y).
 
     values: (n_boundary, m, m), NaN at the four corners.  filled() replaces
     corner entries by the mean of the two adjacent edge values, for use as
@@ -148,7 +150,6 @@ class OmegaTable:
     mesh: DomainMesh
     epsilon: float
     values: np.ndarray
-    hmat: np.ndarray
 
     def filled(self):
         out = self.values.copy()
@@ -157,27 +158,26 @@ class OmegaTable:
             out[pos] = 0.5 * (out[(pos - 1) % nb] + out[(pos + 1) % nb])
         return out
 
-    def scalar(self, fill_corners=False):
-        vals = self.filled() if fill_corners else self.values
-        return vals[:, 0, 0]
+    def scalar(self):
+        return self.values[:, 0, 0]
 
 
-def omega(coeff, hatA, phi_star, mesh, op=None) -> OmegaTable:
+def omega(op, hatA, phi_star) -> OmegaTable:
     """Boundary weight built from the adjoint Dirichlet correctors:
 
         omega^{gb}(y) = h^{gs}(y) dPhi*_k^{rs}/dn(y) n_k(y)
                         n_i(y) n_j(y) a_ij^{rb}(y/eps)
 
-    with h(y) the inverse of the m x m matrix n_i n_j hatA_ij^{ab}.
+    with h(y) the inverse of the m x m matrix n_i n_j hatA_ij^{ab}, and a
+    read from op.coeff.
 
-    When the operator that produced phi_star is supplied, the normal
-    derivative is extracted from the variational conormal flux of each
-    column (its tangential part is known exactly since Phi* has linear
+    op is the Dirichlet operator of L_eps.  The normal derivative is
+    extracted from the variational conormal flux of each phi_star column
+    against op (its tangential part is known exactly since Phi* has linear
     boundary values); this is consistent with how the discrete kernels are
     built and tracks them markedly better than recovered gradients.
-    Without it, one-sided gradient recovery at the boundary is used.
     """
-    m = getattr(coeff, "m", 1)
+    mesh, m, coeff = op.mesh, op.m, op.coeff
     hatA = np.asarray(hatA, dtype=float).reshape(2, 2, m, m)
     bnodes = mesh.boundary_nodes
     nb = mesh.n_boundary
@@ -187,38 +187,27 @@ def omega(coeff, hatA, phi_star, mesh, op=None) -> OmegaTable:
 
     # normal derivative of each column: [k, sigma, node, rho]
     dn = np.full((2, m, nb, m), np.nan)
-    if op is not None:
-        star_op = op
-        for k in range(2):
-            for sig in range(m):
-                flux = conormal(Field(mesh, phi_star[k, sig]), star_op)      # (nb, rho)
-                for pos in np.flatnonzero(mask):
-                    n = nrm[pos]
-                    t = np.array([-n[1], n[0]])
-                    nAn = np.einsum("i,j,ijrs->rs", n, n, A_b[pos])
-                    nAt = np.einsum("i,j,ijrs->rs", n, t, A_b[pos])
-                    # Phi*_k = x_k e_sigma on the boundary: tangential part t_k e_sigma
-                    rhs = flux[pos] - nAt[:, sig] * t[k]
-                    dn[k, sig, pos] = np.linalg.solve(nAn, rhs)
-    else:
-        for k in range(2):
-            for sig in range(m):
-                g = nodal_gradient(mesh, phi_star[k, sig])[bnodes]           # (nb, j, rho)
-                dn[k, sig][mask] = np.einsum("njr,nj->nr", g[mask], nrm[mask])
+    for k in range(2):
+        for sig in range(m):
+            flux = conormal(Field(mesh, phi_star[k, sig]), op)          # (nb, rho)
+            for pos in np.flatnonzero(mask):
+                n = nrm[pos]
+                t = np.array([-n[1], n[0]])
+                nAn = np.einsum("i,j,ijrs->rs", n, n, A_b[pos])
+                nAt = np.einsum("i,j,ijrs->rs", n, t, A_b[pos])
+                # Phi*_k = x_k e_sigma on the boundary: tangential part t_k e_sigma
+                rhs = flux[pos] - nAt[:, sig] * t[k]
+                dn[k, sig, pos] = np.linalg.solve(nAn, rhs)
 
     values = np.full((nb, m, m), np.nan)
-    hmat = np.full((nb, m, m), np.nan)
     for pos in np.flatnonzero(mask):
         n = nrm[pos]
-        H = np.einsum("i,j,ijab->ab", n, n, hatA)
-        hinv = np.linalg.inv(H)
-        hmat[pos] = hinv
+        hinv = np.linalg.inv(np.einsum("i,j,ijab->ab", n, n, hatA))
         # T^{rs} = n_k dPhi*_k^{rs}/dn
         T = np.einsum("k,ksr->rs", n, dn[:, :, pos, :])
         an = np.einsum("i,j,ijrb->rb", n, n, A_b[pos])
         values[pos] = np.einsum("gs,rs,rb->gb", hinv, T, an)
-    return OmegaTable(mesh=mesh, epsilon=getattr(coeff, "epsilon", 1.0),
-                      values=values, hmat=hmat)
+    return OmegaTable(mesh=mesh, epsilon=getattr(coeff, "epsilon", 1.0), values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -259,28 +248,26 @@ class DtNMatrix:
                 fh.write(",".join(repr(v) for v in row) + "\n")
 
 
-def dtn(coeff, mesh, op=None, chunk=128) -> DtNMatrix:
-    """Dense DtN matrix via the Schur complement of the stiffness matrix.
+def dtn(op, chunk=128) -> DtNMatrix:
+    """Dense DtN matrix via the Schur complement of the Dirichlet operator op.
 
     Column j is the variational conormal flux of the Dirichlet solve with
     hat data at boundary node j; assembled in chunks over one factorization.
     """
-    m = getattr(coeff, "m", 1)
-    if op is not None and op.mode != "dirichlet":
+    if op.mode != "dirichlet":
         raise ValueError(f"operator assembled in mode {op.mode!r}, need 'dirichlet'")
-    with operator_scope(op, coeff, mesh) as op:
-        inter, bd = op.dof_split()
-        K = op.matrix
-        Kib = K[inter][:, bd].tocsc()
-        Kbi = K[bd][:, inter].tocsr()
-        S = K[bd][:, bd].toarray()
-        lu = op.factorization()
-        nbd = len(bd)
-        for start in range(0, nbd, chunk):
-            cols = np.arange(start, min(start + chunk, nbd))
-            X = lu.solve(Kib[:, cols].toarray())
-            S[:, cols] -= Kbi @ X
-    return DtNMatrix(mesh=mesh, epsilon=getattr(coeff, "epsilon", 0.0), mat=S, m=m)
+    inter, bd = op.dof_split()
+    K = op.matrix
+    Kib = K[inter][:, bd].tocsc()
+    Kbi = K[bd][:, inter].tocsr()
+    S = K[bd][:, bd].toarray()
+    lu = op.factorization()
+    nbd = len(bd)
+    for start in range(0, nbd, chunk):
+        cols = np.arange(start, min(start + chunk, nbd))
+        X = lu.solve(Kib[:, cols].toarray())
+        S[:, cols] -= Kbi @ X
+    return DtNMatrix(mesh=op.mesh, epsilon=getattr(op.coeff, "epsilon", 0.0), mat=S, m=op.m)
 
 
 def apply_dtn_via_solve(op, fb):

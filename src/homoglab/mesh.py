@@ -14,7 +14,6 @@ followed by a check of the residual of every solution.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +22,10 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "TorusGrid", "DomainMesh", "Field", "AssembledOperator", "SolveError",
-    "DivergenceLoad", "assemble", "volume_load", "divergence_load",
+    "assemble", "volume_load", "divergence_load",
     "point_load", "boundary_flux_load", "solve_dirichlet", "solve_neumann",
     "solve_periodic", "conormal", "norm", "nodal_gradient", "interp_torus",
-    "tangential_derivative", "monomial_table", "boundary_values", "operator_scope",
+    "tangential_derivative", "monomial_table",
 ]
 
 # reference Q1 element on [0,1]^2, local node order (0,0),(1,0),(0,1),(1,1)
@@ -77,9 +76,6 @@ class TorusGrid:
     def gauss_points(self):
         corners = self.nodes[self.elem_dofs[:, 0]]
         return corners[:, None, :] + GAUSS_POINTS[None, :, :] * self.h
-
-    def node_id(self, ix, iy):
-        return (iy % self.n) * self.n + (ix % self.n)
 
 
 class DomainMesh:
@@ -333,32 +329,8 @@ def assemble(coeff, mesh, mode="dirichlet", m=None, A_gauss=None) -> AssembledOp
     return AssembledOperator(mesh, matrix, mode, m, coeff=coeff, warnings=warnings)
 
 
-@contextmanager
-def operator_scope(op, coeff, mesh, mode="dirichlet", m=None):
-    """Yield op if given; otherwise assemble one and release it on exit."""
-    if op is not None:
-        yield op
-        return
-    op = assemble(coeff, mesh, mode=mode, m=m)
-    try:
-        yield op
-    finally:
-        op.release()
-
-
 # ---------------------------------------------------------------------------
 # load functionals (assembled right-hand-side vectors)
-
-
-@dataclass
-class DivergenceLoad:
-    """Divergence-form data: the functional v -> integral f_i^a dv^a/dx_i.
-
-    Solving with load -DivergenceLoad(f) realizes the equation L(u) = div f.
-    values: nodal array (nnodes, d, m), or a callable(points) -> (npts, d, m).
-    """
-
-    values: object
 
 
 def element_gauss_values(mesh, values):
@@ -395,8 +367,6 @@ def volume_load(mesh, values, m=None):
 
 def divergence_load(mesh, values, m=None):
     """Assemble v -> integral f_i^a dv^a/dx_i for data (nnodes, d, m) or callable."""
-    if isinstance(values, DivergenceLoad):
-        values = values.values
     if m is None:
         m = 1 if callable(values) else np.asarray(values).reshape(mesh.nnodes, 2, -1).shape[2]
     return divergence_load_from_gauss(mesh, _load_gauss_values(mesh, values, (2, m)))
@@ -452,8 +422,6 @@ def boundary_flux_load(mesh, g, m=1):
 def _as_load_vector(mesh, source, m):
     if source is None:
         return np.zeros(mesh.nnodes * m)
-    if isinstance(source, DivergenceLoad):
-        return divergence_load(mesh, source, m=m)
     if isinstance(source, Field):
         return volume_load(mesh, source.values, m=m)
     arr = np.asarray(source, dtype=float)
@@ -697,9 +665,3 @@ def tangential_derivative(mesh, fb, i, j):
         out[pos[1:-1]] = deriv[1:-1]
     return sign * out
 
-
-def boundary_values(mesh, field_or_values):
-    vals = field_or_values.values if isinstance(field_or_values, Field) else np.asarray(field_or_values)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return vals[mesh.boundary_nodes]

@@ -146,12 +146,11 @@ class EpsilonContext:
         op = self.op("dir_eps")
         mesh = self.mesh
         if "phi" in items or "phi_star" in items:
-            phi, phi_star = corrmod.dirichlet_correctors(self.scaled, mesh, op=op)
+            phi, phi_star = corrmod.dirichlet_correctors(op)
             self.data["phi"] = phi
             self.data["phi_star"] = phi_star
         if "G_eps" in items:
-            self.data["G_eps"] = kermod.green(self.scaled, mesh,
-                                              self.node_at(GREEN_SOURCE), op=op)
+            self.data["G_eps"] = kermod.green(op, self.node_at(GREEN_SOURCE))
         if "u_dir_eps" in items:
             self.data["u_dir_eps"] = solve_dirichlet(op, np.ones((mesh.nnodes, self.m)), bdata=0.0)
         if "u_poisson_eps" in items:
@@ -169,17 +168,14 @@ class EpsilonContext:
 
     def _batch_post_eps(self, items):
         if "omega" in items:
-            self.data["omega"] = kermod.omega(self.scaled, self.hatA,
-                                              self.data["phi_star"], self.mesh,
-                                              op=self._ops.get("dir_eps"))
+            self.data["omega"] = kermod.omega(self.op("dir_eps"), self.hatA,
+                                              self.data["phi_star"])
 
     def _batch_dir_0(self, items):
         op0 = self.op("dir_0")
         mesh = self.mesh
         if "G_0" in items:
-            # with op given, green/neumann_fn read only m and symmetric of the field
-            self.data["G_0"] = kermod.green(self.field, mesh,
-                                            self.node_at(GREEN_SOURCE), op=op0)
+            self.data["G_0"] = kermod.green(op0, self.node_at(GREEN_SOURCE))
         if "u_dir_0" in items:
             self.data["u_dir_0"] = solve_dirichlet(op0, np.ones((mesh.nnodes, self.m)), bdata=0.0)
         if "v_poisson" in items:
@@ -203,23 +199,22 @@ class EpsilonContext:
 
     def _batch_neu_eps(self, items):
         opn = self.op("neu_eps")
-        mesh = self.mesh
         if "psi" in items:
-            psi, x0 = corrmod.neumann_correctors(self.scaled, self.hatA, mesh, op=opn)
+            psi, x0 = corrmod.neumann_correctors(opn, self.hatA)
             self.data["psi"] = psi
             self.data["x0"] = x0
         if "N_eps" in items:
-            self.data["N_eps"] = kermod.neumann_fn(self.scaled, mesh,
-                                                   self.node_at(GREEN_SOURCE), op=opn)
+            self.data["N_eps"] = kermod.neumann_fn(opn, self.node_at(GREEN_SOURCE))
         if "u_neu_eps" in items:
             self.data["u_neu_eps"] = solve_neumann(opn, self.neumann_source())
 
     def _batch_neu_0(self, items):
         opn0 = self.op("neu_0")
-        mesh = self.mesh
         if "N_0" in items:
-            self.data["N_0"] = kermod.neumann_fn(self.field, mesh,
-                                                 self.node_at(GREEN_SOURCE), op=opn0)
+            # opn0 holds the constant hatA, which carries no symmetry flag
+            if not self.field.symmetric:
+                raise kermod.KernelError("Neumann functions require a symmetric coefficient (A* = A)")
+            self.data["N_0"] = kermod.neumann_fn(opn0, self.node_at(GREEN_SOURCE))
         if "u_neu_0" in items:
             self.data["u_neu_0"] = solve_neumann(opn0, self.neumann_source())
 
@@ -231,8 +226,7 @@ class EpsilonContext:
         xpos = [self.boundary_pos(s) for s in KERNEL_X_S]
         cols, fluxes = {}, {}
         for s in POISSON_SOURCES_S:
-            cols[s] = kermod.poisson_kernel(self.field, self.mesh, self.boundary_pos(s),
-                                            op=op)
+            cols[s] = kermod.poisson_kernel(op, self.boundary_pos(s))
             t = conormal(cols[s], op)
             fluxes[s] = {sx: t[px, 0] for sx, px in zip(KERNEL_X_S, xpos)}
         return cols, fluxes

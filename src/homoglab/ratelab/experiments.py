@@ -18,7 +18,7 @@ from .. import expand as expmod
 from .. import kernels as kermod
 from .. import mesh as fem
 from ..coeff import builtin, rescale
-from ..mesh import Field, assemble, solve_dirichlet, solve_neumann, nodal_gradient, norm
+from ..mesh import Field, assemble, solve_dirichlet, nodal_gradient, norm
 from .context import (cell_solution, mesh_resolution, GREEN_EVAL, INTERIOR_EVAL,
                       POISSON_SOURCES_S, KERNEL_X_S)
 
@@ -135,7 +135,7 @@ def q_w1p_dirichlet(ctx):
 
 def q_w1p_neumann(ctx):
     u_eps, u0 = ctx.data["u_neu_eps"], ctx.data["u_neu_0"]
-    cset = corrmod.CorrectorSet(mesh=ctx.mesh, epsilon=ctx.eps, phi=ctx.data["psi"],
+    cset = corrmod.CorrectorSet(mesh=ctx.mesh, epsilon=ctx.eps, phi=None,
                                 phi_star=None, psi=ctx.data["psi"], x0=ctx.data["x0"])
     e_psi = expmod.build_expansion(u_eps, u0, "neumann", correctors=cset)
     return {"h1_neumann_family": norm(e_psi.w, "W1p", 2)}
@@ -289,21 +289,15 @@ def _identity_pair(config, which):
             f = np.ones((dm.nnodes, 1))
             u_eps = solve_dirichlet(op, f, bdata=0.0)
             u0 = solve_dirichlet(op0, f, bdata=0.0)
-            cset = corrmod.build(sc, dm, hatA=cs.hatA, with_neumann=False, ops={"dirichlet": op})
-            e = expmod.build_expansion(u_eps, u0, "dirichlet", correctors=cset)
-            r = expmod.residual_identity_check(e, sc, cs, op=op)
+            e = expmod.build_expansion(u_eps, u0, "dirichlet", correctors=corrmod.build(op))
+            r = expmod.residual_identity_check(e, op, cs)
             vals.append((n, r["residual"]))
             op.release(); op0.release()
         else:
             opn = assemble(sc, dm, mode="neumann")
             opn0 = assemble(cs.hatA, dm, mode="neumann", m=1)
-            F = np.cos(np.pi * dm.nodes[:, 0])[:, None]
-            u_eps = solve_neumann(opn, F)
-            u0 = solve_neumann(opn0, F)
-            psi, x0 = corrmod.neumann_correctors(sc, cs.hatA, dm, op=opn)
-            cset = corrmod.CorrectorSet(mesh=dm, epsilon=eps, phi=psi, phi_star=None,
-                                        psi=psi, x0=x0)
-            e = expmod.build_expansion(u_eps, u0, "neumann", correctors=cset)
+            e = expmod.neumann_expansion(opn, opn0, cs.hatA,
+                                         np.cos(np.pi * dm.nodes[:, 0])[:, None])
             c = expmod.conormal_identity_check(e, sc, cs.hatA)
             vals.append((n, c["l2_boundary"]))
             opn.release(); opn0.release()
@@ -331,7 +325,7 @@ def run_prop24(config, report_cls):
 def _laplace_dtn(n):
     dm = fem.DomainMesh(n)
     eye = builtin("constant", value=np.eye(2))
-    return dm, kermod.dtn(eye, dm)
+    return dm, kermod.dtn(assemble(eye, dm))
 
 
 def run_leibniz_product(config, report_cls):

@@ -69,22 +69,21 @@ def test_criterion_03_constant_degenerate_run():
     dm = mesh.DomainMesh(32)
     sc = coeff.rescale(field, 1 / 8)
     op = mesh.assemble(sc, dm, mode="dirichlet")
-    cset = correctors.build(sc, dm, hatA=cs.hatA)
+    opn = mesh.assemble(sc, dm, mode="neumann")
+    cset = correctors.build(op, opn, hatA=cs.hatA)
     P = cset.monomials()
     phi_dev = np.abs(cset.phi - P).max()
     psi_dev = np.abs(cset.psi - P).max()
     y = np.array([0.75, 0.5])
-    G_eps = kernels.green(sc, dm, y, op=op)
+    G_eps = kernels.green(op, y)
     op0 = mesh.assemble(cs.hatA, dm, mode="dirichlet", m=1)
-    G_0 = kernels.green(coeff.builtin("constant", value=cs.hatA[:, :, 0, 0]), dm, y, op=op0)
+    G_0 = kernels.green(op0, y)
     g_dev = np.abs(G_eps.values - G_0.values).max()
-    opn = mesh.assemble(sc, dm, mode="neumann")
     opn0 = mesh.assemble(cs.hatA, dm, mode="neumann", m=1)
-    hat_field = coeff.builtin("constant", value=0.5 * (cs.hatA[:, :, 0, 0] + cs.hatA[:, :, 0, 0].T))
-    N_eps = kernels.neumann_fn(sc, dm, y, op=opn)
-    N_0 = kernels.neumann_fn(hat_field, dm, y, op=opn0)
+    N_eps = kernels.neumann_fn(opn, y)
+    N_0 = kernels.neumann_fn(opn0, y)
     n_dev = np.abs(N_eps.values - N_0.values).max()
-    om = kernels.omega(sc, cs.hatA, cset.phi_star, dm, op=op)
+    om = kernels.omega(op, cs.hatA, cset.phi_star)
     om_dev = np.nanmax(np.abs(om.values - np.eye(1)))
     ok = all(v <= 1e-8 for v in (chi_max, phi_dev, psi_dev, g_dev, n_dev, om_dev))
     _report("criterion 03 (constant-coefficient degenerate run)", ok,
@@ -175,15 +174,11 @@ def test_criterion_12_identity_checks():
     f = np.ones((dm.nnodes, 1))
     u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
     u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)
-    cset = correctors.build(sc, dm, hatA=cs.hatA)
-    e = expand.build_expansion(u_eps, u0, "dirichlet", correctors=cset)
-    r_const = expand.residual_identity_check(e, sc, cs, op=op)["residual"]
+    e = expand.build_expansion(u_eps, u0, "dirichlet", correctors=correctors.build(op))
+    r_const = expand.residual_identity_check(e, op, cs)["residual"]
     opn = mesh.assemble(sc, dm, mode="neumann")
     opn0 = mesh.assemble(cs.hatA, dm, mode="neumann", m=1)
-    F = np.cos(np.pi * dm.nodes[:, 0])[:, None]
-    un_eps = mesh.solve_neumann(opn, F)
-    un0 = mesh.solve_neumann(opn0, F)
-    en = expand.build_expansion(un_eps, un0, "neumann", correctors=cset)
+    en = expand.neumann_expansion(opn, opn0, cs.hatA, np.cos(np.pi * dm.nodes[:, 0])[:, None])
     c_const = expand.conormal_identity_check(en, sc, cs.hatA)["max"]
 
     ok = rep21.passed and rep24.passed and r_const <= 1e-8 and c_const <= 1e-8
@@ -206,10 +201,10 @@ def test_criterion_14_operator_expansions(sweep_reports, layered_field, layered_
 
     # S(1) = 0 at the coarsest sweep resolution
     dm = mesh.DomainMesh(128)
-    sc = coeff.rescale(layered_field, 1 / 8)
-    cset = correctors.build(sc, dm, hatA=layered_cell128.hatA, with_neumann=False)
-    out = expand.s_epsilon(sc, cset.phi, cset.phi_star, dm, np.ones(dm.nnodes),
-                           hatA=layered_cell128.hatA)
+    op = mesh.assemble(coeff.rescale(layered_field, 1 / 8), dm)
+    op0 = mesh.assemble(layered_cell128.hatA, dm, m=1)
+    cset = correctors.build(op)
+    out = expand.s_epsilon(op, op0, cset.phi, cset.phi_star, np.ones(dm.nnodes))
     s_one = out["norms"][1.5]
 
     ok = rep_s.passed and rep_d.passed and s_one <= 1e-8

@@ -4,13 +4,20 @@ import pytest
 from homoglab import cell, coeff, correctors, mesh
 
 
+def _build(sc, dm, hatA=None):
+    """correctors.build with the Dirichlet operator of sc and, given hatA, its
+    Neumann operator."""
+    neumann_op = None if hatA is None else mesh.assemble(sc, dm, mode="neumann")
+    return correctors.build(mesh.assemble(sc, dm), neumann_op, hatA=hatA)
+
+
 @pytest.fixture(scope="module")
 def const_setup():
     A = np.array([[np.sqrt(3.0), 0.0], [0.0, 2.0]])
     field = coeff.builtin("constant", value=A)
     cs = cell.solve(field, 16)
     dm = mesh.DomainMesh(16)
-    cset = correctors.build(coeff.rescale(field, 1 / 4), dm, hatA=cs.hatA)
+    cset = _build(coeff.rescale(field, 1 / 4), dm, hatA=cs.hatA)
     return field, cs, dm, cset
 
 
@@ -26,8 +33,7 @@ def test_constant_neumann_correctors_are_monomials(const_setup):
 
 def test_boundary_exactness_and_pin(layered_field, layered_cell64):
     dm = mesh.DomainMesh(32)
-    cset = correctors.build(coeff.rescale(layered_field, 1 / 4), dm,
-                            hatA=layered_cell64.hatA)
+    cset = _build(coeff.rescale(layered_field, 1 / 4), dm, hatA=layered_cell64.hatA)
     P = cset.monomials()
     bnodes = dm.boundary_nodes
     assert np.abs((cset.phi - P)[:, :, bnodes, :]).max() == 0.0
@@ -38,8 +44,7 @@ def test_boundary_exactness_and_pin(layered_field, layered_cell64):
 
 def test_phi_star_equals_phi_for_symmetric(layered_field, layered_cell64):
     dm = mesh.DomainMesh(16)
-    cset = correctors.build(coeff.rescale(layered_field, 1 / 2), dm,
-                            hatA=layered_cell64.hatA, with_neumann=False)
+    cset = _build(coeff.rescale(layered_field, 1 / 2), dm)
     assert np.abs(cset.phi_star - cset.phi).max() <= 1e-10
 
 
@@ -47,17 +52,16 @@ def test_neumann_rejects_nonsymmetric(layered_cell64):
     A = np.array([[2.0, 0.5], [0.0, 1.0]])
     field = coeff.builtin("constant", value=A)
     dm = mesh.DomainMesh(8)
+    op = mesh.assemble(coeff.rescale(field, 1 / 2), dm, mode="neumann")
     with pytest.raises(correctors.CorrectorError):
-        correctors.neumann_correctors(coeff.rescale(field, 1 / 2),
-                                      layered_cell64.hatA, dm)
+        correctors.neumann_correctors(op, layered_cell64.hatA)
 
 
 def test_phi_sup_halves_with_eps(layered_field, layered_cell128):
     sups = []
     for eps in (1 / 8, 1 / 16, 1 / 32):
         dm = mesh.DomainMesh(int(16 / eps))
-        cset = correctors.build(coeff.rescale(layered_field, eps), dm,
-                                hatA=layered_cell128.hatA, with_neumann=False)
+        cset = _build(coeff.rescale(layered_field, eps), dm)
         sups.append(np.abs(cset.phi - cset.monomials()).max())
     for a, b in zip(sups, sups[1:]):
         assert 0.35 <= b / a <= 0.65  # ratio 0.5 +- 0.15
@@ -67,8 +71,7 @@ def test_psi_log_bound_stable(layered_field, layered_cell128):
     ratios = []
     for eps in (1 / 8, 1 / 16, 1 / 32):
         dm = mesh.DomainMesh(int(16 / eps))
-        cset = correctors.build(coeff.rescale(layered_field, eps), dm,
-                                hatA=layered_cell128.hatA)
+        cset = _build(coeff.rescale(layered_field, eps), dm, hatA=layered_cell128.hatA)
         sup = np.abs(cset.psi - cset.monomials()).max()
         ratios.append(sup / (eps * np.log(1 / eps + 2)))
     assert max(ratios) / min(ratios) <= 3.0
@@ -87,8 +90,7 @@ def test_corrector_report_layered_bounds(layered_field, layered_cell128):
     reports = []
     for eps in (1 / 8, 1 / 16):
         dm = mesh.DomainMesh(int(16 / eps))
-        cset = correctors.build(coeff.rescale(layered_field, eps), dm,
-                                hatA=layered_cell128.hatA)
+        cset = _build(coeff.rescale(layered_field, eps), dm, hatA=layered_cell128.hatA)
         reports.append(correctors.corrector_report(cset, layered_cell128))
     g0, g1 = (rep["phi"]["grad_sup"] for rep in reports)
     assert abs(g1 - g0) / g0 <= 0.2   # gradient sup stable under eps-halving
@@ -111,14 +113,14 @@ def test_gradient_recovery_order_on_manufactured_field():
 
 def test_default_pin_is_center(layered_field, layered_cell64):
     dm = mesh.DomainMesh(16)
-    psi, x0 = correctors.neumann_correctors(coeff.rescale(layered_field, 1 / 2),
-                                            layered_cell64.hatA, dm)
+    op = mesh.assemble(coeff.rescale(layered_field, 1 / 2), dm, mode="neumann")
+    psi, x0 = correctors.neumann_correctors(op, layered_cell64.hatA)
     assert np.allclose(dm.nodes[x0], (0.5, 0.5))
 
 
 def test_pin_must_be_interior(layered_field, layered_cell64):
     dm = mesh.DomainMesh(16)
     with pytest.raises(correctors.CorrectorError):
-        correctors.neumann_correctors(coeff.rescale(layered_field, 1 / 2),
-                                      layered_cell64.hatA, dm,
-                                      x0=int(dm.boundary_nodes[0]))
+        correctors.neumann_correctors(
+            mesh.assemble(coeff.rescale(layered_field, 1 / 2), dm, mode="neumann"),
+            layered_cell64.hatA, x0=int(dm.boundary_nodes[0]))

@@ -14,7 +14,7 @@ def const_problem(identity_field):
     f = np.ones((dm.nnodes, 1))
     u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
     u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)
-    cset = correctors.build(sc, dm, hatA=cs.hatA)
+    cset = correctors.build(op, mesh.assemble(sc, dm, mode="neumann"), hatA=cs.hatA)
     return dict(cs=cs, dm=dm, sc=sc, op=op, op0=op0, u_eps=u_eps, u0=u0, cset=cset)
 
 
@@ -29,7 +29,7 @@ def layered_problem(layered_field, layered_cell128):
     f = np.ones((dm.nnodes, 1))
     u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
     u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)
-    cset = correctors.build(sc, dm, hatA=cs.hatA)
+    cset = correctors.build(op, mesh.assemble(sc, dm, mode="neumann"), hatA=cs.hatA)
     return dict(cs=cs, dm=dm, sc=sc, eps=eps, op=op, op0=op0,
                 u_eps=u_eps, u0=u0, cset=cset)
 
@@ -74,7 +74,7 @@ def test_unknown_family_rejected(layered_problem):
 def test_residual_identity_constant(const_problem):
     p = const_problem
     e = expand.build_expansion(p["u_eps"], p["u0"], "dirichlet", correctors=p["cset"])
-    r = expand.residual_identity_check(e, p["sc"], p["cs"], op=p["op"])
+    r = expand.residual_identity_check(e, p["op"], p["cs"])
     assert r["residual"] <= 1e-8
 
 
@@ -90,9 +90,8 @@ def test_residual_identity_refinement(layered_field, layered_cell128):
         f = np.ones((dm.nnodes, 1))
         u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
         u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)
-        cset = correctors.build(sc, dm, hatA=cs.hatA, with_neumann=False)
-        e = expand.build_expansion(u_eps, u0, "dirichlet", correctors=cset)
-        vals.append(expand.residual_identity_check(e, sc, cs, op=op)["residual"])
+        e = expand.build_expansion(u_eps, u0, "dirichlet", correctors=correctors.build(op))
+        vals.append(expand.residual_identity_check(e, op, cs)["residual"])
         op.release()
         op0.release()
     assert vals[1] / vals[0] <= 0.6
@@ -103,15 +102,14 @@ def test_residual_identity_chi_family_reduces_to_flux_term(layered_problem):
     p = layered_problem
     e = expand.build_expansion(p["u_eps"], p["u0"], "chi",
                                cell_solution=p["cs"], epsilon=p["eps"])
-    full = expand.residual_identity_check(e, p["sc"], p["cs"], op=p["op"])
+    full = expand.residual_identity_check(e, p["op"], p["cs"])
     grad_term = full["term_loads"]["gradient"]
     low_term = full["term_loads"]["low_order"]
     flux_term = full["term_loads"]["flux"]
     assert np.abs(grad_term).max() <= 1e-10 * max(1.0, np.abs(flux_term).max())
     # the low-order term collapses onto the chi-part of the bounded kernel
     assert np.abs(low_term).max() > 0.0
-    partial = expand.residual_identity_check(e, p["sc"], p["cs"], op=p["op"],
-                                             terms=("flux", "low_order"))
+    partial = expand.residual_identity_check(e, p["op"], p["cs"], terms=("flux", "low_order"))
     assert partial["residual"] == pytest.approx(full["residual"], rel=1e-6)
 
 
@@ -151,11 +149,7 @@ def test_conormal_identity_refinement(layered_field, layered_cell128):
         sc = coeff.rescale(layered_field, eps)
         opn = mesh.assemble(sc, dm, mode="neumann")
         opn0 = mesh.assemble(cs.hatA, dm, mode="neumann", m=1)
-        F = np.cos(np.pi * dm.nodes[:, 0])[:, None]
-        u_eps = mesh.solve_neumann(opn, F)
-        u0 = mesh.solve_neumann(opn0, F)
-        cset = correctors.build(sc, dm, hatA=cs.hatA)
-        e = expand.build_expansion(u_eps, u0, "neumann", correctors=cset)
+        e = expand.neumann_expansion(opn, opn0, cs.hatA, np.cos(np.pi * dm.nodes[:, 0])[:, None])
         vals.append(expand.conormal_identity_check(e, sc, cs.hatA)["l2_boundary"])
         opn.release()
         opn0.release()
@@ -164,9 +158,8 @@ def test_conormal_identity_refinement(layered_field, layered_cell128):
 
 def test_poisson_approx_identity_case(const_problem, identity_field):
     p = const_problem
-    om = kernels.omega(p["sc"], p["cs"].hatA, p["cset"].phi_star, p["dm"], op=p["op"])
-    out = expand.poisson_approx(p["sc"], p["dm"], om, lambda pts: pts[:, :1],
-                                ops={"dirichlet_eps": p["op"], "dirichlet_0": p["op0"]})
+    om = kernels.omega(p["op"], p["cs"].hatA, p["cset"].phi_star)
+    out = expand.poisson_approx(p["op"], p["op0"], om, lambda pts: pts[:, :1])
     assert out["l1"] <= 1e-10 and out["l2"] <= 1e-10
 
 
@@ -174,34 +167,28 @@ def test_divergence_data_approx_identity_case(const_problem):
     p = const_problem
     dm = p["dm"]
     f = np.stack([np.sin(np.pi * dm.nodes[:, 1]), np.zeros(dm.nnodes)], axis=1)
-    out = expand.divergence_data_approx(p["sc"], p["cset"].phi_star, dm, f,
-                                        ops={"dirichlet_eps": p["op"],
-                                             "dirichlet_0": p["op0"]})
+    out = expand.divergence_data_approx(p["op"], p["op0"], p["cset"].phi_star, f)
     assert out["l1"] <= 1e-10 and out["l2"] <= 1e-10
-    zero = expand.divergence_data_approx(p["sc"], p["cset"].phi_star, dm,
-                                         np.zeros((dm.nnodes, 2)),
-                                         ops={"dirichlet_eps": p["op"],
-                                              "dirichlet_0": p["op0"]})
+    zero = expand.divergence_data_approx(p["op"], p["op0"], p["cset"].phi_star,
+                                         np.zeros((dm.nnodes, 2)))
     assert zero["l2"] == 0.0
 
 
 def test_s_epsilon_identities(const_problem):
     p = const_problem
     dm = p["dm"]
-    ops = {"dirichlet_eps": p["op"], "dirichlet_0": p["op0"]}
-    out = expand.s_epsilon(p["sc"], p["cset"].phi, p["cset"].phi_star, dm,
-                           np.ones(dm.nnodes), ops=ops)
+    out = expand.s_epsilon(p["op"], p["op0"], p["cset"].phi, p["cset"].phi_star,
+                           np.ones(dm.nnodes))
     assert out["norms"][1.5] <= 1e-8      # S(1) = 0
-    out = expand.s_epsilon(p["sc"], p["cset"].phi, p["cset"].phi_star, dm,
-                           np.sin(2 * np.pi * dm.nodes[:, 0]), ops=ops)
+    out = expand.s_epsilon(p["op"], p["op0"], p["cset"].phi, p["cset"].phi_star,
+                           np.sin(2 * np.pi * dm.nodes[:, 0]))
     assert out["norms"][1.5] <= 1e-8      # constant coefficient: S(g) = 0
 
 
 def test_s_epsilon_g_constant_layered(layered_problem):
     p = layered_problem
-    ops = {"dirichlet_eps": p["op"], "dirichlet_0": p["op0"]}
-    out = expand.s_epsilon(p["sc"], p["cset"].phi, p["cset"].phi_star, p["dm"],
-                           np.full(p["dm"].nnodes, 3.0), ops=ops)
+    out = expand.s_epsilon(p["op"], p["op0"], p["cset"].phi, p["cset"].phi_star,
+                           np.full(p["dm"].nnodes, 3.0))
     assert out["norms"][1.5] <= 1e-8
 
 
@@ -225,8 +212,7 @@ def test_two_family_comparison(layered_field, layered_cell128):
     f = np.ones((dm.nnodes, 1))
     u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
     u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)
-    cset = correctors.build(sc, dm, hatA=cs.hatA, with_neumann=False)
-    e_phi = expand.build_expansion(u_eps, u0, "dirichlet", correctors=cset)
+    e_phi = expand.build_expansion(u_eps, u0, "dirichlet", correctors=correctors.build(op))
     e_chi = expand.build_expansion(u_eps, u0, "chi", cell_solution=cs, epsilon=eps)
     assert mesh.norm(e_phi.w, "W1p", 2) < mesh.norm(e_chi.w, "W1p", 2)
     op.release()

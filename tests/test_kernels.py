@@ -13,8 +13,7 @@ def identity_op(identity_field):
 @pytest.fixture(scope="module")
 def layered_ops(layered_field):
     dm = mesh.DomainMesh(64)
-    sc = coeff.rescale(layered_field, 1 / 8)
-    return dm, sc, mesh.assemble(sc, dm, mode="dirichlet")
+    return dm, mesh.assemble(coeff.rescale(layered_field, 1 / 8), dm, mode="dirichlet")
 
 
 def _node(dm, pt):
@@ -25,7 +24,7 @@ def test_green_matches_double_sine_series(identity_field):
     # independent spectral oracle on the unit square at a separated pair
     dm = mesh.DomainMesh(128)
     op = mesh.assemble(identity_field, dm, mode="dirichlet")
-    G = kernels.green(identity_field, dm, np.array([0.75, 0.5]), op=op)
+    G = kernels.green(op, np.array([0.75, 0.5]))
     op.release()
     x = np.array([0.25, 0.25])
     k = np.arange(1, 201)
@@ -39,37 +38,38 @@ def test_green_matches_double_sine_series(identity_field):
 def test_green_constant_coefficient_identical(identity_op, identity_field):
     dm, op = identity_op
     # A constant: scaled and homogenized operators coincide, columns agree
-    G1 = kernels.green(coeff.rescale(identity_field, 1 / 8), dm, np.array([0.75, 0.5]))
-    G2 = kernels.green(identity_field, dm, np.array([0.75, 0.5]), op=op)
+    op_eps = mesh.assemble(coeff.rescale(identity_field, 1 / 8), dm)
+    G1 = kernels.green(op_eps, np.array([0.75, 0.5]))
+    G2 = kernels.green(op, np.array([0.75, 0.5]))
     assert np.abs(G1.values - G2.values).max() < 1e-12
 
 
 def test_green_reciprocity_symmetric(layered_ops):
-    dm, sc, op = layered_ops
+    dm, op = layered_ops
     x, y = np.array([0.25, 0.25]), np.array([0.75, 0.5])
-    Gy = kernels.green(sc, dm, y, op=op)
-    Gx = kernels.green(sc, dm, x, op=op)
+    Gy = kernels.green(op, y)
+    Gx = kernels.green(op, x)
     vxy = Gy.values[_node(dm, x), 0]
     vyx = Gx.values[_node(dm, y), 0]
     assert abs(vxy - vyx) / abs(vxy) <= 1e-6
 
 
 def test_green_vanishes_on_boundary(layered_ops):
-    dm, sc, op = layered_ops
-    G = kernels.green(sc, dm, np.array([0.75, 0.5]), op=op)
+    dm, op = layered_ops
+    G = kernels.green(op, np.array([0.75, 0.5]))
     assert np.abs(G.values[dm.boundary_nodes]).max() == 0.0
 
 
 def test_green_rejects_boundary_source(layered_ops):
-    dm, sc, op = layered_ops
+    dm, op = layered_ops
     with pytest.raises(kernels.KernelError):
-        kernels.green(sc, dm, np.array([0.0, 0.5]), op=op)
+        kernels.green(op, np.array([0.0, 0.5]))
 
 
 def test_kernel_table_trust_region(layered_ops):
-    dm, sc, op = layered_ops
+    dm, op = layered_ops
     y = np.array([0.75, 0.5])
-    G = kernels.green(sc, dm, y, op=op)
+    G = kernels.green(op, y)
     table = kernels.KernelTable("green", 1 / 8, dm, [_node(dm, y)], [G])
     assert table.value((0.25, 0.25)) == G.values[_node(dm, (0.25, 0.25)), 0]
     with pytest.raises(kernels.KernelError):
@@ -81,10 +81,10 @@ def test_neumann_fn_normalization_and_symmetry(layered_field):
     sc = coeff.rescale(layered_field, 1 / 8)
     op = mesh.assemble(sc, dm, mode="neumann")
     x, y = np.array([0.25, 0.25]), np.array([0.75, 0.5])
-    Ny = kernels.neumann_fn(sc, dm, y, op=op)
+    Ny = kernels.neumann_fn(op, y)
     bmean = (Ny.values[dm.boundary_nodes, 0] * dm.arc_weights).sum()
     assert abs(bmean) <= 1e-8
-    Nx = kernels.neumann_fn(sc, dm, x, op=op)
+    Nx = kernels.neumann_fn(op, x)
     vxy, vyx = Ny.values[_node(dm, x), 0], Nx.values[_node(dm, y), 0]
     assert abs(vxy - vyx) / abs(vxy) <= 1e-6
     op.release()
@@ -94,11 +94,11 @@ def test_neumann_fn_rejects_nonsymmetric():
     field = coeff.builtin("constant", value=np.array([[2.0, 0.5], [0.0, 1.0]]))
     dm = mesh.DomainMesh(8)
     with pytest.raises(kernels.KernelError):
-        kernels.neumann_fn(field, dm, np.array([0.5, 0.5]))
+        kernels.neumann_fn(mesh.assemble(field, dm, mode="neumann"), np.array([0.5, 0.5]))
 
 
 def test_poisson_kernel_row_sum_is_one(layered_ops):
-    dm, sc, op = layered_ops
+    dm, op = layered_ops
     # hat columns at every boundary node (corner hats composed directly,
     # since the public op rejects corner sources) integrate to 1
     total = np.zeros(dm.nnodes)
@@ -108,49 +108,47 @@ def test_poisson_kernel_row_sum_is_one(layered_ops):
             bdata[pos, 0] = 1.0 / dm.arc_weights[pos]
             u = mesh.solve_dirichlet(op, None, bdata=bdata)
         else:
-            u = kernels.poisson_kernel(sc, dm, pos, op=op)
+            u = kernels.poisson_kernel(op, pos)
         total += u.values[:, 0] * dm.arc_weights[pos]
     interior = dm.dist_to_boundary(dm.nodes) > 0.05
     assert np.abs(total[interior] - 1.0).max() <= 1e-6
 
 
 def test_poisson_kernel_positive(layered_ops):
-    dm, sc, op = layered_ops
-    P = kernels.poisson_kernel(sc, dm, dm.n // 2, op=op)
+    dm, op = layered_ops
+    P = kernels.poisson_kernel(op, dm.n // 2)
     interior = ~dm.boundary_mask
     assert P.values[interior, 0].min() >= -1e-6
 
 
 def test_poisson_kernel_rejects_corner(layered_ops):
-    dm, sc, op = layered_ops
+    dm, op = layered_ops
     with pytest.raises(kernels.KernelError):
-        kernels.poisson_kernel(sc, dm, 0, op=op)
+        kernels.poisson_kernel(op, 0)
 
 
 def test_poisson_constant_coefficient_identical(identity_op, identity_field):
     dm, op = identity_op
-    P1 = kernels.poisson_kernel(coeff.rescale(identity_field, 1 / 8), dm, dm.n // 2)
-    P2 = kernels.poisson_kernel(identity_field, dm, dm.n // 2, op=op)
+    P1 = kernels.poisson_kernel(mesh.assemble(coeff.rescale(identity_field, 1 / 8), dm), dm.n // 2)
+    P2 = kernels.poisson_kernel(op, dm.n // 2)
     assert np.abs(P1.values - P2.values).max() < 1e-12
 
 
-def _omega_for(field, eps, n, cellsol, variational=True):
+def _omega_for(field, eps, n, cellsol):
     from homoglab import correctors
     dm = mesh.DomainMesh(n)
-    sc = coeff.rescale(field, eps)
-    op = mesh.assemble(sc, dm, mode="dirichlet")
-    phi, phi_star = correctors.dirichlet_correctors(sc, dm, op=op)
-    om = kernels.omega(sc, cellsol.hatA, phi_star, dm, op=op if variational else None)
+    op = mesh.assemble(coeff.rescale(field, eps), dm, mode="dirichlet")
+    phi, phi_star = correctors.dirichlet_correctors(op)
+    om = kernels.omega(op, cellsol.hatA, phi_star)
     op.release()
     return dm, om
 
 
 def test_omega_identity_for_constant(identity_field):
     cs = cell.solve(identity_field, 16)
-    for variational in (True, False):
-        dm, om = _omega_for(identity_field, 1 / 4, 16, cs, variational)
-        mask = dm.noncorner_mask
-        assert np.abs(om.values[mask, 0, 0] - 1.0).max() <= 1e-10
+    dm, om = _omega_for(identity_field, 1 / 4, 16, cs)
+    mask = dm.noncorner_mask
+    assert np.abs(om.values[mask, 0, 0] - 1.0).max() <= 1e-10
 
 
 def test_omega_identity_for_hatA_run(layered_cell64):
@@ -180,7 +178,7 @@ def test_omega_filled_corners(layered_field, layered_cell64):
 
 def test_dtn_invariants(identity_field):
     dm = mesh.DomainMesh(32)
-    D = kernels.dtn(identity_field, dm)
+    D = kernels.dtn(mesh.assemble(identity_field, dm))
     assert D.constant_action() <= 1e-8
     assert np.abs(D.mat - D.mat.T).max() <= 1e-8
     eigs = np.linalg.eigvalsh(0.5 * (D.mat + D.mat.T))
@@ -195,8 +193,8 @@ def test_dtn_hatA_two_routes_agree(layered_cell64):
     dm = mesh.DomainMesh(16)
     hatA = 0.5 * (layered_cell64.hatA[:, :, 0, 0] + layered_cell64.hatA[:, :, 0, 0].T)
     op_tensor = mesh.assemble(hatA, dm, mode="dirichlet", m=1)
-    D1 = kernels.dtn(coeff.builtin("constant", value=hatA), dm, op=op_tensor)
-    D2 = kernels.dtn(coeff.builtin("constant", value=hatA), dm)
+    D1 = kernels.dtn(op_tensor)
+    D2 = kernels.dtn(mesh.assemble(coeff.builtin("constant", value=hatA), dm))
     assert np.abs(D1.mat - D2.mat).max() <= 1e-10
 
 
@@ -204,18 +202,18 @@ def test_dtn_matrix_matches_solve_route(layered_field):
     dm = mesh.DomainMesh(32)
     sc = coeff.rescale(layered_field, 1 / 4)
     op = mesh.assemble(sc, dm, mode="dirichlet")
-    D = kernels.dtn(sc, dm, op=op)
+    D = kernels.dtn(op)
     fb = np.cos(2 * np.pi * dm.boundary_s / 4.0)
     via_solve = kernels.apply_dtn_via_solve(op, fb[:, None])
     assert np.abs(D.apply(fb)[:, 0] - via_solve[:, 0]).max() <= 1e-8
     op.release()
     with pytest.raises(ValueError, match="need 'dirichlet'"):
-        kernels.dtn(sc, dm, op=mesh.assemble(sc, dm, mode="neumann"))
+        kernels.dtn(mesh.assemble(sc, dm, mode="neumann"))
 
 
 def test_commutator_with_constant_f(identity_field):
     dm = mesh.DomainMesh(32)
-    D = kernels.dtn(identity_field, dm)
+    D = kernels.dtn(mesh.assemble(identity_field, dm))
     g = np.sin(2 * np.pi * dm.boundary_s / 4.0)
     comm = kernels.product_commutator(D, np.full(dm.n_boundary, 2.5), g)
     assert kernels._boundary_l2(dm, comm, np.inf) <= 1e-10
@@ -223,7 +221,7 @@ def test_commutator_with_constant_f(identity_field):
 
 def test_coordinate_commutator_with_f_one(identity_field):
     dm = mesh.DomainMesh(32)
-    D = kernels.dtn(identity_field, dm)
+    D = kernels.dtn(mesh.assemble(identity_field, dm))
     ones = np.ones(dm.n_boundary)
     comm = kernels.coordinate_commutator(D, ones, 1)
     lam_x1 = D.apply(dm.nodes[dm.boundary_nodes, 0])[:, 0]
@@ -234,7 +232,7 @@ def test_coordinate_commutator_with_f_one(identity_field):
 def test_commutator_growth_lite(identity_field):
     # reduced version of the acceptance sweep at n = 128, k in {2, 4, 8}
     dm = mesh.DomainMesh(128)
-    D = kernels.dtn(identity_field, dm)
+    D = kernels.dtn(mesh.assemble(identity_field, dm))
     lam, com = {}, {}
     for k in (2, 4, 8):
         fk = np.sin(2 * np.pi * k * dm.boundary_s / 4.0)

@@ -68,7 +68,7 @@ def test_neumann_boundary_mean_pin_and_flux_balance(field, n, data):
     node = _interior_node(data, n)
     beta = data.draw(st.integers(0, field.m - 1))
     op = mesh.assemble(field, dm, mode="neumann")
-    u = kernels.neumann_fn(field, dm, node, beta=beta, op=op)
+    u = kernels.neumann_fn(op, node, beta=beta)
     w = dm.arc_weights[:, None]
     scale = np.abs(u.values).max()
     # the boundary mean of every component is pinned to zero
@@ -99,8 +99,8 @@ def test_green_reciprocity(field, n, data):
     dm = mesh.DomainMesh(n)
     x, y = _interior_node(data, n), _interior_node(data, n)
     alpha, beta = data.draw(st.integers(0, field.m - 1)), data.draw(st.integers(0, field.m - 1))
-    G = kernels.green(field, dm, y, beta=beta).values[x, alpha]
-    G_star = kernels.green(field.adjoint(), dm, x, beta=alpha).values[y, beta]
+    G = kernels.green(mesh.assemble(field, dm), y, beta=beta).values[x, alpha]
+    G_star = kernels.green(mesh.assemble(field.adjoint(), dm), x, beta=alpha).values[y, beta]
     assert abs(G - G_star) <= 1e-10 * max(1.0, abs(G))
 
 
@@ -108,7 +108,7 @@ def test_green_reciprocity(field, n, data):
 @given(field=any_fields(), n=MESH_N)
 def test_dtn_kills_constants_and_is_symmetric_for_symmetric_fields(field, n):
     dm = mesh.DomainMesh(n)
-    D = kernels.dtn(field, dm)
+    D = kernels.dtn(mesh.assemble(field, dm))
     scale = np.abs(D.mat).max()
     for a in range(field.m):
         # DtN . 1 = 0 for the constant data e_a, with or without symmetry

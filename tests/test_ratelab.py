@@ -226,27 +226,24 @@ def test_context_quantities_match_library():
     ctx = ratelab.EpsilonContext(builtin("layered"), 1 / 4, cells_per_period=8, cell_n=16)
     ctx.prepare(["u_poisson_eps", "v_poisson", "u_div_eps", "v_div",
                  "s_piece1", "s_piece23", "P_eps", "P_0"])
-    data, mesh = ctx.data, ctx.mesh
+    data = ctx.data
     op_eps, op_0 = ctx._ops["dir_eps"], ctx._ops["dir_0"]
-    ops = {"dirichlet_eps": op_eps, "dirichlet_0": op_0}
 
-    out = expand.poisson_approx(ctx.scaled, mesh, data["omega"], ctx.poisson_data(), ops=ops)
+    out = expand.poisson_approx(op_eps, op_0, data["omega"], ctx.poisson_data())
     assert np.array_equal(out["u_eps"].values, data["u_poisson_eps"].values)
     assert np.array_equal(out["v_eps"].values, data["v_poisson"].values)
 
-    out = expand.divergence_data_approx(ctx.scaled, data["phi_star"], mesh, ctx.div_data(),
-                                        ops=ops)
+    out = expand.divergence_data_approx(op_eps, op_0, data["phi_star"], ctx.div_data())
     assert np.array_equal(out["u_eps"].values, data["u_div_eps"].values)
     assert np.array_equal(out["v_eps"].values, data["v_div"].values)
 
-    out = expand.s_epsilon(ctx.scaled, data["phi"], data["phi_star"], mesh, data["s_g"],
-                           ops=ops)
+    out = expand.s_epsilon(op_eps, op_0, data["phi"], data["phi_star"], data["s_g"])
     assert np.array_equal(out["field"].values[:, 0], data["s_piece1"] - data["s_piece23"])
 
     for s in POISSON_SOURCES_S:
         pos = ctx.boundary_pos(s)
         for op, key in ((op_eps, "P_eps"), (op_0, "P_0")):
-            col = kernels.poisson_kernel(ctx.scaled, mesh, pos, op=op)
+            col = kernels.poisson_kernel(op, pos)
             assert np.array_equal(col.values, data[key][s].values)
     ctx.release()
 
@@ -268,3 +265,92 @@ def _write_small_config(tmp_path):
         "mesh": {"cell_n": 16},
     }))
     return str(path)
+
+
+def _small_cli(tmp_path, *argv):
+    return cli.main([*argv, "--out", str(tmp_path), "--config", _write_small_config(tmp_path),
+                     "--eps", "1/4"])
+
+
+def test_cli_correctors_subcommand(tmp_path):
+    assert _small_cli(tmp_path, "correctors", "--cells-per-period", "8") == 0
+    (report,) = json.loads((tmp_path / "correctors.json").read_text())
+    assert report["epsilon"] == 0.25
+    assert {"phi", "psi"} <= set(report)
+    assert {"grad_sup", "dist_sup", "dist_sup_over_eps_log"} <= set(report["psi"])
+
+
+@pytest.mark.parametrize("kind", ["neumann-fn", "poisson"])
+def test_cli_kernel_subcommands(tmp_path, kind):
+    assert _small_cli(tmp_path, kind, "--n", "16") == 0
+    lines = (tmp_path / f"{kind}.csv").read_text().strip().split("\n")
+    assert lines[0] == "x,y,source_x,source_y,value"
+    assert len(lines) == 1 + 17 * 17
+
+
+def test_cli_dtn_subcommand(tmp_path):
+    assert _small_cli(tmp_path, "dtn", "--n", "16") == 0
+    lines = (tmp_path / "dtn.csv").read_text().strip().split("\n")
+    assert lines[0].startswith("# boundary nodes counterclockwise")
+    assert lines[1] == ",".join(str(i) for i in range(64))
+    assert len(lines) == 2 + 64
+
+
+@pytest.mark.parametrize("flags, keys", [
+    (("--family", "dirichlet", "--check", "residual"), {"w_h1", "residual"}),
+    (("--check", "conormal"), {"conormal"}),
+])
+def test_cli_expand_checks(tmp_path, flags, keys):
+    assert _small_cli(tmp_path, "expand", "--cells-per-period", "8", *flags) == 0
+    payload = json.loads((tmp_path / "expand.json").read_text())
+    assert set(payload) == keys
+    if "conormal" in keys:
+        assert set(payload["conormal"]) == {"max", "l2_boundary"}
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--family", "neumann", "--check", "residual"), "--check residual"),
+    (("--check", "conormal", "--experiment", "s-epsilon"), "--experiment s-epsilon"),
+    (("--family", "neumann", "--experiment", "s-epsilon"), "--experiment s-epsilon"),
+    (("--check", "conormal", "--family", "dirichlet"), "--family dirichlet"),
+])
+def test_cli_expand_rejects_ignored_flags(tmp_path, capsys, flags, named):
+    with pytest.raises(SystemExit) as exit_info:
+        _small_cli(tmp_path, "expand", "--cells-per-period", "8", *flags)
+    assert exit_info.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "expand.json").exists()
+
+
+def test_cell_cache_keys_on_the_evaluator():
+    # hand-built fields with equal params but different media must not share
+    # a cached cell solution
+    from homoglab.coeff import CoefficientField
+
+    def layered(base):
+        def ev(pts):
+            a = base + np.sin(2 * np.pi * pts[:, 0])
+            return a[:, None, None, None, None] * np.eye(2)[None, :, :, None, None]
+        return CoefficientField(ev, params={"label": "layered"})
+
+    f2, f5 = layered(2.0), layered(5.0)
+    assert f2.key() != f5.key()
+    assert f2.key()[-1] is f2._evaluator
+    h2 = ratelab.cell_solution(f2, 8).hatA[0, 0, 0, 0]
+    h5 = ratelab.cell_solution(f5, 8).hatA[0, 0, 0, 0]
+    assert h5 > h2
+    # builtin and expression fields stay keyed on their content
+    from homoglab.coeff import builtin, from_expression
+    assert builtin("layered").key() == builtin("layered").key()
+    assert from_expression("2 + y1").key() == from_expression("2 + y1").key()
+
+
+def test_context_rejects_neumann_function_of_nonsymmetric_field():
+    from homoglab.coeff import builtin
+    from homoglab.kernels import KernelError
+
+    field = builtin("constant", value=np.array([[1.0, 0.5], [-0.5, 1.0]]))
+    ctx = ratelab.EpsilonContext(field, 1 / 4, cells_per_period=8, cell_n=16)
+    with pytest.raises(KernelError):
+        ctx.prepare(["N_0"])
+    ctx.release()

@@ -82,7 +82,9 @@ def test_coupled_constant_system_correctors():
     assert np.abs(cs.chi).max() < 1e-14   # roundoff only: the load cancels
     assert np.abs(cs.hatA - A).max() < 1e-13
     dm = mesh.DomainMesh(8)
-    cset = correctors.build(coeff.rescale(field, 1 / 2), dm, hatA=cs.hatA)
+    sc = coeff.rescale(field, 1 / 2)
+    cset = correctors.build(mesh.assemble(sc, dm), mesh.assemble(sc, dm, mode="neumann"),
+                            hatA=cs.hatA)
     P = cset.monomials()
     assert np.abs(cset.phi - P).max() < 1e-11
     assert np.abs(cset.psi - P).max() < 1e-11
