@@ -14,6 +14,10 @@ with the same 2x2 Gauss rule used by the assembly, so the identities they
 satisfy hold to solver accuracy; the nodal tables use volume-averaged
 gradient recovery and carry the usual O(h^2) pointwise error.
 
+``solve`` evaluates the coefficient once per grid, at the Gauss points and
+at the nodes; the stages (solve_cell, homogenize, discrepancy) take the
+periodic operator and those values rather than the coefficient.
+
 A component-decoupled system (a^{ab} = 0 exactly for a != b at every Gauss
 point and node of the cell grid) is solved by ``solve`` block by block
 through the m = 1 path, so each diagonal block is bitwise equal to the
@@ -28,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh as fem
-from .coeff import CoefficientField
-from .mesh import (TorusGrid, assemble, solve_periodic, nodal_gradient,
-                   element_gauss_gradients, volume_load_from_gauss,
+from .coeff import CoefficientField, builtin
+from .mesh import (TorusGrid, assemble, coefficient_gauss_values, solve_periodic,
+                   nodal_gradient, element_gauss_gradients, volume_load_from_gauss,
                    divergence_load_from_gauss, GAUSS_WEIGHTS)
 
 __all__ = ["CellError", "CellSolution", "solve_cell", "homogenize",
@@ -85,30 +89,15 @@ class CellSolution:
         }
 
 
-def _coeff_gauss(coeff, grid, m):
-    pts = grid.gauss_points().reshape(-1, 2)
-    return np.asarray(coeff(pts), dtype=float).reshape(grid.nelem, 4, 2, 2, m, m)
-
-
-def _coeff_nodes(coeff, grid):
-    return np.asarray(coeff(grid.nodes), dtype=float)             # (nnodes, 2, 2, m, m)
-
-
-def solve_cell(coeff, n, op=None, A_gauss=None):
-    """Solve the d*m periodic cell problems on an n-grid torus.
+def solve_cell(op, A_gauss):
+    """Solve the d*m periodic cell problems against the periodic operator op.
 
     Each column chi[j, beta] is the mean-zero periodic weak solution with
     right-hand side -div-form data a_ij^{ab} (the response to linear data
-    x_j e_beta).  Returns (grid, chi, A_gauss) for reuse downstream.
+    x_j e_beta); A_gauss holds the coefficient at op's Gauss points.
+    Returns chi, shaped (d, m, nnodes, m).
     """
-    if n < 8:
-        raise CellError(f"cell grid needs n >= 8, got {n}")
-    d, m = 2, coeff.m
-    if op is None:
-        op = assemble(coeff, TorusGrid(n))
-    grid = op.mesh
-    if A_gauss is None:
-        A_gauss = _coeff_gauss(coeff, grid, m)
+    grid, d, m = op.mesh, 2, op.m
     chi = np.zeros((d, m, grid.nnodes, m))
     for j in range(d):
         for beta in range(m):
@@ -116,17 +105,15 @@ def solve_cell(coeff, n, op=None, A_gauss=None):
             load = -divergence_load_from_gauss(grid, fg)
             sol = solve_periodic(op, load)
             chi[j, beta] = sol.values
-    return grid, chi, A_gauss
+    return chi
 
 
-def homogenize(coeff, grid, chi, A_gauss=None):
+def homogenize(grid, chi, A_gauss):
     """hatA_ij^{ab} = integral_Y [a_ij^{ab} + a_ik^{ag} d_k chi_j^{gb}] dy.
 
     Gradients of chi are taken at the quadrature points inside elements.
     """
     m = chi.shape[1]
-    if A_gauss is None:
-        A_gauss = _coeff_gauss(coeff, grid, m)
     h2w = grid.h ** 2 * GAUSS_WEIGHTS
     hatA = np.einsum("g,egijab->ijab", h2w, A_gauss)
     for j in range(2):
@@ -136,7 +123,7 @@ def homogenize(coeff, grid, chi, A_gauss=None):
     return hatA
 
 
-def discrepancy(coeff, grid, chi, hatA, A_gauss=None, A_nodes=None):
+def discrepancy(grid, chi, hatA, A_gauss, A_nodes):
     """b_ij^{ab}(y) = hatA_ij^{ab} - a_ij^{ab}(y) - a_ik^{ag}(y) d_k chi_j^{gb}(y).
 
     Returns (b_nodal, b_gauss, b_mean, chi_grad, weak_div_residual).  The
@@ -144,11 +131,6 @@ def discrepancy(coeff, grid, chi, hatA, A_gauss=None, A_nodes=None):
     evaluated from the Gauss values, where they vanish by construction.
     """
     d, m = chi.shape[0], chi.shape[1]
-    if A_gauss is None:
-        A_gauss = _coeff_gauss(coeff, grid, m)
-    if A_nodes is None:
-        A_nodes = _coeff_nodes(coeff, grid)
-
     b_gauss = np.empty((d, d, m, m, grid.nelem, 4))
     b_nodal = np.empty((d, d, m, m, grid.nnodes))
     chi_grad = np.empty((d, m, grid.nnodes, 2, m))
@@ -180,7 +162,7 @@ def discrepancy(coeff, grid, chi, hatA, A_gauss=None, A_nodes=None):
     return b_nodal, b_gauss, b_mean, chi_grad, res
 
 
-def flux_corrector(grid, b_gauss, b_mean=None):
+def flux_corrector(grid, b_gauss):
     """Solve Laplace(f_ij^{ab}) = b_ij^{ab} on the torus and build
     F_kij^{ab} = d_k f_ij^{ab} - d_i f_kj^{ab}, stored antisymmetrized.
 
@@ -188,12 +170,10 @@ def flux_corrector(grid, b_gauss, b_mean=None):
     """
     d = b_gauss.shape[0]
     m = b_gauss.shape[2]
-    if b_mean is None:
-        h2w = grid.h ** 2 * GAUSS_WEIGHTS
-        b_mean = np.einsum("g,ijabeg->ijab", h2w, b_gauss)
-    if np.abs(b_mean).max() > 1e-6:
-        raise CellError(f"flux corrector needs mean-zero data, got max mean {np.abs(b_mean).max():.3e}")
-    op = assemble(np.eye(2), grid, m=1)
+    mean = np.abs(np.einsum("g,ijabeg->ijab", grid.h ** 2 * GAUSS_WEIGHTS, b_gauss)).max()
+    if mean > 1e-6:
+        raise CellError(f"flux corrector needs mean-zero data, got max mean {mean:.3e}")
+    op = assemble(builtin("constant", value=np.eye(2)), grid)
     f = np.zeros((d, d, m, m, grid.nnodes))
     grad_f = np.zeros((d, d, m, m, grid.nnodes, 2))
     for i in range(d):
@@ -252,12 +232,11 @@ def _component_field(coeff, a):
 def _pipeline(coeff, grid, A_gauss, A_nodes):
     """Correctors, hatA, discrepancy and flux corrector as CellSolution fields."""
     op = assemble(coeff, grid, A_gauss=A_gauss)
-    grid, chi, A_gauss = solve_cell(coeff, grid.n, op=op, A_gauss=A_gauss)
-    hatA = homogenize(coeff, grid, chi, A_gauss=A_gauss)
-    b_nodal, b_gauss, b_mean, chi_grad, _ = discrepancy(coeff, grid, chi, hatA,
-                                                        A_gauss=A_gauss, A_nodes=A_nodes)
+    chi = solve_cell(op, A_gauss)
+    hatA = homogenize(grid, chi, A_gauss)
+    b_nodal, b_gauss, b_mean, chi_grad, _ = discrepancy(grid, chi, hatA, A_gauss, A_nodes)
     op.release()
-    f, F = flux_corrector(grid, b_gauss, b_mean=b_mean)
+    f, F = flux_corrector(grid, b_gauss)
     return dict(chi=chi, hatA=hatA, b_nodal=b_nodal, b_gauss=b_gauss, b_mean=b_mean,
                 f=f, F=F, chi_grad=chi_grad)
 
@@ -287,9 +266,11 @@ def solve(coeff, n) -> CellSolution:
     cross-component entry is exactly zero.  Coupled systems use one
     interleaved m-component solve.
     """
+    if n < 8:
+        raise CellError(f"cell grid needs n >= 8, got {n}")
     grid, m = TorusGrid(n), coeff.m
-    A_gauss = _coeff_gauss(coeff, grid, m)
-    A_nodes = _coeff_nodes(coeff, grid)
+    A_gauss = coefficient_gauss_values(coeff, grid)
+    A_nodes = np.asarray(coeff(grid.nodes))                # (nnodes, 2, 2, m, m)
     if _is_decoupled(A_gauss, A_nodes):
         blocks = [_pipeline(_component_field(coeff, a), grid,
                             np.ascontiguousarray(A_gauss[..., a:a + 1, a:a + 1]),

@@ -25,7 +25,8 @@ from . import expand as expmod
 from . import kernels as kermod
 from . import mesh as fem
 from . import ratelab
-from .coeff import rescale
+from .coeff import builtin, rescale
+from .ratelab.context import neumann_source
 
 CONFIG_KEYS = ("coefficient", "mesh", "experiments", "seed")
 
@@ -121,14 +122,14 @@ def _kernel_command(args, config, kind):
     source = int(np.argmin(np.sum((dm.nodes - (0.75, 0.5)) ** 2, axis=1)))
     if kind == "green":
         fld = kermod.green(op, source)
-        table = kermod.KernelTable("green", eps, dm, [source], [fld])
+        table = kermod.KernelTable("green", dm, [source], [fld])
     elif kind == "neumann-fn":
         fld = kermod.neumann_fn(op, source)
-        table = kermod.KernelTable("neumann-fn", eps, dm, [source], [fld])
+        table = kermod.KernelTable("neumann-fn", dm, [source], [fld])
     else:
         pos = dm.n_boundary // 8
         fld = kermod.poisson_kernel(op, pos)
-        table = kermod.KernelTable("poisson", eps, dm, [pos], [fld])
+        table = kermod.KernelTable("poisson", dm, [pos], [fld])
     op.release()
     table.to_csv(_outpath(args, f"{kind}.csv"))
     print(f"wrote {_outpath(args, f'{kind}.csv')}")
@@ -168,16 +169,16 @@ def cmd_expand(args, config):
     dm = fem.DomainMesh(ratelab.mesh_resolution(cpp, eps))
     sc = rescale(field, eps)
     cs = ratelab.cell_solution(field, config.get("mesh", {}).get("cell_n", 256))
+    hatA_field = builtin("constant", value=cs.hatA, m=field.m)
     result = {}
     if args.check == "conormal" or args.family == "neumann":
         opn = fem.assemble(sc, dm, mode="neumann")
-        opn0 = fem.assemble(cs.hatA, dm, mode="neumann", m=field.m)
-        e = expmod.neumann_expansion(opn, opn0, cs.hatA,
-                                     np.cos(np.pi * dm.nodes[:, 0])[:, None])
+        opn0 = fem.assemble(hatA_field, dm, mode="neumann")
+        e = expmod.neumann_expansion(opn, opn0, cs.hatA, neumann_source(dm, field.m))
         result["conormal"] = expmod.conormal_identity_check(e, sc, cs.hatA)
     else:
         op = fem.assemble(sc, dm, mode="dirichlet")
-        op0 = fem.assemble(cs.hatA, dm, mode="dirichlet", m=field.m)
+        op0 = fem.assemble(hatA_field, dm, mode="dirichlet")
         f = np.ones((dm.nnodes, field.m))
         u_eps = fem.solve_dirichlet(op, f, bdata=0.0)
         u0 = fem.solve_dirichlet(op0, f, bdata=0.0)

@@ -182,7 +182,9 @@ def _constant_field(value, d, m):
         tensor = value.copy()
     else:
         raise CoefficientError(f"constant family takes a scalar, ({d},{d}) or ({d},{d},{m},{m}) array")
-    sym = bool(np.array_equal(tensor, tensor.transpose(1, 0, 3, 2)))
+    # a computed tensor (hatA) is symmetric only to roundoff
+    skew = np.abs(tensor - tensor.transpose(1, 0, 3, 2)).max()
+    sym = bool(skew <= 1e-12 * np.abs(tensor).max())
     mat = tensor.transpose(0, 2, 1, 3).reshape(d * m, d * m)
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     if eigs.min() <= 0.0:

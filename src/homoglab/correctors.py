@@ -73,7 +73,7 @@ def dirichlet_correctors(op):
     released after its solves.
     """
     phi = _monomial_solves(op)
-    if getattr(op.coeff, "symmetric", False):
+    if op.coeff.symmetric:
         return phi, phi.copy()
     adjoint_op = assemble(op.coeff.adjoint(), op.mesh)
     try:
@@ -91,7 +91,7 @@ def neumann_correctors(op, hatA, x0=None):
     after the mean-pinned solve the column is shifted so that
     psi(x0) = x0_j e_beta exactly.  Requires a symmetric coefficient.
     """
-    if not getattr(op.coeff, "symmetric", False):
+    if not op.coeff.symmetric:
         raise CorrectorError("Neumann correctors require a symmetric coefficient (A* = A)")
     mesh, d, m = op.mesh, 2, op.m
     if x0 is None:

@@ -26,7 +26,7 @@ import numpy as np
 from .mesh import (DomainMesh, Field, solve_dirichlet, nodal_gradient, interp_torus,
                    element_gauss_values, element_gauss_gradients, volume_load_from_gauss,
                    divergence_load_from_gauss, divergence_load, norm, monomial_table,
-                   solve_neumann)
+                   solve_neumann, coefficient_gauss_values)
 from .correctors import CorrectorSet, chi_on_domain, neumann_correctors
 
 __all__ = ["ExpansionError", "Expansion", "build_expansion", "neumann_expansion",
@@ -164,7 +164,7 @@ def residual_identity_check(exp: Expansion, op, cell_solution,
     grid = cell_solution.grid
 
     gauss_pts = mesh.gauss_points().reshape(-1, 2)
-    A_g = np.asarray(op.coeff(gauss_pts)).reshape(mesh.nelem, 4, 2, 2, m, m)
+    A_g = coefficient_gauss_values(op.coeff, mesh)
     D2 = second_derivatives(mesh, exp.u0.values)
     D2_g = element_gauss_values(mesh, D2.reshape(mesh.nnodes, -1)).reshape(mesh.nelem, 4, 2, 2, m)
 

@@ -9,9 +9,9 @@ only off-diagonal: |x - y| >= max(4h, 0.02), and for interior estimates
 dist(x, boundary) >= 0.1.  Corner nodes never carry kernel values.
 
 Every kernel takes the assembled operator it solves with (mesh.assemble)
-and reads the mesh, the number of components, epsilon and the symmetry
-flag from it and its coefficient; the caller owns the operator and
-releases its factorization.
+and reads the mesh and the number of components from it and the symmetry
+flag from its coefficient, op.coeff.symmetric; the caller owns the
+operator and releases its factorization.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class KernelTable:
     """Sampled kernel columns G(., y) for a list of source points."""
 
     kind: str                  # 'green' | 'neumann-fn' | 'poisson'
-    epsilon: float             # 0 means the homogenized operator
     mesh: DomainMesh
     sources: list              # node ids (green/neumann-fn) or boundary positions (poisson)
     fields: list               # Field per source
@@ -97,8 +96,9 @@ def green(op, y, beta=0) -> Field:
 def neumann_fn(op, y, beta=0) -> Field:
     """Neumann-function column: unit nodal load at y, constant compensating
     boundary flux -1/|boundary|, pinned to zero boundary mean.  op is a
-    Neumann operator; a constant-tensor op.coeff counts as symmetric."""
-    if not getattr(op.coeff, "symmetric", True):
+    Neumann operator whose coefficient must be symmetric (op.coeff.symmetric);
+    for the homogenized operator that is the flag of the constant hatA field."""
+    if not op.coeff.symmetric:
         raise KernelError("Neumann functions require a symmetric coefficient (A* = A)")
     mesh, m = op.mesh, op.m
     node = _as_node(mesh, y)
@@ -148,7 +148,6 @@ class OmegaTable:
     """
 
     mesh: DomainMesh
-    epsilon: float
     values: np.ndarray
 
     def filled(self):
@@ -207,7 +206,7 @@ def omega(op, hatA, phi_star) -> OmegaTable:
         T = np.einsum("k,ksr->rs", n, dn[:, :, pos, :])
         an = np.einsum("i,j,ijrb->rb", n, n, A_b[pos])
         values[pos] = np.einsum("gs,rs,rb->gb", hinv, T, an)
-    return OmegaTable(mesh=mesh, epsilon=getattr(coeff, "epsilon", 1.0), values=values)
+    return OmegaTable(mesh=mesh, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +223,6 @@ class DtNMatrix:
     """
 
     mesh: DomainMesh
-    epsilon: float
     mat: np.ndarray            # (nb*m, nb*m)
     m: int = 1
 
@@ -267,7 +265,7 @@ def dtn(op, chunk=128) -> DtNMatrix:
         cols = np.arange(start, min(start + chunk, nbd))
         X = lu.solve(Kib[:, cols].toarray())
         S[:, cols] -= Kbi @ X
-    return DtNMatrix(mesh=op.mesh, epsilon=getattr(op.coeff, "epsilon", 0.0), mat=S, m=op.m)
+    return DtNMatrix(mesh=op.mesh, mat=S, m=op.m)
 
 
 def apply_dtn_via_solve(op, fb):

@@ -7,6 +7,12 @@ Both meshes are uniform tensor grids with continuous bilinear elements and
 dof = node * m + component.  Meshes and assembled operators are immutable
 after construction; solves are pure functions of (operator, data).
 
+Every operator is assembled from a coefficient object (CoefficientField or
+ScaledCoefficient); a constant tensor enters as
+coeff.builtin("constant", value=..., m=...).  The operator's coefficient
+is the one place that says how many components it has (op.m) and whether
+it is symmetric (op.coeff.symmetric).
+
 Each constraint mode (Dirichlet, Neumann, periodic) has one solve: a sparse
 LU of the constrained system, factored once per operator and cached on it,
 followed by a check of the residual of every solution.
@@ -20,9 +26,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .coeff import CoefficientField, ScaledCoefficient
+
 __all__ = [
     "TorusGrid", "DomainMesh", "Field", "AssembledOperator", "SolveError",
-    "assemble", "volume_load", "divergence_load",
+    "assemble", "coefficient_gauss_values", "volume_load", "divergence_load",
     "point_load", "boundary_flux_load", "solve_dirichlet", "solve_neumann",
     "solve_periodic", "conormal", "norm", "nodal_gradient", "interp_torus",
     "tangential_derivative", "monomial_table",
@@ -205,17 +213,20 @@ class AssembledOperator:
     handle; release() frees it (it is large at fine resolution).
     """
 
-    def __init__(self, mesh, matrix, mode, m, coeff=None, warnings=()):
+    def __init__(self, mesh, matrix, mode, coeff, warnings=()):
         self.mesh = mesh
         self.matrix = matrix
         self.mode = mode
-        self.m = m
         self.coeff = coeff
         self.warnings = list(warnings)
         self._lu = None
         self._interior_dofs = None
         self._boundary_dofs = None
         self._Kii = None
+
+    @property
+    def m(self):
+        return self.coeff.m
 
     @property
     def ndof(self):
@@ -274,45 +285,37 @@ class AssembledOperator:
         return self._lu
 
 
-def _coefficient_gauss_values(coeff, mesh, m):
-    pts = mesh.gauss_points().reshape(-1, 2)
-    if callable(coeff):
-        vals = coeff(pts)
-    else:
-        tensor = np.asarray(coeff, dtype=float)
-        if tensor.ndim == 0:
-            tensor = float(tensor) * np.einsum("ij,ab->ijab", np.eye(2), np.eye(m))
-        elif tensor.shape == (2, 2):
-            tensor = np.einsum("ij,ab->ijab", tensor, np.eye(m))
-        elif tensor.shape != (2, 2, m, m):
-            raise ValueError(f"constant tensor has shape {tensor.shape}")
-        vals = np.broadcast_to(tensor, (pts.shape[0], 2, 2, m, m))
-    return np.asarray(vals).reshape(mesh.nelem, 4, 2, 2, m, m)
+def coefficient_gauss_values(coeff, mesh):
+    """coeff at the physical Gauss points of every element: (nelem, 4, 2, 2, m, m)."""
+    vals = coeff(mesh.gauss_points().reshape(-1, 2))
+    return np.asarray(vals).reshape(mesh.nelem, 4, 2, 2, coeff.m, coeff.m)
 
 
-def assemble(coeff, mesh, mode="dirichlet", m=None, A_gauss=None) -> AssembledOperator:
+def assemble(coeff, mesh, mode="dirichlet", A_gauss=None) -> AssembledOperator:
     """Assemble the stiffness matrix of coeff on the mesh.
 
-    coeff may be a CoefficientField / ScaledCoefficient (evaluated at the
-    physical Gauss points) or a constant tensor.  A_gauss, if given, holds
-    those Gauss values already, shaped (nelem, 4, 2, 2, m, m), and coeff is
-    not evaluated again.  An under-resolved
-    oscillation (h > eps/8) is recorded as a warning on the operator, not
-    a failure.
+    coeff is a CoefficientField or ScaledCoefficient, evaluated at the
+    physical Gauss points; a constant tensor is passed as
+    coeff.builtin("constant", value=..., m=...).  A_gauss, if given, holds
+    those Gauss values already (coefficient_gauss_values) and coeff is not
+    evaluated again.  An under-resolved oscillation (h > eps/8) is recorded
+    as a warning on the operator, not a failure.
     """
+    if not isinstance(coeff, (CoefficientField, ScaledCoefficient)):
+        raise TypeError(f"assemble takes a coefficient object, got {type(coeff).__name__}; "
+                        'wrap a constant tensor as coeff.builtin("constant", value=..., m=...)')
     if mesh.is_torus:
         mode = "periodic"
     elif mode not in ("dirichlet", "neumann"):
         raise ValueError(f"unknown constraint mode {mode!r}")
-    if m is None:
-        m = getattr(coeff, "m", 1)
+    m = coeff.m
 
     warnings = []
     eps = getattr(coeff, "epsilon", None)
     if eps is not None and mesh.h > eps / 8.0 + 1e-14:
         warnings.append(f"under-resolved oscillation: h={mesh.h:.4g} > eps/8={eps / 8.0:.4g}")
 
-    A = _coefficient_gauss_values(coeff, mesh, m) if A_gauss is None else A_gauss
+    A = coefficient_gauss_values(coeff, mesh) if A_gauss is None else A_gauss
     if not np.all(np.isfinite(A)):
         raise ValueError("coefficient evaluated to non-finite values")
     # physical gradients carry 1/h each; the element volume h^2 cancels them in d=2
@@ -326,7 +329,7 @@ def assemble(coeff, mesh, mode="dirichlet", m=None, A_gauss=None) -> AssembledOp
     ndof = mesh.nnodes * m
     matrix = sp.coo_matrix((Kloc.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
     del Kloc, rows, cols
-    return AssembledOperator(mesh, matrix, mode, m, coeff=coeff, warnings=warnings)
+    return AssembledOperator(mesh, matrix, mode, coeff, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

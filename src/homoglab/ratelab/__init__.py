@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field, asdict
 import numpy as np
 
 from ..coeff import CoefficientField, builtin
-from .context import EpsilonContext, cell_solution, mesh_resolution, DEFAULT_MAX_N
+from .context import EpsilonContext, cell_solution, mesh_resolution
 from .experiments import EXPERIMENTS, DEFAULT_EPS, DEGENERATE_FLOOR
 
 __all__ = ["ExperimentConfig", "RateReport", "FitResult", "fit_rate", "emit",
@@ -39,7 +39,6 @@ class ExperimentConfig:
     cells_per_period: int = 16
     cell_n: int = 256
     seed: int = 0
-    max_n: int = DEFAULT_MAX_N
 
     def __post_init__(self):
         self.eps_list = tuple(float(e) for e in self.eps_list)
@@ -50,7 +49,7 @@ class ExperimentConfig:
         if self.cells_per_period < 8:
             raise ValueError("cells_per_period must be at least 8 (under-resolution)")
         for eps in self.eps_list:
-            mesh_resolution(self.cells_per_period, eps, self.max_n)
+            mesh_resolution(self.cells_per_period, eps)
 
     def describe(self):
         coeff = self.coefficient
@@ -192,8 +191,7 @@ def run_many(configs) -> dict:
         rows = {c.experiment: {} for c in members}
         h_list = []
         for eps in eps_list:
-            ctx = EpsilonContext(field, eps, cells_per_period=cpp,
-                                 cell_n=cell_n, max_n=members[0].max_n)
+            ctx = EpsilonContext(field, eps, cells_per_period=cpp, cell_n=cell_n)
             needs = set()
             for c in members:
                 needs |= set(EXPERIMENTS[c.experiment].needs)

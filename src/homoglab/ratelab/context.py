@@ -17,7 +17,7 @@ from .. import cell as cellmod
 from .. import correctors as corrmod
 from .. import expand as expmod
 from .. import kernels as kermod
-from ..coeff import CoefficientField, rescale
+from ..coeff import CoefficientField, builtin, rescale
 from ..mesh import DomainMesh, assemble, solve_dirichlet, solve_neumann, conormal
 
 _CELL_CACHE = {}
@@ -46,6 +46,12 @@ def mesh_resolution(cells_per_period, eps, max_n=DEFAULT_MAX_N):
     return n
 
 
+def neumann_source(mesh, m):
+    """Mean-zero volume load cos(pi x1) in every component, nodal (nnodes, m),
+    for the Neumann pair."""
+    return np.tile(np.cos(np.pi * mesh.nodes[:, 0])[:, None], (1, m))
+
+
 def cell_solution(field: CoefficientField, n: int):
     key = (field.key(), n)
     if key not in _CELL_CACHE:
@@ -56,11 +62,10 @@ def cell_solution(field: CoefficientField, n: int):
 class EpsilonContext:
     """Lazy, batch-ordered computation of the standard sweep quantities."""
 
-    def __init__(self, field: CoefficientField, eps, cells_per_period=16,
-                 cell_n=256, max_n=DEFAULT_MAX_N):
+    def __init__(self, field: CoefficientField, eps, cells_per_period=16, cell_n=256):
         self.field = field
         self.eps = float(eps)
-        self.n = mesh_resolution(cells_per_period, eps, max_n)
+        self.n = mesh_resolution(cells_per_period, eps)
         self.mesh = DomainMesh(self.n)
         self.scaled = rescale(field, eps)
         # fine-resolution corrector/flux tables for the expansions
@@ -71,6 +76,8 @@ class EpsilonContext:
         # epsilon-independent tensor-mismatch floor
         self.hatA = cell_solution(field, cells_per_period).hatA
         self.m = field.m
+        # L_0 is assembled from this constant field, which carries hatA's symmetry
+        self.hatA_field = builtin("constant", value=self.hatA, m=self.m)
         self._ops = {}
         self.data = {}
 
@@ -82,11 +89,11 @@ class EpsilonContext:
             if name == "dir_eps":
                 self._ops[name] = assemble(self.scaled, self.mesh, mode="dirichlet")
             elif name == "dir_0":
-                self._ops[name] = assemble(self.hatA, self.mesh, mode="dirichlet", m=self.m)
+                self._ops[name] = assemble(self.hatA_field, self.mesh, mode="dirichlet")
             elif name == "neu_eps":
                 self._ops[name] = assemble(self.scaled, self.mesh, mode="neumann")
             elif name == "neu_0":
-                self._ops[name] = assemble(self.hatA, self.mesh, mode="neumann", m=self.m)
+                self._ops[name] = assemble(self.hatA_field, self.mesh, mode="neumann")
             else:
                 raise KeyError(name)
         for other, op in self._ops.items():
@@ -107,11 +114,6 @@ class EpsilonContext:
 
     def boundary_pos(self, s):
         return int(round(s / self.mesh.h)) % self.mesh.n_boundary
-
-    def neumann_source(self):
-        """Mean-zero volume load for the Neumann pair."""
-        f = np.cos(np.pi * self.mesh.nodes[:, 0])
-        return np.tile(f[:, None], (1, self.m)) if self.m > 1 else f[:, None]
 
     def poisson_data(self):
         """Oscillating Dirichlet data f(x, x/eps) = cos(2 pi x1/eps) x2."""
@@ -206,17 +208,14 @@ class EpsilonContext:
         if "N_eps" in items:
             self.data["N_eps"] = kermod.neumann_fn(opn, self.node_at(GREEN_SOURCE))
         if "u_neu_eps" in items:
-            self.data["u_neu_eps"] = solve_neumann(opn, self.neumann_source())
+            self.data["u_neu_eps"] = solve_neumann(opn, neumann_source(self.mesh, self.m))
 
     def _batch_neu_0(self, items):
         opn0 = self.op("neu_0")
         if "N_0" in items:
-            # opn0 holds the constant hatA, which carries no symmetry flag
-            if not self.field.symmetric:
-                raise kermod.KernelError("Neumann functions require a symmetric coefficient (A* = A)")
             self.data["N_0"] = kermod.neumann_fn(opn0, self.node_at(GREEN_SOURCE))
         if "u_neu_0" in items:
-            self.data["u_neu_0"] = solve_neumann(opn0, self.neumann_source())
+            self.data["u_neu_0"] = solve_neumann(opn0, neumann_source(self.mesh, self.m))
 
     # -- helpers -------------------------------------------------------------
 

@@ -19,8 +19,8 @@ from .. import kernels as kermod
 from .. import mesh as fem
 from ..coeff import builtin, rescale
 from ..mesh import Field, assemble, solve_dirichlet, nodal_gradient, norm
-from .context import (cell_solution, mesh_resolution, GREEN_EVAL, INTERIOR_EVAL,
-                      POISSON_SOURCES_S, KERNEL_X_S)
+from .context import (cell_solution, mesh_resolution, neumann_source, GREEN_EVAL,
+                      INTERIOR_EVAL, POISSON_SOURCES_S, KERNEL_X_S)
 
 LAYERED = {"family": "layered", "params": {}}
 # layers at 45 degrees oscillate tangentially along every edge of the square,
@@ -277,15 +277,16 @@ def _identity_pair(config, which):
     at fixed epsilon for two mesh refinements."""
     field = builtin("layered")
     cs = cell_solution(field, config.cell_n)
+    hatA_field = builtin("constant", value=cs.hatA)
     eps = config.eps_list[0]
     vals = []
     for cpp in (config.cells_per_period, 2 * config.cells_per_period):
-        n = mesh_resolution(cpp, eps, config.max_n)
+        n = mesh_resolution(cpp, eps)
         dm = fem.DomainMesh(n)
         sc = rescale(field, eps)
         if which == "interior":
             op = assemble(sc, dm, mode="dirichlet")
-            op0 = assemble(cs.hatA, dm, mode="dirichlet", m=1)
+            op0 = assemble(hatA_field, dm, mode="dirichlet")
             f = np.ones((dm.nnodes, 1))
             u_eps = solve_dirichlet(op, f, bdata=0.0)
             u0 = solve_dirichlet(op0, f, bdata=0.0)
@@ -295,9 +296,8 @@ def _identity_pair(config, which):
             op.release(); op0.release()
         else:
             opn = assemble(sc, dm, mode="neumann")
-            opn0 = assemble(cs.hatA, dm, mode="neumann", m=1)
-            e = expmod.neumann_expansion(opn, opn0, cs.hatA,
-                                         np.cos(np.pi * dm.nodes[:, 0])[:, None])
+            opn0 = assemble(hatA_field, dm, mode="neumann")
+            e = expmod.neumann_expansion(opn, opn0, cs.hatA, neumann_source(dm, 1))
             c = expmod.conormal_identity_check(e, sc, cs.hatA)
             vals.append((n, c["l2_boundary"]))
             opn.release(); opn0.release()

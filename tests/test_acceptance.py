@@ -76,10 +76,10 @@ def test_criterion_03_constant_degenerate_run():
     psi_dev = np.abs(cset.psi - P).max()
     y = np.array([0.75, 0.5])
     G_eps = kernels.green(op, y)
-    op0 = mesh.assemble(cs.hatA, dm, mode="dirichlet", m=1)
+    op0 = mesh.assemble(coeff.builtin("constant", value=cs.hatA), dm, mode="dirichlet")
     G_0 = kernels.green(op0, y)
     g_dev = np.abs(G_eps.values - G_0.values).max()
-    opn0 = mesh.assemble(cs.hatA, dm, mode="neumann", m=1)
+    opn0 = mesh.assemble(coeff.builtin("constant", value=cs.hatA), dm, mode="neumann")
     N_eps = kernels.neumann_fn(opn, y)
     N_0 = kernels.neumann_fn(opn0, y)
     n_dev = np.abs(N_eps.values - N_0.values).max()
@@ -170,14 +170,14 @@ def test_criterion_12_identity_checks():
     dm = mesh.DomainMesh(32)
     sc = coeff.rescale(field, 1 / 8)
     op = mesh.assemble(sc, dm, mode="dirichlet")
-    op0 = mesh.assemble(cs.hatA, dm, mode="dirichlet", m=1)
+    op0 = mesh.assemble(coeff.builtin("constant", value=cs.hatA), dm, mode="dirichlet")
     f = np.ones((dm.nnodes, 1))
     u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
     u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)
     e = expand.build_expansion(u_eps, u0, "dirichlet", correctors=correctors.build(op))
     r_const = expand.residual_identity_check(e, op, cs)["residual"]
     opn = mesh.assemble(sc, dm, mode="neumann")
-    opn0 = mesh.assemble(cs.hatA, dm, mode="neumann", m=1)
+    opn0 = mesh.assemble(coeff.builtin("constant", value=cs.hatA), dm, mode="neumann")
     en = expand.neumann_expansion(opn, opn0, cs.hatA, np.cos(np.pi * dm.nodes[:, 0])[:, None])
     c_const = expand.conormal_identity_check(en, sc, cs.hatA)["max"]
 
@@ -202,7 +202,7 @@ def test_criterion_14_operator_expansions(sweep_reports, layered_field, layered_
     # S(1) = 0 at the coarsest sweep resolution
     dm = mesh.DomainMesh(128)
     op = mesh.assemble(coeff.rescale(layered_field, 1 / 8), dm)
-    op0 = mesh.assemble(layered_cell128.hatA, dm, m=1)
+    op0 = mesh.assemble(coeff.builtin("constant", value=layered_cell128.hatA), dm)
     cset = correctors.build(op)
     out = expand.s_epsilon(op, op0, cset.phi, cset.phi_star, np.ones(dm.nnodes))
     s_one = out["norms"][1.5]

@@ -73,9 +73,11 @@ def test_b_mean_zero_by_quadrature(layered_cell64):
 
 
 def test_b_weak_divergence_small(layered_field):
-    grid, chi, A_gauss = cell.solve_cell(layered_field, 32)
-    hatA = cell.homogenize(layered_field, grid, chi, A_gauss=A_gauss)
-    *_, res = cell.discrepancy(layered_field, grid, chi, hatA, A_gauss=A_gauss)
+    grid = mesh.TorusGrid(32)
+    A_gauss = mesh.coefficient_gauss_values(layered_field, grid)
+    chi = cell.solve_cell(mesh.assemble(layered_field, grid, A_gauss=A_gauss), A_gauss)
+    hatA = cell.homogenize(grid, chi, A_gauss)
+    *_, res = cell.discrepancy(grid, chi, hatA, A_gauss, layered_field(grid.nodes))
     assert res < 1e-9
 
 
@@ -146,6 +148,13 @@ def test_hatA_symmetric_for_symmetric_field(layered_cell64):
     assert np.abs(A - A.T).max() <= 1e-8
 
 
+def test_hatA_field_symmetry_flag(layered_cell64):
+    # the computed hatA is symmetric only to roundoff; its constant field is
+    # still symmetric, and a genuinely non-symmetric constant is not
+    assert coeff.builtin("constant", value=layered_cell64.hatA).symmetric
+    assert not coeff.builtin("constant", value=np.array([[1.0, 0.5], [-0.5, 1.0]])).symmetric
+
+
 def test_grid_convergence_richardson(layered_field):
     errs = []
     for n in (32, 64, 128):
@@ -174,7 +183,7 @@ def test_diagonal_layered_eigenvalues():
 
 def test_solve_cell_rejects_tiny_grid(layered_field):
     with pytest.raises(cell.CellError):
-        cell.solve_cell(layered_field, 4)
+        cell.solve(layered_field, 4)
 
 
 def _spy_solve_cell(monkeypatch):
@@ -182,9 +191,9 @@ def _spy_solve_cell(monkeypatch):
     seen = []
     inner = cell.solve_cell
 
-    def spy(field, *args, **kwargs):
-        seen.append(field.m)
-        return inner(field, *args, **kwargs)
+    def spy(op, *args, **kwargs):
+        seen.append(op.m)
+        return inner(op, *args, **kwargs)
 
     monkeypatch.setattr(cell, "solve_cell", spy)
     return seen

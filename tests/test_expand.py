@@ -10,7 +10,7 @@ def const_problem(identity_field):
     dm = mesh.DomainMesh(32)
     sc = coeff.rescale(identity_field, 1 / 8)
     op = mesh.assemble(sc, dm, mode="dirichlet")
-    op0 = mesh.assemble(cs.hatA, dm, mode="dirichlet", m=1)
+    op0 = mesh.assemble(coeff.builtin("constant", value=cs.hatA), dm, mode="dirichlet")
     f = np.ones((dm.nnodes, 1))
     u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
     u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)
@@ -25,7 +25,7 @@ def layered_problem(layered_field, layered_cell128):
     dm = mesh.DomainMesh(128)
     sc = coeff.rescale(layered_field, eps)
     op = mesh.assemble(sc, dm, mode="dirichlet")
-    op0 = mesh.assemble(cs.hatA, dm, mode="dirichlet", m=1)
+    op0 = mesh.assemble(coeff.builtin("constant", value=cs.hatA), dm, mode="dirichlet")
     f = np.ones((dm.nnodes, 1))
     u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
     u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)
@@ -86,7 +86,7 @@ def test_residual_identity_refinement(layered_field, layered_cell128):
         dm = mesh.DomainMesh(int(cpp / eps))
         sc = coeff.rescale(layered_field, eps)
         op = mesh.assemble(sc, dm, mode="dirichlet")
-        op0 = mesh.assemble(cs.hatA, dm, mode="dirichlet", m=1)
+        op0 = mesh.assemble(coeff.builtin("constant", value=cs.hatA), dm, mode="dirichlet")
         f = np.ones((dm.nnodes, 1))
         u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
         u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)
@@ -118,7 +118,7 @@ def test_conormal_identity_constant(const_problem, identity_field):
     cs, dm = p["cs"], p["dm"]
     sc = p["sc"]
     opn = mesh.assemble(sc, dm, mode="neumann")
-    opn0 = mesh.assemble(cs.hatA, dm, mode="neumann", m=1)
+    opn0 = mesh.assemble(coeff.builtin("constant", value=cs.hatA), dm, mode="neumann")
     F = np.cos(np.pi * dm.nodes[:, 0])[:, None]
     u_eps = mesh.solve_neumann(opn, F)
     u0 = mesh.solve_neumann(opn0, F)
@@ -148,7 +148,7 @@ def test_conormal_identity_refinement(layered_field, layered_cell128):
         dm = mesh.DomainMesh(int(cpp / eps))
         sc = coeff.rescale(layered_field, eps)
         opn = mesh.assemble(sc, dm, mode="neumann")
-        opn0 = mesh.assemble(cs.hatA, dm, mode="neumann", m=1)
+        opn0 = mesh.assemble(coeff.builtin("constant", value=cs.hatA), dm, mode="neumann")
         e = expand.neumann_expansion(opn, opn0, cs.hatA, np.cos(np.pi * dm.nodes[:, 0])[:, None])
         vals.append(expand.conormal_identity_check(e, sc, cs.hatA)["l2_boundary"])
         opn.release()
@@ -208,7 +208,7 @@ def test_two_family_comparison(layered_field, layered_cell128):
     dm = mesh.DomainMesh(int(16 / eps))
     sc = coeff.rescale(layered_field, eps)
     op = mesh.assemble(sc, dm, mode="dirichlet")
-    op0 = mesh.assemble(cs.hatA, dm, mode="dirichlet", m=1)
+    op0 = mesh.assemble(coeff.builtin("constant", value=cs.hatA), dm, mode="dirichlet")
     f = np.ones((dm.nnodes, 1))
     u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
     u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)

@@ -70,7 +70,7 @@ def test_kernel_table_trust_region(layered_ops):
     dm, op = layered_ops
     y = np.array([0.75, 0.5])
     G = kernels.green(op, y)
-    table = kernels.KernelTable("green", 1 / 8, dm, [_node(dm, y)], [G])
+    table = kernels.KernelTable("green", dm, [_node(dm, y)], [G])
     assert table.value((0.25, 0.25)) == G.values[_node(dm, (0.25, 0.25)), 0]
     with pytest.raises(kernels.KernelError):
         table.value(y + np.array([dm.h, 0.0]))
@@ -185,17 +185,6 @@ def test_dtn_invariants(identity_field):
     assert eigs.min() >= -1e-8
     f = np.sin(2 * np.pi * dm.boundary_s / 4.0)
     assert abs((D.mat @ f).sum()) <= 1e-8   # <Lambda f, 1> = 0
-
-
-def test_dtn_hatA_two_routes_agree(layered_cell64):
-    # the homogenized DtN built by assembling the raw hatA tensor agrees
-    # with the one built from a constant-coefficient field evaluator
-    dm = mesh.DomainMesh(16)
-    hatA = 0.5 * (layered_cell64.hatA[:, :, 0, 0] + layered_cell64.hatA[:, :, 0, 0].T)
-    op_tensor = mesh.assemble(hatA, dm, mode="dirichlet", m=1)
-    D1 = kernels.dtn(op_tensor)
-    D2 = kernels.dtn(mesh.assemble(coeff.builtin("constant", value=hatA), dm))
-    assert np.abs(D1.mat - D2.mat).max() <= 1e-10
 
 
 def test_dtn_matrix_matches_solve_route(layered_field):

@@ -45,9 +45,15 @@ def test_torus_row_sums_vanish(identity_field):
 def test_dirichlet_block_positive_definite():
     A = np.diag([np.sqrt(3.0), 2.0])
     dm = mesh.DomainMesh(8)
-    op = mesh.assemble(A, dm, mode="dirichlet", m=1)
+    op = mesh.assemble(coeff.builtin("constant", value=A), dm, mode="dirichlet")
     Kii = op.interior_matrix().toarray()
     scipy.linalg.cho_factor(Kii)  # raises LinAlgError if not SPD
+
+
+def test_assemble_rejects_bare_tensor():
+    # a bare array carries no m and no symmetry flag
+    with pytest.raises(TypeError, match=r'coeff\.builtin\("constant"'):
+        mesh.assemble(np.eye(2), mesh.DomainMesh(8))
 
 
 def test_assembly_symmetric_for_symmetric_coeff(layered_field):
@@ -161,7 +167,7 @@ def test_conormal_affine(identity_field):
 def test_conormal_anisotropic():
     A = np.diag([np.sqrt(3.0), 2.0])
     dm = mesh.DomainMesh(16)
-    op = mesh.assemble(A, dm, mode="dirichlet", m=1)
+    op = mesh.assemble(coeff.builtin("constant", value=A), dm, mode="dirichlet")
     u = mesh.Field(dm, dm.nodes[:, 1])
     t = mesh.conormal(u, op)
     mask = dm.noncorner_mask

@@ -1,6 +1,6 @@
 """Property tests of the discrete invariants of the Dirichlet, Neumann and
-periodic solves over the trigonometric, smoothed-checkerboard and user
-coefficient families.
+periodic solves and of the cell flux corrector over the trigonometric,
+smoothed-checkerboard and user coefficient families.
 
 Each property holds exactly for the discrete system, so the tolerances are
 roundoff-sized.  Meshes have n <= 16 and the examples are derandomized and
@@ -10,7 +10,7 @@ few, so the suite is deterministic and fast.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from homoglab import coeff, kernels, mesh
+from homoglab import cell, coeff, kernels, mesh
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
 MESH_N = st.sampled_from([8, 16])
@@ -34,6 +34,12 @@ def _family_field(draw, max_m):
 def symmetric_fields(draw, max_m=2):
     """A family field with period eps in {1, 1/2, 1/4} on the unit square."""
     return coeff.rescale(_family_field(draw, max_m), draw(st.sampled_from([1.0, 0.5, 0.25])))
+
+
+@st.composite
+def cell_fields(draw):
+    """A family field on the unit cell, the torus of the cell problem."""
+    return _family_field(draw, max_m=2)
 
 
 @st.composite
@@ -115,3 +121,10 @@ def test_dtn_kills_constants_and_is_symmetric_for_symmetric_fields(field, n):
         assert np.abs(D.mat[:, a::field.m].sum(axis=1)).max() <= 1e-10 * scale
     if field.symmetric:
         assert np.abs(D.mat - D.mat.T).max() <= 1e-10 * scale
+
+
+@PROPERTY
+@given(field=cell_fields(), n=MESH_N)
+def test_flux_corrector_is_exactly_antisymmetric(field, n):
+    F = cell.solve(field, n).F
+    assert not (F + F.transpose(1, 0, 2, 3, 4, 5)).any()

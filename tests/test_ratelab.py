@@ -354,3 +354,28 @@ def test_context_rejects_neumann_function_of_nonsymmetric_field():
     with pytest.raises(KernelError):
         ctx.prepare(["N_0"])
     ctx.release()
+
+
+def test_context_homogenized_operator_is_symmetric():
+    # L_0 is assembled from the hatA field, whose flag spares the adjoint solves
+    from homoglab import correctors
+    from homoglab.coeff import builtin
+
+    ctx = ratelab.EpsilonContext(builtin("layered"), 1 / 4, cells_per_period=8, cell_n=16)
+    op0 = ctx.op("dir_0")
+    phi, phi_star = correctors.dirichlet_correctors(op0)
+    assert np.array_equal(phi_star, phi)
+    assert op0.coeff.symmetric and op0.m == 1
+    ctx.release()
+
+
+def test_cli_expand_neumann_family_for_a_system(tmp_path):
+    # the Neumann source has one cos(pi x1) column per component
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps({"coefficient": {"family": "layered", "params": {"m": 2}},
+                                "mesh": {"cell_n": 16}}))
+    assert cli.main(["expand", "--out", str(tmp_path), "--config", str(path), "--eps", "1/4",
+                     "--cells-per-period", "8", "--family", "neumann"]) == 0
+    payload = json.loads((tmp_path / "expand.json").read_text())
+    assert set(payload["conormal"]) == {"max", "l2_boundary"}
+    assert all(np.isfinite(v) for v in payload["conormal"].values())
