@@ -5,8 +5,10 @@
 
 Subcommands: cell, correctors, green, neumann-fn, poisson, dtn, expand,
 rates, all.  The config is a JSON object with keys {coefficient, mesh,
-experiments[], seed}; any other key is an error.  Command-line flags
-override it.  Exit code is 0 iff all selected experiments pass.
+experiments[], seed}; any other key is an error.  Its mesh block holds
+{n, cells_per_period, cell_n} (defaults in MESH_DEFAULTS) and every
+subcommand reads it through _mesh.  Command-line flags override it.  Exit
+code is 0 iff all selected experiments pass.
 """
 
 from __future__ import annotations
@@ -29,15 +31,22 @@ from .coeff import builtin, rescale
 from .ratelab.context import neumann_source
 
 CONFIG_KEYS = ("coefficient", "mesh", "experiments", "seed")
+# kernel/DtN mesh resolution, cells per period of the epsilon meshes, cell grid
+MESH_DEFAULTS = {"n": 64, "cells_per_period": 16, "cell_n": 256}
 
 
 def _parse_eps(text):
     return tuple(float(Fraction(tok)) for tok in text.split(","))
 
 
+def _first_eps(args):
+    """The first --eps value; 1/8 without the flag."""
+    return _parse_eps(args.eps)[0] if args.eps else 1 / 8
+
+
 def _load_config(path):
     """The JSON config at path ({} for None); ValueError on a non-object or
-    on keys outside CONFIG_KEYS."""
+    on keys outside CONFIG_KEYS (MESH_DEFAULTS in the mesh block)."""
     if path is None:
         return {}
     with open(path) as fh:
@@ -48,6 +57,12 @@ def _load_config(path):
     if unknown:
         raise ValueError(f"config {path} has unknown keys {', '.join(unknown)}; "
                          f"allowed: {', '.join(CONFIG_KEYS)}")
+    if not isinstance(config.get("mesh", {}), dict):
+        raise ValueError(f"config {path}: mesh must be a JSON object")
+    unknown = sorted(set(config.get("mesh", {})) - set(MESH_DEFAULTS))
+    if unknown:
+        raise ValueError(f"config {path} has unknown mesh keys {', '.join(unknown)}; "
+                         f"allowed: {', '.join(MESH_DEFAULTS)}")
     return config
 
 
@@ -58,10 +73,15 @@ def _coefficient(config, args):
     return ratelab.coefficient_from_spec(spec)
 
 
-def _mesh_n(config, args, default=64):
+def _mesh(config, args):
+    """The config's mesh block over MESH_DEFAULTS, with --n and
+    --cells-per-period overriding it."""
+    mesh = {**MESH_DEFAULTS, **config.get("mesh", {})}
     if args.n:
-        return args.n
-    return config.get("mesh", {}).get("n", default)
+        mesh["n"] = args.n
+    if args.cells_per_period:
+        mesh["cells_per_period"] = args.cells_per_period
+    return mesh
 
 
 def _outpath(args, name):
@@ -80,8 +100,7 @@ def _emit_json(args, name, payload):
 
 def cmd_cell(args, config):
     field = _coefficient(config, args)
-    n = config.get("mesh", {}).get("cell_n", 256)
-    cs = ratelab.cell_solution(field, n)
+    cs = ratelab.cell_solution(field, _mesh(config, args)["cell_n"])
     stats = cs.stats()
     stats["F_divergence_residual"] = cellmod.flux_divergence_residual(cs.grid, cs.F, cs.b_gauss)
     _emit_json(args, "cell.json", stats)
@@ -94,11 +113,11 @@ def cmd_cell(args, config):
 def cmd_correctors(args, config):
     field = _coefficient(config, args)
     eps_list = _parse_eps(args.eps) if args.eps else (1 / 8, 1 / 16, 1 / 32)
-    cpp = args.cells_per_period or config.get("mesh", {}).get("cells_per_period", 16)
-    cs = ratelab.cell_solution(field, config.get("mesh", {}).get("cell_n", 256))
+    mesh = _mesh(config, args)
+    cs = ratelab.cell_solution(field, mesh["cell_n"])
     out = []
     for eps in eps_list:
-        dm = fem.DomainMesh(ratelab.mesh_resolution(cpp, eps))
+        dm = fem.DomainMesh(ratelab.mesh_resolution(mesh["cells_per_period"], eps))
         x0 = None
         if args.pin:
             x, y = (float(t) for t in args.pin.split(","))
@@ -114,10 +133,8 @@ def cmd_correctors(args, config):
 
 def _kernel_command(args, config, kind):
     field = _coefficient(config, args)
-    n = _mesh_n(config, args)
-    dm = fem.DomainMesh(n)
-    eps = float(Fraction(args.eps.split(",")[0])) if args.eps else 1 / 8
-    op = fem.assemble(rescale(field, eps), dm,
+    dm = fem.DomainMesh(_mesh(config, args)["n"])
+    op = fem.assemble(rescale(field, _first_eps(args)), dm,
                       mode="neumann" if kind == "neumann-fn" else "dirichlet")
     source = int(np.argmin(np.sum((dm.nodes - (0.75, 0.5)) ** 2, axis=1)))
     if kind == "green":
@@ -138,10 +155,8 @@ def _kernel_command(args, config, kind):
 
 def cmd_dtn(args, config):
     field = _coefficient(config, args)
-    n = _mesh_n(config, args)
-    dm = fem.DomainMesh(n)
-    eps = float(Fraction(args.eps.split(",")[0])) if args.eps else 1 / 8
-    op = fem.assemble(rescale(field, eps), dm)
+    dm = fem.DomainMesh(_mesh(config, args)["n"])
+    op = fem.assemble(rescale(field, _first_eps(args)), dm)
     D = kermod.dtn(op)
     op.release()
     D.to_csv(_outpath(args, "dtn.csv"))
@@ -164,11 +179,11 @@ def _expand_conflict(args):
 
 def cmd_expand(args, config):
     field = _coefficient(config, args)
-    eps = float(Fraction(args.eps.split(",")[0])) if args.eps else 1 / 8
-    cpp = args.cells_per_period or 16
-    dm = fem.DomainMesh(ratelab.mesh_resolution(cpp, eps))
+    eps = _first_eps(args)
+    mesh = _mesh(config, args)
+    dm = fem.DomainMesh(ratelab.mesh_resolution(mesh["cells_per_period"], eps))
     sc = rescale(field, eps)
-    cs = ratelab.cell_solution(field, config.get("mesh", {}).get("cell_n", 256))
+    cs = ratelab.cell_solution(field, mesh["cell_n"])
     hatA_field = builtin("constant", value=cs.hatA, m=field.m)
     result = {}
     if args.check == "conormal" or args.family == "neumann":
@@ -176,6 +191,7 @@ def cmd_expand(args, config):
         opn0 = fem.assemble(hatA_field, dm, mode="neumann")
         e = expmod.neumann_expansion(opn, opn0, cs.hatA, neumann_source(dm, field.m))
         result["conormal"] = expmod.conormal_identity_check(e, sc, cs.hatA)
+        opn.release(); opn0.release()
     else:
         op = fem.assemble(sc, dm, mode="dirichlet")
         op0 = fem.assemble(hatA_field, dm, mode="dirichlet")
@@ -195,6 +211,7 @@ def cmd_expand(args, config):
             r = expmod.s_epsilon(op, op0, cset.phi, cset.phi_star,
                                  np.sin(2 * np.pi * dm.nodes[:, 0]))
             result["s_epsilon_norms"] = r["norms"]
+        op.release(); op0.release()
     _emit_json(args, "expand.json", result)
     return 0
 
@@ -203,11 +220,10 @@ def cmd_rates(args, config, experiments=None):
     ids = experiments or config.get("experiments") or ["cell-oracle"]
     if args.experiments:
         ids = args.experiments.split(",")
-    kwargs = {}
+    mesh = _mesh(config, args)
+    kwargs = {"cells_per_period": mesh["cells_per_period"], "cell_n": mesh["cell_n"]}
     if args.eps:
         kwargs["eps_list"] = _parse_eps(args.eps)
-    if args.cells_per_period:
-        kwargs["cells_per_period"] = args.cells_per_period
     coeff_spec = config.get("coefficient")
     configs = [ratelab.ExperimentConfig(i, coefficient=coeff_spec,
                                         seed=config.get("seed", 0), **kwargs)

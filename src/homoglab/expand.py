@@ -278,19 +278,18 @@ def poisson_approx_0(op0, omega_table, fb) -> Field:
     return solve_dirichlet(op0, None, bdata=vdata)
 
 
-def poisson_approx(op, op0, omega_table, f_eps):
+def poisson_approx(op, op0, omega_table, fb):
     """Solve L_eps (Dirichlet operator op) with boundary data f, L_0 (op0)
     with data omega*f, and compare.
 
-    f_eps: boundary nodal values (n_boundary,) / (n_boundary, m) or a
-    callable of the boundary points.  Returns both solutions and their
-    L^1/L^2 differences.
+    fb: boundary nodal values (n_boundary, m) in boundary order.  Returns
+    both solutions and their L^1/L^2 differences.
     """
     mesh_, m = op.mesh, op.m
-    if callable(f_eps):
-        fb = np.asarray(f_eps(mesh_.nodes[mesh_.boundary_nodes]), dtype=float).reshape(mesh_.n_boundary, m)
-    else:
-        fb = np.asarray(f_eps, dtype=float).reshape(mesh_.n_boundary, m)
+    fb = np.asarray(fb, dtype=float)
+    if fb.shape != (mesh_.n_boundary, m):
+        raise ExpansionError(f"boundary data must be ({mesh_.n_boundary}, {m}) values "
+                             f"in boundary order, got shape {fb.shape}")
     u_eps = solve_dirichlet(op, None, bdata=fb)
     v_eps = poisson_approx_0(op0, omega_table, fb)
     return _difference(mesh_, u_eps, v_eps)
@@ -298,7 +297,7 @@ def poisson_approx(op, op0, omega_table, f_eps):
 
 def divergence_data_eps(op, f) -> Field:
     """The L_eps part of divergence_data_approx: L_eps(u) = div f, f (nnodes, 2, m)."""
-    return solve_dirichlet(op, -divergence_load(op.mesh, f, m=op.m), bdata=0.0)
+    return solve_dirichlet(op, -divergence_load(op.mesh, f), bdata=0.0)
 
 
 def divergence_data_0(op0, phi_star, f) -> Field:
@@ -309,7 +308,7 @@ def divergence_data_0(op0, phi_star, f) -> Field:
         for alpha in range(m):
             grad_star[i, alpha] = nodal_gradient(mesh_, phi_star[i, alpha])
     F_eps = np.einsum("njb,ianjb->nia", f, grad_star)
-    return solve_dirichlet(op0, -divergence_load(mesh_, F_eps, m=m), bdata=0.0)
+    return solve_dirichlet(op0, -divergence_load(mesh_, F_eps), bdata=0.0)
 
 
 def divergence_data_approx(op, op0, phi_star, f):
@@ -329,7 +328,7 @@ def t_apply(op, data):
     """Gradient of the zero-Dirichlet solve of L(u) = div(data), scalar case:
     nodal data (nnodes, 2) -> nodal gradient (nnodes, 2)."""
     mesh_ = op.mesh
-    u = solve_dirichlet(op, -divergence_load(mesh_, data[:, :, None], m=1), bdata=0.0)
+    u = solve_dirichlet(op, -divergence_load(mesh_, data[:, :, None]), bdata=0.0)
     return nodal_gradient(mesh_, u.values)[:, :, 0]
 
 

@@ -51,7 +51,7 @@ class KernelTable:
     sources: list              # node ids (green/neumann-fn) or boundary positions (poisson)
     fields: list               # Field per source
 
-    def trusted_mask(self, idx, interior_dist=None):
+    def trusted_mask(self, idx):
         """Nodes where the column values are trusted: off-diagonal and finite."""
         mesh = self.mesh
         if self.kind == "poisson":
@@ -59,10 +59,7 @@ class KernelTable:
         else:
             ysrc = mesh.nodes[self.sources[idx]]
         r = np.linalg.norm(mesh.nodes - ysrc, axis=1)
-        mask = r >= max(4 * mesh.h, 0.02)
-        if interior_dist is not None:
-            mask &= mesh.dist_to_boundary(mesh.nodes) >= interior_dist - 1e-12
-        return mask
+        return r >= max(4 * mesh.h, 0.02)
 
     def value(self, x, idx=0, alpha=0):
         node = _as_node(self.mesh, x)
@@ -110,23 +107,18 @@ def neumann_fn(op, y, beta=0) -> Field:
     return solve_neumann(op, load, flux=gconst)
 
 
-def poisson_kernel(op, y) -> Field:
+def poisson_kernel(op, pos) -> Field:
     """Poisson-kernel column: Dirichlet solve whose boundary data is the hat
-    at the boundary node y divided by its arc mass.
+    at boundary position pos divided by its arc mass.
 
     This is the stable equivalent of differentiating the Green function in
-    its second argument.  y may be a boundary position index or a point;
+    its second argument.  pos indexes the boundary nodes (boundary order);
     corner nodes are rejected.
     """
     mesh = op.mesh
-    if np.isscalar(y) or isinstance(y, (int, np.integer)):
-        pos = int(y)
-    else:
-        node = _as_node(mesh, y)
-        matches = np.flatnonzero(mesh.boundary_nodes == node)
-        if len(matches) == 0:
-            raise KernelError("Poisson-kernel source must be a boundary node")
-        pos = int(matches[0])
+    if not isinstance(pos, (int, np.integer)) or not 0 <= pos < mesh.n_boundary:
+        raise KernelError(f"Poisson-kernel source must be a boundary position in "
+                          f"[0, {mesh.n_boundary}), got {pos!r}")
     if pos in mesh.corner_positions:
         raise KernelError("Poisson kernel is not evaluated at corner nodes")
     bdata = np.zeros((mesh.n_boundary, op.m))
@@ -246,11 +238,15 @@ class DtNMatrix:
                 fh.write(",".join(repr(v) for v in row) + "\n")
 
 
-def dtn(op, chunk=128) -> DtNMatrix:
+_DTN_CHUNK = 128          # boundary columns per triangular solve in dtn
+
+
+def dtn(op) -> DtNMatrix:
     """Dense DtN matrix via the Schur complement of the Dirichlet operator op.
 
     Column j is the variational conormal flux of the Dirichlet solve with
-    hat data at boundary node j; assembled in chunks over one factorization.
+    hat data at boundary node j; assembled in chunks of _DTN_CHUNK columns
+    over one factorization.
     """
     if op.mode != "dirichlet":
         raise ValueError(f"operator assembled in mode {op.mode!r}, need 'dirichlet'")
@@ -261,8 +257,8 @@ def dtn(op, chunk=128) -> DtNMatrix:
     S = K[bd][:, bd].toarray()
     lu = op.factorization()
     nbd = len(bd)
-    for start in range(0, nbd, chunk):
-        cols = np.arange(start, min(start + chunk, nbd))
+    for start in range(0, nbd, _DTN_CHUNK):
+        cols = np.arange(start, min(start + _DTN_CHUNK, nbd))
         X = lu.solve(Kib[:, cols].toarray())
         S[:, cols] -= Kbi @ X
     return DtNMatrix(mesh=op.mesh, mat=S, m=op.m)

@@ -16,6 +16,20 @@ it is symmetric (op.coeff.symmetric).
 Each constraint mode (Dirichlet, Neumann, periodic) has one solve: a sparse
 LU of the constrained system, factored once per operator and cached on it,
 followed by a check of the residual of every solution.
+
+Solve data comes in fixed layouts, for an operator with m components:
+
+    source  None, an assembled load (nnodes*m,) or nodal values (nnodes, m)
+    bdata   a constant or boundary values (n_boundary, m) in boundary order
+    flux    None, an assembled load (nnodes*m,) or boundary values
+            (n_boundary, m) in boundary order
+
+Solve data of any other shape or type (a callable, a Field) raises
+ValueError naming the accepted layouts.  The loads take nodal tables,
+volume_load (nnodes, m) and divergence_load (nnodes, 2, m), and raise
+ValueError for any other shape.  Neumann data must be compatible (total
+source plus total flux zero per component); solve_neumann is the one place
+that checks it.
 """
 
 from __future__ import annotations
@@ -63,9 +77,7 @@ class SolveError(RuntimeError):
 class TorusGrid:
     """Uniform n x n grid on the flat unit torus, bilinear elements."""
 
-    def __init__(self, n, d=2):
-        if d != 2:
-            raise NotImplementedError("grids are implemented for d = 2")
+    def __init__(self, n):
         if n < 2:
             raise ValueError(f"need at least 2 cells per axis, got {n}")
         self.n = int(n)
@@ -342,16 +354,6 @@ def element_gauss_values(mesh, values):
     return np.einsum("gp,ep...->eg...", PHI, vals[mesh.elem_dofs])
 
 
-def _load_gauss_values(mesh, values, trailing):
-    """Load data, nodal (nnodes, *trailing) or a callable of the points, at
-    the element Gauss points: (nelem, 4, *trailing)."""
-    if callable(values):
-        out = values(mesh.gauss_points().reshape(-1, 2))
-        return np.asarray(out, dtype=float).reshape((mesh.nelem, 4) + trailing)
-    vals = np.asarray(values, dtype=float).reshape((mesh.nnodes,) + trailing)
-    return element_gauss_values(mesh, vals)
-
-
 def _scatter(mesh, loc):
     """Sum element contributions loc (nelem, 4 local nodes, m) into a dof vector."""
     m = loc.shape[2]
@@ -359,20 +361,20 @@ def _scatter(mesh, loc):
     return np.bincount(dofs, weights=loc.ravel(), minlength=mesh.nnodes * m)
 
 
-def volume_load(mesh, values, m=None):
-    """Assemble v -> integral f . v for nodal values (nnodes, m) or callable."""
-    if isinstance(values, Field):
-        values = values.values
-    if m is None:
-        m = 1 if callable(values) else np.asarray(values).reshape(mesh.nnodes, -1).shape[1]
-    return volume_load_from_gauss(mesh, _load_gauss_values(mesh, values, (m,)))
+def volume_load(mesh, values):
+    """Assemble v -> integral f . v for nodal values f, (nnodes, m)."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 2 or vals.shape[0] != mesh.nnodes:
+        raise ValueError(f"volume load takes nodal values ({mesh.nnodes}, m), got shape {vals.shape}")
+    return volume_load_from_gauss(mesh, element_gauss_values(mesh, vals))
 
 
-def divergence_load(mesh, values, m=None):
-    """Assemble v -> integral f_i^a dv^a/dx_i for data (nnodes, d, m) or callable."""
-    if m is None:
-        m = 1 if callable(values) else np.asarray(values).reshape(mesh.nnodes, 2, -1).shape[2]
-    return divergence_load_from_gauss(mesh, _load_gauss_values(mesh, values, (2, m)))
+def divergence_load(mesh, values):
+    """Assemble v -> integral f_i^a dv^a/dx_i for nodal data f, (nnodes, 2, m)."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 3 or vals.shape[:2] != (mesh.nnodes, 2):
+        raise ValueError(f"divergence load takes nodal data ({mesh.nnodes}, 2, m), got shape {vals.shape}")
+    return divergence_load_from_gauss(mesh, element_gauss_values(mesh, vals))
 
 
 def volume_load_from_gauss(mesh, fg):
@@ -422,15 +424,35 @@ def boundary_flux_load(mesh, g, m=1):
     return vec
 
 
+def _layout(data, what, shapes):
+    """data as a float array of one of its accepted shapes (description ->
+    shape, () for a constant); anything else raises ValueError naming every
+    accepted layout."""
+    arr = np.asarray(data)
+    numeric = arr.dtype.kind in "iuf"
+    if numeric and arr.shape in shapes.values():
+        return arr.astype(float, copy=False)
+    accepted = " or ".join(f"{name} {shape}" if shape else name for name, shape in shapes.items())
+    got = f"shape {arr.shape}" if numeric else type(data).__name__
+    raise ValueError(f"{what} must be {accepted}, got {got}")
+
+
 def _as_load_vector(mesh, source, m):
+    """A volume source as an assembled load vector (nnodes*m,)."""
     if source is None:
         return np.zeros(mesh.nnodes * m)
-    if isinstance(source, Field):
-        return volume_load(mesh, source.values, m=m)
-    arr = np.asarray(source, dtype=float)
-    if arr.ndim == 1 and arr.size == mesh.nnodes * m:
-        return arr
-    return volume_load(mesh, arr, m=m)
+    arr = _layout(source, "source", {"an assembled load": (mesh.nnodes * m,),
+                                     "nodal values": (mesh.nnodes, m)})
+    return arr if arr.ndim == 1 else volume_load(mesh, arr)
+
+
+def _flux_vector(mesh, flux, m):
+    """A conormal flux as an assembled load vector (nnodes*m,)."""
+    if flux is None:
+        return np.zeros(mesh.nnodes * m)
+    arr = _layout(flux, "flux", {"an assembled load": (mesh.nnodes * m,),
+                                 "boundary values": (mesh.n_boundary, m)})
+    return arr if arr.ndim == 1 else boundary_flux_load(mesh, arr, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -448,21 +470,10 @@ def _check_residual(name, matrix, x, rhs):
 
 
 def _boundary_data_vector(mesh, bdata, m):
-    """Boundary values as an (n_boundary, m) array in boundary order."""
-    if isinstance(bdata, Field):
-        return bdata.values[mesh.boundary_nodes]
-    if callable(bdata):
-        return np.asarray(bdata(mesh.nodes[mesh.boundary_nodes]), dtype=float).reshape(mesh.n_boundary, m)
-    arr = np.asarray(bdata, dtype=float)
-    if arr.ndim == 0:
-        return np.full((mesh.n_boundary, m), float(arr))
-    if arr.shape == (mesh.n_boundary,) and m == 1:
-        return arr[:, None]
-    if arr.shape == (mesh.n_boundary, m):
-        return arr
-    if arr.shape[0] == mesh.nnodes:
-        return arr.reshape(mesh.nnodes, m)[mesh.boundary_nodes]
-    raise ValueError(f"cannot interpret boundary data of shape {arr.shape}")
+    """Dirichlet data as an (n_boundary, m) array in boundary order."""
+    arr = _layout(bdata, "boundary data", {"a constant": (),
+                                           "boundary values": (mesh.n_boundary, m)})
+    return arr if arr.ndim else np.full((mesh.n_boundary, m), float(arr))
 
 
 def solve_dirichlet(op: AssembledOperator, source=None, bdata=0.0) -> Field:
@@ -491,30 +502,25 @@ def _solve_pinned(op, rhs):
     return Field(op.mesh, u.reshape(op.mesh.nnodes, op.m))
 
 
-def solve_neumann(op: AssembledOperator, source=None, flux=None, check_compat=True) -> Field:
+def solve_neumann(op: AssembledOperator, source=None, flux=None) -> Field:
     """Solve the Neumann problem with the boundary-mean pin.
 
     The returned field satisfies integral_{boundary} u dsigma = 0 per
-    component.  Data must be compatible: total source + total flux = 0.
+    component.  Data must be compatible: total source + total flux = 0 per
+    component, to 1e-8 of the data scale, or SolveError is raised.
     """
     if op.mode != "neumann":
         raise ValueError(f"operator assembled in mode {op.mode!r}, need 'neumann'")
     mesh, m = op.mesh, op.m
     load = _as_load_vector(mesh, source, m)
-    if flux is None:
-        fvec = np.zeros(op.ndof)
-    elif isinstance(flux, np.ndarray) and flux.ndim == 1 and flux.size == op.ndof:
-        fvec = flux
-    else:
-        fvec = boundary_flux_load(mesh, flux, m=m)
+    fvec = _flux_vector(mesh, flux, m)
     rhs = load + fvec
-    if check_compat:
-        for a in range(m):
-            total = rhs[a::m].sum()
-            scale = np.abs(load[a::m]).sum() + np.abs(fvec[a::m]).sum()
-            if abs(total) > 1e-8 * max(scale, 1e-30):
-                raise SolveError(
-                    f"incompatible Neumann data: component {a} imbalance {total:.3e} vs scale {scale:.3e}")
+    for a in range(m):
+        total = rhs[a::m].sum()
+        scale = np.abs(load[a::m]).sum() + np.abs(fvec[a::m]).sum()
+        if abs(total) > 1e-8 * max(scale, 1e-30):
+            raise SolveError(
+                f"incompatible Neumann data: component {a} imbalance {total:.3e} vs scale {scale:.3e}")
     return _solve_pinned(op, rhs)
 
 
@@ -544,12 +550,10 @@ def conormal(u: Field, op: AssembledOperator, source=None):
 
 
 def norm(u: Field, kind="Lp", p=2.0):
-    """Norms by elementwise Gauss quadrature / lumped arc quadrature.
+    """Volume norms by elementwise Gauss quadrature.
 
-    kind: 'Lp' (volume), 'W1p' (volume, value + gradient), 'Lp_boundary',
-    'H1_boundary' (arc-length tangential differences), 'weighted_grad'
-    (gradient squared weighted by dist(x, boundary)).  Boundary norms
-    exclude the four corner nodes.
+    kind: 'Lp' (volume), 'W1p' (volume, value + gradient), 'weighted_grad'
+    (gradient squared weighted by dist(x, boundary)).
     """
     mesh = u.mesh
     vals = u.values
@@ -578,19 +582,6 @@ def norm(u: Field, kind="Lp", p=2.0):
         dist = mesh.dist_to_boundary(mesh.gauss_points())
         gmag2 = (gg ** 2).sum(axis=(2, 3))
         return float(np.sqrt(h2 * (GAUSS_WEIGHTS[None, :] * gmag2 * dist).sum()))
-
-    if kind in ("Lp_boundary", "H1_boundary"):
-        fb = vals[mesh.boundary_nodes]
-        mask = mesh.noncorner_mask
-        w = mesh.arc_weights[mask]
-        fmag = np.sqrt((fb[mask] ** 2).sum(axis=1))
-        if kind == "Lp_boundary":
-            if np.isinf(p):
-                return float(fmag.max())
-            return float((w * fmag ** p).sum() ** (1.0 / p))
-        dt = tangential_derivative(mesh, fb, 1, 2)
-        dmag = np.sqrt((dt[mask] ** 2).sum(axis=1))
-        return float(np.sqrt((w * fmag ** 2).sum() + (w * dmag ** 2).sum()))
 
     raise ValueError(f"unknown norm kind {kind!r}")
 

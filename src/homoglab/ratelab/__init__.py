@@ -71,20 +71,15 @@ class FitResult:
     power_residual: float
 
 
-def fit_rate(eps, values=None) -> FitResult:
+def fit_rate(eps, values) -> FitResult:
     """Least squares of log(value) on log(eps), plus the alternate fit of
     value against c * eps * log(1/eps + 2).
 
-    Accepts (eps_array, value_array) or a sequence of (eps, value) rows.
-    Needs at least 3 positive rows.
+    eps and values are arrays of equal length, at least 3, with positive
+    values.
     """
-    if values is None:
-        rows = [(float(e), float(v)) for e, v in eps]
-        eps = np.array([r[0] for r in rows])
-        values = np.array([r[1] for r in rows])
-    else:
-        eps = np.asarray(eps, dtype=float)
-        values = np.asarray(values, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    values = np.asarray(values, dtype=float)
     if len(eps) < 3:
         raise FitError(f"need at least 3 rows to fit a rate, got {len(eps)}")
     if np.any(values <= 0):
@@ -207,7 +202,11 @@ def run_many(configs) -> dict:
             reports[c.experiment] = _finish_sweep(EXPERIMENTS[c.experiment], c,
                                                   rows[c.experiment], list(eps_list), h_list)
     for c in others:
-        reports[c.experiment] = EXPERIMENTS[c.experiment].runner(c, RateReport)
+        exp = EXPERIMENTS[c.experiment]
+        rows, passed, detail = exp.runner(c)
+        reports[c.experiment] = RateReport(experiment=exp.id, kind=exp.kind, rows=rows, fits={},
+                                           passed=passed, degenerate=False, detail=detail,
+                                           config=c.describe())
     return reports
 
 

@@ -39,7 +39,7 @@ class Experiment:
     needs: tuple = ()
     compute: object = None           # ctx -> {quantity: value}
     checks: tuple = ()               # sequence of (fits, values_by_q) -> (ok, msg)
-    runner: object = None            # config -> RateReport for refine/fixed
+    runner: object = None            # config -> (rows, passed, detail) for refine/fixed
 
 
 # ---------------------------------------------------------------------------
@@ -248,33 +248,39 @@ def q_corrector_bounds(ctx):
 
 
 # ---------------------------------------------------------------------------
-# refine / fixed runners (imported lazily by ratelab.run to avoid cycles)
+# refine / fixed runners: config -> (rows, passed, detail); run_many wraps
+# them in a RateReport of the experiment's kind with the config attached
 
 
-def run_cell_oracle(config, report_cls):
+def run_cell_oracle(config):
     cs = cell_solution(builtin("layered"), config.cell_n)
     hatA = cs.hatA[:, :, 0, 0]
+    stats = cs.stats()
+    h = 1.0 / config.cell_n
     rows = [
-        (0.0, 1.0 / config.cell_n, "hatA_11_error", float(abs(hatA[0, 0] - np.sqrt(3.0)))),
-        (0.0, 1.0 / config.cell_n, "hatA_22_error", float(abs(hatA[1, 1] - 2.0))),
-        (0.0, 1.0 / config.cell_n, "hatA_offdiag", float(max(abs(hatA[0, 1]), abs(hatA[1, 0])))),
-        (0.0, 1.0 / config.cell_n, "chi_mean_max", float(np.abs(cs.chi_means()).max())),
-        (0.0, 1.0 / config.cell_n, "b_mean_max", float(np.abs(cs.b_mean).max())),
-        (0.0, 1.0 / config.cell_n, "F_antisymmetry",
-         float(np.abs(cs.F + cs.F.transpose(1, 0, 2, 3, 4, 5)).max())),
+        (0.0, h, "hatA_11_error", float(abs(hatA[0, 0] - np.sqrt(3.0)))),
+        (0.0, h, "hatA_22_error", float(abs(hatA[1, 1] - 2.0))),
+        (0.0, h, "hatA_offdiag", float(max(abs(hatA[0, 1]), abs(hatA[1, 0])))),
+        *[(0.0, h, q, stats[q]) for q in ("chi_mean_max", "b_mean_max", "F_antisymmetry")],
     ]
     vals = {q: v for (_, _, q, v) in rows}
     ok = (vals["hatA_11_error"] <= 1e-3 and vals["hatA_22_error"] <= 1e-3
           and vals["hatA_offdiag"] <= 1e-4 and vals["chi_mean_max"] <= 1e-10
           and vals["b_mean_max"] <= 1e-8 and vals["F_antisymmetry"] == 0.0)
     detail = "; ".join(f"{q}={v:.3e}" for (_, _, q, v) in rows)
-    return report_cls(experiment=config.experiment, kind="fixed", rows=rows, fits={},
-                      passed=bool(ok), degenerate=False, detail=detail)
+    return rows, bool(ok), detail
 
 
-def _identity_pair(config, which):
+# refinement experiment -> (identity, reported quantity)
+_IDENTITIES = {"prop21-residual": ("interior", "interior_identity_residual"),
+               "prop24-conormal": ("boundary", "conormal_identity_residual")}
+
+
+def run_identity_refinement(config):
     """Residual of the interior (prop 2.1) or boundary (prop 2.4) identity
-    at fixed epsilon for two mesh refinements."""
+    at fixed epsilon for two mesh refinements; it passes when halving h
+    scales the residual by at most 0.6."""
+    which, quantity = _IDENTITIES[config.experiment]
     field = builtin("layered")
     cs = cell_solution(field, config.cell_n)
     hatA_field = builtin("constant", value=cs.hatA)
@@ -291,35 +297,17 @@ def _identity_pair(config, which):
             u_eps = solve_dirichlet(op, f, bdata=0.0)
             u0 = solve_dirichlet(op0, f, bdata=0.0)
             e = expmod.build_expansion(u_eps, u0, "dirichlet", correctors=corrmod.build(op))
-            r = expmod.residual_identity_check(e, op, cs)
-            vals.append((n, r["residual"]))
+            vals.append((n, expmod.residual_identity_check(e, op, cs)["residual"]))
             op.release(); op0.release()
         else:
             opn = assemble(sc, dm, mode="neumann")
             opn0 = assemble(hatA_field, dm, mode="neumann")
             e = expmod.neumann_expansion(opn, opn0, cs.hatA, neumann_source(dm, 1))
-            c = expmod.conormal_identity_check(e, sc, cs.hatA)
-            vals.append((n, c["l2_boundary"]))
+            vals.append((n, expmod.conormal_identity_check(e, sc, cs.hatA)["l2_boundary"]))
             opn.release(); opn0.release()
-    return eps, vals
-
-
-def run_prop21(config, report_cls):
-    eps, vals = _identity_pair(config, "interior")
     ratio = vals[1][1] / vals[0][1]
-    rows = [(eps, 1.0 / n, "interior_identity_residual", v) for n, v in vals]
-    return report_cls(experiment=config.experiment, kind="refine", rows=rows, fits={},
-                      passed=bool(ratio <= 0.6), degenerate=False,
-                      detail=f"residual ratio per h-halving {ratio:.3f} (need <= 0.6)")
-
-
-def run_prop24(config, report_cls):
-    eps, vals = _identity_pair(config, "boundary")
-    ratio = vals[1][1] / vals[0][1]
-    rows = [(eps, 1.0 / n, "conormal_identity_residual", v) for n, v in vals]
-    return report_cls(experiment=config.experiment, kind="refine", rows=rows, fits={},
-                      passed=bool(ratio <= 0.6), degenerate=False,
-                      detail=f"residual ratio per h-halving {ratio:.3f} (need <= 0.6)")
+    rows = [(eps, 1.0 / n, quantity, v) for n, v in vals]
+    return rows, bool(ratio <= 0.6), f"residual ratio per h-halving {ratio:.3f} (need <= 0.6)"
 
 
 def _laplace_dtn(n):
@@ -328,7 +316,7 @@ def _laplace_dtn(n):
     return dm, kermod.dtn(assemble(eye, dm))
 
 
-def run_leibniz_product(config, report_cls):
+def run_leibniz_product(config):
     """Product rule: |Lambda(fg) - f Lambda(g)|_2 <= 5 |f|_H1 |g|_inf over a
     seeded random smooth suite (the constant 5 is a fixed harness bound)."""
     n = 256
@@ -353,12 +341,11 @@ def run_leibniz_product(config, report_cls):
         ratio = l2 / (fH1 * np.abs(g).max())
         worst = max(worst, float(ratio))
         rows.append((0.0, dm.h, f"case_{case}_ratio", float(ratio)))
-    return report_cls(experiment=config.experiment, kind="fixed", rows=rows, fits={},
-                      passed=bool(worst <= 5.0), degenerate=False,
-                      detail=f"worst |Lambda(fg)-f Lambda g|_2 / (|f|_H1 |g|_inf) = {worst:.3f} (bound 5)")
+    detail = f"worst |Lambda(fg)-f Lambda g|_2 / (|f|_H1 |g|_inf) = {worst:.3f} (bound 5)"
+    return rows, bool(worst <= 5.0), detail
 
 
-def run_leibniz_coordinate(config, report_cls):
+def run_leibniz_coordinate(config):
     """Order-zero coordinate commutator: the Lambda-norm ratio grows >= 4x
     from k=2 to k=16 while the commutator ratio grows <= 2x."""
     n = 256
@@ -375,10 +362,9 @@ def run_leibniz_coordinate(config, report_cls):
     growth_lam = lam[16] / lam[2]
     growth_com = com[16] / com[2]
     ok = growth_lam >= 4.0 and growth_com <= 2.0
-    return report_cls(experiment=config.experiment, kind="fixed", rows=rows, fits={},
-                      passed=bool(ok), degenerate=False,
-                      detail=(f"Lambda ratio growth {growth_lam:.2f} (need >= 4), "
-                              f"commutator growth {growth_com:.2f} (need <= 2)"))
+    detail = (f"Lambda ratio growth {growth_lam:.2f} (need >= 4), "
+              f"commutator growth {growth_com:.2f} (need <= 2)")
+    return rows, bool(ok), detail
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +459,11 @@ EXPERIMENTS["cell-oracle"] = Experiment(
 EXPERIMENTS["prop21-residual"] = Experiment(
     id="prop21-residual", kind="refine", coefficient=LAYERED,
     description="interior expansion identity residual decays under h-refinement",
-    runner=run_prop21)
+    runner=run_identity_refinement)
 EXPERIMENTS["prop24-conormal"] = Experiment(
     id="prop24-conormal", kind="refine", coefficient=LAYERED,
     description="boundary conormal identity residual decays under h-refinement",
-    runner=run_prop24)
+    runner=run_identity_refinement)
 EXPERIMENTS["leibniz-1"] = Experiment(
     id="leibniz-1", kind="fixed", coefficient={"family": "constant", "params": {}},
     description="Dirichlet-to-Neumann product rule bound on random smooth data",

@@ -159,7 +159,7 @@ def test_conormal_identity_refinement(layered_field, layered_cell128):
 def test_poisson_approx_identity_case(const_problem, identity_field):
     p = const_problem
     om = kernels.omega(p["op"], p["cs"].hatA, p["cset"].phi_star)
-    out = expand.poisson_approx(p["op"], p["op0"], om, lambda pts: pts[:, :1])
+    out = expand.poisson_approx(p["op"], p["op0"], om, p["dm"].nodes[p["dm"].boundary_nodes, :1])
     assert out["l1"] <= 1e-10 and out["l2"] <= 1e-10
 
 

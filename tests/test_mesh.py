@@ -75,8 +75,25 @@ def test_under_resolution_warning(layered_field):
 def test_dirichlet_affine_data_exact(identity_field):
     dm = mesh.DomainMesh(16)
     op = mesh.assemble(identity_field, dm, mode="dirichlet")
-    u = mesh.solve_dirichlet(op, None, bdata=lambda pts: pts[:, :1])
+    u = mesh.solve_dirichlet(op, None, bdata=dm.nodes[dm.boundary_nodes, :1])
     assert np.abs(u.values[:, 0] - dm.nodes[:, 0]).max() < 1e-12
+
+
+def test_dirichlet_rejects_callable_data(identity_field):
+    # boundary data is a constant or (n_boundary, m) values, never a callable
+    dm = mesh.DomainMesh(8)
+    op = mesh.assemble(identity_field, dm, mode="dirichlet")
+    with pytest.raises(ValueError, match=r"a constant or boundary values \(32, 1\), got function"):
+        mesh.solve_dirichlet(op, None, bdata=lambda pts: pts[:, :1])
+
+
+def test_source_layouts_named_for_a_system():
+    # a scalar-sized source for an m = 2 operator names both accepted shapes
+    dm = mesh.DomainMesh(8)
+    op = mesh.assemble(coeff.builtin("constant", value=np.eye(2), m=2), dm, mode="dirichlet")
+    with pytest.raises(ValueError, match=r"an assembled load \(162,\) or nodal values \(81, 2\), "
+                                         r"got shape \(81,\)"):
+        mesh.solve_dirichlet(op, np.ones(dm.nnodes), bdata=0.0)
 
 
 def test_dirichlet_zero_data_zero(layered_field):
@@ -141,7 +158,7 @@ def test_dirichlet_neumann_consistency(layered_field):
     dm = mesh.DomainMesh(32)
     sc = coeff.rescale(layered_field, 1 / 4)
     opd = mesh.assemble(sc, dm, mode="dirichlet")
-    u_d = mesh.solve_dirichlet(opd, None, bdata=lambda pts: pts[:, :1])
+    u_d = mesh.solve_dirichlet(opd, None, bdata=dm.nodes[dm.boundary_nodes, :1])
     functional = opd.matrix @ u_d.values.ravel()
     flux_vec = np.zeros(opd.ndof)
     bd = (dm.boundary_nodes[:, None] * 1 + np.arange(1)).ravel()

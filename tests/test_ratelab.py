@@ -49,11 +49,6 @@ def test_fit_log_model():
     assert fit.alt_residual < fit.power_residual
 
 
-def test_fit_accepts_row_pairs():
-    fit = ratelab.fit_rate(list(zip(EPS4, EPS4 * 2.0)))
-    assert fit.slope == pytest.approx(1.0, abs=1e-12)
-
-
 def test_fit_rejects_bad_input():
     with pytest.raises(Exception):
         ratelab.fit_rate(EPS4[:2], EPS4[:2])
@@ -160,6 +155,23 @@ def test_cell_oracle_runner():
     assert "hatA_11_error" in quantities
 
 
+def test_fixed_report_records_its_config():
+    rep = ratelab.run(ratelab.ExperimentConfig("cell-oracle", cell_n=16, seed=3))
+    payload = json.loads(ratelab.emit(rep, "json"))
+    assert payload["kind"] == "fixed"
+    assert payload["config"]["seed"] == 3 and payload["config"]["cell_n"] == 16
+
+
+def test_cli_rates_reads_the_mesh_block(tmp_path):
+    # mesh.cell_n = 16 solves the cell at n = 16, too coarse for the
+    # closed-form tolerance, so the run fails and exits 1
+    assert cli.main(["rates", "--out", str(tmp_path), "--experiments", "cell-oracle",
+                     "--format", "json", "--config", _write_small_config(tmp_path)]) == 1
+    payload = json.loads((tmp_path / "cell-oracle.json").read_text())
+    assert {h for (_, h, _, _) in payload["rows"]} == {1 / 16}
+    assert payload["config"]["cell_n"] == 16
+
+
 def test_cli_cell_subcommand(tmp_path):
     rc = cli.main(["cell", "--out", str(tmp_path), "--coeff-family", "layered",
                    "--config", _write_config(tmp_path)])
@@ -188,6 +200,15 @@ def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown keys meshes, solver" in err
     assert not (tmp_path / "cell.json").exists()
+
+
+def test_cli_config_rejects_unknown_mesh_keys(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mesh": {"cell_n": 16, "cells": 8}}))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["cell", "--out", str(tmp_path), "--config", str(path)])
+    assert exit_info.value.code == 2
+    assert "unknown mesh keys cells" in capsys.readouterr().err
 
 
 def test_cli_rates_subcommand(tmp_path):
