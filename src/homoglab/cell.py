@@ -102,9 +102,7 @@ def solve_cell(op, A_gauss):
     for j in range(d):
         for beta in range(m):
             fg = A_gauss[:, :, :, j, :, beta]          # (nelem, 4, i, alpha)
-            load = -divergence_load_from_gauss(grid, fg)
-            sol = solve_periodic(op, load)
-            chi[j, beta] = sol.values
+            chi[j, beta] = solve_periodic(op, -divergence_load_from_gauss(grid, fg))
     return chi
 
 
@@ -182,8 +180,8 @@ def flux_corrector(grid, b_gauss):
                 for b in range(m):
                     load = -volume_load_from_gauss(grid, b_gauss[i, j, a, b][:, :, None])
                     sol = solve_periodic(op, load)
-                    f[i, j, a, b] = sol.values[:, 0]
-                    grad_f[i, j, a, b] = nodal_gradient(grid, sol.values)[:, :, 0]
+                    f[i, j, a, b] = sol[:, 0]
+                    grad_f[i, j, a, b] = nodal_gradient(grid, sol)[:, :, 0]
     op.release()
     F = np.empty((d, d, d, m, m, grid.nnodes))
     for k in range(d):

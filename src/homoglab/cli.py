@@ -105,8 +105,8 @@ def cmd_cell(args, config):
     stats["F_divergence_residual"] = cellmod.flux_divergence_residual(cs.grid, cs.F, cs.b_gauss)
     _emit_json(args, "cell.json", stats)
     if args.format == "csv":
-        fem.Field(cs.grid, cs.chi[0, 0]).to_csv(_outpath(args, "chi_1.csv"))
-        fem.Field(cs.grid, cs.b_nodal[0, 0, 0, 0]).to_csv(_outpath(args, "b_11.csv"))
+        fem.write_nodal_csv(cs.grid, cs.chi[0, 0], _outpath(args, "chi_1.csv"))
+        fem.write_nodal_csv(cs.grid, cs.b_nodal[0, 0, 0, 0], _outpath(args, "b_11.csv"))
     return 0
 
 
@@ -121,7 +121,7 @@ def cmd_correctors(args, config):
         x0 = None
         if args.pin:
             x, y = (float(t) for t in args.pin.split(","))
-            x0 = int(np.argmin(np.sum((dm.nodes - (x, y)) ** 2, axis=1)))
+            x0 = dm.nearest_node((x, y))
         sc = rescale(field, eps)
         op, opn = fem.assemble(sc, dm), fem.assemble(sc, dm, mode="neumann")
         cset = corrmod.build(op, opn, hatA=cs.hatA, x0=x0)
@@ -136,7 +136,7 @@ def _kernel_command(args, config, kind):
     dm = fem.DomainMesh(_mesh(config, args)["n"])
     op = fem.assemble(rescale(field, _first_eps(args)), dm,
                       mode="neumann" if kind == "neumann-fn" else "dirichlet")
-    source = int(np.argmin(np.sum((dm.nodes - (0.75, 0.5)) ** 2, axis=1)))
+    source = dm.nearest_node((0.75, 0.5))
     if kind == "green":
         fld = kermod.green(op, source)
         table = kermod.KernelTable("green", dm, [source], [fld])
@@ -201,10 +201,10 @@ def cmd_expand(args, config):
         if args.family == "dirichlet" or args.experiment == "s-epsilon":
             cset = corrmod.build(op)
         if args.family == "dirichlet":
-            e = expmod.build_expansion(u_eps, u0, "dirichlet", correctors=cset)
+            e = expmod.build_expansion(dm, u_eps, u0, "dirichlet", correctors=cset)
         else:
-            e = expmod.build_expansion(u_eps, u0, "chi", cell_solution=cs, epsilon=eps)
-        result["w_h1"] = fem.norm(e.w, "W1p", 2)
+            e = expmod.build_expansion(dm, u_eps, u0, "chi", cell_solution=cs, epsilon=eps)
+        result["w_h1"] = fem.norm(dm, e.w, "W1p", 2)
         if args.check == "residual":
             result["residual"] = expmod.residual_identity_check(e, op, cs)["residual"]
         if args.experiment == "s-epsilon":

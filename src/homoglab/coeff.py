@@ -46,21 +46,23 @@ class CoefficientField:
     """Periodic tensor field with ellipticity/periodicity/Holder metadata.
 
     The evaluator maps an (npts, d) array of points to an
-    (npts, d, d, m, m) array.  Instances are immutable after construction
-    and safe to share across concurrent evaluations.
+    (npts, d, d, m, m) array, with d = 2 (every mesh is two-dimensional).
+    Instances are immutable after construction and safe to share across
+    concurrent evaluations.
     """
 
-    def __init__(self, evaluator, d=2, m=1, family="user", mu=None,
+    d = 2
+
+    def __init__(self, evaluator, m=1, family="user", mu=None,
                  holder=(1.0, 0.0), symmetric=True, params=None):
-        if d < 1 or m < 1:
-            raise CoefficientError(f"need d >= 1 and m >= 1, got d={d}, m={m}")
+        if m < 1:
+            raise CoefficientError(f"need m >= 1, got m={m}")
         lam, tau = holder
         if not (0.0 < lam <= 1.0) or tau < 0.0:
             raise CoefficientError(f"Holder pair must have exponent in (0,1] and seminorm >= 0, got {holder}")
         if mu is not None and mu <= 0.0:
             raise CoefficientError(f"ellipticity constant must be positive, got {mu}")
         self._evaluator = evaluator
-        self.d = int(d)
         self.m = int(m)
         self.family = family
         self.mu = mu
@@ -84,7 +86,7 @@ class CoefficientField:
         return vals[0] if squeeze else vals
 
     def adjoint(self):
-        """Field of the adjoint operator: a*_ij^{ab}(y) = a_ji^{ba}(y)."""
+        """Coefficient of the adjoint operator: a*_ij^{ab}(y) = a_ji^{ba}(y)."""
         if self.symmetric:
             return self
         base = self._evaluator
@@ -92,7 +94,7 @@ class CoefficientField:
         def star(pts):
             return np.transpose(np.asarray(base(pts)), (0, 2, 1, 4, 3))
 
-        return CoefficientField(star, d=self.d, m=self.m, family=self.family,
+        return CoefficientField(star, m=self.m, family=self.family,
                                 mu=self.mu, holder=self.holder, symmetric=False,
                                 params={**self.params, "adjoint": True})
 
@@ -157,13 +159,13 @@ def rescale(field: CoefficientField, epsilon: float) -> ScaledCoefficient:
 # builtin families
 
 
-def _isotropic(scalar_fn, d, m):
+def _isotropic(scalar_fn, m):
     """Wrap a scalar a(y) as the isotropic tensor a(y) delta_ij delta^{ab}.
 
     Points are reduced to the unit cell first, so integer shifts of exactly
     representable points reproduce values bitwise.
     """
-    eye = np.einsum("ij,ab->ijab", np.eye(d), np.eye(m))
+    eye = np.einsum("ij,ab->ijab", np.eye(2), np.eye(m))
 
     def ev(pts):
         a = np.asarray(scalar_fn(np.asarray(pts) % 1.0), dtype=float)
@@ -172,7 +174,8 @@ def _isotropic(scalar_fn, d, m):
     return ev
 
 
-def _constant_field(value, d, m):
+def _constant_field(value, m):
+    d = 2
     value = np.asarray(value, dtype=float)
     if value.ndim == 0:
         tensor = float(value) * np.einsum("ij,ab->ijab", np.eye(d), np.eye(m))
@@ -194,12 +197,13 @@ def _constant_field(value, d, m):
     def ev(pts):
         return np.broadcast_to(tensor, (pts.shape[0],) + tensor.shape).copy()
 
-    return CoefficientField(ev, d=d, m=m, family="constant", mu=mu,
+    return CoefficientField(ev, m=m, family="constant", mu=mu,
                             holder=(1.0, 0.0), symmetric=sym,
                             params={"value": tensor.tolist()})
 
 
-def _layered_field(base, amp, axis, wavevector, d, m):
+def _layered_field(base, amp, axis, wavevector, m):
+    d = 2
     if base - abs(amp) <= 0.0:
         raise EllipticityError(f"layered field base-|amp| = {base - abs(amp)} is not positive")
     if wavevector is None:
@@ -216,13 +220,13 @@ def _layered_field(base, amp, axis, wavevector, d, m):
 
     lo, hi = base - abs(amp), base + abs(amp)
     tau = abs(amp) * 2.0 * np.pi * float(np.linalg.norm(kvec))
-    return CoefficientField(_isotropic(scalar, d, m), d=d, m=m, family="layered",
+    return CoefficientField(_isotropic(scalar, m), m=m, family="layered",
                             mu=min(lo, 1.0 / hi), holder=(1.0, tau),
                             symmetric=True,
                             params={"base": base, "amp": amp, "wavevector": wavevector})
 
 
-def _trigonometric_field(base, amp, d, m):
+def _trigonometric_field(base, amp, m):
     if base - abs(amp) <= 0.0:
         raise EllipticityError("trigonometric field is not uniformly positive")
 
@@ -231,12 +235,12 @@ def _trigonometric_field(base, amp, d, m):
         return out
 
     lo, hi = base - abs(amp), base + abs(amp)
-    return CoefficientField(_isotropic(scalar, d, m), d=d, m=m, family="trigonometric",
+    return CoefficientField(_isotropic(scalar, m), m=m, family="trigonometric",
                             mu=min(lo, 1.0 / hi), holder=(1.0, abs(amp) * 4.0 * np.pi),
                             symmetric=True, params={"base": base, "amp": amp})
 
 
-def _checkerboard_field(contrast, width, d, m):
+def _checkerboard_field(contrast, width, m):
     if contrast <= 0.0:
         raise EllipticityError(f"contrast must be positive, got {contrast}")
     if width <= 0.0:
@@ -255,25 +259,30 @@ def _checkerboard_field(contrast, width, d, m):
 
     lo, hi = min(1.0, contrast), max(1.0, contrast)
     tau = abs(contrast - 1.0) * scale * 2.0 * np.pi  # slope of the mollified jump
-    return CoefficientField(_isotropic(scalar, d, m), d=d, m=m, family="smoothed-checkerboard",
+    return CoefficientField(_isotropic(scalar, m), m=m, family="smoothed-checkerboard",
                             mu=min(lo, 1.0 / hi), holder=(1.0, tau), symmetric=True,
                             params={"contrast": contrast, "width": width})
 
 
-def builtin(tag, d=2, m=1, **params) -> CoefficientField:
-    """Construct one of the builtin coefficient families by tag."""
+def builtin(tag, m=1, **params) -> CoefficientField:
+    """Construct one of the builtin coefficient families by tag; a parameter
+    the family does not take raises CoefficientError."""
     if tag == "constant":
-        return _constant_field(params.pop("value", 1.0), d, m)
-    if tag == "layered":
-        return _layered_field(params.pop("base", 2.0), params.pop("amp", 1.0),
-                              params.pop("axis", 0), params.pop("wavevector", None), d, m)
-    if tag == "trigonometric":
-        return _trigonometric_field(params.pop("base", 2.0), params.pop("amp", 0.5), d, m)
-    if tag == "smoothed-checkerboard":
-        return _checkerboard_field(params.pop("contrast", 10.0), params.pop("width", 1.0 / 16.0), d, m)
-    if tag == "user":
-        return from_expression(params.pop("expr"), d=d)
-    raise CoefficientError(f"unknown builtin family {tag!r}; choose from {BUILTIN_FAMILIES}")
+        field = _constant_field(params.pop("value", 1.0), m)
+    elif tag == "layered":
+        field = _layered_field(params.pop("base", 2.0), params.pop("amp", 1.0),
+                               params.pop("axis", 0), params.pop("wavevector", None), m)
+    elif tag == "trigonometric":
+        field = _trigonometric_field(params.pop("base", 2.0), params.pop("amp", 0.5), m)
+    elif tag == "smoothed-checkerboard":
+        field = _checkerboard_field(params.pop("contrast", 10.0), params.pop("width", 1.0 / 16.0), m)
+    elif tag == "user":
+        field = from_expression(params.pop("expr"))
+    else:
+        raise CoefficientError(f"unknown builtin family {tag!r}; choose from {BUILTIN_FAMILIES}")
+    if params:
+        raise CoefficientError(f"the {tag} family takes no parameter {', '.join(sorted(params))}")
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +317,11 @@ def _check_expr_node(node):
         raise CoefficientError(f"disallowed syntax {type(node).__name__} in expression")
 
 
-def from_expression(expr: str, d=2) -> CoefficientField:
+def from_expression(expr: str) -> CoefficientField:
     """Scalar coefficient a(y) * I from an arithmetic expression over y1, y2.
 
     Allowed: +, -, *, /, **, sin, cos, exp, pi and numeric constants.
     """
-    if d != 2:
-        raise CoefficientError("expression fields are two-dimensional (y1, y2)")
     tree = ast.parse(expr, mode="eval")
     _check_expr_node(tree)
     code = compile(tree, "<coefficient>", "eval")
@@ -324,7 +331,7 @@ def from_expression(expr: str, d=2) -> CoefficientField:
         out = eval(code, {"__builtins__": {}}, env)
         return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],))
 
-    return CoefficientField(_isotropic(scalar, d, 1), d=d, m=1, family="user",
+    return CoefficientField(_isotropic(scalar, 1), m=1, family="user",
                             mu=None, holder=(1.0, 0.0), symmetric=True,
                             params={"expr": expr})
 

@@ -60,7 +60,7 @@ def _monomial_solves(op):
     out = np.zeros_like(P)
     for j in range(mesh.d):
         for beta in range(op.m):
-            out[j, beta] = solve_dirichlet(op, None, bdata=P[j, beta][mesh.boundary_nodes]).values
+            out[j, beta] = solve_dirichlet(op, None, bdata=P[j, beta][mesh.boundary_nodes])
     return out
 
 
@@ -96,7 +96,7 @@ def neumann_correctors(op, hatA, x0=None):
         raise CorrectorError("Neumann correctors require a symmetric coefficient (A* = A)")
     mesh, d, m = op.mesh, 2, op.m
     if x0 is None:
-        x0 = int(np.argmin(np.sum((mesh.nodes - 0.5) ** 2, axis=1)))
+        x0 = mesh.nearest_node((0.5, 0.5))
     if mesh.boundary_mask[x0]:
         raise CorrectorError("pin node x0 must be interior")
     hatA = np.asarray(hatA, dtype=float).reshape(2, 2, m, m)
@@ -110,11 +110,9 @@ def neumann_correctors(op, hatA, x0=None):
                 return np.broadcast_to(vals, (pts.shape[0], m))
 
             sol = solve_neumann(op, None, flux=boundary_flux_load(mesh, g, m=m))
-            vals = sol.values.copy()
             pin_target = np.zeros(m)
             pin_target[beta] = mesh.nodes[x0, j]
-            vals += (pin_target - vals[x0])[None, :]
-            psi[j, beta] = vals
+            psi[j, beta] = sol + (pin_target - sol[x0])[None, :]
     return psi, x0
 
 

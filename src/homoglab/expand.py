@@ -14,7 +14,8 @@ singular-integral combination S_eps).
 The solving functions take the assembled operators they solve with: op
 for L_eps and op0 for L_0 (Dirichlet ones, or Neumann ones for
 neumann_expansion).  The caller owns them and releases their
-factorizations.
+factorizations.  Solutions, u_eps, u0 and w are nodal arrays (nnodes, m)
+on the mesh that build_expansion takes with them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (DomainMesh, Field, solve_dirichlet, nodal_gradient, interp_torus,
+from .mesh import (DomainMesh, solve_dirichlet, nodal_gradient, interp_torus,
                    element_gauss_values, element_gauss_gradients, volume_load_from_gauss,
                    divergence_load_from_gauss, divergence_load, norm, monomial_table,
                    solve_neumann, coefficient_gauss_values)
@@ -63,15 +64,15 @@ class Expansion:
     mesh: DomainMesh
     epsilon: float
     family: str
-    u_eps: Field
-    u0: Field
+    u_eps: np.ndarray          # (nnodes, m)
+    u0: np.ndarray             # (nnodes, m)
     V: np.ndarray              # (d, m, nnodes, m) corrector family
     du0: np.ndarray            # (nnodes, 2, m) recovered gradient of u0
-    w: Field
+    w: np.ndarray              # (nnodes, m)
 
     @property
     def m(self):
-        return self.u_eps.m
+        return self.u_eps.shape[1]
 
     def rebuild_w(self):
         """Recompute w from the stored parts (bitwise reproducible)."""
@@ -82,10 +83,11 @@ class Expansion:
         return gradient_defect(self.mesh, self.u_eps, self.V, self.du0)
 
 
-def gradient_defect(mesh, u_eps: Field, V, du0):
-    """d_i u_eps^a - d_i V_j^{ab} d_j u0^b at the nodes, (nnodes, 2, m), for a
-    corrector family V (d, m, nnodes, m) and the recovered gradient du0 of u0."""
-    out = nodal_gradient(mesh, u_eps.values)
+def gradient_defect(mesh, u_eps, V, du0):
+    """d_i u_eps^a - d_i V_j^{ab} d_j u0^b at the nodes, (nnodes, 2, m), for
+    nodal u_eps (nnodes, m), a corrector family V (d, m, nnodes, m) and the
+    recovered gradient du0 of u0."""
+    out = nodal_gradient(mesh, u_eps)
     for j in range(V.shape[0]):
         for beta in range(V.shape[1]):
             gV = nodal_gradient(mesh, V[j, beta])    # (nnodes, i, alpha)
@@ -96,22 +98,20 @@ def gradient_defect(mesh, u_eps: Field, V, du0):
 def _expansion_remainder(mesh, u_eps, u0, V, du0):
     d, m = V.shape[0], V.shape[1]
     P = monomial_table(mesh, m)
-    w = u_eps.values - u0.values
+    w = u_eps - u0
     for j in range(d):
         for beta in range(m):
             w = w - (V[j, beta] - P[j, beta]) * du0[:, j, beta][:, None]
-    return Field(mesh, w)
+    return w
 
 
-def build_expansion(u_eps: Field, u0: Field, family, correctors: CorrectorSet = None,
+def build_expansion(mesh, u_eps, u0, family, correctors: CorrectorSet = None,
                     cell_solution=None, epsilon=None) -> Expansion:
-    """Assemble the expansion remainder w for the requested corrector family."""
+    """Assemble the expansion remainder w of the nodal pair u_eps, u0
+    (nnodes, m) on mesh for the requested corrector family."""
     if family not in FAMILIES:
         raise ExpansionError(f"family must be one of {FAMILIES}, got {family!r}")
-    if u_eps.mesh is not u0.mesh:
-        raise ExpansionError("u_eps and u0 must share a mesh")
-    mesh = u_eps.mesh
-    d, m = 2, u_eps.m
+    m = u_eps.shape[1]
     if family == "chi":
         if cell_solution is None or epsilon is None:
             raise ExpansionError("chi family needs a cell solution and epsilon")
@@ -124,7 +124,7 @@ def build_expansion(u_eps: Field, u0: Field, family, correctors: CorrectorSet = 
         if V is None:
             raise ExpansionError("corrector set has no Neumann columns")
         epsilon = correctors.epsilon
-    du0 = nodal_gradient(mesh, u0.values)
+    du0 = nodal_gradient(mesh, u0)
     w = _expansion_remainder(mesh, u_eps, u0, V, du0)
     return Expansion(mesh=mesh, epsilon=epsilon, family=family,
                      u_eps=u_eps, u0=u0, V=V, du0=du0, w=w)
@@ -139,7 +139,7 @@ def neumann_expansion(op, op0, hatA, source) -> Expansion:
     psi, x0 = neumann_correctors(op, hatA)
     cset = CorrectorSet(mesh=op.mesh, epsilon=getattr(op.coeff, "epsilon", 1.0), phi=None,
                         phi_star=None, psi=psi, x0=x0)
-    return build_expansion(u_eps, u0, "neumann", correctors=cset)
+    return build_expansion(op.mesh, u_eps, u0, "neumann", correctors=cset)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def residual_identity_check(exp: Expansion, op, cell_solution,
 
     gauss_pts = mesh.gauss_points().reshape(-1, 2)
     A_g = coefficient_gauss_values(op.coeff, mesh)
-    D2 = second_derivatives(mesh, exp.u0.values)
+    D2 = second_derivatives(mesh, exp.u0)
     D2_g = element_gauss_values(mesh, D2.reshape(mesh.nnodes, -1)).reshape(mesh.nelem, 4, 2, 2, m)
 
     VmP = exp.V - monomial_table(mesh, m)                 # (k, gamma_col, nnodes, beta)
@@ -206,7 +206,7 @@ def residual_identity_check(exp: Expansion, op, cell_solution,
         term_loads["gradient"] = load
         rhs += load
 
-    lhs = op.matrix @ exp.w.values.ravel()
+    lhs = op.matrix @ exp.w.ravel()
     inter, _ = op.dof_split()
     res = lhs[inter] - rhs[inter]
     return {
@@ -238,12 +238,12 @@ def conormal_identity_check(exp: Expansion, coeff, hatA):
         g = nodal_gradient(mesh, values)[bnodes[mask]]     # (nb', j, beta)
         return np.einsum("ni,nijab,njb->na", nrm, tensor_b, g)
 
-    dw = conormal_of(exp.w.values, A_b)
-    du_eps = conormal_of(exp.u_eps.values, A_b)
+    dw = conormal_of(exp.w, A_b)
+    du_eps = conormal_of(exp.u_eps, A_b)
     hat_b = np.broadcast_to(hatA, (mask.sum(), 2, 2, m, m))
-    du0 = conormal_of(exp.u0.values, hat_b)
+    du0 = conormal_of(exp.u0, hat_b)
 
-    D2 = second_derivatives(mesh, exp.u0.values)[bnodes[mask]]   # (nb', k, j, gamma)
+    D2 = second_derivatives(mesh, exp.u0)[bnodes[mask]]   # (nb', k, j, gamma)
     P = monomial_table(mesh, m)
     corr = np.zeros((mask.sum(), m))
     for k in range(2):
@@ -265,14 +265,14 @@ def conormal_identity_check(exp: Expansion, coeff, hatA):
 
 
 def _difference(mesh_, u_eps, v_eps):
-    diff = Field(mesh_, u_eps.values - v_eps.values)
+    diff = u_eps - v_eps
     return {
         "u_eps": u_eps, "v_eps": v_eps,
-        "l1": norm(diff, "Lp", 1.0), "l2": norm(diff, "Lp", 2.0),
+        "l1": norm(mesh_, diff, "Lp", 1.0), "l2": norm(mesh_, diff, "Lp", 2.0),
     }
 
 
-def poisson_approx_0(op0, omega_table, fb) -> Field:
+def poisson_approx_0(op0, omega_table, fb) -> np.ndarray:
     """The L_0 part of poisson_approx: boundary data omega * fb."""
     vdata = np.einsum("ngb,nb->ng", omega_table.filled(), fb)
     return solve_dirichlet(op0, None, bdata=vdata)
@@ -295,12 +295,12 @@ def poisson_approx(op, op0, omega_table, fb):
     return _difference(mesh_, u_eps, v_eps)
 
 
-def divergence_data_eps(op, f) -> Field:
+def divergence_data_eps(op, f) -> np.ndarray:
     """The L_eps part of divergence_data_approx: L_eps(u) = div f, f (nnodes, 2, m)."""
     return solve_dirichlet(op, -divergence_load(op.mesh, f), bdata=0.0)
 
 
-def divergence_data_0(op0, phi_star, f) -> Field:
+def divergence_data_0(op0, phi_star, f) -> np.ndarray:
     """The L_0 part of divergence_data_approx: L_0(v) = div F_eps."""
     mesh_, m = op0.mesh, op0.m
     grad_star = np.empty((2, m, mesh_.nnodes, 2, m))       # [i, alpha, node, j, beta]
@@ -329,25 +329,24 @@ def t_apply(op, data):
     nodal data (nnodes, 2) -> nodal gradient (nnodes, 2)."""
     mesh_ = op.mesh
     u = solve_dirichlet(op, -divergence_load(mesh_, data[:, :, None]), bdata=0.0)
-    return nodal_gradient(mesh_, u.values)[:, :, 0]
+    return nodal_gradient(mesh_, u)[:, :, 0]
 
 
-def s_epsilon_eps(op, g, i=1, j=1):
-    """The L_eps term T_eps,ij(g) of s_epsilon, nodal (nnodes,)."""
+def s_epsilon_eps(op, g):
+    """The L_eps term T_eps,11(g) of s_epsilon, nodal (nnodes,)."""
     data = np.zeros((op.mesh.nnodes, 2))
-    data[:, j - 1] = g
-    return t_apply(op, data)[:, i - 1]
+    data[:, 0] = g
+    return t_apply(op, data)[:, 0]
 
 
-def s_epsilon_0(op0, phi, phi_star, g, i=1, j=1):
+def s_epsilon_0(op0, phi, phi_star, g):
     """The L_0 terms of s_epsilon, nodal (nnodes,):
 
-        dPhi_k/dx_i T_0,kl(dPhi*_l/dx_j g) - dPhi_k/dx_i T_0,kl(dPhi*_l/dx_j) g
+        dPhi_k/dx_1 T_0,kl(dPhi*_l/dx_1 g) - dPhi_k/dx_1 T_0,kl(dPhi*_l/dx_1) g
     """
     mesh_ = op0.mesh
-    ii, jj = i - 1, j - 1
-    dphi = np.stack([nodal_gradient(mesh_, phi[k, 0])[:, ii, 0] for k in range(2)], axis=1)
-    dphistar = np.stack([nodal_gradient(mesh_, phi_star[l, 0])[:, jj, 0] for l in range(2)], axis=1)
+    dphi = np.stack([nodal_gradient(mesh_, phi[k, 0])[:, 0, 0] for k in range(2)], axis=1)
+    dphistar = np.stack([nodal_gradient(mesh_, phi_star[l, 0])[:, 0, 0] for l in range(2)], axis=1)
     grad2 = t_apply(op0, dphistar * g[:, None])    # T_0,.l(dPhi*_l g), (nnodes, k)
     grad3 = t_apply(op0, dphistar)                  # T_0,.l(dPhi*_l)
     piece2 = (dphi * grad2).sum(axis=1)
@@ -355,20 +354,19 @@ def s_epsilon_0(op0, phi, phi_star, g, i=1, j=1):
     return piece2 - piece3
 
 
-def s_epsilon(op, op0, phi, phi_star, g, i=1, j=1, qs=(1.5,)):
+def s_epsilon(op, op0, phi, phi_star, g):
     """The oscillatory singular-integral combination
 
-        S(g) = T_eps,ij(g) - dPhi_k/dx_i T_0,kl(dPhi*_l/dx_j g)
-                           + dPhi_k/dx_i T_0,kl(dPhi*_l/dx_j) g
+        S(g) = T_eps,11(g) - dPhi_k/dx_1 T_0,kl(dPhi*_l/dx_1 g)
+                           + dPhi_k/dx_1 T_0,kl(dPhi*_l/dx_1) g
 
-    where T_eps,ij(g) = d_i of the zero-Dirichlet solve of L_eps(u) = d_j g,
+    where T_eps,11(g) = d_1 of the zero-Dirichlet solve of L_eps(u) = d_1 g,
     with L_eps the Dirichlet operator op and L_0 the Dirichlet operator op0.
-    Scalar case (m = 1); i, j are 1-based.  Returns the field and L^q norms.
+    Scalar case (m = 1).  Returns the nodal field (nnodes, 1) and its L^1.5
+    norm.
     """
     if op.m != 1:
         raise ExpansionError("s_epsilon is implemented for the scalar case m = 1")
     g = np.asarray(g, dtype=float).reshape(op.mesh.nnodes)
-    piece1 = s_epsilon_eps(op, g, i, j)
-    pieces23 = s_epsilon_0(op0, phi, phi_star, g, i, j)
-    S = Field(op.mesh, piece1 - pieces23)
-    return {"field": S, "norms": {q: norm(S, "Lp", q) for q in qs}}
+    S = (s_epsilon_eps(op, g) - s_epsilon_0(op0, phi, phi_star, g))[:, None]
+    return {"field": S, "norms": {1.5: norm(op.mesh, S, "Lp", 1.5)}}

@@ -11,7 +11,8 @@ dist(x, boundary) >= 0.1.  Corner nodes never carry kernel values.
 Every kernel takes the assembled operator it solves with (mesh.assemble)
 and reads the mesh and the number of components from it and the symmetry
 flag from its coefficient, op.coeff.symmetric; the caller owns the
-operator and releases its factorization.
+operator and releases its factorization.  A kernel column is the nodal
+array (nnodes, m) of its solve.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DomainMesh, Field, solve_dirichlet, solve_neumann, point_load, conormal
+from .mesh import DomainMesh, solve_dirichlet, solve_neumann, point_load, conormal
 
 __all__ = ["KernelError", "KernelTable", "DtNMatrix", "OmegaTable",
            "green", "neumann_fn", "poisson_kernel", "omega", "dtn",
@@ -36,7 +37,7 @@ def _as_node(mesh, y):
     if np.isscalar(y) or isinstance(y, (int, np.integer)):
         return int(y)
     y = np.asarray(y, dtype=float)
-    node = int(np.argmin(np.sum((mesh.nodes - y) ** 2, axis=1)))
+    node = mesh.nearest_node(y)
     if np.linalg.norm(mesh.nodes[node] - y) > 1e-9:
         raise KernelError(f"point {y} is not a mesh node")
     return node
@@ -49,7 +50,7 @@ class KernelTable:
     kind: str                  # 'green' | 'neumann-fn' | 'poisson'
     mesh: DomainMesh
     sources: list              # node ids (green/neumann-fn) or boundary positions (poisson)
-    fields: list               # Field per source
+    fields: list               # nodal array (nnodes, m) per source
 
     def trusted_mask(self, idx):
         """Nodes where the column values are trusted: off-diagonal and finite."""
@@ -65,7 +66,7 @@ class KernelTable:
         node = _as_node(self.mesh, x)
         if not self.trusted_mask(idx)[node]:
             raise KernelError("evaluation inside the untrusted diagonal region")
-        return float(self.fields[idx].values[node, alpha])
+        return float(self.fields[idx][node, alpha])
 
     def to_csv(self, path):
         mesh = self.mesh
@@ -78,10 +79,10 @@ class KernelTable:
                     sx, sy = mesh.nodes[self.sources[idx]]
                 for node in range(mesh.nnodes):
                     x, y = mesh.nodes[node]
-                    fh.write(f"{x!r},{y!r},{sx!r},{sy!r},{fld.values[node, 0]!r}\n")
+                    fh.write(f"{x!r},{y!r},{sx!r},{sy!r},{fld[node, 0]!r}\n")
 
 
-def green(op, y, beta=0) -> Field:
+def green(op, y, beta=0) -> np.ndarray:
     """Green column: Dirichlet solve with a unit nodal load at y."""
     mesh = op.mesh
     node = _as_node(mesh, y)
@@ -90,7 +91,7 @@ def green(op, y, beta=0) -> Field:
     return solve_dirichlet(op, point_load(mesh, node, beta=beta, m=op.m), bdata=0.0)
 
 
-def neumann_fn(op, y, beta=0) -> Field:
+def neumann_fn(op, y, beta=0) -> np.ndarray:
     """Neumann-function column: unit nodal load at y, constant compensating
     boundary flux -1/|boundary|, pinned to zero boundary mean.  op is a
     Neumann operator whose coefficient must be symmetric (op.coeff.symmetric);
@@ -107,7 +108,7 @@ def neumann_fn(op, y, beta=0) -> Field:
     return solve_neumann(op, load, flux=gconst)
 
 
-def poisson_kernel(op, pos) -> Field:
+def poisson_kernel(op, pos) -> np.ndarray:
     """Poisson-kernel column: Dirichlet solve whose boundary data is the hat
     at boundary position pos divided by its arc mass.
 
@@ -180,7 +181,7 @@ def omega(op, hatA, phi_star) -> OmegaTable:
     dn = np.full((2, m, nb, m), np.nan)
     for k in range(2):
         for sig in range(m):
-            flux = conormal(Field(mesh, phi_star[k, sig]), op)          # (nb, rho)
+            flux = conormal(phi_star[k, sig], op)                       # (nb, rho)
             for pos in np.flatnonzero(mask):
                 n = nrm[pos]
                 t = np.array([-n[1], n[0]])

@@ -24,17 +24,20 @@ Solve data comes in fixed layouts, for an operator with m components:
     flux    None, an assembled load (nnodes*m,) or boundary values
             (n_boundary, m) in boundary order
 
-Solve data of any other shape or type (a callable, a Field) raises
+Solve data of any other shape or type (a callable, say) raises
 ValueError naming the accepted layouts.  The loads take nodal tables,
 volume_load (nnodes, m) and divergence_load (nnodes, 2, m), and raise
 ValueError for any other shape.  Neumann data must be compatible (total
 source plus total flux zero per component); solve_neumann is the one place
 that checks it.
+
+Every solve returns its solution as one float array of nodal values
+(nnodes, m).  Functions that read a nodal field take its mesh or operator
+separately: conormal(u, op), norm(mesh, values) and write_nodal_csv(mesh,
+values, path); the last two read an (nnodes,) table as one column.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,7 +46,7 @@ import scipy.sparse.linalg as spla
 from .coeff import CoefficientField, ScaledCoefficient
 
 __all__ = [
-    "TorusGrid", "DomainMesh", "Field", "AssembledOperator", "SolveError",
+    "TorusGrid", "DomainMesh", "AssembledOperator", "SolveError", "write_nodal_csv",
     "assemble", "coefficient_gauss_values", "volume_load", "divergence_load",
     "point_load", "boundary_flux_load", "solve_dirichlet", "solve_neumann",
     "solve_periodic", "conormal", "norm", "nodal_gradient", "interp_torus",
@@ -163,41 +166,35 @@ class DomainMesh:
     def edge_normal(self, edge):
         return np.array([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)][edge])
 
+    def nearest_node(self, pt):
+        """Index of the mesh node closest to the point pt."""
+        return int(np.argmin(np.sum((self.nodes - np.asarray(pt)) ** 2, axis=1)))
+
     def dist_to_boundary(self, pts):
         pts = np.asarray(pts)
         return np.min(np.stack([pts[..., 0], 1.0 - pts[..., 0],
                                 pts[..., 1], 1.0 - pts[..., 1]]), axis=0)
 
 
-@dataclass
-class Field:
-    """Nodal values of an m-component field on a mesh."""
+def _nodal(mesh, values):
+    """values as a float (nnodes, m) table; an (nnodes,) table is one column."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    if vals.shape[0] != mesh.nnodes:
+        raise ValueError(f"field has {vals.shape[0]} values for {mesh.nnodes} nodes")
+    return vals
 
-    mesh: object
-    values: np.ndarray
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.shape[0] != self.mesh.nnodes:
-            raise ValueError(f"field has {vals.shape[0]} values for {self.mesh.nnodes} nodes")
-        self.values = vals
-
-    @property
-    def m(self):
-        return self.values.shape[1]
-
-    def copy(self):
-        return Field(self.mesh, self.values.copy())
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("node_x,node_y,component,value\n")
-            for a in range(self.m):
-                for node in range(self.mesh.nnodes):
-                    x, y = self.mesh.nodes[node]
-                    fh.write(f"{x!r},{y!r},{a},{self.values[node, a]!r}\n")
+def write_nodal_csv(mesh, values, path):
+    """Write a nodal table as rows node_x,node_y,component,value, component-major."""
+    vals = _nodal(mesh, values)
+    with open(path, "w") as fh:
+        fh.write("node_x,node_y,component,value\n")
+        for a in range(vals.shape[1]):
+            for node in range(mesh.nnodes):
+                x, y = mesh.nodes[node]
+                fh.write(f"{x!r},{y!r},{a},{vals[node, a]!r}\n")
 
 
 def monomial_table(mesh, m):
@@ -476,7 +473,7 @@ def _boundary_data_vector(mesh, bdata, m):
     return arr if arr.ndim else np.full((mesh.n_boundary, m), float(arr))
 
 
-def solve_dirichlet(op: AssembledOperator, source=None, bdata=0.0) -> Field:
+def solve_dirichlet(op: AssembledOperator, source=None, bdata=0.0) -> np.ndarray:
     """Solve with Dirichlet data; boundary nodes match bdata exactly."""
     if op.mode != "dirichlet":
         raise ValueError(f"operator assembled in mode {op.mode!r}, need 'dirichlet'")
@@ -490,7 +487,7 @@ def solve_dirichlet(op: AssembledOperator, source=None, bdata=0.0) -> Field:
     x = op.factorization().solve(rhs)
     u[inter] = x
     _check_residual("dirichlet", op.interior_matrix(), x, rhs)
-    return Field(mesh, u.reshape(mesh.nnodes, m))
+    return u.reshape(mesh.nnodes, m)
 
 
 def _solve_pinned(op, rhs):
@@ -499,13 +496,13 @@ def _solve_pinned(op, rhs):
     x = op.factorization().solve(np.concatenate([rhs, np.zeros(op.m)]))
     u = x[:op.ndof]
     _check_residual(op.mode, op.matrix, u, rhs - op.pin_columns() @ x[op.ndof:])
-    return Field(op.mesh, u.reshape(op.mesh.nnodes, op.m))
+    return u.reshape(op.mesh.nnodes, op.m)
 
 
-def solve_neumann(op: AssembledOperator, source=None, flux=None) -> Field:
+def solve_neumann(op: AssembledOperator, source=None, flux=None) -> np.ndarray:
     """Solve the Neumann problem with the boundary-mean pin.
 
-    The returned field satisfies integral_{boundary} u dsigma = 0 per
+    The returned solution satisfies integral_{boundary} u dsigma = 0 per
     component.  Data must be compatible: total source + total flux = 0 per
     component, to 1e-8 of the data scale, or SolveError is raised.
     """
@@ -524,15 +521,16 @@ def solve_neumann(op: AssembledOperator, source=None, flux=None) -> Field:
     return _solve_pinned(op, rhs)
 
 
-def solve_periodic(op: AssembledOperator, source=None) -> Field:
+def solve_periodic(op: AssembledOperator, source=None) -> np.ndarray:
     """Solve on the torus with the volume-mean pin per component."""
     if op.mode != "periodic":
         raise ValueError(f"operator assembled in mode {op.mode!r}, need 'periodic'")
     return _solve_pinned(op, _as_load_vector(op.mesh, source, op.m))
 
 
-def conormal(u: Field, op: AssembledOperator, source=None):
-    """Variational conormal flux of u on the boundary, in boundary order.
+def conormal(u, op: AssembledOperator, source=None):
+    """Variational conormal flux of the nodal field u (nnodes, m) of op on the
+    boundary, in boundary order.
 
     For every boundary hat function phi, <flux, phi> = a(u, phi) - (source, phi);
     returned as nodal values against the lumped arc weights.  Corner nodes
@@ -540,7 +538,7 @@ def conormal(u: Field, op: AssembledOperator, source=None):
     """
     mesh, m = op.mesh, op.m
     load = _as_load_vector(mesh, source, m)
-    functional = op.matrix @ u.values.ravel() - load
+    functional = op.matrix @ np.ravel(u) - load
     out = functional.reshape(mesh.nnodes, m)[mesh.boundary_nodes]
     return out / mesh.arc_weights[:, None]
 
@@ -549,14 +547,14 @@ def conormal(u: Field, op: AssembledOperator, source=None):
 # norms and derivative recovery
 
 
-def norm(u: Field, kind="Lp", p=2.0):
-    """Volume norms by elementwise Gauss quadrature.
+def norm(mesh, values, kind="Lp", p=2.0):
+    """Volume norms of nodal values (nnodes, m) or (nnodes,) by elementwise
+    Gauss quadrature; ValueError unless there is one row per mesh node.
 
     kind: 'Lp' (volume), 'W1p' (volume, value + gradient), 'weighted_grad'
     (gradient squared weighted by dist(x, boundary)).
     """
-    mesh = u.mesh
-    vals = u.values
+    vals = _nodal(mesh, values)
     if not np.all(np.isfinite(vals)):
         raise ValueError("norm of a field with non-finite entries")
     if p < 1:

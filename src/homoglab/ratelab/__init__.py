@@ -166,21 +166,19 @@ def run(config: ExperimentConfig) -> RateReport:
 def run_many(configs) -> dict:
     """Run several experiments, sharing per-(coefficient, epsilon) contexts.
 
-    Sweep experiments with the same coefficient are computed from one
-    context per epsilon (epsilon-outer order, one live factorization).
+    Every config runs on its own coefficient, or on the registry default
+    when it names none.  Sweep experiments with the same coefficient are
+    computed from one context per epsilon (epsilon-outer order, one live
+    factorization); refine and fixed runners then run one by one.
     """
     configs = list(configs)
-    for c in configs:
-        _experiment(c)
+    fields = [coefficient_from_spec(c.coefficient or _experiment(c).coefficient) for c in configs]
     reports = {}
-    sweeps = [c for c in configs if EXPERIMENTS[c.experiment].kind == "sweep"]
-    others = [c for c in configs if EXPERIMENTS[c.experiment].kind != "sweep"]
-
     groups = {}
-    for c in sweeps:
-        field = coefficient_from_spec(c.coefficient or EXPERIMENTS[c.experiment].coefficient)
-        key = (field.key(), c.eps_list, c.cells_per_period, c.cell_n)
-        groups.setdefault(key, (field, []))[1].append(c)
+    for c, field in zip(configs, fields):
+        if EXPERIMENTS[c.experiment].kind == "sweep":
+            key = (field.key(), c.eps_list, c.cells_per_period, c.cell_n)
+            groups.setdefault(key, (field, []))[1].append(c)
 
     for (fkey, eps_list, cpp, cell_n), (field, members) in groups.items():
         rows = {c.experiment: {} for c in members}
@@ -201,9 +199,11 @@ def run_many(configs) -> dict:
         for c in members:
             reports[c.experiment] = _finish_sweep(EXPERIMENTS[c.experiment], c,
                                                   rows[c.experiment], list(eps_list), h_list)
-    for c in others:
+    for c, field in zip(configs, fields):
         exp = EXPERIMENTS[c.experiment]
-        rows, passed, detail = exp.runner(c)
+        if exp.kind == "sweep":
+            continue
+        rows, passed, detail = exp.runner(c, field)
         reports[c.experiment] = RateReport(experiment=exp.id, kind=exp.kind, rows=rows, fits={},
                                            passed=passed, degenerate=False, detail=detail,
                                            config=c.describe())

@@ -108,10 +108,6 @@ class EpsilonContext:
 
     # -- sample geometry ---------------------------------------------------
 
-    def node_at(self, pt):
-        node = int(np.argmin(np.sum((self.mesh.nodes - np.asarray(pt)) ** 2, axis=1)))
-        return node
-
     def boundary_pos(self, s):
         return int(round(s / self.mesh.h)) % self.mesh.n_boundary
 
@@ -152,7 +148,7 @@ class EpsilonContext:
             self.data["phi"] = phi
             self.data["phi_star"] = phi_star
         if "G_eps" in items:
-            self.data["G_eps"] = kermod.green(op, self.node_at(GREEN_SOURCE))
+            self.data["G_eps"] = kermod.green(op, mesh.nearest_node(GREEN_SOURCE))
         if "u_dir_eps" in items:
             self.data["u_dir_eps"] = solve_dirichlet(op, np.ones((mesh.nnodes, self.m)), bdata=0.0)
         if "u_poisson_eps" in items:
@@ -177,7 +173,7 @@ class EpsilonContext:
         op0 = self.op("dir_0")
         mesh = self.mesh
         if "G_0" in items:
-            self.data["G_0"] = kermod.green(op0, self.node_at(GREEN_SOURCE))
+            self.data["G_0"] = kermod.green(op0, mesh.nearest_node(GREEN_SOURCE))
         if "u_dir_0" in items:
             self.data["u_dir_0"] = solve_dirichlet(op0, np.ones((mesh.nnodes, self.m)), bdata=0.0)
         if "v_poisson" in items:
@@ -206,14 +202,14 @@ class EpsilonContext:
             self.data["psi"] = psi
             self.data["x0"] = x0
         if "N_eps" in items:
-            self.data["N_eps"] = kermod.neumann_fn(opn, self.node_at(GREEN_SOURCE))
+            self.data["N_eps"] = kermod.neumann_fn(opn, self.mesh.nearest_node(GREEN_SOURCE))
         if "u_neu_eps" in items:
             self.data["u_neu_eps"] = solve_neumann(opn, neumann_source(self.mesh, self.m))
 
     def _batch_neu_0(self, items):
         opn0 = self.op("neu_0")
         if "N_0" in items:
-            self.data["N_0"] = kermod.neumann_fn(opn0, self.node_at(GREEN_SOURCE))
+            self.data["N_0"] = kermod.neumann_fn(opn0, self.mesh.nearest_node(GREEN_SOURCE))
         if "u_neu_0" in items:
             self.data["u_neu_0"] = solve_neumann(opn0, neumann_source(self.mesh, self.m))
 

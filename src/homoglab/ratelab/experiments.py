@@ -18,7 +18,7 @@ from .. import expand as expmod
 from .. import kernels as kermod
 from .. import mesh as fem
 from ..coeff import builtin, rescale
-from ..mesh import Field, assemble, solve_dirichlet, nodal_gradient, norm
+from ..mesh import assemble, solve_dirichlet, nodal_gradient, norm
 from .context import (cell_solution, mesh_resolution, neumann_source, GREEN_EVAL,
                       INTERIOR_EVAL, POISSON_SOURCES_S, KERNEL_X_S)
 
@@ -39,7 +39,7 @@ class Experiment:
     needs: tuple = ()
     compute: object = None           # ctx -> {quantity: value}
     checks: tuple = ()               # sequence of (fits, values_by_q) -> (ok, msg)
-    runner: object = None            # config -> (rows, passed, detail) for refine/fixed
+    runner: object = None            # (config, field) -> (rows, passed, detail) for refine/fixed
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,7 @@ def monotone_decreasing(q, slack=1.1):
 
 def _grad_defect_sup(ctx, u_eps, u_0, V, exclude_source=None):
     mesh = ctx.mesh
-    defect = expmod.gradient_defect(mesh, u_eps, V, nodal_gradient(mesh, u_0.values))
+    defect = expmod.gradient_defect(mesh, u_eps, V, nodal_gradient(mesh, u_0))
     mag = np.sqrt((defect ** 2).sum(axis=(1, 2)))
     mask = corrmod.trusted_interior_mask(mesh, dist=0.1)
     if exclude_source is not None:
@@ -100,9 +100,8 @@ def _grad_defect_sup(ctx, u_eps, u_0, V, exclude_source=None):
 
 
 def q_green_size(ctx):
-    node = ctx.node_at(GREEN_EVAL)
-    return {"green_diff": float(abs(ctx.data["G_eps"].values[node, 0]
-                                    - ctx.data["G_0"].values[node, 0]))}
+    node = ctx.mesh.nearest_node(GREEN_EVAL)
+    return {"green_diff": float(abs(ctx.data["G_eps"][node, 0] - ctx.data["G_0"][node, 0]))}
 
 
 def q_green_grad(ctx):
@@ -112,9 +111,8 @@ def q_green_grad(ctx):
 
 
 def q_neumann_size(ctx):
-    node = ctx.node_at(GREEN_EVAL)
-    return {"neumann_diff": float(abs(ctx.data["N_eps"].values[node, 0]
-                                      - ctx.data["N_0"].values[node, 0]))}
+    node = ctx.mesh.nearest_node(GREEN_EVAL)
+    return {"neumann_diff": float(abs(ctx.data["N_eps"][node, 0] - ctx.data["N_0"][node, 0]))}
 
 
 def q_neumann_grad(ctx):
@@ -127,44 +125,43 @@ def q_w1p_dirichlet(ctx):
     u_eps, u0 = ctx.data["u_dir_eps"], ctx.data["u_dir_0"]
     cset = corrmod.CorrectorSet(mesh=ctx.mesh, epsilon=ctx.eps, phi=ctx.data["phi"],
                                 phi_star=ctx.data["phi_star"], psi=None, x0=None)
-    e_phi = expmod.build_expansion(u_eps, u0, "dirichlet", correctors=cset)
-    e_chi = expmod.build_expansion(u_eps, u0, "chi", cell_solution=ctx.cell, epsilon=ctx.eps)
-    return {"h1_dirichlet_family": norm(e_phi.w, "W1p", 2),
-            "h1_chi_family": norm(e_chi.w, "W1p", 2)}
+    e_phi = expmod.build_expansion(ctx.mesh, u_eps, u0, "dirichlet", correctors=cset)
+    e_chi = expmod.build_expansion(ctx.mesh, u_eps, u0, "chi", cell_solution=ctx.cell,
+                                   epsilon=ctx.eps)
+    return {"h1_dirichlet_family": norm(ctx.mesh, e_phi.w, "W1p", 2),
+            "h1_chi_family": norm(ctx.mesh, e_chi.w, "W1p", 2)}
 
 
 def q_w1p_neumann(ctx):
     u_eps, u0 = ctx.data["u_neu_eps"], ctx.data["u_neu_0"]
     cset = corrmod.CorrectorSet(mesh=ctx.mesh, epsilon=ctx.eps, phi=None,
                                 phi_star=None, psi=ctx.data["psi"], x0=ctx.data["x0"])
-    e_psi = expmod.build_expansion(u_eps, u0, "neumann", correctors=cset)
-    return {"h1_neumann_family": norm(e_psi.w, "W1p", 2)}
+    e_psi = expmod.build_expansion(ctx.mesh, u_eps, u0, "neumann", correctors=cset)
+    return {"h1_neumann_family": norm(ctx.mesh, e_psi.w, "W1p", 2)}
 
 
 def q_weighted_h1(ctx):
     u_eps, u0 = ctx.data["u_dir_eps"], ctx.data["u_dir_0"]
-    e_chi = expmod.build_expansion(u_eps, u0, "chi", cell_solution=ctx.cell, epsilon=ctx.eps)
+    e_chi = expmod.build_expansion(ctx.mesh, u_eps, u0, "chi", cell_solution=ctx.cell,
+                                   epsilon=ctx.eps)
     # the interpolation proxy |w|_2^(1/2) |w|_H1^(1/2) stands in for the
     # fractional H^(1/2) norm; reported alongside, not asserted
-    l2 = norm(e_chi.w, "Lp", 2)
-    h1 = norm(e_chi.w, "W1p", 2)
-    return {"weighted_grad": norm(e_chi.w, "weighted_grad"),
+    l2 = norm(ctx.mesh, e_chi.w, "Lp", 2)
+    h1 = norm(ctx.mesh, e_chi.w, "W1p", 2)
+    return {"weighted_grad": norm(ctx.mesh, e_chi.w, "weighted_grad"),
             "h_half_proxy": float(np.sqrt(l2 * h1))}
 
 
 def q_lp_dirichlet(ctx):
-    diff = Field(ctx.mesh, ctx.data["u_dir_eps"].values - ctx.data["u_dir_0"].values)
-    return {"l2_diff": norm(diff, "Lp", 2)}
+    return {"l2_diff": norm(ctx.mesh, ctx.data["u_dir_eps"] - ctx.data["u_dir_0"], "Lp", 2)}
 
 
 def q_linf_dirichlet(ctx):
-    diff = Field(ctx.mesh, ctx.data["u_dir_eps"].values - ctx.data["u_dir_0"].values)
-    return {"linf_diff": norm(diff, "Lp", np.inf)}
+    return {"linf_diff": norm(ctx.mesh, ctx.data["u_dir_eps"] - ctx.data["u_dir_0"], "Lp", np.inf)}
 
 
 def q_lp_neumann(ctx):
-    diff = Field(ctx.mesh, ctx.data["u_neu_eps"].values - ctx.data["u_neu_0"].values)
-    return {"l2_diff_neumann": norm(diff, "Lp", 2)}
+    return {"l2_diff_neumann": norm(ctx.mesh, ctx.data["u_neu_eps"] - ctx.data["u_neu_0"], "Lp", 2)}
 
 
 def q_poisson_remainder(ctx):
@@ -178,27 +175,25 @@ def q_poisson_remainder(ctx):
         for xpt in INTERIOR_EVAL:
             if np.linalg.norm(np.asarray(xpt) - y) < 0.25:
                 continue
-            node = ctx.node_at(xpt)
-            val = abs(ctx.data["P_eps"][s].values[node, 0]
-                      - ctx.data["P_0"][s].values[node, 0] * wy)
+            node = mesh.nearest_node(xpt)
+            val = abs(ctx.data["P_eps"][s][node, 0] - ctx.data["P_0"][s][node, 0] * wy)
             worst = max(worst, float(val))
     return {"poisson_remainder": worst}
 
 
 def q_poisson_approx(ctx):
-    diff = Field(ctx.mesh, ctx.data["u_poisson_eps"].values - ctx.data["v_poisson"].values)
-    return {"poisson_approx_l2": norm(diff, "Lp", 2),
-            "poisson_approx_l1": norm(diff, "Lp", 1)}
+    diff = ctx.data["u_poisson_eps"] - ctx.data["v_poisson"]
+    return {"poisson_approx_l2": norm(ctx.mesh, diff, "Lp", 2),
+            "poisson_approx_l1": norm(ctx.mesh, diff, "Lp", 1)}
 
 
 def q_div_approx(ctx):
-    diff = Field(ctx.mesh, ctx.data["u_div_eps"].values - ctx.data["v_div"].values)
-    return {"div_approx_l2": norm(diff, "Lp", 2)}
+    return {"div_approx_l2": norm(ctx.mesh, ctx.data["u_div_eps"] - ctx.data["v_div"], "Lp", 2)}
 
 
 def q_s_epsilon(ctx):
-    S = Field(ctx.mesh, ctx.data["s_piece1"] - ctx.data["s_piece23"])
-    return {"s_epsilon_l15": norm(S, "Lp", 1.5)}
+    S = ctx.data["s_piece1"] - ctx.data["s_piece23"]
+    return {"s_epsilon_l15": norm(ctx.mesh, S, "Lp", 1.5)}
 
 
 def q_dtn_expansion(ctx):
@@ -237,9 +232,7 @@ def q_second_deriv_kernel(ctx):
 
 def q_corrector_bounds(ctx):
     mesh, eps = ctx.mesh, ctx.eps
-    P = corrmod.CorrectorSet(mesh=mesh, epsilon=eps, phi=ctx.data["phi"],
-                             phi_star=ctx.data["phi_star"], psi=ctx.data["psi"],
-                             x0=ctx.data["x0"]).monomials()
+    P = fem.monomial_table(mesh, ctx.m)
     mask = corrmod.trusted_interior_mask(mesh, dist=0.0)
     phi_sup = float(np.abs((ctx.data["phi"] - P)[:, :, mask]).max())
     psi_sup = float(np.abs((ctx.data["psi"] - P)[:, :, mask]).max())
@@ -248,12 +241,16 @@ def q_corrector_bounds(ctx):
 
 
 # ---------------------------------------------------------------------------
-# refine / fixed runners: config -> (rows, passed, detail); run_many wraps
-# them in a RateReport of the experiment's kind with the config attached
+# refine / fixed runners: (config, field) -> (rows, passed, detail), with
+# field the config's coefficient (the registry default when it names none);
+# run_many wraps them in a RateReport of the experiment's kind with the
+# config attached
 
 
-def run_cell_oracle(config):
-    cs = cell_solution(builtin("layered"), config.cell_n)
+def run_cell_oracle(config, field):
+    """The cell solution of field against the closed form of the default
+    layered medium (hatA = diag(sqrt 3, 2)), plus the cell identities."""
+    cs = cell_solution(field, config.cell_n)
     hatA = cs.hatA[:, :, 0, 0]
     stats = cs.stats()
     h = 1.0 / config.cell_n
@@ -276,14 +273,13 @@ _IDENTITIES = {"prop21-residual": ("interior", "interior_identity_residual"),
                "prop24-conormal": ("boundary", "conormal_identity_residual")}
 
 
-def run_identity_refinement(config):
+def run_identity_refinement(config, field):
     """Residual of the interior (prop 2.1) or boundary (prop 2.4) identity
     at fixed epsilon for two mesh refinements; it passes when halving h
     scales the residual by at most 0.6."""
     which, quantity = _IDENTITIES[config.experiment]
-    field = builtin("layered")
     cs = cell_solution(field, config.cell_n)
-    hatA_field = builtin("constant", value=cs.hatA)
+    hatA_field = builtin("constant", value=cs.hatA, m=field.m)
     eps = config.eps_list[0]
     vals = []
     for cpp in (config.cells_per_period, 2 * config.cells_per_period):
@@ -293,16 +289,16 @@ def run_identity_refinement(config):
         if which == "interior":
             op = assemble(sc, dm, mode="dirichlet")
             op0 = assemble(hatA_field, dm, mode="dirichlet")
-            f = np.ones((dm.nnodes, 1))
+            f = np.ones((dm.nnodes, field.m))
             u_eps = solve_dirichlet(op, f, bdata=0.0)
             u0 = solve_dirichlet(op0, f, bdata=0.0)
-            e = expmod.build_expansion(u_eps, u0, "dirichlet", correctors=corrmod.build(op))
+            e = expmod.build_expansion(dm, u_eps, u0, "dirichlet", correctors=corrmod.build(op))
             vals.append((n, expmod.residual_identity_check(e, op, cs)["residual"]))
             op.release(); op0.release()
         else:
             opn = assemble(sc, dm, mode="neumann")
             opn0 = assemble(hatA_field, dm, mode="neumann")
-            e = expmod.neumann_expansion(opn, opn0, cs.hatA, neumann_source(dm, 1))
+            e = expmod.neumann_expansion(opn, opn0, cs.hatA, neumann_source(dm, field.m))
             vals.append((n, expmod.conormal_identity_check(e, sc, cs.hatA)["l2_boundary"]))
             opn.release(); opn0.release()
     ratio = vals[1][1] / vals[0][1]
@@ -310,17 +306,17 @@ def run_identity_refinement(config):
     return rows, bool(ratio <= 0.6), f"residual ratio per h-halving {ratio:.3f} (need <= 0.6)"
 
 
-def _laplace_dtn(n):
+def _dtn_matrix(field, n):
+    """The DtN matrix of field (the Laplacian by default) on the n x n mesh."""
     dm = fem.DomainMesh(n)
-    eye = builtin("constant", value=np.eye(2))
-    return dm, kermod.dtn(assemble(eye, dm))
+    return dm, kermod.dtn(assemble(field, dm))
 
 
-def run_leibniz_product(config):
+def run_leibniz_product(config, field):
     """Product rule: |Lambda(fg) - f Lambda(g)|_2 <= 5 |f|_H1 |g|_inf over a
     seeded random smooth suite (the constant 5 is a fixed harness bound)."""
     n = 256
-    dm, D = _laplace_dtn(n)
+    dm, D = _dtn_matrix(field, n)
     rng = np.random.default_rng(config.seed + 17)
     s = dm.boundary_s
     rows = []
@@ -345,11 +341,11 @@ def run_leibniz_product(config):
     return rows, bool(worst <= 5.0), detail
 
 
-def run_leibniz_coordinate(config):
+def run_leibniz_coordinate(config, field):
     """Order-zero coordinate commutator: the Lambda-norm ratio grows >= 4x
     from k=2 to k=16 while the commutator ratio grows <= 2x."""
     n = 256
-    dm, D = _laplace_dtn(n)
+    dm, D = _dtn_matrix(field, n)
     rows = []
     lam, com = {}, {}
     for k in (2, 4, 8, 16):

@@ -47,14 +47,14 @@ def test_validate_trigonometric_mu():
 
 def test_validate_rejects_nonelliptic():
     bad = coeff.CoefficientField(
-        coeff._isotropic(lambda pts: np.sin(2 * np.pi * pts[:, 0]), 2, 1))
+        coeff._isotropic(lambda pts: np.sin(2 * np.pi * pts[:, 0]), 1))
     with pytest.raises(coeff.EllipticityError):
         coeff.validate(bad, samples=16)
 
 
 def test_validate_rejects_nonfinite():
     bad = coeff.CoefficientField(
-        coeff._isotropic(lambda pts: 1.0 / (pts[:, 0] - pts[:, 0]), 2, 1))
+        coeff._isotropic(lambda pts: 1.0 / (pts[:, 0] - pts[:, 0]), 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(coeff.CoefficientError):
             coeff.validate(bad, samples=4)
@@ -134,6 +134,13 @@ def test_builtin_rejects_bad_parameters():
         coeff.builtin("smoothed-checkerboard", width=0.0)
     with pytest.raises(coeff.CoefficientError):
         coeff.builtin("nope")
+
+
+def test_builtin_rejects_unknown_parameters():
+    with pytest.raises(coeff.CoefficientError, match="no parameter d"):
+        coeff.builtin("layered", d=3)
+    with pytest.raises(coeff.CoefficientError, match="no parameter width"):
+        coeff.builtin("constant", width=0.5)
 
 
 def test_expression_field_matches_layered(layered_field):

@@ -32,7 +32,7 @@ def test_green_matches_double_sine_series(identity_field):
     series = (4 * np.sin(mm * np.pi * x[0]) * np.sin(nn * np.pi * x[1])
               * np.sin(mm * np.pi * 0.75) * np.sin(nn * np.pi * 0.5)
               / (np.pi ** 2 * (mm ** 2 + nn ** 2))).sum()
-    assert abs(G.values[_node(dm, x), 0] - series) <= 1e-3
+    assert abs(G[_node(dm, x), 0] - series) <= 1e-3
 
 
 def test_green_constant_coefficient_identical(identity_op, identity_field):
@@ -41,7 +41,7 @@ def test_green_constant_coefficient_identical(identity_op, identity_field):
     op_eps = mesh.assemble(coeff.rescale(identity_field, 1 / 8), dm)
     G1 = kernels.green(op_eps, np.array([0.75, 0.5]))
     G2 = kernels.green(op, np.array([0.75, 0.5]))
-    assert np.abs(G1.values - G2.values).max() < 1e-12
+    assert np.abs(G1 - G2).max() < 1e-12
 
 
 def test_green_reciprocity_symmetric(layered_ops):
@@ -49,15 +49,15 @@ def test_green_reciprocity_symmetric(layered_ops):
     x, y = np.array([0.25, 0.25]), np.array([0.75, 0.5])
     Gy = kernels.green(op, y)
     Gx = kernels.green(op, x)
-    vxy = Gy.values[_node(dm, x), 0]
-    vyx = Gx.values[_node(dm, y), 0]
+    vxy = Gy[_node(dm, x), 0]
+    vyx = Gx[_node(dm, y), 0]
     assert abs(vxy - vyx) / abs(vxy) <= 1e-6
 
 
 def test_green_vanishes_on_boundary(layered_ops):
     dm, op = layered_ops
     G = kernels.green(op, np.array([0.75, 0.5]))
-    assert np.abs(G.values[dm.boundary_nodes]).max() == 0.0
+    assert np.abs(G[dm.boundary_nodes]).max() == 0.0
 
 
 def test_green_rejects_boundary_source(layered_ops):
@@ -71,7 +71,7 @@ def test_kernel_table_trust_region(layered_ops):
     y = np.array([0.75, 0.5])
     G = kernels.green(op, y)
     table = kernels.KernelTable("green", dm, [_node(dm, y)], [G])
-    assert table.value((0.25, 0.25)) == G.values[_node(dm, (0.25, 0.25)), 0]
+    assert table.value((0.25, 0.25)) == G[_node(dm, (0.25, 0.25)), 0]
     with pytest.raises(kernels.KernelError):
         table.value(y + np.array([dm.h, 0.0]))
 
@@ -82,10 +82,10 @@ def test_neumann_fn_normalization_and_symmetry(layered_field):
     op = mesh.assemble(sc, dm, mode="neumann")
     x, y = np.array([0.25, 0.25]), np.array([0.75, 0.5])
     Ny = kernels.neumann_fn(op, y)
-    bmean = (Ny.values[dm.boundary_nodes, 0] * dm.arc_weights).sum()
+    bmean = (Ny[dm.boundary_nodes, 0] * dm.arc_weights).sum()
     assert abs(bmean) <= 1e-8
     Nx = kernels.neumann_fn(op, x)
-    vxy, vyx = Ny.values[_node(dm, x), 0], Nx.values[_node(dm, y), 0]
+    vxy, vyx = Ny[_node(dm, x), 0], Nx[_node(dm, y), 0]
     assert abs(vxy - vyx) / abs(vxy) <= 1e-6
     op.release()
 
@@ -109,7 +109,7 @@ def test_poisson_kernel_row_sum_is_one(layered_ops):
             u = mesh.solve_dirichlet(op, None, bdata=bdata)
         else:
             u = kernels.poisson_kernel(op, pos)
-        total += u.values[:, 0] * dm.arc_weights[pos]
+        total += u[:, 0] * dm.arc_weights[pos]
     interior = dm.dist_to_boundary(dm.nodes) > 0.05
     assert np.abs(total[interior] - 1.0).max() <= 1e-6
 
@@ -118,7 +118,7 @@ def test_poisson_kernel_positive(layered_ops):
     dm, op = layered_ops
     P = kernels.poisson_kernel(op, dm.n // 2)
     interior = ~dm.boundary_mask
-    assert P.values[interior, 0].min() >= -1e-6
+    assert P[interior, 0].min() >= -1e-6
 
 
 def test_poisson_kernel_rejects_corner(layered_ops):
@@ -131,7 +131,7 @@ def test_poisson_constant_coefficient_identical(identity_op, identity_field):
     dm, op = identity_op
     P1 = kernels.poisson_kernel(mesh.assemble(coeff.rescale(identity_field, 1 / 8), dm), dm.n // 2)
     P2 = kernels.poisson_kernel(op, dm.n // 2)
-    assert np.abs(P1.values - P2.values).max() < 1e-12
+    assert np.abs(P1 - P2).max() < 1e-12
 
 
 def _omega_for(field, eps, n, cellsol):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from homoglab import coeff, mesh
+from homoglab import coeff, kernels, mesh
 
 
 def manufactured(n, identity_field):
@@ -76,7 +76,7 @@ def test_dirichlet_affine_data_exact(identity_field):
     dm = mesh.DomainMesh(16)
     op = mesh.assemble(identity_field, dm, mode="dirichlet")
     u = mesh.solve_dirichlet(op, None, bdata=dm.nodes[dm.boundary_nodes, :1])
-    assert np.abs(u.values[:, 0] - dm.nodes[:, 0]).max() < 1e-12
+    assert np.abs(u[:, 0] - dm.nodes[:, 0]).max() < 1e-12
 
 
 def test_dirichlet_rejects_callable_data(identity_field):
@@ -100,14 +100,14 @@ def test_dirichlet_zero_data_zero(layered_field):
     dm = mesh.DomainMesh(16)
     op = mesh.assemble(coeff.rescale(layered_field, 0.5), dm, mode="dirichlet")
     u = mesh.solve_dirichlet(op, None, bdata=0.0)
-    assert np.abs(u.values).max() == 0.0
+    assert np.abs(u).max() == 0.0
 
 
 def test_manufactured_solution_quadratic(identity_field):
     _, u16, e16 = manufactured(16, identity_field)
     _, u32, e32 = manufactured(32, identity_field)
-    err16 = np.abs(u16.values[:, 0] - e16).max()
-    err32 = np.abs(u32.values[:, 0] - e32).max()
+    err16 = np.abs(u16[:, 0] - e16).max()
+    err32 = np.abs(u32[:, 0] - e32).max()
     assert err32 / err16 < 0.3
 
 
@@ -116,9 +116,9 @@ def test_manufactured_convergence_slopes(identity_field):
     ns = [16, 32, 64, 128]
     for n in ns:
         dm, u, exact = manufactured(n, identity_field)
-        diff = mesh.Field(dm, u.values[:, 0] - exact)
-        errs_l2.append(mesh.norm(diff, "Lp", 2))
-        errs_h1.append(mesh.norm(diff, "W1p", 2))
+        diff = u[:, 0] - exact
+        errs_l2.append(mesh.norm(dm, diff, "Lp", 2))
+        errs_h1.append(mesh.norm(dm, diff, "W1p", 2))
     h = 1.0 / np.array(ns)
     slope_l2 = np.polyfit(np.log(h), np.log(errs_l2), 1)[0]
     slope_h1 = np.polyfit(np.log(h), np.log(errs_h1), 1)[0]
@@ -130,7 +130,7 @@ def test_neumann_zero_data(identity_field):
     dm = mesh.DomainMesh(16)
     op = mesh.assemble(identity_field, dm, mode="neumann")
     u = mesh.solve_neumann(op)
-    assert np.abs(u.values).max() == 0.0
+    assert np.abs(u).max() == 0.0
 
 
 def test_neumann_incompatible_data_rejected(identity_field):
@@ -148,7 +148,7 @@ def test_neumann_pin_and_point_load(identity_field):
     load = mesh.point_load(dm, node)
     gconst = np.full((dm.n_boundary, 1), -0.25)
     u = mesh.solve_neumann(op, load, flux=gconst)
-    pin = (u.values[dm.boundary_nodes, 0] * dm.arc_weights).sum()
+    pin = (u[dm.boundary_nodes, 0] * dm.arc_weights).sum()
     assert abs(pin) < 1e-10
 
 
@@ -159,13 +159,13 @@ def test_dirichlet_neumann_consistency(layered_field):
     sc = coeff.rescale(layered_field, 1 / 4)
     opd = mesh.assemble(sc, dm, mode="dirichlet")
     u_d = mesh.solve_dirichlet(opd, None, bdata=dm.nodes[dm.boundary_nodes, :1])
-    functional = opd.matrix @ u_d.values.ravel()
+    functional = opd.matrix @ u_d.ravel()
     flux_vec = np.zeros(opd.ndof)
     bd = (dm.boundary_nodes[:, None] * 1 + np.arange(1)).ravel()
     flux_vec[bd] = functional[bd]
     opn = mesh.assemble(sc, dm, mode="neumann")
     u_n = mesh.solve_neumann(opn, None, flux=flux_vec)
-    diff = u_d.values - u_n.values
+    diff = u_d - u_n
     diff -= diff.mean()
     assert np.abs(diff).max() < 1e-8
 
@@ -173,7 +173,7 @@ def test_dirichlet_neumann_consistency(layered_field):
 def test_conormal_affine(identity_field):
     dm = mesh.DomainMesh(16)
     op = mesh.assemble(identity_field, dm, mode="dirichlet")
-    u = mesh.Field(dm, dm.nodes[:, 0])
+    u = dm.nodes[:, 0]
     t = mesh.conormal(u, op)
     n = dm.n
     mask = dm.noncorner_mask
@@ -185,7 +185,7 @@ def test_conormal_anisotropic():
     A = np.diag([np.sqrt(3.0), 2.0])
     dm = mesh.DomainMesh(16)
     op = mesh.assemble(coeff.builtin("constant", value=A), dm, mode="dirichlet")
-    u = mesh.Field(dm, dm.nodes[:, 1])
+    u = dm.nodes[:, 1]
     t = mesh.conormal(u, op)
     mask = dm.noncorner_mask
     expected = 2.0 * np.nan_to_num(dm.normals[:, 1])
@@ -219,26 +219,26 @@ def test_divergence_theorem_for_volume_source(layered_field):
 
 def test_norm_constant_and_gradient(identity_field):
     dm = mesh.DomainMesh(16)
-    ones = mesh.Field(dm, np.ones(dm.nnodes))
-    assert mesh.norm(ones, "Lp", 2) == pytest.approx(1.0, abs=1e-13)
-    x1 = mesh.Field(dm, dm.nodes[:, 0])
-    grad_sq = mesh.norm(x1, "W1p", 2) ** 2 - mesh.norm(x1, "Lp", 2) ** 2
+    ones = np.ones(dm.nnodes)
+    assert mesh.norm(dm, ones, "Lp", 2) == pytest.approx(1.0, abs=1e-13)
+    x1 = dm.nodes[:, 0]
+    grad_sq = mesh.norm(dm, x1, "W1p", 2) ** 2 - mesh.norm(dm, x1, "Lp", 2) ** 2
     assert grad_sq == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weighted_grad_exact_integral():
     # integral of dist(x, boundary) over the square is 1/6
     dm = mesh.DomainMesh(64)
-    x1 = mesh.Field(dm, dm.nodes[:, 0])
-    assert mesh.norm(x1, "weighted_grad") == pytest.approx(np.sqrt(1.0 / 6.0), abs=1e-3)
+    x1 = dm.nodes[:, 0]
+    assert mesh.norm(dm, x1, "weighted_grad") == pytest.approx(np.sqrt(1.0 / 6.0), abs=1e-3)
 
 
 def test_norm_rejects_nan():
     dm = mesh.DomainMesh(4)
-    f = mesh.Field(dm, np.zeros(dm.nnodes))
-    f.values[0, 0] = np.nan
+    f = np.zeros((dm.nnodes, 1))
+    f[0, 0] = np.nan
     with pytest.raises(ValueError):
-        mesh.norm(f, "Lp", 2)
+        mesh.norm(dm, f, "Lp", 2)
 
 
 def test_tangential_derivative_constant():
@@ -303,11 +303,45 @@ def test_interp_torus_wraps():
     assert vals[0] == pytest.approx(vals[2], abs=1e-12)
 
 
-def test_field_csv_roundtrip(tmp_path):
+def _csv_float(text):
+    # numpy >= 2 writes the repr of a float64 scalar as np.float64(<repr>)
+    return float(text.removeprefix("np.float64(").removesuffix(")"))
+
+
+def test_nodal_csv_writer(tmp_path):
     dm = mesh.DomainMesh(4)
-    f = mesh.Field(dm, dm.nodes[:, 0] * 2.0)
+    values = np.column_stack([dm.nodes[:, 0] * 2.0, np.sin(dm.nodes[:, 1] + 0.1)])
     path = tmp_path / "field.csv"
-    f.to_csv(path)
+    mesh.write_nodal_csv(dm, values, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "node_x,node_y,component,value"
-    assert len(lines) == 1 + dm.nnodes
+    assert len(lines) == 1 + dm.nnodes * 2
+    for k, line in enumerate(lines[1:]):
+        a, node = divmod(k, dm.nnodes)
+        x, y, comp, value = line.split(",")
+        assert (_csv_float(x), _csv_float(y)) == tuple(dm.nodes[node])
+        assert int(comp) == a
+        assert _csv_float(value) == values[node, a]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_solves_and_kernels_return_nodal_arrays(m):
+    dm, grid = mesh.DomainMesh(8), mesh.TorusGrid(8)
+    field = coeff.builtin("layered", m=m)
+    op = mesh.assemble(field, dm, mode="dirichlet")
+    opn = mesh.assemble(field, dm, mode="neumann")
+    source = np.tile(np.cos(np.pi * dm.nodes[:, :1]), (1, m))
+    results = [
+        mesh.solve_dirichlet(op, source, bdata=1.0),
+        mesh.solve_neumann(opn, source),
+        mesh.solve_periodic(mesh.assemble(field, grid), np.ones((grid.nnodes, m))),
+        kernels.green(op, (0.5, 0.5)),
+        kernels.neumann_fn(opn, (0.5, 0.5)),
+        kernels.poisson_kernel(op, 3),
+    ]
+    for u, nnodes in zip(results, [dm.nnodes] * 2 + [grid.nnodes] + [dm.nnodes] * 3):
+        assert isinstance(u, np.ndarray) and u.dtype == float and u.shape == (nnodes, m)
+    with pytest.raises(ValueError, match="values for"):
+        mesh.norm(dm, results[0][1:], "Lp", 2)
+    with pytest.raises(ValueError, match="values for"):
+        mesh.norm(grid, results[0], "Lp", 2)

@@ -162,6 +162,15 @@ def test_fixed_report_records_its_config():
     assert payload["config"]["seed"] == 3 and payload["config"]["cell_n"] == 16
 
 
+def test_cell_oracle_runs_on_the_config_coefficient():
+    # the identity tensor homogenizes to itself, not to the layered closed form
+    rep = ratelab.run(ratelab.ExperimentConfig(
+        "cell-oracle", cell_n=16, coefficient={"family": "constant", "params": {}}))
+    (err,) = rep.values("hatA_11_error")
+    assert err == pytest.approx(abs(1.0 - np.sqrt(3.0)), abs=1e-10)
+    assert rep.passed is False
+
+
 def test_cli_rates_reads_the_mesh_block(tmp_path):
     # mesh.cell_n = 16 solves the cell at n = 16, too coarse for the
     # closed-form tolerance, so the run fails and exits 1
@@ -251,21 +260,21 @@ def test_context_quantities_match_library():
     op_eps, op_0 = ctx._ops["dir_eps"], ctx._ops["dir_0"]
 
     out = expand.poisson_approx(op_eps, op_0, data["omega"], ctx.poisson_data())
-    assert np.array_equal(out["u_eps"].values, data["u_poisson_eps"].values)
-    assert np.array_equal(out["v_eps"].values, data["v_poisson"].values)
+    assert np.array_equal(out["u_eps"], data["u_poisson_eps"])
+    assert np.array_equal(out["v_eps"], data["v_poisson"])
 
     out = expand.divergence_data_approx(op_eps, op_0, data["phi_star"], ctx.div_data())
-    assert np.array_equal(out["u_eps"].values, data["u_div_eps"].values)
-    assert np.array_equal(out["v_eps"].values, data["v_div"].values)
+    assert np.array_equal(out["u_eps"], data["u_div_eps"])
+    assert np.array_equal(out["v_eps"], data["v_div"])
 
     out = expand.s_epsilon(op_eps, op_0, data["phi"], data["phi_star"], data["s_g"])
-    assert np.array_equal(out["field"].values[:, 0], data["s_piece1"] - data["s_piece23"])
+    assert np.array_equal(out["field"][:, 0], data["s_piece1"] - data["s_piece23"])
 
     for s in POISSON_SOURCES_S:
         pos = ctx.boundary_pos(s)
         for op, key in ((op_eps, "P_eps"), (op_0, "P_0")):
             col = kernels.poisson_kernel(op, pos)
-            assert np.array_equal(col.values, data[key][s].values)
+            assert np.array_equal(col, data[key][s])
     ctx.release()
 
 

@@ -52,8 +52,8 @@ def test_dirichlet_solve_decouples(two_copy_field, layered_field):
     op1 = mesh.assemble(coeff.rescale(layered_field, 1 / 2), dm, mode="dirichlet")
     u1 = mesh.solve_dirichlet(op1, None, bdata=dm.nodes[dm.boundary_nodes, 0][:, None])
     u2 = mesh.solve_dirichlet(op1, None, bdata=dm.nodes[dm.boundary_nodes, 1][:, None])
-    assert np.abs(u.values[:, 0] - u1.values[:, 0]).max() < 1e-12
-    assert np.abs(u.values[:, 1] - u2.values[:, 0]).max() < 1e-12
+    assert np.abs(u[:, 0] - u1[:, 0]).max() < 1e-12
+    assert np.abs(u[:, 1] - u2[:, 0]).max() < 1e-12
 
 
 def test_neumann_solve_component_pin(two_copy_field):
@@ -64,8 +64,8 @@ def test_neumann_solve_component_pin(two_copy_field):
     g = np.zeros((dm.n_boundary, 2))
     g[:, 1] = -0.25
     u = mesh.solve_neumann(op, load, flux=g)
-    assert np.abs(u.values[:, 0]).max() == 0.0   # components never mix
-    pin = (u.values[dm.boundary_nodes, 1] * dm.arc_weights).sum()
+    assert np.abs(u[:, 0]).max() == 0.0   # components never mix
+    pin = (u[dm.boundary_nodes, 1] * dm.arc_weights).sum()
     assert abs(pin) < 1e-10
 
 
