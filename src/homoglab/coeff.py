@@ -277,7 +277,7 @@ def builtin(tag, m=1, **params) -> CoefficientField:
     elif tag == "smoothed-checkerboard":
         field = _checkerboard_field(params.pop("contrast", 10.0), params.pop("width", 1.0 / 16.0), m)
     elif tag == "user":
-        field = from_expression(params.pop("expr"))
+        field = from_expression(params.pop("expr"), m)
     else:
         raise CoefficientError(f"unknown builtin family {tag!r}; choose from {BUILTIN_FAMILIES}")
     if params:
@@ -317,8 +317,9 @@ def _check_expr_node(node):
         raise CoefficientError(f"disallowed syntax {type(node).__name__} in expression")
 
 
-def from_expression(expr: str) -> CoefficientField:
-    """Scalar coefficient a(y) * I from an arithmetic expression over y1, y2.
+def from_expression(expr: str, m=1) -> CoefficientField:
+    """Isotropic coefficient a(y) delta_ij delta^{ab} with m components, from
+    an arithmetic expression a over y1, y2.
 
     Allowed: +, -, *, /, **, sin, cos, exp, pi and numeric constants.
     """
@@ -331,7 +332,7 @@ def from_expression(expr: str) -> CoefficientField:
         out = eval(code, {"__builtins__": {}}, env)
         return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],))
 
-    return CoefficientField(_isotropic(scalar, 1), m=1, family="user",
+    return CoefficientField(_isotropic(scalar, m), m=m, family="user",
                             mu=None, holder=(1.0, 0.0), symmetric=True,
                             params={"expr": expr})
 

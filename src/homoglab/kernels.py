@@ -69,17 +69,21 @@ class KernelTable:
         return float(self.fields[idx][node, alpha])
 
     def to_csv(self, path):
+        """Rows x,y,source_x,source_y,component,value: per source, every
+        component of its column, component-major like mesh.write_nodal_csv."""
         mesh = self.mesh
         with open(path, "w") as fh:
-            fh.write("x,y,source_x,source_y,value\n")
+            fh.write("x,y,source_x,source_y,component,value\n")
             for idx, fld in enumerate(self.fields):
                 if self.kind == "poisson":
                     sx, sy = mesh.nodes[mesh.boundary_nodes[self.sources[idx]]]
                 else:
                     sx, sy = mesh.nodes[self.sources[idx]]
-                for node in range(mesh.nnodes):
-                    x, y = mesh.nodes[node]
-                    fh.write(f"{x!r},{y!r},{sx!r},{sy!r},{fld[node, 0]!r}\n")
+                for a in range(fld.shape[1]):
+                    for node in range(mesh.nnodes):
+                        x, y = mesh.nodes[node]
+                        fh.write(f"{float(x)!r},{float(y)!r},{float(sx)!r},{float(sy)!r},"
+                                 f"{a},{float(fld[node, a])!r}\n")
 
 
 def green(op, y, beta=0) -> np.ndarray:
@@ -236,18 +240,20 @@ class DtNMatrix:
             fh.write("# boundary nodes counterclockwise from (0,0); weak-form entries\n")
             fh.write(header + "\n")
             for row in self.mat:
-                fh.write(",".join(repr(v) for v in row) + "\n")
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-_DTN_CHUNK = 128          # boundary columns per triangular solve in dtn
+_DTN_CHUNK = 128          # boundary columns per batched solve in dtn
 
 
 def dtn(op) -> DtNMatrix:
     """Dense DtN matrix via the Schur complement of the Dirichlet operator op.
 
     Column j is the variational conormal flux of the Dirichlet solve with
-    hat data at boundary node j; assembled in chunks of _DTN_CHUNK columns
-    over one factorization.
+    hat data at boundary node j; assembled in chunks of _DTN_CHUNK columns,
+    each one batched solve with op.factorization(): triangular solves on
+    the sparse LU, or for a constant tensor (the Laplacian) sine transforms
+    whose solver checks the residual of every column itself.
     """
     if op.mode != "dirichlet":
         raise ValueError(f"operator assembled in mode {op.mode!r}, need 'dirichlet'")

@@ -13,9 +13,14 @@ coeff.builtin("constant", value=..., m=...).  The operator's coefficient
 is the one place that says how many components it has (op.m) and whether
 it is symmetric (op.coeff.symmetric).
 
-Each constraint mode (Dirichlet, Neumann, periodic) has one solve: a sparse
-LU of the constrained system, factored once per operator and cached on it,
-followed by a check of the residual of every solution.
+Each constraint mode (Dirichlet, Neumann, periodic) has one solve through
+the solver of its constrained system, built once per operator and cached
+on it (AssembledOperator.factorization), followed by a check of the
+residual of every solution.  The solver is a sparse LU, except for a
+Dirichlet operator of a constant tensor with a symmetric interior block
+(the homogenized operator, the Laplacian): there a sine transform solves
+the tensor's separable part exactly and preconditioned conjugate gradients
+take up the mixed term, checking every column (SineTransformSolver).
 
 Solve data comes in fixed layouts, for an operator with m components:
 
@@ -38,6 +43,8 @@ values, path); the last two read an (nnodes,) table as one column.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -187,14 +194,15 @@ def _nodal(mesh, values):
 
 
 def write_nodal_csv(mesh, values, path):
-    """Write a nodal table as rows node_x,node_y,component,value, component-major."""
+    """Write a nodal table as rows node_x,node_y,component,value, component-major;
+    every number is the shortest repr that reads back to the same float."""
     vals = _nodal(mesh, values)
     with open(path, "w") as fh:
         fh.write("node_x,node_y,component,value\n")
         for a in range(vals.shape[1]):
             for node in range(mesh.nnodes):
                 x, y = mesh.nodes[node]
-                fh.write(f"{x!r},{y!r},{a},{vals[node, a]!r}\n")
+                fh.write(f"{float(x)!r},{float(y)!r},{a},{float(vals[node, a])!r}\n")
 
 
 def monomial_table(mesh, m):
@@ -217,9 +225,10 @@ class AssembledOperator:
     mode 'dirichlet' eliminates boundary dofs at solve time; mode 'neumann'
     appends one scalar mean constraint per component over the boundary;
     mode 'periodic' pins the volume mean on the torus.  Each mode has one
-    direct solve: the sparse LU of its constrained system (factorization())
-    followed by a residual check.  The factorization is cached behind the
-    handle; release() frees it (it is large at fine resolution).
+    solve: the solver of its constrained system (factorization(), a sparse
+    LU or, for a constant tensor in mode 'dirichlet', a sine transform)
+    followed by a residual check.  The solver is cached behind the handle;
+    release() frees it (an LU is large at fine resolution).
     """
 
     def __init__(self, mesh, matrix, mode, coeff, warnings=()):
@@ -280,18 +289,150 @@ class AssembledOperator:
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     def factorization(self):
-        """Cached LU of the constrained system: the interior block K_ii in
-        mode 'dirichlet', the bordered [[K, C], [C^T, 0]] with the mean-pin
-        columns C otherwise."""
+        """Cached solver of the constrained system, with a .solve(b) for 1-D
+        or 2-D right-hand sides.
+
+        In mode 'dirichlet' it solves the interior block K_ii: by sine
+        transform (SineTransformSolver) when the coefficient is a constant
+        tensor, also rescaled, with a symmetric K_ii, and by sparse LU
+        otherwise.  The other modes factor the bordered [[K, C], [C^T, 0]]
+        with the mean-pin columns C.
+        """
         if self._lu is None:
             if self.mode == "dirichlet":
-                self._lu = self._factor(self.interior_matrix())
+                tensor = _constant_tensor(self.coeff)
+                if tensor is not None and _symmetric_interior(tensor):
+                    self._lu = SineTransformSolver(self, tensor)
+                else:
+                    self._lu = self._factor(self.interior_matrix())
             else:
                 C = self.pin_columns()
                 B = sp.bmat([[self.matrix, sp.csr_matrix(C)],
                              [sp.csr_matrix(C.T), None]], format="csc")
                 self._lu = self._factor(B)
         return self._lu
+
+
+# SineTransformSolver: a column is solved when its residual is within
+# _TRANSFORM_RTOL of its data, or within the roundoff floor
+# _TRANSFORM_FLOOR * max|K_ii| * |x| (smooth data at n = 1024 reaches only
+# ~3e-11 relative); both are well inside _check_residual's.  Past
+# _TRANSFORM_MAXITER conjugate-gradient steps the solve raises SolveError.
+_TRANSFORM_RTOL = 1e-12
+_TRANSFORM_FLOOR = 1e-14
+_TRANSFORM_MAXITER = 200
+
+
+def _constant_tensor(coeff):
+    """The (2, 2, m, m) tensor of a constant coefficient, also rescaled, or None.
+
+    The adjoint of a constant field keeps the untransposed value; the solver
+    reads only the parts of it that a symmetric K_ii leaves unchanged.
+    """
+    base = coeff.base if isinstance(coeff, ScaledCoefficient) else coeff
+    if base.family != "constant" or "value" not in base.params:
+        return None
+    return np.asarray(base.params["value"], dtype=float)
+
+
+def _symmetric_interior(tensor):
+    """Whether K_ii of a constant tensor is symmetric.
+
+    On the interior dofs the a_12 and a_21 terms assemble to the same
+    symmetric matrix, so K_ii is symmetric exactly when a_11, a_22 and
+    a_12 + a_21 are symmetric m x m matrices; always for m = 1.
+    """
+    parts = np.stack([tensor[0, 0], tensor[1, 1], tensor[0, 1] + tensor[1, 0]])
+    return np.abs(parts - parts.transpose(0, 2, 1)).max() <= 1e-14 * np.abs(tensor).max()
+
+
+def _ratio(num, den):
+    """num / den per column, 0 where den is 0 (a column with zero residual)."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+
+
+class SineTransformSolver:
+    """Solves K_ii x = b for a constant tensor a on the uniform square grid.
+
+    On the interior dofs, ordered [y, x, component], the Q1 matrix is
+    a_11 K1(x) M1(y) + a_22 M1(x) K1(y) plus the mixed a_12 + a_21 term,
+    with K1 = tridiag(-1, 2, -1) and M1 = tridiag(1, 4, 1)/6.  The
+    orthonormal DST-I diagonalizes K1 and M1, so the preconditioner P, the
+    matrix without the mixed term, is solved exactly: a transform, one
+    m x m solve per mode pair, and the transform back.  Whatever P leaves
+    out (the mixed term) is taken up by conjugate gradients preconditioned
+    by P on K_ii, batched over the columns; with no mixed term the first
+    solve already meets the target after one residual product.  Every
+    column is checked against the target, so callers that skip
+    _check_residual (kernels.dtn) still get checked solutions.
+    """
+
+    def __init__(self, op, tensor):
+        n, m = op.mesh.n, op.m
+        k = np.pi * np.arange(1, n) / n
+        lam_k = 2.0 - 2.0 * np.cos(k)
+        lam_m = (4.0 + 2.0 * np.cos(k)) / 6.0
+        symbol = (np.einsum("y,x,ab->yxab", lam_m, lam_k, tensor[0, 0])
+                  + np.einsum("y,x,ab->yxab", lam_k, lam_m, tensor[1, 1]))
+        self._inv = np.linalg.inv(symbol)               # (n-1, n-1, m, m)
+        self._grid = (n - 1, n - 1, m)
+        # imported here, not with the module: scipy.fft adds ~55 ms and ~3 MiB
+        # to the start-up of every process, and most never build this solver
+        from scipy.fft import dstn
+        self._dst = functools.partial(dstn, type=1, axes=(0, 1), norm="ortho", overwrite_x=True)
+        self._K = op.interior_matrix()
+        self._floor = _TRANSFORM_FLOOR * np.abs(self._K.data).max()
+
+    def _precondition(self, v):
+        """P^{-1} v for v (ndof, ncols), computed in v's memory."""
+        g = self._dst(v.reshape(*self._grid, -1))
+        if self._grid[2] == 1:
+            g *= self._inv
+        else:
+            g[...] = self._inv @ g
+        return self._dst(g).reshape(v.shape)
+
+    def _residual(self, x, b, bnorm2):
+        """(r = K x - b, columns that miss the target)."""
+        r = self._K @ x
+        r -= b
+        res2 = np.einsum("ij,ij->j", r, r)
+        tol = np.maximum(_TRANSFORM_RTOL ** 2 * bnorm2,
+                         self._floor ** 2 * np.einsum("ij,ij->j", x, x))
+        return r, ~(res2 <= tol)
+
+    def solve(self, b):
+        b = np.asarray(b, dtype=float)
+        B = b.reshape(b.shape[0], -1)
+        bnorm2 = np.einsum("ij,ij->j", B, B)
+        x = self._precondition(B.copy())
+        r, todo = self._residual(x, B, bnorm2)
+        if todo.any():
+            self._cg(x, r, todo, B, bnorm2)
+        return x.reshape(b.shape)
+
+    def _cg(self, x, r, todo, b, bnorm2):
+        """Preconditioned conjugate gradients from x with residual r = K x - b
+        and unconverged columns todo, recomputing the true residual every
+        step; x is updated in place."""
+        z = self._precondition(r.copy())
+        rz = np.einsum("ij,ij->j", r, z)
+        p = -z
+        for _ in range(_TRANSFORM_MAXITER):
+            q = self._K @ p
+            pq = np.einsum("ij,ij->j", p, q)
+            del q, r, z
+            x += _ratio(rz, pq) * p
+            r, todo = self._residual(x, b, bnorm2)
+            if not todo.any():
+                return
+            z = self._precondition(r.copy())
+            rz_new = np.einsum("ij,ij->j", r, z)
+            p *= _ratio(rz_new, rz)
+            p -= z
+            rz = rz_new
+        raise SolveError(f"sine-transform solve missed its residual target on {todo.sum()} of "
+                         f"{todo.size} columns after {_TRANSFORM_MAXITER} conjugate-gradient steps")
 
 
 def coefficient_gauss_values(coeff, mesh):
@@ -331,7 +472,9 @@ def assemble(coeff, mesh, mode="dirichlet", A_gauss=None) -> AssembledOperator:
     Kloc = np.einsum("g,egijab,gip,gjq->epaqb", GAUSS_WEIGHTS, A, DPHI, DPHI, optimize=True)
     del A
     nelem = mesh.nelem
-    ldof = (mesh.elem_dofs[:, :, None] * m + np.arange(m)[None, None, :]).reshape(nelem, 4 * m)
+    # int32 indices, which scipy would otherwise copy them to: fewer index
+    # arrays alive at the assembly's memory peak
+    ldof = (mesh.elem_dofs[:, :, None] * m + np.arange(m, dtype=np.int32)).reshape(nelem, 4 * m)
     Kloc = Kloc.reshape(nelem, 4 * m, 4 * m)
     rows = np.broadcast_to(ldof[:, :, None], Kloc.shape).ravel()
     cols = np.broadcast_to(ldof[:, None, :], Kloc.shape).ravel()

@@ -160,3 +160,14 @@ def test_declared_mu_passes_validation():
         field = coeff.builtin(tag)
         rep = coeff.validate(field, samples=32)
         assert rep.mu_measured >= field.mu - 1e-9
+
+
+def test_user_expression_takes_m():
+    from homoglab.ratelab import coefficient_from_spec
+    pts = np.array([[0.1, 0.2], [0.7, 0.4]])
+    eye = np.einsum("ij,ab->ijab", np.eye(2), np.eye(2))
+    for field in (coeff.builtin("user", m=2, expr="2 + y1"),
+                  coefficient_from_spec({"family": "user", "params": {"expr": "2 + y1", "m": 2}})):
+        assert field.m == 2
+        assert np.array_equal(field(pts), (2 + pts[:, 0])[:, None, None, None, None] * eye)
+    assert coeff.builtin("user", m=2, expr="2").key() != coeff.builtin("user", expr="2").key()

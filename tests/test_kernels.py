@@ -233,3 +233,52 @@ def test_commutator_growth_lite(identity_field):
     out = kernels.leibniz_commutators(D, fk, g=fk, i=1)
     assert set(out) == {"product", "product_norms", "coordinate", "coordinate_norms"}
     assert set(out["product_norms"]) == {1.5, 2.0, 3.0}
+
+
+def test_dtn_of_laplacian_matches_superlu_schur_complement(identity_field):
+    import scipy.sparse.linalg as spla
+    dm = mesh.DomainMesh(16)
+    op = mesh.assemble(identity_field, dm)
+    inter, bd = op.dof_split()
+    K = op.matrix.tocsr()
+    Kib = K[inter][:, bd].toarray()
+    S = K[bd][:, bd].toarray() - K[bd][:, inter] @ spla.splu(K[inter][:, inter].tocsc()).solve(Kib)
+    D = kernels.dtn(op)
+    assert np.abs(D.mat - S).max() <= 1e-12 * np.abs(S).max()
+
+
+def test_csv_writers_read_back_exactly(tmp_path):
+    dm = mesh.DomainMesh(6)
+    op = mesh.assemble(coeff.rescale(coeff.builtin("layered"), 1 / 2), dm)
+    u = kernels.green(op, (0.5, 0.5))
+    mesh.write_nodal_csv(dm, u, tmp_path / "u.csv")
+    got = np.loadtxt(tmp_path / "u.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(got, np.column_stack([dm.nodes, np.zeros(dm.nnodes), u[:, 0]]))
+    kernels.KernelTable("green", dm, [dm.nearest_node((0.5, 0.5))], [u]).to_csv(tmp_path / "g.csv")
+    got = np.loadtxt(tmp_path / "g.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(got[:, [0, 1, 5]], np.column_stack([dm.nodes, u[:, 0]]))
+    assert np.array_equal(got[:, 2:5], np.tile([0.5, 0.5, 0.0], (dm.nnodes, 1)))
+    D = kernels.dtn(op)
+    D.to_csv(tmp_path / "dtn.csv")
+    assert np.array_equal(np.loadtxt(tmp_path / "dtn.csv", delimiter=",", skiprows=2), D.mat)
+
+
+def test_kernel_table_csv_writes_every_component(tmp_path):
+    dm = mesh.DomainMesh(6)
+    op = mesh.assemble(coeff.rescale(coeff.builtin("layered", m=2), 1 / 2), dm)
+    sources = [dm.nearest_node((0.5, 0.5)), dm.nearest_node((0.5, 1 / 3))]
+    fields = [kernels.green(op, y, beta=beta) for y, beta in zip(sources, (0, 1))]
+    table = kernels.KernelTable("green", dm, sources, fields)
+    table.to_csv(tmp_path / "g.csv")
+    with open(tmp_path / "g.csv") as fh:
+        assert fh.readline().strip() == "x,y,source_x,source_y,component,value"
+    got = np.loadtxt(tmp_path / "g.csv", delimiter=",", skiprows=1)
+    assert got.shape == (2 * 2 * dm.nnodes, 6)
+    for idx, fld in enumerate(fields):
+        for a in range(2):
+            rows = got[(2 * idx + a) * dm.nnodes:(2 * idx + a + 1) * dm.nnodes]
+            assert np.array_equal(rows[:, :2], dm.nodes)
+            assert np.array_equal(rows[:, 2:4], np.tile(dm.nodes[sources[idx]], (dm.nnodes, 1)))
+            assert (rows[:, 4] == a).all()
+            assert np.array_equal(rows[:, 5], fld[:, a])
+    assert np.abs(fields[1][:, 1]).max() > 0.0       # component 1 carries the data

@@ -303,11 +303,6 @@ def test_interp_torus_wraps():
     assert vals[0] == pytest.approx(vals[2], abs=1e-12)
 
 
-def _csv_float(text):
-    # numpy >= 2 writes the repr of a float64 scalar as np.float64(<repr>)
-    return float(text.removeprefix("np.float64(").removesuffix(")"))
-
-
 def test_nodal_csv_writer(tmp_path):
     dm = mesh.DomainMesh(4)
     values = np.column_stack([dm.nodes[:, 0] * 2.0, np.sin(dm.nodes[:, 1] + 0.1)])
@@ -319,9 +314,9 @@ def test_nodal_csv_writer(tmp_path):
     for k, line in enumerate(lines[1:]):
         a, node = divmod(k, dm.nnodes)
         x, y, comp, value = line.split(",")
-        assert (_csv_float(x), _csv_float(y)) == tuple(dm.nodes[node])
+        assert (float(x), float(y)) == tuple(dm.nodes[node])
         assert int(comp) == a
-        assert _csv_float(value) == values[node, a]
+        assert float(value) == values[node, a]
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -345,3 +340,99 @@ def test_solves_and_kernels_return_nodal_arrays(m):
         mesh.norm(dm, results[0][1:], "Lp", 2)
     with pytest.raises(ValueError, match="values for"):
         mesh.norm(grid, results[0], "Lp", 2)
+
+
+# ---------------------------------------------------------------------------
+# sine-transform solver of constant-coefficient Dirichlet operators
+
+
+@pytest.fixture(scope="module")
+def transform_tensors():
+    from homoglab import cell
+    from homoglab.ratelab import coefficient_from_spec
+    from homoglab.ratelab.experiments import LAYERED_DIAG
+    diag_hatA = cell.solve(coefficient_from_spec(LAYERED_DIAG), 16).hatA
+    assert abs(diag_hatA[0, 1, 0, 0]) > 0.1          # O(1) mixed term: the CG path
+    return {
+        "laplacian": coeff.builtin("constant", value=np.eye(2)),
+        "diag": coeff.builtin("constant", value=np.diag([np.sqrt(3.0), 2.0])),
+        "layered-diag-hatA": coeff.builtin("constant", value=diag_hatA),
+        "block-diagonal-m2-hatA": coeff.builtin(
+            "constant", value=cell.solve(coeff.builtin("layered", m=2), 16).hatA, m=2),
+    }
+
+
+@pytest.mark.parametrize("name", ["laplacian", "diag", "layered-diag-hatA",
+                                  "block-diagonal-m2-hatA"])
+@pytest.mark.parametrize("n", [2, 3, 16, 33])
+def test_sine_transform_matches_superlu(transform_tensors, name, n):
+    import scipy.sparse.linalg as spla
+    op = mesh.assemble(transform_tensors[name], mesh.DomainMesh(n))
+    solver = op.factorization()
+    assert isinstance(solver, mesh.SineTransformSolver)
+    Kii = op.interior_matrix()
+    B = np.random.default_rng(n).standard_normal((Kii.shape[0], 3))
+    B[:, 1] = 0.0                                    # a zero column stays zero
+    expect = spla.splu(Kii.tocsc()).solve(B)
+    scale = np.abs(expect).max()
+    assert np.abs(solver.solve(B) - expect).max() <= 1e-11 * scale
+    assert np.abs(solver.solve(B[:, 0]) - expect[:, 0]).max() <= 1e-11 * scale
+    assert not solver.solve(B)[:, 1].any()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_nonsymmetric_constant_solves(m):
+    import scipy.sparse.linalg as spla
+    if m == 1:
+        # K_ii of a constant tensor is symmetric for m = 1: the transform path
+        value = np.array([[1.0, 0.5], [-0.5, 1.0]])
+    else:
+        # coupled components with a skew a_11 block: K_ii is not symmetric
+        value = np.zeros((2, 2, 2, 2))
+        value[0, 0] = [[2.0, 0.3], [-0.3, 2.0]]
+        value[1, 1] = [[1.5, 0.2], [0.2, 1.0]]
+        value[0, 1] = [[0.1, 0.0], [0.2, 0.1]]
+    field = coeff.builtin("constant", value=value, m=m)
+    assert not field.symmetric
+    dm = mesh.DomainMesh(16)
+    op = mesh.assemble(field, dm)
+    assert isinstance(op.factorization(), mesh.SineTransformSolver) == (m == 1)
+    source = np.tile(np.sin(np.pi * dm.nodes[:, :1]) + dm.nodes[:, 1:], (1, m))
+    u = mesh.solve_dirichlet(op, source, bdata=0.0)
+    inter, _ = op.dof_split()
+    expect = spla.splu(op.interior_matrix().tocsc()).solve(mesh.volume_load(dm, source)[inter])
+    assert np.abs(u.ravel()[inter] - expect).max() <= 1e-11 * np.abs(expect).max()
+
+
+def test_constant_dirichlet_operators_never_factor(monkeypatch, transform_tensors):
+    calls = []
+    factor = mesh.AssembledOperator._factor
+
+    def counting(self, matrix):
+        calls.append(self.mode)
+        return factor(self, matrix)
+
+    monkeypatch.setattr(mesh.AssembledOperator, "_factor", counting)
+    dm = mesh.DomainMesh(8)
+    for field in [*transform_tensors.values(),
+                  coeff.rescale(coeff.builtin("constant", value=2.0), 1 / 4)]:
+        op = mesh.assemble(field, dm)
+        mesh.solve_dirichlet(op, np.ones((dm.nnodes, field.m)), bdata=1.0)
+        kernels.dtn(op)
+    assert calls == []
+    op = mesh.assemble(coeff.rescale(coeff.builtin("layered"), 1 / 4), dm)
+    mesh.solve_dirichlet(op, np.ones((dm.nnodes, 1)))
+    kernels.green(op, (0.5, 0.5))
+    assert calls == ["dirichlet"]
+    mesh.solve_neumann(mesh.assemble(transform_tensors["laplacian"], dm, mode="neumann"))
+    assert calls == ["dirichlet", "neumann"]
+
+
+def test_sine_transform_iteration_cap(monkeypatch, transform_tensors):
+    dm = mesh.DomainMesh(16)
+    source = np.ones((dm.nnodes, 1))
+    monkeypatch.setattr(mesh, "_TRANSFORM_MAXITER", 0)
+    # no mixed term: the first transform solve meets the target by itself
+    mesh.solve_dirichlet(mesh.assemble(transform_tensors["diag"], dm), source)
+    with pytest.raises(mesh.SolveError, match="conjugate-gradient"):
+        mesh.solve_dirichlet(mesh.assemble(transform_tensors["layered-diag-hatA"], dm), source)

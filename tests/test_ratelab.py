@@ -232,7 +232,7 @@ def test_cli_green_subcommand(tmp_path):
     rc = cli.main(["green", "--out", str(tmp_path), "--n", "32", "--eps", "1/4"])
     assert rc == 0
     lines = (tmp_path / "green.csv").read_text().strip().split("\n")
-    assert lines[0] == "x,y,source_x,source_y,value"
+    assert lines[0] == "x,y,source_x,source_y,component,value"
 
 
 def test_config_rejects_misaligned_epsilon():
@@ -314,8 +314,9 @@ def test_cli_correctors_subcommand(tmp_path):
 def test_cli_kernel_subcommands(tmp_path, kind):
     assert _small_cli(tmp_path, kind, "--n", "16") == 0
     lines = (tmp_path / f"{kind}.csv").read_text().strip().split("\n")
-    assert lines[0] == "x,y,source_x,source_y,value"
+    assert lines[0] == "x,y,source_x,source_y,component,value"
     assert len(lines) == 1 + 17 * 17
+    assert np.loadtxt(tmp_path / f"{kind}.csv", delimiter=",", skiprows=1).shape == (17 * 17, 6)
 
 
 def test_cli_dtn_subcommand(tmp_path):
