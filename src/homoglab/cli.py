@@ -123,10 +123,12 @@ def cmd_correctors(args, config):
             x, y = (float(t) for t in args.pin.split(","))
             x0 = dm.nearest_node((x, y))
         sc = rescale(field, eps)
-        op, opn = fem.assemble(sc, dm), fem.assemble(sc, dm, mode="neumann")
-        cset = corrmod.build(op, opn, hatA=cs.hatA, x0=x0)
+        op = fem.assemble(sc, dm)
+        opn = fem.AssembledOperator(dm, op.matrix, "neumann", sc, op.warnings)
+        phi, _ = corrmod.dirichlet_correctors(op)
+        psi = corrmod.neumann_correctors(opn, cs.hatA, x0=x0)
         op.release(); opn.release()
-        out.append(corrmod.corrector_report(cset, cs))
+        out.append(corrmod.corrector_report(dm, eps, phi, psi, cs))
     _emit_json(args, "correctors.json", out)
     return 0
 
@@ -199,16 +201,14 @@ def cmd_expand(args, config):
         u_eps = fem.solve_dirichlet(op, f, bdata=0.0)
         u0 = fem.solve_dirichlet(op0, f, bdata=0.0)
         if args.family == "dirichlet" or args.experiment == "s-epsilon":
-            cset = corrmod.build(op)
-        if args.family == "dirichlet":
-            e = expmod.build_expansion(dm, u_eps, u0, "dirichlet", correctors=cset)
-        else:
-            e = expmod.build_expansion(dm, u_eps, u0, "chi", cell_solution=cs, epsilon=eps)
+            phi, phi_star = corrmod.dirichlet_correctors(op)
+        V = phi if args.family == "dirichlet" else corrmod.interior_family(cs, dm, eps)
+        e = expmod.build_expansion(dm, u_eps, u0, args.family, V, eps)
         result["w_h1"] = fem.norm(dm, e.w, "W1p", 2)
         if args.check == "residual":
             result["residual"] = expmod.residual_identity_check(e, op, cs)["residual"]
         if args.experiment == "s-epsilon":
-            r = expmod.s_epsilon(op, op0, cset.phi, cset.phi_star,
+            r = expmod.s_epsilon(op, op0, phi, phi_star,
                                  np.sin(2 * np.pi * dm.nodes[:, 0]))
             result["s_epsilon_norms"] = r["norms"]
         op.release(); op0.release()

@@ -1,10 +1,11 @@
-"""Dirichlet correctors Phi, adjoint correctors Phi*, and Neumann
-correctors Psi on the unit square.
+"""Dirichlet correctors Phi, adjoint correctors Phi*, Neumann correctors
+Psi and the interior family P + eps*chi(x/eps) on the unit square.
 
-Each corrector matrix is stored as an array (d, m, nnodes, m) indexed
+Every corrector family is a plain array (d, m, nnodes, m) indexed
 [j, beta, node, alpha]: column (j, beta) is the solution that agrees with
 the linear data x_j e_beta on the boundary (Dirichlet) or matches its
-homogenized conormal flux (Neumann, pinned at an interior node x0).
+homogenized conormal flux (Neumann, pinned at an interior node x0).  The
+linear monomials P of the same layout are mesh.monomial_table(mesh, m).
 
 The solvers take the assembled operator of the scaled coefficient (a
 Dirichlet one for Phi, a Neumann one for Psi); the caller owns it and
@@ -14,43 +15,17 @@ coefficient is assembled and released here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .mesh import (DomainMesh, assemble, solve_dirichlet, solve_neumann,
-                   boundary_flux_load, nodal_gradient, interp_torus, monomial_table)
+from .mesh import (assemble, solve_dirichlet, solve_neumann, boundary_flux_load,
+                   nodal_gradient, interp_torus, monomial_table)
 
-__all__ = ["CorrectorError", "CorrectorSet", "dirichlet_correctors",
-           "neumann_correctors", "build", "corrector_report"]
+__all__ = ["CorrectorError", "dirichlet_correctors", "neumann_correctors",
+           "interior_family", "corrector_report"]
 
 
 class CorrectorError(RuntimeError):
     pass
-
-
-@dataclass
-class CorrectorSet:
-    """Boundary correctors for one (coefficient, epsilon, mesh) triple."""
-
-    mesh: DomainMesh
-    epsilon: float
-    phi: np.ndarray | None     # (d, m, nnodes, m); None in a Neumann-only set
-    phi_star: np.ndarray | None
-    psi: np.ndarray | None
-    x0: int | None             # pin node index for Psi
-
-    @property
-    def d(self):
-        return (self.psi if self.phi is None else self.phi).shape[0]
-
-    @property
-    def m(self):
-        return (self.psi if self.phi is None else self.phi).shape[1]
-
-    def monomials(self):
-        """P_j^beta nodal tables with the same layout as the correctors."""
-        return monomial_table(self.mesh, self.m)
 
 
 def _monomial_solves(op):
@@ -83,8 +58,9 @@ def dirichlet_correctors(op):
 
 
 def neumann_correctors(op, hatA, x0=None):
-    """Solve the Neumann corrector columns against the Neumann operator op
-    and pin them at x0.
+    """The Neumann correctors Psi (d, m, nnodes, m), solved against the
+    Neumann operator op and pinned at the interior node x0 (the node
+    nearest the centre by default).
 
     Each column solves the zero-source Neumann problem whose boundary flux
     is the homogenized conormal n_i hatA_ij^{.beta} of the linear data;
@@ -113,21 +89,7 @@ def neumann_correctors(op, hatA, x0=None):
             pin_target = np.zeros(m)
             pin_target[beta] = mesh.nodes[x0, j]
             psi[j, beta] = sol + (pin_target - sol[x0])[None, :]
-    return psi, x0
-
-
-def build(op, neumann_op=None, hatA=None, x0=None) -> CorrectorSet:
-    """The corrector set of the Dirichlet operator op of a scaled
-    coefficient: phi and phi_star, and psi solved against neumann_op when
-    one is given (it then needs the homogenized tensor hatA)."""
-    phi, phi_star = dirichlet_correctors(op)
-    psi = None
-    if neumann_op is not None:
-        if hatA is None:
-            raise CorrectorError("Neumann correctors need the homogenized tensor")
-        psi, x0 = neumann_correctors(neumann_op, hatA, x0=x0)
-    return CorrectorSet(mesh=op.mesh, epsilon=getattr(op.coeff, "epsilon", 1.0), phi=phi,
-                        phi_star=phi_star, psi=psi, x0=x0)
+    return psi
 
 
 def trusted_interior_mask(mesh, dist=0.1):
@@ -160,23 +122,31 @@ def chi_on_domain(cell_solution, mesh, epsilon):
     return chi_vals, chi_grads
 
 
-def corrector_report(cset: CorrectorSet, cell_solution, dist=0.1):
-    """Sup-norm diagnostics for the corrector families.
+def interior_family(cell_solution, mesh, epsilon):
+    """The interior corrector family P + eps*chi(x/eps) at the domain nodes,
+    (d, m, nnodes, m) like the boundary correctors."""
+    chi_vals, _ = chi_on_domain(cell_solution, mesh, epsilon)
+    return monomial_table(mesh, chi_vals.shape[1]) + epsilon * chi_vals
 
-    All sups are over interior nodes with dist(x, boundary) >= dist and
+
+def corrector_report(mesh, epsilon, phi, psi, cell_solution):
+    """Sup-norm diagnostics for the Dirichlet correctors phi and the Neumann
+    correctors psi of one epsilon on mesh.
+
+    All sups are over interior nodes at least 0.1 from the boundary and
     outside the corner margin.  The 'profile' entries measure
     |grad{V - P - eps chi(x/eps)}| against min(1, eps/delta(x)).
     """
-    mesh, eps = cset.mesh, cset.epsilon
-    mask = trusted_interior_mask(mesh, dist=dist)
+    mask = trusted_interior_mask(mesh)
     delta = mesh.dist_to_boundary(mesh.nodes)
-    chi_vals, chi_grads = chi_on_domain(cell_solution, mesh, eps)
-    P = cset.monomials()
+    _, chi_grads = chi_on_domain(cell_solution, mesh, epsilon)
+    d, m = phi.shape[0], phi.shape[1]
+    P = monomial_table(mesh, m)
 
     def family_stats(V):
         out = {"grad_sup": 0.0, "dist_sup": 0.0, "layer_grad_sup": 0.0, "profile_sup": 0.0}
-        for j in range(cset.d):
-            for beta in range(cset.m):
+        for j in range(d):
+            for beta in range(m):
                 gV = nodal_gradient(mesh, V[j, beta])
                 # grad of eps*chi(x/eps) is (grad chi)(x/eps); differentiate the
                 # torus table, not the interpolant, to avoid wrap artifacts
@@ -184,18 +154,16 @@ def corrector_report(cset: CorrectorSet, cell_solution, dist=0.1):
                 gmag = np.sqrt((gV ** 2).sum(axis=(1, 2)))
                 dmag = np.sqrt(((V[j, beta] - P[j, beta]) ** 2).sum(axis=1))
                 lmag = np.sqrt((gdiff ** 2).sum(axis=(1, 2)))
-                prof = lmag * np.maximum(1.0, delta / eps)
+                prof = lmag * np.maximum(1.0, delta / epsilon)
                 out["grad_sup"] = max(out["grad_sup"], float(gmag[mask].max()))
                 out["dist_sup"] = max(out["dist_sup"], float(dmag[mask].max()))
                 out["layer_grad_sup"] = max(out["layer_grad_sup"], float(lmag[mask].max()))
                 out["profile_sup"] = max(out["profile_sup"], float(prof[mask].max()))
         return out
 
-    report = {"epsilon": eps, "phi": family_stats(cset.phi)}
-    report["phi"]["dist_sup_over_eps"] = report["phi"]["dist_sup"] / eps
-    if cset.psi is not None:
-        report["psi"] = family_stats(cset.psi)
-        logfac = eps * np.log(1.0 / eps + 2.0)
-        report["psi"]["dist_sup_over_eps"] = report["psi"]["dist_sup"] / eps
-        report["psi"]["dist_sup_over_eps_log"] = report["psi"]["dist_sup"] / logfac
+    report = {"epsilon": epsilon, "phi": family_stats(phi), "psi": family_stats(psi)}
+    report["phi"]["dist_sup_over_eps"] = report["phi"]["dist_sup"] / epsilon
+    logfac = epsilon * np.log(1.0 / epsilon + 2.0)
+    report["psi"]["dist_sup_over_eps"] = report["psi"]["dist_sup"] / epsilon
+    report["psi"]["dist_sup_over_eps_log"] = report["psi"]["dist_sup"] / logfac
     return report

@@ -6,6 +6,9 @@ The central object is
 
 where the corrector family V is one of: P + eps*chi(x/eps) ('chi'), the
 Dirichlet correctors ('dirichlet') or the Neumann correctors ('neumann').
+build_expansion takes V as the (d, m, nnodes, m) array the correctors
+module returns (correctors.interior_family for 'chi') and the family name
+as a label, which the identity checks read.
 The module assembles both sides of the interior residual identity for w,
 the conormal identity on the boundary, and the kernel-driven approximation
 experiments (Poisson-weight data, divergence-form data, and the oscillatory
@@ -28,7 +31,7 @@ from .mesh import (DomainMesh, solve_dirichlet, nodal_gradient, interp_torus,
                    element_gauss_values, element_gauss_gradients, volume_load_from_gauss,
                    divergence_load_from_gauss, divergence_load, norm, monomial_table,
                    solve_neumann, coefficient_gauss_values)
-from .correctors import CorrectorSet, chi_on_domain, neumann_correctors
+from .correctors import chi_on_domain, neumann_correctors
 
 __all__ = ["ExpansionError", "Expansion", "build_expansion", "neumann_expansion",
            "residual_identity_check", "conormal_identity_check",
@@ -105,25 +108,12 @@ def _expansion_remainder(mesh, u_eps, u0, V, du0):
     return w
 
 
-def build_expansion(mesh, u_eps, u0, family, correctors: CorrectorSet = None,
-                    cell_solution=None, epsilon=None) -> Expansion:
+def build_expansion(mesh, u_eps, u0, family, V, epsilon) -> Expansion:
     """Assemble the expansion remainder w of the nodal pair u_eps, u0
-    (nnodes, m) on mesh for the requested corrector family."""
+    (nnodes, m) on mesh with the corrector family V (d, m, nnodes, m) of
+    period epsilon; family, one of FAMILIES, names V."""
     if family not in FAMILIES:
         raise ExpansionError(f"family must be one of {FAMILIES}, got {family!r}")
-    m = u_eps.shape[1]
-    if family == "chi":
-        if cell_solution is None or epsilon is None:
-            raise ExpansionError("chi family needs a cell solution and epsilon")
-        chi_vals, _ = chi_on_domain(cell_solution, mesh, epsilon)
-        V = monomial_table(mesh, m) + epsilon * chi_vals
-    else:
-        if correctors is None:
-            raise ExpansionError(f"{family} family needs a corrector set")
-        V = correctors.phi if family == "dirichlet" else correctors.psi
-        if V is None:
-            raise ExpansionError("corrector set has no Neumann columns")
-        epsilon = correctors.epsilon
     du0 = nodal_gradient(mesh, u0)
     w = _expansion_remainder(mesh, u_eps, u0, V, du0)
     return Expansion(mesh=mesh, epsilon=epsilon, family=family,
@@ -136,10 +126,8 @@ def neumann_expansion(op, op0, hatA, source) -> Expansion:
     L_0; Psi is solved against op and pinned at the default interior node."""
     u_eps = solve_neumann(op, source)
     u0 = solve_neumann(op0, source)
-    psi, x0 = neumann_correctors(op, hatA)
-    cset = CorrectorSet(mesh=op.mesh, epsilon=getattr(op.coeff, "epsilon", 1.0), phi=None,
-                        phi_star=None, psi=psi, x0=x0)
-    return build_expansion(op.mesh, u_eps, u0, "neumann", correctors=cset)
+    psi = neumann_correctors(op, hatA)
+    return build_expansion(op.mesh, u_eps, u0, "neumann", psi, op.coeff.epsilon)
 
 
 # ---------------------------------------------------------------------------

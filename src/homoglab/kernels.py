@@ -252,8 +252,9 @@ def dtn(op) -> DtNMatrix:
     Column j is the variational conormal flux of the Dirichlet solve with
     hat data at boundary node j; assembled in chunks of _DTN_CHUNK columns,
     each one batched solve with op.factorization(): triangular solves on
-    the sparse LU, or for a constant tensor (the Laplacian) sine transforms
-    whose solver checks the residual of every column itself.
+    the sparse LU, or for a constant tensor (the Laplacian) sine
+    transforms.  Either solver checks the residual of every column it
+    solves and raises SolveError when one misses.
     """
     if op.mode != "dirichlet":
         raise ValueError(f"operator assembled in mode {op.mode!r}, need 'dirichlet'")

@@ -15,12 +15,14 @@ it is symmetric (op.coeff.symmetric).
 
 Each constraint mode (Dirichlet, Neumann, periodic) has one solve through
 the solver of its constrained system, built once per operator and cached
-on it (AssembledOperator.factorization), followed by a check of the
-residual of every solution.  The solver is a sparse LU, except for a
-Dirichlet operator of a constant tensor with a symmetric interior block
-(the homogenized operator, the Laplacian): there a sine transform solves
-the tensor's separable part exactly and preconditioned conjugate gradients
-take up the mixed term, checking every column (SineTransformSolver).
+on it (AssembledOperator.factorization).  Every solver checks the residual
+of each column it solves and raises SolveError when one misses, so a
+caller of .solve gets checked solutions.  The solver is a sparse LU
+(CheckedLU), except for a Dirichlet operator of a constant tensor with a
+symmetric interior block (the homogenized operator, the Laplacian): there
+a sine transform solves the tensor's separable part exactly and
+preconditioned conjugate gradients take up the mixed term
+(SineTransformSolver).
 
 Solve data comes in fixed layouts, for an operator with m components:
 
@@ -226,9 +228,10 @@ class AssembledOperator:
     appends one scalar mean constraint per component over the boundary;
     mode 'periodic' pins the volume mean on the torus.  Each mode has one
     solve: the solver of its constrained system (factorization(), a sparse
-    LU or, for a constant tensor in mode 'dirichlet', a sine transform)
-    followed by a residual check.  The solver is cached behind the handle;
-    release() frees it (an LU is large at fine resolution).
+    LU or, for a constant tensor in mode 'dirichlet', a sine transform),
+    which checks the residual of every column it solves.  The solver is
+    cached behind the handle; release() frees it (an LU is large at fine
+    resolution).
     """
 
     def __init__(self, mesh, matrix, mode, coeff, warnings=()):
@@ -290,13 +293,14 @@ class AssembledOperator:
 
     def factorization(self):
         """Cached solver of the constrained system, with a .solve(b) for 1-D
-        or 2-D right-hand sides.
+        or 2-D right-hand sides that raises SolveError unless every column
+        meets its residual target.
 
         In mode 'dirichlet' it solves the interior block K_ii: by sine
         transform (SineTransformSolver) when the coefficient is a constant
         tensor, also rescaled, with a symmetric K_ii, and by sparse LU
-        otherwise.  The other modes factor the bordered [[K, C], [C^T, 0]]
-        with the mean-pin columns C.
+        (CheckedLU) otherwise.  The other modes factor the bordered
+        [[K, C], [C^T, 0]] with the mean-pin columns C.
         """
         if self._lu is None:
             if self.mode == "dirichlet":
@@ -304,19 +308,55 @@ class AssembledOperator:
                 if tensor is not None and _symmetric_interior(tensor):
                     self._lu = SineTransformSolver(self, tensor)
                 else:
-                    self._lu = self._factor(self.interior_matrix())
+                    K = self.interior_matrix()
+                    self._lu = CheckedLU(self.mode, self._factor(K), K)
             else:
-                C = self.pin_columns()
-                B = sp.bmat([[self.matrix, sp.csr_matrix(C)],
-                             [sp.csr_matrix(C.T), None]], format="csc")
-                self._lu = self._factor(B)
+                C = sp.csr_matrix(self.pin_columns())
+                B = sp.bmat([[self.matrix, C], [C.T, None]], format="csc")
+                self._lu = CheckedLU(self.mode, self._factor(B), self.matrix, C)
         return self._lu
+
+
+class CheckedLU:
+    """The sparse LU of a constrained system, whose solve raises SolveError
+    unless each column x it returns meets the residual rule: |A x - b| is
+    within 1e-9 |b|, or, for (near-)zero data, within the roundoff floor
+    1e-12 max|K| (1 + |x|).
+
+    A is K_ii (mode 'dirichlet') or the bordered [[K, C], [C^T, 0]] with
+    the sparse mean-pin columns C, whose residual is computed from K and C
+    without the bordered matrix.
+    """
+
+    def __init__(self, mode, lu, K, C=None):
+        self._mode = mode
+        self._lu = lu
+        self._K = K
+        self._C = C
+        self._amax = np.abs(K.data).max()
+
+    def solve(self, b):
+        x = self._lu.solve(b)
+        if self._C is None:
+            r = self._K @ x - b
+        else:
+            n = self._K.shape[0]
+            u, lam = x[:n], x[n:]
+            r = np.concatenate([self._K @ u + self._C @ lam - b[:n], self._C.T @ u - b[n:]])
+        res, scale, xnorm = (np.linalg.norm(v.reshape(v.shape[0], -1), axis=0) for v in (r, b, x))
+        bad = np.flatnonzero(~(res <= np.maximum(1e-9 * scale, 1e-12 * self._amax * (1.0 + xnorm))))
+        if bad.size:
+            k = bad[0]
+            raise SolveError(f"{self._mode} solve failed its residual check on {bad.size} of "
+                             f"{res.size} columns: residual {res[k]:.3e} vs data scale "
+                             f"{scale[k]:.3e}")
+        return x
 
 
 # SineTransformSolver: a column is solved when its residual is within
 # _TRANSFORM_RTOL of its data, or within the roundoff floor
 # _TRANSFORM_FLOOR * max|K_ii| * |x| (smooth data at n = 1024 reaches only
-# ~3e-11 relative); both are well inside _check_residual's.  Past
+# ~3e-11 relative); both are well inside CheckedLU's rule.  Past
 # _TRANSFORM_MAXITER conjugate-gradient steps the solve raises SolveError.
 _TRANSFORM_RTOL = 1e-12
 _TRANSFORM_FLOOR = 1e-14
@@ -363,8 +403,9 @@ class SineTransformSolver:
     out (the mixed term) is taken up by conjugate gradients preconditioned
     by P on K_ii, batched over the columns; with no mixed term the first
     solve already meets the target after one residual product.  Every
-    column is checked against the target, so callers that skip
-    _check_residual (kernels.dtn) still get checked solutions.
+    column is checked against that target, which is stricter than
+    CheckedLU's rule, so, like CheckedLU, the solver checks its own
+    solutions and no caller checks them again.
     """
 
     def __init__(self, op, tensor):
@@ -599,16 +640,6 @@ def _flux_vector(mesh, flux, m):
 # solves
 
 
-def _check_residual(name, matrix, x, rhs):
-    res = np.linalg.norm(matrix @ x - rhs)
-    scale = np.linalg.norm(rhs) + 1e-300
-    # absolute floor for (near-)zero data, tied to the matrix magnitude
-    floor = 1e-12 * np.abs(matrix.data).max() * (1.0 + np.linalg.norm(x))
-    if not np.isfinite(res) or res > max(1e-9 * scale, floor):
-        raise SolveError(f"{name} solve failed its residual check: "
-                         f"residual {res:.3e} vs data scale {scale:.3e}")
-
-
 def _boundary_data_vector(mesh, bdata, m):
     """Dirichlet data as an (n_boundary, m) array in boundary order."""
     arr = _layout(bdata, "boundary data", {"a constant": (),
@@ -627,19 +658,15 @@ def solve_dirichlet(op: AssembledOperator, source=None, bdata=0.0) -> np.ndarray
     u = np.zeros(op.ndof)
     u[bd] = bvals.ravel()
     rhs = load[inter] - (op.matrix @ u)[inter]
-    x = op.factorization().solve(rhs)
-    u[inter] = x
-    _check_residual("dirichlet", op.interior_matrix(), x, rhs)
+    u[inter] = op.factorization().solve(rhs)
     return u.reshape(mesh.nnodes, m)
 
 
 def _solve_pinned(op, rhs):
     """Solve [[K, C], [C^T, 0]] [u, lam] = [rhs, 0] with C the mean-pin
-    columns; the residual of K u = rhs - C lam is checked."""
+    columns; the factorization checks the residual."""
     x = op.factorization().solve(np.concatenate([rhs, np.zeros(op.m)]))
-    u = x[:op.ndof]
-    _check_residual(op.mode, op.matrix, u, rhs - op.pin_columns() @ x[op.ndof:])
-    return u.reshape(op.mesh.nnodes, op.m)
+    return x[:op.ndof].reshape(op.mesh.nnodes, op.m)
 
 
 def solve_neumann(op: AssembledOperator, source=None, flux=None) -> np.ndarray:

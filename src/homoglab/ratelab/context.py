@@ -18,7 +18,8 @@ from .. import correctors as corrmod
 from .. import expand as expmod
 from .. import kernels as kermod
 from ..coeff import CoefficientField, builtin, rescale
-from ..mesh import DomainMesh, assemble, solve_dirichlet, solve_neumann, conormal
+from ..mesh import (AssembledOperator, DomainMesh, assemble, solve_dirichlet, solve_neumann,
+                    conormal)
 
 _CELL_CACHE = {}
 DEFAULT_MAX_N = 2048
@@ -31,18 +32,18 @@ POISSON_SOURCES_S = (0.25, 0.5, 0.75, 1.5, 2.5, 3.5)
 KERNEL_X_S = (2.25, 2.5, 2.75, 1.5, 3.5)
 
 
-def mesh_resolution(cells_per_period, eps, max_n=DEFAULT_MAX_N):
+def mesh_resolution(cells_per_period, eps):
     """Cells per axis of the unit-square mesh with cells_per_period cells in
     each period of length eps.  Raises ValueError unless cells_per_period/eps
     is an integer (otherwise the periods do not align with the mesh) or if
-    the mesh exceeds the max_n budget."""
+    the mesh exceeds the DEFAULT_MAX_N budget."""
     ratio = cells_per_period / eps
     n = int(round(ratio))
     if abs(ratio - n) > 1e-9 * ratio:
         raise ValueError(f"eps={eps!r} does not align the periods with the mesh: "
                          f"cells_per_period/eps = {ratio!r} is not an integer")
-    if n > max_n:
-        raise ValueError(f"mesh resolution n={n} exceeds the budget {max_n}")
+    if n > DEFAULT_MAX_N:
+        raise ValueError(f"mesh resolution n={n} exceeds the budget {DEFAULT_MAX_N}")
     return n
 
 
@@ -84,18 +85,18 @@ class EpsilonContext:
     # -- operators ---------------------------------------------------------
 
     def op(self, name):
-        """Operator by name; building one releases the other factorizations."""
+        """Operator by name; building one releases the other factorizations.
+
+        assemble builds the same matrix in both modes, so the Dirichlet and
+        the Neumann operator of one coefficient share one assembly.
+        """
         if name not in self._ops:
-            if name == "dir_eps":
-                self._ops[name] = assemble(self.scaled, self.mesh, mode="dirichlet")
-            elif name == "dir_0":
-                self._ops[name] = assemble(self.hatA_field, self.mesh, mode="dirichlet")
-            elif name == "neu_eps":
-                self._ops[name] = assemble(self.scaled, self.mesh, mode="neumann")
-            elif name == "neu_0":
-                self._ops[name] = assemble(self.hatA_field, self.mesh, mode="neumann")
-            else:
-                raise KeyError(name)
+            mode = _MODES[name]
+            coeff = self.scaled if name.endswith("_eps") else self.hatA_field
+            first = next((op for op in self._ops.values() if op.coeff is coeff), None)
+            self._ops[name] = (assemble(coeff, self.mesh, mode=mode) if first is None else
+                               AssembledOperator(self.mesh, first.matrix, mode, coeff,
+                                                 first.warnings))
         for other, op in self._ops.items():
             if other != name:
                 op.release()
@@ -198,9 +199,7 @@ class EpsilonContext:
     def _batch_neu_eps(self, items):
         opn = self.op("neu_eps")
         if "psi" in items:
-            psi, x0 = corrmod.neumann_correctors(opn, self.hatA)
-            self.data["psi"] = psi
-            self.data["x0"] = x0
+            self.data["psi"] = corrmod.neumann_correctors(opn, self.hatA)
         if "N_eps" in items:
             self.data["N_eps"] = kermod.neumann_fn(opn, self.mesh.nearest_node(GREEN_SOURCE))
         if "u_neu_eps" in items:
@@ -237,6 +236,8 @@ class EpsilonContext:
             out[name] = kermod.apply_dtn_via_solve(op, fb)[:, 0]
         return out
 
+
+_MODES = {"dir_eps": "dirichlet", "dir_0": "dirichlet", "neu_eps": "neumann", "neu_0": "neumann"}
 
 _BATCH_ORDER = {
     "dir_eps": ("phi", "phi_star", "G_eps", "u_dir_eps", "u_poisson_eps",

@@ -4,11 +4,9 @@ import pytest
 from homoglab import cell, coeff, correctors, mesh
 
 
-def _build(sc, dm, hatA=None):
-    """correctors.build with the Dirichlet operator of sc and, given hatA, its
-    Neumann operator."""
-    neumann_op = None if hatA is None else mesh.assemble(sc, dm, mode="neumann")
-    return correctors.build(mesh.assemble(sc, dm), neumann_op, hatA=hatA)
+def _psi(sc, dm, hatA):
+    """The Neumann correctors of sc on dm, pinned at the default node."""
+    return correctors.neumann_correctors(mesh.assemble(sc, dm, mode="neumann"), hatA)
 
 
 @pytest.fixture(scope="module")
@@ -17,35 +15,40 @@ def const_setup():
     field = coeff.builtin("constant", value=A)
     cs = cell.solve(field, 16)
     dm = mesh.DomainMesh(16)
-    cset = _build(coeff.rescale(field, 1 / 4), dm, hatA=cs.hatA)
-    return field, cs, dm, cset
+    sc = coeff.rescale(field, 1 / 4)
+    phi, _ = correctors.dirichlet_correctors(mesh.assemble(sc, dm))
+    return field, cs, dm, phi, _psi(sc, dm, cs.hatA)
 
 
 def test_constant_dirichlet_correctors_are_monomials(const_setup):
-    _, _, _, cset = const_setup
-    assert np.abs(cset.phi - cset.monomials()).max() < 1e-12
+    _, _, dm, phi, _ = const_setup
+    assert np.abs(phi - mesh.monomial_table(dm, 1)).max() < 1e-12
 
 
 def test_constant_neumann_correctors_are_monomials(const_setup):
-    _, _, _, cset = const_setup
-    assert np.abs(cset.psi - cset.monomials()).max() < 1e-12
+    _, _, dm, _, psi = const_setup
+    assert np.abs(psi - mesh.monomial_table(dm, 1)).max() < 1e-12
 
 
 def test_boundary_exactness_and_pin(layered_field, layered_cell64):
     dm = mesh.DomainMesh(32)
-    cset = _build(coeff.rescale(layered_field, 1 / 4), dm, hatA=layered_cell64.hatA)
-    P = cset.monomials()
+    sc = coeff.rescale(layered_field, 1 / 4)
+    phi, _ = correctors.dirichlet_correctors(mesh.assemble(sc, dm))
+    psi = _psi(sc, dm, layered_cell64.hatA)
+    x0 = dm.nearest_node((0.5, 0.5))
+    P = mesh.monomial_table(dm, 1)
     bnodes = dm.boundary_nodes
-    assert np.abs((cset.phi - P)[:, :, bnodes, :]).max() == 0.0
+    assert np.abs((phi - P)[:, :, bnodes, :]).max() == 0.0
     for j in range(2):
         for beta in range(1):
-            assert cset.psi[j, beta, cset.x0, beta] == P[j, beta, cset.x0, beta]
+            assert psi[j, beta, x0, beta] == P[j, beta, x0, beta]
 
 
 def test_phi_star_equals_phi_for_symmetric(layered_field, layered_cell64):
     dm = mesh.DomainMesh(16)
-    cset = _build(coeff.rescale(layered_field, 1 / 2), dm)
-    assert np.abs(cset.phi_star - cset.phi).max() <= 1e-10
+    phi, phi_star = correctors.dirichlet_correctors(
+        mesh.assemble(coeff.rescale(layered_field, 1 / 2), dm))
+    assert np.abs(phi_star - phi).max() <= 1e-10
 
 
 def test_neumann_rejects_nonsymmetric(layered_cell64):
@@ -61,8 +64,9 @@ def test_phi_sup_halves_with_eps(layered_field, layered_cell128):
     sups = []
     for eps in (1 / 8, 1 / 16, 1 / 32):
         dm = mesh.DomainMesh(int(16 / eps))
-        cset = _build(coeff.rescale(layered_field, eps), dm)
-        sups.append(np.abs(cset.phi - cset.monomials()).max())
+        sc = coeff.rescale(layered_field, eps)
+        phi, _ = correctors.dirichlet_correctors(mesh.assemble(sc, dm))
+        sups.append(np.abs(phi - mesh.monomial_table(dm, 1)).max())
     for a, b in zip(sups, sups[1:]):
         assert 0.35 <= b / a <= 0.65  # ratio 0.5 +- 0.15
 
@@ -71,15 +75,15 @@ def test_psi_log_bound_stable(layered_field, layered_cell128):
     ratios = []
     for eps in (1 / 8, 1 / 16, 1 / 32):
         dm = mesh.DomainMesh(int(16 / eps))
-        cset = _build(coeff.rescale(layered_field, eps), dm, hatA=layered_cell128.hatA)
-        sup = np.abs(cset.psi - cset.monomials()).max()
+        psi = _psi(coeff.rescale(layered_field, eps), dm, layered_cell128.hatA)
+        sup = np.abs(psi - mesh.monomial_table(dm, 1)).max()
         ratios.append(sup / (eps * np.log(1 / eps + 2)))
     assert max(ratios) / min(ratios) <= 3.0
 
 
 def test_corrector_report_constant_zero(const_setup):
-    _, cs, _, cset = const_setup
-    rep = correctors.corrector_report(cset, cs)
+    _, cs, dm, phi, psi = const_setup
+    rep = correctors.corrector_report(dm, 1 / 4, phi, psi, cs)
     assert rep["phi"]["dist_sup"] < 1e-12
     assert rep["phi"]["layer_grad_sup"] < 1e-12
     assert rep["psi"]["dist_sup"] < 1e-12
@@ -90,8 +94,10 @@ def test_corrector_report_layered_bounds(layered_field, layered_cell128):
     reports = []
     for eps in (1 / 8, 1 / 16):
         dm = mesh.DomainMesh(int(16 / eps))
-        cset = _build(coeff.rescale(layered_field, eps), dm, hatA=layered_cell128.hatA)
-        reports.append(correctors.corrector_report(cset, layered_cell128))
+        sc = coeff.rescale(layered_field, eps)
+        phi, _ = correctors.dirichlet_correctors(mesh.assemble(sc, dm))
+        psi = _psi(sc, dm, layered_cell128.hatA)
+        reports.append(correctors.corrector_report(dm, eps, phi, psi, layered_cell128))
     g0, g1 = (rep["phi"]["grad_sup"] for rep in reports)
     assert abs(g1 - g0) / g0 <= 0.2   # gradient sup stable under eps-halving
     for rep in reports:
@@ -114,8 +120,11 @@ def test_gradient_recovery_order_on_manufactured_field():
 def test_default_pin_is_center(layered_field, layered_cell64):
     dm = mesh.DomainMesh(16)
     op = mesh.assemble(coeff.rescale(layered_field, 1 / 2), dm, mode="neumann")
-    psi, x0 = correctors.neumann_correctors(op, layered_cell64.hatA)
+    psi = correctors.neumann_correctors(op, layered_cell64.hatA)
+    x0 = dm.nearest_node((0.5, 0.5))
     assert np.allclose(dm.nodes[x0], (0.5, 0.5))
+    # psi is pinned there: psi_j^beta(x0) = x0_j e_beta
+    assert psi[0, 0, x0, 0] == dm.nodes[x0, 0] and psi[1, 0, x0, 0] == dm.nodes[x0, 1]
 
 
 def test_pin_must_be_interior(layered_field, layered_cell64):

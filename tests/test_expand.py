@@ -14,8 +14,10 @@ def const_problem(identity_field):
     f = np.ones((dm.nnodes, 1))
     u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
     u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)
-    cset = correctors.build(op, mesh.assemble(sc, dm, mode="neumann"), hatA=cs.hatA)
-    return dict(cs=cs, dm=dm, sc=sc, op=op, op0=op0, u_eps=u_eps, u0=u0, cset=cset)
+    phi, phi_star = correctors.dirichlet_correctors(op)
+    psi = correctors.neumann_correctors(mesh.assemble(sc, dm, mode="neumann"), cs.hatA)
+    return dict(cs=cs, dm=dm, sc=sc, eps=1 / 8, op=op, op0=op0, u_eps=u_eps, u0=u0,
+                phi=phi, phi_star=phi_star, psi=psi)
 
 
 @pytest.fixture(scope="module")
@@ -29,23 +31,23 @@ def layered_problem(layered_field, layered_cell128):
     f = np.ones((dm.nnodes, 1))
     u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
     u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)
-    cset = correctors.build(op, mesh.assemble(sc, dm, mode="neumann"), hatA=cs.hatA)
+    phi, phi_star = correctors.dirichlet_correctors(op)
+    psi = correctors.neumann_correctors(mesh.assemble(sc, dm, mode="neumann"), cs.hatA)
     return dict(cs=cs, dm=dm, sc=sc, eps=eps, op=op, op0=op0,
-                u_eps=u_eps, u0=u0, cset=cset)
+                u_eps=u_eps, u0=u0, phi=phi, phi_star=phi_star, psi=psi)
 
 
 def test_constant_w_vanishes_all_families(const_problem):
     p = const_problem
-    for family, kw in [("chi", dict(cell_solution=p["cs"], epsilon=1 / 8)),
-                       ("dirichlet", dict(correctors=p["cset"])),
-                       ("neumann", dict(correctors=p["cset"]))]:
-        e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], family, **kw)
+    for family, V in [("chi", correctors.interior_family(p["cs"], p["dm"], p["eps"])),
+                      ("dirichlet", p["phi"]), ("neumann", p["psi"])]:
+        e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], family, V, p["eps"])
         assert np.abs(e.w).max() <= 1e-10
 
 
 def test_grad_comparison_vanishes_for_constant(const_problem):
     p = const_problem
-    e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "dirichlet", correctors=p["cset"])
+    e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "dirichlet", p["phi"], p["eps"])
     gc = e.grad_comparison()
     inner = ~p["dm"].boundary_mask
     assert np.abs(gc[inner]).max() <= 1e-9
@@ -53,27 +55,25 @@ def test_grad_comparison_vanishes_for_constant(const_problem):
 
 def test_w_rebuild_bitwise(layered_problem):
     p = layered_problem
-    e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "dirichlet", correctors=p["cset"])
+    e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "dirichlet", p["phi"], p["eps"])
     assert np.array_equal(e.rebuild_w(), e.w)
 
 
 def test_w_zero_on_boundary_dirichlet_family(layered_problem):
     p = layered_problem
-    e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "dirichlet", correctors=p["cset"])
+    e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "dirichlet", p["phi"], p["eps"])
     assert np.abs(e.w[p["dm"].boundary_nodes]).max() == 0.0
 
 
 def test_unknown_family_rejected(layered_problem):
     p = layered_problem
     with pytest.raises(expand.ExpansionError):
-        expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "bogus")
-    with pytest.raises(expand.ExpansionError):
-        expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "chi")  # missing cell solution
+        expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "bogus", p["phi"], p["eps"])
 
 
 def test_residual_identity_constant(const_problem):
     p = const_problem
-    e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "dirichlet", correctors=p["cset"])
+    e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "dirichlet", p["phi"], p["eps"])
     r = expand.residual_identity_check(e, p["op"], p["cs"])
     assert r["residual"] <= 1e-8
 
@@ -90,7 +90,8 @@ def test_residual_identity_refinement(layered_field, layered_cell128):
         f = np.ones((dm.nnodes, 1))
         u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
         u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)
-        e = expand.build_expansion(dm, u_eps, u0, "dirichlet", correctors=correctors.build(op))
+        phi, _ = correctors.dirichlet_correctors(op)
+        e = expand.build_expansion(dm, u_eps, u0, "dirichlet", phi, eps)
         vals.append(expand.residual_identity_check(e, op, cs)["residual"])
         op.release()
         op0.release()
@@ -100,8 +101,8 @@ def test_residual_identity_refinement(layered_field, layered_cell128):
 def test_residual_identity_chi_family_reduces_to_flux_term(layered_problem):
     # with V = P + eps*chi the pointwise gradient term vanishes identically
     p = layered_problem
-    e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "chi",
-                               cell_solution=p["cs"], epsilon=p["eps"])
+    V = correctors.interior_family(p["cs"], p["dm"], p["eps"])
+    e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "chi", V, p["eps"])
     full = expand.residual_identity_check(e, p["op"], p["cs"])
     grad_term = full["term_loads"]["gradient"]
     low_term = full["term_loads"]["low_order"]
@@ -122,20 +123,20 @@ def test_conormal_identity_constant(const_problem, identity_field):
     F = np.cos(np.pi * dm.nodes[:, 0])[:, None]
     u_eps = mesh.solve_neumann(opn, F)
     u0 = mesh.solve_neumann(opn0, F)
-    e = expand.build_expansion(dm, u_eps, u0, "neumann", correctors=p["cset"])
+    e = expand.build_expansion(dm, u_eps, u0, "neumann", p["psi"], p["eps"])
     res = expand.conormal_identity_check(e, sc, cs.hatA)
     assert res["max"] <= 1e-8
 
     # gauge invariance: adding a constant to u_eps leaves the residual alone
     shifted = u_eps + 11.0
-    e2 = expand.build_expansion(dm, shifted, u0, "neumann", correctors=p["cset"])
+    e2 = expand.build_expansion(dm, shifted, u0, "neumann", p["psi"], p["eps"])
     res2 = expand.conormal_identity_check(e2, sc, cs.hatA)
     assert abs(res2["max"] - res["max"]) <= 1e-10
 
 
 def test_conormal_identity_needs_neumann_family(layered_problem):
     p = layered_problem
-    e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "dirichlet", correctors=p["cset"])
+    e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "dirichlet", p["phi"], p["eps"])
     with pytest.raises(expand.ExpansionError):
         expand.conormal_identity_check(e, p["sc"], p["cs"].hatA)
 
@@ -158,7 +159,7 @@ def test_conormal_identity_refinement(layered_field, layered_cell128):
 
 def test_poisson_approx_identity_case(const_problem, identity_field):
     p = const_problem
-    om = kernels.omega(p["op"], p["cs"].hatA, p["cset"].phi_star)
+    om = kernels.omega(p["op"], p["cs"].hatA, p["phi_star"])
     out = expand.poisson_approx(p["op"], p["op0"], om, p["dm"].nodes[p["dm"].boundary_nodes, :1])
     assert out["l1"] <= 1e-10 and out["l2"] <= 1e-10
 
@@ -167,9 +168,9 @@ def test_divergence_data_approx_identity_case(const_problem):
     p = const_problem
     dm = p["dm"]
     f = np.stack([np.sin(np.pi * dm.nodes[:, 1]), np.zeros(dm.nnodes)], axis=1)
-    out = expand.divergence_data_approx(p["op"], p["op0"], p["cset"].phi_star, f)
+    out = expand.divergence_data_approx(p["op"], p["op0"], p["phi_star"], f)
     assert out["l1"] <= 1e-10 and out["l2"] <= 1e-10
-    zero = expand.divergence_data_approx(p["op"], p["op0"], p["cset"].phi_star,
+    zero = expand.divergence_data_approx(p["op"], p["op0"], p["phi_star"],
                                          np.zeros((dm.nnodes, 2)))
     assert zero["l2"] == 0.0
 
@@ -177,17 +178,17 @@ def test_divergence_data_approx_identity_case(const_problem):
 def test_s_epsilon_identities(const_problem):
     p = const_problem
     dm = p["dm"]
-    out = expand.s_epsilon(p["op"], p["op0"], p["cset"].phi, p["cset"].phi_star,
+    out = expand.s_epsilon(p["op"], p["op0"], p["phi"], p["phi_star"],
                            np.ones(dm.nnodes))
     assert out["norms"][1.5] <= 1e-8      # S(1) = 0
-    out = expand.s_epsilon(p["op"], p["op0"], p["cset"].phi, p["cset"].phi_star,
+    out = expand.s_epsilon(p["op"], p["op0"], p["phi"], p["phi_star"],
                            np.sin(2 * np.pi * dm.nodes[:, 0]))
     assert out["norms"][1.5] <= 1e-8      # constant coefficient: S(g) = 0
 
 
 def test_s_epsilon_g_constant_layered(layered_problem):
     p = layered_problem
-    out = expand.s_epsilon(p["op"], p["op0"], p["cset"].phi, p["cset"].phi_star,
+    out = expand.s_epsilon(p["op"], p["op0"], p["phi"], p["phi_star"],
                            np.full(p["dm"].nnodes, 3.0))
     assert out["norms"][1.5] <= 1e-8
 
@@ -212,8 +213,10 @@ def test_two_family_comparison(layered_field, layered_cell128):
     f = np.ones((dm.nnodes, 1))
     u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
     u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)
-    e_phi = expand.build_expansion(dm, u_eps, u0, "dirichlet", correctors=correctors.build(op))
-    e_chi = expand.build_expansion(dm, u_eps, u0, "chi", cell_solution=cs, epsilon=eps)
+    phi, _ = correctors.dirichlet_correctors(op)
+    e_phi = expand.build_expansion(dm, u_eps, u0, "dirichlet", phi, eps)
+    e_chi = expand.build_expansion(dm, u_eps, u0, "chi", correctors.interior_family(cs, dm, eps),
+                                   eps)
     assert mesh.norm(dm, e_phi.w, "W1p", 2) < mesh.norm(dm, e_chi.w, "W1p", 2)
     op.release()
     op0.release()

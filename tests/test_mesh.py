@@ -436,3 +436,31 @@ def test_sine_transform_iteration_cap(monkeypatch, transform_tensors):
     mesh.solve_dirichlet(mesh.assemble(transform_tensors["diag"], dm), source)
     with pytest.raises(mesh.SolveError, match="conjugate-gradient"):
         mesh.solve_dirichlet(mesh.assemble(transform_tensors["layered-diag-hatA"], dm), source)
+
+
+class _PerturbedLU:
+    """A sparse LU whose solutions are off by one part in a million."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.nnz = lu.nnz
+
+    def solve(self, b):
+        return self.lu.solve(b) * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("solve", ["dirichlet", "neumann", "dtn"])
+def test_perturbed_factorization_fails_residual_check(monkeypatch, layered_field, solve):
+    factor = mesh.AssembledOperator._factor
+    monkeypatch.setattr(mesh.AssembledOperator, "_factor",
+                        lambda self, matrix: _PerturbedLU(factor(self, matrix)))
+    dm = mesh.DomainMesh(16)
+    sc = coeff.rescale(layered_field, 1 / 4)
+    with pytest.raises(mesh.SolveError, match="residual check"):
+        if solve == "dirichlet":
+            mesh.solve_dirichlet(mesh.assemble(sc, dm), np.ones((dm.nnodes, 1)))
+        elif solve == "neumann":
+            mesh.solve_neumann(mesh.assemble(sc, dm, mode="neumann"),
+                               np.cos(np.pi * dm.nodes[:, :1]))
+        else:
+            kernels.dtn(mesh.assemble(sc, dm))

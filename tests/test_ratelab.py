@@ -243,7 +243,7 @@ def test_config_rejects_misaligned_epsilon():
     with pytest.raises(ValueError):
         ratelab.mesh_resolution(16, 0.3)
     with pytest.raises(ValueError):
-        ratelab.mesh_resolution(16, 1 / 64, max_n=512)
+        ratelab.mesh_resolution(16, 1 / 256)   # n = 4096 exceeds the budget of 2048
     assert ratelab.mesh_resolution(16, 1 / 3) == 48
 
 

@@ -1,12 +1,16 @@
-"""Every layer function the benchmark's tracer wraps still exists.
+"""Every layer function the benchmark's tracer wraps still exists, and the
+operators and factorizations it reads still carry what it reads of them.
 
 perfbench/tracing.py raises LookupError for a missing target only when a
 traced benchmark runs; this resolves the same names the way its install()
-does, without wrapping anything.
+does, without wrapping anything.  Its factor wrapper names each
+factorization with tracing.factor_kind(op) and adds the .nnz of what
+AssembledOperator._factor returns.
 """
 
 import importlib
 import importlib.util
+import numbers
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -40,3 +44,33 @@ def test_every_trace_target_resolves():
     missing += [f"EpsilonContext.{m}" for m in ("__init__", "release")
                 if m not in vars(ctx.EpsilonContext)]
     assert missing == []
+
+
+def test_factor_kind_and_nnz_of_the_operators_src_builds(monkeypatch, layered_field):
+    from homoglab import mesh
+    from homoglab.ratelab.context import EpsilonContext
+    tracing = _load_tracing()
+    ctx = EpsilonContext(layered_field, 1 / 4, cells_per_period=8, cell_n=16)
+    factored = []
+    factor = mesh.AssembledOperator._factor
+
+    def recording(op, matrix):
+        lu = factor(op, matrix)
+        factored.append((tracing.factor_kind(op), lu.nnz))
+        return lu
+
+    monkeypatch.setattr(mesh.AssembledOperator, "_factor", recording)
+    for name in ("dir_eps", "neu_eps", "dir_0", "neu_0"):
+        op = ctx.op(name)
+        assert tracing.factor_kind(op) == name
+        op.factorization()
+    # the Neumann operators share the matrix of the Dirichlet ones
+    assert ctx.op("neu_eps").matrix is ctx.op("dir_eps").matrix
+    assert ctx.op("neu_0").matrix is ctx.op("dir_0").matrix
+    ctx.release()
+    torus = mesh.assemble(layered_field, mesh.TorusGrid(8))
+    assert tracing.factor_kind(torus) == "periodic"
+    torus.factorization()
+    # dir_0 is solved by sine transform and never factored
+    assert [kind for kind, _ in factored] == ["dir_eps", "neu_eps", "neu_0", "periodic"]
+    assert all(isinstance(nnz, numbers.Integral) and nnz > 0 for _, nnz in factored)
