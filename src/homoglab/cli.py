@@ -8,7 +8,8 @@ rates, all.  The config is a JSON object with keys {coefficient, mesh,
 experiments[], seed}; any other key is an error.  Its mesh block holds
 {n, cells_per_period, cell_n} (defaults in MESH_DEFAULTS) and every
 subcommand reads it through _mesh.  Command-line flags override it.  Exit
-code is 0 iff all selected experiments pass.
+code is 0 iff all selected experiments pass, 1 when one fails, and 2 for a
+usage error: a flag value or config that cannot be read.
 """
 
 from __future__ import annotations
@@ -36,12 +37,31 @@ MESH_DEFAULTS = {"n": 64, "cells_per_period": 16, "cell_n": 256}
 
 
 def _parse_eps(text):
-    return tuple(float(Fraction(tok)) for tok in text.split(","))
+    """--eps: comma-separated positive epsilons, fractions allowed."""
+    try:
+        eps = tuple(float(Fraction(tok)) for tok in text.split(","))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of numbers such as 1/8,1/16") from None
+    if not all(e > 0 for e in eps):
+        raise argparse.ArgumentTypeError(f"every epsilon must be positive, got {text!r}")
+    return eps
+
+
+def _parse_pin(text):
+    """--pin: a point x0,y0 inside the open unit square."""
+    try:
+        x, y = (float(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a point x0,y0") from None
+    if not (0 < x < 1 and 0 < y < 1):
+        raise argparse.ArgumentTypeError(f"{text!r} is not inside the unit square")
+    return x, y
 
 
 def _first_eps(args):
     """The first --eps value; 1/8 without the flag."""
-    return _parse_eps(args.eps)[0] if args.eps else 1 / 8
+    return args.eps[0] if args.eps else 1 / 8
 
 
 def _load_config(path):
@@ -112,16 +132,13 @@ def cmd_cell(args, config):
 
 def cmd_correctors(args, config):
     field = _coefficient(config, args)
-    eps_list = _parse_eps(args.eps) if args.eps else (1 / 8, 1 / 16, 1 / 32)
+    eps_list = args.eps or (1 / 8, 1 / 16, 1 / 32)
     mesh = _mesh(config, args)
     cs = ratelab.cell_solution(field, mesh["cell_n"])
     out = []
     for eps in eps_list:
         dm = fem.DomainMesh(ratelab.mesh_resolution(mesh["cells_per_period"], eps))
-        x0 = None
-        if args.pin:
-            x, y = (float(t) for t in args.pin.split(","))
-            x0 = dm.nearest_node((x, y))
+        x0 = dm.nearest_node(args.pin) if args.pin else None
         sc = rescale(field, eps)
         op = fem.assemble(sc, dm)
         opn = fem.AssembledOperator(dm, op.matrix, "neumann", sc, op.warnings)
@@ -223,7 +240,7 @@ def cmd_rates(args, config, experiments=None):
     mesh = _mesh(config, args)
     kwargs = {"cells_per_period": mesh["cells_per_period"], "cell_n": mesh["cell_n"]}
     if args.eps:
-        kwargs["eps_list"] = _parse_eps(args.eps)
+        kwargs["eps_list"] = args.eps
     coeff_spec = config.get("coefficient")
     configs = [ratelab.ExperimentConfig(i, coefficient=coeff_spec,
                                         seed=config.get("seed", 0), **kwargs)
@@ -249,7 +266,7 @@ def main(argv=None):
                                             "poisson", "dtn", "expand", "rates", "all"])
     parser.add_argument("--config", help="JSON config path")
     parser.add_argument("--out", help="output directory (default .)")
-    parser.add_argument("--eps", "--eps-list", dest="eps",
+    parser.add_argument("--eps", "--eps-list", dest="eps", type=_parse_eps,
                         help="comma-separated epsilon list, fractions allowed")
     parser.add_argument("--cells-per-period", type=int, dest="cells_per_period")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -261,7 +278,8 @@ def main(argv=None):
     parser.add_argument("--family", choices=["chi", "dirichlet", "neumann"],
                         default="chi", help="corrector family for expand")
     parser.add_argument("--n", type=int, help="mesh resolution for kernel commands")
-    parser.add_argument("--pin", help="x0,y0 pin point for Neumann correctors")
+    parser.add_argument("--pin", type=_parse_pin,
+                        help="x0,y0 pin point for Neumann correctors")
     parser.add_argument("--check", choices=["residual", "conormal"], default=None)
     parser.add_argument("--experiment", choices=["s-epsilon"], default=None,
                         help="extra expansion experiment for expand")

@@ -103,29 +103,24 @@ def trusted_interior_mask(mesh, dist=0.1):
 
 
 def chi_on_domain(cell_solution, mesh, epsilon):
-    """eps * chi(x/eps) and (grad chi)(x/eps) sampled at the domain nodes.
+    """chi(x/eps) sampled at the domain nodes, (d, m, nnodes, m).
 
-    Values come from bilinear interpolation of the torus tables at the
+    Values come from bilinear interpolation of the torus table at the
     wrapped point x/eps, avoiding per-node cell re-solves.
-    Returns (chi_vals (d, m, nnodes, m), chi_grads (d, m, nnodes, 2, m)).
     """
     d, m = cell_solution.chi.shape[0], cell_solution.chi.shape[1]
-    grid = cell_solution.grid
     pts = mesh.nodes / epsilon
     chi_vals = np.empty((d, m, mesh.nnodes, m))
-    chi_grads = np.empty((d, m, mesh.nnodes, 2, m))
     for j in range(d):
         for beta in range(m):
-            chi_vals[j, beta] = interp_torus(grid, cell_solution.chi[j, beta], pts)
-            g = interp_torus(grid, cell_solution.chi_grad[j, beta].reshape(grid.nnodes, -1), pts)
-            chi_grads[j, beta] = g.reshape(mesh.nnodes, 2, m)
-    return chi_vals, chi_grads
+            chi_vals[j, beta] = interp_torus(cell_solution.grid, cell_solution.chi[j, beta], pts)
+    return chi_vals
 
 
 def interior_family(cell_solution, mesh, epsilon):
     """The interior corrector family P + eps*chi(x/eps) at the domain nodes,
     (d, m, nnodes, m) like the boundary correctors."""
-    chi_vals, _ = chi_on_domain(cell_solution, mesh, epsilon)
+    chi_vals = chi_on_domain(cell_solution, mesh, epsilon)
     return monomial_table(mesh, chi_vals.shape[1]) + epsilon * chi_vals
 
 
@@ -139,9 +134,16 @@ def corrector_report(mesh, epsilon, phi, psi, cell_solution):
     """
     mask = trusted_interior_mask(mesh)
     delta = mesh.dist_to_boundary(mesh.nodes)
-    _, chi_grads = chi_on_domain(cell_solution, mesh, epsilon)
+    grid, pts = cell_solution.grid, mesh.nodes / epsilon
     d, m = phi.shape[0], phi.shape[1]
     P = monomial_table(mesh, m)
+    # (grad chi)(x/eps), (d, m, nnodes, 2, m): the torus table of chi_grad
+    # interpolated at the wrapped point x/eps
+    chi_grads = np.empty((d, m, mesh.nnodes, 2, m))
+    for j in range(d):
+        for beta in range(m):
+            g = interp_torus(grid, cell_solution.chi_grad[j, beta].reshape(grid.nnodes, -1), pts)
+            chi_grads[j, beta] = g.reshape(mesh.nnodes, 2, m)
 
     def family_stats(V):
         out = {"grad_sup": 0.0, "dist_sup": 0.0, "layer_grad_sup": 0.0, "profile_sup": 0.0}

@@ -10,9 +10,11 @@ build_expansion takes V as the (d, m, nnodes, m) array the correctors
 module returns (correctors.interior_family for 'chi') and the family name
 as a label, which the identity checks read.
 The module assembles both sides of the interior residual identity for w,
-the conormal identity on the boundary, and the kernel-driven approximation
-experiments (Poisson-weight data, divergence-form data, and the oscillatory
-singular-integral combination S_eps).
+the conormal identity on the boundary, and the solves of the kernel-driven
+approximation experiments: Poisson-weight data, divergence-form data and
+the oscillatory singular-integral combination S_eps.  Each experiment has
+one L_eps part and one L_0 part (poisson_approx_0 takes the omega array of
+kernels.omega); the sweep's registry takes the norms of their differences.
 
 The solving functions take the assembled operators they solve with: op
 for L_eps and op0 for L_0 (Dirichlet ones, or Neumann ones for
@@ -34,9 +36,8 @@ from .mesh import (DomainMesh, solve_dirichlet, nodal_gradient, interp_torus,
 from .correctors import chi_on_domain, neumann_correctors
 
 __all__ = ["ExpansionError", "Expansion", "build_expansion", "neumann_expansion",
-           "residual_identity_check", "conormal_identity_check",
-           "poisson_approx", "poisson_approx_0",
-           "divergence_data_approx", "divergence_data_eps", "divergence_data_0",
+           "residual_identity_check", "conormal_identity_check", "poisson_approx_0",
+           "divergence_data_eps", "divergence_data_0",
            "s_epsilon", "s_epsilon_eps", "s_epsilon_0", "t_apply",
            "gradient_defect", "second_derivatives"]
 
@@ -77,14 +78,6 @@ class Expansion:
     def m(self):
         return self.u_eps.shape[1]
 
-    def rebuild_w(self):
-        """Recompute w from the stored parts (bitwise reproducible)."""
-        return _expansion_remainder(self.mesh, self.u_eps, self.u0, self.V, self.du0)
-
-    def grad_comparison(self):
-        """d_i u_eps^a - d_i V_j^{ab} d_j u0^b at the nodes: (nnodes, 2, m)."""
-        return gradient_defect(self.mesh, self.u_eps, self.V, self.du0)
-
 
 def gradient_defect(mesh, u_eps, V, du0):
     """d_i u_eps^a - d_i V_j^{ab} d_j u0^b at the nodes, (nnodes, 2, m), for
@@ -98,16 +91,6 @@ def gradient_defect(mesh, u_eps, V, du0):
     return out
 
 
-def _expansion_remainder(mesh, u_eps, u0, V, du0):
-    d, m = V.shape[0], V.shape[1]
-    P = monomial_table(mesh, m)
-    w = u_eps - u0
-    for j in range(d):
-        for beta in range(m):
-            w = w - (V[j, beta] - P[j, beta]) * du0[:, j, beta][:, None]
-    return w
-
-
 def build_expansion(mesh, u_eps, u0, family, V, epsilon) -> Expansion:
     """Assemble the expansion remainder w of the nodal pair u_eps, u0
     (nnodes, m) on mesh with the corrector family V (d, m, nnodes, m) of
@@ -115,7 +98,11 @@ def build_expansion(mesh, u_eps, u0, family, V, epsilon) -> Expansion:
     if family not in FAMILIES:
         raise ExpansionError(f"family must be one of {FAMILIES}, got {family!r}")
     du0 = nodal_gradient(mesh, u0)
-    w = _expansion_remainder(mesh, u_eps, u0, V, du0)
+    P = monomial_table(mesh, V.shape[1])
+    w = u_eps - u0
+    for j in range(V.shape[0]):
+        for beta in range(V.shape[1]):
+            w = w - (V[j, beta] - P[j, beta]) * du0[:, j, beta][:, None]
     return Expansion(mesh=mesh, epsilon=epsilon, family=family,
                      u_eps=u_eps, u0=u0, V=V, du0=du0, w=w)
 
@@ -183,7 +170,7 @@ def residual_identity_check(exp: Expansion, op, cell_solution,
         # a_ij^{ab}(x/eps) d_j [V_k - P_k - eps chi_k(x/eps)]^{bc} d2 u0^c / dx_i dx_k
         # eps*chi(x/eps) enters through the same nodal-table representation
         # as V - P, so for the chi family this term vanishes identically
-        chi_vals, _ = chi_on_domain(cell_solution, mesh, eps)
+        chi_vals = chi_on_domain(cell_solution, mesh, eps)
         g3 = np.empty((mesh.nelem, 4, 2, m, 2, m))
         for k in range(2):
             for gam in range(m):
@@ -252,44 +239,24 @@ def conormal_identity_check(exp: Expansion, coeff, hatA):
 # approximation experiments
 
 
-def _difference(mesh_, u_eps, v_eps):
-    diff = u_eps - v_eps
-    return {
-        "u_eps": u_eps, "v_eps": v_eps,
-        "l1": norm(mesh_, diff, "Lp", 1.0), "l2": norm(mesh_, diff, "Lp", 2.0),
-    }
-
-
-def poisson_approx_0(op0, omega_table, fb) -> np.ndarray:
-    """The L_0 part of poisson_approx: boundary data omega * fb."""
-    vdata = np.einsum("ngb,nb->ng", omega_table.filled(), fb)
+def poisson_approx_0(op0, omega, fb) -> np.ndarray:
+    """The L_0 solve of the Poisson-weight experiment: boundary data omega * fb,
+    with omega the (n_boundary, m, m) array of kernels.omega and fb
+    (n_boundary, m) in boundary order.  Its L_eps counterpart is the
+    Dirichlet solve with data fb."""
+    vdata = np.einsum("ngb,nb->ng", omega, fb)
     return solve_dirichlet(op0, None, bdata=vdata)
 
 
-def poisson_approx(op, op0, omega_table, fb):
-    """Solve L_eps (Dirichlet operator op) with boundary data f, L_0 (op0)
-    with data omega*f, and compare.
-
-    fb: boundary nodal values (n_boundary, m) in boundary order.  Returns
-    both solutions and their L^1/L^2 differences.
-    """
-    mesh_, m = op.mesh, op.m
-    fb = np.asarray(fb, dtype=float)
-    if fb.shape != (mesh_.n_boundary, m):
-        raise ExpansionError(f"boundary data must be ({mesh_.n_boundary}, {m}) values "
-                             f"in boundary order, got shape {fb.shape}")
-    u_eps = solve_dirichlet(op, None, bdata=fb)
-    v_eps = poisson_approx_0(op0, omega_table, fb)
-    return _difference(mesh_, u_eps, v_eps)
-
-
 def divergence_data_eps(op, f) -> np.ndarray:
-    """The L_eps part of divergence_data_approx: L_eps(u) = div f, f (nnodes, 2, m)."""
+    """The L_eps solve of the divergence-data experiment: L_eps(u) = div f,
+    f (nnodes, 2, m)."""
     return solve_dirichlet(op, -divergence_load(op.mesh, f), bdata=0.0)
 
 
 def divergence_data_0(op0, phi_star, f) -> np.ndarray:
-    """The L_0 part of divergence_data_approx: L_0(v) = div F_eps."""
+    """The L_0 solve of the divergence-data experiment: L_0(v) = div F_eps,
+    F_eps,i^a = f_j^b d_j{Phi*_i^{ba}}."""
     mesh_, m = op0.mesh, op0.m
     grad_star = np.empty((2, m, mesh_.nnodes, 2, m))       # [i, alpha, node, j, beta]
     for i in range(2):
@@ -297,19 +264,6 @@ def divergence_data_0(op0, phi_star, f) -> np.ndarray:
             grad_star[i, alpha] = nodal_gradient(mesh_, phi_star[i, alpha])
     F_eps = np.einsum("njb,ianjb->nia", f, grad_star)
     return solve_dirichlet(op0, -divergence_load(mesh_, F_eps), bdata=0.0)
-
-
-def divergence_data_approx(op, op0, phi_star, f):
-    """Compare L_eps(u) = div f with L_0(v) = div F_eps,
-    F_eps,i^a = f_j^b d_j{Phi*_i^{ba}}, for the Dirichlet operators op of
-    L_eps and op0 of L_0.
-
-    f: nodal (nnodes, 2) for m = 1 or (nnodes, 2, m).
-    """
-    f = np.asarray(f, dtype=float).reshape(op.mesh.nnodes, 2, op.m)
-    u_eps = divergence_data_eps(op, f)
-    v_eps = divergence_data_0(op0, phi_star, f)
-    return _difference(op.mesh, u_eps, v_eps)
 
 
 def t_apply(op, data):

@@ -12,7 +12,10 @@ Every kernel takes the assembled operator it solves with (mesh.assemble)
 and reads the mesh and the number of components from it and the symmetry
 flag from its coefficient, op.coeff.symmetric; the caller owns the
 operator and releases its factorization.  A kernel column is the nodal
-array (nnodes, m) of its solve.
+array (nnodes, m) of its solve, and the boundary weight omega is the
+array (n_boundary, m, m) with its corners filled.  A source or evaluation
+point is a node id in [0, nnodes) or a point that lies on a mesh node.
+The commutators are boundary arrays; their norms are taken by the callers.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ import numpy as np
 
 from .mesh import DomainMesh, solve_dirichlet, solve_neumann, point_load, conormal
 
-__all__ = ["KernelError", "KernelTable", "DtNMatrix", "OmegaTable",
+__all__ = ["KernelError", "KernelTable", "DtNMatrix",
            "green", "neumann_fn", "poisson_kernel", "omega", "dtn",
-           "apply_dtn_via_solve", "leibniz_commutators",
-           "product_commutator", "coordinate_commutator"]
+           "apply_dtn_via_solve", "product_commutator", "coordinate_commutator"]
 
 
 class KernelError(ValueError):
@@ -34,9 +36,14 @@ class KernelError(ValueError):
 
 
 def _as_node(mesh, y):
-    if np.isscalar(y) or isinstance(y, (int, np.integer)):
+    """The node id y, or the node the point y lies on; KernelError otherwise."""
+    if isinstance(y, (int, np.integer)):
+        if not 0 <= y < mesh.nnodes:
+            raise KernelError(f"node id {y} is outside [0, {mesh.nnodes})")
         return int(y)
     y = np.asarray(y, dtype=float)
+    if y.shape != (2,):
+        raise KernelError(f"source must be a node id or a point (x, y), got {y!r}")
     node = mesh.nearest_node(y)
     if np.linalg.norm(mesh.nodes[node] - y) > 1e-9:
         raise KernelError(f"point {y} is not a mesh node")
@@ -135,37 +142,16 @@ def poisson_kernel(op, pos) -> np.ndarray:
 # oscillating boundary weight
 
 
-@dataclass
-class OmegaTable:
-    """Boundary weight omega_eps^{gb}(y).
-
-    values: (n_boundary, m, m), NaN at the four corners.  filled() replaces
-    corner entries by the mean of the two adjacent edge values, for use as
-    boundary data in products.
-    """
-
-    mesh: DomainMesh
-    values: np.ndarray
-
-    def filled(self):
-        out = self.values.copy()
-        nb = self.mesh.n_boundary
-        for pos in self.mesh.corner_positions:
-            out[pos] = 0.5 * (out[(pos - 1) % nb] + out[(pos + 1) % nb])
-        return out
-
-    def scalar(self):
-        return self.values[:, 0, 0]
-
-
-def omega(op, hatA, phi_star) -> OmegaTable:
+def omega(op, hatA, phi_star) -> np.ndarray:
     """Boundary weight built from the adjoint Dirichlet correctors:
 
         omega^{gb}(y) = h^{gs}(y) dPhi*_k^{rs}/dn(y) n_k(y)
                         n_i(y) n_j(y) a_ij^{rb}(y/eps)
 
     with h(y) the inverse of the m x m matrix n_i n_j hatA_ij^{ab}, and a
-    read from op.coeff.
+    read from op.coeff.  Returns (n_boundary, m, m) in boundary order; each
+    corner, which has no normal, holds the mean of its two edge neighbours,
+    so the array can be used as boundary data in products.
 
     op is the Dirichlet operator of L_eps.  The normal derivative is
     extracted from the variational conormal flux of each phi_star column
@@ -173,37 +159,33 @@ def omega(op, hatA, phi_star) -> OmegaTable:
     boundary values); this is consistent with how the discrete kernels are
     built and tracks them markedly better than recovered gradients.
     """
-    mesh, m, coeff = op.mesh, op.m, op.coeff
+    mesh, m = op.mesh, op.m
     hatA = np.asarray(hatA, dtype=float).reshape(2, 2, m, m)
-    bnodes = mesh.boundary_nodes
-    nb = mesh.n_boundary
-    A_b = coeff(mesh.nodes[bnodes])                      # (nb, 2, 2, m, m)
-    mask = mesh.noncorner_mask
-    nrm = mesh.normals
+    pos = np.flatnonzero(mesh.noncorner_mask)                 # p non-corner positions
+    A_b = op.coeff(mesh.nodes[mesh.boundary_nodes[pos]])      # (p, 2, 2, m, m)
+    n = mesh.normals[pos]
+    t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+    nAn = np.einsum("pi,pj,pijrs->prs", n, n, A_b)
+    nAt = np.einsum("pi,pj,pijrs->prs", n, t, A_b)
 
-    # normal derivative of each column: [k, sigma, node, rho]
-    dn = np.full((2, m, nb, m), np.nan)
+    # normal derivative of each column: [k, sigma, p, rho]
+    dn = np.empty((2, m, len(pos), m))
     for k in range(2):
         for sig in range(m):
-            flux = conormal(phi_star[k, sig], op)                       # (nb, rho)
-            for pos in np.flatnonzero(mask):
-                n = nrm[pos]
-                t = np.array([-n[1], n[0]])
-                nAn = np.einsum("i,j,ijrs->rs", n, n, A_b[pos])
-                nAt = np.einsum("i,j,ijrs->rs", n, t, A_b[pos])
-                # Phi*_k = x_k e_sigma on the boundary: tangential part t_k e_sigma
-                rhs = flux[pos] - nAt[:, sig] * t[k]
-                dn[k, sig, pos] = np.linalg.solve(nAn, rhs)
+            flux = conormal(phi_star[k, sig], op)[pos]                 # (p, rho)
+            # Phi*_k = x_k e_sigma on the boundary: tangential part t_k e_sigma
+            rhs = flux - nAt[:, :, sig] * t[:, k, None]
+            dn[k, sig] = np.linalg.solve(nAn, rhs[:, :, None])[:, :, 0]
 
-    values = np.full((nb, m, m), np.nan)
-    for pos in np.flatnonzero(mask):
-        n = nrm[pos]
-        hinv = np.linalg.inv(np.einsum("i,j,ijab->ab", n, n, hatA))
-        # T^{rs} = n_k dPhi*_k^{rs}/dn
-        T = np.einsum("k,ksr->rs", n, dn[:, :, pos, :])
-        an = np.einsum("i,j,ijrb->rb", n, n, A_b[pos])
-        values[pos] = np.einsum("gs,rs,rb->gb", hinv, T, an)
-    return OmegaTable(mesh=mesh, values=values)
+    hinv = np.linalg.inv(np.einsum("pi,pj,ijab->pab", n, n, hatA))
+    # T^{rs} = n_k dPhi*_k^{rs}/dn
+    T = np.einsum("pk,kspr->prs", n, dn)
+    nb = mesh.n_boundary
+    values = np.empty((nb, m, m))
+    values[pos] = np.einsum("pgs,prs,prb->pgb", hinv, T, nAn)
+    corners = mesh.corner_positions
+    values[corners] = 0.5 * (values[(corners - 1) % nb] + values[(corners + 1) % nb])
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +211,6 @@ class DtNMatrix:
             fb = fb[:, None]
         out = (self.mat @ fb.ravel()).reshape(self.mesh.n_boundary, self.m)
         return out / self.mesh.arc_weights[:, None]
-
-    def constant_action(self):
-        return float(np.abs(self.apply(np.ones(self.mesh.n_boundary))).max())
 
     def to_csv(self, path):
         nb = self.mesh.n_boundary
@@ -308,23 +287,3 @@ def coordinate_commutator(dtn_mat: DtNMatrix, f, i):
     f = np.asarray(f, dtype=float).reshape(-1)
     xi = dtn_mat.mesh.nodes[dtn_mat.mesh.boundary_nodes, i - 1]
     return dtn_mat.apply(f * xi)[:, 0] - xi * dtn_mat.apply(f)[:, 0]
-
-
-def leibniz_commutators(dtn_mat: DtNMatrix, f, g=None, i=None, ps=(1.5, 2.0, 3.0)):
-    """Both Leibniz commutators with their boundary L^p norms.
-
-    Built for the Laplacian DtN map; norms use lumped arc quadrature with
-    corner nodes excluded.  Only the p = 2 norms are asserted by the test
-    suite; the others are reported.
-    """
-    mesh = dtn_mat.mesh
-    out = {}
-    if g is not None:
-        field = product_commutator(dtn_mat, f, g)
-        out["product"] = field
-        out["product_norms"] = {p: _boundary_l2(mesh, field, p) for p in ps}
-    if i is not None:
-        field = coordinate_commutator(dtn_mat, f, i)
-        out["coordinate"] = field
-        out["coordinate_norms"] = {p: _boundary_l2(mesh, field, p) for p in ps}
-    return out

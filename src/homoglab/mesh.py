@@ -86,7 +86,17 @@ class SolveError(RuntimeError):
     """A linear solve failed its residual check or had incompatible data."""
 
 
-class TorusGrid:
+class _UniformGrid:
+    """What the torus grid and the square mesh share: uniform square elements
+    of side h whose first local node is the lower-left corner."""
+
+    def gauss_points(self):
+        """The four Gauss points of every element, (nelem, 4, 2)."""
+        corners = self.nodes[self.elem_dofs[:, 0]]
+        return corners[:, None, :] + GAUSS_POINTS[None, :, :] * self.h
+
+
+class TorusGrid(_UniformGrid):
     """Uniform n x n grid on the flat unit torus, bilinear elements."""
 
     def __init__(self, n):
@@ -105,12 +115,8 @@ class TorusGrid:
                                           eyp * n + ex, eyp * n + exp]).astype(np.int32)
         self.is_torus = True
 
-    def gauss_points(self):
-        corners = self.nodes[self.elem_dofs[:, 0]]
-        return corners[:, None, :] + GAUSS_POINTS[None, :, :] * self.h
 
-
-class DomainMesh:
+class DomainMesh(_UniformGrid):
     """Uniform n x n grid of the unit square with boundary structure.
 
     Boundary nodes are stored counterclockwise starting at (0,0); each has
@@ -160,10 +166,6 @@ class DomainMesh:
         bmask[self.boundary_nodes] = True
         self.boundary_mask = bmask
         self.interior_nodes = np.flatnonzero(~bmask)
-
-    def gauss_points(self):
-        corners = self.nodes[self.elem_dofs[:, 0]]
-        return corners[:, None, :] + GAUSS_POINTS[None, :, :] * self.h
 
     def edge_positions(self, edge):
         """Boundary-list positions of the closed edge (both corners included)."""

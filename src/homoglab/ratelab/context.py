@@ -186,7 +186,7 @@ class EpsilonContext:
         if "P_0" in items or "K_0" in items:
             self.data["P_0"], self.data["K_0"] = self._poisson_columns(op0)
         if "lambda_0" in items:
-            w = self.data["omega"].filled()[:, 0, 0]
+            w = self.data["omega"][:, 0, 0]
             fb = self.dtn_f()
             xb = mesh.nodes[mesh.boundary_nodes]
             self.data["lambda_0"] = self._dtn_applies(op0, {

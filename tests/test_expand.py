@@ -45,18 +45,12 @@ def test_constant_w_vanishes_all_families(const_problem):
         assert np.abs(e.w).max() <= 1e-10
 
 
-def test_grad_comparison_vanishes_for_constant(const_problem):
+def test_gradient_defect_vanishes_for_constant(const_problem):
     p = const_problem
     e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "dirichlet", p["phi"], p["eps"])
-    gc = e.grad_comparison()
+    gc = expand.gradient_defect(p["dm"], e.u_eps, e.V, e.du0)
     inner = ~p["dm"].boundary_mask
     assert np.abs(gc[inner]).max() <= 1e-9
-
-
-def test_w_rebuild_bitwise(layered_problem):
-    p = layered_problem
-    e = expand.build_expansion(p["dm"], p["u_eps"], p["u0"], "dirichlet", p["phi"], p["eps"])
-    assert np.array_equal(e.rebuild_w(), e.w)
 
 
 def test_w_zero_on_boundary_dirichlet_family(layered_problem):
@@ -158,21 +152,26 @@ def test_conormal_identity_refinement(layered_field, layered_cell128):
 
 
 def test_poisson_approx_identity_case(const_problem, identity_field):
-    p = const_problem
-    om = kernels.omega(p["op"], p["cs"].hatA, p["phi_star"])
-    out = expand.poisson_approx(p["op"], p["op0"], om, p["dm"].nodes[p["dm"].boundary_nodes, :1])
-    assert out["l1"] <= 1e-10 and out["l2"] <= 1e-10
-
-
-def test_divergence_data_approx_identity_case(const_problem):
+    # constant coefficient: omega = 1, so both solves take the same data
     p = const_problem
     dm = p["dm"]
-    f = np.stack([np.sin(np.pi * dm.nodes[:, 1]), np.zeros(dm.nnodes)], axis=1)
-    out = expand.divergence_data_approx(p["op"], p["op0"], p["phi_star"], f)
-    assert out["l1"] <= 1e-10 and out["l2"] <= 1e-10
-    zero = expand.divergence_data_approx(p["op"], p["op0"], p["phi_star"],
-                                         np.zeros((dm.nnodes, 2)))
-    assert zero["l2"] == 0.0
+    om = kernels.omega(p["op"], p["cs"].hatA, p["phi_star"])
+    fb = dm.nodes[dm.boundary_nodes, :1]
+    diff = mesh.solve_dirichlet(p["op"], None, bdata=fb) - expand.poisson_approx_0(p["op0"], om, fb)
+    assert mesh.norm(dm, diff, "Lp", 1) <= 1e-10 and mesh.norm(dm, diff, "Lp", 2) <= 1e-10
+
+
+def test_divergence_data_identity_case(const_problem):
+    p = const_problem
+    dm = p["dm"]
+
+    def diff(f):
+        return (expand.divergence_data_eps(p["op"], f)
+                - expand.divergence_data_0(p["op0"], p["phi_star"], f))
+
+    f = np.stack([np.sin(np.pi * dm.nodes[:, 1]), np.zeros(dm.nnodes)], axis=1)[:, :, None]
+    assert mesh.norm(dm, diff(f), "Lp", 1) <= 1e-10 and mesh.norm(dm, diff(f), "Lp", 2) <= 1e-10
+    assert mesh.norm(dm, diff(np.zeros((dm.nnodes, 2, 1))), "Lp", 2) == 0.0
 
 
 def test_s_epsilon_identities(const_problem):

@@ -254,18 +254,9 @@ def test_context_quantities_match_library():
     from homoglab.ratelab.context import POISSON_SOURCES_S
 
     ctx = ratelab.EpsilonContext(builtin("layered"), 1 / 4, cells_per_period=8, cell_n=16)
-    ctx.prepare(["u_poisson_eps", "v_poisson", "u_div_eps", "v_div",
-                 "s_piece1", "s_piece23", "P_eps", "P_0"])
+    ctx.prepare(["s_piece1", "s_piece23", "P_eps", "P_0"])
     data = ctx.data
     op_eps, op_0 = ctx._ops["dir_eps"], ctx._ops["dir_0"]
-
-    out = expand.poisson_approx(op_eps, op_0, data["omega"], ctx.poisson_data())
-    assert np.array_equal(out["u_eps"], data["u_poisson_eps"])
-    assert np.array_equal(out["v_eps"], data["v_poisson"])
-
-    out = expand.divergence_data_approx(op_eps, op_0, data["phi_star"], ctx.div_data())
-    assert np.array_equal(out["u_eps"], data["u_div_eps"])
-    assert np.array_equal(out["v_eps"], data["v_div"])
 
     out = expand.s_epsilon(op_eps, op_0, data["phi"], data["phi_star"], data["s_g"])
     assert np.array_equal(out["field"][:, 0], data["s_piece1"] - data["s_piece23"])
@@ -398,6 +389,21 @@ def test_context_homogenized_operator_is_symmetric():
     assert np.array_equal(phi_star, phi)
     assert op0.coeff.symmetric and op0.m == 1
     ctx.release()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("rates", "--eps", "1/0"), "--eps"),
+    (("rates", "--eps", "abc"), "--eps"),
+    (("rates", "--eps", "0,1/2"), "--eps"),
+    (("correctors", "--pin", "0.5"), "--pin"),
+])
+def test_cli_rejects_bad_flag_values(tmp_path, capsys, argv, flag):
+    # an unreadable flag value is a usage error (exit 2), not a failed run (exit 1)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_expand_neumann_family_for_a_system(tmp_path):

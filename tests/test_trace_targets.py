@@ -1,11 +1,13 @@
 """Every layer function the benchmark's tracer wraps still exists, and the
-operators and factorizations it reads still carry what it reads of them.
+operators, factorizations and results it reads still carry what it reads
+of them.
 
 perfbench/tracing.py raises LookupError for a missing target only when a
 traced benchmark runs; this resolves the same names the way its install()
 does, without wrapping anything.  Its factor wrapper names each
 factorization with tracing.factor_kind(op) and adds the .nnz of what
-AssembledOperator._factor returns.
+AssembledOperator._factor returns; its other wrappers add
+assemble(...).matrix.nnz and kernels.dtn(op).mat.shape[1].
 """
 
 import importlib
@@ -74,3 +76,14 @@ def test_factor_kind_and_nnz_of_the_operators_src_builds(monkeypatch, layered_fi
     # dir_0 is solved by sine transform and never factored
     assert [kind for kind, _ in factored] == ["dir_eps", "neu_eps", "neu_0", "periodic"]
     assert all(isinstance(nnz, numbers.Integral) and nnz > 0 for _, nnz in factored)
+
+
+def test_assemble_and_dtn_results_carry_what_the_tracer_counts(identity_field):
+    from homoglab import kernels, mesh
+    dm = mesh.DomainMesh(8)
+    op = mesh.assemble(identity_field, dm)
+    assert isinstance(op.matrix.nnz, numbers.Integral) and op.matrix.nnz > 0
+    D = kernels.dtn(op)
+    assert D.mat.shape == (dm.n_boundary, dm.n_boundary)
+    assert isinstance(D.mat.shape[1], numbers.Integral)
+    op.release()
