@@ -59,6 +59,39 @@ def _parse_pin(text):
     return x, y
 
 
+def _parse_n(text):
+    """--n: a mesh resolution of at least 2 cells per axis."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 cells per axis, got {n}")
+    return n
+
+
+def _parse_json_object(text):
+    """--coeff-params: a JSON object of coefficient parameters."""
+    try:
+        params = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise argparse.ArgumentTypeError(f"{text!r} is not valid JSON: {err}") from None
+    if not isinstance(params, dict):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a JSON object")
+    return params
+
+
+def _parse_experiments(text):
+    """--experiments: comma-separated ids of the registry."""
+    ids = text.split(",")
+    unknown = [i for i in ids if i not in ratelab.EXPERIMENTS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {', '.join(map(repr, unknown))}; "
+            f"available: {', '.join(sorted(ratelab.EXPERIMENTS))}")
+    return ids
+
+
 def _first_eps(args):
     """The first --eps value; 1/8 without the flag."""
     return args.eps[0] if args.eps else 1 / 8
@@ -89,7 +122,7 @@ def _load_config(path):
 def _coefficient(config, args):
     spec = config.get("coefficient", {"family": "layered", "params": {}})
     if args.coeff_family:
-        spec = {"family": args.coeff_family, "params": json.loads(args.coeff_params or "{}")}
+        spec = {"family": args.coeff_family, "params": args.coeff_params or {}}
     return ratelab.coefficient_from_spec(spec)
 
 
@@ -97,7 +130,7 @@ def _mesh(config, args):
     """The config's mesh block over MESH_DEFAULTS, with --n and
     --cells-per-period overriding it."""
     mesh = {**MESH_DEFAULTS, **config.get("mesh", {})}
-    if args.n:
+    if args.n is not None:
         mesh["n"] = args.n
     if args.cells_per_period:
         mesh["cells_per_period"] = args.cells_per_period
@@ -236,7 +269,7 @@ def cmd_expand(args, config):
 def cmd_rates(args, config, experiments=None):
     ids = experiments or config.get("experiments") or ["cell-oracle"]
     if args.experiments:
-        ids = args.experiments.split(",")
+        ids = args.experiments
     mesh = _mesh(config, args)
     kwargs = {"cells_per_period": mesh["cells_per_period"], "cell_n": mesh["cell_n"]}
     if args.eps:
@@ -270,14 +303,15 @@ def main(argv=None):
                         help="comma-separated epsilon list, fractions allowed")
     parser.add_argument("--cells-per-period", type=int, dest="cells_per_period")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--experiments", help="comma-separated experiment ids (rates)")
+    parser.add_argument("--experiments", type=_parse_experiments,
+                        help="comma-separated experiment ids (rates)")
     parser.add_argument("--coeff-family", dest="coeff_family",
                         help="coefficient family override")
-    parser.add_argument("--coeff-params", dest="coeff_params",
+    parser.add_argument("--coeff-params", dest="coeff_params", type=_parse_json_object,
                         help="JSON params for the coefficient family")
     parser.add_argument("--family", choices=["chi", "dirichlet", "neumann"],
                         default="chi", help="corrector family for expand")
-    parser.add_argument("--n", type=int, help="mesh resolution for kernel commands")
+    parser.add_argument("--n", type=_parse_n, help="mesh resolution for kernel commands")
     parser.add_argument("--pin", type=_parse_pin,
                         help="x0,y0 pin point for Neumann correctors")
     parser.add_argument("--check", choices=["residual", "conormal"], default=None)

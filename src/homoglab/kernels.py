@@ -1,5 +1,5 @@
 """Sampled Green functions, Neumann functions, Poisson kernels, the
-oscillating boundary weight, the Dirichlet-to-Neumann matrix and its
+oscillating boundary weight, the Dirichlet-to-Neumann map and its
 Leibniz commutators.
 
 Discrete deltas are unit nodal loads (point-evaluation functionals), so a
@@ -15,9 +15,14 @@ operator and releases its factorization.  A kernel column is the nodal
 array (nnodes, m) of its solve, and the boundary weight omega is the
 array (n_boundary, m, m) with its corners filled.  A source or evaluation
 point is a node id in [0, nnodes) or a point that lies on a mesh node.
-The commutators are boundary arrays; their norms are taken by the callers.
-"""
 
+The DtN map Lambda is applied, never assembled, wherever a quantity needs
+it: apply_dtn_via_solve is one Dirichlet solve plus the variational flux,
+and the commutators take the Dirichlet operator and apply Lambda through
+it.  dtn assembles the dense weak-form matrix only for the CLI's dtn
+output.  The commutators are boundary arrays; their norms are taken by
+the callers.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -196,21 +201,14 @@ def omega(op, hatA, phi_star) -> np.ndarray:
 class DtNMatrix:
     """Weak-form DtN matrix against boundary hat functions.
 
-    mat[i, j] = <Lambda hat_j, hat_i>; the nodal action on boundary data f
-    is apply(f) = W^{-1} (mat @ f) with W the lumped arc weights.  The weak
-    matrix is symmetric positive semidefinite when A* = A.
+    mat[i, j] = <Lambda hat_j, hat_i>, so W^{-1} (mat @ f), with W the
+    lumped arc weights, is the nodal action apply_dtn_via_solve computes.
+    The weak matrix is symmetric positive semidefinite when A* = A.
     """
 
     mesh: DomainMesh
     mat: np.ndarray            # (nb*m, nb*m)
     m: int = 1
-
-    def apply(self, fb):
-        fb = np.asarray(fb, dtype=float)
-        if fb.ndim == 1:
-            fb = fb[:, None]
-        out = (self.mat @ fb.ravel()).reshape(self.mesh.n_boundary, self.m)
-        return out / self.mesh.arc_weights[:, None]
 
     def to_csv(self, path):
         nb = self.mesh.n_boundary
@@ -226,7 +224,9 @@ _DTN_CHUNK = 128          # boundary columns per batched solve in dtn
 
 
 def dtn(op) -> DtNMatrix:
-    """Dense DtN matrix via the Schur complement of the Dirichlet operator op.
+    """Dense DtN matrix via the Schur complement of the Dirichlet operator op,
+    as the CLI's dtn command writes it; experiments apply Lambda through
+    apply_dtn_via_solve instead.
 
     Column j is the variational conormal flux of the Dirichlet solve with
     hat data at boundary node j; assembled in chunks of _DTN_CHUNK columns,
@@ -252,17 +252,19 @@ def dtn(op) -> DtNMatrix:
 
 
 def apply_dtn_via_solve(op, fb):
-    """Lambda f by one Dirichlet solve plus variational flux recovery.
+    """Lambda f for boundary data fb (n_boundary, m) in boundary order: one
+    Dirichlet solve against op plus variational flux recovery, returned
+    nodal on the boundary (n_boundary, m).
 
-    Agrees with DtNMatrix.apply up to solver accuracy; preferred at fine
-    resolution where the dense matrix is too expensive.
+    Every experiment applies Lambda this way; it agrees with the dense
+    matrix of dtn, W^{-1} (mat @ f), up to solver accuracy.
     """
     u = solve_dirichlet(op, None, bdata=fb)
     return conormal(u, op)
 
 
 # ---------------------------------------------------------------------------
-# Leibniz commutators for the Laplacian DtN map
+# Leibniz commutators of the DtN map
 
 
 def _boundary_l2(mesh, vals, p=2.0):
@@ -275,15 +277,19 @@ def _boundary_l2(mesh, vals, p=2.0):
     return float((w * mag ** p).sum() ** (1.0 / p))
 
 
-def product_commutator(dtn_mat: DtNMatrix, f, g):
-    """Lambda(fg) - f Lambda(g), nodal on the boundary."""
+def product_commutator(op, f, g):
+    """Lambda(fg) - f Lambda(g), nodal on the boundary, with Lambda the DtN
+    map of the scalar Dirichlet operator op."""
     f = np.asarray(f, dtype=float).reshape(-1)
     g = np.asarray(g, dtype=float).reshape(-1)
-    return dtn_mat.apply(f * g)[:, 0] - f * dtn_mat.apply(g)[:, 0]
+    return (apply_dtn_via_solve(op, (f * g)[:, None])[:, 0]
+            - f * apply_dtn_via_solve(op, g[:, None])[:, 0])
 
 
-def coordinate_commutator(dtn_mat: DtNMatrix, f, i):
-    """Lambda(f x_i) - x_i Lambda(f), nodal on the boundary (i is 1-based)."""
+def coordinate_commutator(op, f, i):
+    """Lambda(f x_i) - x_i Lambda(f), nodal on the boundary (i is 1-based),
+    with Lambda the DtN map of the scalar Dirichlet operator op."""
     f = np.asarray(f, dtype=float).reshape(-1)
-    xi = dtn_mat.mesh.nodes[dtn_mat.mesh.boundary_nodes, i - 1]
-    return dtn_mat.apply(f * xi)[:, 0] - xi * dtn_mat.apply(f)[:, 0]
+    xi = op.mesh.nodes[op.mesh.boundary_nodes, i - 1]
+    return (apply_dtn_via_solve(op, (f * xi)[:, None])[:, 0]
+            - xi * apply_dtn_via_solve(op, f[:, None])[:, 0])

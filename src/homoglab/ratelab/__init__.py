@@ -16,7 +16,7 @@ import numpy as np
 
 from ..coeff import CoefficientField, builtin
 from .context import EpsilonContext, cell_solution, mesh_resolution
-from .experiments import EXPERIMENTS, DEFAULT_EPS, DEGENERATE_FLOOR
+from .experiments import EXPERIMENTS, DEFAULT_EPS, DEGENERATE_FLOOR, SCALAR_ONLY
 
 __all__ = ["ExperimentConfig", "RateReport", "FitResult", "fit_rate", "emit",
            "run", "run_many", "coefficient_from_spec", "EXPERIMENTS",
@@ -167,12 +167,18 @@ def run_many(configs) -> dict:
     """Run several experiments, sharing per-(coefficient, epsilon) contexts.
 
     Every config runs on its own coefficient, or on the registry default
-    when it names none.  Sweep experiments with the same coefficient are
-    computed from one context per epsilon (epsilon-outer order, one live
-    factorization); refine and fixed runners then run one by one.
+    when it names none; a SCALAR_ONLY experiment on a coefficient with
+    m != 1 raises ValueError before anything is assembled.  Sweep
+    experiments with the same coefficient are computed from one context
+    per epsilon (epsilon-outer order, one live factorization); refine and
+    fixed runners then run one by one.
     """
     configs = list(configs)
     fields = [coefficient_from_spec(c.coefficient or _experiment(c).coefficient) for c in configs]
+    for c, field in zip(configs, fields):
+        if c.experiment in SCALAR_ONLY and field.m != 1:
+            raise ValueError(f"experiment {c.experiment!r} needs a scalar coefficient (m = 1), "
+                             f"got m = {field.m}")
     reports = {}
     groups = {}
     for c, field in zip(configs, fields):

@@ -113,9 +113,11 @@ class EpsilonContext:
         return int(round(s / self.mesh.h)) % self.mesh.n_boundary
 
     def poisson_data(self):
-        """Oscillating Dirichlet data f(x, x/eps) = cos(2 pi x1/eps) x2."""
+        """Oscillating Dirichlet data f(x, x/eps) = cos(2 pi x1/eps) x2 in every
+        component, (n_boundary, m) in boundary order."""
         pts = self.mesh.nodes[self.mesh.boundary_nodes]
-        return (np.cos(2 * np.pi * pts[:, 0] / self.eps) * pts[:, 1])[:, None]
+        f = np.cos(2 * np.pi * pts[:, 0] / self.eps) * pts[:, 1]
+        return np.tile(f[:, None], (1, self.m))
 
     def div_data(self):
         f = np.zeros((self.mesh.nnodes, 2, self.m))
@@ -159,8 +161,9 @@ class EpsilonContext:
         if "P_eps" in items or "K_eps" in items:
             self.data["P_eps"], self.data["K_eps"] = self._poisson_columns(op)
         if "lambda_eps" in items:
+            xb = mesh.nodes[mesh.boundary_nodes]
             self.data["lambda_eps"] = self._dtn_applies(op, {"f": self.dtn_f(),
-                                                             "x1": None, "x2": None})
+                                                             "x1": xb[:, 0], "x2": xb[:, 1]})
         if "s_piece1" in items:
             self.data["s_g"] = np.sin(2 * np.pi * mesh.nodes[:, 0])
             self.data["s_piece1"] = expmod.s_epsilon_eps(op, self.data["s_g"])
@@ -226,15 +229,9 @@ class EpsilonContext:
         return cols, fluxes
 
     def _dtn_applies(self, op, fields):
-        mesh = self.mesh
-        out = {}
-        for name, fb in fields.items():
-            if fb is None:                       # coordinate data x1 / x2
-                j = int(name[1]) - 1
-                fb = mesh.nodes[mesh.boundary_nodes, j]
-            fb = np.asarray(fb, dtype=float)[:, None]
-            out[name] = kermod.apply_dtn_via_solve(op, fb)[:, 0]
-        return out
+        """Lambda of each scalar boundary array in fields, by name."""
+        return {name: kermod.apply_dtn_via_solve(op, fb[:, None])[:, 0]
+                for name, fb in fields.items()}
 
 
 _MODES = {"dir_eps": "dirichlet", "dir_0": "dirichlet", "neu_eps": "neumann", "neu_0": "neumann"}

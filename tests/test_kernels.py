@@ -193,7 +193,7 @@ def test_omega_filled_corners(layered_field, layered_cell64):
 def test_dtn_invariants(identity_field):
     dm = mesh.DomainMesh(32)
     D = kernels.dtn(mesh.assemble(identity_field, dm))
-    assert np.abs(D.apply(np.ones(dm.n_boundary))).max() <= 1e-8   # Lambda(1) = 0
+    assert np.abs(D.mat @ np.ones(dm.n_boundary) / dm.arc_weights).max() <= 1e-8   # Lambda(1) = 0
     assert np.abs(D.mat - D.mat.T).max() <= 1e-8
     eigs = np.linalg.eigvalsh(0.5 * (D.mat + D.mat.T))
     assert eigs.min() >= -1e-8
@@ -208,7 +208,8 @@ def test_dtn_matrix_matches_solve_route(layered_field):
     D = kernels.dtn(op)
     fb = np.cos(2 * np.pi * dm.boundary_s / 4.0)
     via_solve = kernels.apply_dtn_via_solve(op, fb[:, None])
-    assert np.abs(D.apply(fb)[:, 0] - via_solve[:, 0]).max() <= 1e-8
+    # the dense matrix is the reference for the solve route the experiments use
+    assert np.abs(D.mat @ fb / dm.arc_weights - via_solve[:, 0]).max() <= 1e-8
     op.release()
     with pytest.raises(ValueError, match="need 'dirichlet'"):
         kernels.dtn(mesh.assemble(sc, dm, mode="neumann"))
@@ -216,18 +217,18 @@ def test_dtn_matrix_matches_solve_route(layered_field):
 
 def test_commutator_with_constant_f(identity_field):
     dm = mesh.DomainMesh(32)
-    D = kernels.dtn(mesh.assemble(identity_field, dm))
+    op = mesh.assemble(identity_field, dm)
     g = np.sin(2 * np.pi * dm.boundary_s / 4.0)
-    comm = kernels.product_commutator(D, np.full(dm.n_boundary, 2.5), g)
+    comm = kernels.product_commutator(op, np.full(dm.n_boundary, 2.5), g)
     assert kernels._boundary_l2(dm, comm, np.inf) <= 1e-10
 
 
 def test_coordinate_commutator_with_f_one(identity_field):
     dm = mesh.DomainMesh(32)
-    D = kernels.dtn(mesh.assemble(identity_field, dm))
+    op = mesh.assemble(identity_field, dm)
     ones = np.ones(dm.n_boundary)
-    comm = kernels.coordinate_commutator(D, ones, 1)
-    lam_x1 = D.apply(dm.nodes[dm.boundary_nodes, 0])[:, 0]
+    comm = kernels.coordinate_commutator(op, ones, 1)
+    lam_x1 = kernels.apply_dtn_via_solve(op, dm.nodes[dm.boundary_nodes, :1])[:, 0]
     # Lambda(1) = 0, so the commutator equals Lambda(x_1)
     assert np.abs(comm - lam_x1).max() <= 1e-8
 
@@ -235,13 +236,13 @@ def test_coordinate_commutator_with_f_one(identity_field):
 def test_commutator_growth_lite(identity_field):
     # reduced version of the acceptance sweep at n = 128, k in {2, 4, 8}
     dm = mesh.DomainMesh(128)
-    D = kernels.dtn(mesh.assemble(identity_field, dm))
+    op = mesh.assemble(identity_field, dm)
     lam, com = {}, {}
     for k in (2, 4, 8):
         fk = np.sin(2 * np.pi * k * dm.boundary_s / 4.0)
         nf = kernels._boundary_l2(dm, fk)
-        lam[k] = kernels._boundary_l2(dm, D.apply(fk)) / nf
-        com[k] = kernels._boundary_l2(dm, kernels.coordinate_commutator(D, fk, 1)) / nf
+        lam[k] = kernels._boundary_l2(dm, kernels.apply_dtn_via_solve(op, fk[:, None])) / nf
+        com[k] = kernels._boundary_l2(dm, kernels.coordinate_commutator(op, fk, 1)) / nf
     assert lam[8] / lam[2] >= 2.0
     assert com[8] / com[2] <= 2.0
 

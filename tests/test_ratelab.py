@@ -396,6 +396,11 @@ def test_context_homogenized_operator_is_symmetric():
     (("rates", "--eps", "abc"), "--eps"),
     (("rates", "--eps", "0,1/2"), "--eps"),
     (("correctors", "--pin", "0.5"), "--pin"),
+    (("green", "--n", "0"), "--n"),
+    (("green", "--n", "1"), "--n"),
+    (("cell", "--coeff-family", "layered", "--coeff-params", "{m: 2}"), "--coeff-params"),
+    (("cell", "--coeff-family", "layered", "--coeff-params", "[2]"), "--coeff-params"),
+    (("rates", "--experiments", "cell-oracle,no-such-id"), "--experiments"),
 ])
 def test_cli_rejects_bad_flag_values(tmp_path, capsys, argv, flag):
     # an unreadable flag value is a usage error (exit 2), not a failed run (exit 1)
@@ -404,6 +409,52 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys, argv, flag):
     assert exit_info.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_unknown_experiment_lists_registry(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["rates", "--experiments", "no-such-id", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "'no-such-id'" in err
+    assert all(i in err for i in ratelab.EXPERIMENTS)
+
+
+def test_leibniz_runners_apply_lambda_without_the_dense_matrix(monkeypatch):
+    from homoglab import kernels
+
+    def no_dense(op):
+        raise AssertionError("the dense DtN matrix was assembled")
+
+    monkeypatch.setattr(kernels, "dtn", no_dense)
+    for exp in ("leibniz-1", "leibniz-2"):
+        rep = ratelab.run(ratelab.ExperimentConfig(exp, cell_n=16))
+        assert rep.passed, rep.detail
+        assert all(np.isfinite(v) for (_, _, _, v) in rep.rows)
+
+
+def test_poisson_approx_runs_on_a_system():
+    # the oscillating Dirichlet data has one column per component
+    rep = ratelab.run(ratelab.ExperimentConfig(
+        "poisson-approx", coefficient={"family": "layered", "params": {"m": 2}},
+        eps_list=(1 / 2, 1 / 4, 1 / 8), cells_per_period=8, cell_n=16))
+    assert len(rep.rows) == 6
+    assert all(np.isfinite(v) for (_, _, _, v) in rep.rows)
+
+
+@pytest.mark.parametrize("exp", ["s-epsilon", "dtn-expansion", "leibniz-1", "leibniz-2"])
+def test_scalar_only_experiments_reject_a_system(monkeypatch, exp):
+    # rejected by name before any context is built or runner called
+    def never(*args, **kwargs):
+        raise AssertionError("reached the computation")
+
+    monkeypatch.setattr(ratelab, "EpsilonContext", never)
+    monkeypatch.setattr(ratelab.EXPERIMENTS[exp], "runner", never)
+    cfg = ratelab.ExperimentConfig(exp, coefficient={"family": "layered", "params": {"m": 2}},
+                                   eps_list=(1 / 2, 1 / 4, 1 / 8), cells_per_period=8,
+                                   cell_n=16)
+    with pytest.raises(ValueError, match=rf"{exp}.*m = 1"):
+        ratelab.run_many([cfg])
 
 
 def test_cli_expand_neumann_family_for_a_system(tmp_path):
