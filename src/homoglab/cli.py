@@ -7,9 +7,12 @@ Subcommands: cell, correctors, green, neumann-fn, poisson, dtn, expand,
 rates, all.  The config is a JSON object with keys {coefficient, mesh,
 experiments[], seed}; any other key is an error.  Its mesh block holds
 {n, cells_per_period, cell_n} (defaults in MESH_DEFAULTS) and every
-subcommand reads it through _mesh.  Command-line flags override it.  Exit
-code is 0 iff all selected experiments pass, 1 when one fails, and 2 for a
-usage error: a flag value or config that cannot be read.
+subcommand reads it through _mesh.  Command-line flags override it, and
+--coeff-family/--coeff-params override its coefficient in every
+subcommand.  Exit code is 0 iff all selected experiments pass, 1 when one
+fails, and 2 for a usage error: a flag value or config that cannot be
+read, a coefficient that is not elliptic, or (rates, all) an experiment
+config that ExperimentConfig rejects.
 """
 
 from __future__ import annotations
@@ -30,10 +33,12 @@ from . import mesh as fem
 from . import ratelab
 from .coeff import builtin, rescale
 from .ratelab.context import neumann_source
+from .ratelab.experiments import LAYERED
 
 CONFIG_KEYS = ("coefficient", "mesh", "experiments", "seed")
 # kernel/DtN mesh resolution, cells per period of the epsilon meshes, cell grid
-MESH_DEFAULTS = {"n": 64, "cells_per_period": 16, "cell_n": 256}
+MESH_DEFAULTS = {"n": 64, "cells_per_period": ratelab.ExperimentConfig.cells_per_period,
+                 "cell_n": ratelab.ExperimentConfig.cell_n}
 
 
 def _parse_eps(text):
@@ -119,11 +124,12 @@ def _load_config(path):
     return config
 
 
-def _coefficient(config, args):
-    spec = config.get("coefficient", {"family": "layered", "params": {}})
+def _coefficient_spec(config, args):
+    """The run's coefficient spec: --coeff-family/--coeff-params over the
+    config's coefficient; None when neither names one."""
     if args.coeff_family:
-        spec = {"family": args.coeff_family, "params": args.coeff_params or {}}
-    return ratelab.coefficient_from_spec(spec)
+        return {"family": args.coeff_family, "params": args.coeff_params or {}}
+    return config.get("coefficient")
 
 
 def _mesh(config, args):
@@ -151,8 +157,7 @@ def _emit_json(args, name, payload):
     print(f"wrote {path}")
 
 
-def cmd_cell(args, config):
-    field = _coefficient(config, args)
+def cmd_cell(args, config, field):
     cs = ratelab.cell_solution(field, _mesh(config, args)["cell_n"])
     stats = cs.stats()
     stats["F_divergence_residual"] = cellmod.flux_divergence_residual(cs.grid, cs.F, cs.b_gauss)
@@ -163,8 +168,7 @@ def cmd_cell(args, config):
     return 0
 
 
-def cmd_correctors(args, config):
-    field = _coefficient(config, args)
+def cmd_correctors(args, config, field):
     eps_list = args.eps or (1 / 8, 1 / 16, 1 / 32)
     mesh = _mesh(config, args)
     cs = ratelab.cell_solution(field, mesh["cell_n"])
@@ -183,8 +187,7 @@ def cmd_correctors(args, config):
     return 0
 
 
-def _kernel_command(args, config, kind):
-    field = _coefficient(config, args)
+def _kernel_command(args, config, field, kind):
     dm = fem.DomainMesh(_mesh(config, args)["n"])
     op = fem.assemble(rescale(field, _first_eps(args)), dm,
                       mode="neumann" if kind == "neumann-fn" else "dirichlet")
@@ -205,8 +208,7 @@ def _kernel_command(args, config, kind):
     return 0
 
 
-def cmd_dtn(args, config):
-    field = _coefficient(config, args)
+def cmd_dtn(args, config, field):
     dm = fem.DomainMesh(_mesh(config, args)["n"])
     op = fem.assemble(rescale(field, _first_eps(args)), dm)
     D = kermod.dtn(op)
@@ -229,8 +231,7 @@ def _expand_conflict(args):
     return None
 
 
-def cmd_expand(args, config):
-    field = _coefficient(config, args)
+def cmd_expand(args, config, field):
     eps = _first_eps(args)
     mesh = _mesh(config, args)
     dm = fem.DomainMesh(ratelab.mesh_resolution(mesh["cells_per_period"], eps))
@@ -266,31 +267,34 @@ def cmd_expand(args, config):
     return 0
 
 
-def cmd_rates(args, config, experiments=None):
-    ids = experiments or config.get("experiments") or ["cell-oracle"]
+def _rate_configs(args, config, spec):
+    """One ExperimentConfig per selected id: --experiments, else every
+    registry id for `all`, else the config's experiments, else cell-oracle.
+    Building them checks the ids, the epsilons and the coefficient."""
     if args.experiments:
         ids = args.experiments
+    elif args.command == "all":
+        ids = sorted(ratelab.EXPERIMENTS)
+    else:
+        ids = config.get("experiments") or ["cell-oracle"]
     mesh = _mesh(config, args)
     kwargs = {"cells_per_period": mesh["cells_per_period"], "cell_n": mesh["cell_n"]}
     if args.eps:
         kwargs["eps_list"] = args.eps
-    coeff_spec = config.get("coefficient")
-    configs = [ratelab.ExperimentConfig(i, coefficient=coeff_spec,
-                                        seed=config.get("seed", 0), **kwargs)
-               for i in ids]
+    return [ratelab.ExperimentConfig(i, coefficient=spec, seed=config.get("seed", 0), **kwargs)
+            for i in ids]
+
+
+def cmd_rates(args, configs):
     reports = ratelab.run_many(configs)
     ok = True
-    for i in ids:
-        rep = reports[i]
+    for c in configs:
+        rep = reports[c.experiment]
         ok &= rep.passed
-        print(f"{'PASS' if rep.passed else 'FAIL'} {i}: {rep.detail}")
-        path = _outpath(args, f"{i}.{args.format}")
+        print(f"{'PASS' if rep.passed else 'FAIL'} {c.experiment}: {rep.detail}")
+        path = _outpath(args, f"{c.experiment}.{args.format}")
         ratelab.emit(rep, args.format, path)
     return 0 if ok else 1
-
-
-def cmd_all(args, config):
-    return cmd_rates(args, config, experiments=sorted(ratelab.EXPERIMENTS))
 
 
 def main(argv=None):
@@ -320,25 +324,28 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-    except ValueError as err:
+        spec = _coefficient_spec(config, args)
+        if args.command in ("rates", "all"):
+            configs = _rate_configs(args, config, spec)
+        else:
+            field = ratelab.coefficient_from_spec(spec or LAYERED)
+    except (ValueError, ratelab.RegistryError) as err:
         parser.error(str(err))
     if args.command == "expand" and (conflict := _expand_conflict(args)):
         parser.error(conflict)
 
+    if args.command in ("rates", "all"):
+        return cmd_rates(args, configs)
     if args.command == "cell":
-        return cmd_cell(args, config)
+        return cmd_cell(args, config, field)
     if args.command == "correctors":
-        return cmd_correctors(args, config)
+        return cmd_correctors(args, config, field)
     if args.command in ("green", "neumann-fn", "poisson"):
-        return _kernel_command(args, config, args.command)
+        return _kernel_command(args, config, field, args.command)
     if args.command == "dtn":
-        return cmd_dtn(args, config)
+        return cmd_dtn(args, config, field)
     if args.command == "expand":
-        return cmd_expand(args, config)
-    if args.command == "rates":
-        return cmd_rates(args, config)
-    if args.command == "all":
-        return cmd_all(args, config)
+        return cmd_expand(args, config, field)
     return 2
 
 

@@ -321,7 +321,10 @@ def from_expression(expr: str, m=1) -> CoefficientField:
     """Isotropic coefficient a(y) delta_ij delta^{ab} with m components, from
     an arithmetic expression a over y1, y2.
 
-    Allowed: +, -, *, /, **, sin, cos, exp, pi and numeric constants.
+    Allowed: +, -, *, /, **, sin, cos, exp, pi and numeric constants.  The
+    field is checked by validate, so an a that is not positive at the
+    sample points raises EllipticityError (CoefficientError if it is not
+    finite there).
     """
     tree = ast.parse(expr, mode="eval")
     _check_expr_node(tree)
@@ -332,9 +335,11 @@ def from_expression(expr: str, m=1) -> CoefficientField:
         out = eval(code, {"__builtins__": {}}, env)
         return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],))
 
-    return CoefficientField(_isotropic(scalar, m), m=m, family="user",
-                            mu=None, holder=(1.0, 0.0), symmetric=True,
-                            params={"expr": expr})
+    field = CoefficientField(_isotropic(scalar, m), m=m, family="user",
+                             mu=None, holder=(1.0, 0.0), symmetric=True,
+                             params={"expr": expr})
+    validate(field)
+    return field
 
 
 # ---------------------------------------------------------------------------

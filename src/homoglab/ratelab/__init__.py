@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field, asdict
 import numpy as np
 
 from ..coeff import CoefficientField, builtin
-from .context import EpsilonContext, cell_solution, mesh_resolution
+from .context import _CELL_CACHE, EpsilonContext, cell_solution, mesh_resolution
 from .experiments import EXPERIMENTS, DEFAULT_EPS, DEGENERATE_FLOOR, SCALAR_ONLY
 
 __all__ = ["ExperimentConfig", "RateReport", "FitResult", "fit_rate", "emit",
@@ -24,7 +24,9 @@ __all__ = ["ExperimentConfig", "RateReport", "FitResult", "fit_rate", "emit",
 
 
 class RegistryError(KeyError):
-    pass
+    def __str__(self):
+        # the message as written, not KeyError's repr of it
+        return self.args[0]
 
 
 class FitError(ValueError):
@@ -33,14 +35,31 @@ class FitError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """One run's inputs, resolved and checked when the config is built.
+
+    coefficient is a spec dict {"family": ..., "params": {...}}, or None
+    for the registry default.  An unknown experiment raises RegistryError;
+    a bad eps_list or mesh, or a SCALAR_ONLY experiment on a field with
+    m != 1, raises ValueError.  The registry entry and the built field are
+    kept as entry and field, outside describe(), repr and equality.
+    """
+
     experiment: str
-    coefficient: object = None          # dict spec, CoefficientField, or None (registry default)
+    coefficient: dict = None
     eps_list: tuple = DEFAULT_EPS
     cells_per_period: int = 16
     cell_n: int = 256
     seed: int = 0
+    entry: object = dataclass_field(init=False, repr=False, compare=False)
+    field: CoefficientField = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            self.entry = EXPERIMENTS[self.experiment]
+        except KeyError:
+            ids = ", ".join(sorted(EXPERIMENTS))
+            raise RegistryError(f"unknown experiment {self.experiment!r}; "
+                                f"available: {ids}") from None
         self.eps_list = tuple(float(e) for e in self.eps_list)
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps_list must be strictly decreasing")
@@ -50,13 +69,14 @@ class ExperimentConfig:
             raise ValueError("cells_per_period must be at least 8 (under-resolution)")
         for eps in self.eps_list:
             mesh_resolution(self.cells_per_period, eps)
+        self.field = coefficient_from_spec(self.coefficient or self.entry.coefficient)
+        if self.experiment in SCALAR_ONLY and self.field.m != 1:
+            raise ValueError(f"experiment {self.experiment!r} needs a scalar coefficient "
+                             f"(m = 1), got m = {self.field.m}")
 
     def describe(self):
-        coeff = self.coefficient
-        if isinstance(coeff, CoefficientField):
-            coeff = {"family": coeff.family, "params": coeff.params}
         return {
-            "experiment": self.experiment, "coefficient": coeff,
+            "experiment": self.experiment, "coefficient": self.coefficient,
             "eps_list": list(self.eps_list), "cells_per_period": self.cells_per_period,
             "cell_n": self.cell_n, "seed": self.seed,
         }
@@ -115,8 +135,7 @@ class RateReport:
 
 
 def coefficient_from_spec(spec) -> CoefficientField:
-    if isinstance(spec, CoefficientField):
-        return spec
+    """The field of a spec dict {"family": ..., "params": {...}}."""
     if spec is None:
         raise ValueError("no coefficient specified")
     family = spec.get("family", "layered")
@@ -150,14 +169,6 @@ def _finish_sweep(exp, config, rows_by_q, eps_list, h_list):
                       config=config.describe())
 
 
-def _experiment(config) -> object:
-    try:
-        return EXPERIMENTS[config.experiment]
-    except KeyError:
-        ids = ", ".join(sorted(EXPERIMENTS))
-        raise RegistryError(f"unknown experiment {config.experiment!r}; available: {ids}") from None
-
-
 def run(config: ExperimentConfig) -> RateReport:
     """Run a single experiment end to end: run_many of the one config."""
     return run_many([config])[config.experiment]
@@ -166,25 +177,27 @@ def run(config: ExperimentConfig) -> RateReport:
 def run_many(configs) -> dict:
     """Run several experiments, sharing per-(coefficient, epsilon) contexts.
 
-    Every config runs on its own coefficient, or on the registry default
-    when it names none; a SCALAR_ONLY experiment on a coefficient with
-    m != 1 raises ValueError before anything is assembled.  Sweep
-    experiments with the same coefficient are computed from one context
-    per epsilon (epsilon-outer order, one live factorization); refine and
-    fixed runners then run one by one.
+    Each config has already resolved its experiment and its coefficient
+    (the spec dict, or the registry default for None).  Sweep experiments
+    with the same coefficient are computed from one context per epsilon
+    (epsilon-outer order, one live factorization); refine and fixed
+    runners then run one by one.  The cell solutions cached during the
+    run are dropped when it returns or raises.
     """
     configs = list(configs)
-    fields = [coefficient_from_spec(c.coefficient or _experiment(c).coefficient) for c in configs]
-    for c, field in zip(configs, fields):
-        if c.experiment in SCALAR_ONLY and field.m != 1:
-            raise ValueError(f"experiment {c.experiment!r} needs a scalar coefficient (m = 1), "
-                             f"got m = {field.m}")
+    try:
+        return _run_groups(configs)
+    finally:
+        _CELL_CACHE.clear()
+
+
+def _run_groups(configs):
     reports = {}
     groups = {}
-    for c, field in zip(configs, fields):
-        if EXPERIMENTS[c.experiment].kind == "sweep":
-            key = (field.key(), c.eps_list, c.cells_per_period, c.cell_n)
-            groups.setdefault(key, (field, []))[1].append(c)
+    for c in configs:
+        if c.entry.kind == "sweep":
+            key = (c.field.key(), c.eps_list, c.cells_per_period, c.cell_n)
+            groups.setdefault(key, (c.field, []))[1].append(c)
 
     for (fkey, eps_list, cpp, cell_n), (field, members) in groups.items():
         rows = {c.experiment: {} for c in members}
@@ -193,23 +206,23 @@ def run_many(configs) -> dict:
             ctx = EpsilonContext(field, eps, cells_per_period=cpp, cell_n=cell_n)
             needs = set()
             for c in members:
-                needs |= set(EXPERIMENTS[c.experiment].needs)
+                needs |= set(c.entry.needs)
             ctx.prepare(needs)
             for c in members:
-                out = EXPERIMENTS[c.experiment].compute(ctx)
+                out = c.entry.compute(ctx)
                 for q, v in out.items():
                     rows[c.experiment].setdefault(q, []).append(float(v))
             h_list.append(ctx.mesh.h)
             ctx.release()
             del ctx
         for c in members:
-            reports[c.experiment] = _finish_sweep(EXPERIMENTS[c.experiment], c,
-                                                  rows[c.experiment], list(eps_list), h_list)
-    for c, field in zip(configs, fields):
-        exp = EXPERIMENTS[c.experiment]
+            reports[c.experiment] = _finish_sweep(c.entry, c, rows[c.experiment],
+                                                  list(eps_list), h_list)
+    for c in configs:
+        exp = c.entry
         if exp.kind == "sweep":
             continue
-        rows, passed, detail = exp.runner(c, field)
+        rows, passed, detail = exp.runner(c, c.field)
         reports[c.experiment] = RateReport(experiment=exp.id, kind=exp.kind, rows=rows, fits={},
                                            passed=passed, degenerate=False, detail=detail,
                                            config=c.describe())

@@ -29,7 +29,7 @@ LAYERED_DIAG = {"family": "layered", "params": {"wavevector": (1, 1)}}
 DEFAULT_EPS = (1 / 8, 1 / 16, 1 / 32, 1 / 64)
 DEGENERATE_FLOOR = 1e-9
 # experiments whose data and quantities are scalar (one boundary or volume
-# column); run_many rejects them for a coefficient with m != 1
+# column); ExperimentConfig rejects them for a coefficient with m != 1
 SCALAR_ONLY = ("s-epsilon", "dtn-expansion", "leibniz-1", "leibniz-2")
 
 

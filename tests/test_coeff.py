@@ -155,6 +155,14 @@ def test_expression_rejects_unsafe_syntax():
             coeff.from_expression(expr)
 
 
+@pytest.mark.parametrize("expr", ["-1", "0*y1", "sin(2*pi*y1)"])
+def test_expression_rejects_a_field_that_is_not_elliptic(expr):
+    # checked where the expression enters, not by a singular factor or a
+    # failed corrector downstream
+    with pytest.raises(coeff.EllipticityError, match="not positive"):
+        coeff.builtin("user", expr=expr)
+
+
 def test_declared_mu_passes_validation():
     for tag in ("layered", "trigonometric", "smoothed-checkerboard"):
         field = coeff.builtin(tag)

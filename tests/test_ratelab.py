@@ -243,8 +243,15 @@ def test_config_rejects_misaligned_epsilon():
     with pytest.raises(ValueError):
         ratelab.mesh_resolution(16, 0.3)
     with pytest.raises(ValueError):
-        ratelab.mesh_resolution(16, 1 / 256)   # n = 4096 exceeds the budget of 2048
+        ratelab.mesh_resolution(16, 1 / 256)   # n = 4096 exceeds the budget of 1024
     assert ratelab.mesh_resolution(16, 1 / 3) == 48
+
+
+def test_mesh_budget_is_the_finest_level_that_fits():
+    # the n = 2048 Dirichlet LU would not fit in memory: refuse it up front
+    assert ratelab.mesh_resolution(16, 1 / 64) == 1024
+    with pytest.raises(ValueError, match="budget 1024"):
+        ratelab.mesh_resolution(16, 1 / 128)
 
 
 def test_context_quantities_match_library():
@@ -450,10 +457,10 @@ def test_scalar_only_experiments_reject_a_system(monkeypatch, exp):
 
     monkeypatch.setattr(ratelab, "EpsilonContext", never)
     monkeypatch.setattr(ratelab.EXPERIMENTS[exp], "runner", never)
-    cfg = ratelab.ExperimentConfig(exp, coefficient={"family": "layered", "params": {"m": 2}},
-                                   eps_list=(1 / 2, 1 / 4, 1 / 8), cells_per_period=8,
-                                   cell_n=16)
     with pytest.raises(ValueError, match=rf"{exp}.*m = 1"):
+        cfg = ratelab.ExperimentConfig(exp, coefficient={"family": "layered", "params": {"m": 2}},
+                                       eps_list=(1 / 2, 1 / 4, 1 / 8), cells_per_period=8,
+                                       cell_n=16)
         ratelab.run_many([cfg])
 
 
@@ -467,3 +474,72 @@ def test_cli_expand_neumann_family_for_a_system(tmp_path):
     payload = json.loads((tmp_path / "expand.json").read_text())
     assert set(payload["conormal"]) == {"max", "l2_boundary"}
     assert all(np.isfinite(v) for v in payload["conormal"].values())
+
+
+def test_config_rejects_an_unknown_experiment_with_a_coefficient():
+    with pytest.raises(ratelab.RegistryError, match="available: .*cell-oracle"):
+        ratelab.ExperimentConfig("no-such-id", coefficient={"family": "constant", "params": {}})
+
+
+def test_run_many_drops_the_cell_cache(monkeypatch):
+    from homoglab.ratelab import context
+
+    cfg = ratelab.ExperimentConfig("cell-oracle", cell_n=16)
+    ratelab.run(cfg)
+    assert context._CELL_CACHE == {}
+    # also when the run raises after a cell was solved
+    oracle = ratelab.EXPERIMENTS["cell-oracle"].runner
+
+    def failing(config, field):
+        oracle(config, field)
+        raise RuntimeError("after the cell solve")
+
+    monkeypatch.setattr(ratelab.EXPERIMENTS["cell-oracle"], "runner", failing)
+    with pytest.raises(RuntimeError):
+        ratelab.run(cfg)
+    assert context._CELL_CACHE == {}
+
+
+def test_cli_rates_honours_the_coefficient_flags(tmp_path):
+    # the flags override the config's layered coefficient; the identity
+    # homogenizes to itself, so the closed-form check fails and exits 1
+    assert cli.main(["rates", "--out", str(tmp_path), "--experiments", "cell-oracle",
+                     "--coeff-family", "constant", "--format", "json",
+                     "--config", _write_small_config(tmp_path)]) == 1
+    payload = json.loads((tmp_path / "cell-oracle.json").read_text())
+    assert payload["config"]["coefficient"] == {"family": "constant", "params": {}}
+    (err,) = [v for (_, _, q, v) in payload["rows"] if q == "hatA_11_error"]
+    assert err == pytest.approx(abs(1.0 - np.sqrt(3.0)), abs=1e-10)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("rates", "--experiments", "leibniz-1", "--coeff-family", "layered",
+      "--coeff-params", '{"m": 2}'), ("'leibniz-1'", "m = 1")),
+    (("rates", "--eps", "0.3,0.15,0.075"), ("does not align",)),
+    (("rates", "--cells-per-period", "4"), ("at least 8",)),
+    (("all", "--coeff-family", "layered", "--coeff-params", '{"m": 2}',
+      "--eps", "1/2,1/4,1/8", "--cells-per-period", "8"), ("m = 1",)),
+    (("cell", "--coeff-family", "user", "--coeff-params", '{"expr": "-1"}'), ("not positive",)),
+])
+def test_cli_rejects_inputs_the_run_cannot_take(tmp_path, capsys, argv, named):
+    # a config or coefficient the library rejects is a usage error, and
+    # nothing is computed or written
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert all(text in err for text in named)
+    assert not out.exists()
+
+
+def test_cli_config_file_with_an_unknown_experiment(tmp_path, capsys):
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({"experiments": ["no-such-id"]}))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["rates", "--config", str(path), "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "'no-such-id'" in err
+    assert all(i in err for i in ratelab.EXPERIMENTS)
+    assert not out.exists()
