@@ -11,8 +11,9 @@ subcommand reads it through _mesh.  Command-line flags override it, and
 --coeff-family/--coeff-params override its coefficient in every
 subcommand.  Exit code is 0 iff all selected experiments pass, 1 when one
 fails, and 2 for a usage error: a flag value or config that cannot be
-read, a coefficient that is not elliptic, or (rates, all) an experiment
-config that ExperimentConfig rejects.
+read, --coeff-params without --coeff-family, a coefficient the library
+rejects, a misaligned epsilon (correctors, expand), or (rates, all) an
+experiment config that ExperimentConfig rejects.
 """
 
 from __future__ import annotations
@@ -127,6 +128,8 @@ def _load_config(path):
 def _coefficient_spec(config, args):
     """The run's coefficient spec: --coeff-family/--coeff-params over the
     config's coefficient; None when neither names one."""
+    if args.coeff_params is not None and not args.coeff_family:
+        raise ValueError("--coeff-params needs --coeff-family to name the family it sets")
     if args.coeff_family:
         return {"family": args.coeff_family, "params": args.coeff_params or {}}
     return config.get("coefficient")
@@ -141,6 +144,14 @@ def _mesh(config, args):
     if args.cells_per_period:
         mesh["cells_per_period"] = args.cells_per_period
     return mesh
+
+
+def _levels(args, config):
+    """(eps, n) per epsilon mesh of correctors (--eps, else 1/8, 1/16, 1/32)
+    or expand (the first --eps); ValueError for a misaligned epsilon."""
+    cpp = _mesh(config, args)["cells_per_period"]
+    eps_list = (args.eps or (1 / 8, 1 / 16, 1 / 32)) if args.command == "correctors" else (_first_eps(args),)
+    return [(eps, ratelab.mesh_resolution(cpp, eps)) for eps in eps_list]
 
 
 def _outpath(args, name):
@@ -168,13 +179,11 @@ def cmd_cell(args, config, field):
     return 0
 
 
-def cmd_correctors(args, config, field):
-    eps_list = args.eps or (1 / 8, 1 / 16, 1 / 32)
-    mesh = _mesh(config, args)
-    cs = ratelab.cell_solution(field, mesh["cell_n"])
+def cmd_correctors(args, config, field, levels):
+    cs = ratelab.cell_solution(field, _mesh(config, args)["cell_n"])
     out = []
-    for eps in eps_list:
-        dm = fem.DomainMesh(ratelab.mesh_resolution(mesh["cells_per_period"], eps))
+    for eps, n in levels:
+        dm = fem.DomainMesh(n)
         x0 = dm.nearest_node(args.pin) if args.pin else None
         sc = rescale(field, eps)
         op = fem.assemble(sc, dm)
@@ -231,12 +240,11 @@ def _expand_conflict(args):
     return None
 
 
-def cmd_expand(args, config, field):
-    eps = _first_eps(args)
-    mesh = _mesh(config, args)
-    dm = fem.DomainMesh(ratelab.mesh_resolution(mesh["cells_per_period"], eps))
+def cmd_expand(args, config, field, levels):
+    [(eps, n)] = levels
+    dm = fem.DomainMesh(n)
     sc = rescale(field, eps)
-    cs = ratelab.cell_solution(field, mesh["cell_n"])
+    cs = ratelab.cell_solution(field, _mesh(config, args)["cell_n"])
     hatA_field = builtin("constant", value=cs.hatA, m=field.m)
     result = {}
     if args.check == "conormal" or args.family == "neumann":
@@ -329,6 +337,8 @@ def main(argv=None):
             configs = _rate_configs(args, config, spec)
         else:
             field = ratelab.coefficient_from_spec(spec or LAYERED)
+            if args.command in ("correctors", "expand"):
+                levels = _levels(args, config)
     except (ValueError, ratelab.RegistryError) as err:
         parser.error(str(err))
     if args.command == "expand" and (conflict := _expand_conflict(args)):
@@ -339,13 +349,13 @@ def main(argv=None):
     if args.command == "cell":
         return cmd_cell(args, config, field)
     if args.command == "correctors":
-        return cmd_correctors(args, config, field)
+        return cmd_correctors(args, config, field, levels)
     if args.command in ("green", "neumann-fn", "poisson"):
         return _kernel_command(args, config, field, args.command)
     if args.command == "dtn":
         return cmd_dtn(args, config, field)
     if args.command == "expand":
-        return cmd_expand(args, config, field)
+        return cmd_expand(args, config, field, levels)
     return 2
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,20 +265,33 @@ def _checkerboard_field(contrast, width, m):
                             params={"contrast": contrast, "width": width})
 
 
+def _param(params, name, default, kind=numbers.Real):
+    """params[name], or default when absent; CoefficientError naming the
+    parameter unless the value is of that kind (a bool never is)."""
+    value = params.pop(name, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = {numbers.Integral: "an integer", str: "an expression string"}.get(kind, "a number")
+        raise CoefficientError(f"parameter {name} must be {what}, got {value!r}")
+    return value
+
+
 def builtin(tag, m=1, **params) -> CoefficientField:
     """Construct one of the builtin coefficient families by tag; a parameter
-    the family does not take raises CoefficientError."""
+    the family does not take, or one of the wrong type, raises
+    CoefficientError."""
+    m = _param({"m": m}, "m", 1, numbers.Integral)
     if tag == "constant":
         field = _constant_field(params.pop("value", 1.0), m)
     elif tag == "layered":
-        field = _layered_field(params.pop("base", 2.0), params.pop("amp", 1.0),
+        field = _layered_field(_param(params, "base", 2.0), _param(params, "amp", 1.0),
                                params.pop("axis", 0), params.pop("wavevector", None), m)
     elif tag == "trigonometric":
-        field = _trigonometric_field(params.pop("base", 2.0), params.pop("amp", 0.5), m)
+        field = _trigonometric_field(_param(params, "base", 2.0), _param(params, "amp", 0.5), m)
     elif tag == "smoothed-checkerboard":
-        field = _checkerboard_field(params.pop("contrast", 10.0), params.pop("width", 1.0 / 16.0), m)
+        field = _checkerboard_field(_param(params, "contrast", 10.0),
+                                    _param(params, "width", 1.0 / 16.0), m)
     elif tag == "user":
-        field = from_expression(params.pop("expr"), m)
+        field = from_expression(_param(params, "expr", None, str), m)
     else:
         raise CoefficientError(f"unknown builtin family {tag!r}; choose from {BUILTIN_FAMILIES}")
     if params:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import (assemble, solve_dirichlet, solve_neumann, boundary_flux_load,
-                   nodal_gradient, interp_torus, monomial_table)
+from .mesh import (assemble, solve_dirichlet, solve_neumann, nodal_gradient, interp_torus,
+                   monomial_table)
 
 __all__ = ["CorrectorError", "dirichlet_correctors", "neumann_correctors",
            "interior_family", "corrector_report"]
@@ -76,16 +76,14 @@ def neumann_correctors(op, hatA, x0=None):
     if mesh.boundary_mask[x0]:
         raise CorrectorError("pin node x0 must be interior")
     hatA = np.asarray(hatA, dtype=float).reshape(2, 2, m, m)
+    corners = mesh.corner_positions
     psi = np.zeros((d, m, mesh.nnodes, m))
     for j in range(d):
         for beta in range(m):
-            flux_col = hatA[:, j, :, beta]                       # (i, alpha)
-
-            def g(pts, normal, col=flux_col):
-                vals = np.einsum("i,ia->a", normal, col)
-                return np.broadcast_to(vals, (pts.shape[0], m))
-
-            sol = solve_neumann(op, None, flux=boundary_flux_load(mesh, g, m=m))
+            flux = mesh.normals @ hatA[:, j, :, beta]            # (n_boundary, alpha)
+            # a corner has no normal: its edge neighbours' mean gives each edge half
+            flux[corners] = 0.5 * (flux[corners - 1] + flux[corners + 1])
+            sol = solve_neumann(op, None, flux=flux)
             pin_target = np.zeros(m)
             pin_target[beta] = mesh.nodes[x0, j]
             psi[j, beta] = sol + (pin_target - sol[x0])[None, :]

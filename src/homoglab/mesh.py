@@ -151,31 +151,14 @@ class DomainMesh(_UniformGrid):
         self.boundary_s = np.arange(4 * n) * self.h
         self.arc_weights = np.full(4 * n, self.h)
         self.corner_positions = np.array([0, n, 2 * n, 3 * n])
-        normals = np.empty((4 * n, 2))
-        normals[0:n] = (0.0, -1.0)
-        normals[n:2 * n] = (1.0, 0.0)
-        normals[2 * n:3 * n] = (0.0, 1.0)
-        normals[3 * n:4 * n] = (-1.0, 0.0)
-        normals[self.corner_positions] = np.nan
-        self.normals = normals
-        mask = np.ones(4 * n, dtype=bool)
-        mask[self.corner_positions] = False
-        self.noncorner_mask = mask
+        self.normals = np.repeat([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)], n, axis=0)
+        self.normals[self.corner_positions] = np.nan
+        self.noncorner_mask = np.arange(4 * n) % n != 0
 
         bmask = np.zeros(self.nnodes, dtype=bool)
         bmask[self.boundary_nodes] = True
         self.boundary_mask = bmask
         self.interior_nodes = np.flatnonzero(~bmask)
-
-    def edge_positions(self, edge):
-        """Boundary-list positions of the closed edge (both corners included)."""
-        n = self.n
-        pos = np.arange(edge * n, edge * n + n + 1)
-        pos[-1] %= 4 * n
-        return pos
-
-    def edge_normal(self, edge):
-        return np.array([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)][edge])
 
     def nearest_node(self, pt):
         """Index of the mesh node closest to the point pt."""
@@ -388,6 +371,13 @@ def _symmetric_interior(tensor):
     return np.abs(parts - parts.transpose(0, 2, 1)).max() <= 1e-14 * np.abs(tensor).max()
 
 
+def q1_eigenvalues(theta):
+    """Eigenvalues (stiffness, mass) of the 1-D Q1 factors K1 = tridiag(-1, 2, -1)
+    and M1 = tridiag(1, 4, 1)/6 on the mode of angle theta: sine modes for
+    SineTransformSolver, Fourier modes for the torus solve of cell."""
+    return 2.0 - 2.0 * np.cos(theta), (4.0 + 2.0 * np.cos(theta)) / 6.0
+
+
 def _ratio(num, den):
     """num / den per column, 0 where den is 0 (a column with zero residual)."""
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
@@ -412,9 +402,7 @@ class SineTransformSolver:
 
     def __init__(self, op, tensor):
         n, m = op.mesh.n, op.m
-        k = np.pi * np.arange(1, n) / n
-        lam_k = 2.0 - 2.0 * np.cos(k)
-        lam_m = (4.0 + 2.0 * np.cos(k)) / 6.0
+        lam_k, lam_m = q1_eigenvalues(np.pi * np.arange(1, n) / n)
         symbol = (np.einsum("y,x,ab->yxab", lam_m, lam_k, tensor[0, 0])
                   + np.einsum("y,x,ab->yxab", lam_k, lam_m, tensor[1, 1]))
         self._inv = np.linalg.inv(symbol)               # (n-1, n-1, m, m)
@@ -585,26 +573,13 @@ def point_load(mesh, node, beta=0, m=1):
 
 
 def boundary_flux_load(mesh, g, m=1):
-    """Assemble v -> integral_{boundary} g . v dsigma by per-edge trapezoid.
-
-    g is a callable(points, normal) -> (npts, m) evaluated per edge with the
-    edge's constant outward normal (corners receive contributions from both
-    adjacent edges), or a nodal array (n_boundary, m) in boundary order.
-    """
-    vec = np.zeros(mesh.nnodes * m)
-    nodal = None if callable(g) else np.asarray(g, dtype=float).reshape(mesh.n_boundary, m)
-    for edge in range(4):
-        pos = mesh.edge_positions(edge)
-        nodes = mesh.boundary_nodes[pos]
-        if nodal is None:
-            gvals = np.asarray(g(mesh.nodes[nodes], mesh.edge_normal(edge)), dtype=float).reshape(-1, m)
-        else:
-            gvals = nodal[pos]
-        w = np.full(len(pos), mesh.h)
-        w[0] = w[-1] = 0.5 * mesh.h
-        for a in range(m):
-            vec[nodes * m + a] += w * gvals[:, a]     # an edge's nodes are distinct
-    return vec
+    """Assemble v -> integral_{boundary} g . v dsigma by per-edge trapezoid,
+    for nodal values g (n_boundary, m) in boundary order: every boundary
+    node carries its arc weight h (a corner half from each of its edges)."""
+    vec = np.zeros((mesh.nnodes, m))
+    g = np.asarray(g, dtype=float).reshape(mesh.n_boundary, m)
+    vec[mesh.boundary_nodes] = mesh.arc_weights[:, None] * g
+    return vec.ravel()
 
 
 def _layout(data, what, shapes):
@@ -819,13 +794,9 @@ def tangential_derivative(mesh, fb, i, j):
     sign = 1.0 if (i, j) == (1, 2) else -1.0 if (i, j) == (2, 1) else None
     if sign is None:
         raise ValueError(f"indices must be in {{1,2}}, got ({i},{j})")
-    out = np.zeros_like(fb)
-    h = mesh.h
-    for edge in range(4):
-        pos = mesh.edge_positions(edge)
-        vals = fb[pos]
-        deriv = np.zeros_like(vals)
-        deriv[1:-1] = (vals[2:] - vals[:-2]) / (2 * h)
-        out[pos[1:-1]] = deriv[1:-1]
+    # along the counterclockwise boundary list the neighbours of a node
+    # inside an edge are its neighbours on that edge
+    out = (np.roll(fb, -1, axis=0) - np.roll(fb, 1, axis=0)) / (2 * mesh.h)
+    out[mesh.corner_positions] = 0.0
     return sign * out
 

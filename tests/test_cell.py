@@ -105,6 +105,24 @@ def test_flux_corrector_rejects_nonzero_mean():
         cell.flux_corrector(grid, b_gauss)
 
 
+def test_flux_corrector_rejects_nonfinite_data():
+    grid = mesh.TorusGrid(16)
+    b_gauss = np.zeros((2, 2, 1, 1, grid.nelem, 4))
+    b_gauss[0, 1, 0, 0, 5, 2] = np.nan
+    with pytest.raises(cell.CellError):
+        cell.flux_corrector(grid, b_gauss)
+
+
+def test_flux_corrector_pins_the_volume_mean():
+    # data with a small admissible mean: f solves against the mean-free
+    # load and has zero volume mean
+    grid = mesh.TorusGrid(16)
+    b_gauss = np.zeros((2, 2, 1, 1, grid.nelem, 4))
+    b_gauss[0, 0, 0, 0] = np.sin(2 * np.pi * grid.gauss_points()[..., 0]) + 1e-7
+    f, _ = cell.flux_corrector(grid, b_gauss)
+    assert abs(f.sum()) <= 1e-12 * np.abs(f).sum()
+
+
 def test_flux_divergence_residual_halves(layered_cell64, layered_cell128):
     r64 = cell.flux_divergence_residual(layered_cell64.grid, layered_cell64.F,
                                         layered_cell64.b_gauss)
@@ -247,3 +265,23 @@ def test_coupled_system_takes_interleaved_path(monkeypatch, layered_field):
         cs = cell.solve(_two_block_field(layered_field, layered_field, off), n)
         assert seen == [2]
         assert cs.chi.shape == (2, 2, n * n, 2)
+
+
+@pytest.mark.parametrize("field", [
+    coeff.builtin("layered"),
+    _two_block_field(coeff.builtin("layered"), coeff.builtin("trigonometric"),
+                     lambda pts: 0.2 * np.cos(2 * np.pi * pts[:, 1])),
+], ids=["layered", "coupled-m2"])
+def test_flux_corrector_solves_the_assembled_torus_laplacian(field):
+    # the closed-form f against the assembled Q1 Laplacian of the torus:
+    # K f = load - mean(load) column by column, with zero volume mean
+    n = 32
+    grid = mesh.TorusGrid(n)
+    cs = cell.solve(field, n)
+    K = mesh.assemble(coeff.builtin("constant", value=np.eye(2)), grid).matrix
+    for idx in np.ndindex(cs.f.shape[:4]):
+        load = -mesh.volume_load_from_gauss(grid, cs.b_gauss[idx][:, :, None])
+        load -= load.mean()
+        f = cs.f[idx]
+        assert np.linalg.norm(K @ f - load) <= 1e-12 * np.linalg.norm(load)
+        assert abs(f.sum()) <= 1e-12 * np.abs(f).sum()

@@ -136,6 +136,21 @@ def test_builtin_rejects_bad_parameters():
         coeff.builtin("nope")
 
 
+@pytest.mark.parametrize("tag, params, name", [
+    ("user", {}, "expr"),
+    ("user", {"expr": 2.0}, "expr"),
+    ("layered", {"m": "x"}, "m"),
+    ("layered", {"m": 2.0}, "m"),
+    ("layered", {"base": "2"}, "base"),
+    ("trigonometric", {"amp": None}, "amp"),
+    ("smoothed-checkerboard", {"contrast": [10.0]}, "contrast"),
+    ("smoothed-checkerboard", {"width": "narrow"}, "width"),
+])
+def test_builtin_names_a_parameter_of_the_wrong_type(tag, params, name):
+    with pytest.raises(coeff.CoefficientError, match=f"parameter {name} must be"):
+        coeff.builtin(tag, **params)
+
+
 def test_builtin_rejects_unknown_parameters():
     with pytest.raises(coeff.CoefficientError, match="no parameter d"):
         coeff.builtin("layered", d=3)

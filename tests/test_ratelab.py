@@ -520,6 +520,11 @@ def test_cli_rates_honours_the_coefficient_flags(tmp_path):
     (("all", "--coeff-family", "layered", "--coeff-params", '{"m": 2}',
       "--eps", "1/2,1/4,1/8", "--cells-per-period", "8"), ("m = 1",)),
     (("cell", "--coeff-family", "user", "--coeff-params", '{"expr": "-1"}'), ("not positive",)),
+    (("cell", "--coeff-params", '{"amp": 0.5}'), ("--coeff-params", "--coeff-family")),
+    (("cell", "--coeff-family", "user"), ("parameter expr",)),
+    (("cell", "--coeff-family", "layered", "--coeff-params", '{"m": "x"}'), ("parameter m",)),
+    (("correctors", "--eps", "0.3"), ("does not align",)),
+    (("expand", "--eps", "0.3"), ("does not align",)),
 ])
 def test_cli_rejects_inputs_the_run_cannot_take(tmp_path, capsys, argv, named):
     # a config or coefficient the library rejects is a usage error, and
