@@ -16,9 +16,10 @@ gradient recovery and carry the usual O(h^2) pointwise error.
 
 ``solve`` evaluates the coefficient once per grid, at the Gauss points and
 at the nodes; the stages (solve_cell, homogenize, discrepancy) take the
-periodic operator and those values rather than the coefficient.  The cell
-problems use that operator's bordered LU (mesh); the flux corrector's
-constant-coefficient Laplacian is inverted by a 2-D FFT.
+periodic operator and those values rather than the coefficient.  Every
+linear solve goes through mesh: the cell problems through solve_periodic
+on that operator, the flux corrector's d^2 m^2 columns through one batched
+solve of the assembled torus Laplacian, whose solver mesh picks and checks.
 
 A component-decoupled system (a^{ab} = 0 exactly for a != b at every Gauss
 point and node of the cell grid) is solved by ``solve`` block by block
@@ -34,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh as fem
-from .coeff import CoefficientField
-from .mesh import (TorusGrid, SolveError, assemble, coefficient_gauss_values, solve_periodic,
+from .coeff import CoefficientField, builtin
+from .mesh import (TorusGrid, assemble, coefficient_gauss_values, solve_periodic,
                    nodal_gradient, element_gauss_gradients, volume_load_from_gauss,
-                   divergence_load_from_gauss, q1_eigenvalues, GAUSS_WEIGHTS)
+                   divergence_load_from_gauss, GAUSS_WEIGHTS)
 
 __all__ = ["CellError", "CellSolution", "solve_cell", "homogenize",
            "discrepancy", "flux_corrector", "solve", "flux_divergence_residual"]
@@ -162,32 +163,6 @@ def discrepancy(grid, chi, hatA, A_gauss, A_nodes):
     return b_nodal, b_gauss, b_mean, chi_grad, res
 
 
-def _solve_torus_laplacian(grid, load):
-    """The mean-zero f with K f = load - mean(load) for each load column
-    (nnodes, ncols), K the Q1 Laplacian of the uniform torus.
-
-    K = K1 (x) M1 + M1 (x) K1 with circulant 1-D factors, so the 2-D DFT
-    diagonalizes it, and dropping the zero mode pins the volume mean.  A
-    column whose residual, by K's 9-point stencil (centre 8/3, neighbours
-    -1/3), misses mesh.SineTransformSolver's target raises SolveError.
-    """
-    n = grid.n
-    lam_k, lam_m = q1_eigenvalues(2.0 * np.pi * np.arange(n) / n)
-    symbol = np.outer(lam_k, lam_m) + np.outer(lam_m, lam_k)
-    symbol[0, 0] = 1.0
-    fhat = np.fft.rfft2(load.reshape(n, n, -1), axes=(0, 1)) / symbol[:, :n // 2 + 1, None]
-    fhat[0, 0] = 0.0
-    f = np.fft.irfft2(fhat, s=(n, n), axes=(0, 1))
-    box = sum(np.roll(f, (i, j), axis=(0, 1)) for i in (-1, 0, 1) for j in (-1, 0, 1))
-    f, Kf = f.reshape(load.shape), (3.0 * f - box / 3.0).reshape(load.shape)
-    res, data, size = (np.linalg.norm(v, axis=0) for v in (Kf - load + load.mean(axis=0), load, f))
-    ok = res <= np.maximum(fem._TRANSFORM_RTOL * data, fem._TRANSFORM_FLOOR * 8.0 / 3.0 * size)
-    if not ok.all():
-        raise SolveError(f"torus Laplacian solve missed its residual target on "
-                         f"{(~ok).sum()} of {ok.size} columns")
-    return f
-
-
 def flux_corrector(grid, b_gauss):
     """Solve Laplace(f_ij^{ab}) = b_ij^{ab} on the torus, all columns at once,
     and build F_kij^{ab} = d_k f_ij^{ab} - d_i f_kj^{ab}, exactly antisymmetric.
@@ -199,7 +174,8 @@ def flux_corrector(grid, b_gauss):
     if not mean <= 1e-6:
         raise CellError(f"flux corrector needs mean-zero data, got max mean {mean:.3e}")
     cols = b_gauss.reshape(-1, grid.nelem, 4).transpose(1, 2, 0)     # (nelem, 4, ijab)
-    f = _solve_torus_laplacian(grid, -volume_load_from_gauss(grid, cols).reshape(grid.nnodes, -1))
+    laplacian = assemble(builtin("constant", value=1.0), grid)
+    f = laplacian.factorization().solve(-volume_load_from_gauss(grid, cols).reshape(grid.nnodes, -1))
     # G[k, i, j, a, b] = d_k f_ij^{ab}
     G = np.moveaxis(nodal_gradient(grid, f).reshape(grid.nnodes, 2, *shape), 0, -1)
     F = G - G.transpose(1, 0, 2, 3, 4, 5)

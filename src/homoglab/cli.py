@@ -65,15 +65,18 @@ def _parse_pin(text):
     return x, y
 
 
-def _parse_n(text):
-    """--n: a mesh resolution of at least 2 cells per axis."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 cells per axis, got {n}")
-    return n
+def _int_at_least(low, need):
+    """A flag type: an integer of at least low, else a usage error saying
+    that the flag needs `need`."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"need {need}, got {n}")
+        return n
+    return parse
 
 
 def _parse_json_object(text):
@@ -104,12 +107,16 @@ def _first_eps(args):
 
 
 def _load_config(path):
-    """The JSON config at path ({} for None); ValueError on a non-object or
-    on keys outside CONFIG_KEYS (MESH_DEFAULTS in the mesh block)."""
+    """The JSON config at path ({} for None); ValueError on a path that
+    cannot be read, a non-object or keys outside CONFIG_KEYS (MESH_DEFAULTS
+    in the mesh block)."""
     if path is None:
         return {}
-    with open(path) as fh:
-        config = json.load(fh)
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except OSError as err:
+        raise ValueError(f"cannot read config {path}: {err.strerror}") from None
     if not isinstance(config, dict):
         raise ValueError(f"config {path} must be a JSON object")
     unknown = sorted(set(config) - set(CONFIG_KEYS))
@@ -141,7 +148,7 @@ def _mesh(config, args):
     mesh = {**MESH_DEFAULTS, **config.get("mesh", {})}
     if args.n is not None:
         mesh["n"] = args.n
-    if args.cells_per_period:
+    if args.cells_per_period is not None:
         mesh["cells_per_period"] = args.cells_per_period
     return mesh
 
@@ -313,7 +320,8 @@ def main(argv=None):
     parser.add_argument("--out", help="output directory (default .)")
     parser.add_argument("--eps", "--eps-list", dest="eps", type=_parse_eps,
                         help="comma-separated epsilon list, fractions allowed")
-    parser.add_argument("--cells-per-period", type=int, dest="cells_per_period")
+    parser.add_argument("--cells-per-period", dest="cells_per_period",
+                        type=_int_at_least(1, "a positive number of cells per period"))
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--experiments", type=_parse_experiments,
                         help="comma-separated experiment ids (rates)")
@@ -323,7 +331,8 @@ def main(argv=None):
                         help="JSON params for the coefficient family")
     parser.add_argument("--family", choices=["chi", "dirichlet", "neumann"],
                         default="chi", help="corrector family for expand")
-    parser.add_argument("--n", type=_parse_n, help="mesh resolution for kernel commands")
+    parser.add_argument("--n", type=_int_at_least(2, "at least 2 cells per axis"),
+                        help="mesh resolution for kernel commands")
     parser.add_argument("--pin", type=_parse_pin,
                         help="x0,y0 pin point for Neumann correctors")
     parser.add_argument("--check", choices=["residual", "conormal"], default=None)

@@ -2,9 +2,8 @@
 
 Coefficient fields are supplied as analytic evaluators (pure functions of
 the sample point), never as gridded data, so every mesh resolution samples
-them exactly.  A field carries its declared ellipticity constant, a Holder
-pair used for sampled diagnostics, and a symmetry flag meaning
-a_ij^{ab}(y) = a_ji^{ba}(y).
+them exactly.  A field carries its declared ellipticity constant and a
+symmetry flag meaning a_ij^{ab}(y) = a_ji^{ba}(y).
 
 Index convention throughout the package: a tensor value at a point has
 shape (d, d, m, m) indexed [i, j, alpha, beta], acting on gradients as
@@ -44,7 +43,7 @@ class EllipticityError(CoefficientError):
 
 
 class CoefficientField:
-    """Periodic tensor field with ellipticity/periodicity/Holder metadata.
+    """Periodic tensor field with its ellipticity constant and symmetry flag.
 
     The evaluator maps an (npts, d) array of points to an
     (npts, d, d, m, m) array, with d = 2 (every mesh is two-dimensional).
@@ -54,20 +53,15 @@ class CoefficientField:
 
     d = 2
 
-    def __init__(self, evaluator, m=1, family="user", mu=None,
-                 holder=(1.0, 0.0), symmetric=True, params=None):
+    def __init__(self, evaluator, m=1, family="user", mu=None, symmetric=True, params=None):
         if m < 1:
             raise CoefficientError(f"need m >= 1, got m={m}")
-        lam, tau = holder
-        if not (0.0 < lam <= 1.0) or tau < 0.0:
-            raise CoefficientError(f"Holder pair must have exponent in (0,1] and seminorm >= 0, got {holder}")
         if mu is not None and mu <= 0.0:
             raise CoefficientError(f"ellipticity constant must be positive, got {mu}")
         self._evaluator = evaluator
         self.m = int(m)
         self.family = family
         self.mu = mu
-        self.holder = (float(lam), float(tau))
         self.symmetric = bool(symmetric)
         self.params = dict(params or {})
 
@@ -96,7 +90,7 @@ class CoefficientField:
             return np.transpose(np.asarray(base(pts)), (0, 2, 1, 4, 3))
 
         return CoefficientField(star, m=self.m, family=self.family,
-                                mu=self.mu, holder=self.holder, symmetric=False,
+                                mu=self.mu, symmetric=False,
                                 params={**self.params, "adjoint": True})
 
     def key(self):
@@ -198,8 +192,7 @@ def _constant_field(value, m):
     def ev(pts):
         return np.broadcast_to(tensor, (pts.shape[0],) + tensor.shape).copy()
 
-    return CoefficientField(ev, m=m, family="constant", mu=mu,
-                            holder=(1.0, 0.0), symmetric=sym,
+    return CoefficientField(ev, m=m, family="constant", mu=mu, symmetric=sym,
                             params={"value": tensor.tolist()})
 
 
@@ -220,10 +213,8 @@ def _layered_field(base, amp, axis, wavevector, m):
         return base + amp * np.sin(2.0 * np.pi * (pts @ kvec))
 
     lo, hi = base - abs(amp), base + abs(amp)
-    tau = abs(amp) * 2.0 * np.pi * float(np.linalg.norm(kvec))
     return CoefficientField(_isotropic(scalar, m), m=m, family="layered",
-                            mu=min(lo, 1.0 / hi), holder=(1.0, tau),
-                            symmetric=True,
+                            mu=min(lo, 1.0 / hi), symmetric=True,
                             params={"base": base, "amp": amp, "wavevector": wavevector})
 
 
@@ -237,8 +228,8 @@ def _trigonometric_field(base, amp, m):
 
     lo, hi = base - abs(amp), base + abs(amp)
     return CoefficientField(_isotropic(scalar, m), m=m, family="trigonometric",
-                            mu=min(lo, 1.0 / hi), holder=(1.0, abs(amp) * 4.0 * np.pi),
-                            symmetric=True, params={"base": base, "amp": amp})
+                            mu=min(lo, 1.0 / hi), symmetric=True,
+                            params={"base": base, "amp": amp})
 
 
 def _checkerboard_field(contrast, width, m):
@@ -259,9 +250,8 @@ def _checkerboard_field(contrast, width, m):
         return 1.0 + (contrast - 1.0) * mask
 
     lo, hi = min(1.0, contrast), max(1.0, contrast)
-    tau = abs(contrast - 1.0) * scale * 2.0 * np.pi  # slope of the mollified jump
     return CoefficientField(_isotropic(scalar, m), m=m, family="smoothed-checkerboard",
-                            mu=min(lo, 1.0 / hi), holder=(1.0, tau), symmetric=True,
+                            mu=min(lo, 1.0 / hi), symmetric=True,
                             params={"contrast": contrast, "width": width})
 
 
@@ -350,7 +340,7 @@ def from_expression(expr: str, m=1) -> CoefficientField:
         return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],))
 
     field = CoefficientField(_isotropic(scalar, m), m=m, family="user",
-                             mu=None, holder=(1.0, 0.0), symmetric=True,
+                             mu=None, symmetric=True,
                              params={"expr": expr})
     validate(field)
     return field
@@ -379,7 +369,8 @@ def validate(field, samples=16, seed=0, xi_samples=32) -> ValidationReport:
 
     Raises CoefficientError on non-finite values and EllipticityError when
     the sampled lower Rayleigh quotient is not positive.  The Holder
-    quotient is a diagnostic, never a gate.
+    quotient, of exponent 1 (every field is Lipschitz), is a diagnostic,
+    never a gate.
     """
     if samples < 2:
         raise CoefficientError("need at least 2 samples per axis")
@@ -405,12 +396,11 @@ def validate(field, samples=16, seed=0, xi_samples=32) -> ValidationReport:
             continue
         per = max(per, float(np.abs(field(grid + z) - vals).max()))
 
-    lam = field.holder[0]
     deltas = rng.uniform(1e-4, 5e-2, size=(grid.shape[0], 1)) * rng.standard_normal(grid.shape)
     norms = np.linalg.norm(deltas, axis=1)
     diffs = field(grid + deltas) - vals
     dmax = np.abs(diffs).reshape(grid.shape[0], -1).max(axis=1)
-    hq = float((dmax / norms**lam).max())
+    hq = float((dmax / norms).max())
 
     return ValidationReport(rayleigh_min=rmin, rayleigh_max=rmax,
                             periodicity_residual=per, holder_quotient=hq,

@@ -15,14 +15,16 @@ it is symmetric (op.coeff.symmetric).
 
 Each constraint mode (Dirichlet, Neumann, periodic) has one solve through
 the solver of its constrained system, built once per operator and cached
-on it (AssembledOperator.factorization).  Every solver checks the residual
-of each column it solves and raises SolveError when one misses, so a
-caller of .solve gets checked solutions.  The solver is a sparse LU
-(CheckedLU), except for a Dirichlet operator of a constant tensor with a
-symmetric interior block (the homogenized operator, the Laplacian): there
-a sine transform solves the tensor's separable part exactly and
-preconditioned conjugate gradients take up the mixed term
-(SineTransformSolver).
+on it (AssembledOperator.factorization).  Every solver takes and returns
+the operator's own dofs, checks the residual of each column it solves and
+raises SolveError when one misses, so a caller of .solve gets checked
+solutions.  One rule picks the solver: for a constant tensor with a
+symmetric constrained block in the 'dirichlet' and 'periodic' modes (the
+homogenized operator, the Laplacian) a transform solves the tensor's
+separable part exactly and preconditioned conjugate gradients take up the
+mixed term (TransformSolver: DST-I on the square's interior, a real FFT on
+the torus); every other operator, every Neumann one among them, is solved
+by sparse LU (CheckedLU).
 
 Solve data comes in fixed layouts, for an operator with m components:
 
@@ -212,11 +214,10 @@ class AssembledOperator:
     mode 'dirichlet' eliminates boundary dofs at solve time; mode 'neumann'
     appends one scalar mean constraint per component over the boundary;
     mode 'periodic' pins the volume mean on the torus.  Each mode has one
-    solve: the solver of its constrained system (factorization(), a sparse
-    LU or, for a constant tensor in mode 'dirichlet', a sine transform),
-    which checks the residual of every column it solves.  The solver is
-    cached behind the handle; release() frees it (an LU is large at fine
-    resolution).
+    solve: the solver of its constrained system (factorization(), a
+    transform or a sparse LU), which checks the residual of every column it
+    solves.  The solver is cached behind the handle; release() frees it (an
+    LU is large at fine resolution).
     """
 
     def __init__(self, mesh, matrix, mode, coeff, warnings=()):
@@ -255,20 +256,6 @@ class AssembledOperator:
             self._Kii = self.matrix[inter][:, inter].tocsr()
         return self._Kii
 
-    def pin_columns(self):
-        """Constraint columns for the mean pin (one per component)."""
-        m = self.m
-        C = np.zeros((self.ndof, m))
-        if self.mode == "periodic":
-            w = np.full(self.mesh.nnodes, self.mesh.h ** 2)
-            nodes = np.arange(self.mesh.nnodes)
-        else:
-            w = self.mesh.arc_weights
-            nodes = self.mesh.boundary_nodes
-        for a in range(m):
-            C[nodes * m + a, a] = w
-        return C
-
     def release(self):
         self._lu = None
         self._Kii = None
@@ -277,55 +264,68 @@ class AssembledOperator:
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     def factorization(self):
-        """Cached solver of the constrained system, with a .solve(b) for 1-D
-        or 2-D right-hand sides that raises SolveError unless every column
+        """Cached solver of the constrained system, whose .solve(b) takes
+        and returns the operator's dofs (its interior dofs in mode
+        'dirichlet'), 1-D or 2-D, and raises SolveError unless every column
         meets its residual target.
 
-        In mode 'dirichlet' it solves the interior block K_ii: by sine
-        transform (SineTransformSolver) when the coefficient is a constant
-        tensor, also rescaled, with a symmetric K_ii, and by sparse LU
-        (CheckedLU) otherwise.  The other modes factor the bordered
-        [[K, C], [C^T, 0]] with the mean-pin columns C.
+        A constant tensor, also rescaled, whose constrained block is
+        symmetric is solved by TransformSolver in the 'dirichlet' and
+        'periodic' modes; every other operator by CheckedLU.
         """
         if self._lu is None:
-            if self.mode == "dirichlet":
-                tensor = _constant_tensor(self.coeff)
-                if tensor is not None and _symmetric_interior(tensor):
-                    self._lu = SineTransformSolver(self, tensor)
-                else:
-                    K = self.interior_matrix()
-                    self._lu = CheckedLU(self.mode, self._factor(K), K)
+            tensor = None if self.mode == "neumann" else _constant_tensor(self.coeff)
+            if tensor is not None and _symmetric_block(tensor):
+                self._lu = TransformSolver(self, tensor)
             else:
-                C = sp.csr_matrix(self.pin_columns())
-                B = sp.bmat([[self.matrix, C], [C.T, None]], format="csc")
-                self._lu = CheckedLU(self.mode, self._factor(B), self.matrix, C)
+                self._lu = CheckedLU(self)
         return self._lu
 
 
+def _pin_columns(op):
+    """The sparse (ndof, m) mean-pin columns C of a 'neumann' or 'periodic'
+    operator: column a weights component a over the boundary (arc weights)
+    or over the torus (h^2 per node)."""
+    mesh, m = op.mesh, op.m
+    if op.mode == "periodic":
+        nodes, w = np.arange(mesh.nnodes), np.full(mesh.nnodes, mesh.h ** 2)
+    else:
+        nodes, w = mesh.boundary_nodes, mesh.arc_weights
+    rows = (nodes[:, None] * m + np.arange(m)).ravel()
+    return sp.csr_matrix((np.repeat(w, m), (rows, np.tile(np.arange(m), nodes.size))),
+                         shape=(op.ndof, m))
+
+
 class CheckedLU:
-    """The sparse LU of a constrained system, whose solve raises SolveError
-    unless each column x it returns meets the residual rule: |A x - b| is
-    within 1e-9 |b|, or, for (near-)zero data, within the roundoff floor
-    1e-12 max|K| (1 + |x|).
+    """The sparse LU of an operator's constrained system, whose solve
+    raises SolveError unless each column x it returns meets the residual
+    rule: |A x - b| is within 1e-9 |b|, or, for (near-)zero data, within
+    the roundoff floor 1e-12 max|K| (1 + |x|).
 
     A is K_ii (mode 'dirichlet') or the bordered [[K, C], [C^T, 0]] with
-    the sparse mean-pin columns C, whose residual is computed from K and C
-    without the bordered matrix.
+    the sparse mean-pin columns C.  solve(b) appends the zero constraint
+    rows to b, checks the bordered residual from K and C without the
+    bordered matrix, and drops the multipliers from x.
     """
 
-    def __init__(self, mode, lu, K, C=None):
-        self._mode = mode
-        self._lu = lu
-        self._K = K
-        self._C = C
-        self._amax = np.abs(K.data).max()
+    def __init__(self, op):
+        self._mode = op.mode
+        if op.mode == "dirichlet":
+            self._K, self._C = op.interior_matrix(), None
+            self._lu = op._factor(self._K)
+        else:
+            self._K, self._C = op.matrix, _pin_columns(op)
+            self._lu = op._factor(sp.bmat([[self._K, self._C], [self._C.T, None]], format="csc"))
+        self._amax = np.abs(self._K.data).max()
 
     def solve(self, b):
+        n = self._K.shape[0]
+        if self._C is not None:
+            b = np.concatenate([b, np.zeros((self._C.shape[1],) + b.shape[1:])])
         x = self._lu.solve(b)
         if self._C is None:
             r = self._K @ x - b
         else:
-            n = self._K.shape[0]
             u, lam = x[:n], x[n:]
             r = np.concatenate([self._K @ u + self._C @ lam - b[:n], self._C.T @ u - b[n:]])
         res, scale, xnorm = (np.linalg.norm(v.reshape(v.shape[0], -1), axis=0) for v in (r, b, x))
@@ -335,12 +335,12 @@ class CheckedLU:
             raise SolveError(f"{self._mode} solve failed its residual check on {bad.size} of "
                              f"{res.size} columns: residual {res[k]:.3e} vs data scale "
                              f"{scale[k]:.3e}")
-        return x
+        return x[:n]
 
 
-# SineTransformSolver: a column is solved when its residual is within
+# TransformSolver: a column is solved when its residual is within
 # _TRANSFORM_RTOL of its data, or within the roundoff floor
-# _TRANSFORM_FLOOR * max|K_ii| * |x| (smooth data at n = 1024 reaches only
+# _TRANSFORM_FLOOR * max|K| * |x| (smooth data at n = 1024 reaches only
 # ~3e-11 relative); both are well inside CheckedLU's rule.  Past
 # _TRANSFORM_MAXITER conjugate-gradient steps the solve raises SolveError.
 _TRANSFORM_RTOL = 1e-12
@@ -352,7 +352,8 @@ def _constant_tensor(coeff):
     """The (2, 2, m, m) tensor of a constant coefficient, also rescaled, or None.
 
     The adjoint of a constant field keeps the untransposed value; the solver
-    reads only the parts of it that a symmetric K_ii leaves unchanged.
+    reads only the parts of it that a symmetric constrained block leaves
+    unchanged.
     """
     base = coeff.base if isinstance(coeff, ScaledCoefficient) else coeff
     if base.family != "constant" or "value" not in base.params:
@@ -360,22 +361,17 @@ def _constant_tensor(coeff):
     return np.asarray(base.params["value"], dtype=float)
 
 
-def _symmetric_interior(tensor):
-    """Whether K_ii of a constant tensor is symmetric.
+def _symmetric_block(tensor):
+    """Whether the constrained block of a constant tensor (K_ii on the
+    square, K on the torus) is symmetric.
 
-    On the interior dofs the a_12 and a_21 terms assemble to the same
-    symmetric matrix, so K_ii is symmetric exactly when a_11, a_22 and
-    a_12 + a_21 are symmetric m x m matrices; always for m = 1.
+    On the interior dofs, and on every torus dof, the a_12 and a_21 terms
+    assemble to the same symmetric matrix, so the block is symmetric
+    exactly when a_11, a_22 and a_12 + a_21 are symmetric m x m matrices;
+    always for m = 1.
     """
     parts = np.stack([tensor[0, 0], tensor[1, 1], tensor[0, 1] + tensor[1, 0]])
     return np.abs(parts - parts.transpose(0, 2, 1)).max() <= 1e-14 * np.abs(tensor).max()
-
-
-def q1_eigenvalues(theta):
-    """Eigenvalues (stiffness, mass) of the 1-D Q1 factors K1 = tridiag(-1, 2, -1)
-    and M1 = tridiag(1, 4, 1)/6 on the mode of angle theta: sine modes for
-    SineTransformSolver, Fourier modes for the torus solve of cell."""
-    return 2.0 - 2.0 * np.cos(theta), (4.0 + 2.0 * np.cos(theta)) / 6.0
 
 
 def _ratio(num, den):
@@ -383,45 +379,65 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
 
 
-class SineTransformSolver:
-    """Solves K_ii x = b for a constant tensor a on the uniform square grid.
+class TransformSolver:
+    """Solves the constrained system of a constant tensor a on a uniform
+    grid: K_ii x = b on the square's interior (mode 'dirichlet'), or the
+    mean-zero x with K x = b - mean(b) on the torus (mode 'periodic').
 
-    On the interior dofs, ordered [y, x, component], the Q1 matrix is
+    On the grid's dofs, ordered [y, x, component], the Q1 matrix is
     a_11 K1(x) M1(y) + a_22 M1(x) K1(y) plus the mixed a_12 + a_21 term,
-    with K1 = tridiag(-1, 2, -1) and M1 = tridiag(1, 4, 1)/6.  The
-    orthonormal DST-I diagonalizes K1 and M1, so the preconditioner P, the
-    matrix without the mixed term, is solved exactly: a transform, one
-    m x m solve per mode pair, and the transform back.  Whatever P leaves
-    out (the mixed term) is taken up by conjugate gradients preconditioned
-    by P on K_ii, batched over the columns; with no mixed term the first
-    solve already meets the target after one residual product.  Every
-    column is checked against that target, which is stricter than
-    CheckedLU's rule, so, like CheckedLU, the solver checks its own
-    solutions and no caller checks them again.
+    with K1 = tridiag(-1, 2, -1) and M1 = tridiag(1, 4, 1)/6, circulant on
+    the torus.  A 1-D basis follows op.mode and diagonalizes K1 and M1: the
+    orthonormal DST-I on the square, the real DFT on the torus.  So the
+    preconditioner P, the matrix without the mixed term, is solved exactly:
+    a transform, one m x m solve per mode pair, and the transform back.  On
+    the torus the zero mode is dropped (_inv[0, 0] = 0), which is the
+    volume-mean pin, and the data's mean is removed first, as the bordered
+    LU's multiplier removes it.  Whatever P leaves out (the mixed term) is
+    taken up by conjugate gradients preconditioned by P, batched over the
+    columns; with no mixed term the first solve already meets the target
+    after one residual product.  Every column is checked against that
+    target, which is stricter than CheckedLU's rule, so, like CheckedLU,
+    the solver checks its own solutions and no caller checks them again.
     """
 
     def __init__(self, op, tensor):
+        # imported here, not with the module: scipy.fft adds ~55 ms and ~3 MiB
+        # to the start-up of every process that never builds this solver
+        from scipy import fft
         n, m = op.mesh.n, op.m
-        lam_k, lam_m = q1_eigenvalues(np.pi * np.arange(1, n) / n)
+        self._periodic = op.mode == "periodic"
+        if self._periodic:
+            theta = 2.0 * np.pi * np.arange(n) / n
+            self._K, self._grid = op.matrix, (n, n, m)
+            self._forward = functools.partial(fft.rfftn, axes=(0, 1), overwrite_x=True)
+            self._backward = functools.partial(fft.irfftn, s=(n, n), axes=(0, 1), overwrite_x=True)
+        else:
+            theta = np.pi * np.arange(1, n) / n
+            self._K, self._grid = op.interior_matrix(), (n - 1, n - 1, m)
+            self._forward = self._backward = functools.partial(
+                fft.dstn, type=1, axes=(0, 1), norm="ortho", overwrite_x=True)
+        # eigenvalues of K1 and M1 on the mode of angle theta
+        lam_k, lam_m = 2.0 - 2.0 * np.cos(theta), (4.0 + 2.0 * np.cos(theta)) / 6.0
         symbol = (np.einsum("y,x,ab->yxab", lam_m, lam_k, tensor[0, 0])
                   + np.einsum("y,x,ab->yxab", lam_k, lam_m, tensor[1, 1]))
-        self._inv = np.linalg.inv(symbol)               # (n-1, n-1, m, m)
-        self._grid = (n - 1, n - 1, m)
-        # imported here, not with the module: scipy.fft adds ~55 ms and ~3 MiB
-        # to the start-up of every process, and most never build this solver
-        from scipy.fft import dstn
-        self._dst = functools.partial(dstn, type=1, axes=(0, 1), norm="ortho", overwrite_x=True)
-        self._K = op.interior_matrix()
+        if self._periodic:
+            # the real DFT keeps the modes x <= n/2; the zero mode is singular
+            symbol = symbol[:, :n // 2 + 1]
+            symbol[0, 0] = np.eye(m)
+        self._inv = np.linalg.inv(symbol)
+        if self._periodic:
+            self._inv[0, 0] = 0.0
         self._floor = _TRANSFORM_FLOOR * np.abs(self._K.data).max()
 
     def _precondition(self, v):
         """P^{-1} v for v (ndof, ncols), computed in v's memory."""
-        g = self._dst(v.reshape(*self._grid, -1))
+        g = self._forward(v.reshape(*self._grid, -1))
         if self._grid[2] == 1:
             g *= self._inv
         else:
             g[...] = self._inv @ g
-        return self._dst(g).reshape(v.shape)
+        return self._backward(g).reshape(v.shape)
 
     def _residual(self, x, b, bnorm2):
         """(r = K x - b, columns that miss the target)."""
@@ -435,7 +451,13 @@ class SineTransformSolver:
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         B = b.reshape(b.shape[0], -1)
+        # the target scales with b before its mean is removed: the load of
+        # a constant coefficient's discrepancy is mean-free only to roundoff,
+        # and what is left of it past the mean is roundoff too
         bnorm2 = np.einsum("ij,ij->j", B, B)
+        if self._periodic:
+            nodal = B.reshape(-1, self._grid[2], B.shape[1])
+            B = (nodal - nodal.mean(axis=0)).reshape(B.shape)
         x = self._precondition(B.copy())
         r, todo = self._residual(x, B, bnorm2)
         if todo.any():
@@ -462,7 +484,7 @@ class SineTransformSolver:
             p *= _ratio(rz_new, rz)
             p -= z
             rz = rz_new
-        raise SolveError(f"sine-transform solve missed its residual target on {todo.sum()} of "
+        raise SolveError(f"transform solve missed its residual target on {todo.sum()} of "
                          f"{todo.size} columns after {_TRANSFORM_MAXITER} conjugate-gradient steps")
 
 
@@ -639,13 +661,6 @@ def solve_dirichlet(op: AssembledOperator, source=None, bdata=0.0) -> np.ndarray
     return u.reshape(mesh.nnodes, m)
 
 
-def _solve_pinned(op, rhs):
-    """Solve [[K, C], [C^T, 0]] [u, lam] = [rhs, 0] with C the mean-pin
-    columns; the factorization checks the residual."""
-    x = op.factorization().solve(np.concatenate([rhs, np.zeros(op.m)]))
-    return x[:op.ndof].reshape(op.mesh.nnodes, op.m)
-
-
 def solve_neumann(op: AssembledOperator, source=None, flux=None) -> np.ndarray:
     """Solve the Neumann problem with the boundary-mean pin.
 
@@ -665,14 +680,15 @@ def solve_neumann(op: AssembledOperator, source=None, flux=None) -> np.ndarray:
         if abs(total) > 1e-8 * max(scale, 1e-30):
             raise SolveError(
                 f"incompatible Neumann data: component {a} imbalance {total:.3e} vs scale {scale:.3e}")
-    return _solve_pinned(op, rhs)
+    return op.factorization().solve(rhs).reshape(mesh.nnodes, m)
 
 
 def solve_periodic(op: AssembledOperator, source=None) -> np.ndarray:
     """Solve on the torus with the volume-mean pin per component."""
     if op.mode != "periodic":
         raise ValueError(f"operator assembled in mode {op.mode!r}, need 'periodic'")
-    return _solve_pinned(op, _as_load_vector(op.mesh, source, op.m))
+    load = _as_load_vector(op.mesh, source, op.m)
+    return op.factorization().solve(load).reshape(op.mesh.nnodes, op.m)
 
 
 def conormal(u, op: AssembledOperator, source=None):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from homoglab import coeff, kernels, mesh
+from homoglab import cell, coeff, kernels, mesh
 
 
 def manufactured(n, identity_field):
@@ -343,7 +343,7 @@ def test_solves_and_kernels_return_nodal_arrays(m):
 
 
 # ---------------------------------------------------------------------------
-# sine-transform solver of constant-coefficient Dirichlet operators
+# transform solver of constant-coefficient Dirichlet and periodic operators
 
 
 @pytest.fixture(scope="module")
@@ -366,18 +366,31 @@ def transform_tensors():
                                   "block-diagonal-m2-hatA"])
 @pytest.mark.parametrize("n", [2, 3, 16, 33])
 def test_sine_transform_matches_superlu(transform_tensors, name, n):
+    # the transform solver against SuperLU of K_ii on the square and of the
+    # bordered [[K, C], [C^T, 0]] on the torus, C the volume-mean pin
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    op = mesh.assemble(transform_tensors[name], mesh.DomainMesh(n))
-    solver = op.factorization()
-    assert isinstance(solver, mesh.SineTransformSolver)
-    Kii = op.interior_matrix()
-    B = np.random.default_rng(n).standard_normal((Kii.shape[0], 3))
-    B[:, 1] = 0.0                                    # a zero column stays zero
-    expect = spla.splu(Kii.tocsc()).solve(B)
-    scale = np.abs(expect).max()
-    assert np.abs(solver.solve(B) - expect).max() <= 1e-11 * scale
-    assert np.abs(solver.solve(B[:, 0]) - expect[:, 0]).max() <= 1e-11 * scale
-    assert not solver.solve(B)[:, 1].any()
+    field = transform_tensors[name]
+    for grid in (mesh.DomainMesh(n), mesh.TorusGrid(n)):
+        op = mesh.assemble(field, grid)
+        solver = op.factorization()
+        assert isinstance(solver, mesh.TransformSolver)
+        if grid.is_torus:
+            C = sp.kron(np.full((grid.nnodes, 1), grid.h ** 2), sp.eye(op.m))
+            A = sp.bmat([[op.matrix, C], [C.T, None]])
+        else:
+            A = op.interior_matrix()
+        ndof = A.shape[0] - (op.m if grid.is_torus else 0)
+        B = np.random.default_rng(n).standard_normal((ndof, 3))
+        B[:, 1] = 0.0                                    # a zero column stays zero
+        expect = spla.splu(A.tocsc()).solve(np.vstack([B, np.zeros((A.shape[0] - ndof, 3))]))[:ndof]
+        scale = np.abs(expect).max()
+        X = solver.solve(B)
+        assert np.abs(X - expect).max() <= 1e-11 * scale
+        assert np.abs(solver.solve(B[:, 0]) - expect[:, 0]).max() <= 1e-11 * scale
+        assert not X[:, 1].any()
+        if grid.is_torus:
+            assert np.abs(X.reshape(grid.nnodes, op.m, 3).sum(axis=0)).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -396,7 +409,7 @@ def test_nonsymmetric_constant_solves(m):
     assert not field.symmetric
     dm = mesh.DomainMesh(16)
     op = mesh.assemble(field, dm)
-    assert isinstance(op.factorization(), mesh.SineTransformSolver) == (m == 1)
+    assert isinstance(op.factorization(), mesh.TransformSolver) == (m == 1)
     source = np.tile(np.sin(np.pi * dm.nodes[:, :1]) + dm.nodes[:, 1:], (1, m))
     u = mesh.solve_dirichlet(op, source, bdata=0.0)
     inter, _ = op.dof_split()
@@ -426,16 +439,29 @@ def test_constant_dirichlet_operators_never_factor(monkeypatch, transform_tensor
     assert calls == ["dirichlet"]
     mesh.solve_neumann(mesh.assemble(transform_tensors["laplacian"], dm, mode="neumann"))
     assert calls == ["dirichlet", "neumann"]
+    # the periodic operator of a constant tensor, and the flux corrector's
+    # torus Laplacian, are solved by transform too
+    grid = mesh.TorusGrid(8)
+    for field in transform_tensors.values():
+        mesh.solve_periodic(mesh.assemble(field, grid), np.ones((grid.nnodes, field.m)))
+    b_gauss = np.zeros((2, 2, 1, 1, grid.nelem, 4))
+    b_gauss[0, 1, 0, 0] = np.sin(2 * np.pi * grid.gauss_points()[..., 0])
+    cell.flux_corrector(grid, b_gauss)
+    assert calls == ["dirichlet", "neumann"]
 
 
 def test_sine_transform_iteration_cap(monkeypatch, transform_tensors):
-    dm = mesh.DomainMesh(16)
+    dm, grid = mesh.DomainMesh(16), mesh.TorusGrid(16)
     source = np.ones((dm.nnodes, 1))
+    wave = np.sin(2 * np.pi * (grid.nodes[:, :1] + 2 * grid.nodes[:, 1:]))
     monkeypatch.setattr(mesh, "_TRANSFORM_MAXITER", 0)
     # no mixed term: the first transform solve meets the target by itself
     mesh.solve_dirichlet(mesh.assemble(transform_tensors["diag"], dm), source)
+    mesh.solve_periodic(mesh.assemble(transform_tensors["diag"], grid), wave)
     with pytest.raises(mesh.SolveError, match="conjugate-gradient"):
         mesh.solve_dirichlet(mesh.assemble(transform_tensors["layered-diag-hatA"], dm), source)
+    with pytest.raises(mesh.SolveError, match="conjugate-gradient"):
+        mesh.solve_periodic(mesh.assemble(transform_tensors["layered-diag-hatA"], grid), wave)
 
 
 class _PerturbedLU:

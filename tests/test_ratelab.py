@@ -525,6 +525,9 @@ def test_cli_rates_honours_the_coefficient_flags(tmp_path):
     (("cell", "--coeff-family", "layered", "--coeff-params", '{"m": "x"}'), ("parameter m",)),
     (("correctors", "--eps", "0.3"), ("does not align",)),
     (("expand", "--eps", "0.3"), ("does not align",)),
+    (("correctors", "--cells-per-period", "0", "--eps", "1/2"), ("--cells-per-period", "positive")),
+    (("rates", "--cells-per-period", "0"), ("--cells-per-period", "positive")),
+    (("rates", "--cells-per-period", "-16"), ("--cells-per-period", "positive")),
 ])
 def test_cli_rejects_inputs_the_run_cannot_take(tmp_path, capsys, argv, named):
     # a config or coefficient the library rejects is a usage error, and
@@ -535,6 +538,16 @@ def test_cli_rejects_inputs_the_run_cannot_take(tmp_path, capsys, argv, named):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert all(text in err for text in named)
+    assert not out.exists()
+
+
+def test_cli_config_path_that_cannot_be_read(tmp_path, capsys):
+    # a missing config is a usage error naming the path, with nothing written
+    path, out = tmp_path / "missing.json", tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["cell", "--config", str(path), "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert str(path) in capsys.readouterr().err
     assert not out.exists()
 
 
