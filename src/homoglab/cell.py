@@ -174,7 +174,10 @@ def flux_corrector(grid, b_gauss):
     if not mean <= 1e-6:
         raise CellError(f"flux corrector needs mean-zero data, got max mean {mean:.3e}")
     cols = b_gauss.reshape(-1, grid.nelem, 4).transpose(1, 2, 0)     # (nelem, 4, ijab)
-    laplacian = assemble(builtin("constant", value=1.0), grid)
+    # the identity at every Gauss point: the Laplacian is assembled without
+    # evaluating its coefficient
+    identity = np.broadcast_to(np.eye(2)[:, :, None, None], (grid.nelem, 4, 2, 2, 1, 1))
+    laplacian = assemble(builtin("constant", value=1.0), grid, A_gauss=identity)
     f = laplacian.factorization().solve(-volume_load_from_gauss(grid, cols).reshape(grid.nnodes, -1))
     # G[k, i, j, a, b] = d_k f_ij^{ab}
     G = np.moveaxis(nodal_gradient(grid, f).reshape(grid.nnodes, 2, *shape), 0, -1)

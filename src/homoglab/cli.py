@@ -194,7 +194,7 @@ def cmd_correctors(args, config, field, levels):
         x0 = dm.nearest_node(args.pin) if args.pin else None
         sc = rescale(field, eps)
         op = fem.assemble(sc, dm)
-        opn = fem.AssembledOperator(dm, op.matrix, "neumann", sc, op.warnings)
+        opn = fem.AssembledOperator(dm, op.matrix, "neumann", sc, op.warnings, op.coeff_mean)
         phi, _ = corrmod.dirichlet_correctors(op)
         psi = corrmod.neumann_correctors(opn, cs.hatA, x0=x0)
         op.release(); opn.release()

@@ -64,9 +64,11 @@ def neumann_correctors(op, hatA, x0=None):
 
     Each column solves the zero-source Neumann problem whose boundary flux
     is the homogenized conormal n_i hatA_ij^{.beta} of the linear data;
-    after the mean-pinned solve the column is shifted so that
-    psi(x0) = x0_j e_beta exactly; solve_neumann checks that the flux is
-    balanced, as for any Neumann data.  Requires a symmetric coefficient.
+    after the mean-pinned solve the column is shifted by the constant that
+    takes psi(x0) to x0_j e_beta, and psi(x0) is then set to x0_j e_beta,
+    so the pin holds exactly, whatever the shift rounds to; solve_neumann
+    checks that the flux is balanced, as for any Neumann data.  Requires a
+    symmetric coefficient.
     """
     if not op.coeff.symmetric:
         raise CorrectorError("Neumann correctors require a symmetric coefficient (A* = A)")
@@ -87,6 +89,7 @@ def neumann_correctors(op, hatA, x0=None):
             pin_target = np.zeros(m)
             pin_target[beta] = mesh.nodes[x0, j]
             psi[j, beta] = sol + (pin_target - sol[x0])[None, :]
+            psi[j, beta, x0] = pin_target
     return psi
 
 

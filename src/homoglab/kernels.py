@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DomainMesh, solve_dirichlet, solve_neumann, point_load, conormal
+from .mesh import (AssembledOperator, DomainMesh, solve_dirichlet, solve_neumann, point_load,
+                   conormal)
 
 __all__ = ["KernelError", "KernelTable", "DtNMatrix",
            "green", "neumann_fn", "poisson_kernel", "omega", "dtn",
@@ -160,27 +161,38 @@ def omega(op, hatA, phi_star) -> np.ndarray:
 
     op is the Dirichlet operator of L_eps.  The normal derivative is
     extracted from the variational conormal flux of each phi_star column
-    against op (its tangential part is known exactly since Phi* has linear
-    boundary values); this is consistent with how the discrete kernels are
-    built and tracks them markedly better than recovered gradients.
+    against the adjoint operator, with the normal parts of A* (its
+    tangential part is known exactly since Phi* has linear boundary
+    values); this is consistent with how the discrete kernels are built and
+    tracks them markedly better than recovered gradients.  The adjoint
+    operator is op itself for a symmetric coefficient; otherwise its matrix
+    is op.matrix transposed, which is what assembling A* gives, so nothing
+    is assembled or factored here.
     """
     mesh, m = op.mesh, op.m
     hatA = np.asarray(hatA, dtype=float).reshape(2, 2, m, m)
     pos = np.flatnonzero(mesh.noncorner_mask)                 # p non-corner positions
-    A_b = op.coeff(mesh.nodes[mesh.boundary_nodes[pos]])      # (p, 2, 2, m, m)
+    pts = mesh.nodes[mesh.boundary_nodes[pos]]
     n = mesh.normals[pos]
     t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+    A_b = op.coeff(pts)                                       # (p, 2, 2, m, m)
     nAn = np.einsum("pi,pj,pijrs->prs", n, n, A_b)
-    nAt = np.einsum("pi,pj,pijrs->prs", n, t, A_b)
+    if op.coeff.symmetric:
+        adjoint, nAn_star, A_star = op, nAn, A_b
+    else:
+        adjoint = AssembledOperator(mesh, op.matrix.T.tocsr(), op.mode, op.coeff.adjoint())
+        A_star = adjoint.coeff(pts)
+        nAn_star = np.einsum("pi,pj,pijrs->prs", n, n, A_star)
+    nAt_star = np.einsum("pi,pj,pijrs->prs", n, t, A_star)
 
     # normal derivative of each column: [k, sigma, p, rho]
     dn = np.empty((2, m, len(pos), m))
     for k in range(2):
         for sig in range(m):
-            flux = conormal(phi_star[k, sig], op)[pos]                 # (p, rho)
+            flux = conormal(phi_star[k, sig], adjoint)[pos]            # (p, rho)
             # Phi*_k = x_k e_sigma on the boundary: tangential part t_k e_sigma
-            rhs = flux - nAt[:, :, sig] * t[:, k, None]
-            dn[k, sig] = np.linalg.solve(nAn, rhs[:, :, None])[:, :, 0]
+            rhs = flux - nAt_star[:, :, sig] * t[:, k, None]
+            dn[k, sig] = np.linalg.solve(nAn_star, rhs[:, :, None])[:, :, 0]
 
     hinv = np.linalg.inv(np.einsum("pi,pj,ijab->pab", n, n, hatA))
     # T^{rs} = n_k dPhi*_k^{rs}/dn

@@ -18,13 +18,16 @@ the solver of its constrained system, built once per operator and cached
 on it (AssembledOperator.factorization).  Every solver takes and returns
 the operator's own dofs, checks the residual of each column it solves and
 raises SolveError when one misses, so a caller of .solve gets checked
-solutions.  One rule picks the solver: for a constant tensor with a
-symmetric constrained block in the 'dirichlet' and 'periodic' modes (the
-homogenized operator, the Laplacian) a transform solves the tensor's
-separable part exactly and preconditioned conjugate gradients take up the
-mixed term (TransformSolver: DST-I on the square's interior, a real FFT on
-the torus); every other operator, every Neumann one among them, is solved
-by sparse LU (CheckedLU).
+solutions.  One rule picks the solver.  A transform solves a constant
+tensor's separable part exactly and preconditioned conjugate gradients take
+up the rest (TransformSolver: DST-I on the square's interior, a real FFT on
+the torus, DCT-I on the square's nodes).  It solves every Neumann operator,
+whose coefficient must be symmetric: a constant tensor (the homogenized
+operator) through its own tensor, a variable one through its Gauss-point
+mean.  In the 'dirichlet' and 'periodic' modes it solves a constant tensor
+with a symmetric constrained block (the homogenized operator, the
+Laplacian); every other operator (a variable Dirichlet coefficient, a
+variable periodic cell) is solved by sparse LU (CheckedLU).
 
 Solve data comes in fixed layouts, for an operator with m components:
 
@@ -212,20 +215,24 @@ class AssembledOperator:
     """Sparse matrix of the form integral a_ij^{ab} dU^b/dx_j dV^a/dx_i.
 
     mode 'dirichlet' eliminates boundary dofs at solve time; mode 'neumann'
-    appends one scalar mean constraint per component over the boundary;
-    mode 'periodic' pins the volume mean on the torus.  Each mode has one
-    solve: the solver of its constrained system (factorization(), a
-    transform or a sparse LU), which checks the residual of every column it
-    solves.  The solver is cached behind the handle; release() frees it (an
-    LU is large at fine resolution).
+    pins the boundary mean of each component; mode 'periodic' pins the
+    volume mean on the torus.  Each mode has one solve: the solver of its
+    constrained system (factorization(), a transform or a sparse LU), which
+    checks the residual of every column it solves.  The solver is cached
+    behind the handle; release() frees it (an LU is large at fine
+    resolution).  coeff_mean is the (2, 2, m, m) mean of the coefficient
+    over the Gauss points of the mesh, the cell mean when the mesh holds
+    whole periods; it sets the transform that solves a variable Neumann
+    coefficient.
     """
 
-    def __init__(self, mesh, matrix, mode, coeff, warnings=()):
+    def __init__(self, mesh, matrix, mode, coeff, warnings=(), coeff_mean=None):
         self.mesh = mesh
         self.matrix = matrix
         self.mode = mode
         self.coeff = coeff
         self.warnings = list(warnings)
+        self.coeff_mean = coeff_mean
         self._lu = None
         self._interior_dofs = None
         self._boundary_dofs = None
@@ -269,28 +276,39 @@ class AssembledOperator:
         'dirichlet'), 1-D or 2-D, and raises SolveError unless every column
         meets its residual target.
 
-        A constant tensor, also rescaled, whose constrained block is
-        symmetric is solved by TransformSolver in the 'dirichlet' and
-        'periodic' modes; every other operator by CheckedLU.
+        A Neumann operator is solved by TransformSolver: through its own
+        tensor if the coefficient is constant, through coeff_mean otherwise;
+        its coefficient must be symmetric (A* = A), or ValueError is raised.
+        In the 'dirichlet' and 'periodic' modes a constant tensor, also
+        rescaled, whose constrained block is symmetric is solved by
+        TransformSolver and every other operator by CheckedLU.
         """
         if self._lu is None:
-            tensor = None if self.mode == "neumann" else _constant_tensor(self.coeff)
-            if tensor is not None and _symmetric_block(tensor):
+            tensor = _constant_tensor(self.coeff)
+            if self.mode == "neumann":
+                if not self.coeff.symmetric:
+                    raise ValueError("a Neumann operator needs a symmetric coefficient (A* = A)")
+                self._lu = TransformSolver(self, self.coeff_mean if tensor is None else tensor)
+            elif tensor is not None and _symmetric_block(tensor):
                 self._lu = TransformSolver(self, tensor)
             else:
                 self._lu = CheckedLU(self)
         return self._lu
 
 
+def _pin_weights(mesh):
+    """(nodes, weights) of the mean pin: every torus node with weight h^2,
+    or the square's boundary nodes with their arc weights."""
+    if mesh.is_torus:
+        return np.arange(mesh.nnodes), np.full(mesh.nnodes, mesh.h ** 2)
+    return mesh.boundary_nodes, mesh.arc_weights
+
+
 def _pin_columns(op):
-    """The sparse (ndof, m) mean-pin columns C of a 'neumann' or 'periodic'
-    operator: column a weights component a over the boundary (arc weights)
-    or over the torus (h^2 per node)."""
-    mesh, m = op.mesh, op.m
-    if op.mode == "periodic":
-        nodes, w = np.arange(mesh.nnodes), np.full(mesh.nnodes, mesh.h ** 2)
-    else:
-        nodes, w = mesh.boundary_nodes, mesh.arc_weights
+    """The sparse (ndof, m) volume-mean pin columns C of a periodic
+    operator: column a weights component a by h^2 per torus node."""
+    m = op.m
+    nodes, w = _pin_weights(op.mesh)
     rows = (nodes[:, None] * m + np.arange(m)).ravel()
     return sp.csr_matrix((np.repeat(w, m), (rows, np.tile(np.arange(m), nodes.size))),
                          shape=(op.ndof, m))
@@ -302,10 +320,11 @@ class CheckedLU:
     rule: |A x - b| is within 1e-9 |b|, or, for (near-)zero data, within
     the roundoff floor 1e-12 max|K| (1 + |x|).
 
-    A is K_ii (mode 'dirichlet') or the bordered [[K, C], [C^T, 0]] with
-    the sparse mean-pin columns C.  solve(b) appends the zero constraint
-    rows to b, checks the bordered residual from K and C without the
-    bordered matrix, and drops the multipliers from x.
+    A is K_ii (mode 'dirichlet') or, on the torus (mode 'periodic'), the
+    bordered [[K, C], [C^T, 0]] with the sparse volume-mean pin columns C.
+    solve(b) appends the zero constraint rows to b, checks the bordered
+    residual from K and C without the bordered matrix, and drops the
+    multipliers from x.  Neumann operators never reach it.
     """
 
     def __init__(self, op):
@@ -380,25 +399,44 @@ def _ratio(num, den):
 
 
 class TransformSolver:
-    """Solves the constrained system of a constant tensor a on a uniform
-    grid: K_ii x = b on the square's interior (mode 'dirichlet'), or the
-    mean-zero x with K x = b - mean(b) on the torus (mode 'periodic').
+    """Solves the constrained system of an operator through the transform
+    of a constant tensor a on a uniform grid: K_ii x = b on the square's
+    interior (mode 'dirichlet'), the mean-zero x with K x = b - mean(b) on
+    the torus (mode 'periodic'), or the x of zero boundary mean with
+    K x = b - C (sum b / sum C) on the square (mode 'neumann'), C the arc
+    weights of the boundary nodes.
 
-    On the grid's dofs, ordered [y, x, component], the Q1 matrix is
+    On the grid's dofs, ordered [y, x, component], the Q1 matrix of a is
     a_11 K1(x) M1(y) + a_22 M1(x) K1(y) plus the mixed a_12 + a_21 term,
-    with K1 = tridiag(-1, 2, -1) and M1 = tridiag(1, 4, 1)/6, circulant on
-    the torus.  A 1-D basis follows op.mode and diagonalizes K1 and M1: the
-    orthonormal DST-I on the square, the real DFT on the torus.  So the
-    preconditioner P, the matrix without the mixed term, is solved exactly:
-    a transform, one m x m solve per mode pair, and the transform back.  On
-    the torus the zero mode is dropped (_inv[0, 0] = 0), which is the
-    volume-mean pin, and the data's mean is removed first, as the bordered
-    LU's multiplier removes it.  Whatever P leaves out (the mixed term) is
-    taken up by conjugate gradients preconditioned by P, batched over the
-    columns; with no mixed term the first solve already meets the target
-    after one residual product.  Every column is checked against that
-    target, which is stricter than CheckedLU's rule, so, like CheckedLU,
-    the solver checks its own solutions and no caller checks them again.
+    with K1 = tridiag(-1, 2, -1) and M1 = tridiag(1, 4, 1)/6 (circulant on
+    the torus; on the n + 1 nodes of a Neumann line their two end diagonal
+    entries are halved).  A 1-D basis follows op.mode and diagonalizes K1
+    and M1: the orthonormal DST-I on the square's interior, the real DFT on
+    the torus, and the orthonormal DCT-I on data scaled by W^{-1/2} for
+    Neumann, where W = diag(1/2, 1, ..., 1, 1/2) and, on the cosine of
+    angle theta, K1 v = (2 - 2 cos theta) W v and
+    M1 v = ((4 + 2 cos theta) / 6) W v.  So the preconditioner P, the
+    matrix of a without its mixed term, is solved exactly: a transform, one
+    m x m solve per mode pair, and the transform back.
+
+    On the torus and for Neumann, K vanishes on the constants of each
+    component, the mode pair (0, 0).  There is one rule for it: the data
+    first loses the part the multiplier of the bordered system
+    [[K, C], [C^T, 0]] absorbs, b - C (sum b / sum C) per component with C
+    the pin weights (h^2 per torus node, the arc weights on the boundary),
+    which leaves its (0, 0) mode at roundoff, and that mode passes through
+    an identity block of the symbol.  This is the torus's volume-mean pin;
+    a Neumann solution is shifted to zero arc-weighted boundary mean at the
+    end.
+
+    a is the operator's constant tensor, or, for a variable Neumann
+    coefficient, its Gauss-point mean (op.coeff_mean).  Whatever P leaves
+    out (the mixed term, the variation of the coefficient) is taken up by
+    conjugate gradients preconditioned by P, batched over the columns; with
+    nothing left out the first solve already meets the target after one
+    residual product.  Every column is checked against that target, which
+    is stricter than CheckedLU's rule, so, like CheckedLU, the solver
+    checks its own solutions and no caller checks them again.
     """
 
     def __init__(self, op, tensor):
@@ -406,38 +444,57 @@ class TransformSolver:
         # to the start-up of every process that never builds this solver
         from scipy import fft
         n, m = op.mesh.n, op.m
-        self._periodic = op.mode == "periodic"
-        if self._periodic:
+        self._mode, self._scale, self._pin = op.mode, None, None
+        if op.mode == "periodic":
             theta = 2.0 * np.pi * np.arange(n) / n
             self._K, self._grid = op.matrix, (n, n, m)
             self._forward = functools.partial(fft.rfftn, axes=(0, 1), overwrite_x=True)
             self._backward = functools.partial(fft.irfftn, s=(n, n), axes=(0, 1), overwrite_x=True)
         else:
-            theta = np.pi * np.arange(1, n) / n
-            self._K, self._grid = op.interior_matrix(), (n - 1, n - 1, m)
+            transform = fft.dctn if op.mode == "neumann" else fft.dstn
             self._forward = self._backward = functools.partial(
-                fft.dstn, type=1, axes=(0, 1), norm="ortho", overwrite_x=True)
+                transform, type=1, axes=(0, 1), norm="ortho", overwrite_x=True)
+            if op.mode == "neumann":
+                theta = np.pi * np.arange(n + 1) / n
+                self._K, self._grid = op.matrix, (n + 1, n + 1, m)
+                s = np.ones(n + 1)
+                s[[0, -1]] = np.sqrt(2.0)                  # W^{-1/2} on a line
+                self._scale = np.multiply.outer(s, s)[:, :, None, None]
+            else:
+                theta = np.pi * np.arange(1, n) / n
+                self._K, self._grid = op.interior_matrix(), (n - 1, n - 1, m)
         # eigenvalues of K1 and M1 on the mode of angle theta
         lam_k, lam_m = 2.0 - 2.0 * np.cos(theta), (4.0 + 2.0 * np.cos(theta)) / 6.0
         symbol = (np.einsum("y,x,ab->yxab", lam_m, lam_k, tensor[0, 0])
                   + np.einsum("y,x,ab->yxab", lam_k, lam_m, tensor[1, 1]))
-        if self._periodic:
-            # the real DFT keeps the modes x <= n/2; the zero mode is singular
-            symbol = symbol[:, :n // 2 + 1]
+        if op.mode != "dirichlet":
+            if op.mode == "periodic":
+                # the real DFT keeps the modes x <= n/2
+                symbol = symbol[:, :n // 2 + 1]
             symbol[0, 0] = np.eye(m)
+            nodes, w = _pin_weights(op.mesh)
+            self._pin = nodes, w / w.sum()
         self._inv = np.linalg.inv(symbol)
-        if self._periodic:
-            self._inv[0, 0] = 0.0
         self._floor = _TRANSFORM_FLOOR * np.abs(self._K.data).max()
 
     def _precondition(self, v):
         """P^{-1} v for v (ndof, ncols), computed in v's memory."""
-        g = self._forward(v.reshape(*self._grid, -1))
+        g = v.reshape(*self._grid, -1)
+        if self._scale is not None:
+            g *= self._scale
+        g = self._forward(g)
         if self._grid[2] == 1:
             g *= self._inv
         else:
             g[...] = self._inv @ g
-        return self._backward(g).reshape(v.shape)
+        g = self._backward(g)
+        if self._scale is not None:
+            g *= self._scale
+        return g.reshape(v.shape)
+
+    def _nodal(self, v):
+        """v (ndof, ncols) as its (nnodes, m, ncols) view."""
+        return v.reshape(-1, self._grid[2], v.shape[1])
 
     def _residual(self, x, b, bnorm2):
         """(r = K x - b, columns that miss the target)."""
@@ -451,17 +508,23 @@ class TransformSolver:
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         B = b.reshape(b.shape[0], -1)
-        # the target scales with b before its mean is removed: the load of
-        # a constant coefficient's discrepancy is mean-free only to roundoff,
-        # and what is left of it past the mean is roundoff too
+        # the target scales with b before the multiplier's part is removed:
+        # the load of a constant coefficient's discrepancy is mean-free only
+        # to roundoff, and what is left of it past the mean is roundoff too
         bnorm2 = np.einsum("ij,ij->j", B, B)
-        if self._periodic:
-            nodal = B.reshape(-1, self._grid[2], B.shape[1])
-            B = (nodal - nodal.mean(axis=0)).reshape(B.shape)
+        if self._pin is not None:
+            nodes, w = self._pin
+            total = self._nodal(B).sum(axis=0)
+            B = B.copy()
+            self._nodal(B)[nodes] -= w[:, None, None] * total
         x = self._precondition(B.copy())
         r, todo = self._residual(x, B, bnorm2)
         if todo.any():
             self._cg(x, r, todo, B, bnorm2)
+        if self._mode == "neumann":
+            # K x changes only by roundoff when a constant is added
+            nodes, w = self._pin
+            self._nodal(x)[...] -= np.einsum("p,pac->ac", w, self._nodal(x)[nodes])
         return x.reshape(b.shape)
 
     def _cg(self, x, r, todo, b, bnorm2):
@@ -484,7 +547,7 @@ class TransformSolver:
             p *= _ratio(rz_new, rz)
             p -= z
             rz = rz_new
-        raise SolveError(f"transform solve missed its residual target on {todo.sum()} of "
+        raise SolveError(f"transform solve failed its residual check on {todo.sum()} of "
                          f"{todo.size} columns after {_TRANSFORM_MAXITER} conjugate-gradient steps")
 
 
@@ -521,6 +584,7 @@ def assemble(coeff, mesh, mode="dirichlet", A_gauss=None) -> AssembledOperator:
     A = coefficient_gauss_values(coeff, mesh) if A_gauss is None else A_gauss
     if not np.all(np.isfinite(A)):
         raise ValueError("coefficient evaluated to non-finite values")
+    coeff_mean = A.mean(axis=(0, 1))
     # physical gradients carry 1/h each; the element volume h^2 cancels them in d=2
     Kloc = np.einsum("g,egijab,gip,gjq->epaqb", GAUSS_WEIGHTS, A, DPHI, DPHI, optimize=True)
     del A
@@ -534,7 +598,7 @@ def assemble(coeff, mesh, mode="dirichlet", A_gauss=None) -> AssembledOperator:
     ndof = mesh.nnodes * m
     matrix = sp.coo_matrix((Kloc.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
     del Kloc, rows, cols
-    return AssembledOperator(mesh, matrix, mode, coeff, warnings=warnings)
+    return AssembledOperator(mesh, matrix, mode, coeff, warnings=warnings, coeff_mean=coeff_mean)
 
 
 # ---------------------------------------------------------------------------

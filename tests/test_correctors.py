@@ -127,6 +127,16 @@ def test_default_pin_is_center(layered_field, layered_cell64):
     assert psi[0, 0, x0, 0] == dm.nodes[x0, 0] and psi[1, 0, x0, 0] == dm.nodes[x0, 1]
 
 
+def test_pin_is_exact_at_every_pin_node(layered_field, layered_cell64):
+    # psi(x0) = x0_j e_beta holds exactly wherever x0 is, not just where
+    # the rounding of the shift happens to fall that way
+    dm = mesh.DomainMesh(16)
+    op = mesh.assemble(coeff.rescale(layered_field, 1 / 2), dm, mode="neumann")
+    for x0 in dm.interior_nodes[::7]:
+        psi = correctors.neumann_correctors(op, layered_cell64.hatA, x0=int(x0))
+        assert psi[0, 0, x0, 0] == dm.nodes[x0, 0] and psi[1, 0, x0, 0] == dm.nodes[x0, 1]
+
+
 def test_pin_must_be_interior(layered_field, layered_cell64):
     dm = mesh.DomainMesh(16)
     with pytest.raises(correctors.CorrectorError):

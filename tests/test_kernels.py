@@ -181,6 +181,28 @@ def test_omega_bounded_and_mean_reasonable(layered_field, layered_cell128):
         assert 0.5 <= mean <= 2.0
 
 
+def test_omega_of_a_nonsymmetric_field_reads_the_adjoint_flux():
+    # LAYERED_DIAG plus an oscillating skew part: the flux of Phi* read
+    # against L_eps instead of its adjoint carries an O(h/eps) error, which
+    # flattens the Poisson-data approximation to slope ~0.46 at 16 cells per
+    # period; read against the adjoint it decays at first order (~0.82)
+    from homoglab.ratelab import coefficient_from_spec, fit_rate
+    from homoglab.ratelab.context import EpsilonContext
+    from homoglab.ratelab.experiments import LAYERED_DIAG, q_poisson_data_approx
+    base = coefficient_from_spec(LAYERED_DIAG)
+    skew = np.array([[0.0, 0.8], [-0.8, 0.0]])[:, :, None, None]
+    field = coeff.CoefficientField(
+        lambda pts: base(pts) + np.cos(2 * np.pi * pts[:, 1])[:, None, None, None, None] * skew,
+        symmetric=False, params={"skew": 0.8})
+    eps_list, values = [1 / 4, 1 / 8, 1 / 16], []
+    for eps in eps_list:
+        ctx = EpsilonContext(field, eps, cells_per_period=16, cell_n=128)
+        ctx.prepare(["u_poisson_eps", "v_poisson"])
+        values.append(q_poisson_data_approx(ctx)["poisson_approx_l1"])
+        ctx.release()
+    assert fit_rate(eps_list, values).slope >= 0.7
+
+
 def test_omega_filled_corners(layered_field, layered_cell64):
     # each corner holds the mean of its two edge neighbours
     dm, om = _omega_for(layered_field, 1 / 8, 64, layered_cell64)

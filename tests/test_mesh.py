@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from homoglab import cell, coeff, kernels, mesh
 
@@ -437,8 +438,9 @@ def test_constant_dirichlet_operators_never_factor(monkeypatch, transform_tensor
     mesh.solve_dirichlet(op, np.ones((dm.nnodes, 1)))
     kernels.green(op, (0.5, 0.5))
     assert calls == ["dirichlet"]
+    # Neumann operators are solved by transform, never factored
     mesh.solve_neumann(mesh.assemble(transform_tensors["laplacian"], dm, mode="neumann"))
-    assert calls == ["dirichlet", "neumann"]
+    assert calls == ["dirichlet"]
     # the periodic operator of a constant tensor, and the flux corrector's
     # torus Laplacian, are solved by transform too
     grid = mesh.TorusGrid(8)
@@ -447,7 +449,7 @@ def test_constant_dirichlet_operators_never_factor(monkeypatch, transform_tensor
     b_gauss = np.zeros((2, 2, 1, 1, grid.nelem, 4))
     b_gauss[0, 1, 0, 0] = np.sin(2 * np.pi * grid.gauss_points()[..., 0])
     cell.flux_corrector(grid, b_gauss)
-    assert calls == ["dirichlet", "neumann"]
+    assert calls == ["dirichlet"]
 
 
 def test_sine_transform_iteration_cap(monkeypatch, transform_tensors):
@@ -462,6 +464,14 @@ def test_sine_transform_iteration_cap(monkeypatch, transform_tensors):
         mesh.solve_dirichlet(mesh.assemble(transform_tensors["layered-diag-hatA"], dm), source)
     with pytest.raises(mesh.SolveError, match="conjugate-gradient"):
         mesh.solve_periodic(mesh.assemble(transform_tensors["layered-diag-hatA"], grid), wave)
+    # Neumann: the Laplacian's transform is exact; a mixed term or a variable
+    # coefficient needs conjugate-gradient steps
+    neumann = np.cos(np.pi * dm.nodes[:, :1])
+    mesh.solve_neumann(mesh.assemble(transform_tensors["laplacian"], dm, mode="neumann"), neumann)
+    for name in ("layered-diag-hatA", "layered"):
+        op = mesh.assemble(_neumann_fields(transform_tensors)[name], dm, mode="neumann")
+        with pytest.raises(mesh.SolveError, match="conjugate-gradient"):
+            mesh.solve_neumann(op, neumann)
 
 
 class _PerturbedLU:
@@ -480,13 +490,122 @@ def test_perturbed_factorization_fails_residual_check(monkeypatch, layered_field
     factor = mesh.AssembledOperator._factor
     monkeypatch.setattr(mesh.AssembledOperator, "_factor",
                         lambda self, matrix: _PerturbedLU(factor(self, matrix)))
+    # a Neumann operator is solved by transform: one whose symbol has lost
+    # its highest mode pair cannot take up the data's part there
+    init = mesh.TransformSolver.__init__
+
+    def perturbed_init(self, op, tensor):
+        init(self, op, tensor)
+        self._inv[-1, -1] = 0.0
+
+    monkeypatch.setattr(mesh.TransformSolver, "__init__", perturbed_init)
     dm = mesh.DomainMesh(16)
     sc = coeff.rescale(layered_field, 1 / 4)
     with pytest.raises(mesh.SolveError, match="residual check"):
         if solve == "dirichlet":
             mesh.solve_dirichlet(mesh.assemble(sc, dm), np.ones((dm.nnodes, 1)))
         elif solve == "neumann":
-            mesh.solve_neumann(mesh.assemble(sc, dm, mode="neumann"),
-                               np.cos(np.pi * dm.nodes[:, :1]))
+            load = np.random.default_rng(0).standard_normal(dm.nnodes)
+            mesh.solve_neumann(mesh.assemble(sc, dm, mode="neumann"), load - load.mean())
         else:
             kernels.dtn(mesh.assemble(sc, dm))
+
+
+# ---------------------------------------------------------------------------
+# transform solver of Neumann operators
+
+
+def _coupled_m2_tensor():
+    """A symmetric (a_ij^{ab} = a_ji^{ba}) coupled m = 2 tensor with mixed terms."""
+    mat = np.array([[2.0, 0.3, 0.2, 0.1],
+                    [0.3, 1.5, 0.1, 0.2],
+                    [0.2, 0.1, 1.8, -0.3],
+                    [0.1, 0.2, -0.3, 1.2]])         # rows and columns (i, a)
+    return mat.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+
+
+def _neumann_fields(transform_tensors):
+    return {
+        **{name: transform_tensors[name] for name in ("laplacian", "diag", "layered-diag-hatA")},
+        "coupled-m2": coeff.builtin("constant", value=_coupled_m2_tensor(), m=2),
+        "layered": coeff.rescale(coeff.builtin("layered"), 1 / 4),
+        "checkerboard-100": coeff.rescale(
+            coeff.builtin("smoothed-checkerboard", contrast=100.0), 1 / 4),
+    }
+
+
+def _grounded_reference(op, B):
+    """spsolve of K u = B with the first node's dofs grounded, shifted to zero
+    boundary mean per component; B must be balanced."""
+    dm, m = op.mesh, op.m
+    keep = np.arange(m, op.ndof)
+    U = np.zeros_like(B)
+    U[keep] = spla.spsolve(op.matrix[keep][:, keep].tocsc(), B[keep])
+    nodal = U.reshape(dm.nnodes, m, -1)
+    nodal -= np.einsum("p,pac->ac", dm.arc_weights, nodal[dm.boundary_nodes]) / dm.arc_weights.sum()
+    return U
+
+
+@pytest.mark.parametrize("name", ["laplacian", "diag", "layered-diag-hatA", "coupled-m2",
+                                  "layered", "checkerboard-100"])
+@pytest.mark.parametrize("n", [2, 3, 16, 33])
+def test_neumann_transform_matches_grounded_spsolve(transform_tensors, name, n):
+    field = _neumann_fields(transform_tensors)[name]
+    assert field.symmetric
+    dm = mesh.DomainMesh(n)
+    op = mesh.assemble(field, dm, mode="neumann")
+    solver = op.factorization()
+    assert isinstance(solver, mesh.TransformSolver)
+    B = np.random.default_rng(n).standard_normal((op.ndof, 3))
+    B[:, 1] = 0.0                                        # a zero column stays zero
+    nodal = B.reshape(dm.nnodes, op.m, 3)
+    nodal -= nodal.mean(axis=0)                          # balanced data
+    expect = _grounded_reference(op, B)
+    scale = np.abs(expect).max()
+    X = solver.solve(B)
+    assert np.abs(X - expect).max() <= 1e-10 * scale
+    assert np.abs(solver.solve(B[:, 0]) - expect[:, 0]).max() <= 1e-10 * scale
+    assert not X[:, 1].any()
+    means = np.einsum("p,pac->ac", dm.arc_weights, X.reshape(dm.nnodes, op.m, 3)[dm.boundary_nodes])
+    assert np.abs(means).max() <= 1e-12 * scale
+
+
+def test_neumann_data_just_under_the_compatibility_bound_solves(transform_tensors):
+    # solve_neumann admits an imbalance up to 1e-8 of the data scale; the
+    # solve takes off the part the boundary pin's multiplier absorbs,
+    # C (sum b / sum C), and meets its residual target on the rest
+    dm = mesh.DomainMesh(16)
+    for name, field in _neumann_fields(transform_tensors).items():
+        op = mesh.assemble(field, dm, mode="neumann")
+        load = np.tile(np.cos(np.pi * dm.nodes[:, :1]) + dm.nodes[:, 1:] - 0.5, (1, op.m)).ravel()
+        load[::op.m] += 0.9e-8 * np.abs(load[::op.m]).sum() * mesh.point_load(dm, 0)
+        u = mesh.solve_neumann(op, load)
+        C = np.zeros((dm.nnodes, op.m))
+        C[dm.boundary_nodes] = dm.arc_weights[:, None]
+        lam = load.reshape(dm.nnodes, op.m).sum(axis=0) / 4.0
+        assert abs(lam[0]) > 0.0
+        r = op.matrix @ u.ravel() + (C * lam).ravel() - load
+        assert np.linalg.norm(r) <= 1e-11 * np.linalg.norm(load), name
+        assert np.abs(dm.arc_weights @ u[dm.boundary_nodes]).max() <= 1e-12 * np.abs(u).max()
+
+
+def test_nonsymmetric_neumann_operator_is_refused():
+    skewed = coeff.builtin("constant", value=np.array([[1.0, 0.5], [-0.5, 1.0]]))
+    assert not skewed.symmetric
+    op = mesh.assemble(skewed, mesh.DomainMesh(8), mode="neumann")
+    with pytest.raises(ValueError, match="symmetric coefficient"):
+        mesh.solve_neumann(op)
+
+
+def test_periodic_transform_removes_the_data_mean():
+    # the data's mean is removed before the transform, as the bordered
+    # system's multiplier removes it: a mean of 1e-7 |b| still solves, and
+    # the solution keeps a zero volume mean
+    grid = mesh.TorusGrid(16)
+    op = mesh.assemble(coeff.builtin("constant", value=np.diag([np.sqrt(3.0), 2.0])), grid)
+    load = np.random.default_rng(1).standard_normal(grid.nnodes)
+    load -= load.mean()
+    load += 1e-7 * np.linalg.norm(load)
+    assert load.mean() == pytest.approx(1e-7 * np.linalg.norm(load), rel=1e-6)
+    u = mesh.solve_periodic(op, load)
+    assert abs(grid.h ** 2 * u.sum()) <= 1e-12 * np.abs(u).max()

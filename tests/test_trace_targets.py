@@ -73,8 +73,8 @@ def test_factor_kind_and_nnz_of_the_operators_src_builds(monkeypatch, layered_fi
     torus = mesh.assemble(layered_field, mesh.TorusGrid(8))
     assert tracing.factor_kind(torus) == "periodic"
     torus.factorization()
-    # dir_0 is solved by sine transform and never factored
-    assert [kind for kind, _ in factored] == ["dir_eps", "neu_eps", "neu_0", "periodic"]
+    # dir_0 and the Neumann operators are solved by transform and never factored
+    assert [kind for kind, _ in factored] == ["dir_eps", "periodic"]
     assert all(isinstance(nnz, numbers.Integral) and nnz > 0 for _, nnz in factored)
 
 
