@@ -41,7 +41,8 @@ from .mesh import (TorusGrid, assemble, coefficient_gauss_values, solve_periodic
                    divergence_load_from_gauss, GAUSS_WEIGHTS)
 
 __all__ = ["CellError", "CellSolution", "solve_cell", "homogenize",
-           "discrepancy", "flux_corrector", "solve", "flux_divergence_residual"]
+           "discrepancy", "flux_corrector", "solve", "discrepancy_divergence_residual",
+           "flux_divergence_residual"]
 
 
 class CellError(RuntimeError):
@@ -127,9 +128,10 @@ def homogenize(grid, chi, A_gauss):
 def discrepancy(grid, chi, hatA, A_gauss, A_nodes):
     """b_ij^{ab}(y) = hatA_ij^{ab} - a_ij^{ab}(y) - a_ik^{ag}(y) d_k chi_j^{gb}(y).
 
-    Returns (b_nodal, b_gauss, b_mean, chi_grad, weak_div_residual).  The
-    nodal table uses gradient recovery; means and weak divergences are
-    evaluated from the Gauss values, where they vanish by construction.
+    Returns (b_nodal, b_gauss, b_mean, chi_grad).  The nodal table uses
+    gradient recovery; the mean is evaluated from the Gauss values, where it
+    vanishes by construction, like the weak divergence
+    (discrepancy_divergence_residual).
     """
     d, m = chi.shape[0], chi.shape[1]
     b_gauss = np.empty((d, d, m, m, grid.nelem, 4))
@@ -152,15 +154,7 @@ def discrepancy(grid, chi, hatA, A_gauss, A_nodes):
                                                   - flux_n[i, alpha])
     h2w = grid.h ** 2 * GAUSS_WEIGHTS
     b_mean = np.einsum("g,ijabeg->ijab", h2w, b_gauss)
-
-    # weak divergence d_i(b_ij) tested against periodic hats, per column (j, beta)
-    res = 0.0
-    for j in range(d):
-        for beta in range(m):
-            fg = b_gauss[:, j, :, beta].transpose(2, 3, 0, 1)        # (nelem, 4, i, alpha)
-            r = divergence_load_from_gauss(grid, fg)
-            res = max(res, float(np.linalg.norm(r) / grid.h))
-    return b_nodal, b_gauss, b_mean, chi_grad, res
+    return b_nodal, b_gauss, b_mean, chi_grad
 
 
 def flux_corrector(grid, b_gauss):
@@ -183,6 +177,19 @@ def flux_corrector(grid, b_gauss):
     G = np.moveaxis(nodal_gradient(grid, f).reshape(grid.nnodes, 2, *shape), 0, -1)
     F = G - G.transpose(1, 0, 2, 3, 4, 5)
     return f.T.reshape(*shape, grid.nnodes), F
+
+
+def discrepancy_divergence_residual(grid, b_gauss):
+    """Dual-norm residual of the weak divergence d_i b_ij = 0, tested
+    against periodic hats, the largest over the columns (j, beta)."""
+    d, m = b_gauss.shape[1], b_gauss.shape[3]
+    res = 0.0
+    for j in range(d):
+        for beta in range(m):
+            fg = b_gauss[:, j, :, beta].transpose(2, 3, 0, 1)        # (nelem, 4, i, alpha)
+            r = divergence_load_from_gauss(grid, fg)
+            res = max(res, float(np.linalg.norm(r) / grid.h))
+    return res
 
 
 def flux_divergence_residual(grid, F, b_gauss):
@@ -217,7 +224,7 @@ def _pipeline(coeff, grid, A_gauss, A_nodes):
     op = assemble(coeff, grid, A_gauss=A_gauss)
     chi = solve_cell(op, A_gauss)
     hatA = homogenize(grid, chi, A_gauss)
-    b_nodal, b_gauss, b_mean, chi_grad, _ = discrepancy(grid, chi, hatA, A_gauss, A_nodes)
+    b_nodal, b_gauss, b_mean, chi_grad = discrepancy(grid, chi, hatA, A_gauss, A_nodes)
     op.release()
     f, F = flux_corrector(grid, b_gauss)
     return dict(chi=chi, hatA=hatA, b_nodal=b_nodal, b_gauss=b_gauss, b_mean=b_mean,

@@ -11,9 +11,11 @@ subcommand reads it through _mesh.  Command-line flags override it, and
 --coeff-family/--coeff-params override its coefficient in every
 subcommand.  Exit code is 0 iff all selected experiments pass, 1 when one
 fails, and 2 for a usage error: a flag value or config that cannot be
-read, --coeff-params without --coeff-family, a coefficient the library
-rejects, a misaligned epsilon (correctors, expand), or (rates, all) an
-experiment config that ExperimentConfig rejects.
+read, a config value that breaks its flag's rule (MESH_RULES; a seed must
+be a non-negative integer), --coeff-params without --coeff-family, a
+coefficient the library rejects, a misaligned epsilon (correctors,
+expand), or (rates, all) an experiment config that ExperimentConfig
+rejects.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ CONFIG_KEYS = ("coefficient", "mesh", "experiments", "seed")
 # kernel/DtN mesh resolution, cells per period of the epsilon meshes, cell grid
 MESH_DEFAULTS = {"n": 64, "cells_per_period": ratelab.ExperimentConfig.cells_per_period,
                  "cell_n": ratelab.ExperimentConfig.cell_n}
+# (least value, what a smaller one is told it needs) of each mesh key, for
+# its flag and its config value alike
+MESH_RULES = {"n": (2, "at least 2 cells per axis"),
+              "cells_per_period": (1, "a positive number of cells per period"),
+              "cell_n": (8, "at least 8 cells per axis of the cell grid")}
 
 
 def _parse_eps(text):
@@ -65,6 +72,16 @@ def _parse_pin(text):
     return x, y
 
 
+def _check_int(value, low, need):
+    """value if it is an integer of at least low; ValueError saying that it
+    needs `need` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    if value < low:
+        raise ValueError(f"need {need}, got {value}")
+    return value
+
+
 def _int_at_least(low, need):
     """A flag type: an integer of at least low, else a usage error saying
     that the flag needs `need`."""
@@ -73,9 +90,10 @@ def _int_at_least(low, need):
             n = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if n < low:
-            raise argparse.ArgumentTypeError(f"need {need}, got {n}")
-        return n
+        try:
+            return _check_int(n, low, need)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
     return parse
 
 
@@ -108,8 +126,9 @@ def _first_eps(args):
 
 def _load_config(path):
     """The JSON config at path ({} for None); ValueError on a path that
-    cannot be read, a non-object or keys outside CONFIG_KEYS (MESH_DEFAULTS
-    in the mesh block)."""
+    cannot be read, a non-object, keys outside CONFIG_KEYS (MESH_DEFAULTS
+    in the mesh block), a mesh value that breaks its MESH_RULES or a seed
+    that is not a non-negative integer."""
     if path is None:
         return {}
     try:
@@ -129,6 +148,15 @@ def _load_config(path):
     if unknown:
         raise ValueError(f"config {path} has unknown mesh keys {', '.join(unknown)}; "
                          f"allowed: {', '.join(MESH_DEFAULTS)}")
+    checks = [(f"mesh.{key}", value, *MESH_RULES[key])
+              for key, value in config.get("mesh", {}).items()]
+    if "seed" in config:
+        checks.append(("seed", config["seed"], 0, "a non-negative integer"))
+    for name, value, low, need in checks:
+        try:
+            _check_int(value, low, need)
+        except ValueError as err:
+            raise ValueError(f"config {path}: {name}: {err}") from None
     return config
 
 
@@ -321,7 +349,7 @@ def main(argv=None):
     parser.add_argument("--eps", "--eps-list", dest="eps", type=_parse_eps,
                         help="comma-separated epsilon list, fractions allowed")
     parser.add_argument("--cells-per-period", dest="cells_per_period",
-                        type=_int_at_least(1, "a positive number of cells per period"))
+                        type=_int_at_least(*MESH_RULES["cells_per_period"]))
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--experiments", type=_parse_experiments,
                         help="comma-separated experiment ids (rates)")
@@ -331,7 +359,7 @@ def main(argv=None):
                         help="JSON params for the coefficient family")
     parser.add_argument("--family", choices=["chi", "dirichlet", "neumann"],
                         default="chi", help="corrector family for expand")
-    parser.add_argument("--n", type=_int_at_least(2, "at least 2 cells per axis"),
+    parser.add_argument("--n", type=_int_at_least(*MESH_RULES["n"]),
                         help="mesh resolution for kernel commands")
     parser.add_argument("--pin", type=_parse_pin,
                         help="x0,y0 pin point for Neumann correctors")

@@ -2,8 +2,10 @@
 
 Coefficient fields are supplied as analytic evaluators (pure functions of
 the sample point), never as gridded data, so every mesh resolution samples
-them exactly.  A field carries its declared ellipticity constant and a
-symmetry flag meaning a_ij^{ab}(y) = a_ji^{ba}(y).
+them exactly.  A field carries a symmetry flag meaning
+a_ij^{ab}(y) = a_ji^{ba}(y), and its period: 1 (epsilon None), or epsilon
+for the field A(x/eps) that rescale returns.  Ellipticity is measured by
+validate, never declared.
 
 Index convention throughout the package: a tensor value at a point has
 shape (d, d, m, m) indexed [i, j, alpha, beta], acting on gradients as
@@ -23,7 +25,6 @@ __all__ = [
     "CoefficientError",
     "EllipticityError",
     "CoefficientField",
-    "ScaledCoefficient",
     "ValidationReport",
     "builtin",
     "from_expression",
@@ -39,31 +40,33 @@ class CoefficientError(ValueError):
 
 
 class EllipticityError(CoefficientError):
-    """Sampled Rayleigh quotients violate the declared ellipticity."""
+    """The field is not elliptic: a sampled Rayleigh quotient, or a
+    builtin's lower bound, is not positive."""
 
 
 class CoefficientField:
-    """Periodic tensor field with its ellipticity constant and symmetry flag.
+    """Periodic tensor field with its symmetry flag and its period.
 
     The evaluator maps an (npts, d) array of points to an
     (npts, d, d, m, m) array, with d = 2 (every mesh is two-dimensional).
-    Instances are immutable after construction and safe to share across
-    concurrent evaluations.
+    epsilon is None for a field of period 1 and the period of a rescaled
+    field A(x/eps) (see rescale).  Instances are immutable after
+    construction and safe to share across concurrent evaluations.
     """
 
     d = 2
 
-    def __init__(self, evaluator, m=1, family="user", mu=None, symmetric=True, params=None):
+    def __init__(self, evaluator, m=1, family="user", symmetric=True, params=None, epsilon=None):
         if m < 1:
             raise CoefficientError(f"need m >= 1, got m={m}")
-        if mu is not None and mu <= 0.0:
-            raise CoefficientError(f"ellipticity constant must be positive, got {mu}")
+        if epsilon is not None and not epsilon > 0.0:
+            raise CoefficientError(f"epsilon must be positive, got {epsilon}")
         self._evaluator = evaluator
         self.m = int(m)
         self.family = family
-        self.mu = mu
         self.symmetric = bool(symmetric)
         self.params = dict(params or {})
+        self.epsilon = None if epsilon is None else float(epsilon)
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -89,65 +92,46 @@ class CoefficientField:
         def star(pts):
             return np.transpose(np.asarray(base(pts)), (0, 2, 1, 4, 3))
 
-        return CoefficientField(star, m=self.m, family=self.family,
-                                mu=self.mu, symmetric=False,
-                                params={**self.params, "adjoint": True})
+        return CoefficientField(star, m=self.m, family=self.family, symmetric=False,
+                                params={**self.params, "adjoint": True}, epsilon=self.epsilon)
 
     def key(self):
         """Hashable identity used for caching cell solutions.
 
         Builtin families and expression fields are keyed on their content,
-        which fixes their values.  Any other field is keyed on its evaluator
-        object as well, so two hand-built fields with equal params but
-        different evaluators never share a key; the key also keeps that
-        evaluator alive, so its identity cannot be reused.
+        which fixes their values, and on their period.  Any other field is
+        keyed on its evaluator object as well, so two hand-built fields with
+        equal params but different evaluators never share a key; the key
+        also keeps that evaluator alive, so its identity cannot be reused.
         """
         items = tuple(sorted((k, repr(v)) for k, v in self.params.items()))
-        content = (self.family, self.d, self.m, items)
+        content = (self.family, self.d, self.m, self.epsilon, items)
         if self.family in BUILTIN_FAMILIES and (self.family != "user" or "expr" in self.params):
             return content
         return content + (self._evaluator,)
 
     def __repr__(self):
-        return f"CoefficientField(family={self.family!r}, d={self.d}, m={self.m}, params={self.params})"
+        scaled = "" if self.epsilon is None else f", epsilon={self.epsilon}"
+        return (f"CoefficientField(family={self.family!r}, d={self.d}, m={self.m}, "
+                f"params={self.params}{scaled})")
 
 
-class ScaledCoefficient:
-    """A(x/eps): the base field evaluated at the rescaled point."""
+def rescale(field: CoefficientField, epsilon: float) -> CoefficientField:
+    """A(y) -> A(x/eps).  epsilon is the period length in domain coordinates.
 
-    def __init__(self, base: CoefficientField, epsilon: float):
-        if epsilon <= 0.0:
-            raise CoefficientError(f"epsilon must be positive, got {epsilon}")
-        self.base = base
-        self.epsilon = float(epsilon)
+    The rescaled field calls the base field's evaluator at x/eps, so one
+    evaluation of it evaluates the base once.  A field that is already
+    rescaled raises CoefficientError.
+    """
+    if not isinstance(field, CoefficientField) or field.epsilon is not None:
+        raise CoefficientError("rescale expects a CoefficientField of period 1")
+    base, eps = field._evaluator, float(epsilon)
 
-    @property
-    def d(self):
-        return self.base.d
+    def scaled(pts):
+        return base(pts / eps)
 
-    @property
-    def m(self):
-        return self.base.m
-
-    @property
-    def symmetric(self):
-        return self.base.symmetric
-
-    def __call__(self, points):
-        return self.base(np.asarray(points, dtype=float) / self.epsilon)
-
-    def adjoint(self):
-        return ScaledCoefficient(self.base.adjoint(), self.epsilon)
-
-    def __repr__(self):
-        return f"ScaledCoefficient({self.base!r}, epsilon={self.epsilon})"
-
-
-def rescale(field: CoefficientField, epsilon: float) -> ScaledCoefficient:
-    """A(y) -> A(x/eps).  epsilon is the period length in domain coordinates."""
-    if not isinstance(field, CoefficientField):
-        raise CoefficientError("rescale expects a CoefficientField")
-    return ScaledCoefficient(field, epsilon)
+    return CoefficientField(scaled, m=field.m, family=field.family, symmetric=field.symmetric,
+                            params=field.params, epsilon=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +171,11 @@ def _constant_field(value, m):
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     if eigs.min() <= 0.0:
         raise EllipticityError(f"constant tensor is not elliptic (min eigenvalue {eigs.min():.3g})")
-    mu = min(eigs.min(), 1.0 / eigs.max())
 
     def ev(pts):
         return np.broadcast_to(tensor, (pts.shape[0],) + tensor.shape).copy()
 
-    return CoefficientField(ev, m=m, family="constant", mu=mu, symmetric=sym,
+    return CoefficientField(ev, m=m, family="constant", symmetric=sym,
                             params={"value": tensor.tolist()})
 
 
@@ -212,9 +195,7 @@ def _layered_field(base, amp, axis, wavevector, m):
     def scalar(pts):
         return base + amp * np.sin(2.0 * np.pi * (pts @ kvec))
 
-    lo, hi = base - abs(amp), base + abs(amp)
-    return CoefficientField(_isotropic(scalar, m), m=m, family="layered",
-                            mu=min(lo, 1.0 / hi), symmetric=True,
+    return CoefficientField(_isotropic(scalar, m), m=m, family="layered", symmetric=True,
                             params={"base": base, "amp": amp, "wavevector": wavevector})
 
 
@@ -226,9 +207,7 @@ def _trigonometric_field(base, amp, m):
         out = base + amp * np.cos(2.0 * np.pi * pts[:, 0]) * np.cos(2.0 * np.pi * pts[:, 1])
         return out
 
-    lo, hi = base - abs(amp), base + abs(amp)
-    return CoefficientField(_isotropic(scalar, m), m=m, family="trigonometric",
-                            mu=min(lo, 1.0 / hi), symmetric=True,
+    return CoefficientField(_isotropic(scalar, m), m=m, family="trigonometric", symmetric=True,
                             params={"base": base, "amp": amp})
 
 
@@ -249,9 +228,8 @@ def _checkerboard_field(contrast, width, m):
         mask = q1 * q2 + (1.0 - q1) * (1.0 - q2)
         return 1.0 + (contrast - 1.0) * mask
 
-    lo, hi = min(1.0, contrast), max(1.0, contrast)
     return CoefficientField(_isotropic(scalar, m), m=m, family="smoothed-checkerboard",
-                            mu=min(lo, 1.0 / hi), symmetric=True,
+                            symmetric=True,
                             params={"contrast": contrast, "width": width})
 
 
@@ -339,8 +317,7 @@ def from_expression(expr: str, m=1) -> CoefficientField:
         out = eval(code, {"__builtins__": {}}, env)
         return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],))
 
-    field = CoefficientField(_isotropic(scalar, m), m=m, family="user",
-                             mu=None, symmetric=True,
+    field = CoefficientField(_isotropic(scalar, m), m=m, family="user", symmetric=True,
                              params={"expr": expr})
     validate(field)
     return field

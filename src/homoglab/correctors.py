@@ -10,15 +10,15 @@ linear monomials P of the same layout are mesh.monomial_table(mesh, m).
 The solvers take the assembled operator of the scaled coefficient (a
 Dirichlet one for Phi, a Neumann one for Psi); the caller owns it and
 releases its factorization.  Only the adjoint operator of a non-symmetric
-coefficient is assembled and released here.
+coefficient (op.adjoint(), the transposed matrix) is built and released
+here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import (assemble, solve_dirichlet, solve_neumann, nodal_gradient, interp_torus,
-                   monomial_table)
+from .mesh import solve_dirichlet, solve_neumann, nodal_gradient, interp_torus, monomial_table
 
 __all__ = ["CorrectorError", "dirichlet_correctors", "neumann_correctors",
            "interior_family", "corrector_report"]
@@ -44,17 +44,17 @@ def dirichlet_correctors(op):
     operator op, and the adjoint family.
 
     For symmetric coefficients the adjoint family coincides with phi and is
-    not re-solved; otherwise the adjoint of op.coeff is assembled here and
-    released after its solves.
+    not re-solved; otherwise it is solved against op.adjoint(), whose
+    factorization is released after its solves.
     """
     phi = _monomial_solves(op)
-    if op.coeff.symmetric:
+    adjoint = op.adjoint()
+    if adjoint is op:
         return phi, phi.copy()
-    adjoint_op = assemble(op.coeff.adjoint(), op.mesh)
     try:
-        return phi, _monomial_solves(adjoint_op)
+        return phi, _monomial_solves(adjoint)
     finally:
-        adjoint_op.release()
+        adjoint.release()
 
 
 def neumann_correctors(op, hatA, x0=None):

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (AssembledOperator, DomainMesh, solve_dirichlet, solve_neumann, point_load,
-                   conormal)
+from .mesh import DomainMesh, solve_dirichlet, solve_neumann, point_load, conormal
 
 __all__ = ["KernelError", "KernelTable", "DtNMatrix",
            "green", "neumann_fn", "poisson_kernel", "omega", "dtn",
@@ -165,9 +164,9 @@ def omega(op, hatA, phi_star) -> np.ndarray:
     tangential part is known exactly since Phi* has linear boundary
     values); this is consistent with how the discrete kernels are built and
     tracks them markedly better than recovered gradients.  The adjoint
-    operator is op itself for a symmetric coefficient; otherwise its matrix
-    is op.matrix transposed, which is what assembling A* gives, so nothing
-    is assembled or factored here.
+    operator is op.adjoint(), op itself for a symmetric coefficient, and A*
+    is the transpose of A's values, so nothing is assembled, evaluated
+    again or factored here.
     """
     mesh, m = op.mesh, op.m
     hatA = np.asarray(hatA, dtype=float).reshape(2, 2, m, m)
@@ -176,13 +175,10 @@ def omega(op, hatA, phi_star) -> np.ndarray:
     n = mesh.normals[pos]
     t = np.stack([-n[:, 1], n[:, 0]], axis=1)
     A_b = op.coeff(pts)                                       # (p, 2, 2, m, m)
+    adjoint = op.adjoint()
+    A_star = A_b if adjoint is op else A_b.transpose(0, 2, 1, 4, 3)
     nAn = np.einsum("pi,pj,pijrs->prs", n, n, A_b)
-    if op.coeff.symmetric:
-        adjoint, nAn_star, A_star = op, nAn, A_b
-    else:
-        adjoint = AssembledOperator(mesh, op.matrix.T.tocsr(), op.mode, op.coeff.adjoint())
-        A_star = adjoint.coeff(pts)
-        nAn_star = np.einsum("pi,pj,pijrs->prs", n, n, A_star)
+    nAn_star = np.einsum("pi,pj,pijrs->prs", n, n, A_star)
     nAt_star = np.einsum("pi,pj,pijrs->prs", n, t, A_star)
 
     # normal derivative of each column: [k, sigma, p, rho]

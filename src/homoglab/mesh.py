@@ -7,8 +7,8 @@ Both meshes are uniform tensor grids with continuous bilinear elements and
 dof = node * m + component.  Meshes and assembled operators are immutable
 after construction; solves are pure functions of (operator, data).
 
-Every operator is assembled from a coefficient object (CoefficientField or
-ScaledCoefficient); a constant tensor enters as
+Every operator is assembled from a CoefficientField, rescaled
+(coeff.rescale) for an eps-operator; a constant tensor enters as
 coeff.builtin("constant", value=..., m=...).  The operator's coefficient
 is the one place that says how many components it has (op.m) and whether
 it is symmetric (op.coeff.symmetric).
@@ -57,7 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coeff import CoefficientField, ScaledCoefficient
+from .coeff import CoefficientField
 
 __all__ = [
     "TorusGrid", "DomainMesh", "AssembledOperator", "SolveError", "write_nodal_csv",
@@ -267,6 +267,15 @@ class AssembledOperator:
         self._lu = None
         self._Kii = None
 
+    def adjoint(self):
+        """The operator of the adjoint coefficient A* in the same mode: self
+        for a symmetric coefficient, otherwise the transposed matrix, which
+        is what assembling A* gives (to roundoff), so nothing is assembled."""
+        if self.coeff.symmetric:
+            return self
+        return AssembledOperator(self.mesh, self.matrix.T.tocsr(), self.mode, self.coeff.adjoint(),
+                                 self.warnings, self.coeff_mean.transpose(1, 0, 3, 2))
+
     def _factor(self, matrix):
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
@@ -279,8 +288,8 @@ class AssembledOperator:
         A Neumann operator is solved by TransformSolver: through its own
         tensor if the coefficient is constant, through coeff_mean otherwise;
         its coefficient must be symmetric (A* = A), or ValueError is raised.
-        In the 'dirichlet' and 'periodic' modes a constant tensor, also
-        rescaled, whose constrained block is symmetric is solved by
+        In the 'dirichlet' and 'periodic' modes a constant tensor, at any
+        period, whose constrained block is symmetric is solved by
         TransformSolver and every other operator by CheckedLU.
         """
         if self._lu is None:
@@ -360,7 +369,8 @@ class CheckedLU:
 # TransformSolver: a column is solved when its residual is within
 # _TRANSFORM_RTOL of its data, or within the roundoff floor
 # _TRANSFORM_FLOOR * max|K| * |x| (smooth data at n = 1024 reaches only
-# ~3e-11 relative); both are well inside CheckedLU's rule.  Past
+# ~3e-11 relative), |x| less the mean of each component on the torus and
+# for Neumann; both are well inside CheckedLU's rule.  Past
 # _TRANSFORM_MAXITER conjugate-gradient steps the solve raises SolveError.
 _TRANSFORM_RTOL = 1e-12
 _TRANSFORM_FLOOR = 1e-14
@@ -368,16 +378,15 @@ _TRANSFORM_MAXITER = 200
 
 
 def _constant_tensor(coeff):
-    """The (2, 2, m, m) tensor of a constant coefficient, also rescaled, or None.
+    """The (2, 2, m, m) tensor of a constant coefficient, at any period, or None.
 
     The adjoint of a constant field keeps the untransposed value; the solver
     reads only the parts of it that a symmetric constrained block leaves
     unchanged.
     """
-    base = coeff.base if isinstance(coeff, ScaledCoefficient) else coeff
-    if base.family != "constant" or "value" not in base.params:
+    if coeff.family != "constant" or "value" not in coeff.params:
         return None
-    return np.asarray(base.params["value"], dtype=float)
+    return np.asarray(coeff.params["value"], dtype=float)
 
 
 def _symmetric_block(tensor):
@@ -496,14 +505,31 @@ class TransformSolver:
         """v (ndof, ncols) as its (nnodes, m, ncols) view."""
         return v.reshape(-1, self._grid[2], v.shape[1])
 
+    def _balanced(self, B):
+        """A copy of B (ndof, ncols) without the part the multiplier of the
+        bordered system absorbs, B - C (sum B / sum C) per component."""
+        nodes, w = self._pin
+        total = self._nodal(B).sum(axis=0)
+        B = B.copy()
+        self._nodal(B)[nodes] -= w[:, None, None] * total
+        return B
+
     def _residual(self, x, b, bnorm2):
         """(r = K x - b, columns that miss the target)."""
         r = self._K @ x
         r -= b
         res2 = np.einsum("ij,ij->j", r, r)
-        tol = np.maximum(_TRANSFORM_RTOL ** 2 * bnorm2,
-                         self._floor ** 2 * np.einsum("ij,ij->j", x, x))
-        return r, ~(res2 <= tol)
+        target = _TRANSFORM_RTOL ** 2 * bnorm2
+        floor = self._floor ** 2 * np.einsum("ij,ij->j", x, x)
+        by_floor = (res2 > target) & (res2 <= floor)
+        if self._pin is not None and by_floor.any():
+            # K cannot see the constant of each component, so a column that
+            # meets only the floor must meet it with x less its mean: a
+            # growing constant cannot pass the solve
+            xc = self._nodal(x[:, by_floor])
+            xc = xc - xc.mean(axis=0)
+            floor[by_floor] = self._floor ** 2 * np.einsum("nac,nac->c", xc, xc)
+        return r, ~(res2 <= np.maximum(target, floor))
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
@@ -513,10 +539,7 @@ class TransformSolver:
         # to roundoff, and what is left of it past the mean is roundoff too
         bnorm2 = np.einsum("ij,ij->j", B, B)
         if self._pin is not None:
-            nodes, w = self._pin
-            total = self._nodal(B).sum(axis=0)
-            B = B.copy()
-            self._nodal(B)[nodes] -= w[:, None, None] * total
+            B = self._balanced(B)
         x = self._precondition(B.copy())
         r, todo = self._residual(x, B, bnorm2)
         if todo.any():
@@ -560,14 +583,14 @@ def coefficient_gauss_values(coeff, mesh):
 def assemble(coeff, mesh, mode="dirichlet", A_gauss=None) -> AssembledOperator:
     """Assemble the stiffness matrix of coeff on the mesh.
 
-    coeff is a CoefficientField or ScaledCoefficient, evaluated at the
-    physical Gauss points; a constant tensor is passed as
+    coeff is a CoefficientField, evaluated at the physical Gauss points
+    (at x/eps when it is rescaled); a constant tensor is passed as
     coeff.builtin("constant", value=..., m=...).  A_gauss, if given, holds
     those Gauss values already (coefficient_gauss_values) and coeff is not
     evaluated again.  An under-resolved oscillation (h > eps/8) is recorded
     as a warning on the operator, not a failure.
     """
-    if not isinstance(coeff, (CoefficientField, ScaledCoefficient)):
+    if not isinstance(coeff, CoefficientField):
         raise TypeError(f"assemble takes a coefficient object, got {type(coeff).__name__}; "
                         'wrap a constant tensor as coeff.builtin("constant", value=..., m=...)')
     if mesh.is_torus:
@@ -577,7 +600,7 @@ def assemble(coeff, mesh, mode="dirichlet", A_gauss=None) -> AssembledOperator:
     m = coeff.m
 
     warnings = []
-    eps = getattr(coeff, "epsilon", None)
+    eps = coeff.epsilon
     if eps is not None and mesh.h > eps / 8.0 + 1e-14:
         warnings.append(f"under-resolved oscillation: h={mesh.h:.4g} > eps/8={eps / 8.0:.4g}")
 

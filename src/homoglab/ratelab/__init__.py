@@ -10,6 +10,7 @@ for a fixed config and seed.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field as dataclass_field, asdict
 
 import numpy as np
@@ -39,9 +40,10 @@ class ExperimentConfig:
 
     coefficient is a spec dict {"family": ..., "params": {...}}, or None
     for the registry default.  An unknown experiment raises RegistryError;
-    a bad eps_list or mesh, or a SCALAR_ONLY experiment on a field with
-    m != 1, raises ValueError.  The registry entry and the built field are
-    kept as entry and field, outside describe(), repr and equality.
+    a bad eps_list, a cells_per_period or cell_n that is not an integer of
+    at least 8, a seed that is not a non-negative integer, or a
+    SCALAR_ONLY experiment on a field with m != 1, raises ValueError.  The registry entry and the built field are kept as
+    entry and field, outside describe(), repr and equality.
     """
 
     experiment: str
@@ -65,8 +67,11 @@ class ExperimentConfig:
             raise ValueError("eps_list must be strictly decreasing")
         if any(e <= 0 for e in self.eps_list):
             raise ValueError("eps values must be positive")
-        if self.cells_per_period < 8:
-            raise ValueError("cells_per_period must be at least 8 (under-resolution)")
+        # fewer than 8 cells per period under-resolve the oscillation
+        for name, low in (("cells_per_period", 8), ("cell_n", 8), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
         for eps in self.eps_list:
             mesh_resolution(self.cells_per_period, eps)
         self.field = coefficient_from_spec(self.coefficient or self.entry.coefficient)

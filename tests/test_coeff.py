@@ -79,10 +79,35 @@ def test_rescale_epsilon_one_is_identity(layered_field):
 
 
 def test_rescale_composition(layered_field):
+    # A(x/eps) is the base field at x/eps, bitwise; a rescaled field is not
+    # rescaled again
     pts = np.random.default_rng(1).random((50, 2))
     once = coeff.rescale(layered_field, 0.125)
-    via_one = coeff.rescale(coeff.rescale(layered_field, 1.0).base, 0.125)
-    assert np.array_equal(once(pts), via_one(pts))
+    assert np.array_equal(once(pts), layered_field(pts / 0.125))
+    with pytest.raises(coeff.CoefficientError):
+        coeff.rescale(once, 0.5)
+
+
+def test_rescaled_field_carries_its_period(layered_field):
+    sc = coeff.rescale(layered_field, 0.25)
+    assert layered_field.epsilon is None and sc.epsilon == 0.25
+    assert (sc.family, sc.params, sc.m, sc.symmetric) == (
+        layered_field.family, layered_field.params, layered_field.m, layered_field.symmetric)
+    # a cache never confuses a rescaled field with its base or another period
+    keys = {layered_field.key(), sc.key(), coeff.rescale(layered_field, 0.5).key()}
+    assert len(keys) == 3
+    assert sc.key() == coeff.rescale(coeff.builtin("layered"), 0.25).key()
+
+
+def test_rescaled_field_evaluates_its_base_once(layered_field, monkeypatch):
+    # one call of the rescaled field is one call of CoefficientField.__call__,
+    # so a count of evaluated points counts each point once
+    calls = []
+    call = coeff.CoefficientField.__call__
+    monkeypatch.setattr(coeff.CoefficientField, "__call__",
+                        lambda self, pts: calls.append(len(pts)) or call(self, pts))
+    coeff.rescale(layered_field, 0.25)(np.zeros((7, 2)))
+    assert calls == [7]
 
 
 def test_rescale_rejects_nonpositive(layered_field):
@@ -122,6 +147,10 @@ def test_adjoint_of_nonsymmetric_constant():
     assert not field.symmetric
     star = field.adjoint()
     pts = np.random.default_rng(5).random((10, 2))
+    assert np.allclose(star(pts)[:, :, :, 0, 0], A.T)
+    # the adjoint of A(x/eps) keeps the period
+    star = coeff.rescale(field, 0.125).adjoint()
+    assert star.epsilon == 0.125 and not star.symmetric
     assert np.allclose(star(pts)[:, :, :, 0, 0], A.T)
 
 
@@ -178,11 +207,12 @@ def test_expression_rejects_a_field_that_is_not_elliptic(expr):
         coeff.builtin("user", expr=expr)
 
 
-def test_declared_mu_passes_validation():
-    for tag in ("layered", "trigonometric", "smoothed-checkerboard"):
-        field = coeff.builtin(tag)
-        rep = coeff.validate(field, samples=32)
-        assert rep.mu_measured >= field.mu - 1e-9
+def test_measured_mu_meets_the_analytic_constant():
+    # min(inf a, 1 / sup a) of the default layered (a in [1, 3]),
+    # trigonometric ([1.5, 2.5]) and checkerboard ([1, 10]) fields
+    for tag, mu in (("layered", 1 / 3), ("trigonometric", 0.4), ("smoothed-checkerboard", 0.1)):
+        rep = coeff.validate(coeff.builtin(tag), samples=32)
+        assert rep.mu_measured >= mu - 1e-9
 
 
 def test_user_expression_takes_m():

@@ -418,6 +418,24 @@ def test_nonsymmetric_constant_solves(m):
     assert np.abs(u.ravel()[inter] - expect).max() <= 1e-11 * np.abs(expect).max()
 
 
+def test_adjoint_operator_is_the_transposed_matrix():
+    # op.adjoint() is op for a symmetric coefficient; otherwise its matrix is
+    # what assembling A* gives, to roundoff
+    dm = mesh.DomainMesh(16)
+    layered = mesh.assemble(coeff.rescale(coeff.builtin("layered"), 1 / 4), dm)
+    assert layered.adjoint() is layered
+    base = coeff.builtin("layered", wavevector=(1, 1))
+    skew = np.array([[0.0, 0.8], [-0.8, 0.0]])[:, :, None, None]
+    field = coeff.CoefficientField(
+        lambda pts: base(pts) + np.cos(2 * np.pi * pts[:, 1])[:, None, None, None, None] * skew,
+        symmetric=False)
+    op = mesh.assemble(coeff.rescale(field, 1 / 4), dm)
+    star = op.adjoint()
+    assert (star.mode, star.coeff.epsilon, star.coeff.symmetric) == ("dirichlet", 0.25, False)
+    assembled = mesh.assemble(op.coeff.adjoint(), dm).matrix
+    assert abs(star.matrix - assembled).max() <= 1e-14 * abs(assembled).max()
+
+
 def test_constant_dirichlet_operators_never_factor(monkeypatch, transform_tensors):
     calls = []
     factor = mesh.AssembledOperator._factor
@@ -609,3 +627,19 @@ def test_periodic_transform_removes_the_data_mean():
     assert load.mean() == pytest.approx(1e-7 * np.linalg.norm(load), rel=1e-6)
     u = mesh.solve_periodic(op, load)
     assert abs(grid.h ** 2 * u.sum()) <= 1e-12 * np.abs(u).max()
+
+
+@pytest.mark.parametrize("mode", ["periodic", "neumann"])
+def test_transform_floor_does_not_count_the_constant(mode, monkeypatch):
+    # with the multiplier's part left in the data K x = b has no solution,
+    # and conjugate gradients grow the constant of x, which K cannot see;
+    # the roundoff floor must not let that constant pass the solve
+    grid = mesh.TorusGrid(16) if mode == "periodic" else mesh.DomainMesh(16)
+    op = mesh.assemble(coeff.builtin("constant", value=np.diag([np.sqrt(3.0), 2.0])), grid,
+                       mode=mode)
+    load = np.random.default_rng(1).standard_normal(grid.nnodes)
+    load -= load.mean()
+    load += 1e-9 * np.linalg.norm(load)
+    monkeypatch.setattr(mesh.TransformSolver, "_balanced", lambda self, B: B)
+    with pytest.raises(mesh.SolveError, match="residual check"):
+        op.factorization().solve(load)

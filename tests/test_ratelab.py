@@ -63,6 +63,10 @@ def test_config_validation():
         ratelab.ExperimentConfig("cell-oracle", cells_per_period=4)
     with pytest.raises(ValueError):
         ratelab.ExperimentConfig("cell-oracle", eps_list=(1 / 8, 1 / 256))
+    for kwargs in ({"cells_per_period": 16.0}, {"cell_n": 4}, {"cell_n": 16.5}, {"seed": "x"},
+                   {"seed": 1.5}, {"seed": -20}):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            ratelab.ExperimentConfig("leibniz-1", **kwargs)
     cfg = ratelab.ExperimentConfig("cell-oracle")
     assert cfg.eps_list == tuple(EPS4)
 
@@ -528,11 +532,20 @@ def test_cli_rates_honours_the_coefficient_flags(tmp_path):
     (("correctors", "--cells-per-period", "0", "--eps", "1/2"), ("--cells-per-period", "positive")),
     (("rates", "--cells-per-period", "0"), ("--cells-per-period", "positive")),
     (("rates", "--cells-per-period", "-16"), ("--cells-per-period", "positive")),
+    # a dict stands for a config file holding it: its values get the flags' checks
+    (("cell", "--config", {"mesh": {"cell_n": 4}}), ("mesh.cell_n", "at least 8")),
+    (("rates", "--config", {"mesh": {"cell_n": 16.5}}), ("mesh.cell_n", "not an integer")),
+    (("green", "--config", {"mesh": {"n": 1}}), ("mesh.n", "at least 2")),
+    (("rates", "--experiments", "leibniz-1", "--config", {"seed": "x"}), ("seed", "not an integer")),
 ])
 def test_cli_rejects_inputs_the_run_cannot_take(tmp_path, capsys, argv, named):
     # a config or coefficient the library rejects is a usage error, and
     # nothing is computed or written
-    out = tmp_path / "out"
+    out, config = tmp_path / "out", tmp_path / "config.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    argv = [str(config) if isinstance(arg, dict) else arg for arg in argv]
     with pytest.raises(SystemExit) as exit_info:
         cli.main([*argv, "--out", str(out)])
     assert exit_info.value.code == 2
