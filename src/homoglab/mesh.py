@@ -14,20 +14,22 @@ is the one place that says how many components it has (op.m) and whether
 it is symmetric (op.coeff.symmetric).
 
 Each constraint mode (Dirichlet, Neumann, periodic) has one solve through
-the solver of its constrained system, built once per operator and cached
-on it (AssembledOperator.factorization).  Every solver takes and returns
-the operator's own dofs, checks the residual of each column it solves and
-raises SolveError when one misses, so a caller of .solve gets checked
-solutions.  One rule picks the solver.  A transform solves a constant
-tensor's separable part exactly and preconditioned conjugate gradients take
-up the rest (TransformSolver: DST-I on the square's interior, a real FFT on
-the torus, DCT-I on the square's nodes).  It solves every Neumann operator,
-whose coefficient must be symmetric: a constant tensor (the homogenized
-operator) through its own tensor, a variable one through its Gauss-point
-mean.  In the 'dirichlet' and 'periodic' modes it solves a constant tensor
-with a symmetric constrained block (the homogenized operator, the
-Laplacian); every other operator (a variable Dirichlet coefficient, a
-variable periodic cell) is solved by sparse LU (CheckedLU).
+the Solver of its constrained system, built once per operator and cached
+on it (AssembledOperator.factorization).  There is one Solver class: it
+takes and returns the operator's own dofs, checks every column it solves
+against one residual rule and raises SolveError when one misses, so a
+caller of .solve gets checked solutions.  Its exact part is one of two.
+The transform of a constant tensor (DST-I on the square's interior, a real
+FFT on the torus, DCT-I on the square's nodes) solves the tensor's
+separable part, and preconditioned conjugate gradients take up the rest.
+A sparse LU (AssembledOperator._factor) solves the system as it stands.
+factorization() picks the part.  Every Neumann operator, whose coefficient
+must be symmetric, goes through a transform: a constant tensor (the
+homogenized operator) through its own tensor, a variable one through its
+Gauss-point mean.  In the 'dirichlet' and 'periodic' modes a constant
+tensor with a symmetric constrained block (the homogenized operator, the
+Laplacian) goes through its transform; every other operator (a variable
+Dirichlet coefficient, a variable periodic cell) goes through LU.
 
 Solve data comes in fixed layouts, for an operator with m components:
 
@@ -52,6 +54,7 @@ values, path); the last two read an (nnodes,) table as one column.
 from __future__ import annotations
 
 import functools
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -216,24 +219,23 @@ class AssembledOperator:
 
     mode 'dirichlet' eliminates boundary dofs at solve time; mode 'neumann'
     pins the boundary mean of each component; mode 'periodic' pins the
-    volume mean on the torus.  Each mode has one solve: the solver of its
-    constrained system (factorization(), a transform or a sparse LU), which
-    checks the residual of every column it solves.  The solver is cached
-    behind the handle; release() frees it (an LU is large at fine
+    volume mean on the torus.  Each mode has one solve: the Solver of its
+    constrained system (factorization(), through a transform or a sparse
+    LU), which checks the residual of every column it solves.  The solver
+    is cached behind the handle; release() frees it (an LU is large at fine
     resolution).  coeff_mean is the (2, 2, m, m) mean of the coefficient
     over the Gauss points of the mesh, the cell mean when the mesh holds
     whole periods; it sets the transform that solves a variable Neumann
     coefficient.
     """
 
-    def __init__(self, mesh, matrix, mode, coeff, warnings=(), coeff_mean=None):
+    def __init__(self, mesh, matrix, mode, coeff, coeff_mean=None):
         self.mesh = mesh
         self.matrix = matrix
         self.mode = mode
         self.coeff = coeff
-        self.warnings = list(warnings)
         self.coeff_mean = coeff_mean
-        self._lu = None
+        self._solver = None
         self._interior_dofs = None
         self._boundary_dofs = None
         self._Kii = None
@@ -264,7 +266,7 @@ class AssembledOperator:
         return self._Kii
 
     def release(self):
-        self._lu = None
+        self._solver = None
         self._Kii = None
 
     def adjoint(self):
@@ -274,35 +276,37 @@ class AssembledOperator:
         if self.coeff.symmetric:
             return self
         return AssembledOperator(self.mesh, self.matrix.T.tocsr(), self.mode, self.coeff.adjoint(),
-                                 self.warnings, self.coeff_mean.transpose(1, 0, 3, 2))
+                                 self.coeff_mean.transpose(1, 0, 3, 2))
 
     def _factor(self, matrix):
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     def factorization(self):
-        """Cached solver of the constrained system, whose .solve(b) takes
+        """Cached Solver of the constrained system, whose .solve(b) takes
         and returns the operator's dofs (its interior dofs in mode
         'dirichlet'), 1-D or 2-D, and raises SolveError unless every column
-        meets its residual target.
+        meets the residual rule.
 
-        A Neumann operator is solved by TransformSolver: through its own
-        tensor if the coefficient is constant, through coeff_mean otherwise;
-        its coefficient must be symmetric (A* = A), or ValueError is raised.
-        In the 'dirichlet' and 'periodic' modes a constant tensor, at any
-        period, whose constrained block is symmetric is solved by
-        TransformSolver and every other operator by CheckedLU.
+        This is where the solver's exact part is picked.  A Neumann
+        operator is solved through the transform of its own tensor if the
+        coefficient is constant, of coeff_mean otherwise; its coefficient
+        must be symmetric (A* = A), or ValueError is raised.  In the
+        'dirichlet' and 'periodic' modes a constant tensor, at any period,
+        whose constrained block is symmetric is solved through its
+        transform, and every other operator through the sparse LU of
+        _factor.
         """
-        if self._lu is None:
+        if self._solver is None:
             tensor = _constant_tensor(self.coeff)
             if self.mode == "neumann":
                 if not self.coeff.symmetric:
                     raise ValueError("a Neumann operator needs a symmetric coefficient (A* = A)")
-                self._lu = TransformSolver(self, self.coeff_mean if tensor is None else tensor)
-            elif tensor is not None and _symmetric_block(tensor):
-                self._lu = TransformSolver(self, tensor)
-            else:
-                self._lu = CheckedLU(self)
-        return self._lu
+                if tensor is None:
+                    tensor = self.coeff_mean
+            elif tensor is not None and not _symmetric_block(tensor):
+                tensor = None
+            self._solver = Solver(self, tensor)
+        return self._solver
 
 
 def _pin_weights(mesh):
@@ -313,67 +317,11 @@ def _pin_weights(mesh):
     return mesh.boundary_nodes, mesh.arc_weights
 
 
-def _pin_columns(op):
-    """The sparse (ndof, m) volume-mean pin columns C of a periodic
-    operator: column a weights component a by h^2 per torus node."""
-    m = op.m
-    nodes, w = _pin_weights(op.mesh)
-    rows = (nodes[:, None] * m + np.arange(m)).ravel()
-    return sp.csr_matrix((np.repeat(w, m), (rows, np.tile(np.arange(m), nodes.size))),
-                         shape=(op.ndof, m))
-
-
-class CheckedLU:
-    """The sparse LU of an operator's constrained system, whose solve
-    raises SolveError unless each column x it returns meets the residual
-    rule: |A x - b| is within 1e-9 |b|, or, for (near-)zero data, within
-    the roundoff floor 1e-12 max|K| (1 + |x|).
-
-    A is K_ii (mode 'dirichlet') or, on the torus (mode 'periodic'), the
-    bordered [[K, C], [C^T, 0]] with the sparse volume-mean pin columns C.
-    solve(b) appends the zero constraint rows to b, checks the bordered
-    residual from K and C without the bordered matrix, and drops the
-    multipliers from x.  Neumann operators never reach it.
-    """
-
-    def __init__(self, op):
-        self._mode = op.mode
-        if op.mode == "dirichlet":
-            self._K, self._C = op.interior_matrix(), None
-            self._lu = op._factor(self._K)
-        else:
-            self._K, self._C = op.matrix, _pin_columns(op)
-            self._lu = op._factor(sp.bmat([[self._K, self._C], [self._C.T, None]], format="csc"))
-        self._amax = np.abs(self._K.data).max()
-
-    def solve(self, b):
-        n = self._K.shape[0]
-        if self._C is not None:
-            b = np.concatenate([b, np.zeros((self._C.shape[1],) + b.shape[1:])])
-        x = self._lu.solve(b)
-        if self._C is None:
-            r = self._K @ x - b
-        else:
-            u, lam = x[:n], x[n:]
-            r = np.concatenate([self._K @ u + self._C @ lam - b[:n], self._C.T @ u - b[n:]])
-        res, scale, xnorm = (np.linalg.norm(v.reshape(v.shape[0], -1), axis=0) for v in (r, b, x))
-        bad = np.flatnonzero(~(res <= np.maximum(1e-9 * scale, 1e-12 * self._amax * (1.0 + xnorm))))
-        if bad.size:
-            k = bad[0]
-            raise SolveError(f"{self._mode} solve failed its residual check on {bad.size} of "
-                             f"{res.size} columns: residual {res[k]:.3e} vs data scale "
-                             f"{scale[k]:.3e}")
-        return x[:n]
-
-
-# TransformSolver: a column is solved when its residual is within
-# _TRANSFORM_RTOL of its data, or within the roundoff floor
-# _TRANSFORM_FLOOR * max|K| * |x| (smooth data at n = 1024 reaches only
-# ~3e-11 relative), |x| less the mean of each component on the torus and
-# for Neumann; both are well inside CheckedLU's rule.  Past
-# _TRANSFORM_MAXITER conjugate-gradient steps the solve raises SolveError.
-_TRANSFORM_RTOL = 1e-12
-_TRANSFORM_FLOOR = 1e-14
+# Solver's residual rule, _RTOL |b| or the roundoff floor _FLOOR max|K| |x|
+# (smooth data at n = 1024 reaches only ~3e-11 relative), and its cap on the
+# conjugate-gradient steps behind a transform
+_RTOL = 1e-12
+_FLOOR = 1e-14
 _TRANSFORM_MAXITER = 200
 
 
@@ -407,14 +355,38 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
 
 
-class TransformSolver:
-    """Solves the constrained system of an operator through the transform
-    of a constant tensor a on a uniform grid: K_ii x = b on the square's
-    interior (mode 'dirichlet'), the mean-zero x with K x = b - mean(b) on
-    the torus (mode 'periodic'), or the x of zero boundary mean with
-    K x = b - C (sum b / sum C) on the square (mode 'neumann'), C the arc
-    weights of the boundary nodes.
+class Solver:
+    """Solves the constrained system of an operator: K_ii x = b on the
+    square's interior (mode 'dirichlet'), the mean-zero x with
+    K x = b - mean(b) on the torus (mode 'periodic'), or the x of zero
+    boundary mean with K x = b - C (sum b / sum C) on the square (mode
+    'neumann'), C the arc weights of the boundary nodes.
 
+    On the torus and for Neumann, K vanishes on the constants of each
+    component.  There is one rule for it: the data loses the part the
+    multiplier of the bordered system [[K, C], [C^T, 0]] absorbs,
+    b - C (sum b / sum C) per component with C the pin weights (h^2 per
+    torus node, the arc weights on the boundary).  This is the torus's
+    volume-mean pin; a Neumann solution is shifted to zero arc-weighted
+    boundary mean at the end.
+
+    Every column x is checked against one residual rule: |K x - b| is
+    within 1e-12 |b|, b the data before the multiplier's part is removed,
+    or within the roundoff floor 1e-14 max|K| |x|, with |x| less the mean
+    of each component on the torus and for Neumann.  A column that misses
+    raises SolveError, so no caller checks a solution again.
+
+    The exact part is one of two; factorization() picks it.
+
+    With tensor None it is the sparse LU that op._factor makes of K_ii, or
+    on the torus of the bordered system with the sparse volume-mean pin
+    columns C.  The bordered LU takes the data as given, with the zero
+    constraint rows appended, since its multiplier takes off the part C
+    absorbs by itself; the multipliers are dropped from x.  An LU column
+    that misses the rule raises at once: K_ii of a non-symmetric
+    coefficient is not SPD, so conjugate gradients cannot repair it.
+
+    With a constant tensor a it is the transform of a on the uniform grid.
     On the grid's dofs, ordered [y, x, component], the Q1 matrix of a is
     a_11 K1(x) M1(y) + a_22 M1(x) K1(y) plus the mixed a_12 + a_21 term,
     with K1 = tridiag(-1, 2, -1) and M1 = tridiag(1, 4, 1)/6 (circulant on
@@ -426,37 +398,41 @@ class TransformSolver:
     angle theta, K1 v = (2 - 2 cos theta) W v and
     M1 v = ((4 + 2 cos theta) / 6) W v.  So the preconditioner P, the
     matrix of a without its mixed term, is solved exactly: a transform, one
-    m x m solve per mode pair, and the transform back.
-
-    On the torus and for Neumann, K vanishes on the constants of each
-    component, the mode pair (0, 0).  There is one rule for it: the data
-    first loses the part the multiplier of the bordered system
-    [[K, C], [C^T, 0]] absorbs, b - C (sum b / sum C) per component with C
-    the pin weights (h^2 per torus node, the arc weights on the boundary),
-    which leaves its (0, 0) mode at roundoff, and that mode passes through
-    an identity block of the symbol.  This is the torus's volume-mean pin;
-    a Neumann solution is shifted to zero arc-weighted boundary mean at the
-    end.
-
-    a is the operator's constant tensor, or, for a variable Neumann
-    coefficient, its Gauss-point mean (op.coeff_mean).  Whatever P leaves
-    out (the mixed term, the variation of the coefficient) is taken up by
-    conjugate gradients preconditioned by P, batched over the columns; with
-    nothing left out the first solve already meets the target after one
-    residual product.  Every column is checked against that target, which
-    is stricter than CheckedLU's rule, so, like CheckedLU, the solver
-    checks its own solutions and no caller checks them again.
+    m x m solve per mode pair, and the transform back.  The mode pair
+    (0, 0), the constants that K cannot see, passes through an identity
+    block of the symbol; the balanced data leave it at roundoff.  a is the
+    operator's constant tensor, or, for a variable Neumann coefficient, its
+    Gauss-point mean (op.coeff_mean).  Whatever P leaves out (the mixed
+    term, the variation of the coefficient) is taken up by conjugate
+    gradients preconditioned by P, batched over the columns; with nothing
+    left out the first solve already meets the rule after one residual
+    product.
     """
 
     def __init__(self, op, tensor):
-        # imported here, not with the module: scipy.fft adds ~55 ms and ~3 MiB
-        # to the start-up of every process that never builds this solver
-        from scipy import fft
         n, m = op.mesh.n, op.m
-        self._mode, self._scale, self._pin = op.mode, None, None
+        self._mode, self._m, self._lu, self._scale, self._pin = op.mode, m, None, None, None
+        self._K = op.interior_matrix() if op.mode == "dirichlet" else op.matrix
+        self._floor = _FLOOR * np.abs(self._K.data).max()
+        if op.mode != "dirichlet":
+            nodes, w = _pin_weights(op.mesh)
+            self._pin = nodes, w / w.sum()
+        if tensor is None:
+            if op.mode == "dirichlet":
+                self._lu = op._factor(self._K)
+            else:
+                # the sparse (ndof, m) pin columns: column a weights component a
+                rows = (nodes[:, None] * m + np.arange(m)).ravel()
+                C = sp.csr_matrix((np.repeat(w, m), (rows, np.tile(np.arange(m), nodes.size))),
+                                  shape=(op.ndof, m))
+                self._lu = op._factor(sp.bmat([[self._K, C], [C.T, None]], format="csc"))
+            return
+        # imported here, not with the module: scipy.fft adds ~55 ms and ~3 MiB
+        # to the start-up of every process that never builds a transform
+        from scipy import fft
         if op.mode == "periodic":
             theta = 2.0 * np.pi * np.arange(n) / n
-            self._K, self._grid = op.matrix, (n, n, m)
+            self._grid = (n, n, m)
             self._forward = functools.partial(fft.rfftn, axes=(0, 1), overwrite_x=True)
             self._backward = functools.partial(fft.irfftn, s=(n, n), axes=(0, 1), overwrite_x=True)
         else:
@@ -465,13 +441,13 @@ class TransformSolver:
                 transform, type=1, axes=(0, 1), norm="ortho", overwrite_x=True)
             if op.mode == "neumann":
                 theta = np.pi * np.arange(n + 1) / n
-                self._K, self._grid = op.matrix, (n + 1, n + 1, m)
+                self._grid = (n + 1, n + 1, m)
                 s = np.ones(n + 1)
                 s[[0, -1]] = np.sqrt(2.0)                  # W^{-1/2} on a line
                 self._scale = np.multiply.outer(s, s)[:, :, None, None]
             else:
                 theta = np.pi * np.arange(1, n) / n
-                self._K, self._grid = op.interior_matrix(), (n - 1, n - 1, m)
+                self._grid = (n - 1, n - 1, m)
         # eigenvalues of K1 and M1 on the mode of angle theta
         lam_k, lam_m = 2.0 - 2.0 * np.cos(theta), (4.0 + 2.0 * np.cos(theta)) / 6.0
         symbol = (np.einsum("y,x,ab->yxab", lam_m, lam_k, tensor[0, 0])
@@ -481,10 +457,7 @@ class TransformSolver:
                 # the real DFT keeps the modes x <= n/2
                 symbol = symbol[:, :n // 2 + 1]
             symbol[0, 0] = np.eye(m)
-            nodes, w = _pin_weights(op.mesh)
-            self._pin = nodes, w / w.sum()
         self._inv = np.linalg.inv(symbol)
-        self._floor = _TRANSFORM_FLOOR * np.abs(self._K.data).max()
 
     def _precondition(self, v):
         """P^{-1} v for v (ndof, ncols), computed in v's memory."""
@@ -492,7 +465,7 @@ class TransformSolver:
         if self._scale is not None:
             g *= self._scale
         g = self._forward(g)
-        if self._grid[2] == 1:
+        if self._m == 1:
             g *= self._inv
         else:
             g[...] = self._inv @ g
@@ -503,7 +476,7 @@ class TransformSolver:
 
     def _nodal(self, v):
         """v (ndof, ncols) as its (nnodes, m, ncols) view."""
-        return v.reshape(-1, self._grid[2], v.shape[1])
+        return v.reshape(-1, self._m, v.shape[1])
 
     def _balanced(self, B):
         """A copy of B (ndof, ncols) without the part the multiplier of the
@@ -515,11 +488,11 @@ class TransformSolver:
         return B
 
     def _residual(self, x, b, bnorm2):
-        """(r = K x - b, columns that miss the target)."""
+        """(r = K x - b, columns that miss the residual rule)."""
         r = self._K @ x
         r -= b
         res2 = np.einsum("ij,ij->j", r, r)
-        target = _TRANSFORM_RTOL ** 2 * bnorm2
+        target = _RTOL ** 2 * bnorm2
         floor = self._floor ** 2 * np.einsum("ij,ij->j", x, x)
         by_floor = (res2 > target) & (res2 <= floor)
         if self._pin is not None and by_floor.any():
@@ -531,6 +504,10 @@ class TransformSolver:
             floor[by_floor] = self._floor ** 2 * np.einsum("nac,nac->c", xc, xc)
         return r, ~(res2 <= np.maximum(target, floor))
 
+    def _fail(self, todo, steps):
+        raise SolveError(f"{self._mode} solve failed its residual check on {todo.sum()} of "
+                         f"{todo.size} columns after {steps} conjugate-gradient steps")
+
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         B = b.reshape(b.shape[0], -1)
@@ -538,12 +515,18 @@ class TransformSolver:
         # the load of a constant coefficient's discrepancy is mean-free only
         # to roundoff, and what is left of it past the mean is roundoff too
         bnorm2 = np.einsum("ij,ij->j", B, B)
-        if self._pin is not None:
-            B = self._balanced(B)
-        x = self._precondition(B.copy())
-        r, todo = self._residual(x, B, bnorm2)
+        balanced = B if self._pin is None else self._balanced(B)
+        if self._lu is None:
+            x = self._precondition(balanced.copy())
+        elif self._pin is None:
+            x = self._lu.solve(B)
+        else:
+            x = self._lu.solve(np.concatenate([B, np.zeros((self._m, B.shape[1]))]))[:B.shape[0]]
+        r, todo = self._residual(x, balanced, bnorm2)
         if todo.any():
-            self._cg(x, r, todo, B, bnorm2)
+            if self._lu is not None:
+                self._fail(todo, 0)
+            self._cg(x, r, todo, balanced, bnorm2)
         if self._mode == "neumann":
             # K x changes only by roundoff when a constant is added
             nodes, w = self._pin
@@ -570,8 +553,7 @@ class TransformSolver:
             p *= _ratio(rz_new, rz)
             p -= z
             rz = rz_new
-        raise SolveError(f"transform solve failed its residual check on {todo.sum()} of "
-                         f"{todo.size} columns after {_TRANSFORM_MAXITER} conjugate-gradient steps")
+        self._fail(todo, _TRANSFORM_MAXITER)
 
 
 def coefficient_gauss_values(coeff, mesh):
@@ -587,8 +569,9 @@ def assemble(coeff, mesh, mode="dirichlet", A_gauss=None) -> AssembledOperator:
     (at x/eps when it is rescaled); a constant tensor is passed as
     coeff.builtin("constant", value=..., m=...).  A_gauss, if given, holds
     those Gauss values already (coefficient_gauss_values) and coeff is not
-    evaluated again.  An under-resolved oscillation (h > eps/8) is recorded
-    as a warning on the operator, not a failure.
+    evaluated again.  An under-resolved oscillation (h > eps/8) of a
+    non-constant coefficient is reported by warnings.warn, not a failure; a
+    rescaled constant does not oscillate.
     """
     if not isinstance(coeff, CoefficientField):
         raise TypeError(f"assemble takes a coefficient object, got {type(coeff).__name__}; "
@@ -599,10 +582,10 @@ def assemble(coeff, mesh, mode="dirichlet", A_gauss=None) -> AssembledOperator:
         raise ValueError(f"unknown constraint mode {mode!r}")
     m = coeff.m
 
-    warnings = []
     eps = coeff.epsilon
-    if eps is not None and mesh.h > eps / 8.0 + 1e-14:
-        warnings.append(f"under-resolved oscillation: h={mesh.h:.4g} > eps/8={eps / 8.0:.4g}")
+    if eps is not None and coeff.family != "constant" and mesh.h > eps / 8.0 + 1e-14:
+        warnings.warn(f"under-resolved oscillation: h={mesh.h:.4g} > eps/8={eps / 8.0:.4g}",
+                      stacklevel=2)
 
     A = coefficient_gauss_values(coeff, mesh) if A_gauss is None else A_gauss
     if not np.all(np.isfinite(A)):
@@ -621,7 +604,7 @@ def assemble(coeff, mesh, mode="dirichlet", A_gauss=None) -> AssembledOperator:
     ndof = mesh.nnodes * m
     matrix = sp.coo_matrix((Kloc.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
     del Kloc, rows, cols
-    return AssembledOperator(mesh, matrix, mode, coeff, warnings=warnings, coeff_mean=coeff_mean)
+    return AssembledOperator(mesh, matrix, mode, coeff, coeff_mean=coeff_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -881,25 +864,18 @@ def interp_torus(grid: TorusGrid, table, pts):
     return out.reshape(pts.shape[:-1] + table.shape[1:])
 
 
-def tangential_derivative(mesh, fb, i, j):
-    """df/dt_ij = n_i df/dx_j - n_j df/dx_i on the boundary.
+def tangential_derivative(mesh, fb):
+    """The counterclockwise arc-length derivative of boundary values, the
+    tangential derivative n_1 df/dx_2 - n_2 df/dx_1 on the square.
 
-    fb: (n_boundary, m) in boundary order.  On the square this is (for
-    (i,j) = (1,2)) the counterclockwise arc-length derivative, computed by
-    centered differences along each edge; corner nodes get zero (no normal).
-    Indices i, j are 1-based.
+    fb: (n_boundary, m) in boundary order.  Computed by centered differences
+    along each edge; corner nodes get zero (no normal).
     """
     fb = np.asarray(fb, dtype=float)
     if fb.ndim == 1:
         fb = fb[:, None]
-    if i == j:
-        return np.zeros_like(fb)
-    sign = 1.0 if (i, j) == (1, 2) else -1.0 if (i, j) == (2, 1) else None
-    if sign is None:
-        raise ValueError(f"indices must be in {{1,2}}, got ({i},{j})")
     # along the counterclockwise boundary list the neighbours of a node
     # inside an edge are its neighbours on that edge
     out = (np.roll(fb, -1, axis=0) - np.roll(fb, 1, axis=0)) / (2 * mesh.h)
     out[mesh.corner_positions] = 0.0
-    return sign * out
-
+    return out

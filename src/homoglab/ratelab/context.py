@@ -98,7 +98,7 @@ class EpsilonContext:
             first = next((op for op in self._ops.values() if op.coeff is coeff), None)
             self._ops[name] = (assemble(coeff, self.mesh, mode=mode) if first is None else
                                AssembledOperator(self.mesh, first.matrix, mode, coeff,
-                                                 first.warnings, first.coeff_mean))
+                                                 first.coeff_mean))
         for other, op in self._ops.items():
             if other != name:
                 op.release()

@@ -201,7 +201,7 @@ def q_s_epsilon(ctx):
 def q_dtn_expansion(ctx):
     mesh = ctx.mesh
     f = ctx.dtn_f()
-    dt = fem.tangential_derivative(mesh, f[:, None], 1, 2)[:, 0]
+    dt = fem.tangential_derivative(mesh, f[:, None])[:, 0]
     nrm = np.nan_to_num(mesh.normals)
     tg1, tg2 = -nrm[:, 1] * dt, nrm[:, 0] * dt
     w = ctx.data["omega"][:, 0, 0]
@@ -334,7 +334,7 @@ def run_leibniz_product(config, field):
         comm = kermod.product_commutator(op, f, g)
         l2 = kermod._boundary_l2(dm, comm)
         fH1 = np.sqrt(kermod._boundary_l2(dm, f) ** 2
-                      + kermod._boundary_l2(dm, fem.tangential_derivative(dm, f, 1, 2)) ** 2)
+                      + kermod._boundary_l2(dm, fem.tangential_derivative(dm, f)) ** 2)
         ratio = l2 / (fH1 * np.abs(g).max())
         worst = max(worst, float(ratio))
         rows.append((0.0, dm.h, f"case_{case}_ratio", float(ratio)))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -67,10 +69,13 @@ def test_assembly_symmetric_for_symmetric_coeff(layered_field):
 
 def test_under_resolution_warning(layered_field):
     dm = mesh.DomainMesh(8)
-    op = mesh.assemble(coeff.rescale(layered_field, 1 / 4), dm, mode="dirichlet")
-    assert op.warnings  # h = 1/8 > eps/8 = 1/32
-    op2 = mesh.assemble(coeff.rescale(layered_field, 1.0), dm, mode="dirichlet")
-    assert not op2.warnings
+    with pytest.warns(UserWarning, match="under-resolved oscillation"):
+        mesh.assemble(coeff.rescale(layered_field, 1 / 4), dm, mode="dirichlet")  # h = 1/8 > eps/8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh.assemble(coeff.rescale(layered_field, 1.0), dm, mode="dirichlet")
+        # a rescaled constant does not oscillate
+        mesh.assemble(coeff.rescale(coeff.builtin("constant", value=2.0), 1 / 4), dm)
 
 
 def test_dirichlet_affine_data_exact(identity_field):
@@ -245,19 +250,17 @@ def test_norm_rejects_nan():
 def test_tangential_derivative_constant():
     dm = mesh.DomainMesh(16)
     fb = np.ones(dm.n_boundary)
-    dt = mesh.tangential_derivative(dm, fb, 1, 2)
+    dt = mesh.tangential_derivative(dm, fb)
     assert np.abs(dt).max() == 0.0
 
 
 def test_tangential_derivative_left_edge():
-    # f = x2 on the left edge (normal (-1, 0)): df/dt_12 = n1 d2 f = -1
+    # f = x2 on the left edge (normal (-1, 0)): df/dt = n1 d2 f = -1
     dm = mesh.DomainMesh(16)
     fb = dm.nodes[dm.boundary_nodes, 1]
-    dt = mesh.tangential_derivative(dm, fb, 1, 2)
+    dt = mesh.tangential_derivative(dm, fb)
     left = np.arange(3 * dm.n + 1, 4 * dm.n)
     assert np.abs(dt[left, 0] + 1.0).max() < 1e-12
-    assert np.abs(mesh.tangential_derivative(dm, fb, 1, 1)).max() == 0.0
-    assert np.array_equal(mesh.tangential_derivative(dm, fb, 2, 1), -dt)
 
 
 def test_tangential_derivative_sine_second_order():
@@ -265,7 +268,7 @@ def test_tangential_derivative_sine_second_order():
     for n in (16, 32):
         dm = mesh.DomainMesh(n)
         fb = np.sin(2 * np.pi * dm.boundary_s)
-        dt = mesh.tangential_derivative(dm, fb, 1, 2)
+        dt = mesh.tangential_derivative(dm, fb)
         exact = 2 * np.pi * np.cos(2 * np.pi * dm.boundary_s)
         mask = dm.noncorner_mask
         errs.append(np.abs(dt[mask, 0] - exact[mask]).max())
@@ -347,6 +350,20 @@ def test_solves_and_kernels_return_nodal_arrays(m):
 # transform solver of constant-coefficient Dirichlet and periodic operators
 
 
+def _record_factors(monkeypatch):
+    """The list that gets the mode of every operator factored from now on:
+    an operator solved through its transform never calls _factor."""
+    calls = []
+    factor = mesh.AssembledOperator._factor
+
+    def recording(self, matrix):
+        calls.append(self.mode)
+        return factor(self, matrix)
+
+    monkeypatch.setattr(mesh.AssembledOperator, "_factor", recording)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def transform_tensors():
     from homoglab import cell
@@ -366,16 +383,17 @@ def transform_tensors():
 @pytest.mark.parametrize("name", ["laplacian", "diag", "layered-diag-hatA",
                                   "block-diagonal-m2-hatA"])
 @pytest.mark.parametrize("n", [2, 3, 16, 33])
-def test_sine_transform_matches_superlu(transform_tensors, name, n):
+def test_sine_transform_matches_superlu(monkeypatch, transform_tensors, name, n):
     # the transform solver against SuperLU of K_ii on the square and of the
     # bordered [[K, C], [C^T, 0]] on the torus, C the volume-mean pin
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     field = transform_tensors[name]
+    factored = _record_factors(monkeypatch)
     for grid in (mesh.DomainMesh(n), mesh.TorusGrid(n)):
         op = mesh.assemble(field, grid)
         solver = op.factorization()
-        assert isinstance(solver, mesh.TransformSolver)
+        assert factored == []
         if grid.is_torus:
             C = sp.kron(np.full((grid.nnodes, 1), grid.h ** 2), sp.eye(op.m))
             A = sp.bmat([[op.matrix, C], [C.T, None]])
@@ -395,7 +413,7 @@ def test_sine_transform_matches_superlu(transform_tensors, name, n):
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_nonsymmetric_constant_solves(m):
+def test_nonsymmetric_constant_solves(monkeypatch, m):
     import scipy.sparse.linalg as spla
     if m == 1:
         # K_ii of a constant tensor is symmetric for m = 1: the transform path
@@ -410,7 +428,9 @@ def test_nonsymmetric_constant_solves(m):
     assert not field.symmetric
     dm = mesh.DomainMesh(16)
     op = mesh.assemble(field, dm)
-    assert isinstance(op.factorization(), mesh.TransformSolver) == (m == 1)
+    factored = _record_factors(monkeypatch)
+    op.factorization()
+    assert factored == ([] if m == 1 else ["dirichlet"])
     source = np.tile(np.sin(np.pi * dm.nodes[:, :1]) + dm.nodes[:, 1:], (1, m))
     u = mesh.solve_dirichlet(op, source, bdata=0.0)
     inter, _ = op.dof_split()
@@ -493,14 +513,16 @@ def test_sine_transform_iteration_cap(monkeypatch, transform_tensors):
 
 
 class _PerturbedLU:
-    """A sparse LU whose solutions are off by one part in a million."""
+    """A sparse LU whose solutions are off by rel, one part in a million
+    unless given."""
 
-    def __init__(self, lu):
+    def __init__(self, lu, rel=1e-6):
         self.lu = lu
         self.nnz = lu.nnz
+        self.rel = rel
 
     def solve(self, b):
-        return self.lu.solve(b) * (1.0 + 1e-6)
+        return self.lu.solve(b) * (1.0 + self.rel)
 
 
 @pytest.mark.parametrize("solve", ["dirichlet", "neumann", "dtn"])
@@ -510,13 +532,14 @@ def test_perturbed_factorization_fails_residual_check(monkeypatch, layered_field
                         lambda self, matrix: _PerturbedLU(factor(self, matrix)))
     # a Neumann operator is solved by transform: one whose symbol has lost
     # its highest mode pair cannot take up the data's part there
-    init = mesh.TransformSolver.__init__
+    init = mesh.Solver.__init__
 
     def perturbed_init(self, op, tensor):
         init(self, op, tensor)
-        self._inv[-1, -1] = 0.0
+        if self._lu is None:
+            self._inv[-1, -1] = 0.0
 
-    monkeypatch.setattr(mesh.TransformSolver, "__init__", perturbed_init)
+    monkeypatch.setattr(mesh.Solver, "__init__", perturbed_init)
     dm = mesh.DomainMesh(16)
     sc = coeff.rescale(layered_field, 1 / 4)
     with pytest.raises(mesh.SolveError, match="residual check"):
@@ -525,6 +548,25 @@ def test_perturbed_factorization_fails_residual_check(monkeypatch, layered_field
         elif solve == "neumann":
             load = np.random.default_rng(0).standard_normal(dm.nnodes)
             mesh.solve_neumann(mesh.assemble(sc, dm, mode="neumann"), load - load.mean())
+        else:
+            kernels.dtn(mesh.assemble(sc, dm))
+
+
+@pytest.mark.parametrize("solve", ["dirichlet", "periodic", "dtn"])
+def test_lu_off_by_1e10_fails_residual_check(monkeypatch, layered_field, solve):
+    # the LU meets the transform's rule, 1e-12 of the data: solutions off
+    # by 1e-10 relative miss it
+    factor = mesh.AssembledOperator._factor
+    monkeypatch.setattr(mesh.AssembledOperator, "_factor",
+                        lambda self, matrix: _PerturbedLU(factor(self, matrix), rel=1e-10))
+    dm, grid = mesh.DomainMesh(16), mesh.TorusGrid(16)
+    sc = coeff.rescale(layered_field, 1 / 2)
+    with pytest.raises(mesh.SolveError, match="residual check"):
+        if solve == "dirichlet":
+            mesh.solve_dirichlet(mesh.assemble(sc, dm), np.ones((dm.nnodes, 1)))
+        elif solve == "periodic":
+            wave = np.sin(2 * np.pi * (grid.nodes[:, :1] + 2 * grid.nodes[:, 1:]))
+            mesh.solve_periodic(mesh.assemble(layered_field, grid), wave)
         else:
             kernels.dtn(mesh.assemble(sc, dm))
 
@@ -567,13 +609,14 @@ def _grounded_reference(op, B):
 @pytest.mark.parametrize("name", ["laplacian", "diag", "layered-diag-hatA", "coupled-m2",
                                   "layered", "checkerboard-100"])
 @pytest.mark.parametrize("n", [2, 3, 16, 33])
-def test_neumann_transform_matches_grounded_spsolve(transform_tensors, name, n):
+def test_neumann_transform_matches_grounded_spsolve(monkeypatch, transform_tensors, name, n):
     field = _neumann_fields(transform_tensors)[name]
     assert field.symmetric
     dm = mesh.DomainMesh(n)
     op = mesh.assemble(field, dm, mode="neumann")
+    factored = _record_factors(monkeypatch)
     solver = op.factorization()
-    assert isinstance(solver, mesh.TransformSolver)
+    assert factored == []
     B = np.random.default_rng(n).standard_normal((op.ndof, 3))
     B[:, 1] = 0.0                                        # a zero column stays zero
     nodal = B.reshape(dm.nnodes, op.m, 3)
@@ -640,6 +683,6 @@ def test_transform_floor_does_not_count_the_constant(mode, monkeypatch):
     load = np.random.default_rng(1).standard_normal(grid.nnodes)
     load -= load.mean()
     load += 1e-9 * np.linalg.norm(load)
-    monkeypatch.setattr(mesh.TransformSolver, "_balanced", lambda self, B: B)
+    monkeypatch.setattr(mesh.Solver, "_balanced", lambda self, B: B)
     with pytest.raises(mesh.SolveError, match="residual check"):
         op.factorization().solve(load)

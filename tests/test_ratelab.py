@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import homoglab
 from homoglab import cli, ratelab
 
 
@@ -310,6 +314,21 @@ def test_cli_correctors_subcommand(tmp_path):
     assert report["epsilon"] == 0.25
     assert {"phi", "psi"} <= set(report)
     assert {"grad_sup", "dist_sup", "dist_sup_over_eps_log"} <= set(report["psi"])
+
+
+def test_cli_correctors_warns_when_under_resolved(tmp_path):
+    # 2 cells per period: h = 1/8 > eps/8, so the run completes and says so
+    # on stderr
+    src = os.path.dirname(os.path.dirname(homoglab.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "homoglab.cli", "correctors", "--out", str(tmp_path),
+         "--config", _write_small_config(tmp_path), "--eps", "1/4", "--cells-per-period", "2"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "under-resolved oscillation: h=0.125 > eps/8=0.03125" in done.stderr
+    assert (tmp_path / "correctors.json").exists()
 
 
 @pytest.mark.parametrize("kind", ["neumann-fn", "poisson"])
