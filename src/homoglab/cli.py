@@ -26,17 +26,15 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import cell as cellmod
 from . import correctors as corrmod
 from . import expand as expmod
 from . import kernels as kermod
 from . import mesh as fem
 from . import ratelab
-from .coeff import builtin, rescale
-from .ratelab.context import neumann_source
-from .ratelab.experiments import LAYERED
+from .coeff import rescale
+from .ratelab.context import GREEN_SOURCE
+from .ratelab.experiments import LAYERED, q_s_epsilon
 
 CONFIG_KEYS = ("coefficient", "mesh", "experiments", "seed")
 # kernel/DtN mesh resolution, cells per period of the epsilon meshes, cell grid
@@ -182,11 +180,13 @@ def _mesh(config, args):
 
 
 def _levels(args, config):
-    """(eps, n) per epsilon mesh of correctors (--eps, else 1/8, 1/16, 1/32)
-    or expand (the first --eps); ValueError for a misaligned epsilon."""
+    """The epsilons of correctors (--eps, else 1/8, 1/16, 1/32) or expand
+    (the first --eps); ValueError for a misaligned epsilon."""
     cpp = _mesh(config, args)["cells_per_period"]
     eps_list = (args.eps or (1 / 8, 1 / 16, 1 / 32)) if args.command == "correctors" else (_first_eps(args),)
-    return [(eps, ratelab.mesh_resolution(cpp, eps)) for eps in eps_list]
+    for eps in eps_list:
+        ratelab.mesh_resolution(cpp, eps)
+    return eps_list
 
 
 def _outpath(args, name):
@@ -214,19 +214,22 @@ def cmd_cell(args, config, field):
     return 0
 
 
+def _level(args, config, field, eps):
+    """The EpsilonContext of one epsilon level of correctors or expand, with
+    the cell's own hatA, as in the identity runners."""
+    mesh = _mesh(config, args)
+    cs = ratelab.cell_solution(field, mesh["cell_n"])
+    return ratelab.EpsilonContext(cs, cs.hatA, eps, mesh["cells_per_period"])
+
+
 def cmd_correctors(args, config, field, levels):
-    cs = ratelab.cell_solution(field, _mesh(config, args)["cell_n"])
     out = []
-    for eps, n in levels:
-        dm = fem.DomainMesh(n)
-        x0 = dm.nearest_node(args.pin) if args.pin else None
-        sc = rescale(field, eps)
-        op = fem.assemble(sc, dm)
-        opn = fem.AssembledOperator(dm, op.matrix, "neumann", sc, op.coeff_mean)
-        phi, _ = corrmod.dirichlet_correctors(op)
-        psi = corrmod.neumann_correctors(opn, cs.hatA, x0=x0)
-        op.release(); opn.release()
-        out.append(corrmod.corrector_report(dm, eps, phi, psi, cs))
+    for eps in levels:
+        ctx = _level(args, config, field, eps)
+        x0 = ctx.mesh.nearest_node(args.pin) if args.pin else None
+        ctx.prepare(["phi"])
+        psi = corrmod.neumann_correctors(ctx.op("neu_eps"), ctx.hatA, x0)
+        out.append(corrmod.corrector_report(ctx.mesh, eps, ctx.data["phi"], psi, ctx.cell))
     _emit_json(args, "correctors.json", out)
     return 0
 
@@ -235,7 +238,7 @@ def _kernel_command(args, config, field, kind):
     dm = fem.DomainMesh(_mesh(config, args)["n"])
     op = fem.assemble(rescale(field, _first_eps(args)), dm,
                       mode="neumann" if kind == "neumann-fn" else "dirichlet")
-    source = dm.nearest_node((0.75, 0.5))
+    source = dm.nearest_node(GREEN_SOURCE)
     if kind == "green":
         fld = kermod.green(op, source)
         table = kermod.KernelTable("green", dm, [source], [fld])
@@ -246,7 +249,6 @@ def _kernel_command(args, config, field, kind):
         pos = dm.n_boundary // 8
         fld = kermod.poisson_kernel(op, pos)
         table = kermod.KernelTable("poisson", dm, [pos], [fld])
-    op.release()
     table.to_csv(_outpath(args, f"{kind}.csv"))
     print(f"wrote {_outpath(args, f'{kind}.csv')}")
     return 0
@@ -256,7 +258,6 @@ def cmd_dtn(args, config, field):
     dm = fem.DomainMesh(_mesh(config, args)["n"])
     op = fem.assemble(rescale(field, _first_eps(args)), dm)
     D = kermod.dtn(op)
-    op.release()
     D.to_csv(_outpath(args, "dtn.csv"))
     print(f"wrote {_outpath(args, 'dtn.csv')}")
     return 0
@@ -276,36 +277,27 @@ def _expand_conflict(args):
 
 
 def cmd_expand(args, config, field, levels):
-    [(eps, n)] = levels
-    dm = fem.DomainMesh(n)
-    sc = rescale(field, eps)
-    cs = ratelab.cell_solution(field, _mesh(config, args)["cell_n"])
-    hatA_field = builtin("constant", value=cs.hatA, m=field.m)
+    [eps] = levels
+    ctx = _level(args, config, field, eps)
     result = {}
     if args.check == "conormal" or args.family == "neumann":
-        opn = fem.assemble(sc, dm, mode="neumann")
-        opn0 = fem.assemble(hatA_field, dm, mode="neumann")
-        e = expmod.neumann_expansion(opn, opn0, cs.hatA, neumann_source(dm, field.m))
-        result["conormal"] = expmod.conormal_identity_check(e, sc, cs.hatA)
-        opn.release(); opn0.release()
+        ctx.prepare(["u_neu_eps", "u_neu_0", "psi"])
+        result["conormal"] = expmod.conormal_identity_check(ctx.expansion("neumann"),
+                                                            ctx.scaled, ctx.hatA)
     else:
-        op = fem.assemble(sc, dm, mode="dirichlet")
-        op0 = fem.assemble(hatA_field, dm, mode="dirichlet")
-        f = np.ones((dm.nnodes, field.m))
-        u_eps = fem.solve_dirichlet(op, f, bdata=0.0)
-        u0 = fem.solve_dirichlet(op0, f, bdata=0.0)
-        if args.family == "dirichlet" or args.experiment == "s-epsilon":
-            phi, phi_star = corrmod.dirichlet_correctors(op)
-        V = phi if args.family == "dirichlet" else corrmod.interior_family(cs, dm, eps)
-        e = expmod.build_expansion(dm, u_eps, u0, args.family, V, eps)
-        result["w_h1"] = fem.norm(dm, e.w, "W1p", 2)
-        if args.check == "residual":
-            result["residual"] = expmod.residual_identity_check(e, op, cs)["residual"]
+        needs = ["u_dir_eps", "u_dir_0"]
+        if args.family == "dirichlet":
+            needs.append("phi")
         if args.experiment == "s-epsilon":
-            r = expmod.s_epsilon(op, op0, phi, phi_star,
-                                 np.sin(2 * np.pi * dm.nodes[:, 0]))
-            result["s_epsilon_norms"] = r["norms"]
-        op.release(); op0.release()
+            needs += ["s_piece1", "s_piece23"]
+        ctx.prepare(needs)
+        e = ctx.expansion(args.family)
+        result["w_h1"] = fem.norm(ctx.mesh, e.w, "W1p", 2)
+        if args.check == "residual":
+            result["residual"] = expmod.residual_identity_check(e, ctx.op("dir_eps"),
+                                                                ctx.cell)["residual"]
+        if args.experiment == "s-epsilon":
+            result["s_epsilon_norms"] = {1.5: q_s_epsilon(ctx)["s_epsilon_l15"]}
     _emit_json(args, "expand.json", result)
     return 0
 

@@ -10,8 +10,8 @@ linear monomials P of the same layout are mesh.monomial_table(mesh, m).
 The solvers take the assembled operator of the scaled coefficient (a
 Dirichlet one for Phi, a Neumann one for Psi); the caller owns it and
 releases its factorization.  Only the adjoint operator of a non-symmetric
-coefficient (op.adjoint(), the transposed matrix) is built and released
-here.
+coefficient (op.adjoint(), the transposed matrix) is built here, and
+dropped when the solves that need it return.
 """
 
 from __future__ import annotations
@@ -44,17 +44,14 @@ def dirichlet_correctors(op):
     operator op, and the adjoint family.
 
     For symmetric coefficients the adjoint family coincides with phi and is
-    not re-solved; otherwise it is solved against op.adjoint(), whose
-    factorization is released after its solves.
+    not re-solved; otherwise it is solved against op.adjoint(), which is
+    dropped, factorization and all, when this returns.
     """
     phi = _monomial_solves(op)
     adjoint = op.adjoint()
     if adjoint is op:
         return phi, phi.copy()
-    try:
-        return phi, _monomial_solves(adjoint)
-    finally:
-        adjoint.release()
+    return phi, _monomial_solves(adjoint)
 
 
 def neumann_correctors(op, hatA, x0=None):

@@ -16,11 +16,13 @@ the oscillatory singular-integral combination S_eps.  Each experiment has
 one L_eps part and one L_0 part (poisson_approx_0 takes the omega array of
 kernels.omega); the sweep's registry takes the norms of their differences.
 
-The solving functions take the assembled operators they solve with: op
-for L_eps and op0 for L_0 (Dirichlet ones, or Neumann ones for
-neumann_expansion).  The caller owns them and releases their
-factorizations.  Solutions, u_eps, u0 and w are nodal arrays (nnodes, m)
-on the mesh that build_expansion takes with them.
+The solving functions take the Dirichlet operators they solve with: op
+for L_eps and op0 for L_0, which the caller owns.  u_eps, u0 and the
+corrector family come from the caller too: ratelab's EpsilonContext
+prepares them for the sweeps, the identity runners and the CLI, and its
+expansion() passes them to build_expansion.  Solutions, u_eps, u0 and w
+are nodal arrays (nnodes, m) on the mesh that build_expansion takes with
+them.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ import numpy as np
 from .mesh import (DomainMesh, solve_dirichlet, nodal_gradient, interp_torus,
                    element_gauss_values, element_gauss_gradients, volume_load_from_gauss,
                    divergence_load_from_gauss, divergence_load, norm, monomial_table,
-                   solve_neumann, coefficient_gauss_values)
-from .correctors import chi_on_domain, neumann_correctors
+                   coefficient_gauss_values)
+from .correctors import chi_on_domain
 
-__all__ = ["ExpansionError", "Expansion", "build_expansion", "neumann_expansion",
-           "residual_identity_check", "conormal_identity_check", "poisson_approx_0",
+__all__ = ["ExpansionError", "Expansion", "build_expansion", "residual_identity_check",
+           "conormal_identity_check", "poisson_approx_0",
            "divergence_data_eps", "divergence_data_0",
            "s_epsilon", "s_epsilon_eps", "s_epsilon_0", "t_apply",
            "gradient_defect", "second_derivatives"]
@@ -105,16 +107,6 @@ def build_expansion(mesh, u_eps, u0, family, V, epsilon) -> Expansion:
             w = w - (V[j, beta] - P[j, beta]) * du0[:, j, beta][:, None]
     return Expansion(mesh=mesh, epsilon=epsilon, family=family,
                      u_eps=u_eps, u0=u0, V=V, du0=du0, w=w)
-
-
-def neumann_expansion(op, op0, hatA, source) -> Expansion:
-    """Neumann-family expansion of the zero-flux pair L_eps(u_eps) = source,
-    L_0(u0) = source, with op and op0 the Neumann operators of L_eps and
-    L_0; Psi is solved against op and pinned at the default interior node."""
-    u_eps = solve_neumann(op, source)
-    u0 = solve_neumann(op0, source)
-    psi = neumann_correctors(op, hatA)
-    return build_expansion(op.mesh, u_eps, u0, "neumann", psi, op.coeff.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +255,10 @@ def t_apply(op, data):
 
 
 def s_epsilon_eps(op, g):
-    """The L_eps term T_eps,11(g) of s_epsilon, nodal (nnodes,)."""
+    """The L_eps term T_eps,11(g) of s_epsilon, nodal (nnodes,); scalar
+    case (m = 1)."""
+    if op.m != 1:
+        raise ExpansionError("s_epsilon is implemented for the scalar case m = 1")
     data = np.zeros((op.mesh.nnodes, 2))
     data[:, 0] = g
     return t_apply(op, data)[:, 0]
@@ -295,8 +290,6 @@ def s_epsilon(op, op0, phi, phi_star, g):
     Scalar case (m = 1).  Returns the nodal field (nnodes, 1) and its L^1.5
     norm.
     """
-    if op.m != 1:
-        raise ExpansionError("s_epsilon is implemented for the scalar case m = 1")
     g = np.asarray(g, dtype=float).reshape(op.mesh.nnodes)
     S = (s_epsilon_eps(op, g) - s_epsilon_0(op0, phi, phi_star, g))[:, None]
     return {"field": S, "norms": {1.5: norm(op.mesh, S, "Lp", 1.5)}}

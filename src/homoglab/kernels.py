@@ -65,7 +65,10 @@ class KernelTable:
     fields: list               # nodal array (nnodes, m) per source
 
     def trusted_mask(self, idx):
-        """Nodes where the column values are trusted: off-diagonal and finite."""
+        """Nodes where the column values are trusted: at distance at least
+        max(4h, 0.02) from the source.  Only the distance is checked here;
+        the values are finite because the solver's residual rule raises
+        SolveError on any column that is not."""
         mesh = self.mesh
         if self.kind == "poisson":
             ysrc = mesh.nodes[mesh.boundary_nodes[self.sources[idx]]]

@@ -226,10 +226,10 @@ class AssembledOperator:
     resolution).  coeff_mean is the (2, 2, m, m) mean of the coefficient
     over the Gauss points of the mesh, the cell mean when the mesh holds
     whole periods; it sets the transform that solves a variable Neumann
-    coefficient.
+    coefficient, which has no other solve.
     """
 
-    def __init__(self, mesh, matrix, mode, coeff, coeff_mean=None):
+    def __init__(self, mesh, matrix, mode, coeff, coeff_mean):
         self.mesh = mesh
         self.matrix = matrix
         self.mode = mode
@@ -290,7 +290,9 @@ class AssembledOperator:
         This is where the solver's exact part is picked.  A Neumann
         operator is solved through the transform of its own tensor if the
         coefficient is constant, of coeff_mean otherwise; its coefficient
-        must be symmetric (A* = A), or ValueError is raised.  In the
+        must be symmetric (A* = A) and it must have one of the two tensors
+        (coeff_mean None of a variable coefficient has none), or
+        ValueError is raised.  In the
         'dirichlet' and 'periodic' modes a constant tensor, at any period,
         whose constrained block is symmetric is solved through its
         transform, and every other operator through the sparse LU of
@@ -380,7 +382,7 @@ class Solver:
 
     With tensor None it is the sparse LU that op._factor makes of K_ii, or
     on the torus of the bordered system with the sparse volume-mean pin
-    columns C.  The bordered LU takes the data as given, with the zero
+    columns C; a Neumann operator has no LU and raises ValueError.  The bordered LU takes the data as given, with the zero
     constraint rows appended, since its multiplier takes off the part C
     absorbs by itself; the multipliers are dropped from x.  An LU column
     that misses the rule raises at once: K_ii of a non-symmetric
@@ -418,6 +420,9 @@ class Solver:
             nodes, w = _pin_weights(op.mesh)
             self._pin = nodes, w / w.sum()
         if tensor is None:
+            if op.mode == "neumann":
+                raise ValueError("a Neumann operator is solved by transform; it needs a tensor "
+                                 "(its constant value or coeff_mean)")
             if op.mode == "dirichlet":
                 self._lu = op._factor(self._K)
             else:

@@ -1,12 +1,14 @@
-"""Shared per-(coefficient, epsilon) computation context for the sweeps.
+"""The one builder of an epsilon level: EpsilonContext.
 
-All experiments at one epsilon read from one EpsilonContext.  Quantities
-are computed in operator-affine batches (all solves against one
-factorization before moving to the next operator) because only one sparse
-LU fits comfortably in memory at the finest resolution.  Cell solutions
-are cached per coefficient and grid while one run_many lasts.  The
-quantities themselves come from the library (kernels, expand, correctors)
-run with the context's cached operators, so each has one implementation.
+Every computation at one epsilon reads from one EpsilonContext: the sweeps
+(all experiments of a group share it), the prop 2.1/2.4 refinement runner
+and the `expand` and `correctors` commands.  Quantities are computed in
+operator-affine batches (all solves against one factorization before
+moving to the next operator) because only one sparse LU fits comfortably
+in memory at the finest resolution.  Cell solutions are cached per
+coefficient and grid while one run_many lasts.  The quantities themselves
+come from the library (kernels, expand, correctors) run with the
+context's cached operators, so each has one implementation.
 """
 
 from __future__ import annotations
@@ -63,24 +65,26 @@ def cell_solution(field: CoefficientField, n: int):
 
 
 class EpsilonContext:
-    """Lazy, batch-ordered computation of the standard sweep quantities."""
+    """Lazy, batch-ordered computation of the quantities of one epsilon level.
 
-    def __init__(self, field: CoefficientField, eps, cells_per_period, cell_n):
-        self.field = field
+    cell is the cell solution whose coefficient (cell.coeff) the level
+    rescales and whose correctors and flux the expansions read; hatA is
+    the (2, 2, m, m) tensor of the homogenized operators L_0.  The level
+    is the unit square with cells_per_period cells per period eps.
+    Operators are built on first use by op(name) and quantities by
+    prepare(needs), into data.
+    """
+
+    def __init__(self, cell: cellmod.CellSolution, hatA, eps, cells_per_period):
         self.eps = float(eps)
         self.n = mesh_resolution(cells_per_period, eps)
         self.mesh = DomainMesh(self.n)
-        self.scaled = rescale(field, eps)
-        # fine-resolution corrector/flux tables for the expansions
-        self.cell = cell_solution(field, cell_n)
-        # the homogenized operators use the effective tensor of the *discrete*
-        # medium (cells_per_period cells per period), so kernel differences
-        # measure the discrete homogenization limit without an
-        # epsilon-independent tensor-mismatch floor
-        self.hatA = cell_solution(field, cells_per_period).hatA
-        self.m = field.m
+        self.scaled = rescale(cell.coeff, eps)
+        self.cell = cell
+        self.hatA = hatA
+        self.m = cell.coeff.m
         # L_0 is assembled from this constant field, which carries hatA's symmetry
-        self.hatA_field = builtin("constant", value=self.hatA, m=self.m)
+        self.hatA_field = builtin("constant", value=hatA, m=self.m)
         self._ops = {}
         self.data = {}
 
@@ -108,6 +112,19 @@ class EpsilonContext:
         for op in self._ops.values():
             op.release()
         self._ops.clear()
+
+    def expansion(self, family):
+        """expand.build_expansion of the level's Dirichlet pair (u_dir_eps,
+        u_dir_0) with the 'chi' or the 'dirichlet' family (phi), or of its
+        Neumann pair (u_neu_eps, u_neu_0) with the 'neumann' family (psi);
+        the pair and the family must be prepared first."""
+        if family == "neumann":
+            u_eps, u0, V = (self.data[q] for q in ("u_neu_eps", "u_neu_0", "psi"))
+        else:
+            u_eps, u0 = self.data["u_dir_eps"], self.data["u_dir_0"]
+            V = (self.data["phi"] if family == "dirichlet" else
+                 corrmod.interior_family(self.cell, self.mesh, self.eps))
+        return expmod.build_expansion(self.mesh, u_eps, u0, family, V, self.eps)
 
     # -- sample geometry ---------------------------------------------------
 

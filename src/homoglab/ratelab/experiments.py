@@ -17,10 +17,9 @@ from .. import correctors as corrmod
 from .. import expand as expmod
 from .. import kernels as kermod
 from .. import mesh as fem
-from ..coeff import builtin, rescale
-from ..mesh import assemble, solve_dirichlet, nodal_gradient, norm
-from .context import (cell_solution, mesh_resolution, neumann_source, GREEN_EVAL,
-                      INTERIOR_EVAL, POISSON_SOURCES_S, KERNEL_X_S)
+from ..mesh import assemble, nodal_gradient, norm
+from .context import (EpsilonContext, cell_solution, GREEN_EVAL, GREEN_SOURCE, INTERIOR_EVAL,
+                      POISSON_SOURCES_S, KERNEL_X_S)
 
 LAYERED = {"family": "layered", "params": {}}
 # layers at 45 degrees oscillate tangentially along every edge of the square,
@@ -42,7 +41,7 @@ class Experiment:
     needs: tuple = ()
     compute: object = None           # ctx -> {quantity: value}
     checks: tuple = ()               # sequence of (fits, values_by_q) -> (ok, msg)
-    runner: object = None            # (config, field) -> (rows, passed, detail) for refine/fixed
+    runner: object = None            # config -> (rows, passed, detail) for refine/fixed
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +107,6 @@ def q_green_size(ctx):
 
 
 def q_green_grad(ctx):
-    from .context import GREEN_SOURCE
     return {"green_grad_defect": _grad_defect_sup(ctx, ctx.data["G_eps"], ctx.data["G_0"],
                                                   ctx.data["phi"], exclude_source=GREEN_SOURCE)}
 
@@ -119,33 +117,21 @@ def q_neumann_size(ctx):
 
 
 def q_neumann_grad(ctx):
-    from .context import GREEN_SOURCE
     return {"neumann_grad_defect": _grad_defect_sup(ctx, ctx.data["N_eps"], ctx.data["N_0"],
                                                     ctx.data["psi"], exclude_source=GREEN_SOURCE)}
 
 
-def _chi_expansion(ctx, u_eps, u0):
-    V = corrmod.interior_family(ctx.cell, ctx.mesh, ctx.eps)
-    return expmod.build_expansion(ctx.mesh, u_eps, u0, "chi", V, ctx.eps)
-
-
 def q_w1p_dirichlet(ctx):
-    u_eps, u0 = ctx.data["u_dir_eps"], ctx.data["u_dir_0"]
-    e_phi = expmod.build_expansion(ctx.mesh, u_eps, u0, "dirichlet", ctx.data["phi"], ctx.eps)
-    e_chi = _chi_expansion(ctx, u_eps, u0)
-    return {"h1_dirichlet_family": norm(ctx.mesh, e_phi.w, "W1p", 2),
-            "h1_chi_family": norm(ctx.mesh, e_chi.w, "W1p", 2)}
+    return {"h1_dirichlet_family": norm(ctx.mesh, ctx.expansion("dirichlet").w, "W1p", 2),
+            "h1_chi_family": norm(ctx.mesh, ctx.expansion("chi").w, "W1p", 2)}
 
 
 def q_w1p_neumann(ctx):
-    u_eps, u0 = ctx.data["u_neu_eps"], ctx.data["u_neu_0"]
-    e_psi = expmod.build_expansion(ctx.mesh, u_eps, u0, "neumann", ctx.data["psi"], ctx.eps)
-    return {"h1_neumann_family": norm(ctx.mesh, e_psi.w, "W1p", 2)}
+    return {"h1_neumann_family": norm(ctx.mesh, ctx.expansion("neumann").w, "W1p", 2)}
 
 
 def q_weighted_h1(ctx):
-    u_eps, u0 = ctx.data["u_dir_eps"], ctx.data["u_dir_0"]
-    e_chi = _chi_expansion(ctx, u_eps, u0)
+    e_chi = ctx.expansion("chi")
     # the interpolation proxy |w|_2^(1/2) |w|_H1^(1/2) stands in for the
     # fractional H^(1/2) norm; reported alongside, not asserted
     l2 = norm(ctx.mesh, e_chi.w, "Lp", 2)
@@ -243,16 +229,17 @@ def q_corrector_bounds(ctx):
 
 
 # ---------------------------------------------------------------------------
-# refine / fixed runners: (config, field) -> (rows, passed, detail), with
-# field the config's coefficient (the registry default when it names none);
-# run_many wraps them in a RateReport of the experiment's kind with the
-# config attached
+# refine / fixed runners: config -> (rows, passed, detail), reading the
+# coefficient as config.field (the registry default when the config names
+# none); run_many wraps them in a RateReport of the experiment's kind with
+# the config attached
 
 
-def run_cell_oracle(config, field):
-    """The cell solution of field against the closed form of the default
-    layered medium (hatA = diag(sqrt 3, 2)), plus the cell identities."""
-    cs = cell_solution(field, config.cell_n)
+def run_cell_oracle(config):
+    """The cell solution of the config's field against the closed form of
+    the default layered medium (hatA = diag(sqrt 3, 2)), plus the cell
+    identities."""
+    cs = cell_solution(config.field, config.cell_n)
     hatA = cs.hatA[:, :, 0, 0]
     stats = cs.stats()
     h = 1.0 / config.cell_n
@@ -275,37 +262,30 @@ _IDENTITIES = {"prop21-residual": ("interior", "interior_identity_residual"),
                "prop24-conormal": ("boundary", "conormal_identity_residual")}
 
 
-def run_identity_refinement(config, field):
+def _identity_residual(config, cs, cpp):
+    """(n, residual) of the config's identity on the level of its first
+    epsilon with cpp cells per period, built by an EpsilonContext with the
+    cell's own hatA (the identities pair u0 with cs.F and cs.chi)."""
+    ctx = EpsilonContext(cs, cs.hatA, config.eps_list[0], cpp)
+    if _IDENTITIES[config.experiment][0] == "interior":
+        ctx.prepare(["u_dir_eps", "u_dir_0", "phi"])
+        e = ctx.expansion("dirichlet")
+        return ctx.n, expmod.residual_identity_check(e, ctx.op("dir_eps"), cs)["residual"]
+    ctx.prepare(["u_neu_eps", "u_neu_0", "psi"])
+    e = ctx.expansion("neumann")
+    return ctx.n, expmod.conormal_identity_check(e, ctx.scaled, cs.hatA)["l2_boundary"]
+
+
+def run_identity_refinement(config):
     """Residual of the interior (prop 2.1) or boundary (prop 2.4) identity
     at fixed epsilon for two mesh refinements; it passes when halving h
     scales the residual by at most 0.6."""
-    which, quantity = _IDENTITIES[config.experiment]
-    cs = cell_solution(field, config.cell_n)
-    hatA_field = builtin("constant", value=cs.hatA, m=field.m)
-    eps = config.eps_list[0]
-    vals = []
-    for cpp in (config.cells_per_period, 2 * config.cells_per_period):
-        n = mesh_resolution(cpp, eps)
-        dm = fem.DomainMesh(n)
-        sc = rescale(field, eps)
-        if which == "interior":
-            op = assemble(sc, dm, mode="dirichlet")
-            op0 = assemble(hatA_field, dm, mode="dirichlet")
-            f = np.ones((dm.nnodes, field.m))
-            u_eps = solve_dirichlet(op, f, bdata=0.0)
-            u0 = solve_dirichlet(op0, f, bdata=0.0)
-            phi, _ = corrmod.dirichlet_correctors(op)
-            e = expmod.build_expansion(dm, u_eps, u0, "dirichlet", phi, eps)
-            vals.append((n, expmod.residual_identity_check(e, op, cs)["residual"]))
-            op.release(); op0.release()
-        else:
-            opn = assemble(sc, dm, mode="neumann")
-            opn0 = assemble(hatA_field, dm, mode="neumann")
-            e = expmod.neumann_expansion(opn, opn0, cs.hatA, neumann_source(dm, field.m))
-            vals.append((n, expmod.conormal_identity_check(e, sc, cs.hatA)["l2_boundary"]))
-            opn.release(); opn0.release()
+    quantity = _IDENTITIES[config.experiment][1]
+    cs = cell_solution(config.field, config.cell_n)
+    vals = [_identity_residual(config, cs, cpp)
+            for cpp in (config.cells_per_period, 2 * config.cells_per_period)]
     ratio = vals[1][1] / vals[0][1]
-    rows = [(eps, 1.0 / n, quantity, v) for n, v in vals]
+    rows = [(config.eps_list[0], 1.0 / n, quantity, v) for n, v in vals]
     return rows, bool(ratio <= 0.6), f"residual ratio per h-halving {ratio:.3f} (need <= 0.6)"
 
 
@@ -313,11 +293,11 @@ def run_identity_refinement(config, field):
 _LEIBNIZ_N = 256
 
 
-def run_leibniz_product(config, field):
+def run_leibniz_product(config):
     """Product rule: |Lambda(fg) - f Lambda(g)|_2 <= 5 |f|_H1 |g|_inf over a
     seeded random smooth suite (the constant 5 is a fixed harness bound)."""
     dm = fem.DomainMesh(_LEIBNIZ_N)
-    op = assemble(field, dm)
+    op = assemble(config.field, dm)
     rng = np.random.default_rng(config.seed + 17)
     s = dm.boundary_s
     rows = []
@@ -338,16 +318,15 @@ def run_leibniz_product(config, field):
         ratio = l2 / (fH1 * np.abs(g).max())
         worst = max(worst, float(ratio))
         rows.append((0.0, dm.h, f"case_{case}_ratio", float(ratio)))
-    op.release()
     detail = f"worst |Lambda(fg)-f Lambda g|_2 / (|f|_H1 |g|_inf) = {worst:.3f} (bound 5)"
     return rows, bool(worst <= 5.0), detail
 
 
-def run_leibniz_coordinate(config, field):
+def run_leibniz_coordinate(config):
     """Order-zero coordinate commutator: the Lambda-norm ratio grows >= 4x
     from k=2 to k=16 while the commutator ratio grows <= 2x."""
     dm = fem.DomainMesh(_LEIBNIZ_N)
-    op = assemble(field, dm)
+    op = assemble(config.field, dm)
     rows = []
     lam, com = {}, {}
     for k in (2, 4, 8, 16):
@@ -357,7 +336,6 @@ def run_leibniz_coordinate(config, field):
         com[k] = kermod._boundary_l2(dm, kermod.coordinate_commutator(op, fk, 1)) / nf
         rows.append((0.0, dm.h, f"dtn_ratio_k{k}", float(lam[k])))
         rows.append((0.0, dm.h, f"commutator_ratio_k{k}", float(com[k])))
-    op.release()
     growth_lam = lam[16] / lam[2]
     growth_com = com[16] / com[2]
     ok = growth_lam >= 4.0 and growth_com <= 2.0

@@ -187,7 +187,7 @@ def test_omega_of_a_nonsymmetric_field_reads_the_adjoint_flux():
     # flattens the Poisson-data approximation to slope ~0.46 at 16 cells per
     # period; read against the adjoint it decays at first order (~0.82)
     from homoglab.ratelab import coefficient_from_spec, fit_rate
-    from homoglab.ratelab.context import EpsilonContext
+    from homoglab.ratelab.context import EpsilonContext, cell_solution
     from homoglab.ratelab.experiments import LAYERED_DIAG, q_poisson_data_approx
     base = coefficient_from_spec(LAYERED_DIAG)
     skew = np.array([[0.0, 0.8], [-0.8, 0.0]])[:, :, None, None]
@@ -196,7 +196,7 @@ def test_omega_of_a_nonsymmetric_field_reads_the_adjoint_flux():
         symmetric=False, params={"skew": 0.8})
     eps_list, values = [1 / 4, 1 / 8, 1 / 16], []
     for eps in eps_list:
-        ctx = EpsilonContext(field, eps, cells_per_period=16, cell_n=128)
+        ctx = EpsilonContext(cell_solution(field, 128), cell_solution(field, 16).hatA, eps, 16)
         ctx.prepare(["u_poisson_eps", "v_poisson"])
         values.append(q_poisson_data_approx(ctx)["poisson_approx_l1"])
         ctx.release()

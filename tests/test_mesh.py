@@ -658,6 +658,20 @@ def test_nonsymmetric_neumann_operator_is_refused():
         mesh.solve_neumann(op)
 
 
+def test_variable_neumann_operator_needs_its_coefficient_mean(monkeypatch, layered_field):
+    # a Neumann operator is solved by transform only: there is no bordered
+    # Neumann LU to fall back on when the tensor is missing
+    dm = mesh.DomainMesh(32)
+    op = mesh.assemble(coeff.rescale(layered_field, 1 / 4), dm, mode="neumann")
+    with pytest.raises(TypeError, match="coeff_mean"):
+        mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff)
+    factored = _record_factors(monkeypatch)
+    bare = mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff, None)
+    with pytest.raises(ValueError, match="Neumann operator is solved by transform"):
+        bare.factorization()
+    assert factored == []
+
+
 def test_periodic_transform_removes_the_data_mean():
     # the data's mean is removed before the transform, as the bordered
     # system's multiplier removes it: a mean of 1e-7 |b| still solves, and

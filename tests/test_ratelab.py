@@ -262,13 +262,19 @@ def test_mesh_budget_is_the_finest_level_that_fits():
         ratelab.mesh_resolution(16, 1 / 128)
 
 
+def _context(field, eps=1 / 4):
+    # the level run_many builds with cells_per_period 8 and cell_n 16
+    return ratelab.EpsilonContext(ratelab.cell_solution(field, 16),
+                                  ratelab.cell_solution(field, 8).hatA, eps, 8)
+
+
 def test_context_quantities_match_library():
     # the sweep context and the library functions give bitwise equal values
     from homoglab import expand, kernels
     from homoglab.coeff import builtin
     from homoglab.ratelab.context import POISSON_SOURCES_S
 
-    ctx = ratelab.EpsilonContext(builtin("layered"), 1 / 4, cells_per_period=8, cell_n=16)
+    ctx = _context(builtin("layered"))
     ctx.prepare(["s_piece1", "s_piece23", "P_eps", "P_0"])
     data = ctx.data
     op_eps, op_0 = ctx._ops["dir_eps"], ctx._ops["dir_0"]
@@ -402,7 +408,7 @@ def test_context_rejects_neumann_function_of_nonsymmetric_field():
     from homoglab.kernels import KernelError
 
     field = builtin("constant", value=np.array([[1.0, 0.5], [-0.5, 1.0]]))
-    ctx = ratelab.EpsilonContext(field, 1 / 4, cells_per_period=8, cell_n=16)
+    ctx = _context(field)
     with pytest.raises(KernelError):
         ctx.prepare(["N_0"])
     ctx.release()
@@ -413,7 +419,7 @@ def test_context_homogenized_operator_is_symmetric():
     from homoglab import correctors
     from homoglab.coeff import builtin
 
-    ctx = ratelab.EpsilonContext(builtin("layered"), 1 / 4, cells_per_period=8, cell_n=16)
+    ctx = _context(builtin("layered"))
     op0 = ctx.op("dir_0")
     phi, phi_star = correctors.dirichlet_correctors(op0)
     assert np.array_equal(phi_star, phi)
@@ -513,14 +519,29 @@ def test_run_many_drops_the_cell_cache(monkeypatch):
     # also when the run raises after a cell was solved
     oracle = ratelab.EXPERIMENTS["cell-oracle"].runner
 
-    def failing(config, field):
-        oracle(config, field)
+    def failing(config):
+        oracle(config)
         raise RuntimeError("after the cell solve")
 
     monkeypatch.setattr(ratelab.EXPERIMENTS["cell-oracle"], "runner", failing)
     with pytest.raises(RuntimeError):
         ratelab.run(cfg)
     assert context._CELL_CACHE == {}
+
+
+def test_cli_expand_and_the_identity_runners_share_one_implementation(tmp_path):
+    # both build the level through EpsilonContext with the cell's own hatA
+    cfg = {"eps_list": (1 / 4, 1 / 8, 1 / 16), "cells_per_period": 8, "cell_n": 16}
+    reports = ratelab.run_many([ratelab.ExperimentConfig(exp, **cfg)
+                                for exp in ("prop21-residual", "prop24-conormal")])
+    out = {}
+    for family, extra in (("dirichlet", ["--check", "residual"]), ("neumann", [])):
+        assert cli.main(["expand", "--family", family, *extra, "--eps", "1/4",
+                         "--cells-per-period", "8", "--config", _write_small_config(tmp_path),
+                         "--out", str(tmp_path / family)]) == 0
+        out[family] = json.loads((tmp_path / family / "expand.json").read_text())
+    assert out["dirichlet"]["residual"] == reports["prop21-residual"].rows[0][3]
+    assert out["neumann"]["conormal"]["l2_boundary"] == reports["prop24-conormal"].rows[0][3]
 
 
 def test_cli_rates_honours_the_coefficient_flags(tmp_path):

@@ -50,9 +50,12 @@ def test_every_trace_target_resolves():
 
 def test_factor_kind_and_nnz_of_the_operators_src_builds(monkeypatch, layered_field):
     from homoglab import mesh
-    from homoglab.ratelab.context import EpsilonContext
+    from homoglab.ratelab.context import EpsilonContext, cell_solution
     tracing = _load_tracing()
-    ctx = EpsilonContext(layered_field, 1 / 4, cells_per_period=8, cell_n=16)
+    ctx = EpsilonContext(cell_solution(layered_field, 16), cell_solution(layered_field, 8).hatA,
+                         1 / 4, 8)
+    # the tracer's level wrapper reads the level's mesh resolution after __init__
+    assert isinstance(ctx.n, numbers.Integral) and ctx.n == 32
     factored = []
     factor = mesh.AssembledOperator._factor
 
