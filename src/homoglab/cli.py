@@ -1,21 +1,24 @@
 """Command-line interface.
 
-    homoglab <subcommand> [--config path.json] [--out dir] [--eps 1/8,1/16,...]
-             [--cells-per-period 16] [--format csv|json]
+    homoglab <subcommand> [--config path.json] [--out dir] [flags]
 
-Subcommands: cell, correctors, green, neumann-fn, poisson, dtn, expand,
-rates, all.  The config is a JSON object with keys {coefficient, mesh,
+Flags come after the subcommand.  Every subcommand takes --config, --out,
+--coeff-family and --coeff-params, and only the other flags it reads: cell
+--format; correctors --eps list, --cells-per-period, --pin; green,
+neumann-fn, poisson and dtn --eps (one value), --n; expand --eps (one
+value), --cells-per-period, --family, --check, --experiment; rates --eps
+list, --cells-per-period, --format, --experiments; all the same without
+--experiments.  The config is a JSON object with keys {coefficient, mesh,
 experiments[], seed}; any other key is an error.  Its mesh block holds
 {n, cells_per_period, cell_n} (defaults in MESH_DEFAULTS) and every
-subcommand reads it through _mesh.  Command-line flags override it, and
---coeff-family/--coeff-params override its coefficient in every
-subcommand.  Exit code is 0 iff all selected experiments pass, 1 when one
-fails, and 2 for a usage error: a flag value or config that cannot be
-read, a config value that breaks its flag's rule (MESH_RULES; a seed must
-be a non-negative integer), --coeff-params without --coeff-family, a
+subcommand reads it through _mesh; flags override it.  Exit code is 0 iff
+all selected experiments pass, 1 when one fails, and 2 for a usage error:
+a flag the subcommand does not take, a flag value or config that cannot
+be read, a config value that breaks its flag's rule (MESH_RULES; a seed
+must be a non-negative integer), --coeff-params without --coeff-family, a
 coefficient the library rejects, a misaligned epsilon (correctors,
-expand), or (rates, all) an experiment config that ExperimentConfig
-rejects.
+expand), expand flags that _expand_conflict refuses, or (rates, all) an
+experiment config that ExperimentConfig rejects.
 """
 
 from __future__ import annotations
@@ -57,6 +60,14 @@ def _parse_eps(text):
     if not all(e > 0 for e in eps):
         raise argparse.ArgumentTypeError(f"every epsilon must be positive, got {text!r}")
     return eps
+
+
+def _parse_one_eps(text):
+    """--eps of a subcommand that runs one epsilon: one positive epsilon."""
+    eps = _parse_eps(text)
+    if len(eps) != 1:
+        raise argparse.ArgumentTypeError(f"takes one epsilon, got {text!r}")
+    return eps[0]
 
 
 def _parse_pin(text):
@@ -117,11 +128,6 @@ def _parse_experiments(text):
     return ids
 
 
-def _first_eps(args):
-    """The first --eps value; 1/8 without the flag."""
-    return args.eps[0] if args.eps else 1 / 8
-
-
 def _load_config(path):
     """The JSON config at path ({} for None); ValueError on a path that
     cannot be read, a non-object, keys outside CONFIG_KEYS (MESH_DEFAULTS
@@ -170,23 +176,12 @@ def _coefficient_spec(config, args):
 
 def _mesh(config, args):
     """The config's mesh block over MESH_DEFAULTS, with --n and
-    --cells-per-period overriding it."""
+    --cells-per-period, where the subcommand takes them, overriding it."""
     mesh = {**MESH_DEFAULTS, **config.get("mesh", {})}
-    if args.n is not None:
-        mesh["n"] = args.n
-    if args.cells_per_period is not None:
-        mesh["cells_per_period"] = args.cells_per_period
+    for key in ("n", "cells_per_period"):
+        if getattr(args, key, None) is not None:
+            mesh[key] = getattr(args, key)
     return mesh
-
-
-def _levels(args, config):
-    """The epsilons of correctors (--eps, else 1/8, 1/16, 1/32) or expand
-    (the first --eps); ValueError for a misaligned epsilon."""
-    cpp = _mesh(config, args)["cells_per_period"]
-    eps_list = (args.eps or (1 / 8, 1 / 16, 1 / 32)) if args.command == "correctors" else (_first_eps(args),)
-    for eps in eps_list:
-        ratelab.mesh_resolution(cpp, eps)
-    return eps_list
 
 
 def _outpath(args, name):
@@ -222,105 +217,98 @@ def _level(args, config, field, eps):
     return ratelab.EpsilonContext(cs, cs.hatA, eps, mesh["cells_per_period"])
 
 
-def cmd_correctors(args, config, field, levels):
+def cmd_correctors(args, config, field):
     out = []
-    for eps in levels:
+    for eps in args.eps:
         ctx = _level(args, config, field, eps)
-        x0 = ctx.mesh.nearest_node(args.pin) if args.pin else None
-        ctx.prepare(["phi"])
-        psi = corrmod.neumann_correctors(ctx.op("neu_eps"), ctx.hatA, x0)
-        out.append(corrmod.corrector_report(ctx.mesh, eps, ctx.data["phi"], psi, ctx.cell))
+        try:
+            x0 = ctx.mesh.nearest_node(args.pin) if args.pin else None
+            ctx.prepare(["phi"])
+            psi = corrmod.neumann_correctors(ctx.op("neu_eps"), ctx.hatA, x0)
+            out.append(corrmod.corrector_report(ctx.mesh, eps, ctx.data["phi"], psi, ctx.cell))
+        finally:
+            ctx.release()
     _emit_json(args, "correctors.json", out)
     return 0
 
 
-def _kernel_command(args, config, field, kind):
+def cmd_kernel(args, config, field):
+    kind = args.command
     dm = fem.DomainMesh(_mesh(config, args)["n"])
-    op = fem.assemble(rescale(field, _first_eps(args)), dm,
+    op = fem.assemble(rescale(field, args.eps), dm,
                       mode="neumann" if kind == "neumann-fn" else "dirichlet")
     source = dm.nearest_node(GREEN_SOURCE)
     if kind == "green":
-        fld = kermod.green(op, source)
-        table = kermod.KernelTable("green", dm, [source], [fld])
+        table = kermod.KernelTable(kind, dm, [source], [kermod.green(op, source)])
     elif kind == "neumann-fn":
-        fld = kermod.neumann_fn(op, source)
-        table = kermod.KernelTable("neumann-fn", dm, [source], [fld])
-    else:
+        table = kermod.KernelTable(kind, dm, [source], [kermod.neumann_fn(op, source)])
+    elif kind == "poisson":
         pos = dm.n_boundary // 8
-        fld = kermod.poisson_kernel(op, pos)
-        table = kermod.KernelTable("poisson", dm, [pos], [fld])
-    table.to_csv(_outpath(args, f"{kind}.csv"))
-    print(f"wrote {_outpath(args, f'{kind}.csv')}")
-    return 0
-
-
-def cmd_dtn(args, config, field):
-    dm = fem.DomainMesh(_mesh(config, args)["n"])
-    op = fem.assemble(rescale(field, _first_eps(args)), dm)
-    D = kermod.dtn(op)
-    D.to_csv(_outpath(args, "dtn.csv"))
-    print(f"wrote {_outpath(args, 'dtn.csv')}")
-    return 0
-
-
-def _expand_conflict(args):
-    """The error for an expand flag that its branch would ignore, or None."""
-    if args.check == "conormal" and args.family == "dirichlet":
-        return "--check conormal does not apply to --family dirichlet (it needs the Neumann family)"
-    if args.check == "conormal" or args.family == "neumann":
-        if args.check == "residual":
-            return "--check residual does not apply to --family neumann"
-        if args.experiment is not None:
-            return (f"--experiment {args.experiment} does not apply to the Neumann family "
-                    "(--family neumann or --check conormal)")
-    return None
-
-
-def cmd_expand(args, config, field, levels):
-    [eps] = levels
-    ctx = _level(args, config, field, eps)
-    result = {}
-    if args.check == "conormal" or args.family == "neumann":
-        ctx.prepare(["u_neu_eps", "u_neu_0", "psi"])
-        result["conormal"] = expmod.conormal_identity_check(ctx.expansion("neumann"),
-                                                            ctx.scaled, ctx.hatA)
+        table = kermod.KernelTable(kind, dm, [pos], [kermod.poisson_kernel(op, pos)])
     else:
-        needs = ["u_dir_eps", "u_dir_0"]
-        if args.family == "dirichlet":
-            needs.append("phi")
-        if args.experiment == "s-epsilon":
-            needs += ["s_piece1", "s_piece23"]
-        ctx.prepare(needs)
-        e = ctx.expansion(args.family)
-        result["w_h1"] = fem.norm(ctx.mesh, e.w, "W1p", 2)
-        if args.check == "residual":
-            result["residual"] = expmod.residual_identity_check(e, ctx.op("dir_eps"),
-                                                                ctx.cell)["residual"]
-        if args.experiment == "s-epsilon":
-            result["s_epsilon_norms"] = {1.5: q_s_epsilon(ctx)["s_epsilon_l15"]}
+        table = kermod.dtn(op)
+    path = _outpath(args, f"{kind}.csv")
+    table.to_csv(path)
+    print(f"wrote {path}")
+    return 0
+
+
+def _expand_conflict(args, field):
+    """ValueError for expand flags that its branch would ignore (the Neumann
+    family computes only the conormal identity) or cannot run on field."""
+    if args.family == "neumann":
+        for flag, value in (("--check", args.check), ("--experiment", args.experiment)):
+            if value is not None:
+                raise ValueError(f"{flag} {value} does not apply to --family neumann")
+    if args.experiment == "s-epsilon" and field.m != 1:
+        raise ValueError(f"--experiment s-epsilon needs a scalar coefficient (m = 1), "
+                         f"got m = {field.m}")
+
+
+def cmd_expand(args, config, field):
+    ctx = _level(args, config, field, args.eps)
+    try:
+        result = {}
+        if args.family == "neumann":
+            ctx.prepare(["u_neu_eps", "u_neu_0", "psi"])
+            result["conormal"] = expmod.conormal_identity_check(ctx.expansion("neumann"),
+                                                                ctx.scaled, ctx.hatA)
+        else:
+            needs = ["u_dir_eps", "u_dir_0"]
+            if args.family == "dirichlet":
+                needs.append("phi")
+            if args.experiment == "s-epsilon":
+                needs += ["s_piece1", "s_piece23"]
+            ctx.prepare(needs)
+            e = ctx.expansion(args.family)
+            result["w_h1"] = fem.norm(ctx.mesh, e.w, "W1p", 2)
+            if args.check == "residual":
+                result["residual"] = expmod.residual_identity_check(e, ctx.op("dir_eps"),
+                                                                    ctx.cell)["residual"]
+            if args.experiment == "s-epsilon":
+                result["s_epsilon_norms"] = {1.5: q_s_epsilon(ctx)["s_epsilon_l15"]}
+    finally:
+        ctx.release()
     _emit_json(args, "expand.json", result)
     return 0
 
 
 def _rate_configs(args, config, spec):
-    """One ExperimentConfig per selected id: --experiments, else every
-    registry id for `all`, else the config's experiments, else cell-oracle.
+    """One ExperimentConfig per selected id: every registry id for `all`,
+    else --experiments, else the config's experiments, else cell-oracle.
     Building them checks the ids, the epsilons and the coefficient."""
-    if args.experiments:
-        ids = args.experiments
-    elif args.command == "all":
+    if args.command == "all":
         ids = sorted(ratelab.EXPERIMENTS)
     else:
-        ids = config.get("experiments") or ["cell-oracle"]
+        ids = args.experiments or config.get("experiments") or ["cell-oracle"]
     mesh = _mesh(config, args)
-    kwargs = {"cells_per_period": mesh["cells_per_period"], "cell_n": mesh["cell_n"]}
-    if args.eps:
-        kwargs["eps_list"] = args.eps
-    return [ratelab.ExperimentConfig(i, coefficient=spec, seed=config.get("seed", 0), **kwargs)
+    return [ratelab.ExperimentConfig(i, coefficient=spec, eps_list=args.eps,
+                                     cells_per_period=mesh["cells_per_period"],
+                                     cell_n=mesh["cell_n"], seed=config.get("seed", 0))
             for i in ids]
 
 
-def cmd_rates(args, configs):
+def cmd_rates(args, config, configs):
     reports = ratelab.run_many(configs)
     ok = True
     for c in configs:
@@ -332,60 +320,68 @@ def cmd_rates(args, configs):
     return 0 if ok else 1
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(prog="homoglab", description=__doc__)
-    parser.add_argument("command", choices=["cell", "correctors", "green", "neumann-fn",
-                                            "poisson", "dtn", "expand", "rates", "all"])
-    parser.add_argument("--config", help="JSON config path")
-    parser.add_argument("--out", help="output directory (default .)")
-    parser.add_argument("--eps", "--eps-list", dest="eps", type=_parse_eps,
-                        help="comma-separated epsilon list, fractions allowed")
-    parser.add_argument("--cells-per-period", dest="cells_per_period",
-                        type=_int_at_least(*MESH_RULES["cells_per_period"]))
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--experiments", type=_parse_experiments,
-                        help="comma-separated experiment ids (rates)")
-    parser.add_argument("--coeff-family", dest="coeff_family",
-                        help="coefficient family override")
-    parser.add_argument("--coeff-params", dest="coeff_params", type=_parse_json_object,
+def _parser():
+    """The `homoglab` parser: a subparser per subcommand, with the shared
+    flags and only the other flags that its command reads."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config path")
+    common.add_argument("--out", help="output directory (default .)")
+    common.add_argument("--coeff-family", help="coefficient family override")
+    common.add_argument("--coeff-params", type=_parse_json_object,
                         help="JSON params for the coefficient family")
-    parser.add_argument("--family", choices=["chi", "dirichlet", "neumann"],
-                        default="chi", help="corrector family for expand")
-    parser.add_argument("--n", type=_int_at_least(*MESH_RULES["n"]),
-                        help="mesh resolution for kernel commands")
-    parser.add_argument("--pin", type=_parse_pin,
-                        help="x0,y0 pin point for Neumann correctors")
-    parser.add_argument("--check", choices=["residual", "conormal"], default=None)
-    parser.add_argument("--experiment", choices=["s-epsilon"], default=None,
-                        help="extra expansion experiment for expand")
+    one_eps = {"type": _parse_one_eps, "default": 1 / 8, "help": "one epsilon (default 1/8)"}
+    eps_list = {"type": _parse_eps, "default": ratelab.ExperimentConfig.eps_list,
+                "help": "comma-separated epsilon list, fractions allowed"}
+    cpp = {"type": _int_at_least(*MESH_RULES["cells_per_period"]), "help": "cells per period"}
+    fmt = {"choices": ["csv", "json"], "default": "csv"}
+    n = {"type": _int_at_least(*MESH_RULES["n"]), "help": "mesh cells per axis"}
+    kernel = (cmd_kernel, {"--eps": one_eps, "--n": n})
+    rate_flags = {"--eps": eps_list, "--cells-per-period": cpp, "--format": fmt}
+    commands = {
+        "cell": (cmd_cell, {"--format": fmt}),
+        "correctors": (cmd_correctors, {
+            "--eps": {**eps_list, "default": (1 / 8, 1 / 16, 1 / 32)},
+            "--cells-per-period": cpp,
+            "--pin": {"type": _parse_pin, "help": "x0,y0 pin point for Neumann correctors"}}),
+        "green": kernel, "neumann-fn": kernel, "poisson": kernel, "dtn": kernel,
+        "expand": (cmd_expand, {
+            "--eps": one_eps, "--cells-per-period": cpp,
+            "--family": {"choices": ["chi", "dirichlet", "neumann"], "default": "chi"},
+            "--check": {"choices": ["residual"]},
+            "--experiment": {"choices": ["s-epsilon"], "help": "extra expansion experiment"}}),
+        "rates": (cmd_rates, {**rate_flags, "--experiments": {
+            "type": _parse_experiments, "help": "comma-separated experiment ids"}}),
+        "all": (cmd_rates, rate_flags),
+    }
+    parser = argparse.ArgumentParser(prog="homoglab", description=__doc__)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (run, flags) in commands.items():
+        sub = subparsers.add_parser(name, parents=[common])
+        sub.set_defaults(run=run)
+        for flag, kwargs in flags.items():
+            sub.add_argument(flag, **kwargs)
+    return parser
+
+
+def main(argv=None):
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
         spec = _coefficient_spec(config, args)
-        if args.command in ("rates", "all"):
-            configs = _rate_configs(args, config, spec)
+        if args.run is cmd_rates:
+            target = _rate_configs(args, config, spec)
         else:
-            field = ratelab.coefficient_from_spec(spec or LAYERED)
-            if args.command in ("correctors", "expand"):
-                levels = _levels(args, config)
+            target = ratelab.coefficient_from_spec(spec or LAYERED)
+            if args.run is cmd_expand:
+                _expand_conflict(args, target)
+            if args.run in (cmd_correctors, cmd_expand):
+                cpp = _mesh(config, args)["cells_per_period"]
+                for eps in (args.eps if args.run is cmd_correctors else (args.eps,)):
+                    ratelab.mesh_resolution(cpp, eps)
     except (ValueError, ratelab.RegistryError) as err:
         parser.error(str(err))
-    if args.command == "expand" and (conflict := _expand_conflict(args)):
-        parser.error(conflict)
-
-    if args.command in ("rates", "all"):
-        return cmd_rates(args, configs)
-    if args.command == "cell":
-        return cmd_cell(args, config, field)
-    if args.command == "correctors":
-        return cmd_correctors(args, config, field, levels)
-    if args.command in ("green", "neumann-fn", "poisson"):
-        return _kernel_command(args, config, field, args.command)
-    if args.command == "dtn":
-        return cmd_dtn(args, config, field)
-    if args.command == "expand":
-        return cmd_expand(args, config, field, levels)
-    return 2
+    return args.run(args, config, target)
 
 
 if __name__ == "__main__":

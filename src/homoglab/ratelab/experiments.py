@@ -267,13 +267,16 @@ def _identity_residual(config, cs, cpp):
     epsilon with cpp cells per period, built by an EpsilonContext with the
     cell's own hatA (the identities pair u0 with cs.F and cs.chi)."""
     ctx = EpsilonContext(cs, cs.hatA, config.eps_list[0], cpp)
-    if _IDENTITIES[config.experiment][0] == "interior":
-        ctx.prepare(["u_dir_eps", "u_dir_0", "phi"])
-        e = ctx.expansion("dirichlet")
-        return ctx.n, expmod.residual_identity_check(e, ctx.op("dir_eps"), cs)["residual"]
-    ctx.prepare(["u_neu_eps", "u_neu_0", "psi"])
-    e = ctx.expansion("neumann")
-    return ctx.n, expmod.conormal_identity_check(e, ctx.scaled, cs.hatA)["l2_boundary"]
+    try:
+        if _IDENTITIES[config.experiment][0] == "interior":
+            ctx.prepare(["u_dir_eps", "u_dir_0", "phi"])
+            e = ctx.expansion("dirichlet")
+            return ctx.n, expmod.residual_identity_check(e, ctx.op("dir_eps"), cs)["residual"]
+        ctx.prepare(["u_neu_eps", "u_neu_0", "psi"])
+        e = ctx.expansion("neumann")
+        return ctx.n, expmod.conormal_identity_check(e, ctx.scaled, cs.hatA)["l2_boundary"]
+    finally:
+        ctx.release()
 
 
 def run_identity_refinement(config):

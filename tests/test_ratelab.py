@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -356,7 +357,7 @@ def test_cli_dtn_subcommand(tmp_path):
 
 @pytest.mark.parametrize("flags, keys", [
     (("--family", "dirichlet", "--check", "residual"), {"w_h1", "residual"}),
-    (("--check", "conormal"), {"conormal"}),
+    (("--family", "neumann"), {"conormal"}),
 ])
 def test_cli_expand_checks(tmp_path, flags, keys):
     assert _small_cli(tmp_path, "expand", "--cells-per-period", "8", *flags) == 0
@@ -368,9 +369,11 @@ def test_cli_expand_checks(tmp_path, flags, keys):
 
 @pytest.mark.parametrize("flags, named", [
     (("--family", "neumann", "--check", "residual"), "--check residual"),
-    (("--check", "conormal", "--experiment", "s-epsilon"), "--experiment s-epsilon"),
+    # the conflict is refused whichever flag comes first
+    (("--experiment", "s-epsilon", "--family", "neumann"), "--experiment s-epsilon"),
     (("--family", "neumann", "--experiment", "s-epsilon"), "--experiment s-epsilon"),
-    (("--check", "conormal", "--family", "dirichlet"), "--family dirichlet"),
+    # the Neumann family is chosen by --family alone
+    (("--check", "conormal"), "--check"),
 ])
 def test_cli_expand_rejects_ignored_flags(tmp_path, capsys, flags, named):
     with pytest.raises(SystemExit) as exit_info:
@@ -577,6 +580,8 @@ def test_cli_rates_honours_the_coefficient_flags(tmp_path):
     (("rates", "--config", {"mesh": {"cell_n": 16.5}}), ("mesh.cell_n", "not an integer")),
     (("green", "--config", {"mesh": {"n": 1}}), ("mesh.n", "at least 2")),
     (("rates", "--experiments", "leibniz-1", "--config", {"seed": "x"}), ("seed", "not an integer")),
+    (("expand", "--experiment", "s-epsilon", "--coeff-family", "layered",
+      "--coeff-params", '{"m": 2}'), ("--experiment s-epsilon", "m = 1")),
 ])
 def test_cli_rejects_inputs_the_run_cannot_take(tmp_path, capsys, argv, named):
     # a config or coefficient the library rejects is a usage error, and
@@ -592,6 +597,67 @@ def test_cli_rejects_inputs_the_run_cannot_take(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert all(text in err for text in named)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("green", "--pin", "0.5,0.5"), "--pin"),
+    (("cell", "--eps", "1/4"), "--eps"),
+    (("dtn", "--cells-per-period", "8"), "--cells-per-period"),
+    (("rates", "--n", "64"), "--n"),
+    (("correctors", "--format", "json"), "--format"),
+    (("all", "--experiments", "cell-oracle"), "--experiments"),
+    (("expand", "--eps", "1/4,1/8"), "--eps"),
+    (("green", "--eps-list", "1/4"), "--eps-list"),
+])
+def test_cli_subcommand_refuses_flags_it_does_not_read(tmp_path, capsys, argv, flag):
+    # a flag that the subcommand would ignore, or a second epsilon where it
+    # runs one, is a usage error
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_examples_parse():
+    # every homoglab command line shown in the README is one the parser takes
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        blocks = fh.read().split("```")[1::2]
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("homoglab ") and "<subcommand>" not in line]
+    assert len(lines) >= 6
+    for line in lines:
+        cli._parser().parse_args(shlex.split(line)[1:])
+
+
+def test_every_epsilon_level_is_released(tmp_path, monkeypatch):
+    # an unreleased level keeps its factorizations alive, and the per-level
+    # trace, which closes a level at release(), never counts it
+    ctx_cls = ratelab.EpsilonContext
+    init, release = ctx_cls.__init__, ctx_cls.release
+    built, released = [], set()
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def tracked_release(self):
+        release(self)
+        released.add(id(self))
+
+    monkeypatch.setattr(ctx_cls, "__init__", tracked_init)
+    monkeypatch.setattr(ctx_cls, "release", tracked_release)
+    cfg = {"eps_list": (1 / 4, 1 / 8, 1 / 16), "cells_per_period": 8, "cell_n": 16}
+    ratelab.run_many([ratelab.ExperimentConfig(exp, **cfg)
+                      for exp in ("prop21-residual", "prop24-conormal")])
+    for argv in (("expand", "--family", "dirichlet", "--check", "residual"),
+                 ("expand", "--family", "neumann"), ("correctors",)):
+        assert _small_cli(tmp_path, *argv, "--cells-per-period", "8") == 0
+    # two mesh levels per identity runner, one per expand, one per correctors epsilon
+    assert len(built) == 7
+    assert {id(ctx) for ctx in built} == released
 
 
 def test_cli_config_path_that_cannot_be_read(tmp_path, capsys):
