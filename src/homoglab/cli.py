@@ -353,10 +353,11 @@ def _parser():
             "type": _parse_experiments, "help": "comma-separated experiment ids"}}),
         "all": (cmd_rates, rate_flags),
     }
-    parser = argparse.ArgumentParser(prog="homoglab", description=__doc__)
+    # no prefix matching: an abbreviation or a near-miss of a flag is refused
+    parser = argparse.ArgumentParser(prog="homoglab", description=__doc__, allow_abbrev=False)
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (run, flags) in commands.items():
-        sub = subparsers.add_parser(name, parents=[common])
+        sub = subparsers.add_parser(name, parents=[common], allow_abbrev=False)
         sub.set_defaults(run=run)
         for flag, kwargs in flags.items():
             sub.add_argument(flag, **kwargs)

@@ -241,8 +241,9 @@ def dtn(op) -> DtNMatrix:
 
     Column j is the variational conormal flux of the Dirichlet solve with
     hat data at boundary node j; assembled in chunks of _DTN_CHUNK columns,
-    each one batched solve with op.factorization(): triangular solves on
-    the sparse LU, or for a constant tensor (the Laplacian) sine
+    each one batched solve with op.factorization(): the cell template of an
+    aligned eps-periodic coefficient, triangular solves on the sparse LU of
+    any other variable one, or for a constant tensor (the Laplacian) sine
     transforms.  The solver checks the residual of every column it solves
     and raises SolveError when one misses.
     """

@@ -18,18 +18,25 @@ the Solver of its constrained system, built once per operator and cached
 on it (AssembledOperator.factorization).  There is one Solver class: it
 takes and returns the operator's own dofs, checks every column it solves
 against one residual rule and raises SolveError when one misses, so a
-caller of .solve gets checked solutions.  Its exact part is one of two.
+caller of .solve gets checked solutions.  Its exact part is one of three.
 The transform of a constant tensor (DST-I on the square's interior, a real
 FFT on the torus, DCT-I on the square's nodes) solves the tensor's
 separable part, and preconditioned conjugate gradients take up the rest.
-A sparse LU (AssembledOperator._factor) solves the system as it stands.
+The cell template of an eps-periodic Dirichlet operator on a mesh of
+2^k x 2^k whole periods eliminates K_ii by nested blocks, one dense matrix
+per level, since every block of a level is the same.  A sparse LU
+(AssembledOperator._factor) solves any system as it stands.
 factorization() picks the part.  Every Neumann operator, whose coefficient
 must be symmetric, goes through a transform: a constant tensor (the
 homogenized operator) through its own tensor, a variable one through its
 Gauss-point mean.  In the 'dirichlet' and 'periodic' modes a constant
 tensor with a symmetric constrained block (the homogenized operator, the
-Laplacian) goes through its transform; every other operator (a variable
-Dirichlet coefficient, a variable periodic cell) goes through LU.
+Laplacian) goes through its transform.  A variable rescaled Dirichlet
+coefficient with c = n eps cells per period, 2 <= c <= 32, on a mesh of
+n >= max(32, c^2/4) with n/c a power of two, goes through its cell
+template, where it was measured to beat the LU; every other operator (a
+misaligned or period-1 Dirichlet coefficient, a coarser mesh, a variable
+periodic cell) goes through LU.
 
 Solve data comes in fixed layouts, for an operator with m components:
 
@@ -55,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,9 +106,10 @@ class _UniformGrid:
     """What the torus grid and the square mesh share: uniform square elements
     of side h whose first local node is the lower-left corner."""
 
-    def gauss_points(self):
-        """The four Gauss points of every element, (nelem, 4, 2)."""
-        corners = self.nodes[self.elem_dofs[:, 0]]
+    def gauss_points(self, elems=slice(None)):
+        """The four Gauss points of every element, or of the elements elems,
+        (nelem, 4, 2)."""
+        corners = self.nodes[self.elem_dofs[elems, 0]]
         return corners[:, None, :] + GAUSS_POINTS[None, :, :] * self.h
 
 
@@ -188,6 +197,11 @@ def _nodal(mesh, values):
     return vals
 
 
+def _dofs(nodes, m):
+    """The dofs of nodes, node-major: node * m + component."""
+    return (np.asarray(nodes)[:, None] * m + np.arange(m)).ravel()
+
+
 def write_nodal_csv(mesh, values, path):
     """Write a nodal table as rows node_x,node_y,component,value, component-major;
     every number is the shortest repr that reads back to the same float."""
@@ -220,10 +234,10 @@ class AssembledOperator:
     mode 'dirichlet' eliminates boundary dofs at solve time; mode 'neumann'
     pins the boundary mean of each component; mode 'periodic' pins the
     volume mean on the torus.  Each mode has one solve: the Solver of its
-    constrained system (factorization(), through a transform or a sparse
-    LU), which checks the residual of every column it solves.  The solver
-    is cached behind the handle; release() frees it (an LU is large at fine
-    resolution).  coeff_mean is the (2, 2, m, m) mean of the coefficient
+    constrained system (factorization(), through a transform, a cell
+    template or a sparse LU), which checks the residual of every column it
+    solves.  The solver is cached behind the handle; release() frees it (an
+    LU is large at fine resolution).  coeff_mean is the (2, 2, m, m) mean of the coefficient
     over the Gauss points of the mesh, the cell mean when the mesh holds
     whole periods; it sets the transform that solves a variable Neumann
     coefficient, which has no other solve.
@@ -251,8 +265,7 @@ class AssembledOperator:
     def dof_split(self):
         """(interior dofs sorted, boundary dofs in boundary order)."""
         if self._interior_dofs is None:
-            m = self.m
-            bd = (self.mesh.boundary_nodes[:, None] * m + np.arange(m)[None, :]).ravel()
+            bd = _dofs(self.mesh.boundary_nodes, self.m)
             mask = np.zeros(self.ndof, dtype=bool)
             mask[bd] = True
             self._boundary_dofs = bd
@@ -292,22 +305,27 @@ class AssembledOperator:
         coefficient is constant, of coeff_mean otherwise; its coefficient
         must be symmetric (A* = A) and it must have one of the two tensors
         (coeff_mean None of a variable coefficient has none), or
-        ValueError is raised.  In the
-        'dirichlet' and 'periodic' modes a constant tensor, at any period,
-        whose constrained block is symmetric is solved through its
-        transform, and every other operator through the sparse LU of
-        _factor.
+        ValueError is raised.  In the 'dirichlet' and 'periodic' modes a
+        constant tensor, at any period, whose constrained block is
+        symmetric is solved through its transform.  A variable rescaled
+        Dirichlet coefficient on a mesh of n >= max(32, c^2/4) that holds
+        2^k x 2^k whole periods (k >= 1) of c cells, 2 <= c <= 32, is solved
+        by nested elimination of its cell template (_template_cells).  Every
+        other operator (a misaligned or period-1 field, a coarser mesh, the
+        periodic cell) goes through the sparse LU of _factor.
         """
         if self._solver is None:
-            tensor = _constant_tensor(self.coeff)
+            tensor, cells = _constant_tensor(self.coeff), None
             if self.mode == "neumann":
                 if not self.coeff.symmetric:
                     raise ValueError("a Neumann operator needs a symmetric coefficient (A* = A)")
                 if tensor is None:
                     tensor = self.coeff_mean
-            elif tensor is not None and not _symmetric_block(tensor):
+            elif tensor is None:
+                cells = _template_cells(self)
+            elif not _symmetric_block(tensor):
                 tensor = None
-            self._solver = Solver(self, tensor)
+            self._solver = Solver(self, tensor, cells)
         return self._solver
 
 
@@ -357,6 +375,173 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
 
 
+# where the cell template was measured to beat the sparse LU (set-up and a
+# 19-column solve, one BLAS thread, m = 1 and 2, c = 2..32, 2 to 128 periods
+# per side): at most 32 cells per period, the largest measured; at least 32
+# cells per side (n = 16: 2-3 ms against 0.2-2 ms); and n >= c^2/4, since
+# the cell's dense elimination of (c - 1)^2 m unknowns grows as c^6 and the
+# LU as n^3 (c = 32, m = 1: n = 128 took 0.14 s against 0.10 s, n = 256
+# 0.26 s against 0.49 s; c = 16, 2 periods: 8 ms against 4 ms)
+_TEMPLATE_MAX_CELLS = 32
+_TEMPLATE_MIN_N = 32
+
+
+def _template_cells(op):
+    """c, the cells per period of a rescaled Dirichlet operator whose mesh
+    of n >= max(32, c^2/4) cells per side holds 2^k x 2^k whole periods
+    (k >= 1) with 2 <= c <= 32; otherwise None."""
+    eps = op.coeff.epsilon
+    if op.mode != "dirichlet" or eps is None:
+        return None
+    n = op.mesh.n
+    c = round(n * eps)
+    if (not 2 <= c <= _TEMPLATE_MAX_CELLS or n < max(_TEMPLATE_MIN_N, c * c / 4)
+            or abs(n * eps - c) > 1e-9 * c or n % c):
+        return None
+    periods = n // c
+    return c if periods >= 2 and periods & (periods - 1) == 0 else None
+
+
+def _block_nodes(s, cell):
+    """(ring, eliminated) local nodes of a block of s x s cells, whose
+    (s + 1)^2 nodes are numbered row by row: the cell eliminates its
+    interior, a larger block the cross where its four children meet."""
+    ix, iy = np.divmod(np.arange((s + 1) ** 2), s + 1)[::-1]
+    ring = (ix % s == 0) | (iy % s == 0)
+    inside = ~ring if cell else ~ring & ((ix == s // 2) | (iy == s // 2))
+    return np.flatnonzero(ring), np.flatnonzero(inside)
+
+
+# the four children of a block, (dy, dx), in the order of _child_maps
+_CHILDREN = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _child_maps(s, ring, eliminated, child_ring, m):
+    """For each child of a block of side s, the positions of its ring dofs
+    in the block's [ring, eliminated] dofs."""
+    half = s // 2
+    pos = np.empty((s + 1) ** 2, dtype=np.int64)
+    pos[np.concatenate([ring, eliminated])] = np.arange(ring.size + eliminated.size)
+    cy, cx = np.divmod(child_ring, half + 1)
+    return [_dofs(pos[(cy + dy * half) * (s + 1) + cx + dx * half], m) for dy, dx in _CHILDREN]
+
+
+def _interior_positions(n, s, local, m):
+    """Rows of K_ii (the interior dofs of the mesh of side n, sorted) of the
+    local nodes of every block of side s: (local.size * m, n/s, n/s),
+    indexed [dof, by, bx] for the block at offset (bx s, by s)."""
+    blocks = np.arange(n // s) * s
+    ly, lx = np.divmod(local, s + 1)
+    node = (blocks[:, None] + ly[:, None, None] - 1) * (n - 1) + blocks + lx[:, None, None] - 1
+    return (node[:, None] * m + np.arange(m)[:, None, None]).reshape(-1, n // s, n // s)
+
+
+# one level of the cell template: the K_ii rows of the dofs each of its
+# blocks eliminates, [dof, by, bx], the children's ring positions in its
+# [ring, eliminated] dofs (None for the cell), its ring's dof count, and
+# A_EE^-1, A_EE^-1 A_ER and A_RE (the last two None for the top block)
+_Level = namedtuple("_Level", "elim maps nR inv W A_RE")
+
+
+class _CellTemplate:
+    """K_ii of a Dirichlet operator whose coefficient repeats in every
+    period of c cells, on a mesh of 2^k x 2^k periods, eliminated block by
+    nested block: the exact part of its Solver in place of a sparse LU.
+
+    Level 0 is the period cell and level l the block of 2^l x 2^l periods.
+    Every block of a level has the same matrix, so one dense template per
+    level serves them all (nested dissection whose fronts at one level are
+    equal; George, SIAM J. Numer. Anal. 10, 1973).  The cell's template is
+    the (c + 1)^2 m matrix that assemble builds from op.coeff at the first
+    period's Gauss points (2-D stiffness does not depend on the element
+    size), and it eliminates the (c - 1)^2 interior nodes.  A block of level
+    l >= 1 scatters four copies of its child's Schur complement onto its
+    ring plus the cross where they meet, and eliminates the cross.  Each
+    level keeps, for its eliminated dofs E and ring dofs R, A_EE^-1,
+    A_EE^-1 A_ER and A_RE; the top block's ring is the Dirichlet boundary,
+    so it keeps A_EE^-1 alone.
+
+    solve(B) condenses the data upward, level by level, and substitutes
+    back downward, each step one matmul over every block of a level and
+    every column.  The template holds only for a coefficient that repeats
+    in every period; the Solver's residual check against the assembled
+    K_ii is what catches one that does not.
+    """
+
+    def __init__(self, op, c):
+        mesh, m, n = op.mesh, op.m, op.mesh.n
+        first = (np.arange(c)[:, None] * n + np.arange(c)).ravel()
+        A = np.asarray(op.coeff(mesh.gauss_points(first).reshape(-1, 2)))
+        with warnings.catch_warnings():
+            # the cell mesh resolves the field: its Gauss values are the
+            # fine mesh's, sampled at h <= eps/8 or warned about there
+            warnings.filterwarnings("ignore", message="under-resolved oscillation")
+            cell = assemble(op.coeff, DomainMesh(c), A_gauss=A.reshape(c * c, 4, 2, 2, m, m))
+        self._levels = []
+        s, ring, schur = c, None, None
+        while True:
+            child_ring = ring
+            ring, elim = _block_nodes(s, cell=schur is None)
+            nR, maps = ring.size * m, None
+            if schur is None:
+                order = _dofs(np.concatenate([ring, elim]), m)
+                M = cell.matrix.toarray()[np.ix_(order, order)]
+            else:
+                maps = _child_maps(s, ring, elim, child_ring, m)
+                # the top block needs only its cross: its ring is the boundary
+                lo = nR if s == n else 0
+                M = np.zeros((nR + elim.size * m - lo,) * 2)
+                for mp in maps:
+                    keep = mp >= lo
+                    M[np.ix_(mp[keep] - lo, mp[keep] - lo)] += schur[np.ix_(keep, keep)]
+            if s == n:
+                self._levels.append(_Level(_interior_positions(n, s, elim, m), maps, nR,
+                                           np.linalg.inv(M), None, None))
+                return
+            inv = np.linalg.inv(M[nR:, nR:])
+            W = inv @ M[nR:, :nR]
+            A_RE = M[:nR, nR:].copy()
+            schur = M[:nR, :nR] - A_RE @ W
+            self._levels.append(_Level(_interior_positions(n, s, elim, m), maps, nR, inv, W, A_RE))
+            s *= 2
+
+    def solve(self, B):
+        """K_ii^{-1} B for B (ndof, ncols), without a residual check."""
+        ncols = B.shape[1]
+        upward, g = [], None
+        for elim, maps, nR, inv, W, A_RE in self._levels:
+            z = B[elim]                                   # [dof, by, bx, column]
+            if maps is not None:
+                # the children's condensed data, on this block's ring and cross
+                k = elim.shape[1]
+                children = g.reshape(-1, k, 2, k, 2, ncols)
+                zRE = np.concatenate([np.zeros((nR, k, k, ncols)), z])
+                for (dy, dx), mp in zip(_CHILDREN, maps):
+                    zRE[mp] += children[:, :, dy, :, dx]
+                z = zRE[nR:]
+            u = inv @ z.reshape(z.shape[0], -1)
+            upward.append(u)
+            if A_RE is not None:
+                g = -(A_RE @ u) if maps is None else zRE[:nR].reshape(nR, -1) - A_RE @ u
+        X = np.empty_like(B)
+        xR = None
+        for (elim, maps, nR, inv, W, A_RE), x in zip(self._levels[::-1], upward[::-1]):
+            if W is not None:
+                x -= W @ xR
+            X[elim] = x.reshape(*elim.shape, ncols)
+            if maps is not None:
+                # this block's ring (zero on the boundary) and cross, read
+                # onto each child's ring
+                ring = np.zeros((nR, x.shape[1])) if xR is None else xR
+                k = elim.shape[1]
+                xRE = np.concatenate([ring, x]).reshape(-1, k, k, ncols)
+                child = np.empty((maps[0].size, k, 2, k, 2, ncols))
+                for (dy, dx), mp in zip(_CHILDREN, maps):
+                    child[:, :, dy, :, dx] = xRE[mp]
+                xR = child.reshape(maps[0].size, -1)
+        return X
+
+
 class Solver:
     """Solves the constrained system of an operator: K_ii x = b on the
     square's interior (mode 'dirichlet'), the mean-zero x with
@@ -378,15 +563,20 @@ class Solver:
     of each component on the torus and for Neumann.  A column that misses
     raises SolveError, so no caller checks a solution again.
 
-    The exact part is one of two; factorization() picks it.
+    The exact part is one of three, a direct solve or a transform;
+    factorization() picks it.
 
-    With tensor None it is the sparse LU that op._factor makes of K_ii, or
-    on the torus of the bordered system with the sparse volume-mean pin
-    columns C; a Neumann operator has no LU and raises ValueError.  The bordered LU takes the data as given, with the zero
-    constraint rows appended, since its multiplier takes off the part C
-    absorbs by itself; the multipliers are dropped from x.  An LU column
-    that misses the rule raises at once: K_ii of a non-symmetric
-    coefficient is not SPD, so conjugate gradients cannot repair it.
+    With tensor None the part is direct.  Given cells c, it is the nested
+    elimination of the operator's eps-periodic cell template
+    (_CellTemplate).  Otherwise it is the sparse LU that op._factor makes
+    of K_ii, or on the torus of the bordered system with the sparse
+    volume-mean pin columns C; a Neumann operator has no direct part and
+    raises ValueError.  The bordered LU takes the data as given, with the
+    zero constraint rows appended, since its multiplier takes off the part
+    C absorbs by itself; the multipliers are dropped from x.  A column of
+    a direct part that misses the rule raises at once: K_ii of a
+    non-symmetric coefficient is not SPD, so conjugate gradients cannot
+    repair it.
 
     With a constant tensor a it is the transform of a on the uniform grid.
     On the grid's dofs, ordered [y, x, component], the Q1 matrix of a is
@@ -411,9 +601,10 @@ class Solver:
     product.
     """
 
-    def __init__(self, op, tensor):
+    def __init__(self, op, tensor, cells):
         n, m = op.mesh.n, op.m
-        self._mode, self._m, self._lu, self._scale, self._pin = op.mode, m, None, None, None
+        self._mode, self._m, self._direct, self._scale, self._pin = op.mode, m, None, None, None
+        self._part = "transform"
         self._K = op.interior_matrix() if op.mode == "dirichlet" else op.matrix
         self._floor = _FLOOR * np.abs(self._K.data).max()
         if op.mode != "dirichlet":
@@ -423,14 +614,19 @@ class Solver:
             if op.mode == "neumann":
                 raise ValueError("a Neumann operator is solved by transform; it needs a tensor "
                                  "(its constant value or coeff_mean)")
-            if op.mode == "dirichlet":
-                self._lu = op._factor(self._K)
+            self._part = "sparse LU"
+            if cells is not None:
+                self._part = (f"the cell template of {cells} cells per period (which holds "
+                              "only for a coefficient that repeats in every period)")
+                self._direct = _CellTemplate(op, cells)
+            elif op.mode == "dirichlet":
+                self._direct = op._factor(self._K)
             else:
                 # the sparse (ndof, m) pin columns: column a weights component a
-                rows = (nodes[:, None] * m + np.arange(m)).ravel()
+                rows = _dofs(nodes, m)
                 C = sp.csr_matrix((np.repeat(w, m), (rows, np.tile(np.arange(m), nodes.size))),
                                   shape=(op.ndof, m))
-                self._lu = op._factor(sp.bmat([[self._K, C], [C.T, None]], format="csc"))
+                self._direct = op._factor(sp.bmat([[self._K, C], [C.T, None]], format="csc"))
             return
         # imported here, not with the module: scipy.fft adds ~55 ms and ~3 MiB
         # to the start-up of every process that never builds a transform
@@ -510,8 +706,8 @@ class Solver:
         return r, ~(res2 <= np.maximum(target, floor))
 
     def _fail(self, todo, steps):
-        raise SolveError(f"{self._mode} solve failed its residual check on {todo.sum()} of "
-                         f"{todo.size} columns after {steps} conjugate-gradient steps")
+        raise SolveError(f"{self._mode} solve by {self._part} failed its residual check on "
+                         f"{todo.sum()} of {todo.size} columns after {steps} conjugate-gradient steps")
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
@@ -521,15 +717,15 @@ class Solver:
         # to roundoff, and what is left of it past the mean is roundoff too
         bnorm2 = np.einsum("ij,ij->j", B, B)
         balanced = B if self._pin is None else self._balanced(B)
-        if self._lu is None:
+        if self._direct is None:
             x = self._precondition(balanced.copy())
         elif self._pin is None:
-            x = self._lu.solve(B)
+            x = self._direct.solve(B)
         else:
-            x = self._lu.solve(np.concatenate([B, np.zeros((self._m, B.shape[1]))]))[:B.shape[0]]
+            x = self._direct.solve(np.concatenate([B, np.zeros((self._m, B.shape[1]))]))[:B.shape[0]]
         r, todo = self._residual(x, balanced, bnorm2)
         if todo.any():
-            if self._lu is not None:
+            if self._direct is not None:
                 self._fail(todo, 0)
             self._cg(x, r, todo, balanced, bnorm2)
         if self._mode == "neumann":

@@ -3,9 +3,10 @@
 Every computation at one epsilon reads from one EpsilonContext: the sweeps
 (all experiments of a group share it), the prop 2.1/2.4 refinement runner
 and the `expand` and `correctors` commands.  Quantities are computed in
-operator-affine batches (all solves against one factorization before
-moving to the next operator) because only one sparse LU fits comfortably
-in memory at the finest resolution.  Cell solutions are cached per
+operator-affine batches (all solves against one operator's solver before
+moving to the next operator), and building an operator releases the
+solvers of the others, so one level holds one solver at a time.  Cell
+solutions are cached per
 coefficient and grid while one run_many lasts.  The quantities themselves
 come from the library (kernels, expand, correctors) run with the
 context's cached operators, so each has one implementation.
@@ -24,7 +25,9 @@ from ..mesh import (AssembledOperator, DomainMesh, assemble, solve_dirichlet, so
                     conormal)
 
 _CELL_CACHE = {}
-# the finest mesh whose Dirichlet LU is known to fit in memory: about 121M
+# the finest mesh any level may have.  An aligned level's Dirichlet operator
+# is solved by its cell template (86 MiB stored at n = 1024, 16 cells per
+# period), but a misaligned one still goes through the sparse LU: about 121M
 # nnz (1.4 GB) at n = 1024, against an estimated 0.5G nnz (about 6 GB) at 2048
 DEFAULT_MAX_N = 1024
 
@@ -72,7 +75,10 @@ class EpsilonContext:
     the (2, 2, m, m) tensor of the homogenized operators L_0.  The level
     is the unit square with cells_per_period cells per period eps.
     Operators are built on first use by op(name) and quantities by
-    prepare(needs), into data.
+    prepare(needs), into data.  When 1/eps is a power of two,
+    cells_per_period is at most 32 and the mesh has at least 32 and
+    cells_per_period^2/4 cells per side, dir_eps is solved by its cell
+    template rather than a sparse LU (mesh.AssembledOperator.factorization).
     """
 
     def __init__(self, cell: cellmod.CellSolution, hatA, eps, cells_per_period):

@@ -76,6 +76,13 @@ def test_under_resolution_warning(layered_field):
         mesh.assemble(coeff.rescale(layered_field, 1.0), dm, mode="dirichlet")
         # a rescaled constant does not oscillate
         mesh.assemble(coeff.rescale(coeff.builtin("constant", value=2.0), 1 / 4), dm)
+        # the cell template assembles its cell mesh of 8 cells from the
+        # Gauss values of a mesh that resolves the field
+        mesh.assemble(coeff.rescale(layered_field, 1 / 4), mesh.DomainMesh(32)).factorization()
+    # Gauss values passed in are checked as the field's own
+    sc = coeff.rescale(layered_field, 1 / 4)
+    with pytest.warns(UserWarning, match="under-resolved oscillation"):
+        mesh.assemble(sc, dm, A_gauss=mesh.coefficient_gauss_values(sc, dm))
 
 
 def test_dirichlet_affine_data_exact(identity_field):
@@ -438,18 +445,22 @@ def test_nonsymmetric_constant_solves(monkeypatch, m):
     assert np.abs(u.ravel()[inter] - expect).max() <= 1e-11 * np.abs(expect).max()
 
 
+def _skewed_field():
+    """A non-symmetric periodic field: the diagonal layers plus a skew part."""
+    base = coeff.builtin("layered", wavevector=(1, 1))
+    skew = np.array([[0.0, 0.8], [-0.8, 0.0]])[:, :, None, None]
+    return coeff.CoefficientField(
+        lambda pts: base(pts) + np.cos(2 * np.pi * pts[:, 1])[:, None, None, None, None] * skew,
+        symmetric=False)
+
+
 def test_adjoint_operator_is_the_transposed_matrix():
     # op.adjoint() is op for a symmetric coefficient; otherwise its matrix is
     # what assembling A* gives, to roundoff
     dm = mesh.DomainMesh(16)
     layered = mesh.assemble(coeff.rescale(coeff.builtin("layered"), 1 / 4), dm)
     assert layered.adjoint() is layered
-    base = coeff.builtin("layered", wavevector=(1, 1))
-    skew = np.array([[0.0, 0.8], [-0.8, 0.0]])[:, :, None, None]
-    field = coeff.CoefficientField(
-        lambda pts: base(pts) + np.cos(2 * np.pi * pts[:, 1])[:, None, None, None, None] * skew,
-        symmetric=False)
-    op = mesh.assemble(coeff.rescale(field, 1 / 4), dm)
+    op = mesh.assemble(coeff.rescale(_skewed_field(), 1 / 4), dm)
     star = op.adjoint()
     assert (star.mode, star.coeff.epsilon, star.coeff.symmetric) == ("dirichlet", 0.25, False)
     assembled = mesh.assemble(op.coeff.adjoint(), dm).matrix
@@ -472,8 +483,11 @@ def test_constant_dirichlet_operators_never_factor(monkeypatch, transform_tensor
         mesh.solve_dirichlet(op, np.ones((dm.nnodes, field.m)), bdata=1.0)
         kernels.dtn(op)
     assert calls == []
-    op = mesh.assemble(coeff.rescale(coeff.builtin("layered"), 1 / 4), dm)
-    mesh.solve_dirichlet(op, np.ones((dm.nnodes, 1)))
+    # a variable field of 3 periods per side, which the cell template does
+    # not take, is factored
+    dm3 = mesh.DomainMesh(12)
+    op = mesh.assemble(coeff.rescale(coeff.builtin("layered"), 1 / 3), dm3)
+    mesh.solve_dirichlet(op, np.ones((dm3.nnodes, 1)))
     kernels.green(op, (0.5, 0.5))
     assert calls == ["dirichlet"]
     # Neumann operators are solved by transform, never factored
@@ -534,22 +548,25 @@ def test_perturbed_factorization_fails_residual_check(monkeypatch, layered_field
     # its highest mode pair cannot take up the data's part there
     init = mesh.Solver.__init__
 
-    def perturbed_init(self, op, tensor):
-        init(self, op, tensor)
-        if self._lu is None:
+    def perturbed_init(self, op, tensor, cells):
+        init(self, op, tensor, cells)
+        if self._direct is None:
             self._inv[-1, -1] = 0.0
 
     monkeypatch.setattr(mesh.Solver, "__init__", perturbed_init)
     dm = mesh.DomainMesh(16)
     sc = coeff.rescale(layered_field, 1 / 4)
-    with pytest.raises(mesh.SolveError, match="residual check"):
+    # 3 periods per side: the Dirichlet operator is factored, not templated
+    dm3, sc3 = mesh.DomainMesh(12), coeff.rescale(layered_field, 1 / 3)
+    with pytest.raises(mesh.SolveError, match="sparse LU failed its residual check"
+                       if solve != "neumann" else "residual check"):
         if solve == "dirichlet":
-            mesh.solve_dirichlet(mesh.assemble(sc, dm), np.ones((dm.nnodes, 1)))
+            mesh.solve_dirichlet(mesh.assemble(sc3, dm3), np.ones((dm3.nnodes, 1)))
         elif solve == "neumann":
             load = np.random.default_rng(0).standard_normal(dm.nnodes)
             mesh.solve_neumann(mesh.assemble(sc, dm, mode="neumann"), load - load.mean())
         else:
-            kernels.dtn(mesh.assemble(sc, dm))
+            kernels.dtn(mesh.assemble(sc3, dm3))
 
 
 @pytest.mark.parametrize("solve", ["dirichlet", "periodic", "dtn"])
@@ -559,9 +576,10 @@ def test_lu_off_by_1e10_fails_residual_check(monkeypatch, layered_field, solve):
     factor = mesh.AssembledOperator._factor
     monkeypatch.setattr(mesh.AssembledOperator, "_factor",
                         lambda self, matrix: _PerturbedLU(factor(self, matrix), rel=1e-10))
-    dm, grid = mesh.DomainMesh(16), mesh.TorusGrid(16)
-    sc = coeff.rescale(layered_field, 1 / 2)
-    with pytest.raises(mesh.SolveError, match="residual check"):
+    # 3 periods per side: the Dirichlet operator is factored, not templated
+    dm, grid = mesh.DomainMesh(12), mesh.TorusGrid(16)
+    sc = coeff.rescale(layered_field, 1 / 3)
+    with pytest.raises(mesh.SolveError, match="sparse LU failed its residual check"):
         if solve == "dirichlet":
             mesh.solve_dirichlet(mesh.assemble(sc, dm), np.ones((dm.nnodes, 1)))
         elif solve == "periodic":
@@ -569,6 +587,133 @@ def test_lu_off_by_1e10_fails_residual_check(monkeypatch, layered_field, solve):
             mesh.solve_periodic(mesh.assemble(layered_field, grid), wave)
         else:
             kernels.dtn(mesh.assemble(sc, dm))
+
+
+# ---------------------------------------------------------------------------
+# cell template of aligned eps-periodic Dirichlet operators
+
+
+def _template_fields():
+    from homoglab.ratelab import coefficient_from_spec
+    from homoglab.ratelab.experiments import LAYERED, LAYERED_DIAG
+    return {
+        "layered": coefficient_from_spec(LAYERED),
+        "layered-diag": coefficient_from_spec(LAYERED_DIAG),
+        "checkerboard-100": coeff.builtin("smoothed-checkerboard", contrast=100.0),
+        "layered-m2": coeff.builtin("layered", m=2),
+        "skewed": _skewed_field(),
+    }
+
+
+def _record_templates(monkeypatch):
+    """The list that gets the cells per period of every cell template built
+    from now on."""
+    calls = []
+    init = mesh._CellTemplate.__init__
+
+    def recording(self, op, c):
+        calls.append(c)
+        init(self, op, c)
+
+    monkeypatch.setattr(mesh._CellTemplate, "__init__", recording)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+@pytest.mark.parametrize("name", ["layered", "layered-diag", "checkerboard-100", "layered-m2",
+                                  "skewed"])
+@pytest.mark.parametrize("c, periods", [(2, 16), (8, 4), (32, 8)])
+def test_cell_template_matches_superlu(monkeypatch, name, c, periods):
+    # periods x periods periods of c cells: the Dirichlet operator, and the
+    # adjoint of a non-symmetric one, are solved by their cell templates,
+    # never factored
+    field = _template_fields()[name]
+    dm = mesh.DomainMesh(periods * c)
+    op = mesh.assemble(coeff.rescale(field, 1 / periods), dm)
+    factored, templated = _record_factors(monkeypatch), _record_templates(monkeypatch)
+    ops = [op] if field.symmetric else [op, op.adjoint()]
+    for each in ops:
+        solver = each.factorization()
+        Kii = each.interior_matrix()
+        B = np.random.default_rng(c).standard_normal((Kii.shape[0], 3))
+        B[:, 1] = 0.0                                    # a zero column stays zero
+        expect = spla.splu(Kii.tocsc()).solve(B)
+        scale = np.abs(expect).max()
+        X = solver.solve(B)
+        assert np.abs(X - expect).max() <= 1e-10 * scale
+        assert np.abs(solver.solve(B[:, 0]) - expect[:, 0]).max() <= 1e-10 * scale
+        assert not X[:, 1].any()
+    assert factored == [] and templated == [c] * len(ops)
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+def test_cell_template_only_for_aligned_variable_dirichlet_operators(monkeypatch, layered_field):
+    templated, factored = _record_templates(monkeypatch), _record_factors(monkeypatch)
+    for field, grid, mode in [
+        (coeff.rescale(layered_field, 1 / 3), mesh.DomainMesh(12), "dirichlet"),   # 3 periods
+        (layered_field, mesh.DomainMesh(16), "dirichlet"),                # a period-1 field
+        (coeff.rescale(layered_field, 1.0), mesh.DomainMesh(16), "dirichlet"),     # 1 period
+        (coeff.rescale(layered_field, 1 / 2), mesh.DomainMesh(128), "dirichlet"),  # c = 64
+        # n < c^2/4: c = 32 on 4 periods, c = 16 on 2
+        (coeff.rescale(layered_field, 1 / 4), mesh.DomainMesh(128), "dirichlet"),
+        (coeff.rescale(layered_field, 1 / 2), mesh.DomainMesh(32), "dirichlet"),
+        (coeff.rescale(layered_field, 1 / 4), mesh.DomainMesh(16), "dirichlet"),   # n < 32
+        (coeff.rescale(coeff.builtin("constant", value=2.0), 1 / 4), mesh.DomainMesh(16),
+         "dirichlet"),                                                    # a rescaled constant
+        (coeff.rescale(layered_field, 1 / 4), mesh.DomainMesh(16), "neumann"),
+        (layered_field, mesh.TorusGrid(16), "periodic"),
+    ]:
+        mesh.assemble(field, grid, mode=mode).factorization()
+    assert templated == []
+    assert factored == ["dirichlet"] * 7 + ["periodic"]
+
+
+@pytest.mark.parametrize("solve", ["dirichlet", "dtn"])
+def test_template_off_by_1e10_fails_residual_check(monkeypatch, layered_field, solve):
+    # the template meets the one rule, 1e-12 of the data: solutions off by
+    # 1e-10 relative miss it and raise at once, with no conjugate gradients
+    template_solve = mesh._CellTemplate.solve
+    monkeypatch.setattr(mesh._CellTemplate, "solve",
+                        lambda self, B: template_solve(self, B) * (1.0 + 1e-10))
+    dm = mesh.DomainMesh(32)
+    op = mesh.assemble(coeff.rescale(layered_field, 1 / 4), dm)
+    with pytest.raises(mesh.SolveError, match=r"cell template of 8 cells per period .* failed "
+                                              r"its residual check .* after 0 conjugate"):
+        if solve == "dirichlet":
+            mesh.solve_dirichlet(op, np.ones((dm.nnodes, 1)))
+        else:
+            kernels.dtn(op)
+
+
+@pytest.mark.parametrize("level, block", [(0, "inv"), (0, "W"), (0, "A_RE"),
+                                          (1, "inv"), (1, "W"), (1, "A_RE"), (2, "inv")])
+def test_template_with_a_zeroed_block_fails_residual_check(monkeypatch, layered_field,
+                                                           level, block):
+    # 4 x 4 periods of 8 cells: the cell, the block of 2 x 2 periods and
+    # the top block, which keeps only its inverse
+    init = mesh._CellTemplate.__init__
+
+    def zeroing(self, op, c):
+        init(self, op, c)
+        getattr(self._levels[level], block)[...] = 0.0
+
+    monkeypatch.setattr(mesh._CellTemplate, "__init__", zeroing)
+    dm = mesh.DomainMesh(32)
+    op = mesh.assemble(coeff.rescale(layered_field, 1 / 4), dm)
+    with pytest.raises(mesh.SolveError, match="cell template .* failed its residual check"):
+        mesh.solve_dirichlet(op, np.ones((dm.nnodes, 1)))
+
+
+def test_cell_template_of_a_field_that_is_not_periodic_fails_residual_check():
+    # a hand-built field that is not periodic, rescaled all the same: the
+    # first period's template is wrong in the others, and the residual
+    # check says so rather than return a wrong number
+    eye = np.eye(2)[None, :, :, None, None]
+    drifting = coeff.CoefficientField(lambda pts: (1.0 + 0.25 * pts[:, :1, None, None, None]) * eye)
+    dm = mesh.DomainMesh(32)
+    op = mesh.assemble(coeff.rescale(drifting, 1 / 4), dm)
+    with pytest.raises(mesh.SolveError, match="cell template .* repeats in every period"):
+        mesh.solve_dirichlet(op, np.ones((dm.nnodes, 1)))
 
 
 # ---------------------------------------------------------------------------

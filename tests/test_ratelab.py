@@ -608,6 +608,10 @@ def test_cli_rejects_inputs_the_run_cannot_take(tmp_path, capsys, argv, named):
     (("all", "--experiments", "cell-oracle"), "--experiments"),
     (("expand", "--eps", "1/4,1/8"), "--eps"),
     (("green", "--eps-list", "1/4"), "--eps-list"),
+    # an abbreviation or a near-miss is not taken for the flag it resembles
+    (("rates", "--experiment", "leibniz-1"), "--experiment"),
+    (("expand", "--fam", "neumann"), "--fam"),
+    (("correctors", "--e", "1/4"), "--e"),
 ])
 def test_cli_subcommand_refuses_flags_it_does_not_read(tmp_path, capsys, argv, flag):
     # a flag that the subcommand would ignore, or a second epsilon where it

@@ -52,10 +52,12 @@ def test_factor_kind_and_nnz_of_the_operators_src_builds(monkeypatch, layered_fi
     from homoglab import mesh
     from homoglab.ratelab.context import EpsilonContext, cell_solution
     tracing = _load_tracing()
+    # 3 periods per side, so that dir_eps is factored, not solved by its
+    # cell template
     ctx = EpsilonContext(cell_solution(layered_field, 16), cell_solution(layered_field, 8).hatA,
-                         1 / 4, 8)
+                         1 / 3, 8)
     # the tracer's level wrapper reads the level's mesh resolution after __init__
-    assert isinstance(ctx.n, numbers.Integral) and ctx.n == 32
+    assert isinstance(ctx.n, numbers.Integral) and ctx.n == 24
     factored = []
     factor = mesh.AssembledOperator._factor
 
@@ -79,6 +81,29 @@ def test_factor_kind_and_nnz_of_the_operators_src_builds(monkeypatch, layered_fi
     # dir_0 and the Neumann operators are solved by transform and never factored
     assert [kind for kind, _ in factored] == ["dir_eps", "periodic"]
     assert all(isinstance(nnz, numbers.Integral) and nnz > 0 for _, nnz in factored)
+
+
+def test_an_aligned_level_factors_only_the_periodic_cell(monkeypatch, layered_field):
+    # 4 x 4 periods: dir_eps is solved by its cell template, dir_0 and the
+    # Neumann operators by transform, so only the cell is factored
+    from homoglab import cell, mesh
+    from homoglab.ratelab.context import EpsilonContext
+    tracing = _load_tracing()
+    factored = []
+    factor = mesh.AssembledOperator._factor
+
+    def recording(op, matrix):
+        factored.append(tracing.factor_kind(op))
+        return factor(op, matrix)
+
+    monkeypatch.setattr(mesh.AssembledOperator, "_factor", recording)
+    cell16 = cell.solve(layered_field, 16)
+    ctx = EpsilonContext(cell16, cell16.hatA, 1 / 4, 8)
+    try:
+        ctx.prepare(["G_eps", "u_dir_eps", "G_0", "N_eps", "N_0"])
+    finally:
+        ctx.release()
+    assert factored == ["periodic"]
 
 
 def test_assemble_and_dtn_results_carry_what_the_tracer_counts(identity_field):
