@@ -48,7 +48,15 @@ Solve data comes in fixed layouts, for an operator with m components:
 Solve data of any other shape or type (a callable, say) raises
 ValueError naming the accepted layouts.  The loads take nodal tables,
 volume_load (nnodes, m) and divergence_load (nnodes, 2, m), and raise
-ValueError for any other shape.  Neumann data must be compatible (total
+ValueError for any other shape.  On the uniform grid they are Kronecker
+products of 1-D three-point stencils applied to the node grid [y, x,
+component] (sum factorization): volume_load is h^2 (M (x) M) f and
+divergence_load is h [(M (x) C) f_1 + (C (x) M) f_2], with the Q1 mass
+stencil M = tridiag(1, 4, 1)/6 and derivative stencil C = tridiag(1/2, 0,
+-1/2), both with end rows on the square and circulant on the torus.  They
+are exact for the bilinear interpolant of the data, as 2 x 2 Gauss is.
+volume_load_from_gauss and divergence_load_from_gauss stay for data known
+only at the Gauss points.  Neumann data must be compatible (total
 source plus total flux zero per component); solve_neumann is the one place
 that checks it.
 
@@ -178,8 +186,16 @@ class DomainMesh(_UniformGrid):
         self.interior_nodes = np.flatnonzero(~bmask)
 
     def nearest_node(self, pt):
-        """Index of the mesh node closest to the point pt."""
-        return int(np.argmin(np.sum((self.nodes - np.asarray(pt)) ** 2, axis=1)))
+        """Index of the mesh node closest to the point pt, the lowest on a tie,
+        as an argmin over all nodes gives.  The squared distance is a sum of
+        one term per axis, and rounding keeps that sum monotone in each, so the
+        search runs over one row and one column of the grid."""
+        x, y = np.asarray(pt, dtype=float)
+        axis = np.arange(self.n + 1) * self.h
+        dx2, dy2 = (axis - x) ** 2, (axis - y) ** 2
+        best = dx2.min() + dy2.min()
+        row = int(np.argmax(dx2.min() + dy2 == best))
+        return row * (self.n + 1) + int(np.argmax(dx2 + dy2[row] == best))
 
     def dist_to_boundary(self, pts):
         pts = np.asarray(pts)
@@ -825,20 +841,62 @@ def _scatter(mesh, loc):
     return np.bincount(dofs, weights=loc.ravel(), minlength=mesh.nnodes * m)
 
 
+# 1-D Q1 stencils (sub-, main, super-diagonal, first and last diagonal on the
+# square) per unit cell width: the mass matrix M, integral phi_a phi_b / h,
+# and the derivative matrix C, row b of integral phi_a dphi_b/dx
+_MASS = (1 / 6, 4 / 6, 1 / 6, 2 / 6, 2 / 6)
+_DERIV = (0.5, 0.0, -0.5, -0.5, 0.5)
+
+
+def _stencil(mesh, f, axis, stencil):
+    """The 1-D stencil applied along axis (0 = y, 1 = x) of a node grid
+    f [y, x, component]: tridiagonal on the square, circulant on the torus."""
+    lo, mid, hi, first, last = stencil
+    f = np.moveaxis(f, axis, 0)
+    out = mid * f
+    out[1:] += lo * f[:-1]
+    out[:-1] += hi * f[1:]
+    if mesh.is_torus:
+        out[0] += lo * f[-1]
+        out[-1] += hi * f[0]
+    else:
+        out[0] = first * f[0] + hi * f[1]
+        out[-1] = lo * f[-2] + last * f[-1]
+    return np.moveaxis(out, 0, axis)
+
+
+def _node_grid(mesh, table):
+    """A nodal table (nnodes, m) as a node grid [y, x, component], a view."""
+    side = mesh.n if mesh.is_torus else mesh.n + 1
+    return table.reshape(side, side, -1)
+
+
 def volume_load(mesh, values):
-    """Assemble v -> integral f . v for nodal values f, (nnodes, m)."""
+    """Assemble v -> integral f . v for nodal values f, (nnodes, m).
+
+    On the uniform grid this is h^2 (M (x) M) f with the 1-D mass stencil M,
+    exact for the bilinear interpolant of f, so no element is visited."""
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[0] != mesh.nnodes:
         raise ValueError(f"volume load takes nodal values ({mesh.nnodes}, m), got shape {vals.shape}")
-    return volume_load_from_gauss(mesh, element_gauss_values(mesh, vals))
+    out = _stencil(mesh, _stencil(mesh, _node_grid(mesh, vals), 1, _MASS), 0, _MASS)
+    out *= mesh.h ** 2
+    return out.ravel()
 
 
 def divergence_load(mesh, values):
-    """Assemble v -> integral f_i^a dv^a/dx_i for nodal data f, (nnodes, 2, m)."""
+    """Assemble v -> integral f_i^a dv^a/dx_i for nodal data f, (nnodes, 2, m).
+
+    On the uniform grid this is h [(M (x) C) f_1 + (C (x) M) f_2], the first
+    factor along y, with the 1-D mass and derivative stencils M and C; it is
+    exact for the bilinear interpolant of f."""
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 3 or vals.shape[:2] != (mesh.nnodes, 2):
         raise ValueError(f"divergence load takes nodal data ({mesh.nnodes}, 2, m), got shape {vals.shape}")
-    return divergence_load_from_gauss(mesh, element_gauss_values(mesh, vals))
+    out = _stencil(mesh, _stencil(mesh, _node_grid(mesh, vals[:, 0]), 1, _DERIV), 0, _MASS)
+    out += _stencil(mesh, _stencil(mesh, _node_grid(mesh, vals[:, 1]), 0, _DERIV), 1, _MASS)
+    out *= mesh.h
+    return out.ravel()
 
 
 def volume_load_from_gauss(mesh, fg):
@@ -996,16 +1054,16 @@ def norm(mesh, values, kind="Lp", p=2.0):
     h2 = mesh.h ** 2
 
     if kind in ("Lp", "W1p"):
-        vg, gg = element_gauss_values(mesh, vals), element_gauss_gradients(mesh, vals)
         if np.isinf(p):
             vmax = np.abs(vals).max()
             if kind == "Lp":
                 return float(vmax)
+            gg = element_gauss_gradients(mesh, vals)
             return float(max(vmax, np.sqrt((gg ** 2).sum(axis=2)).max()))
-        vmag = np.sqrt((vg ** 2).sum(axis=2))
+        vmag = np.sqrt((element_gauss_values(mesh, vals) ** 2).sum(axis=2))
         term = h2 * (GAUSS_WEIGHTS[None, :] * vmag ** p).sum()
         if kind == "W1p":
-            gmag = np.sqrt((gg ** 2).sum(axis=(2, 3)))
+            gmag = np.sqrt((element_gauss_gradients(mesh, vals) ** 2).sum(axis=(2, 3)))
             term += h2 * (GAUSS_WEIGHTS[None, :] * gmag ** p).sum()
         return float(term ** (1.0 / p))
 

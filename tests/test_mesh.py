@@ -254,6 +254,157 @@ def test_norm_rejects_nan():
         mesh.norm(dm, f, "Lp", 2)
 
 
+def _gauss_formula_norm(dm, vals, kind, p):
+    """The norm written out element by element: bilinear values and
+    gradients at the 2 x 2 Gauss points (3 -+ sqrt 3)/6, weight h^2/4 each."""
+    N, h = dm.n + 1, dm.h
+    U = vals.reshape(N, N, -1)
+    u00, u10, u01, u11 = U[:-1, :-1], U[:-1, 1:], U[1:, :-1], U[1:, 1:]
+    pts = ((3 - np.sqrt(3)) / 6, (3 + np.sqrt(3)) / 6)
+    val_p, grad_p, grad_max, weighted = 0.0, 0.0, 0.0, 0.0
+    ey, ex = np.meshgrid(np.arange(dm.n), np.arange(dm.n), indexing="ij")
+    for eta in pts:
+        for xi in pts:
+            u = (u00 * (1 - xi) * (1 - eta) + u10 * xi * (1 - eta)
+                 + u01 * (1 - xi) * eta + u11 * xi * eta)
+            gx = ((u10 - u00) * (1 - eta) + (u11 - u01) * eta) / h
+            gy = ((u01 - u00) * (1 - xi) + (u11 - u10) * xi) / h
+            grad2 = (gx ** 2 + gy ** 2).sum(axis=2)
+            grad_max = max(grad_max, np.sqrt(gx ** 2 + gy ** 2).max())
+            if np.isfinite(p):
+                val_p += h * h / 4 * (np.sqrt((u ** 2).sum(axis=2)) ** p).sum()
+                grad_p += h * h / 4 * (np.sqrt(grad2) ** p).sum()
+            x, y = (ex + xi) * h, (ey + eta) * h
+            dist = np.minimum(np.minimum(x, 1 - x), np.minimum(y, 1 - y))
+            weighted += h * h / 4 * (grad2 * dist).sum()
+    if kind == "weighted_grad":
+        return np.sqrt(weighted)
+    if np.isinf(p):
+        vmax = np.abs(vals).max()
+        return vmax if kind == "Lp" else max(vmax, grad_max)
+    return (val_p + (grad_p if kind == "W1p" else 0.0)) ** (1 / p)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("p", [1, 1.5, 2, np.inf])
+@pytest.mark.parametrize("kind", ["Lp", "W1p", "weighted_grad"])
+def test_norm_matches_the_gauss_formula(kind, p, m):
+    dm = mesh.DomainMesh(12)
+    x, y = dm.nodes[:, 0], dm.nodes[:, 1]
+    vals = np.column_stack([np.sin(3 * x + 1) * np.cos(2 * y) - 0.3, x * y ** 2 - 0.2][:m])
+    got = mesh.norm(dm, vals, kind, p)
+    assert isinstance(got, float)
+    assert got == pytest.approx(_gauss_formula_norm(dm, vals, kind, p), rel=1e-13)
+
+
+def test_norm_builds_only_the_gauss_arrays_its_kind_reads(monkeypatch):
+    dm = mesh.DomainMesh(8)
+    vals = dm.nodes[:, :1] ** 2
+    built = []
+    for name in ("element_gauss_values", "element_gauss_gradients"):
+        real = getattr(mesh, name)
+        monkeypatch.setattr(mesh, name, lambda *a, _real=real, _name=name: built.append(_name) or _real(*a))
+    expected = {("Lp", 2): ["element_gauss_values"], ("Lp", np.inf): [],
+                ("W1p", 2): ["element_gauss_values", "element_gauss_gradients"],
+                ("W1p", np.inf): ["element_gauss_gradients"],
+                ("weighted_grad", 2): ["element_gauss_gradients"]}
+    for (kind, p), names in expected.items():
+        built.clear()
+        mesh.norm(dm, vals, kind, p)
+        assert built == names, (kind, p)
+
+
+def _full_argmin(dm, pt):
+    return int(np.argmin(np.sum((dm.nodes - np.asarray(pt)) ** 2, axis=1)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 24, 64, 256, 1024])
+def test_nearest_node_is_the_argmin_over_all_nodes(n):
+    from homoglab.ratelab.context import GREEN_EVAL, GREEN_SOURCE, INTERIOR_EVAL
+    dm = mesh.DomainMesh(n)
+    rng = np.random.default_rng(n)
+    h = dm.h
+    registry = [GREEN_SOURCE, GREEN_EVAL, *INTERIOR_EVAL, (0.5, 0.5), (0.5, 1 / 3)]
+    random = rng.uniform(0.0, 1.0, (12, 2))
+    i, j = rng.integers(0, n, (2, 12))
+    halfway = np.concatenate([np.column_stack([(i + 0.5) * h, (j + 0.5) * h]),
+                              np.column_stack([(i + 0.5) * h, j * h]),
+                              np.column_stack([i * h, (j + 0.5) * h])])
+    off = [(-0.3, 0.5), (1.2, 0.5), (0.5, -1e-9), (0.5 + 0.5 * h, 1.0 + h / 2),
+           (-1.0, -1.0), (2.0, 3.0), (1e6, 0.5), (0.5, 1e6), (0.3, -1e5), *rng.uniform(-1.0, 2.0, (8, 2))]
+    for pt in [*registry, *random, *halfway, *off]:
+        assert dm.nearest_node(pt) == _full_argmin(dm, pt), pt
+
+
+def _load_scale(grid, vals, power):
+    """The size of one entry of a load of vals, h^power max|vals|."""
+    return grid.h ** power * max(np.abs(vals).max(), 1.0)
+
+
+GRIDS = {"square": mesh.DomainMesh, "torus": mesh.TorusGrid}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 16])
+@pytest.mark.parametrize("grid", ["square", "torus"])
+def test_nodal_loads_match_gauss_quadrature(grid, n, m):
+    g = GRIDS[grid](n)
+    rng = np.random.default_rng(10 * n + m)
+    f, F = rng.standard_normal((g.nnodes, m)), rng.standard_normal((g.nnodes, 2, m))
+    vol = mesh.volume_load_from_gauss(g, mesh.element_gauss_values(g, f))
+    div = mesh.divergence_load_from_gauss(g, mesh.element_gauss_values(g, F))
+    assert np.abs(mesh.volume_load(g, f) - vol).max() <= 1e-14 * _load_scale(g, f, 2)
+    assert np.abs(mesh.divergence_load(g, F) - div).max() <= 1e-14 * _load_scale(g, F, 1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_divergence_load_against_a_linear_test_function(m):
+    # sum divergence_load(f) . x_j e_a = integral f_j^a = sum volume_load(f_j)
+    dm = mesh.DomainMesh(16)
+    F = np.random.default_rng(m).standard_normal((dm.nnodes, 2, m))
+    div = mesh.divergence_load(dm, F).reshape(dm.nnodes, m)
+    for j in range(2):
+        lhs = (div * dm.nodes[:, j, None]).sum(axis=0)
+        rhs = mesh.volume_load(dm, F[:, j]).reshape(dm.nnodes, m).sum(axis=0)
+        assert np.allclose(lhs, rhs, rtol=0, atol=1e-14 * np.abs(F).max())
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_divergence_load_of_a_constant_vanishes_on_the_torus(n, m):
+    grid = mesh.TorusGrid(n)
+    F = np.broadcast_to(np.arange(1.0, 2 * m + 1).reshape(2, m), (grid.nnodes, 2, m))
+    assert np.abs(mesh.divergence_load(grid, F)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 16])
+@pytest.mark.parametrize("grid", ["square", "torus"])
+def test_volume_load_of_ones_sums_to_one(grid, n, m):
+    g = GRIDS[grid](n)
+    total = mesh.volume_load(g, np.ones((g.nnodes, m))).reshape(g.nnodes, m).sum(axis=0)
+    assert np.allclose(total, 1.0, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("grid", ["square", "torus"])
+def test_nodal_loads_need_few_nodal_tables_of_memory(grid, m):
+    # a load of nodal data needs no per-element arrays: the (nelem, 4, ...)
+    # Gauss route peaked at 13-18 tables of the output's size at n = 256
+    import tracemalloc
+    g = GRIDS[grid](256)
+    rng = np.random.default_rng(m)
+    for load, data in ((mesh.volume_load, rng.standard_normal((g.nnodes, m))),
+                       (mesh.divergence_load, rng.standard_normal((g.nnodes, 2, m)))):
+        tracemalloc.start()
+        try:
+            out = load(g, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * out.nbytes, (load.__name__, peak / out.nbytes)
+
+
 def test_tangential_derivative_constant():
     dm = mesh.DomainMesh(16)
     fb = np.ones(dm.n_boundary)
