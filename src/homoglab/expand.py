@@ -33,8 +33,7 @@ import numpy as np
 
 from .mesh import (DomainMesh, solve_dirichlet, nodal_gradient, interp_torus,
                    element_gauss_values, element_gauss_gradients, volume_load_from_gauss,
-                   divergence_load_from_gauss, divergence_load, norm, monomial_table,
-                   coefficient_gauss_values)
+                   divergence_load_from_gauss, divergence_load, norm, monomial_table)
 from .correctors import chi_on_domain
 
 __all__ = ["ExpansionError", "Expansion", "build_expansion", "residual_identity_check",
@@ -113,6 +112,34 @@ def build_expansion(mesh, u_eps, u0, family, V, epsilon) -> Expansion:
 # interior residual identity
 
 
+def _period_cells(mesh, eps):
+    """c = n eps, the mesh cells per period; ExpansionError unless c is a
+    whole number."""
+    c = round(mesh.n * eps)
+    if c < 1 or abs(mesh.n * eps - c) > 1e-9 * c:
+        raise ExpansionError(f"the period eps={eps!r} is not a whole number of cells of the "
+                             f"mesh of n={mesh.n}: n*eps = {mesh.n * eps!r}")
+    return c
+
+
+def _by_period(mesh, c, fg):
+    """Element values fg (nelem, ...) as whole periods (P, c, P, c, ...),
+    P = ceil(n / c), where [py, ly, px, lx] is element (py c + ly, px c +
+    lx), zero past the mesh; a view when c divides n."""
+    n, P = mesh.n, -(-mesh.n // c)
+    fg = fg.reshape(n, n, *fg.shape[1:])
+    if P * c != n:
+        fg = np.pad(fg, [(0, P * c - n)] * 2 + [(0, 0)] * (fg.ndim - 2))
+    return fg.reshape(P, c, P, c, *fg.shape[2:])
+
+
+def _from_periods(mesh, fb):
+    """The element values (nelem, ...) of whole periods fb (P, c, P, c, ...)."""
+    P, c = fb.shape[:2]
+    fe = fb.reshape(P * c, P * c, *fb.shape[4:])[:mesh.n, :mesh.n]
+    return fe.reshape(mesh.nelem, *fe.shape[2:])
+
+
 def residual_identity_check(exp: Expansion, op, cell_solution):
     """Weak mismatch between L_eps(w) and its divergence-form representation,
     with L_eps the operator op (its coefficient supplies a_eps).
@@ -124,42 +151,68 @@ def residual_identity_check(exp: Expansion, op, cell_solution):
     load vectors as "term_loads" ("flux", "low_order", "gradient").  For the
     chi family the gradient term vanishes identically and the first two
     terms merge into a single bounded-kernel divergence.
+
+    The eps-periodic factors a_eps and F(x/eps) are tabulated once, at the
+    Gauss points of the c x c elements of the first period (c = n eps, which
+    must be a whole number, else ExpansionError), and every element reads
+    the table of its class (ey mod c, ex mod c) by broadcasting; the
+    quadrature differs from the full-mesh evaluation at roundoff.
     """
     if exp.family not in ("chi", "dirichlet"):
         raise ExpansionError("residual identity applies to the chi and dirichlet families")
     mesh, m, eps = exp.mesh, exp.m, exp.epsilon
+    c = _period_cells(mesh, eps)
     grid = cell_solution.grid
 
-    gauss_pts = mesh.gauss_points().reshape(-1, 2)
-    A_g = coefficient_gauss_values(op.coeff, mesh)
-    D2 = second_derivatives(mesh, exp.u0)
-    D2_g = element_gauss_values(mesh, D2.reshape(mesh.nnodes, -1)).reshape(mesh.nelem, 4, 2, 2, m)
+    # the period tables [1, ly, 1, lx, q, ...], which broadcast over element
+    # values by period [py, ly, px, lx, q, ...]
+    pts = mesh.period_gauss_points(c).reshape(-1, 2)
+    A_p = np.asarray(op.coeff(pts)).reshape(1, c, 1, c, 4, 2, 2, m, m)
+    Ft = cell_solution.F.transpose(5, 0, 1, 2, 3, 4).reshape(grid.nnodes, -1)
+    F_p = interp_torus(grid, Ft, pts / eps).reshape(1, c, 1, c, 4, 2, 2, 2, m, m)
 
-    VmP = exp.V - monomial_table(mesh, m)                 # (k, gamma_col, nnodes, beta)
+    # each full-mesh table is dropped once read, so that the check holds a
+    # few Gauss-point tables at a time
+    D2 = second_derivatives(mesh, exp.u0).reshape(mesh.nnodes, -1)
+    D2_g = element_gauss_values(mesh, D2).reshape(mesh.nelem, 4, 2, 2, m)   # (e, q, j, k, c)
+    D2_b = _by_period(mesh, c, D2_g)
+    del D2
 
     # eps d_i { F_jik^{ac}(x/eps) d2 u0^c / dx_j dx_k }
-    Ft = cell_solution.F.transpose(5, 0, 1, 2, 3, 4).reshape(grid.nnodes, -1)
-    F_g = interp_torus(grid, Ft, gauss_pts / eps).reshape(mesh.nelem, 4, 2, 2, 2, m, m)
-    f1 = eps * np.einsum("eqjikac,eqjkc->eqia", F_g, D2_g)
-    flux = -divergence_load_from_gauss(mesh, f1)
+    f1 = np.zeros(D2_b.shape[:5] + (2, m))
+    for j, k, gam in np.ndindex(2, 2, m):
+        f1 += F_p[..., j, :, k, :, gam] * D2_b[..., j, k, gam, None, None]
+    f1 *= eps
+    flux = -divergence_load_from_gauss(mesh, _from_periods(mesh, f1))
+    del f1, D2_b
 
-    # d_i { a_ij^{ab}(x/eps) [V_k - P_k]^{bc} d2 u0^c / dx_j dx_k }
-    VmP_g = element_gauss_values(mesh, VmP.transpose(2, 0, 1, 3).reshape(mesh.nnodes, -1))
-    VmP_g = VmP_g.reshape(mesh.nelem, 4, 2, m, m)          # (e, q, k, gamma_col, beta)
-    f2 = np.einsum("eqijab,eqkcb,eqjkc->eqia", A_g, VmP_g, D2_g)
-    low_order = -divergence_load_from_gauss(mesh, f2)
+    # d_i { a_ij^{ab}(x/eps) T_j^b }, T_j^b = [V_k - P_k]^{bc} d2 u0^c / dx_j dx_k
+    VmP = exp.V - monomial_table(mesh, m)                 # (k, gamma_col, nnodes, beta)
+    T = np.zeros((mesh.nelem, 4, 2, m))
+    for k, gam in np.ndindex(2, m):
+        T += D2_g[:, :, :, k, gam, None] * element_gauss_values(mesh, VmP[k, gam])[:, :, None]
+    T = _by_period(mesh, c, T)
+    f2 = np.zeros(T.shape[:5] + (2, m))
+    for j, b in np.ndindex(2, m):
+        f2 += A_p[..., :, j, :, b] * T[..., j, b, None, None]
+    low_order = -divergence_load_from_gauss(mesh, _from_periods(mesh, f2))
+    del T, f2
 
-    # a_ij^{ab}(x/eps) d_j [V_k - P_k - eps chi_k(x/eps)]^{bc} d2 u0^c / dx_i dx_k
+    # a_ij^{ab}(x/eps) G_ij^b, G_ij^b = d_j [V_k - P_k - eps chi_k(x/eps)]^{bc} d2 u0^c / dx_i dx_k;
     # eps*chi(x/eps) enters through the same nodal-table representation
     # as V - P, so for the chi family this term vanishes identically
     chi_vals = chi_on_domain(cell_solution, mesh, eps)
-    g3 = np.empty((mesh.nelem, 4, 2, m, 2, m))
-    for k in range(2):
-        for gam in range(m):
-            g3[:, :, k, gam] = element_gauss_gradients(
-                mesh, VmP[k, gam] - eps * chi_vals[k, gam])
-    vals = np.einsum("eqijab,eqkcjb,eqikc->eqa", A_g, g3, D2_g)
-    gradient = volume_load_from_gauss(mesh, vals)
+    G = np.zeros((mesh.nelem, 4, 2, 2, m))
+    for k, gam in np.ndindex(2, m):
+        g = element_gauss_gradients(mesh, VmP[k, gam] - eps * chi_vals[k, gam])   # (e, q, j, b)
+        for i in range(2):
+            G[:, :, i] += D2_g[:, :, i, k, gam, None, None] * g
+    del D2_g, g
+    G = _by_period(mesh, c, G)
+    vals = np.zeros(G.shape[:5] + (m,))
+    for i, j, b in np.ndindex(2, 2, m):
+        vals += A_p[..., i, j, :, b] * G[..., i, j, b, None]
+    gradient = volume_load_from_gauss(mesh, _from_periods(mesh, vals))
 
     rhs = flux + low_order + gradient
     lhs = op.matrix @ exp.w.ravel()

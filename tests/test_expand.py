@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,144 @@ def test_residual_identity_chi_family_reduces_to_flux_term(layered_problem):
     inter, _ = p["op"].dof_split()
     partial = (p["op"].matrix @ e.w.ravel() - flux_term - low_term)[inter]
     assert np.linalg.norm(partial) / p["dm"].h == pytest.approx(full["residual"], rel=1e-6)
+
+
+def _full_mesh_identity_check(exp, op, cs):
+    """The interior identity check with every eps-periodic table evaluated at
+    every Gauss point of the mesh: the coefficient by
+    coefficient_gauss_values, F(x/eps) by interp_torus at 4 nelem points, and
+    the contractions as single einsums.  The reference for the period-table
+    implementation."""
+    dm, m, eps = exp.mesh, exp.m, exp.epsilon
+    grid = cs.grid
+
+    def at_gauss(values):
+        return np.einsum("gp,ep...->eg...", mesh.PHI, np.asarray(values)[dm.elem_dofs])
+
+    def grad_at_gauss(values):
+        return np.einsum("gip,ep...->egi...", mesh.DPHI, np.asarray(values)[dm.elem_dofs]) / dm.h
+
+    A_g = mesh.coefficient_gauss_values(op.coeff, dm)
+    D2 = expand.second_derivatives(dm, exp.u0)
+    D2_g = at_gauss(D2.reshape(dm.nnodes, -1)).reshape(dm.nelem, 4, 2, 2, m)
+    VmP = exp.V - mesh.monomial_table(dm, m)
+    Ft = cs.F.transpose(5, 0, 1, 2, 3, 4).reshape(grid.nnodes, -1)
+    F_g = mesh.interp_torus(grid, Ft, dm.gauss_points().reshape(-1, 2) / eps)
+    F_g = F_g.reshape(dm.nelem, 4, 2, 2, 2, m, m)
+    flux = -mesh.divergence_load_from_gauss(dm, eps * np.einsum("eqjikac,eqjkc->eqia", F_g, D2_g))
+    VmP_g = at_gauss(VmP.transpose(2, 0, 1, 3).reshape(dm.nnodes, -1)).reshape(dm.nelem, 4, 2, m, m)
+    f2 = np.einsum("eqijab,eqkcb,eqjkc->eqia", A_g, VmP_g, D2_g)
+    low_order = -mesh.divergence_load_from_gauss(dm, f2)
+    chi_vals = correctors.chi_on_domain(cs, dm, eps)
+    g3 = np.empty((dm.nelem, 4, 2, m, 2, m))
+    for k in range(2):
+        for gam in range(m):
+            g3[:, :, k, gam] = grad_at_gauss(VmP[k, gam] - eps * chi_vals[k, gam])
+    gradient = mesh.volume_load_from_gauss(dm, np.einsum("eqijab,eqkcjb,eqikc->eqa", A_g, g3, D2_g))
+    inter, _ = op.dof_split()
+    res = (op.matrix @ exp.w.ravel() - flux - low_order - gradient)[inter]
+    return {"residual": float(np.linalg.norm(res) / dm.h),
+            "term_loads": {"flux": flux, "low_order": low_order, "gradient": gradient}}
+
+
+def _assert_matches_full_mesh(e, op, cs, rel=1e-12):
+    got = expand.residual_identity_check(e, op, cs)
+    ref = _full_mesh_identity_check(e, op, cs)
+    assert got["residual"] == pytest.approx(ref["residual"], rel=rel)
+    for name, load in ref["term_loads"].items():
+        assert np.abs(got["term_loads"][name] - load).max() <= rel * np.abs(load).max(), name
+
+
+def _solved_expansion(field, cs, n, eps):
+    dm = mesh.DomainMesh(n)
+    m = field.m
+    op = mesh.assemble(coeff.rescale(field, eps), dm, mode="dirichlet")
+    op0 = mesh.assemble(coeff.builtin("constant", value=cs.hatA, m=m), dm, mode="dirichlet")
+    f = np.ones((dm.nnodes, m))
+    u_eps = mesh.solve_dirichlet(op, f, bdata=0.0)
+    u0 = mesh.solve_dirichlet(op0, f, bdata=0.0)
+    phi, _ = correctors.dirichlet_correctors(op)
+    op0.release()
+    return expand.build_expansion(dm, u_eps, u0, "dirichlet", phi, eps), op
+
+
+def test_period_tables_match_the_full_mesh_check_layered(layered_field, layered_cell64):
+    e, op = _solved_expansion(layered_field, layered_cell64, 64, 1 / 8)
+    _assert_matches_full_mesh(e, op, layered_cell64)
+    op.release()
+
+
+def test_period_tables_match_the_full_mesh_check_layered_m2():
+    field = coeff.builtin("layered", m=2)
+    cs = cell.solve(field, 32)
+    e, op = _solved_expansion(field, cs, 32, 1 / 4)
+    _assert_matches_full_mesh(e, op, cs)
+    op.release()
+
+
+def _coupled_nonsymmetric_field():
+    # a full, coupled, non-symmetric m = 2 tensor: no index of a_ij^ab can be
+    # swapped with another without changing the field
+    R = np.random.default_rng(7).uniform(-0.1, 0.1, (2, 2, 2, 2))
+
+    def ev(pts):
+        y1, y2 = pts[:, 0:1, None, None, None], pts[:, 1:2, None, None, None]
+        iso = np.einsum("ij,ab->ijab", np.eye(2), np.eye(2))
+        return ((2.0 + np.sin(2 * np.pi * y1)) * iso
+                + (1.0 + 0.5 * np.cos(2 * np.pi * (y1 + 2 * y2))) * R)
+
+    return coeff.CoefficientField(ev, m=2, symmetric=False, family="user",
+                                  params={"id": "coupled-nonsymmetric"})
+
+
+@pytest.mark.parametrize("n, eps", [(48, 1 / 4), (40, 3 / 10)])
+def test_period_tables_match_the_full_mesh_check_on_arbitrary_data(n, eps):
+    # random smooth nodal data and random torus tables F, chi: the check is a
+    # quadrature of whatever it is given, so every index of every table is
+    # exercised; eps = 3/10 on n = 40 puts 12 cells in a period that does
+    # not divide the mesh
+    rng = np.random.default_rng(n)
+    m, dm, grid = 2, mesh.DomainMesh(n), mesh.TorusGrid(16)
+    x, y = dm.nodes[:, 0:1], dm.nodes[:, 1:2]
+    smooth = np.sin(3 * x + 2 * y + rng.uniform(0, 1, (1, m))) * np.exp(x * y)
+    cs = SimpleNamespace(grid=grid, F=rng.standard_normal((2, 2, 2, m, m, grid.nnodes)),
+                         chi=rng.standard_normal((2, m, grid.nnodes, m)))
+    V = mesh.monomial_table(dm, m) + 0.1 * rng.standard_normal((2, m, dm.nnodes, m))
+    e = expand.build_expansion(dm, smooth + 0.1 * x, smooth, "dirichlet", V, eps)
+    op = mesh.assemble(coeff.rescale(_coupled_nonsymmetric_field(), eps), dm, mode="dirichlet")
+    _assert_matches_full_mesh(e, op, cs)
+
+
+def test_residual_identity_check_needs_whole_cells_per_period(identity_field, layered_cell64):
+    dm = mesh.DomainMesh(20)
+    zeros = np.zeros((dm.nnodes, 1))
+    for eps in (1 / 8, 1 / 64):          # n eps = 2.5 and 0.3125
+        e = expand.build_expansion(dm, zeros, zeros, "dirichlet", mesh.monomial_table(dm, 1), eps)
+        op = mesh.assemble(coeff.rescale(identity_field, eps), dm, mode="dirichlet")
+        with pytest.raises(expand.ExpansionError, match="whole number"):
+            expand.residual_identity_check(e, op, layered_cell64)
+
+
+# tracemalloc peak of the check on the n = 256 layered level of
+# prop21-residual (eps = 1/8, 32 cells per period, m = 1): 30.0 MiB measured
+# with period tables (157 MiB for the full-mesh tables), bound 1.5x that
+_IDENTITY_CHECK_PEAK_MIB = 45
+
+
+def test_residual_identity_check_memory_at_n256(layered_field, layered_cell128):
+    eps, dm = 1 / 8, mesh.DomainMesh(256)
+    x, y = dm.nodes[:, 0:1], dm.nodes[:, 1:2]
+    u0 = np.sin(np.pi * x) * np.sin(np.pi * y)
+    V = mesh.monomial_table(dm, 1) + 0.01 * np.sin(x / eps)[None, None]
+    e = expand.build_expansion(dm, 1.01 * u0, u0, "dirichlet", V, eps)
+    op = mesh.assemble(coeff.rescale(layered_field, eps), dm, mode="dirichlet")
+    tracemalloc.start()
+    try:
+        expand.residual_identity_check(e, op, layered_cell128)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= _IDENTITY_CHECK_PEAK_MIB, f"peak {peak:.1f} MiB"
 
 
 def test_conormal_identity_constant(const_problem, identity_field):

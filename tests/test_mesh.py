@@ -270,7 +270,7 @@ def _gauss_formula_norm(dm, vals, kind, p):
             gx = ((u10 - u00) * (1 - eta) + (u11 - u01) * eta) / h
             gy = ((u01 - u00) * (1 - xi) + (u11 - u10) * xi) / h
             grad2 = (gx ** 2 + gy ** 2).sum(axis=2)
-            grad_max = max(grad_max, np.sqrt(gx ** 2 + gy ** 2).max())
+            grad_max = max(grad_max, np.sqrt(grad2).max())
             if np.isfinite(p):
                 val_p += h * h / 4 * (np.sqrt((u ** 2).sum(axis=2)) ** p).sum()
                 grad_p += h * h / 4 * (np.sqrt(grad2) ** p).sum()
@@ -280,7 +280,7 @@ def _gauss_formula_norm(dm, vals, kind, p):
     if kind == "weighted_grad":
         return np.sqrt(weighted)
     if np.isinf(p):
-        vmax = np.abs(vals).max()
+        vmax = np.sqrt((vals ** 2).sum(axis=1)).max()
         return vmax if kind == "Lp" else max(vmax, grad_max)
     return (val_p + (grad_p if kind == "W1p" else 0.0)) ** (1 / p)
 
@@ -295,6 +295,27 @@ def test_norm_matches_the_gauss_formula(kind, p, m):
     got = mesh.norm(dm, vals, kind, p)
     assert isinstance(got, float)
     assert got == pytest.approx(_gauss_formula_norm(dm, vals, kind, p), rel=1e-13)
+
+
+@pytest.mark.parametrize("kind, field", [("Lp", "ones"), ("W1p", "x")])
+def test_sup_norm_of_a_system_is_the_limit_of_the_finite_p_norms(kind, field):
+    # u = (1, 1) and u = (x, x): |u| and the Frobenius |grad u| reach sqrt 2,
+    # while no single entry exceeds 1
+    dm = mesh.DomainMesh(8)
+    col = np.ones(dm.nnodes) if field == "ones" else dm.nodes[:, 0]
+    u = np.column_stack([col, col])
+    sup = mesh.norm(dm, u, kind, np.inf)
+    assert sup == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert mesh.norm(dm, u, kind, 1024) == pytest.approx(sup, rel=1e-2)
+
+
+def test_sup_norm_of_a_scalar_field_is_its_largest_entry():
+    dm = mesh.DomainMesh(12)
+    x, y = dm.nodes[:, 0], dm.nodes[:, 1]
+    u = np.sin(3 * x + 1) * np.cos(2 * y) - 0.3
+    gg = mesh.element_gauss_gradients(dm, u[:, None])
+    assert mesh.norm(dm, u, "Lp", np.inf) == np.abs(u).max()
+    assert mesh.norm(dm, u, "W1p", np.inf) == max(np.abs(u).max(), np.sqrt((gg ** 2).sum(axis=2)).max())
 
 
 def test_norm_builds_only_the_gauss_arrays_its_kind_reads(monkeypatch):
@@ -355,6 +376,22 @@ def test_nodal_loads_match_gauss_quadrature(grid, n, m):
     div = mesh.divergence_load_from_gauss(g, mesh.element_gauss_values(g, F))
     assert np.abs(mesh.volume_load(g, f) - vol).max() <= 1e-14 * _load_scale(g, f, 2)
     assert np.abs(mesh.divergence_load(g, F) - div).max() <= 1e-14 * _load_scale(g, F, 1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("grid", ["square", "torus"])
+def test_gauss_gathers_match_the_einsum_form(grid, m):
+    g = GRIDS[grid](24)
+    f = np.random.default_rng(m).standard_normal((g.nnodes, 2, m))
+    at_nodes = f[g.elem_dofs]
+    vals = np.einsum("gp,ep...->eg...", mesh.PHI, at_nodes)
+    grads = np.einsum("gip,ep...->egi...", mesh.DPHI, at_nodes) / g.h
+    for got, ref in ((mesh.element_gauss_values(g, f), vals),
+                     (mesh.element_gauss_gradients(g, f), grads),
+                     (mesh.element_gauss_values(g, f[:, 0]), vals[:, :, 0]),
+                     (mesh.element_gauss_gradients(g, f[:, 0]), grads[:, :, :, 0])):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("m", [1, 2])
