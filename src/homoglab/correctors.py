@@ -100,19 +100,22 @@ def trusted_interior_mask(mesh, dist=0.1):
     return (d >= dist - 1e-12) & (cd >= 4 * mesh.h - 1e-12)
 
 
+def _on_domain(grid, table, pts):
+    """A torus table (d, m, nnodes, ...) interpolated at pts, (d, m, npts,
+    ...): one interp_torus call over every column, which rounds each column
+    as a call of its own would."""
+    cols = np.moveaxis(table, 2, 0).reshape(grid.nnodes, -1)
+    vals = interp_torus(grid, cols, pts).reshape(len(pts), *table.shape[:2], *table.shape[3:])
+    return np.ascontiguousarray(np.moveaxis(vals, 0, 2))
+
+
 def chi_on_domain(cell_solution, mesh, epsilon):
     """chi(x/eps) sampled at the domain nodes, (d, m, nnodes, m).
 
     Values come from bilinear interpolation of the torus table at the
     wrapped point x/eps, avoiding per-node cell re-solves.
     """
-    d, m = cell_solution.chi.shape[0], cell_solution.chi.shape[1]
-    pts = mesh.nodes / epsilon
-    chi_vals = np.empty((d, m, mesh.nnodes, m))
-    for j in range(d):
-        for beta in range(m):
-            chi_vals[j, beta] = interp_torus(cell_solution.grid, cell_solution.chi[j, beta], pts)
-    return chi_vals
+    return _on_domain(cell_solution.grid, cell_solution.chi, mesh.nodes / epsilon)
 
 
 def interior_family(cell_solution, mesh, epsilon):
@@ -137,11 +140,7 @@ def corrector_report(mesh, epsilon, phi, psi, cell_solution):
     P = monomial_table(mesh, m)
     # (grad chi)(x/eps), (d, m, nnodes, 2, m): the torus table of chi_grad
     # interpolated at the wrapped point x/eps
-    chi_grads = np.empty((d, m, mesh.nnodes, 2, m))
-    for j in range(d):
-        for beta in range(m):
-            g = interp_torus(grid, cell_solution.chi_grad[j, beta].reshape(grid.nnodes, -1), pts)
-            chi_grads[j, beta] = g.reshape(mesh.nnodes, 2, m)
+    chi_grads = _on_domain(grid, cell_solution.chi_grad, pts)
 
     def family_stats(V):
         out = {"grad_sup": 0.0, "dist_sup": 0.0, "layer_grad_sup": 0.0, "profile_sup": 0.0}

@@ -11,7 +11,10 @@ Every operator is assembled from a CoefficientField, rescaled
 (coeff.rescale) for an eps-operator; a constant tensor enters as
 coeff.builtin("constant", value=..., m=...).  The operator's coefficient
 is the one place that says how many components it has (op.m) and whether
-it is symmetric (op.coeff.symmetric).
+it is symmetric (op.coeff.symmetric).  assemble evaluates it on one block
+of elements that the mesh repeats (one element of a constant, one period
+of an aligned eps-periodic field, else the whole mesh) and sums that
+block's element matrices straight into the grid's 9-point CSR pattern.
 
 Each constraint mode (Dirichlet, Neumann, periodic) has one solve through
 the Solver of its constrained system, built once per operator and cached
@@ -120,13 +123,14 @@ class _UniformGrid:
         corners = self.nodes[self.elem_dofs[elems, 0]]
         return corners[:, None, :] + GAUSS_POINTS[None, :, :] * self.h
 
-    def period_gauss_points(self, c):
-        """The Gauss points of the c x c elements of the first period, the
-        lower-left block, row by row, (c * c, 4, 2): element (ey, ex) of the
-        mesh sees the values of a c-periodic field that first-period element
+    def period_gauss_points(self, c, start=(0, 0)):
+        """The Gauss points of the c x c elements of the period whose
+        lower-left element is start = (ey, ex), the first period by default,
+        row by row, (c * c, 4, 2): element (ey, ex) of the mesh sees the
+        values of a c-periodic field that first-period element
         (ey mod c, ex mod c) sees."""
-        first = (np.arange(c)[:, None] * self.n + np.arange(c)).ravel()
-        return self.gauss_points(first)
+        ey, ex = start[0] + np.arange(c), start[1] + np.arange(c)
+        return self.gauss_points((ey[:, None] * self.n + ex).ravel())
 
 
 class TorusGrid(_UniformGrid):
@@ -262,9 +266,9 @@ class AssembledOperator:
     template or a sparse LU), which checks the residual of every column it
     solves.  The solver is cached behind the handle; release() frees it (an
     LU is large at fine resolution).  coeff_mean is the (2, 2, m, m) mean of the coefficient
-    over the Gauss points of the mesh, the cell mean when the mesh holds
-    whole periods; it sets the transform that solves a variable Neumann
-    coefficient, which has no other solve.
+    over the Gauss points of the block assemble evaluated it on, the cell
+    mean when the mesh holds whole periods; it sets the transform that
+    solves a variable Neumann coefficient, which has no other solve.
     """
 
     def __init__(self, mesh, matrix, mode, coeff, coeff_mean):
@@ -786,16 +790,137 @@ def coefficient_gauss_values(coeff, mesh):
     return np.asarray(vals).reshape(mesh.nelem, 4, 2, 2, coeff.m, coeff.m)
 
 
+def _element_table(coeff, mesh, A_gauss):
+    """(c, A): the coefficient at the Gauss points of a block of c x c
+    elements, (c * c, 4, 2, 2, m, m), that every element (ey, ex) of the
+    mesh reads as its class (ey mod c, ex mod c).
+
+    c is 1 for a constant field and n eps for a field rescaled to n eps
+    whole cells per period, when n/c periods tile the mesh and the last
+    period along each axis matches the first to 1e-12 relative; otherwise,
+    and for a given A_gauss, c is n and the table is the whole mesh.
+    """
+    n, m = mesh.n, coeff.m
+    if A_gauss is not None:
+        A, shape = np.asarray(A_gauss), (mesh.nelem, 4, 2, 2, m, m)
+        if A.shape != shape:
+            raise ValueError(f"A_gauss must hold the coefficient at the 4 Gauss points of every "
+                             f"element, shape (nelem, 4, 2, 2, m, m) = {shape}, got {A.shape}")
+        return n, A
+    cells = n if coeff.epsilon is None else n * coeff.epsilon
+    c = 1 if coeff.family == "constant" else round(cells)
+    whole = coeff.family == "constant" or abs(cells - c) <= 1e-9 * cells
+    if whole and 1 <= c < n and n % c == 0:
+        A = coeff(mesh.period_gauss_points(c))
+        tol = 1e-12 * np.abs(A).max()
+        if all(np.abs(coeff(mesh.period_gauss_points(c, last)) - A).max() <= tol
+               for last in ((0, n - c), (n - c, 0))):
+            return c, A
+    return n, coeff(mesh.period_gauss_points(n))
+
+
+def _element_matrices(A):
+    """The element stiffness matrices (nelem, 4, m, 4, m), indexed [e, p,
+    a, q, b], of the Gauss values A (nelem, 4, 2, 2, m, m): physical
+    gradients carry 1/h each, and the element volume h^2 cancels them in
+    d = 2."""
+    return np.einsum("g,egijab,gip,gjq->epaqb", GAUSS_WEIGHTS, A, DPHI, DPHI, optimize=True)
+
+
+def _axis_runs(n, torus):
+    """The runs of node coordinates i along one axis of the grid whose
+    9-point rows are alike: the first node, the nodes inside, the last.
+    Each is (start, stop, sides, pos, offsets): the sides s of a node that
+    have an element (element i - 1 + s), in ascending element index; pos,
+    the position of each neighbour i - 1, i, i + 1 among the distinct
+    neighbours in ascending order (the column order of a CSR row); and
+    those neighbours less i.  A torus of 2 nodes sees one neighbour twice."""
+    side = n if torus else n + 1
+    runs = []
+    for start, stop in ((0, 1), (1, side - 1), (side - 1, side)):
+        if stop <= start:
+            continue
+        elem, nb = [start - 1, start], [start - 1, start, start + 1]
+        if torus:
+            elem, nb = [e % n for e in elem], [j % n for j in nb]
+        sides = sorted((s for s in (0, 1) if 0 <= elem[s] < n), key=elem.__getitem__)
+        cols = sorted({j for j in nb if 0 <= j <= n})
+        pos = [cols.index(j) if j in cols else None for j in nb]
+        runs.append((start, stop, sides, pos, np.array(cols) - start))
+    return runs
+
+
+def _stencil_matrix(mesh, Kloc, c):
+    """The CSR matrix of the uniform grid's 9-point pattern, rows and
+    columns (node, component), from the element matrices Kloc (c * c, 4, m,
+    4, m) of a block of c x c elements that element (ey, ex) reads as class
+    (ey mod c, ex mod c).
+
+    Each entry is the sum of its element contributions in ascending element
+    index, as a COO sum of the elements in order gives it.  CSR order is
+    grid line by grid line, node by node, each node's m rows of its
+    neighbour blocks.  Over a run of lines and a run of nodes (_axis_runs)
+    the rows are alike but for the element classes, so a run pair is one
+    strided block: the rows of the classes of its first c lines and nodes
+    are summed once and tiled over it.
+    """
+    n, m = mesh.n, Kloc.shape[2]
+    side = n if mesh.is_torus else n + 1
+    runs = _axis_runs(n, mesh.is_torus)
+    Kc = Kloc.reshape(c, c, 4, m, 4, m)
+    count = np.concatenate([np.full(stop - start, len(d)) for start, stop, _, _, d in runs])
+    line_at = np.concatenate([[0], np.cumsum(m * m * count * count.sum())])
+    node_at = np.concatenate([[0], np.cumsum(count)])
+    nnz, ndof = int(line_at[-1]), side * side * m
+    index = np.int32 if max(nnz, ndof) < 2 ** 31 else np.int64
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=index)
+    for y0, y1, ysides, ypos, dy in runs:
+        lines = slice(line_at[y0], line_at[y1])
+        ky = y0 + np.arange(min(c, y1 - y0))
+        for x0, x1, xsides, xpos, dx in runs:
+            kx = x0 + np.arange(min(c, x1 - x0))
+            # node (iy, ix) is local node (1 - sy, 1 - sx) of its element on
+            # side (sy, sx), and its row gets local node (qy, qx) of it at
+            # neighbour (sy + qy, sx + qx)
+            rows = np.zeros((ky.size, kx.size, m, dy.size, dx.size, m))
+            for sy in ysides:
+                for sx in xsides:
+                    Ke = Kc[:, :, 2 * (1 - sy) + 1 - sx][np.ix_((ky - 1 + sy) % c,
+                                                                (kx - 1 + sx) % c)]
+                    for q, (qy, qx) in enumerate(np.ndindex(2, 2)):
+                        rows[:, :, :, ypos[sy + qy], xpos[sx + qx]] += Ke[:, :, :, q]
+            rows = rows[:, np.arange(x1 - x0) % c].reshape(ky.size, -1)
+            span = slice(m * m * dy.size * node_at[x0], m * m * dy.size * node_at[x1])
+            block = data[lines].reshape(y1 - y0, -1)[:, span]
+            for j in range(ky.size):
+                block[j::c] = rows[j]
+            # column (line + dy, node + dx) * m + component, line by line
+            first = (((y0 + dy) * side)[:, None] + x0 + np.arange(x1 - x0)[:, None, None] + dx) * m
+            first = np.broadcast_to(first[:, None, :, :, None] + np.arange(m),
+                                    (x1 - x0, m, dy.size, dx.size, m))
+            np.add(first.reshape(1, -1), (np.arange(y1 - y0) * side * m)[:, None],
+                   out=indices[lines].reshape(y1 - y0, -1)[:, span], casting="unsafe")
+    row_len = np.repeat((count[:, None] * count).ravel() * m, m)
+    indptr = np.concatenate([np.zeros(1, dtype=index), np.cumsum(row_len, dtype=index)])
+    return sp.csr_matrix((data, indices, indptr), shape=(ndof, ndof))
+
+
 def assemble(coeff, mesh, mode="dirichlet", A_gauss=None) -> AssembledOperator:
     """Assemble the stiffness matrix of coeff on the mesh.
 
     coeff is a CoefficientField, evaluated at the physical Gauss points
     (at x/eps when it is rescaled); a constant tensor is passed as
-    coeff.builtin("constant", value=..., m=...).  A_gauss, if given, holds
-    those Gauss values already (coefficient_gauss_values) and coeff is not
-    evaluated again.  An under-resolved oscillation (h > eps/8) of a
-    non-constant coefficient is reported by warnings.warn, not a failure; a
-    rescaled constant does not oscillate.
+    coeff.builtin("constant", value=..., m=...).  It is evaluated on one
+    block of c x c elements that the mesh repeats (_element_table): one
+    element of a constant, one period of a field rescaled to whole cells
+    per period, the whole mesh otherwise.  A_gauss, if given, holds the
+    Gauss values of every element already (coefficient_gauss_values,
+    (nelem, 4, 2, 2, m, m), else ValueError) and coeff is not evaluated.
+    The element matrices of the block are summed straight into the grid's
+    9-point CSR pattern (_stencil_matrix), and coeff_mean is the block's
+    mean.  An under-resolved oscillation (h > eps/8) of a non-constant
+    coefficient is reported by warnings.warn, not a failure; a rescaled
+    constant does not oscillate.
     """
     if not isinstance(coeff, CoefficientField):
         raise TypeError(f"assemble takes a coefficient object, got {type(coeff).__name__}; "
@@ -804,30 +929,19 @@ def assemble(coeff, mesh, mode="dirichlet", A_gauss=None) -> AssembledOperator:
         mode = "periodic"
     elif mode not in ("dirichlet", "neumann"):
         raise ValueError(f"unknown constraint mode {mode!r}")
-    m = coeff.m
 
     eps = coeff.epsilon
     if eps is not None and coeff.family != "constant" and mesh.h > eps / 8.0 + 1e-14:
         warnings.warn(f"under-resolved oscillation: h={mesh.h:.4g} > eps/8={eps / 8.0:.4g}",
                       stacklevel=2)
 
-    A = coefficient_gauss_values(coeff, mesh) if A_gauss is None else A_gauss
+    c, A = _element_table(coeff, mesh, A_gauss)
     if not np.all(np.isfinite(A)):
         raise ValueError("coefficient evaluated to non-finite values")
     coeff_mean = A.mean(axis=(0, 1))
-    # physical gradients carry 1/h each; the element volume h^2 cancels them in d=2
-    Kloc = np.einsum("g,egijab,gip,gjq->epaqb", GAUSS_WEIGHTS, A, DPHI, DPHI, optimize=True)
+    Kloc = _element_matrices(A)
     del A
-    nelem = mesh.nelem
-    # int32 indices, which scipy would otherwise copy them to: fewer index
-    # arrays alive at the assembly's memory peak
-    ldof = (mesh.elem_dofs[:, :, None] * m + np.arange(m, dtype=np.int32)).reshape(nelem, 4 * m)
-    Kloc = Kloc.reshape(nelem, 4 * m, 4 * m)
-    rows = np.broadcast_to(ldof[:, :, None], Kloc.shape).ravel()
-    cols = np.broadcast_to(ldof[:, None, :], Kloc.shape).ravel()
-    ndof = mesh.nnodes * m
-    matrix = sp.coo_matrix((Kloc.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
-    del Kloc, rows, cols
+    matrix = _stencil_matrix(mesh, Kloc, c)
     return AssembledOperator(mesh, matrix, mode, coeff, coeff_mean=coeff_mean)
 
 

@@ -143,3 +143,21 @@ def test_pin_must_be_interior(layered_field, layered_cell64):
         correctors.neumann_correctors(
             mesh.assemble(coeff.rescale(layered_field, 1 / 2), dm, mode="neumann"),
             layered_cell64.hatA, x0=int(dm.boundary_nodes[0]))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_interpolated_cell_tables_match_one_call_per_column(m):
+    # chi(x/eps) and (grad chi)(x/eps) come from one interp_torus call over
+    # every column, bit for bit what one call per column gives
+    cs = cell.solve(coeff.builtin("layered", m=m), 16)
+    dm, eps = mesh.DomainMesh(24), 1 / 3
+    pts = dm.nodes / eps
+    chi_loop = np.empty((2, m, dm.nnodes, m))
+    grad_loop = np.empty((2, m, dm.nnodes, 2, m))
+    for j in range(2):
+        for beta in range(m):
+            chi_loop[j, beta] = mesh.interp_torus(cs.grid, cs.chi[j, beta], pts)
+            grad_loop[j, beta] = mesh.interp_torus(
+                cs.grid, cs.chi_grad[j, beta].reshape(cs.grid.nnodes, -1), pts).reshape(dm.nnodes, 2, m)
+    assert np.array_equal(correctors.chi_on_domain(cs, dm, eps), chi_loop)
+    assert np.array_equal(correctors._on_domain(cs.grid, cs.chi_grad, pts), grad_loop)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg as spla
 
 from homoglab import cell, coeff, kernels, mesh
@@ -83,6 +84,146 @@ def test_under_resolution_warning(layered_field):
     sc = coeff.rescale(layered_field, 1 / 4)
     with pytest.warns(UserWarning, match="under-resolved oscillation"):
         mesh.assemble(sc, dm, A_gauss=mesh.coefficient_gauss_values(sc, dm))
+
+
+# ---------------------------------------------------------------------------
+# assembly into the grid's 9-point CSR pattern
+
+
+def _coo_assembly(grid, A):
+    """The stiffness matrix of the Gauss values A (nelem, 4, 2, 2, m, m) as
+    scipy's COO -> CSR sum of every element matrix in element order: the
+    reference for assemble's 9-point sums."""
+    m = A.shape[-1]
+    Kloc = np.einsum("g,egijab,gip,gjq->epaqb", mesh.GAUSS_WEIGHTS, A, mesh.DPHI, mesh.DPHI,
+                     optimize=True).reshape(grid.nelem, 4 * m, 4 * m)
+    ldof = (grid.elem_dofs[:, :, None] * m + np.arange(m, dtype=np.int32)).reshape(grid.nelem, 4 * m)
+    rows = np.broadcast_to(ldof[:, :, None], Kloc.shape).ravel()
+    cols = np.broadcast_to(ldof[:, None, :], Kloc.shape).ravel()
+    ndof = grid.nnodes * m
+    return scipy.sparse.coo_matrix((Kloc.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+
+
+def _assembly_fields():
+    from homoglab.ratelab import coefficient_from_spec
+    from homoglab.ratelab.experiments import LAYERED_DIAG
+    layered2 = coeff.builtin("layered", m=2)
+    coupling = 0.3 * np.eye(2)[:, :, None, None] * (1 - np.eye(2))
+    return {
+        "layered-diag": coefficient_from_spec(LAYERED_DIAG),
+        "skewed": _skewed_field(),
+        "constant": coeff.builtin("constant", value=np.array([[2.0, 0.3], [-0.1, 1.0]])),
+        "layered-m2": layered2,
+        "coupled-m2": coeff.CoefficientField(lambda pts: layered2(pts) + coupling, m=2),
+    }
+
+
+def _same_pattern(got, ref):
+    return np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+
+
+ASSEMBLY_GRIDS = [("square", 2), ("square", 7), ("square", 16), ("torus", 2), ("torus", 3),
+                  ("torus", 16)]
+
+
+@pytest.mark.parametrize("grid, n", ASSEMBLY_GRIDS)
+@pytest.mark.parametrize("name", ["layered-diag", "skewed", "constant"])
+def test_assembly_of_a_full_table_is_the_coo_sum_bit_for_bit(grid, n, name):
+    # m = 1: every entry sums its element contributions in ascending element
+    # index, as scipy's COO -> CSR sum does, so the matrices agree bit for bit
+    # (on the torus this keeps the cell's roundoff-level statistics)
+    field, g = _assembly_fields()[name], GRIDS[grid](n)
+    A = mesh.coefficient_gauss_values(field, g)
+    got, ref = mesh.assemble(field, g, A_gauss=A).matrix, _coo_assembly(g, A)
+    assert _same_pattern(got, ref)
+    assert np.array_equal(got.data, ref.data)
+
+
+@pytest.mark.parametrize("grid, n", ASSEMBLY_GRIDS)
+@pytest.mark.parametrize("name", ["layered-m2", "coupled-m2"])
+def test_assembly_of_a_system_matches_the_coo_sum(grid, n, name):
+    # m = 2: scipy sorts a row's duplicates in an order of its own, so the
+    # sums agree to roundoff
+    field, g = _assembly_fields()[name], GRIDS[grid](n)
+    A = mesh.coefficient_gauss_values(field, g)
+    got, ref = mesh.assemble(field, g, A_gauss=A).matrix, _coo_assembly(g, A)
+    assert _same_pattern(got, ref)
+    assert np.abs(got.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+@pytest.mark.parametrize("grid, n, eps", [("square", 16, 1 / 4), ("square", 32, 1 / 2),
+                                          ("square", 12, 1 / 3), ("torus", 16, 1 / 8),
+                                          ("torus", 8, 1 / 2)])
+@pytest.mark.parametrize("name", ["layered-diag", "skewed", "constant", "layered-m2",
+                                  "coupled-m2"])
+def test_assembly_from_one_period_matches_full_evaluation(grid, n, eps, name):
+    # one period's table (one element's for a constant) tiled over the mesh
+    # agrees with the sum over every element's own Gauss values to roundoff
+    field, g = coeff.rescale(_assembly_fields()[name], eps), GRIDS[grid](n)
+    A = mesh.coefficient_gauss_values(field, g)
+    op, ref = mesh.assemble(field, g), _coo_assembly(g, A)
+    assert _same_pattern(op.matrix, ref)
+    assert np.abs(op.matrix.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+    # the mean of 4 n^2 Gauss values rounds by up to ~1e-14 of its largest entry
+    mean = A.mean(axis=(0, 1))
+    assert np.abs(op.coeff_mean - mean).max() <= 1e-13 * np.abs(mean).max()
+
+
+def _drifting_field(direction=(1.0, 0.0)):
+    """A hand-built field that is not periodic: 1 + (direction . y)/4 times
+    the identity."""
+    eye = np.eye(2)[None, :, :, None, None]
+    return coeff.CoefficientField(
+        lambda pts: (1.0 + 0.25 * (pts @ np.asarray(direction)))[:, None, None, None, None] * eye)
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+@pytest.mark.parametrize("grid, n, field", [
+    ("square", 16, coeff.rescale(coeff.builtin("layered", wavevector=(1, 1)), 1 / 3)),  # c = 16/3
+    ("square", 16, coeff.rescale(coeff.builtin("layered"), 3 / 16)),   # 3 cells, 16/3 periods
+    # 4.5 cells per period: the last 4 x 4 block matches the first all the same
+    ("square", 13, coeff.rescale(coeff.builtin("layered"), 4.5 / 13)),
+    ("torus", 16, coeff.rescale(coeff.builtin("layered"), 1 / 3)),
+    ("square", 16, coeff.rescale(coeff.builtin("layered"), 1.0)),      # one period
+    ("square", 16, coeff.builtin("layered")),                          # a field of period 1
+    ("square", 32, coeff.rescale(_drifting_field(), 1 / 4)),           # the last period differs
+    ("torus", 32, coeff.rescale(_drifting_field(), 1 / 4)),
+    ("square", 32, coeff.rescale(_drifting_field((0.0, 1.0)), 1 / 4)),
+    # equal on the diagonal periods, different along each axis
+    ("square", 32, coeff.rescale(_drifting_field((1.0, -1.0)), 1 / 4)),
+])
+def test_assembly_of_a_field_that_does_not_repeat_evaluates_every_element(grid, n, field):
+    g = GRIDS[grid](n)
+    A = mesh.coefficient_gauss_values(field, g)
+    got, ref = mesh.assemble(field, g).matrix, _coo_assembly(g, A)
+    assert _same_pattern(got, ref)
+    assert np.array_equal(got.data, ref.data)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_assembly_needs_little_more_memory_than_its_matrix(m):
+    # an aligned eps-periodic operator at n = 256: no per-element COO arrays
+    # (5.3 and 4.2 matrices of memory at m = 1 and 2), only the CSR arrays
+    import tracemalloc
+    field, dm = coeff.rescale(coeff.builtin("layered", m=m), 1 / 16), mesh.DomainMesh(256)
+    tracemalloc.start()
+    try:
+        op = mesh.assemble(field, dm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    K = op.matrix
+    assert peak <= 3 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+
+
+def test_assemble_names_the_shape_of_the_gauss_values():
+    dm = mesh.DomainMesh(8)
+    field = coeff.builtin("layered", m=2)
+    A = mesh.coefficient_gauss_values(field, dm)
+    for bad in (A[:, :, :, :, :1, :1], A[1:], A.reshape(dm.nelem, 4, 4, 2, 2)):
+        with pytest.raises(ValueError, match=r"\(nelem, 4, 2, 2, m, m\) = \(64, 4, 2, 2, 2, 2\)"):
+            mesh.assemble(field, dm, A_gauss=bad)
 
 
 def test_dirichlet_affine_data_exact(identity_field):
