@@ -93,39 +93,39 @@ class CellSolution:
         }
 
 
-def solve_cell(op, A_gauss):
+def solve_cell(op, A_quad):
     """Solve the d*m periodic cell problems against the periodic operator op.
 
     Each column chi[j, beta] is the mean-zero periodic weak solution with
     right-hand side -div-form data a_ij^{ab} (the response to linear data
-    x_j e_beta); A_gauss holds the coefficient at op's Gauss points.
+    x_j e_beta); A_quad holds the coefficient at op's Gauss points.
     Returns chi, shaped (d, m, nnodes, m).
     """
     grid, d, m = op.mesh, 2, op.m
     chi = np.zeros((d, m, grid.nnodes, m))
     for j in range(d):
         for beta in range(m):
-            fg = A_gauss[:, :, :, j, :, beta]          # (nelem, 4, i, alpha)
+            fg = A_quad[:, :, :, j, :, beta]           # (nelem, 4, i, alpha)
             chi[j, beta] = solve_periodic(op, -divergence_load_from_gauss(grid, fg))
     return chi
 
 
-def homogenize(grid, chi, A_gauss):
+def homogenize(grid, chi, A_quad):
     """hatA_ij^{ab} = integral_Y [a_ij^{ab} + a_ik^{ag} d_k chi_j^{gb}] dy.
 
     Gradients of chi are taken at the quadrature points inside elements.
     """
     m = chi.shape[1]
     h2w = grid.h ** 2 * GAUSS_WEIGHTS
-    hatA = np.einsum("g,egijab->ijab", h2w, A_gauss)
+    hatA = np.einsum("g,egijab->ijab", h2w, A_quad)
     for j in range(2):
         for beta in range(m):
             gchi = element_gauss_gradients(grid, chi[j, beta])   # (nelem, 4, k, gamma)
-            hatA[:, j, :, beta] += np.einsum("g,egikac,egkc->ia", h2w, A_gauss, gchi)
+            hatA[:, j, :, beta] += np.einsum("g,egikac,egkc->ia", h2w, A_quad, gchi)
     return hatA
 
 
-def discrepancy(grid, chi, hatA, A_gauss, A_nodes):
+def discrepancy(grid, chi, hatA, A_quad, A_nodes):
     """b_ij^{ab}(y) = hatA_ij^{ab} - a_ij^{ab}(y) - a_ik^{ag}(y) d_k chi_j^{gb}(y).
 
     Returns (b_nodal, b_gauss, b_mean, chi_grad).  The nodal table uses
@@ -142,12 +142,12 @@ def discrepancy(grid, chi, hatA, A_gauss, A_nodes):
             gchi_g = element_gauss_gradients(grid, chi[j, beta])     # (nelem, 4, k, gamma)
             gchi_n = nodal_gradient(grid, chi[j, beta])              # (nnodes, k, gamma)
             chi_grad[j, beta] = gchi_n
-            flux_g = np.einsum("egikac,egkc->iaeg", A_gauss, gchi_g)
+            flux_g = np.einsum("egikac,egkc->iaeg", A_quad, gchi_g)
             flux_n = np.einsum("nikac,nkc->ian", A_nodes, gchi_n)
             for i in range(d):
                 for alpha in range(m):
                     b_gauss[i, j, alpha, beta] = (hatA[i, j, alpha, beta]
-                                                  - A_gauss[:, :, i, j, alpha, beta]
+                                                  - A_quad[:, :, i, j, alpha, beta]
                                                   - flux_g[i, alpha])
                     b_nodal[i, j, alpha, beta] = (hatA[i, j, alpha, beta]
                                                   - A_nodes[:, i, j, alpha, beta]
@@ -168,10 +168,7 @@ def flux_corrector(grid, b_gauss):
     if not mean <= 1e-6:
         raise CellError(f"flux corrector needs mean-zero data, got max mean {mean:.3e}")
     cols = b_gauss.reshape(-1, grid.nelem, 4).transpose(1, 2, 0)     # (nelem, 4, ijab)
-    # the identity at every Gauss point: the Laplacian is assembled without
-    # evaluating its coefficient
-    identity = np.broadcast_to(np.eye(2)[:, :, None, None], (grid.nelem, 4, 2, 2, 1, 1))
-    laplacian = assemble(builtin("constant", value=1.0), grid, A_gauss=identity)
+    laplacian = assemble(builtin("constant", value=1.0), grid)
     f = laplacian.factorization().solve(-volume_load_from_gauss(grid, cols).reshape(grid.nnodes, -1))
     # G[k, i, j, a, b] = d_k f_ij^{ab}
     G = np.moveaxis(nodal_gradient(grid, f).reshape(grid.nnodes, 2, *shape), 0, -1)
@@ -206,11 +203,11 @@ _COMPONENT_AXES = {"chi": (1, 3), "hatA": (2, 3), "b_nodal": (2, 3), "b_gauss": 
                    "b_mean": (2, 3), "f": (2, 3), "F": (3, 4), "chi_grad": (1, 4)}
 
 
-def _is_decoupled(A_gauss, A_nodes):
+def _is_decoupled(A_quad, A_nodes):
     """True for m > 1 when a^{ab} = 0 exactly for a != b at every Gauss point and node."""
-    m = A_gauss.shape[-1]
+    m = A_quad.shape[-1]
     off = ~np.eye(m, dtype=bool)
-    return m > 1 and not A_gauss[..., off].any() and not A_nodes[..., off].any()
+    return m > 1 and not A_quad[..., off].any() and not A_nodes[..., off].any()
 
 
 def _component_field(coeff, a):
@@ -219,12 +216,12 @@ def _component_field(coeff, a):
                             symmetric=coeff.symmetric, params={"component": a})
 
 
-def _pipeline(coeff, grid, A_gauss, A_nodes):
+def _pipeline(coeff, grid, A_quad, A_nodes):
     """Correctors, hatA, discrepancy and flux corrector as CellSolution fields."""
-    op = assemble(coeff, grid, A_gauss=A_gauss)
-    chi = solve_cell(op, A_gauss)
-    hatA = homogenize(grid, chi, A_gauss)
-    b_nodal, b_gauss, b_mean, chi_grad = discrepancy(grid, chi, hatA, A_gauss, A_nodes)
+    op = assemble(coeff, grid)
+    chi = solve_cell(op, A_quad)
+    hatA = homogenize(grid, chi, A_quad)
+    b_nodal, b_gauss, b_mean, chi_grad = discrepancy(grid, chi, hatA, A_quad, A_nodes)
     op.release()
     f, F = flux_corrector(grid, b_gauss)
     return dict(chi=chi, hatA=hatA, b_nodal=b_nodal, b_gauss=b_gauss, b_mean=b_mean,
@@ -259,14 +256,14 @@ def solve(coeff, n) -> CellSolution:
     if n < 8:
         raise CellError(f"cell grid needs n >= 8, got {n}")
     grid, m = TorusGrid(n), coeff.m
-    A_gauss = coefficient_gauss_values(coeff, grid)
+    A_quad = coefficient_gauss_values(coeff, grid)
     A_nodes = np.asarray(coeff(grid.nodes))                # (nnodes, 2, 2, m, m)
-    if _is_decoupled(A_gauss, A_nodes):
+    if _is_decoupled(A_quad, A_nodes):
         blocks = [_pipeline(_component_field(coeff, a), grid,
-                            np.ascontiguousarray(A_gauss[..., a:a + 1, a:a + 1]),
+                            np.ascontiguousarray(A_quad[..., a:a + 1, a:a + 1]),
                             np.ascontiguousarray(A_nodes[..., a:a + 1, a:a + 1]))
                   for a in range(m)]
         fields = _block_diagonal(blocks, m)
     else:
-        fields = _pipeline(coeff, grid, A_gauss, A_nodes)
+        fields = _pipeline(coeff, grid, A_quad, A_nodes)
     return CellSolution(grid=grid, coeff=coeff, **fields)

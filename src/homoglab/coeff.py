@@ -59,8 +59,8 @@ class CoefficientField:
     def __init__(self, evaluator, m=1, family="user", symmetric=True, params=None, epsilon=None):
         if m < 1:
             raise CoefficientError(f"need m >= 1, got m={m}")
-        if epsilon is not None and not epsilon > 0.0:
-            raise CoefficientError(f"epsilon must be positive, got {epsilon}")
+        if epsilon is not None and not 0.0 < epsilon < np.inf:
+            raise CoefficientError(f"epsilon must be finite and positive, got {epsilon}")
         self._evaluator = evaluator
         self.m = int(m)
         self.family = family

@@ -27,6 +27,7 @@ them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,32 +113,17 @@ def build_expansion(mesh, u_eps, u0, family, V, epsilon) -> Expansion:
 # interior residual identity
 
 
-def _period_cells(mesh, eps):
-    """c = n eps, the mesh cells per period; ExpansionError unless c is a
-    whole number."""
-    c = round(mesh.n * eps)
-    if c < 1 or abs(mesh.n * eps - c) > 1e-9 * c:
-        raise ExpansionError(f"the period eps={eps!r} is not a whole number of cells of the "
-                             f"mesh of n={mesh.n}: n*eps = {mesh.n * eps!r}")
-    return c
-
-
 def _by_period(mesh, c, fg):
     """Element values fg (nelem, ...) as whole periods (P, c, P, c, ...),
-    P = ceil(n / c), where [py, ly, px, lx] is element (py c + ly, px c +
-    lx), zero past the mesh; a view when c divides n."""
-    n, P = mesh.n, -(-mesh.n // c)
-    fg = fg.reshape(n, n, *fg.shape[1:])
-    if P * c != n:
-        fg = np.pad(fg, [(0, P * c - n)] * 2 + [(0, 0)] * (fg.ndim - 2))
-    return fg.reshape(P, c, P, c, *fg.shape[2:])
+    P = n / c, where [py, ly, px, lx] is element (py c + ly, px c + lx); a
+    view."""
+    P = mesh.n // c
+    return fg.reshape(P, c, P, c, *fg.shape[1:])
 
 
 def _from_periods(mesh, fb):
     """The element values (nelem, ...) of whole periods fb (P, c, P, c, ...)."""
-    P, c = fb.shape[:2]
-    fe = fb.reshape(P * c, P * c, *fb.shape[4:])[:mesh.n, :mesh.n]
-    return fe.reshape(mesh.nelem, *fe.shape[2:])
+    return fb.reshape(mesh.nelem, *fb.shape[4:])
 
 
 def residual_identity_check(exp: Expansion, op, cell_solution):
@@ -153,15 +139,17 @@ def residual_identity_check(exp: Expansion, op, cell_solution):
     terms merge into a single bounded-kernel divergence.
 
     The eps-periodic factors a_eps and F(x/eps) are tabulated once, at the
-    Gauss points of the c x c elements of the first period (c = n eps, which
-    must be a whole number, else ExpansionError), and every element reads
-    the table of its class (ey mod c, ex mod c) by broadcasting; the
-    quadrature differs from the full-mesh evaluation at roundoff.
+    Gauss points of the c x c elements of one block that both repeat in,
+    and every element reads the table of its class (ey mod c, ex mod c) by
+    broadcasting; the quadrature differs from the full-mesh evaluation at
+    roundoff.  c is the least common multiple of op.cells, a_eps's block,
+    and the mesh's block of period eps (DomainMesh.period_cells): one
+    period on a mesh of whole periods, the whole mesh otherwise.
     """
     if exp.family not in ("chi", "dirichlet"):
         raise ExpansionError("residual identity applies to the chi and dirichlet families")
     mesh, m, eps = exp.mesh, exp.m, exp.epsilon
-    c = _period_cells(mesh, eps)
+    c = math.lcm(op.cells, mesh.period_cells(eps))
     grid = cell_solution.grid
 
     # the period tables [1, ly, 1, lx, q, ...], which broadcast over element

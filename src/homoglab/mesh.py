@@ -12,9 +12,10 @@ Every operator is assembled from a CoefficientField, rescaled
 coeff.builtin("constant", value=..., m=...).  The operator's coefficient
 is the one place that says how many components it has (op.m) and whether
 it is symmetric (op.coeff.symmetric).  assemble evaluates it on one block
-of elements that the mesh repeats (one element of a constant, one period
-of an aligned eps-periodic field, else the whole mesh) and sums that
-block's element matrices straight into the grid's 9-point CSR pattern.
+of c x c elements that the mesh repeats (one element of a constant, one
+period of an aligned eps-periodic field, else the whole mesh), sums that
+block's element matrices straight into the grid's 9-point CSR pattern and
+records c on the operator (op.cells), which the solver reads.
 
 Each constraint mode (Dirichlet, Neumann, periodic) has one solve through
 the Solver of its constrained system, built once per operator and cached
@@ -34,12 +35,9 @@ must be symmetric, goes through a transform: a constant tensor (the
 homogenized operator) through its own tensor, a variable one through its
 Gauss-point mean.  In the 'dirichlet' and 'periodic' modes a constant
 tensor with a symmetric constrained block (the homogenized operator, the
-Laplacian) goes through its transform.  A variable rescaled Dirichlet
-coefficient with c = n eps cells per period, 2 <= c <= 32, on a mesh of
-n >= max(32, c^2/4) with n/c a power of two, goes through its cell
-template, where it was measured to beat the LU; every other operator (a
-misaligned or period-1 Dirichlet coefficient, a coarser mesh, a variable
-periodic cell) goes through LU.
+Laplacian) goes through its transform.  A variable Dirichlet operator
+goes through its cell template where _template_cells admits it, and every
+other operator through LU.
 
 Solve data comes in fixed layouts, for an operator with m components:
 
@@ -122,6 +120,19 @@ class _UniformGrid:
         (nelem, 4, 2)."""
         corners = self.nodes[self.elem_dofs[elems, 0]]
         return corners[:, None, :] + GAUSS_POINTS[None, :, :] * self.h
+
+    def period_cells(self, eps):
+        """c, the side in cells of the block that a field of period eps
+        repeats on this mesh: n eps when that is a whole number (to 1e-9
+        relative) that divides n, else n, the whole mesh (also for eps None,
+        a field of period 1).  This is the one rule for it: assemble
+        records its block as op.cells, which the cell template reads, and
+        expand's identity check reads it too."""
+        if eps is not None:
+            c = round(self.n * eps)
+            if c >= 1 and abs(self.n * eps - c) <= 1e-9 * c and self.n % c == 0:
+                return c
+        return self.n
 
     def period_gauss_points(self, c, start=(0, 0)):
         """The Gauss points of the c x c elements of the period whose
@@ -265,18 +276,23 @@ class AssembledOperator:
     constrained system (factorization(), through a transform, a cell
     template or a sparse LU), which checks the residual of every column it
     solves.  The solver is cached behind the handle; release() frees it (an
-    LU is large at fine resolution).  coeff_mean is the (2, 2, m, m) mean of the coefficient
-    over the Gauss points of the block assemble evaluated it on, the cell
-    mean when the mesh holds whole periods; it sets the transform that
-    solves a variable Neumann coefficient, which has no other solve.
+    LU is large at fine resolution).  cells is the side c of the block of
+    c x c elements that assemble evaluated the coefficient on, which
+    element (ey, ex) reads as (ey mod c, ex mod c): 1 for a constant, the
+    cells per period of an aligned field that repeats, n otherwise.
+    coeff_mean is the (2, 2, m, m) mean of the coefficient over the Gauss
+    points of that block, the cell mean when the mesh holds whole periods;
+    it sets the transform that solves a variable Neumann coefficient, which
+    has no other solve.
     """
 
-    def __init__(self, mesh, matrix, mode, coeff, coeff_mean):
+    def __init__(self, mesh, matrix, mode, coeff, coeff_mean, cells):
         self.mesh = mesh
         self.matrix = matrix
         self.mode = mode
         self.coeff = coeff
         self.coeff_mean = coeff_mean
+        self.cells = cells
         self._solver = None
         self._interior_dofs = None
         self._boundary_dofs = None
@@ -317,7 +333,7 @@ class AssembledOperator:
         if self.coeff.symmetric:
             return self
         return AssembledOperator(self.mesh, self.matrix.T.tocsr(), self.mode, self.coeff.adjoint(),
-                                 self.coeff_mean.transpose(1, 0, 3, 2))
+                                 self.coeff_mean.transpose(1, 0, 3, 2), self.cells)
 
     def _factor(self, matrix):
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -335,12 +351,10 @@ class AssembledOperator:
         (coeff_mean None of a variable coefficient has none), or
         ValueError is raised.  In the 'dirichlet' and 'periodic' modes a
         constant tensor, at any period, whose constrained block is
-        symmetric is solved through its transform.  A variable rescaled
-        Dirichlet coefficient on a mesh of n >= max(32, c^2/4) that holds
-        2^k x 2^k whole periods (k >= 1) of c cells, 2 <= c <= 32, is solved
-        by nested elimination of its cell template (_template_cells).  Every
-        other operator (a misaligned or period-1 field, a coarser mesh, the
-        periodic cell) goes through the sparse LU of _factor.
+        symmetric is solved through its transform.  A variable Dirichlet
+        operator that _template_cells admits is solved by nested
+        elimination of its cell template; every other operator goes through
+        the sparse LU of _factor.
         """
         if self._solver is None:
             tensor, cells = _constant_tensor(self.coeff), None
@@ -415,16 +429,13 @@ _TEMPLATE_MIN_N = 32
 
 
 def _template_cells(op):
-    """c, the cells per period of a rescaled Dirichlet operator whose mesh
-    of n >= max(32, c^2/4) cells per side holds 2^k x 2^k whole periods
-    (k >= 1) with 2 <= c <= 32; otherwise None."""
-    eps = op.coeff.epsilon
-    if op.mode != "dirichlet" or eps is None:
-        return None
-    n = op.mesh.n
-    c = round(n * eps)
-    if (not 2 <= c <= _TEMPLATE_MAX_CELLS or n < max(_TEMPLATE_MIN_N, c * c / 4)
-            or abs(n * eps - c) > 1e-9 * c or n % c):
+    """The cell template rule: c = op.cells, the block that assemble found
+    the coefficient to repeat in, when op is a Dirichlet operator with
+    2 <= c <= 32 on a mesh of n >= max(32, c^2/4) cells per side that holds
+    2^k x 2^k blocks, k >= 1; otherwise None (the sparse LU)."""
+    c, n = op.cells, op.mesh.n
+    if (op.mode != "dirichlet" or not 2 <= c <= _TEMPLATE_MAX_CELLS
+            or n < max(_TEMPLATE_MIN_N, c * c / 4)):
         return None
     periods = n // c
     return c if periods >= 2 and periods & (periods - 1) == 0 else None
@@ -480,30 +491,27 @@ class _CellTemplate:
     Every block of a level has the same matrix, so one dense template per
     level serves them all (nested dissection whose fronts at one level are
     equal; George, SIAM J. Numer. Anal. 10, 1973).  The cell's template is
-    the (c + 1)^2 m matrix that assemble builds from op.coeff at the first
-    period's Gauss points (2-D stiffness does not depend on the element
-    size), and it eliminates the (c - 1)^2 interior nodes.  A block of level
-    l >= 1 scatters four copies of its child's Schur complement onto its
-    ring plus the cross where they meet, and eliminates the cross.  Each
-    level keeps, for its eliminated dofs E and ring dofs R, A_EE^-1,
-    A_EE^-1 A_ER and A_RE; the top block's ring is the Dirichlet boundary,
-    so it keeps A_EE^-1 alone.
+    the (c + 1)^2 m stiffness matrix of op.coeff at the first period's
+    Gauss points on the c x c cell mesh (2-D stiffness does not depend on
+    the element size), and it eliminates the (c - 1)^2 interior nodes.  A
+    block of level l >= 1 scatters four copies of its child's Schur
+    complement onto its ring plus the cross where they meet, and
+    eliminates the cross.  Each level keeps, for its eliminated dofs E and
+    ring dofs R, A_EE^-1, A_EE^-1 A_ER and A_RE; the top block's ring is
+    the Dirichlet boundary, so it keeps A_EE^-1 alone.
 
     solve(B) condenses the data upward, level by level, and substitutes
     back downward, each step one matmul over every block of a level and
-    every column.  The template holds only for a coefficient that repeats
-    in every period; the Solver's residual check against the assembled
-    K_ii is what catches one that does not.
+    every column.  The template holds only for a matrix that repeats its
+    first period in every period, as assemble's matrix of op.cells = c
+    does; the Solver's residual check against K_ii is what catches one
+    that does not.
     """
 
     def __init__(self, op, c):
         mesh, m, n = op.mesh, op.m, op.mesh.n
-        A = np.asarray(op.coeff(mesh.period_gauss_points(c).reshape(-1, 2)))
-        with warnings.catch_warnings():
-            # the cell mesh resolves the field: its Gauss values are the
-            # fine mesh's, sampled at h <= eps/8 or warned about there
-            warnings.filterwarnings("ignore", message="under-resolved oscillation")
-            cell = assemble(op.coeff, DomainMesh(c), A_gauss=A.reshape(c * c, 4, 2, 2, m, m))
+        Kloc = _element_matrices(op.coeff(mesh.period_gauss_points(c)))
+        cell = _stencil_matrix(DomainMesh(c), Kloc, c)
         self._levels = []
         s, ring, schur = c, None, None
         while True:
@@ -512,7 +520,7 @@ class _CellTemplate:
             nR, maps = ring.size * m, None
             if schur is None:
                 order = _dofs(np.concatenate([ring, elim]), m)
-                M = cell.matrix.toarray()[np.ix_(order, order)]
+                M = cell.toarray()[np.ix_(order, order)]
             else:
                 maps = _child_maps(s, ring, elim, child_ring, m)
                 # the top block needs only its cross: its ring is the boundary
@@ -790,27 +798,18 @@ def coefficient_gauss_values(coeff, mesh):
     return np.asarray(vals).reshape(mesh.nelem, 4, 2, 2, coeff.m, coeff.m)
 
 
-def _element_table(coeff, mesh, A_gauss):
+def _element_table(coeff, mesh):
     """(c, A): the coefficient at the Gauss points of a block of c x c
     elements, (c * c, 4, 2, 2, m, m), that every element (ey, ex) of the
     mesh reads as its class (ey mod c, ex mod c).
 
-    c is 1 for a constant field and n eps for a field rescaled to n eps
-    whole cells per period, when n/c periods tile the mesh and the last
-    period along each axis matches the first to 1e-12 relative; otherwise,
-    and for a given A_gauss, c is n and the table is the whole mesh.
+    c is 1 for a constant field and mesh.period_cells(eps) for a field of
+    period eps, when the last period along each axis matches the first to
+    1e-12 relative; otherwise c is n and the table is the whole mesh.
     """
-    n, m = mesh.n, coeff.m
-    if A_gauss is not None:
-        A, shape = np.asarray(A_gauss), (mesh.nelem, 4, 2, 2, m, m)
-        if A.shape != shape:
-            raise ValueError(f"A_gauss must hold the coefficient at the 4 Gauss points of every "
-                             f"element, shape (nelem, 4, 2, 2, m, m) = {shape}, got {A.shape}")
-        return n, A
-    cells = n if coeff.epsilon is None else n * coeff.epsilon
-    c = 1 if coeff.family == "constant" else round(cells)
-    whole = coeff.family == "constant" or abs(cells - c) <= 1e-9 * cells
-    if whole and 1 <= c < n and n % c == 0:
+    n = mesh.n
+    c = 1 if coeff.family == "constant" else mesh.period_cells(coeff.epsilon)
+    if c < n:
         A = coeff(mesh.period_gauss_points(c))
         tol = 1e-12 * np.abs(A).max()
         if all(np.abs(coeff(mesh.period_gauss_points(c, last)) - A).max() <= tol
@@ -905,7 +904,7 @@ def _stencil_matrix(mesh, Kloc, c):
     return sp.csr_matrix((data, indices, indptr), shape=(ndof, ndof))
 
 
-def assemble(coeff, mesh, mode="dirichlet", A_gauss=None) -> AssembledOperator:
+def assemble(coeff, mesh, mode="dirichlet") -> AssembledOperator:
     """Assemble the stiffness matrix of coeff on the mesh.
 
     coeff is a CoefficientField, evaluated at the physical Gauss points
@@ -913,14 +912,12 @@ def assemble(coeff, mesh, mode="dirichlet", A_gauss=None) -> AssembledOperator:
     coeff.builtin("constant", value=..., m=...).  It is evaluated on one
     block of c x c elements that the mesh repeats (_element_table): one
     element of a constant, one period of a field rescaled to whole cells
-    per period, the whole mesh otherwise.  A_gauss, if given, holds the
-    Gauss values of every element already (coefficient_gauss_values,
-    (nelem, 4, 2, 2, m, m), else ValueError) and coeff is not evaluated.
-    The element matrices of the block are summed straight into the grid's
-    9-point CSR pattern (_stencil_matrix), and coeff_mean is the block's
-    mean.  An under-resolved oscillation (h > eps/8) of a non-constant
-    coefficient is reported by warnings.warn, not a failure; a rescaled
-    constant does not oscillate.
+    per period, the whole mesh otherwise; the operator records c as
+    op.cells.  The element matrices of the block are summed straight into
+    the grid's 9-point CSR pattern (_stencil_matrix), and coeff_mean is the
+    block's mean.  An under-resolved oscillation (h > eps/8) of a
+    non-constant coefficient is reported by warnings.warn, not a failure;
+    a rescaled constant does not oscillate.
     """
     if not isinstance(coeff, CoefficientField):
         raise TypeError(f"assemble takes a coefficient object, got {type(coeff).__name__}; "
@@ -935,14 +932,14 @@ def assemble(coeff, mesh, mode="dirichlet", A_gauss=None) -> AssembledOperator:
         warnings.warn(f"under-resolved oscillation: h={mesh.h:.4g} > eps/8={eps / 8.0:.4g}",
                       stacklevel=2)
 
-    c, A = _element_table(coeff, mesh, A_gauss)
+    c, A = _element_table(coeff, mesh)
     if not np.all(np.isfinite(A)):
         raise ValueError("coefficient evaluated to non-finite values")
     coeff_mean = A.mean(axis=(0, 1))
     Kloc = _element_matrices(A)
     del A
     matrix = _stencil_matrix(mesh, Kloc, c)
-    return AssembledOperator(mesh, matrix, mode, coeff, coeff_mean=coeff_mean)
+    return AssembledOperator(mesh, matrix, mode, coeff, coeff_mean, c)
 
 
 # ---------------------------------------------------------------------------
@@ -1182,7 +1179,7 @@ def norm(mesh, values, kind="Lp", p=2.0):
     vals = _nodal(mesh, values)
     if not np.all(np.isfinite(vals)):
         raise ValueError("norm of a field with non-finite entries")
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"need p >= 1, got {p}")
     h2 = mesh.h ** 2
 

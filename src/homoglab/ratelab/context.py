@@ -75,10 +75,8 @@ class EpsilonContext:
     the (2, 2, m, m) tensor of the homogenized operators L_0.  The level
     is the unit square with cells_per_period cells per period eps.
     Operators are built on first use by op(name) and quantities by
-    prepare(needs), into data.  When 1/eps is a power of two,
-    cells_per_period is at most 32 and the mesh has at least 32 and
-    cells_per_period^2/4 cells per side, dir_eps is solved by its cell
-    template rather than a sparse LU (mesh.AssembledOperator.factorization).
+    prepare(needs), into data.  dir_eps is solved by its cell template
+    where mesh._template_cells admits it, else by a sparse LU.
     """
 
     def __init__(self, cell: cellmod.CellSolution, hatA, eps, cells_per_period):
@@ -108,7 +106,7 @@ class EpsilonContext:
             first = next((op for op in self._ops.values() if op.coeff is coeff), None)
             self._ops[name] = (assemble(coeff, self.mesh, mode=mode) if first is None else
                                AssembledOperator(self.mesh, first.matrix, mode, coeff,
-                                                 first.coeff_mean))
+                                                 first.coeff_mean, first.cells))
         for other, op in self._ops.items():
             if other != name:
                 op.release()

@@ -75,7 +75,7 @@ def test_b_mean_zero_by_quadrature(layered_cell64):
 def test_b_weak_divergence_small(layered_field):
     grid = mesh.TorusGrid(32)
     A_gauss = mesh.coefficient_gauss_values(layered_field, grid)
-    chi = cell.solve_cell(mesh.assemble(layered_field, grid, A_gauss=A_gauss), A_gauss)
+    chi = cell.solve_cell(mesh.assemble(layered_field, grid), A_gauss)
     hatA = cell.homogenize(grid, chi, A_gauss)
     _, b_gauss, _, _ = cell.discrepancy(grid, chi, hatA, A_gauss, layered_field(grid.nodes))
     assert cell.discrepancy_divergence_residual(grid, b_gauss) < 1e-9

@@ -117,6 +117,13 @@ def test_rescale_rejects_nonpositive(layered_field):
         coeff.rescale(layered_field, -1.0)
 
 
+@pytest.mark.parametrize("eps", [np.inf, np.nan])
+def test_rescale_rejects_a_period_that_is_not_finite(layered_field, eps):
+    # an infinite period would reach assembly and end in OverflowError there
+    with pytest.raises(coeff.CoefficientError, match="finite and positive"):
+        coeff.rescale(layered_field, eps)
+
+
 @pytest.mark.parametrize("tag,params", [
     ("constant", {}),
     ("layered", {}),

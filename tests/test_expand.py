@@ -201,12 +201,13 @@ def _coupled_nonsymmetric_field():
                                   params={"id": "coupled-nonsymmetric"})
 
 
-@pytest.mark.parametrize("n, eps", [(48, 1 / 4), (40, 3 / 10)])
+@pytest.mark.parametrize("n, eps", [(48, 1 / 4), (40, 3 / 10), (20, 1 / 8)])
 def test_period_tables_match_the_full_mesh_check_on_arbitrary_data(n, eps):
     # random smooth nodal data and random torus tables F, chi: the check is a
     # quadrature of whatever it is given, so every index of every table is
     # exercised; eps = 3/10 on n = 40 puts 12 cells in a period that does
-    # not divide the mesh
+    # not divide the mesh, and eps = 1/8 on n = 20 2.5 cells in a period,
+    # both checked on whole-mesh tables
     rng = np.random.default_rng(n)
     m, dm, grid = 2, mesh.DomainMesh(n), mesh.TorusGrid(16)
     x, y = dm.nodes[:, 0:1], dm.nodes[:, 1:2]
@@ -219,14 +220,23 @@ def test_period_tables_match_the_full_mesh_check_on_arbitrary_data(n, eps):
     _assert_matches_full_mesh(e, op, cs)
 
 
-def test_residual_identity_check_needs_whole_cells_per_period(identity_field, layered_cell64):
-    dm = mesh.DomainMesh(20)
-    zeros = np.zeros((dm.nnodes, 1))
-    for eps in (1 / 8, 1 / 64):          # n eps = 2.5 and 0.3125
-        e = expand.build_expansion(dm, zeros, zeros, "dirichlet", mesh.monomial_table(dm, 1), eps)
-        op = mesh.assemble(coeff.rescale(identity_field, eps), dm, mode="dirichlet")
-        with pytest.raises(expand.ExpansionError, match="whole number"):
-            expand.residual_identity_check(e, op, layered_cell64)
+def test_identity_check_of_a_field_that_does_not_repeat_reads_every_element():
+    # an aligned period (8 cells on n = 32) of a coefficient whose last
+    # period differs from its first: assemble evaluated every element
+    # (op.cells = n), and so does the check, as its full-mesh reference does
+    rng = np.random.default_rng(5)
+    m, dm, grid, eps = 1, mesh.DomainMesh(32), mesh.TorusGrid(16), 1 / 4
+    eye = np.eye(2)[None, :, :, None, None]
+    drifting = coeff.CoefficientField(lambda pts: (1.0 + 0.25 * pts[:, :1, None, None, None]) * eye)
+    op = mesh.assemble(coeff.rescale(drifting, eps), dm, mode="dirichlet")
+    assert op.cells == dm.n
+    x, y = dm.nodes[:, 0:1], dm.nodes[:, 1:2]
+    smooth = np.sin(3 * x + 2 * y) * np.exp(x * y)
+    cs = SimpleNamespace(grid=grid, F=rng.standard_normal((2, 2, 2, m, m, grid.nnodes)),
+                         chi=rng.standard_normal((2, m, grid.nnodes, m)))
+    V = mesh.monomial_table(dm, m) + 0.1 * rng.standard_normal((2, m, dm.nnodes, m))
+    e = expand.build_expansion(dm, smooth + 0.1 * x, smooth, "dirichlet", V, eps)
+    _assert_matches_full_mesh(e, op, cs)
 
 
 # tracemalloc peak of the check on the n = 256 layered level of

@@ -77,13 +77,9 @@ def test_under_resolution_warning(layered_field):
         mesh.assemble(coeff.rescale(layered_field, 1.0), dm, mode="dirichlet")
         # a rescaled constant does not oscillate
         mesh.assemble(coeff.rescale(coeff.builtin("constant", value=2.0), 1 / 4), dm)
-        # the cell template assembles its cell mesh of 8 cells from the
+        # the cell template builds its cell matrix of 8 cells from the
         # Gauss values of a mesh that resolves the field
         mesh.assemble(coeff.rescale(layered_field, 1 / 4), mesh.DomainMesh(32)).factorization()
-    # Gauss values passed in are checked as the field's own
-    sc = coeff.rescale(layered_field, 1 / 4)
-    with pytest.warns(UserWarning, match="under-resolved oscillation"):
-        mesh.assemble(sc, dm, A_gauss=mesh.coefficient_gauss_values(sc, dm))
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +87,14 @@ def test_under_resolution_warning(layered_field):
 
 
 def _coo_assembly(grid, A):
-    """The stiffness matrix of the Gauss values A (nelem, 4, 2, 2, m, m) as
-    scipy's COO -> CSR sum of every element matrix in element order: the
-    reference for assemble's 9-point sums."""
+    """The stiffness matrix of the Gauss values A (nelem, 4, 2, 2, m, m), or
+    of one element's (1, 4, 2, 2, m, m) in every element, as scipy's COO ->
+    CSR sum of every element matrix in element order: the reference for
+    assemble's 9-point sums."""
     m = A.shape[-1]
     Kloc = np.einsum("g,egijab,gip,gjq->epaqb", mesh.GAUSS_WEIGHTS, A, mesh.DPHI, mesh.DPHI,
-                     optimize=True).reshape(grid.nelem, 4 * m, 4 * m)
+                     optimize=True).reshape(-1, 4 * m, 4 * m)
+    Kloc = np.broadcast_to(Kloc, (grid.nelem, 4 * m, 4 * m))
     ldof = (grid.elem_dofs[:, :, None] * m + np.arange(m, dtype=np.int32)).reshape(grid.nelem, 4 * m)
     rows = np.broadcast_to(ldof[:, :, None], Kloc.shape).ravel()
     cols = np.broadcast_to(ldof[:, None, :], Kloc.shape).ravel()
@@ -131,12 +129,16 @@ ASSEMBLY_GRIDS = [("square", 2), ("square", 7), ("square", 16), ("torus", 2), ("
 def test_assembly_of_a_full_table_is_the_coo_sum_bit_for_bit(grid, n, name):
     # m = 1: every entry sums its element contributions in ascending element
     # index, as scipy's COO -> CSR sum does, so the matrices agree bit for bit
-    # (on the torus this keeps the cell's roundoff-level statistics)
+    # with the COO sum of the block's element matrices (on the torus this
+    # keeps the cell's roundoff-level statistics).  A field of period 1 has
+    # the whole mesh as its block, a constant one element.
     field, g = _assembly_fields()[name], GRIDS[grid](n)
     A = mesh.coefficient_gauss_values(field, g)
-    got, ref = mesh.assemble(field, g, A_gauss=A).matrix, _coo_assembly(g, A)
-    assert _same_pattern(got, ref)
-    assert np.array_equal(got.data, ref.data)
+    op = mesh.assemble(field, g)
+    assert op.cells == (1 if name == "constant" else n)
+    ref = _coo_assembly(g, A[:1] if op.cells == 1 else A)
+    assert _same_pattern(op.matrix, ref)
+    assert np.array_equal(op.matrix.data, ref.data)
 
 
 @pytest.mark.parametrize("grid, n", ASSEMBLY_GRIDS)
@@ -146,7 +148,7 @@ def test_assembly_of_a_system_matches_the_coo_sum(grid, n, name):
     # sums agree to roundoff
     field, g = _assembly_fields()[name], GRIDS[grid](n)
     A = mesh.coefficient_gauss_values(field, g)
-    got, ref = mesh.assemble(field, g, A_gauss=A).matrix, _coo_assembly(g, A)
+    got, ref = mesh.assemble(field, g).matrix, _coo_assembly(g, A)
     assert _same_pattern(got, ref)
     assert np.abs(got.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
 
@@ -163,6 +165,7 @@ def test_assembly_from_one_period_matches_full_evaluation(grid, n, eps, name):
     field, g = coeff.rescale(_assembly_fields()[name], eps), GRIDS[grid](n)
     A = mesh.coefficient_gauss_values(field, g)
     op, ref = mesh.assemble(field, g), _coo_assembly(g, A)
+    assert op.cells == (1 if name == "constant" else round(n * eps))
     assert _same_pattern(op.matrix, ref)
     assert np.abs(op.matrix.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
     # the mean of 4 n^2 Gauss values rounds by up to ~1e-14 of its largest entry
@@ -196,9 +199,10 @@ def _drifting_field(direction=(1.0, 0.0)):
 def test_assembly_of_a_field_that_does_not_repeat_evaluates_every_element(grid, n, field):
     g = GRIDS[grid](n)
     A = mesh.coefficient_gauss_values(field, g)
-    got, ref = mesh.assemble(field, g).matrix, _coo_assembly(g, A)
-    assert _same_pattern(got, ref)
-    assert np.array_equal(got.data, ref.data)
+    op, ref = mesh.assemble(field, g), _coo_assembly(g, A)
+    assert op.cells == n
+    assert _same_pattern(op.matrix, ref)
+    assert np.array_equal(op.matrix.data, ref.data)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -215,15 +219,6 @@ def test_assembly_needs_little_more_memory_than_its_matrix(m):
         tracemalloc.stop()
     K = op.matrix
     assert peak <= 3 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
-
-
-def test_assemble_names_the_shape_of_the_gauss_values():
-    dm = mesh.DomainMesh(8)
-    field = coeff.builtin("layered", m=2)
-    A = mesh.coefficient_gauss_values(field, dm)
-    for bad in (A[:, :, :, :, :1, :1], A[1:], A.reshape(dm.nelem, 4, 4, 2, 2)):
-        with pytest.raises(ValueError, match=r"\(nelem, 4, 2, 2, m, m\) = \(64, 4, 2, 2, 2, 2\)"):
-            mesh.assemble(field, dm, A_gauss=bad)
 
 
 def test_dirichlet_affine_data_exact(identity_field):
@@ -393,6 +388,9 @@ def test_norm_rejects_nan():
     f[0, 0] = np.nan
     with pytest.raises(ValueError):
         mesh.norm(dm, f, "Lp", 2)
+    # a NaN exponent is no p >= 1 either
+    with pytest.raises(ValueError, match="need p >= 1, got nan"):
+        mesh.norm(dm, np.ones((dm.nnodes, 1)), "Lp", np.nan)
 
 
 def _gauss_formula_norm(dm, vals, kind, p):
@@ -1034,15 +1032,33 @@ def test_template_with_a_zeroed_block_fails_residual_check(monkeypatch, layered_
 
 
 def test_cell_template_of_a_field_that_is_not_periodic_fails_residual_check():
-    # a hand-built field that is not periodic, rescaled all the same: the
-    # first period's template is wrong in the others, and the residual
-    # check says so rather than return a wrong number
-    eye = np.eye(2)[None, :, :, None, None]
-    drifting = coeff.CoefficientField(lambda pts: (1.0 + 0.25 * pts[:, :1, None, None, None]) * eye)
+    # the matrix of a field that is not periodic (every element evaluated)
+    # on an operator that claims a block of 8 cells: the solver takes the
+    # first period's template, which is wrong in the other periods, and the
+    # residual check against the matrix says so rather than return a wrong
+    # number
     dm = mesh.DomainMesh(32)
-    op = mesh.assemble(coeff.rescale(drifting, 1 / 4), dm)
+    full = mesh.assemble(coeff.rescale(_drifting_field(), 1 / 4), dm)
+    op = mesh.AssembledOperator(dm, full.matrix, "dirichlet", full.coeff, full.coeff_mean, 8)
     with pytest.raises(mesh.SolveError, match="cell template .* repeats in every period"):
         mesh.solve_dirichlet(op, np.ones((dm.nnodes, 1)))
+
+
+@pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (1.0, -1.0)])
+def test_aligned_field_that_does_not_repeat_is_solved_by_lu(monkeypatch, direction):
+    # aligned (8 cells per period, 4 x 4 periods) but its last period
+    # differs from its first: assemble evaluates every element, and the
+    # solver reads that block (op.cells = n) and factors K_ii
+    dm = mesh.DomainMesh(32)
+    op = mesh.assemble(coeff.rescale(_drifting_field(direction), 1 / 4), dm)
+    assert op.cells == 32
+    factored, templated = _record_factors(monkeypatch), _record_templates(monkeypatch)
+    source = np.ones((dm.nnodes, 1))
+    u = mesh.solve_dirichlet(op, source)
+    assert factored == ["dirichlet"] and templated == []
+    inter, _ = op.dof_split()
+    expect = spla.splu(op.interior_matrix().tocsc()).solve(mesh.volume_load(dm, source)[inter])
+    assert np.abs(u.ravel()[inter] - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 # ---------------------------------------------------------------------------
@@ -1140,7 +1156,7 @@ def test_variable_neumann_operator_needs_its_coefficient_mean(monkeypatch, layer
     with pytest.raises(TypeError, match="coeff_mean"):
         mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff)
     factored = _record_factors(monkeypatch)
-    bare = mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff, None)
+    bare = mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff, None, op.cells)
     with pytest.raises(ValueError, match="Neumann operator is solved by transform"):
         bare.factorization()
     assert factored == []
