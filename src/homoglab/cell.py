@@ -211,9 +211,12 @@ def _is_decoupled(A_quad, A_nodes):
 
 
 def _component_field(coeff, a):
-    """The m = 1 field a^{aa} of component a."""
-    return CoefficientField(lambda pts: coeff(pts)[..., a:a + 1, a:a + 1], m=1,
-                            symmetric=coeff.symmetric, params={"component": a})
+    """The m = 1 field a^{aa} of component a, over coeff's evaluator and with
+    its period, so one call of it is one evaluation."""
+    ev = coeff._evaluator
+    return CoefficientField(lambda y: np.asarray(ev(y))[..., a:a + 1, a:a + 1], m=1,
+                            symmetric=coeff.symmetric, params={"component": a},
+                            epsilon=coeff.epsilon)
 
 
 def _pipeline(coeff, grid, A_quad, A_nodes):

@@ -2,7 +2,8 @@
 
 Coefficient fields are supplied as analytic evaluators (pure functions of
 the sample point), never as gridded data, so every mesh resolution samples
-them exactly.  A field carries a symmetry flag meaning
+them exactly.  A field is 1-periodic by construction: it reads its
+evaluator at y mod 1 only.  It carries a symmetry flag meaning
 a_ij^{ab}(y) = a_ji^{ba}(y), and its period: 1 (epsilon None), or epsilon
 for the field A(x/eps) that rescale returns.  Ellipticity is measured by
 validate, never declared.
@@ -47,11 +48,15 @@ class EllipticityError(CoefficientError):
 class CoefficientField:
     """Periodic tensor field with its symmetry flag and its period.
 
-    The evaluator maps an (npts, d) array of points to an
-    (npts, d, d, m, m) array, with d = 2 (every mesh is two-dimensional).
-    epsilon is None for a field of period 1 and the period of a rescaled
-    field A(x/eps) (see rescale).  Instances are immutable after
-    construction and safe to share across concurrent evaluations.
+    The evaluator maps an (npts, d) array of points of the unit cell to an
+    (npts, d, d, m, m) array, with d = 2 (every mesh is
+    two-dimensional).  epsilon is None for a field of period 1 and the
+    period of a rescaled field A(x/eps) (see rescale).  A call maps each
+    point x to y = x, or x/eps when rescaled, and reads the evaluator at
+    y mod 1, so every field repeats under integer shifts of y, and integer
+    shifts of exactly representable points reproduce values bitwise.
+    Instances are immutable after construction and safe to share across
+    concurrent evaluations.
     """
 
     d = 2
@@ -76,7 +81,9 @@ class CoefficientField:
         if pts.shape[-1] != self.d:
             raise CoefficientError(f"points have dimension {pts.shape[-1]}, field has d={self.d}")
         flat = pts.reshape(-1, self.d)
-        vals = np.asarray(self._evaluator(flat), dtype=float)
+        if self.epsilon is not None:
+            flat = flat / self.epsilon
+        vals = np.asarray(self._evaluator(flat % 1.0), dtype=float)
         expect = (flat.shape[0], self.d, self.d, self.m, self.m)
         if vals.shape != expect:
             raise CoefficientError(f"evaluator returned shape {vals.shape}, expected {expect}")
@@ -119,19 +126,14 @@ class CoefficientField:
 def rescale(field: CoefficientField, epsilon: float) -> CoefficientField:
     """A(y) -> A(x/eps).  epsilon is the period length in domain coordinates.
 
-    The rescaled field calls the base field's evaluator at x/eps, so one
-    evaluation of it evaluates the base once.  A field that is already
-    rescaled raises CoefficientError.
+    The rescaled field shares the base field's evaluator and records eps,
+    which its calls divide by.  A field that is already rescaled raises
+    CoefficientError.
     """
     if not isinstance(field, CoefficientField) or field.epsilon is not None:
         raise CoefficientError("rescale expects a CoefficientField of period 1")
-    base, eps = field._evaluator, float(epsilon)
-
-    def scaled(pts):
-        return base(pts / eps)
-
-    return CoefficientField(scaled, m=field.m, family=field.family, symmetric=field.symmetric,
-                            params=field.params, epsilon=eps)
+    return CoefficientField(field._evaluator, m=field.m, family=field.family,
+                            symmetric=field.symmetric, params=field.params, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +141,11 @@ def rescale(field: CoefficientField, epsilon: float) -> CoefficientField:
 
 
 def _isotropic(scalar_fn, m):
-    """Wrap a scalar a(y) as the isotropic tensor a(y) delta_ij delta^{ab}.
-
-    Points are reduced to the unit cell first, so integer shifts of exactly
-    representable points reproduce values bitwise.
-    """
+    """Wrap a scalar a(y) as the isotropic tensor a(y) delta_ij delta^{ab}."""
     eye = np.einsum("ij,ab->ijab", np.eye(2), np.eye(m))
 
     def ev(pts):
-        a = np.asarray(scalar_fn(np.asarray(pts) % 1.0), dtype=float)
+        a = np.asarray(scalar_fn(pts), dtype=float)
         return a[:, None, None, None, None] * eye[None]
 
     return ev
@@ -331,8 +329,6 @@ def from_expression(expr: str, m=1) -> CoefficientField:
 class ValidationReport:
     rayleigh_min: float
     rayleigh_max: float
-    periodicity_residual: float
-    holder_quotient: float
     samples: int
 
     @property
@@ -342,12 +338,10 @@ class ValidationReport:
 
 
 def validate(field, samples=16, seed=0, xi_samples=32) -> ValidationReport:
-    """Sampled ellipticity, periodicity and Holder diagnostics for a field.
+    """Sampled ellipticity diagnostics for a field.
 
     Raises CoefficientError on non-finite values and EllipticityError when
-    the sampled lower Rayleigh quotient is not positive.  The Holder
-    quotient, of exponent 1 (every field is Lipschitz), is a diagnostic,
-    never a gate.
+    the sampled lower Rayleigh quotient is not positive.
     """
     if samples < 2:
         raise CoefficientError("need at least 2 samples per axis")
@@ -366,19 +360,4 @@ def validate(field, samples=16, seed=0, xi_samples=32) -> ValidationReport:
     if rmin <= 0.0:
         raise EllipticityError(f"sampled lower Rayleigh quotient {rmin:.3g} is not positive")
 
-    shifts = np.vstack([np.eye(d, dtype=int), rng.integers(-3, 4, size=(4, d))])
-    per = 0.0
-    for z in shifts:
-        if not z.any():
-            continue
-        per = max(per, float(np.abs(field(grid + z) - vals).max()))
-
-    deltas = rng.uniform(1e-4, 5e-2, size=(grid.shape[0], 1)) * rng.standard_normal(grid.shape)
-    norms = np.linalg.norm(deltas, axis=1)
-    diffs = field(grid + deltas) - vals
-    dmax = np.abs(diffs).reshape(grid.shape[0], -1).max(axis=1)
-    hq = float((dmax / norms).max())
-
-    return ValidationReport(rayleigh_min=rmin, rayleigh_max=rmax,
-                            periodicity_residual=per, holder_quotient=hq,
-                            samples=grid.shape[0])
+    return ValidationReport(rayleigh_min=rmin, rayleigh_max=rmax, samples=grid.shape[0])

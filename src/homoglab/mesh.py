@@ -134,14 +134,13 @@ class _UniformGrid:
                 return c
         return self.n
 
-    def period_gauss_points(self, c, start=(0, 0)):
-        """The Gauss points of the c x c elements of the period whose
-        lower-left element is start = (ey, ex), the first period by default,
-        row by row, (c * c, 4, 2): element (ey, ex) of the mesh sees the
-        values of a c-periodic field that first-period element
-        (ey mod c, ex mod c) sees."""
-        ey, ex = start[0] + np.arange(c), start[1] + np.arange(c)
-        return self.gauss_points((ey[:, None] * self.n + ex).ravel())
+    def period_gauss_points(self, c):
+        """The Gauss points of the c x c elements of the first period, row
+        by row, (c * c, 4, 2): element (ey, ex) of the mesh sees the values
+        of a c-periodic field that first-period element (ey mod c, ex mod c)
+        sees."""
+        e = np.arange(c)
+        return self.gauss_points((e[:, None] * self.n + e).ravel())
 
 
 class TorusGrid(_UniformGrid):
@@ -279,7 +278,7 @@ class AssembledOperator:
     LU is large at fine resolution).  cells is the side c of the block of
     c x c elements that assemble evaluated the coefficient on, which
     element (ey, ex) reads as (ey mod c, ex mod c): 1 for a constant, the
-    cells per period of an aligned field that repeats, n otherwise.
+    cells per period of an aligned eps-periodic field, n otherwise.
     coeff_mean is the (2, 2, m, m) mean of the coefficient over the Gauss
     points of that block, the cell mean when the mesh holds whole periods;
     it sets the transform that solves a variable Neumann coefficient, which
@@ -429,8 +428,8 @@ _TEMPLATE_MIN_N = 32
 
 
 def _template_cells(op):
-    """The cell template rule: c = op.cells, the block that assemble found
-    the coefficient to repeat in, when op is a Dirichlet operator with
+    """The cell template rule: c = op.cells, the block that assemble
+    evaluated the coefficient on, when op is a Dirichlet operator with
     2 <= c <= 32 on a mesh of n >= max(32, c^2/4) cells per side that holds
     2^k x 2^k blocks, k >= 1; otherwise None (the sparse LU)."""
     c, n = op.cells, op.mesh.n
@@ -804,18 +803,11 @@ def _element_table(coeff, mesh):
     mesh reads as its class (ey mod c, ex mod c).
 
     c is 1 for a constant field and mesh.period_cells(eps) for a field of
-    period eps, when the last period along each axis matches the first to
-    1e-12 relative; otherwise c is n and the table is the whole mesh.
+    period eps: every field repeats (coeff.CoefficientField), so one block
+    holds all of its values.
     """
-    n = mesh.n
     c = 1 if coeff.family == "constant" else mesh.period_cells(coeff.epsilon)
-    if c < n:
-        A = coeff(mesh.period_gauss_points(c))
-        tol = 1e-12 * np.abs(A).max()
-        if all(np.abs(coeff(mesh.period_gauss_points(c, last)) - A).max() <= tol
-               for last in ((0, n - c), (n - c, 0))):
-            return c, A
-    return n, coeff(mesh.period_gauss_points(n))
+    return c, coeff(mesh.period_gauss_points(c))
 
 
 def _element_matrices(A):

@@ -285,3 +285,27 @@ def test_flux_corrector_solves_the_assembled_torus_laplacian(field):
         f = cs.f[idx]
         assert np.linalg.norm(K @ f - load) <= 1e-12 * np.linalg.norm(load)
         assert abs(f.sum()) <= 1e-12 * np.abs(f).sum()
+
+
+def test_decoupled_cell_evaluates_each_point_once(monkeypatch):
+    # a component field reads the system's evaluator itself, so no
+    # coefficient call runs inside another and the points counted are the
+    # points evaluated: the system at the 4 n^2 Gauss points and the n^2
+    # nodes, each component's torus operator at its 4 n^2 Gauss points, and
+    # each flux corrector's constant Laplacian on one element
+    calls, depth = [], [0]
+    call = coeff.CoefficientField.__call__
+
+    def counting(self, pts):
+        calls.append((np.asarray(pts).size // 2, depth[0]))
+        depth[0] += 1
+        try:
+            return call(self, pts)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(coeff.CoefficientField, "__call__", counting)
+    n, m = 16, 2
+    cell.solve(coeff.builtin("layered", m=m), n)
+    assert [d for _, d in calls] == [0] * len(calls)
+    assert sum(p for p, _ in calls) == 5 * n * n + m * (4 * n * n + 4)

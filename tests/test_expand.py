@@ -220,16 +220,15 @@ def test_period_tables_match_the_full_mesh_check_on_arbitrary_data(n, eps):
     _assert_matches_full_mesh(e, op, cs)
 
 
-def test_identity_check_of_a_field_that_does_not_repeat_reads_every_element():
-    # an aligned period (8 cells on n = 32) of a coefficient whose last
-    # period differs from its first: assemble evaluated every element
-    # (op.cells = n), and so does the check, as its full-mesh reference does
+def test_identity_check_of_a_field_that_does_not_repeat_reads_every_element(layered_field):
+    # the operator of a field of period 1, which does not repeat in the
+    # aligned period eps (8 cells on n = 32): assemble evaluated every
+    # element (op.cells = n), the lcm of op.cells and period_cells(eps) is
+    # n, and the check reads every element, as its full-mesh reference does
     rng = np.random.default_rng(5)
     m, dm, grid, eps = 1, mesh.DomainMesh(32), mesh.TorusGrid(16), 1 / 4
-    eye = np.eye(2)[None, :, :, None, None]
-    drifting = coeff.CoefficientField(lambda pts: (1.0 + 0.25 * pts[:, :1, None, None, None]) * eye)
-    op = mesh.assemble(coeff.rescale(drifting, eps), dm, mode="dirichlet")
-    assert op.cells == dm.n
+    op = mesh.assemble(layered_field, dm, mode="dirichlet")
+    assert (op.cells, dm.period_cells(eps)) == (dm.n, 8)
     x, y = dm.nodes[:, 0:1], dm.nodes[:, 1:2]
     smooth = np.sin(3 * x + 2 * y) * np.exp(x * y)
     cs = SimpleNamespace(grid=grid, F=rng.standard_normal((2, 2, 2, m, m, grid.nnodes)),

@@ -173,14 +173,6 @@ def test_assembly_from_one_period_matches_full_evaluation(grid, n, eps, name):
     assert np.abs(op.coeff_mean - mean).max() <= 1e-13 * np.abs(mean).max()
 
 
-def _drifting_field(direction=(1.0, 0.0)):
-    """A hand-built field that is not periodic: 1 + (direction . y)/4 times
-    the identity."""
-    eye = np.eye(2)[None, :, :, None, None]
-    return coeff.CoefficientField(
-        lambda pts: (1.0 + 0.25 * (pts @ np.asarray(direction)))[:, None, None, None, None] * eye)
-
-
 @pytest.mark.filterwarnings("ignore:under-resolved oscillation")
 @pytest.mark.parametrize("grid, n, field", [
     ("square", 16, coeff.rescale(coeff.builtin("layered", wavevector=(1, 1)), 1 / 3)),  # c = 16/3
@@ -190,11 +182,6 @@ def _drifting_field(direction=(1.0, 0.0)):
     ("torus", 16, coeff.rescale(coeff.builtin("layered"), 1 / 3)),
     ("square", 16, coeff.rescale(coeff.builtin("layered"), 1.0)),      # one period
     ("square", 16, coeff.builtin("layered")),                          # a field of period 1
-    ("square", 32, coeff.rescale(_drifting_field(), 1 / 4)),           # the last period differs
-    ("torus", 32, coeff.rescale(_drifting_field(), 1 / 4)),
-    ("square", 32, coeff.rescale(_drifting_field((0.0, 1.0)), 1 / 4)),
-    # equal on the diagonal periods, different along each axis
-    ("square", 32, coeff.rescale(_drifting_field((1.0, -1.0)), 1 / 4)),
 ])
 def test_assembly_of_a_field_that_does_not_repeat_evaluates_every_element(grid, n, field):
     g = GRIDS[grid](n)
@@ -203,6 +190,19 @@ def test_assembly_of_a_field_that_does_not_repeat_evaluates_every_element(grid, 
     assert op.cells == n
     assert _same_pattern(op.matrix, ref)
     assert np.array_equal(op.matrix.data, ref.data)
+
+
+def test_known_defect_field_assembles_as_its_reduced_field_on_every_element(known_defect_field):
+    # raised by 1/4 on the inner period 1 < y1 < 2 only: read at y mod 1 it
+    # is the identity on every element, so its block of 8 cells, tiled, is
+    # the sum over every element's own Gauss values
+    field, dm = coeff.rescale(known_defect_field, 1 / 4), mesh.DomainMesh(32)
+    A = mesh.coefficient_gauss_values(field, dm)
+    assert np.array_equal(A, np.broadcast_to(np.eye(2)[:, :, None, None], A.shape))
+    op, ref = mesh.assemble(field, dm), _coo_assembly(dm, A)
+    assert op.cells == 8
+    assert _same_pattern(op.matrix, ref)
+    assert np.abs(op.matrix.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -1032,33 +1032,21 @@ def test_template_with_a_zeroed_block_fails_residual_check(monkeypatch, layered_
 
 
 def test_cell_template_of_a_field_that_is_not_periodic_fails_residual_check():
-    # the matrix of a field that is not periodic (every element evaluated)
-    # on an operator that claims a block of 8 cells: the solver takes the
-    # first period's template, which is wrong in the other periods, and the
-    # residual check against the matrix says so rather than return a wrong
-    # number
-    dm = mesh.DomainMesh(32)
-    full = mesh.assemble(coeff.rescale(_drifting_field(), 1 / 4), dm)
-    op = mesh.AssembledOperator(dm, full.matrix, "dirichlet", full.coeff, full.coeff_mean, 8)
+    # the matrix of a Gauss table that drifts from period to period, 1 +
+    # y1/4 at y = x/eps on every element, which no CoefficientField gives
+    # (each is read at y mod 1), on an operator that claims a block of 8
+    # cells of the field equal to it on the first period: the solver takes
+    # the first period's template, which is wrong in the other periods, and
+    # the residual check against the matrix says so rather than return a
+    # wrong number
+    dm, eps, eye = mesh.DomainMesh(32), 1 / 4, np.eye(2)[:, :, None, None]
+    A = (1.0 + 0.25 * dm.gauss_points()[..., 0] / eps)[..., None, None, None, None] * eye
+    first = coeff.rescale(coeff.CoefficientField(
+        lambda y: (1.0 + 0.25 * y[:, 0])[:, None, None, None, None] * eye[None]), eps)
+    op = mesh.AssembledOperator(dm, _coo_assembly(dm, A), "dirichlet", first,
+                                A.mean(axis=(0, 1)), 8)
     with pytest.raises(mesh.SolveError, match="cell template .* repeats in every period"):
         mesh.solve_dirichlet(op, np.ones((dm.nnodes, 1)))
-
-
-@pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (1.0, -1.0)])
-def test_aligned_field_that_does_not_repeat_is_solved_by_lu(monkeypatch, direction):
-    # aligned (8 cells per period, 4 x 4 periods) but its last period
-    # differs from its first: assemble evaluates every element, and the
-    # solver reads that block (op.cells = n) and factors K_ii
-    dm = mesh.DomainMesh(32)
-    op = mesh.assemble(coeff.rescale(_drifting_field(direction), 1 / 4), dm)
-    assert op.cells == 32
-    factored, templated = _record_factors(monkeypatch), _record_templates(monkeypatch)
-    source = np.ones((dm.nnodes, 1))
-    u = mesh.solve_dirichlet(op, source)
-    assert factored == ["dirichlet"] and templated == []
-    inter, _ = op.dof_split()
-    expect = spla.splu(op.interior_matrix().tocsc()).solve(mesh.volume_load(dm, source)[inter])
-    assert np.abs(u.ravel()[inter] - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,9 @@ def test_config_rejects_misaligned_epsilon():
 
 
 def test_mesh_budget_is_the_finest_level_that_fits():
-    # the n = 2048 Dirichlet LU would not fit in memory: refuse it up front
+    # an aligned level's Dirichlet operator is solved by its cell template,
+    # but a misaligned one still goes through the sparse LU, about 6 GB at
+    # n = 2048: refuse that level up front
     assert ratelab.mesh_resolution(16, 1 / 64) == 1024
     with pytest.raises(ValueError, match="budget 1024"):
         ratelab.mesh_resolution(16, 1 / 128)

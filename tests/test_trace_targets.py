@@ -120,10 +120,9 @@ def test_assemble_and_dtn_results_carry_what_the_tracer_counts(identity_field):
 def test_assemble_evaluates_one_period_and_keeps_the_nnz_the_tracer_counts(monkeypatch):
     # the tracer counts coeff.eval_points as the points each coefficient call
     # is given: an aligned eps-periodic field is evaluated on its first period
-    # and the last along each axis (O(c^2) points), a constant on one element
-    # of each, never
-    # at the 4 n^2 Gauss points of the mesh; mesh.assemble_nnz is the
-    # 9-point count (3n + 1)^2 m^2 of the square, as the COO sum stored
+    # (4 c^2 points), a constant on one element, never at the 4 n^2 Gauss
+    # points of the mesh; mesh.assemble_nnz is the 9-point count
+    # (3n + 1)^2 m^2 of the square, as the COO sum stored
     from homoglab import coeff, mesh
     tracing = _load_tracing()
     points = []
@@ -142,6 +141,6 @@ def test_assemble_evaluates_one_period_and_keeps_the_nnz_the_tracer_counts(monke
                          (coeff.rescale(coeff.builtin("constant", value=2.0, m=m), 1 / 8), 1)):
             points.clear()
             op = mesh.assemble(field, dm)
-            assert sum(points) == 3 * 4 * c * c < 4 * n * n
+            assert sum(points) == 4 * c * c < 4 * n * n
             assert isinstance(op.matrix.nnz, numbers.Integral)
             assert op.matrix.nnz == (3 * n + 1) ** 2 * m * m
