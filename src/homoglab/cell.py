@@ -14,18 +14,24 @@ with the same 2x2 Gauss rule used by the assembly, so the identities they
 satisfy hold to solver accuracy; the nodal tables use volume-averaged
 gradient recovery and carry the usual O(h^2) pointwise error.
 
-``solve`` evaluates the coefficient once per grid, at the Gauss points and
-at the nodes; the stages (solve_cell, homogenize, discrepancy) take the
-periodic operator and those values rather than the coefficient.  Every
-linear solve goes through mesh: the cell problems through solve_periodic
-on that operator, the flux corrector's d^2 m^2 columns through one batched
-solve of the assembled torus Laplacian, whose solver mesh picks and checks.
+``solve`` evaluates the coefficient once, into one table at the Gauss
+points and one at the nodes of the cell grid, and everything else reads
+those tables: the periodic operator is built from the Gauss table
+(mesh._torus_operator, assemble's operator bit for bit), and the stages
+(solve_cell, homogenize, discrepancy) take that operator and the tables
+rather than the coefficient.  Every linear solve goes through mesh: the cell problems
+through solve_periodic on that operator, the flux corrector's d^2 m^2
+columns through one batched solve of the assembled torus Laplacian, whose
+solver mesh picks and checks.
 
 A component-decoupled system (a^{ab} = 0 exactly for a != b at every Gauss
 point and node of the cell grid) is solved by ``solve`` block by block
 through the m = 1 path, so each diagonal block is bitwise equal to the
 scalar result for that block's coefficient and every cross-component entry
-is exactly zero.  Coupled systems use one interleaved m-component solve.
+is exactly zero.  The m = 1 path is a function of a block's two tables
+alone, so a block whose tables are equal to an earlier block's takes that
+block's results and is not solved again.  Coupled systems use one
+interleaved m-component solve.
 """
 
 from __future__ import annotations
@@ -212,7 +218,7 @@ def _is_decoupled(A_quad, A_nodes):
 
 def _component_field(coeff, a):
     """The m = 1 field a^{aa} of component a, over coeff's evaluator and with
-    its period, so one call of it is one evaluation."""
+    its period: the field that block a's operator carries."""
     ev = coeff._evaluator
     return CoefficientField(lambda y: np.asarray(ev(y))[..., a:a + 1, a:a + 1], m=1,
                             symmetric=coeff.symmetric, params={"component": a},
@@ -220,8 +226,10 @@ def _component_field(coeff, a):
 
 
 def _pipeline(coeff, grid, A_quad, A_nodes):
-    """Correctors, hatA, discrepancy and flux corrector as CellSolution fields."""
-    op = assemble(coeff, grid)
+    """Correctors, hatA, discrepancy and flux corrector as CellSolution fields.
+    They depend on coeff only through its tables A_quad and A_nodes and the
+    m, symmetry and period its operator carries."""
+    op = fem._torus_operator(coeff, grid, A_quad)
     chi = solve_cell(op, A_quad)
     hatA = homogenize(grid, chi, A_quad)
     b_nodal, b_gauss, b_mean, chi_grad = discrepancy(grid, chi, hatA, A_quad, A_nodes)
@@ -249,12 +257,15 @@ def _block_diagonal(blocks, m):
 def solve(coeff, n) -> CellSolution:
     """Full cell pipeline: correctors, hatA, discrepancy, flux corrector.
 
-    A system with m > 1 whose off-diagonal blocks a^{ab} (a != b) are exactly
-    zero at every Gauss point and node of the cell grid is solved block by
-    block through the m = 1 path: each diagonal block of the result is
-    bitwise equal to the scalar result for the field a^{aa}, and every
-    cross-component entry is exactly zero.  Coupled systems use one
-    interleaved m-component solve.
+    The coefficient is evaluated once, at the Gauss points and at the nodes
+    of the cell grid, and the whole pipeline reads those two tables.  A
+    system with m > 1 whose off-diagonal blocks a^{ab} (a != b) are exactly
+    zero in both tables is solved block by block through the m = 1 path:
+    each diagonal block of the result is bitwise equal to the scalar result
+    for the field a^{aa}, and every cross-component entry is exactly zero.
+    A block whose two tables are equal to an earlier block's takes that
+    block's results, which its own m = 1 solve would return bit for bit.
+    Coupled systems use one interleaved m-component solve.
     """
     if n < 8:
         raise CellError(f"cell grid needs n >= 8, got {n}")
@@ -262,10 +273,14 @@ def solve(coeff, n) -> CellSolution:
     A_quad = coefficient_gauss_values(coeff, grid)
     A_nodes = np.asarray(coeff(grid.nodes))                # (nnodes, 2, 2, m, m)
     if _is_decoupled(A_quad, A_nodes):
-        blocks = [_pipeline(_component_field(coeff, a), grid,
-                            np.ascontiguousarray(A_quad[..., a:a + 1, a:a + 1]),
-                            np.ascontiguousarray(A_nodes[..., a:a + 1, a:a + 1]))
-                  for a in range(m)]
+        blocks = []
+        for a in range(m):
+            same = [b for b in range(a) if np.array_equal(A_quad[..., a, a], A_quad[..., b, b])
+                    and np.array_equal(A_nodes[..., a, a], A_nodes[..., b, b])]
+            blocks.append(blocks[same[0]] if same else
+                          _pipeline(_component_field(coeff, a), grid,
+                                    np.ascontiguousarray(A_quad[..., a:a + 1, a:a + 1]),
+                                    np.ascontiguousarray(A_nodes[..., a:a + 1, a:a + 1])))
         fields = _block_diagonal(blocks, m)
     else:
         fields = _pipeline(coeff, grid, A_quad, A_nodes)

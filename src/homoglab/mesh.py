@@ -15,7 +15,9 @@ it is symmetric (op.coeff.symmetric).  assemble evaluates it on one block
 of c x c elements that the mesh repeats (one element of a constant, one
 period of an aligned eps-periodic field, else the whole mesh), sums that
 block's element matrices straight into the grid's 9-point CSR pattern and
-records c on the operator (op.cells), which the solver reads.
+records c on the operator (op.cells), which the solver reads.  The
+cell's torus operator (_torus_operator) reads that block out of the table
+of the coefficient at every Gauss point that the cell already holds.
 
 Each constraint mode (Dirichlet, Neumann, periodic) has one solve through
 the Solver of its constrained system, built once per operator and cached
@@ -70,6 +72,7 @@ values, path); the last two read an (nnodes,) table as one column.
 from __future__ import annotations
 
 import functools
+import numbers
 import warnings
 from collections import namedtuple
 
@@ -113,7 +116,16 @@ class SolveError(RuntimeError):
 
 class _UniformGrid:
     """What the torus grid and the square mesh share: uniform square elements
-    of side h whose first local node is the lower-left corner."""
+    of side h = 1/n whose first local node is the lower-left corner."""
+
+    @staticmethod
+    def _cells_per_axis(n):
+        """n as an int: an integer (not a bool) of at least 2, else ValueError."""
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"cells per axis n must be an integer, got n={n!r}")
+        if n < 2:
+            raise ValueError(f"need at least 2 cells per axis, got n={n}")
+        return int(n)
 
     def gauss_points(self, elems=slice(None)):
         """The four Gauss points of every element, or of the elements elems,
@@ -147,9 +159,7 @@ class TorusGrid(_UniformGrid):
     """Uniform n x n grid on the flat unit torus, bilinear elements."""
 
     def __init__(self, n):
-        if n < 2:
-            raise ValueError(f"need at least 2 cells per axis, got {n}")
-        self.n = int(n)
+        self.n = n = self._cells_per_axis(n)
         self.d = 2
         self.h = 1.0 / n
         self.nnodes = n * n
@@ -172,9 +182,7 @@ class DomainMesh(_UniformGrid):
     """
 
     def __init__(self, n):
-        if n < 2:
-            raise ValueError(f"need at least 2 cells per axis, got {n}")
-        self.n = int(n)
+        self.n = n = self._cells_per_axis(n)
         self.d = 2
         self.h = 1.0 / n
         N = n + 1
@@ -797,17 +805,22 @@ def coefficient_gauss_values(coeff, mesh):
     return np.asarray(vals).reshape(mesh.nelem, 4, 2, 2, coeff.m, coeff.m)
 
 
-def _element_table(coeff, mesh):
+def _element_table(coeff, mesh, A_quad=None):
     """(c, A): the coefficient at the Gauss points of a block of c x c
     elements, (c * c, 4, 2, 2, m, m), that every element (ey, ex) of the
-    mesh reads as its class (ey mod c, ex mod c).
+    mesh reads as its class (ey mod c, ex mod c).  It is read out of
+    A_quad, coeff at every Gauss point of the mesh, when that is given,
+    and evaluated otherwise.
 
     c is 1 for a constant field and mesh.period_cells(eps) for a field of
     period eps: every field repeats (coeff.CoefficientField), so one block
     holds all of its values.
     """
     c = 1 if coeff.family == "constant" else mesh.period_cells(coeff.epsilon)
-    return c, coeff(mesh.period_gauss_points(c))
+    if A_quad is None:
+        return c, coeff(mesh.period_gauss_points(c))
+    n, table = mesh.n, A_quad.shape[1:]
+    return c, A_quad.reshape(n, n, *table)[:c, :c].reshape(c * c, *table)
 
 
 def _element_matrices(A):
@@ -918,13 +931,32 @@ def assemble(coeff, mesh, mode="dirichlet") -> AssembledOperator:
         mode = "periodic"
     elif mode not in ("dirichlet", "neumann"):
         raise ValueError(f"unknown constraint mode {mode!r}")
+    return _operator(coeff, mesh, mode)
 
+
+def _torus_operator(coeff, grid, A_quad):
+    """assemble(coeff, grid) on the torus grid, from A_quad, coeff at every
+    Gauss point of the grid (coefficient_gauss_values), which the cell
+    holds: the block that assemble evaluates is read out of A_quad, so
+    nothing is evaluated and the operator is assemble's bit for bit."""
+    shape = (grid.nelem, 4, 2, 2, coeff.m, coeff.m)
+    if not grid.is_torus:
+        raise ValueError("the cell's operator is built on a torus grid")
+    if A_quad.shape != shape:
+        raise ValueError(f"A_quad must be coeff at every Gauss point of the grid, {shape}, "
+                         f"got {A_quad.shape}")
+    return _operator(coeff, grid, "periodic", A_quad)
+
+
+def _operator(coeff, mesh, mode, A_quad=None):
+    """What assemble and _torus_operator share: the operator of coeff's
+    block table (_element_table), evaluated or read out of A_quad."""
     eps = coeff.epsilon
     if eps is not None and coeff.family != "constant" and mesh.h > eps / 8.0 + 1e-14:
         warnings.warn(f"under-resolved oscillation: h={mesh.h:.4g} > eps/8={eps / 8.0:.4g}",
-                      stacklevel=2)
+                      stacklevel=3)
 
-    c, A = _element_table(coeff, mesh)
+    c, A = _element_table(coeff, mesh, A_quad)
     if not np.all(np.isfinite(A)):
         raise ValueError("coefficient evaluated to non-finite values")
     coeff_mean = A.mean(axis=(0, 1))

@@ -251,15 +251,98 @@ def test_decoupled_system_blocks_equal_scalar_runs(monkeypatch):
                     assert not block.any(), name
 
 
+def _on_nodes(n):
+    """The mask of the points that lie on the nodes of the n x n cell grid."""
+    def mask(pts):
+        t = n * np.asarray(pts)
+        return np.all(np.abs(t - np.round(t)) < 1e-9, axis=1)
+
+    return mask
+
+
+def _spy_factor(monkeypatch):
+    """Record the component count m of every sparse LU the cell's operators take."""
+    seen = []
+    factor = mesh.AssembledOperator._factor
+
+    def spy(op, matrix):
+        seen.append(op.m)
+        return factor(op, matrix)
+
+    monkeypatch.setattr(mesh.AssembledOperator, "_factor", spy)
+    return seen
+
+
+@pytest.mark.parametrize("family", ["layered", "trigonometric"])
+def test_equal_blocks_are_solved_once(monkeypatch, family):
+    # a^{00} = a^{11}: one m = 1 pipeline, placed on both diagonal blocks
+    n = 16
+    solves, factors = _spy_solve_cell(monkeypatch), _spy_factor(monkeypatch)
+    cs = cell.solve(coeff.builtin(family, m=2), n)
+    assert solves == [1] and factors == [1]
+    scalar = cell.solve(coeff.builtin(family), n)
+    for name, (p, q) in cell._COMPONENT_AXES.items():
+        arr = getattr(cs, name)
+        for a in range(2):
+            for b in range(2):
+                idx = [slice(None)] * arr.ndim
+                idx[p], idx[q] = slice(a, a + 1), slice(b, b + 1)
+                block = arr[tuple(idx)]
+                if a == b:
+                    assert np.array_equal(block, getattr(scalar, name)), name
+                else:
+                    assert not block.any(), name
+
+
+def test_blocks_equal_in_one_table_only_are_solved_apart(monkeypatch, layered_field):
+    # the second block differs from the first only at the Gauss points, or
+    # only at the nodes the discrepancy table is evaluated on
+    n = 16
+    on_nodes = _on_nodes(n)
+    for where in (lambda pts: ~on_nodes(pts), on_nodes):
+        def second(pts, where=where):
+            return layered_field(pts) * (1 + 0.1 * where(pts))[:, None, None, None, None]
+
+        seen = _spy_solve_cell(monkeypatch)
+        cs = cell.solve(_two_block_field(layered_field, second), n)
+        assert seen == [1, 1]
+        assert not np.array_equal(cs.b_nodal[..., 0, 0, :], cs.b_nodal[..., 1, 1, :])
+
+
+_COUPLED = _two_block_field(coeff.builtin("layered"), coeff.builtin("trigonometric"),
+                            lambda pts: 0.2 * np.cos(2 * np.pi * pts[:, 1]))
+
+
+@pytest.mark.parametrize("field, ref", [
+    (coeff.builtin("layered"), coeff.builtin("layered")),
+    (coeff.builtin("layered", m=2), coeff.builtin("layered")),
+    (_COUPLED, _COUPLED),
+], ids=["layered", "layered-m2", "coupled-m2"])
+def test_cell_operator_is_the_assembled_torus_operator(monkeypatch, field, ref):
+    # the operator built from solve's Gauss table is assemble's bit for bit:
+    # the field's own at m = 1 and coupled, its component's when decoupled
+    n = 16
+    ops = []
+    inner = cell.solve_cell
+
+    def spy(op, *args):
+        ops.append(op)
+        return inner(op, *args)
+
+    monkeypatch.setattr(cell, "solve_cell", spy)
+    cell.solve(field, n)
+    K = mesh.assemble(ref, mesh.TorusGrid(n)).matrix
+    [op] = ops
+    assert np.array_equal(op.matrix.indptr, K.indptr)
+    assert np.array_equal(op.matrix.indices, K.indices)
+    assert np.array_equal(op.matrix.data, K.data)
+
+
 def test_coupled_system_takes_interleaved_path(monkeypatch, layered_field):
     # coupling present only at the Gauss points, or only at the nodes the
     # discrepancy table is evaluated on, still couples the system
     n = 16
-
-    def on_nodes(pts):
-        t = n * np.asarray(pts)
-        return np.all(np.abs(t - np.round(t)) < 1e-9, axis=1)
-
+    on_nodes = _on_nodes(n)
     for off in (lambda pts: 0.1 * ~on_nodes(pts), lambda pts: 0.1 * on_nodes(pts)):
         seen = _spy_solve_cell(monkeypatch)
         cs = cell.solve(_two_block_field(layered_field, layered_field, off), n)
@@ -288,11 +371,10 @@ def test_flux_corrector_solves_the_assembled_torus_laplacian(field):
 
 
 def test_decoupled_cell_evaluates_each_point_once(monkeypatch):
-    # a component field reads the system's evaluator itself, so no
-    # coefficient call runs inside another and the points counted are the
-    # points evaluated: the system at the 4 n^2 Gauss points and the n^2
-    # nodes, each component's torus operator at its 4 n^2 Gauss points, and
-    # each flux corrector's constant Laplacian on one element
+    # no coefficient call runs inside another, and the points counted are
+    # the points evaluated: the system at the 4 n^2 Gauss points and the
+    # n^2 nodes, which the torus operator reads too, and the flux
+    # corrector's constant Laplacian on one element per distinct block
     calls, depth = [], [0]
     call = coeff.CoefficientField.__call__
 
@@ -308,4 +390,4 @@ def test_decoupled_cell_evaluates_each_point_once(monkeypatch):
     n, m = 16, 2
     cell.solve(coeff.builtin("layered", m=m), n)
     assert [d for _, d in calls] == [0] * len(calls)
-    assert sum(p for p, _ in calls) == 5 * n * n + m * (4 * n * n + 4)
+    assert sum(p for p, _ in calls) == 5 * n * n + 4

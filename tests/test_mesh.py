@@ -205,6 +205,72 @@ def test_known_defect_field_assembles_as_its_reduced_field_on_every_element(know
     assert np.abs(op.matrix.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
+@pytest.mark.parametrize("eps", [None, 1 / 8])
+@pytest.mark.parametrize("name", ["layered-diag", "constant", "coupled-m2"])
+def test_torus_operator_from_gauss_values_is_assemble_bit_for_bit(monkeypatch, eps, name):
+    # the cell's operator: the block assemble evaluates, read out of the
+    # every-element table instead, the same operator and no coefficient call
+    field, g = _assembly_fields()[name], mesh.TorusGrid(16)
+    if eps is not None:
+        field = coeff.rescale(field, eps)
+    A = mesh.coefficient_gauss_values(field, g)
+    ref = mesh.assemble(field, g)
+    calls = []
+    monkeypatch.setattr(coeff.CoefficientField, "__call__", lambda self, pts: calls.append(pts))
+    op = mesh._torus_operator(field, g, A)
+    assert calls == []
+    assert (op.mode, op.cells, op.coeff) == (ref.mode, ref.cells, field)
+    assert np.array_equal(op.coeff_mean, ref.coeff_mean)
+    assert _same_pattern(op.matrix, ref.matrix)
+    assert np.array_equal(op.matrix.data, ref.matrix.data)
+
+
+def test_torus_operator_takes_only_its_own_table():
+    # a table of another m (the full m = 2 table of a component field), of
+    # another grid, or a square mesh: no operator whose matrix disagrees
+    # with its dof count
+    layered2 = coeff.builtin("layered", m=2)
+    component = coeff.builtin("layered")
+    g = mesh.TorusGrid(8)
+    A2 = mesh.coefficient_gauss_values(layered2, g)
+    for field, grid, A in [(component, g, A2),
+                           (layered2, g, A2[..., :1, :1]),
+                           (layered2, mesh.TorusGrid(16), A2),
+                           (layered2, mesh.DomainMesh(8), A2)]:
+        with pytest.raises(ValueError):
+            mesh._torus_operator(field, grid, A)
+
+
+def test_assembly_warns_at_its_caller(layered_field):
+    field = coeff.rescale(layered_field, 1 / 4)              # h = 1/8 > eps/8
+    dm, g = mesh.DomainMesh(8), mesh.TorusGrid(8)
+    A = mesh.coefficient_gauss_values(field, g)
+    for build in (lambda: mesh.assemble(field, dm), lambda: mesh._torus_operator(field, g, A)):
+        with pytest.warns(UserWarning, match="under-resolved oscillation") as rec:
+            build()
+        assert rec[0].filename == __file__
+
+
+@pytest.mark.parametrize("grid", ["square", "torus"])
+@pytest.mark.parametrize("n", [16.5, 16.0, 8.0, True, "16", None])
+def test_grid_size_must_be_an_integer(grid, n):
+    with pytest.raises(ValueError, match=f"n={n!r}"):
+        GRIDS[grid](n)
+
+
+@pytest.mark.parametrize("grid", ["square", "torus"])
+def test_grid_size_is_kept_as_an_int(grid):
+    g = GRIDS[grid](np.int64(16))
+    assert type(g.n) is int and type(g.nnodes) is int and g.n == 16
+    assert g.h == 1.0 / 16
+    assert g.nodes.shape == (g.nnodes, 2)
+
+
+def test_cell_grid_size_must_be_an_integer(layered_field):
+    with pytest.raises(ValueError, match="n=16.5"):
+        cell.solve(layered_field, 16.5)
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_assembly_needs_little_more_memory_than_its_matrix(m):
     # an aligned eps-periodic operator at n = 256: no per-element COO arrays

@@ -106,6 +106,23 @@ def test_an_aligned_level_factors_only_the_periodic_cell(monkeypatch, layered_fi
     assert factored == ["periodic"]
 
 
+def test_a_decoupled_cell_of_equal_blocks_factors_one_periodic_operator(monkeypatch):
+    # layered m = 2 is two copies of one scalar medium: its cell is the
+    # scalar cell, solved once, so mesh.factor_count.periodic counts one
+    from homoglab import cell, coeff, mesh
+    tracing = _load_tracing()
+    factored = []
+    factor = mesh.AssembledOperator._factor
+
+    def recording(op, matrix):
+        factored.append(tracing.factor_kind(op))
+        return factor(op, matrix)
+
+    monkeypatch.setattr(mesh.AssembledOperator, "_factor", recording)
+    cell.solve(coeff.builtin("layered", m=2), 16)
+    assert factored == ["periodic"]
+
+
 def test_assemble_and_dtn_results_carry_what_the_tracer_counts(identity_field):
     from homoglab import kernels, mesh
     dm = mesh.DomainMesh(8)
