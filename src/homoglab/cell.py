@@ -27,11 +27,14 @@ solver mesh picks and checks.
 A component-decoupled system (a^{ab} = 0 exactly for a != b at every Gauss
 point and node of the cell grid) is solved by ``solve`` block by block
 through the m = 1 path, so each diagonal block is bitwise equal to the
-scalar result for that block's coefficient and every cross-component entry
-is exactly zero.  The m = 1 path is a function of a block's two tables
-alone, so a block whose tables are equal to an earlier block's takes that
-block's results and is not solved again.  Coupled systems use one
-interleaved m-component solve.
+scalar result for that block's coefficient (coeff.component_field, a
+constant for a constant) and every cross-component entry is exactly zero.
+The m = 1 path is a function of a block's two tables alone, so a block
+whose tables are equal to an earlier block's takes that block's results
+and is not solved again.  Which blocks are decoupled and equal is
+coeff.diagonal_blocks, the rule that mesh applies to an assembled
+operator's block table too.  Coupled systems use one interleaved
+m-component solve.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh as fem
-from .coeff import CoefficientField, builtin
+from .coeff import builtin, component_field, diagonal_blocks
 from .mesh import (TorusGrid, assemble, coefficient_gauss_values, solve_periodic,
                    nodal_gradient, element_gauss_gradients, volume_load_from_gauss,
                    divergence_load_from_gauss, GAUSS_WEIGHTS)
@@ -209,22 +212,6 @@ _COMPONENT_AXES = {"chi": (1, 3), "hatA": (2, 3), "b_nodal": (2, 3), "b_gauss": 
                    "b_mean": (2, 3), "f": (2, 3), "F": (3, 4), "chi_grad": (1, 4)}
 
 
-def _is_decoupled(A_quad, A_nodes):
-    """True for m > 1 when a^{ab} = 0 exactly for a != b at every Gauss point and node."""
-    m = A_quad.shape[-1]
-    off = ~np.eye(m, dtype=bool)
-    return m > 1 and not A_quad[..., off].any() and not A_nodes[..., off].any()
-
-
-def _component_field(coeff, a):
-    """The m = 1 field a^{aa} of component a, over coeff's evaluator and with
-    its period: the field that block a's operator carries."""
-    ev = coeff._evaluator
-    return CoefficientField(lambda y: np.asarray(ev(y))[..., a:a + 1, a:a + 1], m=1,
-                            symmetric=coeff.symmetric, params={"component": a},
-                            epsilon=coeff.epsilon)
-
-
 def _pipeline(coeff, grid, A_quad, A_nodes):
     """Correctors, hatA, discrepancy and flux corrector as CellSolution fields.
     They depend on coeff only through its tables A_quad and A_nodes and the
@@ -272,16 +259,16 @@ def solve(coeff, n) -> CellSolution:
     grid, m = TorusGrid(n), coeff.m
     A_quad = coefficient_gauss_values(coeff, grid)
     A_nodes = np.asarray(coeff(grid.nodes))                # (nnodes, 2, 2, m, m)
-    if _is_decoupled(A_quad, A_nodes):
-        blocks = []
-        for a in range(m):
-            same = [b for b in range(a) if np.array_equal(A_quad[..., a, a], A_quad[..., b, b])
-                    and np.array_equal(A_nodes[..., a, a], A_nodes[..., b, b])]
-            blocks.append(blocks[same[0]] if same else
-                          _pipeline(_component_field(coeff, a), grid,
-                                    np.ascontiguousarray(A_quad[..., a:a + 1, a:a + 1]),
-                                    np.ascontiguousarray(A_nodes[..., a:a + 1, a:a + 1])))
-        fields = _block_diagonal(blocks, m)
-    else:
+    groups = diagonal_blocks(A_quad, A_nodes)
+    if groups is None:
         fields = _pipeline(coeff, grid, A_quad, A_nodes)
+    else:
+        blocks = [None] * m
+        for a, components in groups:
+            result = _pipeline(component_field(coeff, a), grid,
+                               np.ascontiguousarray(A_quad[..., a:a + 1, a:a + 1]),
+                               np.ascontiguousarray(A_nodes[..., a:a + 1, a:a + 1]))
+            for b in components:
+                blocks[b] = result
+        fields = _block_diagonal(blocks, m)
     return CellSolution(grid=grid, coeff=coeff, **fields)

@@ -28,6 +28,8 @@ __all__ = [
     "CoefficientField",
     "ValidationReport",
     "builtin",
+    "component_field",
+    "diagonal_blocks",
     "from_expression",
     "rescale",
     "validate",
@@ -134,6 +136,49 @@ def rescale(field: CoefficientField, epsilon: float) -> CoefficientField:
         raise CoefficientError("rescale expects a CoefficientField of period 1")
     return CoefficientField(field._evaluator, m=field.m, family=field.family,
                             symmetric=field.symmetric, params=field.params, epsilon=epsilon)
+
+
+def component_field(field: CoefficientField, a: int) -> CoefficientField:
+    """The m = 1 field a^{aa} of component a of field, over its evaluator
+    and with its period and symmetry flag: the field of the diagonal block a
+    of a component-decoupled system.  The component of a constant is the
+    constant (a, a) block of its tensor; any other is a "user" field, keyed
+    on its evaluator."""
+    ev = field._evaluator
+    family, params = "user", {"component": a}
+    if field.family == "constant" and "value" in field.params:
+        family = "constant"
+        params = {"value": np.asarray(field.params["value"])[:, :, a:a + 1, a:a + 1].tolist()}
+    return CoefficientField(lambda y: np.asarray(ev(y))[..., a:a + 1, a:a + 1], m=1,
+                            family=family, symmetric=field.symmetric, params=params,
+                            epsilon=field.epsilon)
+
+
+def diagonal_blocks(*tables):
+    """The distinct diagonal blocks of a component-decoupled system, from
+    tables of its values, each (..., m, m): None when m = 1 or when some
+    a^{ab}, a != b, is not exactly zero in some table; otherwise one
+    (a, components) pair per distinct block, in component order, where a
+    is its first component and components every b whose a^{bb} equals
+    a^{aa} (np.array_equal) in every table.
+
+    This is the one decoupling rule: the cell applies it to its tables at
+    the Gauss points and the nodes, the assembled operator to the block
+    table it is assembled from.
+    """
+    m = tables[0].shape[-1]
+    off = ~np.eye(m, dtype=bool)
+    if m == 1 or any(t[..., off].any() for t in tables):
+        return None
+    groups = []
+    for b in range(m):
+        for a, components in groups:
+            if all(np.array_equal(t[..., b, b], t[..., a, a]) for t in tables):
+                components.append(b)
+                break
+        else:
+            groups.append((b, [b]))
+    return [(a, tuple(components)) for a, components in groups]
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,14 @@ Laplacian) goes through its transform.  A variable Dirichlet operator
 goes through its cell template where _template_cells admits it, and every
 other operator through LU.
 
+A decoupled operator, m > 1 with a^{ab} = 0 exactly for a != b on the
+block table that assemble evaluates (coeff.diagonal_blocks), is solved
+block by block.  assemble also builds, from that table, the m = 1
+operator of each distinct diagonal block (op.blocks), and its
+factorization() sends the columns of each block's components, all in one
+batched call, through that block's own Solver, picked by the rules above.
+op.matrix stays the whole interleaved matrix.
+
 Solve data comes in fixed layouts, for an operator with m components:
 
     source  None, an assembled load (nnodes*m,) or nodal values (nnodes, m)
@@ -80,7 +88,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coeff import CoefficientField
+from .coeff import CoefficientField, component_field, diagonal_blocks
 
 __all__ = [
     "TorusGrid", "DomainMesh", "AssembledOperator", "SolveError", "write_nodal_csv",
@@ -291,15 +299,24 @@ class AssembledOperator:
     points of that block, the cell mean when the mesh holds whole periods;
     it sets the transform that solves a variable Neumann coefficient, which
     has no other solve.
+
+    blocks is None, or for a decoupled operator (m > 1, every a^{ab},
+    a != b, exactly zero in the block table; coeff.diagonal_blocks) one
+    (components, operator) pair per distinct diagonal block: the m = 1
+    operator of coeff.component_field in the same mode, assembled from the
+    same table, and the components whose a^{aa} equal it.  assemble decides
+    it; in_mode and adjoint carry it over.  matrix is the whole interleaved
+    matrix either way.
     """
 
-    def __init__(self, mesh, matrix, mode, coeff, coeff_mean, cells):
+    def __init__(self, mesh, matrix, mode, coeff, coeff_mean, cells, blocks=None):
         self.mesh = mesh
         self.matrix = matrix
         self.mode = mode
         self.coeff = coeff
         self.coeff_mean = coeff_mean
         self.cells = cells
+        self.blocks = blocks
         self._solver = None
         self._interior_dofs = None
         self._boundary_dofs = None
@@ -332,15 +349,28 @@ class AssembledOperator:
     def release(self):
         self._solver = None
         self._Kii = None
+        for _, block in self.blocks or ():
+            block.release()
+
+    def in_mode(self, mode):
+        """The operator of the same matrix, coefficient and blocks in another
+        constraint mode, so nothing is assembled again."""
+        blocks = None if self.blocks is None else tuple(
+            (comps, op.in_mode(mode)) for comps, op in self.blocks)
+        return AssembledOperator(self.mesh, self.matrix, mode, self.coeff, self.coeff_mean,
+                                 self.cells, blocks)
 
     def adjoint(self):
         """The operator of the adjoint coefficient A* in the same mode: self
         for a symmetric coefficient, otherwise the transposed matrix, which
-        is what assembling A* gives (to roundoff), so nothing is assembled."""
+        is what assembling A* gives (to roundoff), so nothing is assembled;
+        each block is its block's adjoint."""
         if self.coeff.symmetric:
             return self
+        blocks = None if self.blocks is None else tuple(
+            (comps, op.adjoint()) for comps, op in self.blocks)
         return AssembledOperator(self.mesh, self.matrix.T.tocsr(), self.mode, self.coeff.adjoint(),
-                                 self.coeff_mean.transpose(1, 0, 3, 2), self.cells)
+                                 self.coeff_mean.transpose(1, 0, 3, 2), self.cells, blocks)
 
     def _factor(self, matrix):
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -351,7 +381,13 @@ class AssembledOperator:
         'dirichlet'), 1-D or 2-D, and raises SolveError unless every column
         meets the residual rule.
 
-        This is where the solver's exact part is picked.  A Neumann
+        This is where the solver's exact part is picked.  A decoupled
+        operator (blocks not None) is solved block by block: its Solver
+        (_BlockSolver) holds the factorization() of each block's m = 1
+        operator, picked by the rules below, and solve(b) takes each
+        component's columns of b (dof = node * m + component, on the
+        interior dofs too), solves those of every component that shares a
+        block in one batched call, and puts them back.  A Neumann
         operator is solved through the transform of its own tensor if the
         coefficient is constant, of coeff_mean otherwise; its coefficient
         must be symmetric (A* = A) and it must have one of the two tensors
@@ -363,6 +399,8 @@ class AssembledOperator:
         elimination of its cell template; every other operator goes through
         the sparse LU of _factor.
         """
+        if self._solver is None and self.blocks is not None:
+            self._solver = _BlockSolver(self)
         if self._solver is None:
             tensor, cells = _constant_tensor(self.coeff), None
             if self.mode == "neumann":
@@ -606,7 +644,10 @@ class Solver:
     raises SolveError, so no caller checks a solution again.
 
     The exact part is one of three, a direct solve or a transform;
-    factorization() picks it.
+    factorization() picks it.  A decoupled operator has one Solver per
+    distinct diagonal block, each of that block's m = 1 operator
+    (op.blocks), which _BlockSolver holds; so every Solver of a decoupled
+    system is an m = 1 one.
 
     With tensor None the part is direct.  Given cells c, it is the nested
     elimination of the operator's eps-periodic cell template
@@ -799,6 +840,29 @@ class Solver:
         self._fail(todo, _TRANSFORM_MAXITER)
 
 
+class _BlockSolver:
+    """The Solver of a decoupled operator: the Solver of each distinct
+    diagonal block's m = 1 operator (op.blocks), which checks the columns
+    it solves by its own residual rule.  solve(b) takes the same dofs as
+    Solver.solve, dof = node * m + component."""
+
+    def __init__(self, op):
+        self._m = op.m
+        self._blocks = [(list(comps), block.factorization()) for comps, block in op.blocks]
+
+    def solve(self, b):
+        b = np.asarray(b, dtype=float)
+        B = b.reshape(b.shape[0] // self._m, self._m, -1)        # [node, component, column]
+        X = np.empty_like(B)
+        for comps, solver in self._blocks:
+            try:
+                x = solver.solve(B[:, comps].reshape(B.shape[0], -1))
+            except SolveError as err:
+                raise SolveError(f"block of components {comps}: {err}") from err
+            X[:, comps] = x.reshape(B.shape[0], len(comps), -1)
+        return X.reshape(b.shape)
+
+
 def coefficient_gauss_values(coeff, mesh):
     """coeff at the physical Gauss points of every element: (nelem, 4, 2, 2, m, m)."""
     vals = coeff(mesh.gauss_points().reshape(-1, 2))
@@ -920,7 +984,9 @@ def assemble(coeff, mesh, mode="dirichlet") -> AssembledOperator:
     per period, the whole mesh otherwise; the operator records c as
     op.cells.  The element matrices of the block are summed straight into
     the grid's 9-point CSR pattern (_stencil_matrix), and coeff_mean is the
-    block's mean.  An under-resolved oscillation (h > eps/8) of a
+    block's mean.  When the block table is decoupled (coeff.diagonal_blocks)
+    the operator also carries the m = 1 operator of each distinct diagonal
+    block, built from the same table (op.blocks).  An under-resolved oscillation (h > eps/8) of a
     non-constant coefficient is reported by warnings.warn, not a failure;
     a rescaled constant does not oscillate.
     """
@@ -950,7 +1016,8 @@ def _torus_operator(coeff, grid, A_quad):
 
 def _operator(coeff, mesh, mode, A_quad=None):
     """What assemble and _torus_operator share: the operator of coeff's
-    block table (_element_table), evaluated or read out of A_quad."""
+    block table (_element_table), evaluated or read out of A_quad, with the
+    blocks of a decoupled one (_blocks)."""
     eps = coeff.epsilon
     if eps is not None and coeff.family != "constant" and mesh.h > eps / 8.0 + 1e-14:
         warnings.warn(f"under-resolved oscillation: h={mesh.h:.4g} > eps/8={eps / 8.0:.4g}",
@@ -959,11 +1026,30 @@ def _operator(coeff, mesh, mode, A_quad=None):
     c, A = _element_table(coeff, mesh, A_quad)
     if not np.all(np.isfinite(A)):
         raise ValueError("coefficient evaluated to non-finite values")
+    blocks = _blocks(coeff, mesh, mode, c, A)
     coeff_mean = A.mean(axis=(0, 1))
     Kloc = _element_matrices(A)
     del A
     matrix = _stencil_matrix(mesh, Kloc, c)
-    return AssembledOperator(mesh, matrix, mode, coeff, coeff_mean, c)
+    return AssembledOperator(mesh, matrix, mode, coeff, coeff_mean, c, blocks)
+
+
+def _blocks(coeff, mesh, mode, c, A):
+    """op.blocks of the operator of coeff's block table A: None unless
+    coeff.diagonal_blocks finds A decoupled, else the m = 1 operator of each
+    distinct diagonal block, built from its slice of A as assemble builds
+    it from coeff.component_field's own table (bit for bit), with the
+    components it serves."""
+    groups = diagonal_blocks(A)
+    if groups is None:
+        return None
+    blocks = []
+    for a, comps in groups:
+        Aa = np.ascontiguousarray(A[..., a:a + 1, a:a + 1])
+        block = AssembledOperator(mesh, _stencil_matrix(mesh, _element_matrices(Aa), c), mode,
+                                  component_field(coeff, a), Aa.mean(axis=(0, 1)), c)
+        blocks.append((comps, block))
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------

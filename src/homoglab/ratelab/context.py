@@ -21,8 +21,7 @@ from .. import correctors as corrmod
 from .. import expand as expmod
 from .. import kernels as kermod
 from ..coeff import CoefficientField, builtin, rescale
-from ..mesh import (AssembledOperator, DomainMesh, assemble, solve_dirichlet, solve_neumann,
-                    conormal)
+from ..mesh import DomainMesh, assemble, solve_dirichlet, solve_neumann, conormal
 
 _CELL_CACHE = {}
 # the finest mesh any level may have.  An aligned level's Dirichlet operator
@@ -98,15 +97,15 @@ class EpsilonContext:
         """Operator by name; building one releases the other factorizations.
 
         assemble builds the same matrix in both modes, so the Dirichlet and
-        the Neumann operator of one coefficient share one assembly.
+        the Neumann operator of one coefficient share one assembly
+        (AssembledOperator.in_mode), the blocks of a decoupled one too.
         """
         if name not in self._ops:
             mode = _MODES[name]
             coeff = self.scaled if name.endswith("_eps") else self.hatA_field
             first = next((op for op in self._ops.values() if op.coeff is coeff), None)
             self._ops[name] = (assemble(coeff, self.mesh, mode=mode) if first is None else
-                               AssembledOperator(self.mesh, first.matrix, mode, coeff,
-                                                 first.coeff_mean, first.cells))
+                               first.in_mode(mode))
         for other, op in self._ops.items():
             if other != name:
                 op.release()

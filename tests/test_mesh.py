@@ -102,17 +102,26 @@ def _coo_assembly(grid, A):
     return scipy.sparse.coo_matrix((Kloc.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
 
 
+def _coupled_m2_field():
+    """Two copies of the layered medium coupled by a^{12} = a^{21} = 0.3
+    delta_ij: a symmetric m = 2 field that coeff.validate passes, which
+    mesh solves as one interleaved system."""
+    layered2 = coeff.builtin("layered", m=2)
+    coupling = 0.3 * np.eye(2)[:, :, None, None] * (1 - np.eye(2))
+    field = coeff.CoefficientField(lambda pts: layered2(pts) + coupling, m=2)
+    coeff.validate(field)
+    return field
+
+
 def _assembly_fields():
     from homoglab.ratelab import coefficient_from_spec
     from homoglab.ratelab.experiments import LAYERED_DIAG
-    layered2 = coeff.builtin("layered", m=2)
-    coupling = 0.3 * np.eye(2)[:, :, None, None] * (1 - np.eye(2))
     return {
         "layered-diag": coefficient_from_spec(LAYERED_DIAG),
         "skewed": _skewed_field(),
         "constant": coeff.builtin("constant", value=np.array([[2.0, 0.3], [-0.1, 1.0]])),
-        "layered-m2": layered2,
-        "coupled-m2": coeff.CoefficientField(lambda pts: layered2(pts) + coupling, m=2),
+        "layered-m2": coeff.builtin("layered", m=2),
+        "coupled-m2": _coupled_m2_field(),
     }
 
 
@@ -994,18 +1003,19 @@ def _template_fields():
         "layered-diag": coefficient_from_spec(LAYERED_DIAG),
         "checkerboard-100": coeff.builtin("smoothed-checkerboard", contrast=100.0),
         "layered-m2": coeff.builtin("layered", m=2),
+        "coupled-m2": _coupled_m2_field(),
         "skewed": _skewed_field(),
     }
 
 
 def _record_templates(monkeypatch):
-    """The list that gets the cells per period of every cell template built
-    from now on."""
+    """The list that gets the cells per period and the component count,
+    (c, m), of every cell template built from now on."""
     calls = []
     init = mesh._CellTemplate.__init__
 
     def recording(self, op, c):
-        calls.append(c)
+        calls.append((c, op.m))
         init(self, op, c)
 
     monkeypatch.setattr(mesh._CellTemplate, "__init__", recording)
@@ -1014,12 +1024,13 @@ def _record_templates(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:under-resolved oscillation")
 @pytest.mark.parametrize("name", ["layered", "layered-diag", "checkerboard-100", "layered-m2",
-                                  "skewed"])
+                                  "coupled-m2", "skewed"])
 @pytest.mark.parametrize("c, periods", [(2, 16), (8, 4), (32, 8)])
 def test_cell_template_matches_superlu(monkeypatch, name, c, periods):
     # periods x periods periods of c cells: the Dirichlet operator, and the
     # adjoint of a non-symmetric one, are solved by their cell templates,
-    # never factored
+    # never factored; the interleaved template of the coupled m = 2 field,
+    # and one m = 1 template for the two equal blocks of layered m = 2
     field = _template_fields()[name]
     dm = mesh.DomainMesh(periods * c)
     op = mesh.assemble(coeff.rescale(field, 1 / periods), dm)
@@ -1036,7 +1047,7 @@ def test_cell_template_matches_superlu(monkeypatch, name, c, periods):
         assert np.abs(X - expect).max() <= 1e-10 * scale
         assert np.abs(solver.solve(B[:, 0]) - expect[:, 0]).max() <= 1e-10 * scale
         assert not X[:, 1].any()
-    assert factored == [] and templated == [c] * len(ops)
+    assert factored == [] and templated == [(c, 2 if name == "coupled-m2" else 1)] * len(ops)
 
 
 @pytest.mark.filterwarnings("ignore:under-resolved oscillation")
@@ -1133,6 +1144,7 @@ def _neumann_fields(transform_tensors):
         **{name: transform_tensors[name] for name in ("laplacian", "diag", "layered-diag-hatA")},
         "coupled-m2": coeff.builtin("constant", value=_coupled_m2_tensor(), m=2),
         "layered": coeff.rescale(coeff.builtin("layered"), 1 / 4),
+        "layered-coupled-m2": coeff.rescale(_coupled_m2_field(), 1 / 4),
         "checkerboard-100": coeff.rescale(
             coeff.builtin("smoothed-checkerboard", contrast=100.0), 1 / 4),
     }
@@ -1151,7 +1163,7 @@ def _grounded_reference(op, B):
 
 
 @pytest.mark.parametrize("name", ["laplacian", "diag", "layered-diag-hatA", "coupled-m2",
-                                  "layered", "checkerboard-100"])
+                                  "layered", "layered-coupled-m2", "checkerboard-100"])
 @pytest.mark.parametrize("n", [2, 3, 16, 33])
 def test_neumann_transform_matches_grounded_spsolve(monkeypatch, transform_tensors, name, n):
     field = _neumann_fields(transform_tensors)[name]

@@ -87,3 +87,156 @@ def test_coupled_constant_system_correctors():
     P = mesh.monomial_table(dm, 2)
     assert np.abs(phi - P).max() < 1e-11
     assert np.abs(psi - P).max() < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# decoupled operators: solved block by block through m = 1 operators
+
+
+def _record_solvers(monkeypatch):
+    """The list that gets (mode, m, coefficient family, exact part) of every
+    Solver built from now on."""
+    built = []
+    init = mesh.Solver.__init__
+
+    def recording(self, op, tensor, cells):
+        part = "transform" if tensor is not None else "template" if cells else "LU"
+        built.append((op.mode, op.m, op.coeff.family, part))
+        init(self, op, tensor, cells)
+
+    monkeypatch.setattr(mesh.Solver, "__init__", recording)
+    return built
+
+
+def _two_media(first, second):
+    """The decoupled m = 2 field with the m = 1 media first and second on
+    its diagonal blocks."""
+    def ev(pts):
+        out = np.zeros((len(pts), 2, 2, 2, 2))
+        out[..., 0, 0] = first(pts)[..., 0, 0]
+        out[..., 1, 1] = second(pts)[..., 0, 0]
+        return out
+
+    return coeff.CoefficientField(ev, m=2, symmetric=first.symmetric and second.symmetric)
+
+
+def _constant_blocks(media):
+    """A constant decoupled m = 2 tensor with mixed terms, whose blocks are
+    equal or distinct."""
+    value = np.zeros((2, 2, 2, 2))
+    value[..., 0, 0] = [[2.0, 0.3], [0.3, 1.0]]
+    value[..., 1, 1] = value[..., 0, 0] if media == "equal" else [[1.0, -0.2], [-0.2, 3.0]]
+    return coeff.builtin("constant", value=value, m=2)
+
+
+def _variable_blocks(media, eps):
+    field = (coeff.builtin("layered", m=2) if media == "equal" else
+             _two_media(coeff.builtin("layered"), coeff.builtin("trigonometric")))
+    return field if eps is None else coeff.rescale(field, eps)
+
+
+# operator kind -> (field of equal or distinct media, grid, mode, exact part)
+_BLOCK_CASES = {
+    "dir_eps": (lambda media: _variable_blocks(media, 1 / 4), mesh.DomainMesh, "dirichlet",
+                "template"),
+    "dir_0": (_constant_blocks, mesh.DomainMesh, "dirichlet", "transform"),
+    "neu_eps": (lambda media: _variable_blocks(media, 1 / 4), mesh.DomainMesh, "neumann",
+                "transform"),
+    "neu_0": (_constant_blocks, mesh.DomainMesh, "neumann", "transform"),
+    "torus": (lambda media: _variable_blocks(media, None), mesh.TorusGrid, "periodic", "LU"),
+}
+
+
+@pytest.mark.parametrize("media", ["equal", "distinct"])
+@pytest.mark.parametrize("kind", list(_BLOCK_CASES))
+def test_decoupled_operator_is_solved_block_by_block(monkeypatch, kind, media):
+    # each distinct block gets one m = 1 Solver by the m = 1 rules, and each
+    # component of the solve is the m = 1 solve of its block's field: bit
+    # for bit with the block's components side by side as the columns
+    make, grid_of, mode, part = _BLOCK_CASES[kind]
+    field, grid = make(media), grid_of(32)
+    op = mesh.assemble(field, grid, mode=mode)
+    built = _record_solvers(monkeypatch)
+    solver = op.factorization()
+    groups = [[0, 1]] if media == "equal" else [[0], [1]]
+    family = "constant" if field.family == "constant" else "user"
+    assert built == [(mode, 1, family, part)] * len(groups)
+    assert [list(comps) for comps, _ in op.blocks] == groups
+    nn = grid.nnodes if mode != "dirichlet" else (grid.n - 1) ** 2
+    B = np.random.default_rng(7).standard_normal((nn * 2, 3))
+    X = solver.solve(B)
+    Bn, Xn = B.reshape(nn, 2, 3), X.reshape(nn, 2, 3)
+    for comps in groups:
+        ref = mesh.assemble(coeff.component_field(field, comps[0]), grid, mode=mode).factorization()
+        assert np.array_equal(Xn[:, comps].reshape(nn, -1), ref.solve(Bn[:, comps].reshape(nn, -1)))
+        for a in comps:
+            expect = ref.solve(Bn[:, a])
+            assert np.abs(Xn[:, a] - expect).max() <= 1e-10 * np.abs(expect).max()
+    # a 1-D right-hand side is one column
+    x = solver.solve(B[:, 0])
+    assert x.shape == (nn * 2,)
+    assert np.abs(x - X[:, 0]).max() <= 1e-10 * np.abs(X[:, 0]).max()
+
+
+def test_coupled_and_scalar_operators_keep_their_path():
+    dm = mesh.DomainMesh(16)
+    coupled = np.zeros((2, 2, 2, 2))
+    coupled[0, 0] = [[2.0, 0.3], [0.3, 1.5]]
+    coupled[1, 1] = [[1.8, 0.2], [0.2, 2.2]]
+    for field in (coeff.builtin("constant", value=coupled, m=2), coeff.builtin("layered"),
+                  coeff.builtin("constant", value=2.0)):
+        op = mesh.assemble(field, dm)
+        assert op.blocks is None and isinstance(op.factorization(), mesh.Solver)
+
+
+def test_blocks_are_carried_to_the_other_mode_and_the_adjoint():
+    # decided once at assembly: the Neumann operator of the same matrix and
+    # the adjoint take the blocks over, assembling nothing again
+    dm = mesh.DomainMesh(32)
+    op = mesh.assemble(coeff.rescale(coeff.builtin("layered", m=2), 1 / 4), dm)
+    neumann = op.in_mode("neumann")
+    assert neumann.mode == "neumann" and neumann.matrix is op.matrix
+    [(comps, block)] = op.blocks
+    [(neumann_comps, neumann_block)] = neumann.blocks
+    assert neumann_comps == comps == (0, 1)
+    assert neumann_block.mode == "neumann" and neumann_block.matrix is block.matrix
+
+    layered = coeff.builtin("layered")
+    skew = np.array([[0.0, 0.5], [-0.5, 0.0]])[:, :, None, None]
+    skewed = coeff.CoefficientField(lambda pts: layered(pts) + skew, symmetric=False)
+    op = mesh.assemble(coeff.rescale(_two_media(skewed, skewed), 1 / 4), dm)
+    [(comps, block)] = op.blocks
+    star = op.adjoint()
+    assert star is not op
+    [(star_comps, star_block)] = star.blocks
+    assert star_comps == comps == (0, 1)
+    assert abs(star_block.matrix - block.matrix.T).max() == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+def test_a_block_that_misses_its_residual_check_is_named(monkeypatch):
+    # the second block's template is broken: its columns fail their own
+    # check, and the error names the block
+    init = mesh._CellTemplate.__init__
+
+    def breaking(self, op, c):
+        init(self, op, c)
+        if op.coeff.params["component"] == 1:
+            self._levels[0].inv[...] = 0.0
+
+    monkeypatch.setattr(mesh._CellTemplate, "__init__", breaking)
+    dm = mesh.DomainMesh(32)
+    op = mesh.assemble(_variable_blocks("distinct", 1 / 4), dm)
+    with pytest.raises(mesh.SolveError, match=r"block of components \[1\]: dirichlet solve by "
+                                              r"the cell template .* failed its residual check"):
+        mesh.solve_dirichlet(op, np.ones((dm.nnodes, 2)))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_cell_of_a_constant_is_solved_by_transform(monkeypatch, m):
+    # the component of a constant system is the constant block of its
+    # tensor, so its cell takes the transform as the m = 1 constant does
+    built = _record_solvers(monkeypatch)
+    cs = cell.solve(coeff.builtin("constant", value=np.diag([2.0, 1.0]), m=m), 16)
+    assert built == [("periodic", 1, "constant", "transform")] * 2     # cell and flux corrector
+    assert np.abs(cs.chi).max() < 1e-14
