@@ -24,7 +24,10 @@ the Solver of its constrained system, built once per operator and cached
 on it (AssembledOperator.factorization).  There is one Solver class: it
 takes and returns the operator's own dofs, checks every column it solves
 against one residual rule and raises SolveError when one misses, so a
-caller of .solve gets checked solutions.  Its exact part is one of three.
+caller of .solve gets checked solutions.  It solves only the columns that
+carry data: a column of zeros (-0.0 too) has the zero solution in every
+mode and comes back +0.0 unsolved, and data with a NaN or an infinity
+raise SolveError before any solve.  Its exact part is one of three.
 The transform of a constant tensor (DST-I on the square's interior, a real
 FFT on the torus, DCT-I on the square's nodes) solves the tensor's
 separable part, and preconditioned conjugate gradients take up the rest.
@@ -643,6 +646,15 @@ class Solver:
     of each component on the torus and for Neumann.  A column that misses
     raises SolveError, so no caller checks a solution again.
 
+    solve(b) solves only the columns that carry data.  A column of zeros
+    (-0.0 included) has the zero solution in every mode: K_ii x = 0 for
+    'dirichlet', and zero balanced data for the pinned solution on the
+    torus and for Neumann.  So it comes back as +0.0, and the exact part
+    sees only the other columns, as one contiguous batch, whose results
+    are scattered back.  Data with a NaN or an infinity raise SolveError,
+    naming the columns, before any work: no solve and no conjugate
+    gradients.  Data of zero columns, (ndof, 0), give (ndof, 0).
+
     The exact part is one of three, a direct solve or a transform;
     factorization() picks it.  A decoupled operator has one Solver per
     distinct diagonal block, each of that block's m = 1 operator
@@ -793,8 +805,27 @@ class Solver:
                          f"{todo.sum()} of {todo.size} columns after {steps} conjugate-gradient steps")
 
     def solve(self, b):
+        """x for b (ndof,) or (ndof, ncols): +0.0 on the columns of zeros,
+        the others solved in one batch by _solve."""
         b = np.asarray(b, dtype=float)
         B = b.reshape(b.shape[0], -1)
+        finite = np.isfinite(B).all(axis=0)
+        if not finite.all():
+            raise SolveError(f"{self._mode} solve by {self._part} refused non-finite data in "
+                             f"{finite.size - finite.sum()} of {finite.size} columns")
+        live = B.any(axis=0)
+        if live.size and live.all():
+            return self._solve(B).reshape(b.shape)
+        X = np.zeros_like(B)
+        if live.any():
+            # compress, not B[:, live], whose copy is column-major
+            X[:, live] = self._solve(B.compress(live, axis=1))
+        return X.reshape(b.shape)
+
+    def _solve(self, B):
+        """x for the (ndof, ncols) data B, every column nonzero: the exact
+        part, conjugate gradients behind a transform, and the residual
+        rule, whose miss raises SolveError."""
         # the target scales with b before the multiplier's part is removed:
         # the load of a constant coefficient's discrepancy is mean-free only
         # to roundoff, and what is left of it past the mean is roundoff too
@@ -815,7 +846,7 @@ class Solver:
             # K x changes only by roundoff when a constant is added
             nodes, w = self._pin
             self._nodal(x)[...] -= np.einsum("p,pac->ac", w, self._nodal(x)[nodes])
-        return x.reshape(b.shape)
+        return x
 
     def _cg(self, x, r, todo, b, bnorm2):
         """Preconditioned conjugate gradients from x with residual r = K x - b
@@ -843,7 +874,9 @@ class Solver:
 class _BlockSolver:
     """The Solver of a decoupled operator: the Solver of each distinct
     diagonal block's m = 1 operator (op.blocks), which checks the columns
-    it solves by its own residual rule.  solve(b) takes the same dofs as
+    it solves by its own residual rule and solves only those that carry
+    data: a column that loads one component leaves a column of zeros in
+    every other component's block.  solve(b) takes the same dofs as
     Solver.solve, dof = node * m + component."""
 
     def __init__(self, op):
@@ -1242,7 +1275,8 @@ def solve_neumann(op: AssembledOperator, source=None, flux=None) -> np.ndarray:
     for a in range(m):
         total = rhs[a::m].sum()
         scale = np.abs(load[a::m]).sum() + np.abs(fvec[a::m]).sum()
-        if abs(total) > 1e-8 * max(scale, 1e-30):
+        # written so that a NaN total or scale fails it too
+        if not abs(total) <= 1e-8 * max(scale, 1e-30):
             raise SolveError(
                 f"incompatible Neumann data: component {a} imbalance {total:.3e} vs scale {scale:.3e}")
     return op.factorization().solve(rhs).reshape(mesh.nnodes, m)

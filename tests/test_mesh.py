@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg as spla
 
-from homoglab import cell, coeff, kernels, mesh
+from homoglab import cell, coeff, correctors, kernels, mesh
 
 
 def manufactured(n, identity_field):
@@ -1256,3 +1256,137 @@ def test_transform_floor_does_not_count_the_constant(mode, monkeypatch):
     monkeypatch.setattr(mesh.Solver, "_balanced", lambda self, B: B)
     with pytest.raises(mesh.SolveError, match="residual check"):
         op.factorization().solve(load)
+
+
+# ---------------------------------------------------------------------------
+# what Solver.solve hands its exact part: live, finite columns only
+
+
+_LAYERED = coeff.builtin("layered")
+_MIXED = coeff.builtin("constant", value=np.array([[2.0, 0.5], [0.5, 1.0]]))
+_DIAG = coeff.builtin("constant", value=np.diag([np.sqrt(3.0), 2.0]))
+
+# the operator, by name, whose Solver has each exact part in each mode it
+# serves: the transform with or without conjugate gradients, the cell
+# template, the plain and the bordered sparse LU, and the block-by-block
+# solve of a decoupled m = 2 field
+EXACT_PARTS = {
+    "transform-dirichlet": lambda: mesh.assemble(_DIAG, mesh.DomainMesh(16)),
+    "transform-cg-dirichlet": lambda: mesh.assemble(_MIXED, mesh.DomainMesh(16)),
+    "transform-periodic": lambda: mesh.assemble(_DIAG, mesh.TorusGrid(16)),
+    "transform-cg-periodic": lambda: mesh.assemble(_MIXED, mesh.TorusGrid(16)),
+    "transform-neumann": lambda: mesh.assemble(_DIAG, mesh.DomainMesh(16), mode="neumann"),
+    "transform-cg-neumann": lambda: mesh.assemble(coeff.rescale(_LAYERED, 1 / 4),
+                                                  mesh.DomainMesh(16), mode="neumann"),
+    "transform-cg-neumann-coupled-m2": lambda: mesh.assemble(
+        coeff.builtin("constant", value=_coupled_m2_tensor(), m=2), mesh.DomainMesh(16),
+        mode="neumann"),
+    "template-dirichlet": lambda: mesh.assemble(coeff.rescale(_LAYERED, 1 / 4),
+                                                mesh.DomainMesh(32)),
+    "lu-dirichlet": lambda: mesh.assemble(coeff.rescale(_LAYERED, 1 / 3), mesh.DomainMesh(12)),
+    "bordered-lu-periodic": lambda: mesh.assemble(_LAYERED, mesh.TorusGrid(16)),
+    "blocks-template-dirichlet": lambda: mesh.assemble(
+        coeff.rescale(coeff.builtin("layered", m=2), 1 / 4), mesh.DomainMesh(32)),
+}
+
+
+def _live_columns(op, ncols, seed):
+    """ncols random columns of the solver's dofs, nonzero in every one of
+    them and balanced per component; for a decoupled operator each column
+    loads one component only, as the paper's families do."""
+    ndof = op.interior_matrix().shape[0] if op.mode == "dirichlet" else op.ndof
+    B = np.random.default_rng(seed).standard_normal((ndof // op.m, op.m, ncols))
+    B -= B.mean(axis=0)
+    if op.blocks is not None:
+        B *= (np.arange(op.m)[:, None] == np.arange(ncols) % op.m)
+    return B.reshape(ndof, ncols)
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+@pytest.mark.parametrize("part", EXACT_PARTS)
+def test_zero_columns_are_plus_zero_and_never_reach_the_exact_part(exact_part_calls, part):
+    # data [live, 0, live', -0.0]: the zero columns come back +0.0 without
+    # a solve, and the live ones as the solve of the live columns alone
+    op = EXACT_PARTS[part]()
+    live = _live_columns(op, 2, seed=len(part))
+    B = np.zeros((live.shape[0], 4))
+    B[:, [0, 2]] = live
+    B[:, 3] = -0.0
+    X = op.factorization().solve(B)
+    assert exact_part_calls and all(zero == 0 for _, zero in exact_part_calls)
+    for k in (1, 3):
+        assert not X[:, k].any() and not np.signbit(X[:, k]).any()
+    assert np.array_equal(X[:, [0, 2]], op.factorization().solve(live))
+    # the rule holds for 1-D data too
+    for b in (np.zeros(live.shape[0]), np.full(live.shape[0], -0.0)):
+        x = op.factorization().solve(b)
+        assert x.shape == b.shape and not x.any() and not np.signbit(x).any()
+    assert all(zero == 0 for _, zero in exact_part_calls)
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+@pytest.mark.parametrize("part", EXACT_PARTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_are_refused_before_any_solve(exact_part_calls, part, bad):
+    op = EXACT_PARTS[part]()
+    solver = op.factorization()
+    B = _live_columns(op, 3, seed=1)
+    B[5, 1] = bad
+    with pytest.raises(mesh.SolveError, match="refused non-finite data in 1 of "):
+        solver.solve(B)
+    # a decoupled operator's block counts the columns it solves
+    with pytest.raises(mesh.SolveError, match=r"refused non-finite data in 1 of \d+ columns"):
+        solver.solve(B[:, 1])
+    assert exact_part_calls == []
+
+
+def test_non_finite_neumann_data_are_refused(monkeypatch, identity_field):
+    # the Laplacian's transform is exact: NaN data used to run every
+    # conjugate-gradient step and then report a missed residual check
+    dm = mesh.DomainMesh(16)
+    op = mesh.assemble(identity_field, dm, mode="neumann")
+    steps = []
+    monkeypatch.setattr(mesh.Solver, "_cg", lambda self, *args: steps.append(args))
+    source = np.cos(np.pi * dm.nodes[:, :1])
+    source[3] = np.nan
+    with pytest.raises(mesh.SolveError, match="incompatible Neumann data"):
+        mesh.solve_neumann(op, source)
+    with pytest.raises(mesh.SolveError, match="non-finite data"):
+        op.factorization().solve(mesh.volume_load(dm, source))
+    assert steps == []
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+@pytest.mark.parametrize("part", EXACT_PARTS)
+def test_data_of_no_columns_solve_to_no_columns(exact_part_calls, part):
+    op = EXACT_PARTS[part]()
+    ndof = _live_columns(op, 1, seed=0).shape[0]
+    X = op.factorization().solve(np.zeros((ndof, 0)))
+    assert X.shape == (ndof, 0) and X.dtype == float
+    assert exact_part_calls == []
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+def test_decoupled_neumann_correctors_solve_one_column_at_a_time(monkeypatch):
+    # every Psi column loads one component of the decoupled layered m = 2
+    # field, so its block's Solver gets one live column per solve
+    dm = mesh.DomainMesh(16)
+    op = mesh.assemble(coeff.rescale(coeff.builtin("layered", m=2), 1 / 4), dm, mode="neumann")
+    assert op.blocks is not None and len(op.blocks) == 1
+    hatA = cell.solve(coeff.builtin("layered", m=2), 16).hatA
+    widths, cg_widths = [], []
+    solve, cg = mesh.Solver._solve, mesh.Solver._cg
+
+    def recording_solve(self, B):
+        widths.append(B.shape[1])
+        return solve(self, B)
+
+    def recording_cg(self, x, *args):
+        cg_widths.append(x.shape[1])
+        return cg(self, x, *args)
+
+    monkeypatch.setattr(mesh.Solver, "_solve", recording_solve)
+    monkeypatch.setattr(mesh.Solver, "_cg", recording_cg)
+    correctors.neumann_correctors(op, hatA)
+    assert widths == [1] * 4
+    assert cg_widths and set(cg_widths) == {1}

@@ -128,3 +128,26 @@ def test_dtn_kills_constants_and_is_symmetric_for_symmetric_fields(field, n):
 def test_flux_corrector_is_exactly_antisymmetric(field, n):
     F = cell.solve(field, n).F
     assert not (F + F.transpose(1, 0, 2, 3, 4, 5)).any()
+
+
+@PROPERTY
+@given(field=any_fields(), n=MESH_N, data=st.data())
+def test_zero_data_columns_solve_to_exact_zeros(field, n, data):
+    # zeroing some columns of the data leaves the others as they solve
+    # alone, bit for bit, and gives +0.0 on the zeroed ones
+    mode = data.draw(st.sampled_from(["dirichlet", "periodic"]
+                                     + (["neumann"] if field.symmetric else [])))
+    grid = mesh.TorusGrid(n) if mode == "periodic" else mesh.DomainMesh(n)
+    op = mesh.assemble(field, grid, mode=mode)
+    ndof = op.interior_matrix().shape[0] if mode == "dirichlet" else op.ndof
+    ncols = data.draw(st.integers(2, 5))
+    zero = np.array(data.draw(st.lists(st.booleans(), min_size=ncols, max_size=ncols)))
+    B = np.random.default_rng(data.draw(st.integers(0, 2 ** 16))).standard_normal((ndof, ncols))
+    full = op.factorization().solve(B)
+    B[:, zero] = data.draw(st.sampled_from([0.0, -0.0]))
+    X = op.factorization().solve(B)
+    assert not X[:, zero].any() and not np.signbit(X[:, zero]).any()
+    if not zero.all():
+        assert np.array_equal(X[:, ~zero], op.factorization().solve(B.compress(~zero, axis=1)))
+        # a batch of other columns changes a live one by roundoff only
+        assert np.abs(X[:, ~zero] - full[:, ~zero]).max() <= 1e-10 * np.abs(full).max()

@@ -8,6 +8,10 @@ does, without wrapping anything.  Its factor wrapper names each
 factorization with tracing.factor_kind(op) and adds the .nnz of what
 AssembledOperator._factor returns; its other wrappers add
 assemble(...).matrix.nnz and kernels.dtn(op).mat.shape[1].
+
+The last test runs the benchmark's systems workload (perfbench/workloads.py,
+loaded the same way, read only) on its tiny inputs and checks that no
+column of zeros reaches the exact part of any Solver.
 """
 
 import importlib
@@ -15,14 +19,19 @@ import importlib.util
 import numbers
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("homoglab_perfbench_tracing", TRACING)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"homoglab_perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load_perfbench("tracing")
 
 
 def test_every_trace_target_resolves():
@@ -161,3 +170,15 @@ def test_assemble_evaluates_one_period_and_keeps_the_nnz_the_tracer_counts(monke
             assert sum(points) == 4 * c * c < 4 * n * n
             assert isinstance(op.matrix.nnz, numbers.Integral)
             assert op.matrix.nnz == (3 * n + 1) ** 2 * m * m
+
+
+def test_the_systems_workload_sends_no_zero_column_to_an_exact_part(exact_part_calls):
+    # every family of the m = 2 workload loads one component per column, so
+    # a decoupled block used to solve one column of zeros beside each one
+    from homoglab import ratelab
+    workloads = _load_perfbench("workloads")
+    configs = [ratelab.ExperimentConfig(exp, **kwargs)
+               for exp, kwargs in workloads.plan("systems", 0, tiny=True)]
+    ratelab.run_many(configs)
+    assert sum(cols for cols, _ in exact_part_calls) > 0
+    assert sum(zero for _, zero in exact_part_calls) == 0
