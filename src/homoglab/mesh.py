@@ -33,7 +33,8 @@ FFT on the torus, DCT-I on the square's nodes) solves the tensor's
 separable part, and preconditioned conjugate gradients take up the rest.
 The cell template of an eps-periodic Dirichlet operator on a mesh of
 2^k x 2^k whole periods eliminates K_ii by nested blocks, one dense matrix
-per level, since every block of a level is the same.  A sparse LU
+per level and class of equal blocks (base blocks of at most 16 cells), and
+factors the top block, the whole mesh's cross.  A sparse LU
 (AssembledOperator._factor) solves any system as it stands.
 factorization() picks the part.  Every Neumann operator, whose coefficient
 must be symmetric, goes through a transform: a constant tensor (the
@@ -88,6 +89,7 @@ import warnings
 from collections import namedtuple
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -310,9 +312,17 @@ class AssembledOperator:
     same table, and the components whose a^{aa} equal it.  assemble decides
     it; in_mode and adjoint carry it over.  matrix is the whole interleaved
     matrix either way.
+
+    element_matrices is None, or the (c * c, 4, m, 4, m) element matrices
+    of that block, which the cell template reads: assemble keeps them on an
+    operator whose block the template rule admits (_template_admits) and
+    that is not solved block by block, in either mode of the square, and
+    in_mode and adjoint carry them over, so no set-up evaluates the
+    coefficient again.
     """
 
-    def __init__(self, mesh, matrix, mode, coeff, coeff_mean, cells, blocks=None):
+    def __init__(self, mesh, matrix, mode, coeff, coeff_mean, cells, blocks=None,
+                 element_matrices=None):
         self.mesh = mesh
         self.matrix = matrix
         self.mode = mode
@@ -320,6 +330,7 @@ class AssembledOperator:
         self.coeff_mean = coeff_mean
         self.cells = cells
         self.blocks = blocks
+        self.element_matrices = element_matrices
         self._solver = None
         self._interior_dofs = None
         self._boundary_dofs = None
@@ -361,19 +372,22 @@ class AssembledOperator:
         blocks = None if self.blocks is None else tuple(
             (comps, op.in_mode(mode)) for comps, op in self.blocks)
         return AssembledOperator(self.mesh, self.matrix, mode, self.coeff, self.coeff_mean,
-                                 self.cells, blocks)
+                                 self.cells, blocks, self.element_matrices)
 
     def adjoint(self):
         """The operator of the adjoint coefficient A* in the same mode: self
         for a symmetric coefficient, otherwise the transposed matrix, which
         is what assembling A* gives (to roundoff), so nothing is assembled;
-        each block is its block's adjoint."""
+        each block is its block's adjoint, and each element matrix its
+        transpose."""
         if self.coeff.symmetric:
             return self
         blocks = None if self.blocks is None else tuple(
             (comps, op.adjoint()) for comps, op in self.blocks)
+        Kloc = self.element_matrices
         return AssembledOperator(self.mesh, self.matrix.T.tocsr(), self.mode, self.coeff.adjoint(),
-                                 self.coeff_mean.transpose(1, 0, 3, 2), self.cells, blocks)
+                                 self.coeff_mean.transpose(1, 0, 3, 2), self.cells, blocks,
+                                 None if Kloc is None else Kloc.transpose(0, 3, 4, 1, 2))
 
     def _factor(self, matrix):
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -468,25 +482,32 @@ def _ratio(num, den):
 # where the cell template was measured to beat the sparse LU (set-up and a
 # 19-column solve, one BLAS thread, m = 1 and 2, c = 2..32, 2 to 128 periods
 # per side): at most 32 cells per period, the largest measured; at least 32
-# cells per side (n = 16: 2-3 ms against 0.2-2 ms); and n >= c^2/4, since
-# the cell's dense elimination of (c - 1)^2 m unknowns grows as c^6 and the
-# LU as n^3 (c = 32, m = 1: n = 128 took 0.14 s against 0.10 s, n = 256
-# 0.26 s against 0.49 s; c = 16, 2 periods: 8 ms against 4 ms)
+# cells per side (n = 16, c = 8: 2-3 ms against 1 ms); and n >= c^2/4
+# (c = 16 on 2 periods: 7-26 ms against 3-7 ms; c = 32 on 2 periods: 29-123
+# ms against 15-50 ms).  With base blocks of at most 16 cells and a factored
+# top, the bound is conservative for c = 32: on n = 128 the template took
+# 36 ms against 79 ms (m = 1) and 140 ms against 489 ms (m = 2), and on
+# n = 256 97 ms against 472 ms and 334 ms against 3.4 s
 _TEMPLATE_MAX_CELLS = 32
 _TEMPLATE_MIN_N = 32
 
 
 def _template_cells(op):
     """The cell template rule: c = op.cells, the block that assemble
-    evaluated the coefficient on, when op is a Dirichlet operator with
-    2 <= c <= 32 on a mesh of n >= max(32, c^2/4) cells per side that holds
-    2^k x 2^k blocks, k >= 1; otherwise None (the sparse LU)."""
-    c, n = op.cells, op.mesh.n
-    if (op.mode != "dirichlet" or not 2 <= c <= _TEMPLATE_MAX_CELLS
-            or n < max(_TEMPLATE_MIN_N, c * c / 4)):
-        return None
+    evaluated the coefficient on, when op is a Dirichlet operator whose
+    block _template_admits; otherwise None (the sparse LU)."""
+    return op.cells if op.mode == "dirichlet" and _template_admits(op.mesh, op.cells) else None
+
+
+def _template_admits(mesh, c):
+    """Whether the square mesh holds blocks of c cells that a cell
+    template solves: 2 <= c <= 32, n >= max(32, c^2/4) cells per side, and
+    2^k x 2^k blocks, k >= 1."""
+    n = mesh.n
+    if mesh.is_torus or not 2 <= c <= _TEMPLATE_MAX_CELLS or n < max(_TEMPLATE_MIN_N, c * c / 4):
+        return False
     periods = n // c
-    return c if periods >= 2 and periods & (periods - 1) == 0 else None
+    return periods >= 2 and periods & (periods - 1) == 0
 
 
 def _block_nodes(s, cell):
@@ -513,20 +534,64 @@ def _child_maps(s, ring, eliminated, child_ring, m):
     return [_dofs(pos[(cy + dy * half) * (s + 1) + cx + dx * half], m) for dy, dx in _CHILDREN]
 
 
-def _interior_positions(n, s, local, m):
+def _interior_positions(n, s, local, m, q):
     """Rows of K_ii (the interior dofs of the mesh of side n, sorted) of the
-    local nodes of every block of side s: (local.size * m, n/s, n/s),
-    indexed [dof, by, bx] for the block at offset (bx s, by s)."""
+    local nodes of every block of side s, by class: (q, q, local.size * m,
+    k, k), k = n / (s q), indexed [py, px, dof, ky, kx] for the block
+    (ky q + py, kx q + px), at offset ((kx q + px) s, (ky q + py) s)."""
     blocks = np.arange(n // s) * s
     ly, lx = np.divmod(local, s + 1)
     node = (blocks[:, None] + ly[:, None, None] - 1) * (n - 1) + blocks + lx[:, None, None] - 1
-    return (node[:, None] * m + np.arange(m)[:, None, None]).reshape(-1, n // s, n // s)
+    rows = (node[:, None] * m + np.arange(m)[:, None, None]).reshape(-1, n // s // q, q,
+                                                                     n // s // q, q)
+    return np.ascontiguousarray(rows.transpose(2, 4, 0, 1, 3))
 
+
+def _class_children(a, q):
+    """For each child (dy, dx) of _CHILDREN, the view of a [class y, class
+    x, ...] of 2q x 2q classes at child class (2 py + dy, 2 px + dx) of
+    every class (py, px) of q x q: [py, px, ...]."""
+    a = a.reshape(q, 2, q, 2, *a.shape[2:])
+    return [a[:, dy, :, dx] for dy, dx in _CHILDREN]
+
+
+def _block_children(a):
+    """For each child (dy, dx) of _CHILDREN, the view of a [1, 1, dof, by,
+    bx, column], one class of 2k x 2k blocks, at child block (2 ky + dy,
+    2 kx + dx) of every block (ky, kx) of k x k: [1, 1, dof, ky, kx,
+    column]."""
+    k = a.shape[3] // 2
+    a = a.reshape(*a.shape[:3], k, 2, k, 2, a.shape[-1])
+    return [a[:, :, :, :, dy, :, dx] for dy, dx in _CHILDREN]
+
+
+def _subtract_product(x, W, y):
+    """x -= W @ y for each class of x, [class y, class x, dof, column], in
+    x's own memory: one gemm per class with beta = 1 on the transposes
+    (x[cls].T is in Fortran order, which BLAS updates in place), so no
+    product of x's size is allocated."""
+    for cls in np.ndindex(W.shape[:2]):
+        scipy.linalg.blas.dgemm(-1.0, y[cls].T, W[cls].T, 1.0, x[cls].T, overwrite_c=True)
+
+
+def _cholesky_solve(U, z):
+    """x for U^T U x = z, U the upper Cholesky factor: two triangular
+    solves, which on a few columns take a fraction of LAPACK's potrs (509
+    rows, one column: 65 us against 232 us)."""
+    y, _ = scipy.linalg.lapack.dtrtrs(U, z, trans=1)
+    return scipy.linalg.lapack.dtrtrs(U, y)[0]
+
+
+# the side, in cells, of the largest block that the cell template
+# eliminates densely from the element matrices: a period of more cells is
+# split into (c / b)^2 base classes of b cells
+_TEMPLATE_BASE_CELLS = 16
 
 # one level of the cell template: the K_ii rows of the dofs each of its
-# blocks eliminates, [dof, by, bx], the children's ring positions in its
-# [ring, eliminated] dofs (None for the cell), its ring's dof count, and
-# A_EE^-1, A_EE^-1 A_ER and A_RE (the last two None for the top block)
+# blocks eliminates, [class y, class x, dof, by, bx], the children's ring
+# positions in its [ring, eliminated] dofs (None for the base), its ring's
+# dof count, and per class A_EE^-1, A_EE^-1 A_ER and A_RE (all three None
+# for the top block, which the template factors)
 _Level = namedtuple("_Level", "elim maps nR inv W A_RE")
 
 
@@ -535,93 +600,146 @@ class _CellTemplate:
     period of c cells, on a mesh of 2^k x 2^k periods, eliminated block by
     nested block: the exact part of its Solver in place of a sparse LU.
 
-    Level 0 is the period cell and level l the block of 2^l x 2^l periods.
-    Every block of a level has the same matrix, so one dense template per
-    level serves them all (nested dissection whose fronts at one level are
-    equal; George, SIAM J. Numer. Anal. 10, 1973).  The cell's template is
-    the (c + 1)^2 m stiffness matrix of op.coeff at the first period's
-    Gauss points on the c x c cell mesh (2-D stiffness does not depend on
-    the element size), and it eliminates the (c - 1)^2 interior nodes.  A
-    block of level l >= 1 scatters four copies of its child's Schur
-    complement onto its ring plus the cross where they meet, and
-    eliminates the cross.  Each level keeps, for its eliminated dofs E and
-    ring dofs R, A_EE^-1, A_EE^-1 A_ER and A_RE; the top block's ring is
-    the Dirichlet boundary, so it keeps A_EE^-1 alone.
+    Level 0 is the base block of b cells, b = c halved while it is even and
+    above 16, and each level above it doubles the side up to the top block,
+    the whole mesh.  A block's class is its index mod c / s along each
+    axis, (c / s)^2 classes at a level of side s <= c and one above it.
+    Every block of a class has the same matrix, so one dense template per
+    class and level serves them all (nested dissection whose fronts at one
+    level are equal; George, SIAM J. Numer. Anal. 10, 1973).  The template
+    of a base class is the (b + 1)^2 m stiffness matrix of its b x b
+    elements of the period, read from op.element_matrices (2-D stiffness
+    does not depend on the element size), and it eliminates the (b - 1)^2
+    interior nodes.  A block of a higher level scatters its four children's
+    Schur complements onto its ring plus the cross where they meet, and
+    eliminates the cross.  Each level below the top keeps, per class, for
+    its eliminated dofs E and ring dofs R, A_EE^-1, A_EE^-1 A_ER and A_RE.
+    The top block's ring is the Dirichlet boundary, so only its A_EE is
+    kept, factored, not inverted: by Cholesky when op.coeff.symmetric says
+    it is symmetric (in floats it is so only to roundoff, and Cholesky
+    reads one triangle), else by LU with partial pivoting.
 
     solve(B) condenses the data upward, level by level, and substitutes
-    back downward, each step one matmul over every block of a level and
-    every column.  The template holds only for a matrix that repeats its
-    first period in every period, as assemble's matrix of op.cells = c
-    does; the Solver's residual check against K_ii is what catches one
-    that does not.
+    back downward, each step one matmul, batched over the classes, over
+    every block of a level and every column, and at the top one solve with
+    the factor.  The back substitution updates each level's data in place
+    (_subtract_product).  The template holds only for a matrix that
+    repeats its first period in every period, as assemble's matrix of
+    op.cells = c does; the Solver's residual check against K_ii is what
+    catches one that does not.
     """
 
     def __init__(self, op, c):
-        mesh, m, n = op.mesh, op.m, op.mesh.n
-        Kloc = _element_matrices(op.coeff(mesh.period_gauss_points(c)))
-        cell = _stencil_matrix(DomainMesh(c), Kloc, c)
+        m, n = op.m, op.mesh.n
+        b = c
+        while b > _TEMPLATE_BASE_CELLS and b % 2 == 0:
+            b //= 2
         self._levels = []
-        s, ring, schur = c, None, None
+        s, ring, schur = b, None, None
         while True:
+            q = max(c // s, 1)                            # classes per side
             child_ring = ring
             ring, elim = _block_nodes(s, cell=schur is None)
             nR, maps = ring.size * m, None
             if schur is None:
-                order = _dofs(np.concatenate([ring, elim]), m)
-                M = cell.toarray()[np.ix_(order, order)]
+                M = self._base(op, c, b, np.concatenate([ring, elim]))
             else:
                 maps = _child_maps(s, ring, elim, child_ring, m)
                 # the top block needs only its cross: its ring is the boundary
                 lo = nR if s == n else 0
-                M = np.zeros((nR + elim.size * m - lo,) * 2)
-                for mp in maps:
-                    keep = mp >= lo
-                    M[np.ix_(mp[keep] - lo, mp[keep] - lo)] += schur[np.ix_(keep, keep)]
+                M = np.zeros((q, q) + (nR + elim.size * m - lo,) * 2)
+                parts = _class_children(schur, q) if schur.shape[0] > q else [schur] * 4
+                for mp, part in zip(maps, parts):
+                    keep = np.flatnonzero(mp >= lo)
+                    at = mp[keep] - lo
+                    M[..., at[:, None], at] += part[..., keep[:, None], keep]
+            elim = _interior_positions(n, s, elim, m, q)
             if s == n:
-                self._levels.append(_Level(_interior_positions(n, s, elim, m), maps, nR,
-                                           np.linalg.inv(M), None, None))
+                self._levels.append(_Level(elim, maps, nR, None, None, None))
+                self._factor(M[0, 0], op.coeff.symmetric)
                 return
-            inv = np.linalg.inv(M[nR:, nR:])
-            W = inv @ M[nR:, :nR]
-            A_RE = M[:nR, nR:].copy()
-            schur = M[:nR, :nR] - A_RE @ W
-            self._levels.append(_Level(_interior_positions(n, s, elim, m), maps, nR, inv, W, A_RE))
+            inv = np.linalg.inv(M[..., nR:, nR:])
+            W = inv @ M[..., nR:, :nR]
+            A_RE = M[..., :nR, nR:].copy()
+            schur = M[..., :nR, :nR] - A_RE @ W
+            self._levels.append(_Level(elim, maps, nR, inv, W, A_RE))
             s *= 2
+
+    @staticmethod
+    def _base(op, c, b, order):
+        """The stiffness matrices of the base classes, (c/b, c/b, N, N),
+        rows and columns the dofs of the local nodes order of a block of
+        b x b cells: class (py, px) holds the period's elements (py b + iy,
+        px b + ix), 0 <= iy, ix < b."""
+        m, q = op.m, c // b
+        Kloc = op.element_matrices
+        if Kloc is None:
+            # an operator built by hand, not by assemble
+            Kloc = _element_matrices(op.coeff(op.mesh.period_gauss_points(c)))
+        Kc = Kloc.reshape(q, b, q, b, 4, m, 4, m).swapaxes(1, 2)
+        dofs, cell = _dofs(order, m), DomainMesh(b)
+        return np.array([[_stencil_matrix(cell, Kc[py, px].reshape(b * b, 4, m, 4, m), b)
+                          .toarray()[np.ix_(dofs, dofs)] for px in range(q)] for py in range(q)])
+
+    def _factor(self, A_EE, symmetric):
+        """Factor the top block's A_EE into self._top, and set self._top_solve
+        to the solve by it: Cholesky for a symmetric coefficient, whose A_EE
+        is positive definite when it is elliptic, else LU."""
+        if symmetric:
+            try:
+                self._top, _ = scipy.linalg.cho_factor(A_EE, check_finite=False)
+            except np.linalg.LinAlgError as err:
+                raise SolveError("the cell template's top block is not positive definite: "
+                                 "the symmetric coefficient is not elliptic") from err
+            self._top_solve = functools.partial(_cholesky_solve, self._top)
+        else:
+            self._top, pivots = scipy.linalg.lu_factor(A_EE, check_finite=False)
+            self._top_solve = functools.partial(scipy.linalg.lu_solve, (self._top, pivots),
+                                                check_finite=False)
 
     def solve(self, B):
         """K_ii^{-1} B for B (ndof, ncols), without a residual check."""
         ncols = B.shape[1]
         upward, g = [], None
         for elim, maps, nR, inv, W, A_RE in self._levels:
-            z = B[elim]                                   # [dof, by, bx, column]
+            q, k = elim.shape[0], elim.shape[-1]
+            z = B[elim]                        # [class y, class x, dof, by, bx, column]
             if maps is not None:
                 # the children's condensed data, on this block's ring and cross
-                k = elim.shape[1]
-                children = g.reshape(-1, k, 2, k, 2, ncols)
-                zRE = np.concatenate([np.zeros((nR, k, k, ncols)), z])
-                for (dy, dx), mp in zip(_CHILDREN, maps):
-                    zRE[mp] += children[:, :, dy, :, dx]
-                z = zRE[nR:]
-            u = inv @ z.reshape(z.shape[0], -1)
+                zRE = np.concatenate([np.zeros((q, q, nR, k, k, ncols)), z], axis=2)
+                for mp, child in zip(maps, _class_children(g, q) if g.shape[0] > q
+                                     else _block_children(g)):
+                    zRE[:, :, mp] += child
+                z = zRE[:, :, nR:]
+            z = z.reshape(q, q, z.shape[2], -1)
+            if inv is None:
+                u = self._top_solve(z[0, 0])[None, None]
+            else:
+                u = inv @ z
             upward.append(u)
             if A_RE is not None:
-                g = -(A_RE @ u) if maps is None else zRE[:nR].reshape(nR, -1) - A_RE @ u
+                g = -(A_RE @ u) if maps is None else zRE[:, :, :nR].reshape(q, q, nR, -1) - A_RE @ u
+                g = g.reshape(q, q, nR, k, k, ncols)
         X = np.empty_like(B)
         xR = None
-        for (elim, maps, nR, inv, W, A_RE), x in zip(self._levels[::-1], upward[::-1]):
+        for i in range(len(self._levels) - 1, -1, -1):
+            elim, maps, nR, inv, W, A_RE = self._levels[i]
+            x = upward.pop()                   # freed once it is in X and the children's rings
             if W is not None:
-                x -= W @ xR
+                _subtract_product(x, W, xR)
             X[elim] = x.reshape(*elim.shape, ncols)
             if maps is not None:
                 # this block's ring (zero on the boundary) and cross, read
                 # onto each child's ring
-                ring = np.zeros((nR, x.shape[1])) if xR is None else xR
-                k = elim.shape[1]
-                xRE = np.concatenate([ring, x]).reshape(-1, k, k, ncols)
-                child = np.empty((maps[0].size, k, 2, k, 2, ncols))
-                for (dy, dx), mp in zip(_CHILDREN, maps):
-                    child[:, :, dy, :, dx] = xRE[mp]
-                xR = child.reshape(maps[0].size, -1)
+                q, k = elim.shape[0], elim.shape[-1]
+                ring = np.zeros((q, q, nR, x.shape[-1])) if xR is None else xR
+                xRE = np.concatenate([ring, x], axis=2).reshape(q, q, -1, k, k, ncols)
+                cq, _, _, ck, _ = self._levels[i - 1].elim.shape
+                child = np.empty((cq, cq, maps[0].size, ck, ck, ncols))
+                for mp, view in zip(maps, _class_children(child, q) if cq > q
+                                    else _block_children(child)):
+                    view[...] = xRE[:, :, mp]
+                xR = child.reshape(cq, cq, maps[0].size, -1)
         return X
 
 
@@ -712,7 +830,8 @@ class Solver:
             self._part = "sparse LU"
             if cells is not None:
                 self._part = (f"the cell template of {cells} cells per period (which holds "
-                              "only for a coefficient that repeats in every period)")
+                              "only for a coefficient that repeats in every period, and is "
+                              "symmetric if its flag says so)")
                 self._direct = _CellTemplate(op, cells)
             elif op.mode == "dirichlet":
                 self._direct = op._factor(self._K)
@@ -809,10 +928,7 @@ class Solver:
         the others solved in one batch by _solve."""
         b = np.asarray(b, dtype=float)
         B = b.reshape(b.shape[0], -1)
-        finite = np.isfinite(B).all(axis=0)
-        if not finite.all():
-            raise SolveError(f"{self._mode} solve by {self._part} refused non-finite data in "
-                             f"{finite.size - finite.sum()} of {finite.size} columns")
+        _refuse_non_finite(B, f"{self._mode} solve by {self._part}")
         live = B.any(axis=0)
         if live.size and live.all():
             return self._solve(B).reshape(b.shape)
@@ -871,20 +987,31 @@ class Solver:
         self._fail(todo, _TRANSFORM_MAXITER)
 
 
+def _refuse_non_finite(B, what):
+    """Raise SolveError, counting the columns of B (ndof, ncols) that hold
+    a NaN or an infinity, unless there are none."""
+    finite = np.isfinite(B).all(axis=0)
+    if not finite.all():
+        raise SolveError(f"{what} refused non-finite data in {finite.size - finite.sum()} of "
+                         f"{finite.size} columns")
+
+
 class _BlockSolver:
     """The Solver of a decoupled operator: the Solver of each distinct
     diagonal block's m = 1 operator (op.blocks), which checks the columns
     it solves by its own residual rule and solves only those that carry
     data: a column that loads one component leaves a column of zeros in
     every other component's block.  solve(b) takes the same dofs as
-    Solver.solve, dof = node * m + component."""
+    Solver.solve, dof = node * m + component, and refuses non-finite data,
+    counted in the caller's columns, before it splits them into blocks."""
 
     def __init__(self, op):
-        self._m = op.m
+        self._m, self._mode = op.m, op.mode
         self._blocks = [(list(comps), block.factorization()) for comps, block in op.blocks]
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
+        _refuse_non_finite(b.reshape(b.shape[0], -1), f"{self._mode} solve block by block")
         B = b.reshape(b.shape[0] // self._m, self._m, -1)        # [node, component, column]
         X = np.empty_like(B)
         for comps, solver in self._blocks:
@@ -1063,8 +1190,17 @@ def _operator(coeff, mesh, mode, A_quad=None):
     coeff_mean = A.mean(axis=(0, 1))
     Kloc = _element_matrices(A)
     del A
-    matrix = _stencil_matrix(mesh, Kloc, c)
-    return AssembledOperator(mesh, matrix, mode, coeff, coeff_mean, c, blocks)
+    return _assembled(mesh, Kloc, mode, coeff, coeff_mean, c, blocks)
+
+
+def _assembled(mesh, Kloc, mode, coeff, coeff_mean, c, blocks=None):
+    """The operator of the element matrices Kloc of a block of c x c
+    elements, which keeps them (element_matrices) for its cell template
+    when the template rule admits the block and the operator is not solved
+    block by block."""
+    keep = blocks is None and _template_admits(mesh, c)
+    return AssembledOperator(mesh, _stencil_matrix(mesh, Kloc, c), mode, coeff, coeff_mean, c,
+                             blocks, Kloc if keep else None)
 
 
 def _blocks(coeff, mesh, mode, c, A):
@@ -1079,9 +1215,8 @@ def _blocks(coeff, mesh, mode, c, A):
     blocks = []
     for a, comps in groups:
         Aa = np.ascontiguousarray(A[..., a:a + 1, a:a + 1])
-        block = AssembledOperator(mesh, _stencil_matrix(mesh, _element_matrices(Aa), c), mode,
-                                  component_field(coeff, a), Aa.mean(axis=(0, 1)), c)
-        blocks.append((comps, block))
+        blocks.append((comps, _assembled(mesh, _element_matrices(Aa), mode,
+                                         component_field(coeff, a), Aa.mean(axis=(0, 1)), c)))
     return tuple(blocks)
 
 

@@ -1072,6 +1072,80 @@ def test_cell_template_only_for_aligned_variable_dirichlet_operators(monkeypatch
     assert factored == ["dirichlet"] * 7 + ["periodic"]
 
 
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+@pytest.mark.parametrize("name", ["layered", "layered-m2", "coupled-m2", "skewed"])
+def test_template_set_up_evaluates_no_coefficient(monkeypatch, name):
+    # the template reads the element matrices that assembly built, which
+    # the operator keeps across release(), in_mode and adjoint: a set-up
+    # evaluates the coefficient at no point, the first one or a later one
+    field = _template_fields()[name]
+    op = mesh.assemble(coeff.rescale(field, 1 / 4), mesh.DomainMesh(32))
+    templated, points = _record_templates(monkeypatch), []
+    call = coeff.CoefficientField.__call__
+
+    def counting(self, pts):
+        points.append(np.asarray(pts).size // 2)
+        return call(self, pts)
+
+    monkeypatch.setattr(coeff.CoefficientField, "__call__", counting)
+    ops = [op] if field.symmetric else [op, op.adjoint()]
+    for each in ops:
+        each.factorization()
+        each.release()
+        each.in_mode("neumann").in_mode("dirichlet").factorization()
+    assert sum(points) == 0 and len(templated) == 2 * len(ops)
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+def test_only_an_operator_the_template_admits_keeps_its_element_matrices(layered_field):
+    # the period's table on a template operator, in either mode of the
+    # square, and on each block of a decoupled one, which keeps its own
+    # slice; nothing on an LU operator (c = n), a torus or the interleaved
+    # operator of a decoupled system
+    dm = mesh.DomainMesh(32)
+    op = mesh.assemble(coeff.rescale(layered_field, 1 / 4), dm, mode="neumann")
+    assert op.element_matrices.shape == (64, 4, 1, 4, 1)
+    assert op.in_mode("dirichlet").element_matrices is op.element_matrices
+    for field, grid in [(layered_field, dm), (coeff.rescale(layered_field, 1 / 3),
+                                              mesh.DomainMesh(12)),
+                        (coeff.rescale(layered_field, 1 / 2), mesh.TorusGrid(32))]:
+        assert mesh.assemble(field, grid).element_matrices is None
+    system = mesh.assemble(coeff.rescale(coeff.builtin("layered", m=2), 1 / 4), dm)
+    [(_, block)] = system.blocks
+    assert system.element_matrices is None and block.element_matrices.shape == (64, 4, 1, 4, 1)
+
+
+@pytest.mark.parametrize("name, m", [("layered", 1), ("coupled-m2", 2)])
+def test_template_inverts_no_matrix_of_more_than_255_m_rows(monkeypatch, name, m):
+    # the fixed workload's shape, 32 cells per period on n = 256: the base
+    # classes of 16 cells invert (15^2) m rows and the period's cross
+    # (2 * 31 - 1) m, the blocks above it at most (2 * 127 - 1) m, and the
+    # top's (2 * 255 - 1) m-row cross is factored, never inverted
+    import scipy.linalg
+    inverted, factored = [], []
+
+    def recording(module, what, shapes):
+        f = getattr(module, what)
+
+        def call(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return f(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, what, call)
+
+    recording(np.linalg, "inv", inverted)
+    recording(scipy.linalg, "lu_factor", factored)
+    recording(scipy.linalg, "cho_factor", factored)
+    templated = _record_templates(monkeypatch)
+    op = mesh.assemble(coeff.rescale(_template_fields()[name], 1 / 8), mesh.DomainMesh(256))
+    op.factorization()
+    assert templated == [(32, m)]
+    # one batched call inverts the 2 x 2 base classes
+    assert sorted(shape[-1] for shape in inverted) == [r * m for r in (61, 125, 225, 253)]
+    assert max(shape[-1] for shape in inverted) <= 255 * m
+    assert factored == [(509 * m, 509 * m)]
+
+
 @pytest.mark.parametrize("solve", ["dirichlet", "dtn"])
 def test_template_off_by_1e10_fails_residual_check(monkeypatch, layered_field, solve):
     # the template meets the one rule, 1e-12 of the data: solutions off by
@@ -1089,22 +1163,76 @@ def test_template_off_by_1e10_fails_residual_check(monkeypatch, layered_field, s
             kernels.dtn(op)
 
 
-@pytest.mark.parametrize("level, block", [(0, "inv"), (0, "W"), (0, "A_RE"),
-                                          (1, "inv"), (1, "W"), (1, "A_RE"), (2, "inv")])
-def test_template_with_a_zeroed_block_fails_residual_check(monkeypatch, layered_field,
-                                                           level, block):
-    # 4 x 4 periods of 8 cells: the cell, the block of 2 x 2 periods and
-    # the top block, which keeps only its inverse
+def _zeroed_template_solve(monkeypatch, field, n, periods, level, block, cls=Ellipsis):
+    """solve_dirichlet on the mesh of side n of field at eps = 1/periods,
+    whose cell template has one part zeroed after its set-up: the top's
+    factor (level "top"), or the block (inv, W or A_RE) of class cls of a
+    level below it, every class by default."""
     init = mesh._CellTemplate.__init__
+    shapes = []
 
     def zeroing(self, op, c):
         init(self, op, c)
-        getattr(self._levels[level], block)[...] = 0.0
+        if level == "top":
+            self._top[...] = 0.0
+        else:
+            part = getattr(self._levels[level], block)
+            shapes.append(part.shape[:2])
+            part[cls] = 0.0
 
     monkeypatch.setattr(mesh._CellTemplate, "__init__", zeroing)
-    dm = mesh.DomainMesh(32)
-    op = mesh.assemble(coeff.rescale(layered_field, 1 / 4), dm)
+    dm = mesh.DomainMesh(n)
+    op = mesh.assemble(coeff.rescale(field, 1 / periods), dm)
     with pytest.raises(mesh.SolveError, match="cell template .* failed its residual check"):
+        mesh.solve_dirichlet(op, np.ones((dm.nnodes, 1)))
+    return shapes
+
+
+@pytest.mark.parametrize("level, block", [(0, "inv"), (0, "W"), (0, "A_RE"),
+                                          (1, "inv"), (1, "W"), (1, "A_RE"), ("top", "factor")])
+def test_template_with_a_zeroed_block_fails_residual_check(monkeypatch, layered_field,
+                                                           level, block):
+    # 4 x 4 periods of 8 cells: the cell, the block of 2 x 2 periods and
+    # the top block, which keeps only its factor
+    _zeroed_template_solve(monkeypatch, layered_field, 32, 4, level, block)
+
+
+@pytest.mark.parametrize("level, block, cls", [
+    pytest.param(0, "inv", (0, 1), id="base-inv-01"),
+    pytest.param(0, "W", (1, 0), id="base-W-10"),
+    pytest.param(0, "A_RE", (1, 1), id="base-A_RE-11"),
+    pytest.param(1, "inv", (0, 0), id="period-inv"),
+    pytest.param(1, "W", (0, 0), id="period-W"),
+    pytest.param(1, "A_RE", (0, 0), id="period-A_RE"),
+    pytest.param("top", "factor", None, id="top-factor")])
+def test_template_of_32_cells_with_a_zeroed_block_fails_residual_check(monkeypatch, layered_field,
+                                                                       level, block, cls):
+    # 8 x 8 periods of 32 cells: 2 x 2 base classes of 16 cells, of which
+    # one has a block zeroed and the other three are kept; the period's one
+    # class; and the factored top
+    shapes = _zeroed_template_solve(monkeypatch, layered_field, 256, 8, level, block, cls)
+    assert shapes == ([] if level == "top" else [(2, 2) if level == 0 else (1, 1)])
+
+
+def test_template_refuses_a_symmetric_coefficient_that_is_not_elliptic(layered_field):
+    # the top block of a symmetric coefficient is factored by Cholesky; a
+    # negative definite one (a symmetric field that is not elliptic) is
+    # refused by name, not solved or left to a LinAlgError
+    field = coeff.CoefficientField(lambda y: -layered_field(y))
+    op = mesh.assemble(coeff.rescale(field, 1 / 4), mesh.DomainMesh(32))
+    with pytest.raises(mesh.SolveError, match="top block is not positive definite"):
+        op.factorization()
+
+
+def test_template_of_a_nonsymmetric_field_flagged_symmetric_fails_residual_check():
+    # Cholesky reads one triangle of the top block, so a field whose values
+    # are not symmetric but whose flag says so (the default) is not solved:
+    # the residual check raises and names the flag
+    skewed = _skewed_field()
+    field = coeff.CoefficientField(skewed._evaluator)
+    dm = mesh.DomainMesh(32)
+    op = mesh.assemble(coeff.rescale(field, 1 / 4), dm)
+    with pytest.raises(mesh.SolveError, match="symmetric if its flag says so"):
         mesh.solve_dirichlet(op, np.ones((dm.nnodes, 1)))
 
 
@@ -1332,10 +1460,10 @@ def test_non_finite_data_are_refused_before_any_solve(exact_part_calls, part, ba
     solver = op.factorization()
     B = _live_columns(op, 3, seed=1)
     B[5, 1] = bad
-    with pytest.raises(mesh.SolveError, match="refused non-finite data in 1 of "):
+    with pytest.raises(mesh.SolveError, match="refused non-finite data in 1 of 3 columns"):
         solver.solve(B)
-    # a decoupled operator's block counts the columns it solves
-    with pytest.raises(mesh.SolveError, match=r"refused non-finite data in 1 of \d+ columns"):
+    # a decoupled operator counts the caller's columns, not its blocks'
+    with pytest.raises(mesh.SolveError, match="refused non-finite data in 1 of 1 columns"):
         solver.solve(B[:, 1])
     assert exact_part_calls == []
 
