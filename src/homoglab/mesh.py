@@ -567,19 +567,17 @@ def _block_children(a):
 
 def _subtract_product(x, W, y):
     """x -= W @ y for each class of x, [class y, class x, dof, column], in
-    x's own memory: one gemm per class with beta = 1 on the transposes
-    (x[cls].T is in Fortran order, which BLAS updates in place), so no
-    product of x's size is allocated."""
+    x's own memory: one gemm per class with beta = 1 on the transposes, so
+    no product of x's size is allocated.  BLAS updates x[cls].T in place
+    only when it is a Fortran-ordered float64 array (a C-ordered x, as
+    matmul returns); any other x takes the plain update, since f2py would
+    work on a copy and drop the result."""
     for cls in np.ndindex(W.shape[:2]):
-        scipy.linalg.blas.dgemm(-1.0, y[cls].T, W[cls].T, 1.0, x[cls].T, overwrite_c=True)
-
-
-def _cholesky_solve(U, z):
-    """x for U^T U x = z, U the upper Cholesky factor: two triangular
-    solves, which on a few columns take a fraction of LAPACK's potrs (509
-    rows, one column: 65 us against 232 us)."""
-    y, _ = scipy.linalg.lapack.dtrtrs(U, z, trans=1)
-    return scipy.linalg.lapack.dtrtrs(U, y)[0]
+        xt = x[cls].T
+        if xt.dtype == np.float64 and xt.flags.f_contiguous:
+            scipy.linalg.blas.dgemm(-1.0, y[cls].T, W[cls].T, 1.0, xt, overwrite_c=True)
+        else:
+            x[cls] -= W[cls] @ y[cls]
 
 
 # the side, in cells, of the largest block that the cell template
@@ -615,9 +613,7 @@ class _CellTemplate:
     eliminates the cross.  Each level below the top keeps, per class, for
     its eliminated dofs E and ring dofs R, A_EE^-1, A_EE^-1 A_ER and A_RE.
     The top block's ring is the Dirichlet boundary, so only its A_EE is
-    kept, factored, not inverted: by Cholesky when op.coeff.symmetric says
-    it is symmetric (in floats it is so only to roundoff, and Cholesky
-    reads one triangle), else by LU with partial pivoting.
+    kept, factored by LU with partial pivoting, not inverted.
 
     solve(B) condenses the data upward, level by level, and substitutes
     back downward, each step one matmul, batched over the classes, over
@@ -656,7 +652,7 @@ class _CellTemplate:
             elim = _interior_positions(n, s, elim, m, q)
             if s == n:
                 self._levels.append(_Level(elim, maps, nR, None, None, None))
-                self._factor(M[0, 0], op.coeff.symmetric)
+                self._top = scipy.linalg.lu_factor(M[0, 0], check_finite=False)
                 return
             inv = np.linalg.inv(M[..., nR:, nR:])
             W = inv @ M[..., nR:, :nR]
@@ -681,22 +677,6 @@ class _CellTemplate:
         return np.array([[_stencil_matrix(cell, Kc[py, px].reshape(b * b, 4, m, 4, m), b)
                           .toarray()[np.ix_(dofs, dofs)] for px in range(q)] for py in range(q)])
 
-    def _factor(self, A_EE, symmetric):
-        """Factor the top block's A_EE into self._top, and set self._top_solve
-        to the solve by it: Cholesky for a symmetric coefficient, whose A_EE
-        is positive definite when it is elliptic, else LU."""
-        if symmetric:
-            try:
-                self._top, _ = scipy.linalg.cho_factor(A_EE, check_finite=False)
-            except np.linalg.LinAlgError as err:
-                raise SolveError("the cell template's top block is not positive definite: "
-                                 "the symmetric coefficient is not elliptic") from err
-            self._top_solve = functools.partial(_cholesky_solve, self._top)
-        else:
-            self._top, pivots = scipy.linalg.lu_factor(A_EE, check_finite=False)
-            self._top_solve = functools.partial(scipy.linalg.lu_solve, (self._top, pivots),
-                                                check_finite=False)
-
     def solve(self, B):
         """K_ii^{-1} B for B (ndof, ncols), without a residual check."""
         ncols = B.shape[1]
@@ -713,7 +693,7 @@ class _CellTemplate:
                 z = zRE[:, :, nR:]
             z = z.reshape(q, q, z.shape[2], -1)
             if inv is None:
-                u = self._top_solve(z[0, 0])[None, None]
+                u = scipy.linalg.lu_solve(self._top, z[0, 0], check_finite=False)[None, None]
             else:
                 u = inv @ z
             upward.append(u)
@@ -830,8 +810,7 @@ class Solver:
             self._part = "sparse LU"
             if cells is not None:
                 self._part = (f"the cell template of {cells} cells per period (which holds "
-                              "only for a coefficient that repeats in every period, and is "
-                              "symmetric if its flag says so)")
+                              "only for a coefficient that repeats in every period)")
                 self._direct = _CellTemplate(op, cells)
             elif op.mode == "dirichlet":
                 self._direct = op._factor(self._K)
