@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import solve_dirichlet, solve_neumann, nodal_gradient, interp_torus, monomial_table
+from .mesh import solve_dirichlet, solve_neumann, nodal_gradient, monomial_table
 
 __all__ = ["CorrectorError", "dirichlet_correctors", "neumann_correctors",
            "interior_family", "corrector_report"]
@@ -92,30 +92,55 @@ def neumann_correctors(op, hatA, x0=None):
 
 def trusted_interior_mask(mesh, dist=0.1):
     """Interior sample mask: at least dist from the boundary and 4h from
-    every corner (outside the corner fans)."""
-    pts = mesh.nodes
-    d = mesh.dist_to_boundary(pts)
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    cd = np.min(np.linalg.norm(pts[:, None, :] - corners[None], axis=2), axis=1)
-    return (d >= dist - 1e-12) & (cd >= 4 * mesh.h - 1e-12)
+    every corner (outside the corner fans).
+
+    On the grid both are closed forms in the row's and the column's
+    distance a = min(t, 1 - t) to the nearer edge: a node's distance to the
+    boundary is the smaller of the two, and to the nearest corner
+    sqrt(a_row^2 + a_col^2), the least over the corners because rounding
+    keeps sums and square roots monotone; so the mask is what the distances
+    of the points give, bit for bit."""
+    a = mesh.line_dist()
+    far = a >= dist - 1e-12
+    corner = np.add.outer(a * a, a * a)
+    mask = np.sqrt(corner, out=corner) >= 4 * mesh.h - 1e-12
+    mask &= np.logical_and.outer(far, far)
+    return mask.ravel()
 
 
-def _on_domain(grid, table, pts):
-    """A torus table (d, m, nnodes, ...) interpolated at pts, (d, m, npts,
-    ...): one interp_torus call over every column, which rounds each column
-    as a call of its own would."""
-    cols = np.moveaxis(table, 2, 0).reshape(grid.nnodes, -1)
-    vals = interp_torus(grid, cols, pts).reshape(len(pts), *table.shape[:2], *table.shape[3:])
-    return np.ascontiguousarray(np.moveaxis(vals, 0, 2))
+def _on_domain(grid, table, mesh, epsilon):
+    """A torus table (d, m, nnodes, ...) read at x/eps for every node x of
+    mesh, (d, m, mesh.nnodes, ...), by bilinear interpolation.
+
+    The domain's nodes form a tensor grid, so the table is interpolated
+    along rows and then along columns, with one index and weight per grid
+    line.  x/eps within 4 ulps of a torus node reads that node with weight
+    exactly 1: where the cells per period divide the torus's n (x/eps on
+    torus nodes) the read is the strided gather of the table, the limit of
+    the bilinear formula."""
+    n, side = grid.n, mesh.n if mesh.is_torus else mesh.n + 1
+    t = mesh.nodes[:side, 0] / epsilon / grid.h                # grid lines in torus cells
+    near = np.rint(t)
+    t = np.where(np.abs(t - near) <= 4 * np.spacing(near), near, t) % n
+    i0 = np.floor(t).astype(np.int64) % n
+    i1, w1 = (i0 + 1) % n, t - np.floor(t)
+    w0 = 1.0 - w1
+    T = table.reshape(table.shape[0] * table.shape[1], n, n, -1)
+    out = np.empty((T.shape[0], side, side, T.shape[3]))
+    for k, Tk in enumerate(T):
+        rows = w0[:, None, None] * Tk[i0] + w1[:, None, None] * Tk[i1]
+        np.multiply(rows[:, i0], w0[:, None], out=out[k])
+        out[k] += rows[:, i1] * w1[:, None]
+    return out.reshape(*table.shape[:2], mesh.nnodes, *table.shape[3:])
 
 
 def chi_on_domain(cell_solution, mesh, epsilon):
     """chi(x/eps) sampled at the domain nodes, (d, m, nnodes, m).
 
     Values come from bilinear interpolation of the torus table at the
-    wrapped point x/eps, avoiding per-node cell re-solves.
+    wrapped point x/eps (_on_domain), avoiding per-node cell re-solves.
     """
-    return _on_domain(cell_solution.grid, cell_solution.chi, mesh.nodes / epsilon)
+    return _on_domain(cell_solution.grid, cell_solution.chi, mesh, epsilon)
 
 
 def interior_family(cell_solution, mesh, epsilon):
@@ -134,13 +159,13 @@ def corrector_report(mesh, epsilon, phi, psi, cell_solution):
     |grad{V - P - eps chi(x/eps)}| against min(1, eps/delta(x)).
     """
     mask = trusted_interior_mask(mesh)
-    delta = mesh.dist_to_boundary(mesh.nodes)
-    grid, pts = cell_solution.grid, mesh.nodes / epsilon
+    a = mesh.line_dist()
+    delta = np.minimum.outer(a, a).ravel()                  # dist_to_boundary of the nodes
     d, m = phi.shape[0], phi.shape[1]
     P = monomial_table(mesh, m)
     # (grad chi)(x/eps), (d, m, nnodes, 2, m): the torus table of chi_grad
     # interpolated at the wrapped point x/eps
-    chi_grads = _on_domain(grid, cell_solution.chi_grad, pts)
+    chi_grads = _on_domain(cell_solution.grid, cell_solution.chi_grad, mesh, epsilon)
 
     def family_stats(V):
         out = {"grad_sup": 0.0, "dist_sup": 0.0, "layer_grad_sup": 0.0, "profile_sup": 0.0}

@@ -70,6 +70,10 @@ divergence_load is h [(M (x) C) f_1 + (C (x) M) f_2], with the Q1 mass
 stencil M = tridiag(1, 4, 1)/6 and derivative stencil C = tridiag(1/2, 0,
 -1/2), both with end rows on the square and circulant on the torus.  They
 are exact for the bilinear interpolant of the data, as 2 x 2 Gauss is.
+norm takes p = 2 by the same stencils, with the stiffness stencil
+K1 = tridiag(-1, 2, -1) for the gradient, and every other norm by the
+Gauss rule in blocks of element rows; no function after the solves builds
+a table of every element's Gauss points.
 volume_load_from_gauss and divergence_load_from_gauss stay for data known
 only at the Gauss points.  Neumann data must be compatible (total
 source plus total flux zero per component); solve_neumann is the one place
@@ -244,6 +248,18 @@ class DomainMesh(_UniformGrid):
         pts = np.asarray(pts)
         return np.min(np.stack([pts[..., 0], 1.0 - pts[..., 0],
                                 pts[..., 1], 1.0 - pts[..., 1]]), axis=0)
+
+    def line_dist(self):
+        """min(t, 1 - t) of the n + 1 grid lines t = k h, (n + 1,): a node's
+        dist_to_boundary is the smaller of its row's and its column's, so
+        np.minimum.outer of this with itself gives every node's, bit for
+        bit, with no table of points."""
+        return _edge_dist(self.nodes[:self.n + 1, 0])
+
+
+def _edge_dist(t):
+    """Distance of coordinates t in [0, 1] to the nearer end, min(t, 1 - t)."""
+    return np.minimum(t, 1.0 - t)
 
 
 def _nodal(mesh, values):
@@ -994,11 +1010,20 @@ class _BlockSolver:
         B = b.reshape(b.shape[0] // self._m, self._m, -1)        # [node, component, column]
         X = np.empty_like(B)
         for comps, solver in self._blocks:
+            data = B[:, comps]
+            # a column whose data is the same in every component of the
+            # block has the same solution in each: solve it once
+            once = (data == data[:, :1]).all(axis=(0, 1))
+            x = np.empty_like(data)
             try:
-                x = solver.solve(B[:, comps].reshape(B.shape[0], -1))
+                if once.any():
+                    x[:, :, once] = solver.solve(np.ascontiguousarray(data[:, 0, once]))[:, None]
+                if not once.all():
+                    rest = np.ascontiguousarray(data[:, :, ~once])
+                    x[:, :, ~once] = solver.solve(rest.reshape(B.shape[0], -1)).reshape(rest.shape)
             except SolveError as err:
                 raise SolveError(f"block of components {comps}: {err}") from err
-            X[:, comps] = x.reshape(B.shape[0], len(comps), -1)
+            X[:, comps] = x
         return X.reshape(b.shape)
 
 
@@ -1224,6 +1249,8 @@ def _scatter(mesh, loc):
 # and the derivative matrix C, row b of integral phi_a dphi_b/dx
 _MASS = (1 / 6, 4 / 6, 1 / 6, 2 / 6, 2 / 6)
 _DERIV = (0.5, 0.0, -0.5, -0.5, 0.5)
+# and the stiffness matrix K1, h integral dphi_a/dx dphi_b/dx
+_STIFF = (-1.0, 2.0, -1.0, 1.0, 1.0)
 
 
 def _stencil(mesh, f, axis, stencil):
@@ -1368,7 +1395,10 @@ def solve_dirichlet(op: AssembledOperator, source=None, bdata=0.0) -> np.ndarray
     inter, bd = op.dof_split()
     u = np.zeros(op.ndof)
     u[bd] = bvals.ravel()
-    rhs = load[inter] - (op.matrix @ u)[inter]
+    rhs = load[inter]
+    # zero data lift nothing: K @ 0 is +0.0, and x - 0.0 is x bit for bit
+    if bvals.any():
+        rhs = rhs - (op.matrix @ u)[inter]
     u[inter] = op.factorization().solve(rhs)
     return u.reshape(mesh.nnodes, m)
 
@@ -1411,58 +1441,134 @@ def conormal(u, op: AssembledOperator, source=None):
     For every boundary hat function phi, <flux, phi> = a(u, phi) - (source, phi);
     returned as nodal values against the lumped arc weights.  Corner nodes
     receive the mean of the two adjacent edge contributions automatically.
+    Only the boundary rows of K and of the load are formed: each row sums
+    its entries in the order the whole product does.
     """
     mesh, m = op.mesh, op.m
-    load = _as_load_vector(mesh, source, m)
-    functional = op.matrix @ np.ravel(u) - load
-    out = functional.reshape(mesh.nnodes, m)[mesh.boundary_nodes]
-    return out / mesh.arc_weights[:, None]
+    _, bd = op.dof_split()
+    functional = op.matrix[bd] @ np.ravel(u)
+    if source is not None:
+        functional -= _as_load_vector(mesh, source, m)[bd]
+    return functional.reshape(mesh.n_boundary, m) / mesh.arc_weights[:, None]
 
 
 # ---------------------------------------------------------------------------
 # norms and derivative recovery
 
 
+# values per block of whole element rows in the Gauss-point sums
+_NORM_BLOCK = 1 << 15
+
+
+def _inner(a, b):
+    """The sum of a * b over every entry."""
+    return float((a * b).sum())
+
+
+def _length(a):
+    """The Euclidean length over the first axis (the components)."""
+    return np.abs(a[0]) if len(a) == 1 else np.sqrt((a * a).sum(axis=0))
+
+
+def _stencil_norm2(mesh, U, kind):
+    """The p = 2 integral of |u|^2, plus |grad u|^2 for 'W1p', of the node
+    grid U [y, x, component]: h^2 u.(M (x) M) u and u.(K1 (x) M + M (x) K1) u
+    with the 1-D mass and stiffness stencils, exact for the bilinear
+    interpolant as 2 x 2 Gauss is."""
+    Ux = _stencil(mesh, U, 1, _MASS)
+    total = mesh.h ** 2 * _inner(U, _stencil(mesh, Ux, 0, _MASS))
+    if kind == "W1p":
+        total += _inner(U, _stencil(mesh, Ux, 0, _STIFF))
+        del Ux
+        total += _inner(U, _stencil(mesh, _stencil(mesh, U, 1, _STIFF), 0, _MASS))
+    return total
+
+
+def _gauss_sums(mesh, U, kind, p):
+    """The 2 x 2 Gauss rule over every element of the node grid U [y, x,
+    component]: of |u|^p ('Lp'), plus |grad u|^p ('W1p'), or of |grad u|^2
+    dist(x, boundary) ('weighted_grad').  Blocks of element rows are taken
+    in order; on each, the values on the lines x = (ex + xi) h are
+    (1 - xi) u_ex + xi u_ex+1 of neighbouring node columns, those at the
+    Gauss points the same combination of neighbouring rows, and the
+    gradients the differences over h.  The distance at a Gauss point is the
+    smaller of its row's and its column's min(t, 1 - t)."""
+    n, h, side = mesh.n, mesh.h, U.shape[0]
+    cols = np.arange(n + 1) % side                  # an element column's nodes; the torus wraps
+    gauss = (_G1, _G2)
+    if kind == "weighted_grad":
+        # the coordinates gauss_points() gives: ex h + xi h
+        dist = [_edge_dist(np.arange(n) * h + g * h) for g in gauss]
+    step = max(1, _NORM_BLOCK // (side * U.shape[2]))
+    total = 0.0
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        # node rows a..b as [component, row, column]
+        blk = np.ascontiguousarray(np.moveaxis(U[np.ix_(np.arange(a, b + 1) % side, cols)], 2, 0))
+        if kind != "Lp":
+            dx = (blk[:, :, 1:] - blk[:, :, :-1]) / h
+        for i, xi in enumerate(gauss):
+            line = (1 - xi) * blk[:, :, :-1] + xi * blk[:, :, 1:]
+            if kind != "Lp":
+                gy = (line[:, 1:] - line[:, :-1]) / h
+                gy2 = (gy * gy).sum(axis=0)
+            for j, eta in enumerate(gauss):
+                if kind != "Lp":
+                    gx = (1 - eta) * dx[:, :-1] + eta * dx[:, 1:]
+                    g2 = (gx * gx).sum(axis=0) + gy2
+                if kind == "weighted_grad":
+                    total += (g2 * np.minimum.outer(dist[j][a:b], dist[i])).sum()
+                else:
+                    v = (1 - eta) * line[:, :-1] + eta * line[:, 1:]
+                    total += (_length(v) ** p).sum()
+                    if kind == "W1p":
+                        total += (np.sqrt(g2) ** p).sum()
+    return h * h / 4 * total
+
+
 def norm(mesh, values, kind="Lp", p=2.0):
-    """Volume norms of nodal values (nnodes, m) or (nnodes,) by elementwise
-    Gauss quadrature; ValueError unless there is one row per mesh node.
+    """Volume norms of nodal values (nnodes, m) or (nnodes,) under the 2 x 2
+    Gauss rule of every element; ValueError unless there is one row per
+    mesh node, every entry is finite and p >= 1.
 
     kind: 'Lp' (volume), 'W1p' (volume, value + gradient), 'weighted_grad'
-    (gradient squared weighted by dist(x, boundary)).  Values and gradients
-    enter by their Euclidean and Frobenius lengths over the components, so
-    p = inf, the limit of the finite-p norms, is the largest length of the
-    values at the nodes (the exact sup of a bilinear field) and, for 'W1p',
-    of the gradients at the Gauss points.
+    (gradient squared weighted by dist(x, boundary), the square only; p is
+    not read).  Values and gradients enter by their Euclidean and Frobenius
+    lengths over the components.  How each is computed, with no table of
+    the elements' Gauss points:
+    - p = 2 ('Lp', 'W1p'): h^2 u.(M (x) M) u, plus u.(K1 (x) M + M (x) K1) u
+      for the gradient, by the 1-D mass stencil M and stiffness stencil
+      K1 = tridiag(-1, 2, -1) (end diagonals 1 on the square, circulant on
+      the torus).  2 x 2 Gauss integrates both exactly, so the two agree to
+      roundoff.
+    - other finite p and 'weighted_grad': the Gauss rule itself, summed in
+      blocks of element rows in a fixed order (_gauss_sums).
+    - p = inf, the limit of the finite-p norms: the largest length of the
+      values at the nodes (the exact sup of a bilinear field) and, for
+      'W1p', of the gradients at the Gauss points.
     """
     vals = _nodal(mesh, values)
     if not np.all(np.isfinite(vals)):
         raise ValueError("norm of a field with non-finite entries")
     if not p >= 1:
         raise ValueError(f"need p >= 1, got {p}")
-    h2 = mesh.h ** 2
+    if kind not in ("Lp", "W1p", "weighted_grad"):
+        raise ValueError(f"unknown norm kind {kind!r}")
 
-    if kind in ("Lp", "W1p"):
-        if np.isinf(p):
-            vmax = (np.abs(vals[:, 0]) if vals.shape[1] == 1
-                    else np.sqrt((vals ** 2).sum(axis=1))).max()
-            if kind == "Lp":
-                return float(vmax)
-            gg = element_gauss_gradients(mesh, vals)
-            return float(max(vmax, np.sqrt((gg ** 2).sum(axis=(2, 3))).max()))
-        vmag = np.sqrt((element_gauss_values(mesh, vals) ** 2).sum(axis=2))
-        term = h2 * (GAUSS_WEIGHTS[None, :] * vmag ** p).sum()
-        if kind == "W1p":
-            gmag = np.sqrt((element_gauss_gradients(mesh, vals) ** 2).sum(axis=(2, 3)))
-            term += h2 * (GAUSS_WEIGHTS[None, :] * gmag ** p).sum()
-        return float(term ** (1.0 / p))
-
-    if kind == "weighted_grad":
+    if kind != "weighted_grad" and np.isinf(p):
+        vmax = (np.abs(vals[:, 0]) if vals.shape[1] == 1
+                else np.sqrt((vals ** 2).sum(axis=1))).max()
+        if kind == "Lp":
+            return float(vmax)
         gg = element_gauss_gradients(mesh, vals)
-        dist = mesh.dist_to_boundary(mesh.gauss_points())
-        gmag2 = (gg ** 2).sum(axis=(2, 3))
-        return float(np.sqrt(h2 * (GAUSS_WEIGHTS[None, :] * gmag2 * dist).sum()))
-
-    raise ValueError(f"unknown norm kind {kind!r}")
+        return float(max(vmax, np.sqrt((gg ** 2).sum(axis=(2, 3))).max()))
+    U = _node_grid(mesh, vals)
+    if kind == "weighted_grad":
+        if mesh.is_torus:
+            raise ValueError("the weighted_grad norm needs the square's boundary")
+        return float(np.sqrt(_gauss_sums(mesh, U, kind, None)))
+    total = _stencil_norm2(mesh, U, kind) if p == 2 else _gauss_sums(mesh, U, kind, p)
+    return float(total ** (1.0 / p))
 
 
 def nodal_gradient(mesh, values):

@@ -147,17 +147,74 @@ def test_pin_must_be_interior(layered_field, layered_cell64):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_interpolated_cell_tables_match_one_call_per_column(m):
-    # chi(x/eps) and (grad chi)(x/eps) come from one interp_torus call over
-    # every column, bit for bit what one call per column gives
-    cs = cell.solve(coeff.builtin("layered", m=m), 16)
+    # chi(x/eps) and (grad chi)(x/eps), read along rows and then columns,
+    # agree with the pointwise bilinear formula (one interp_torus call per
+    # column) to roundoff: on DomainMesh(24) at eps = 1/3 the 8 cells per
+    # period do not divide a cell grid of 20, and do divide one of 16, where
+    # x/eps lands on torus nodes and the read is the strided gather itself
     dm, eps = mesh.DomainMesh(24), 1 / 3
     pts = dm.nodes / eps
-    chi_loop = np.empty((2, m, dm.nnodes, m))
-    grad_loop = np.empty((2, m, dm.nnodes, 2, m))
-    for j in range(2):
-        for beta in range(m):
-            chi_loop[j, beta] = mesh.interp_torus(cs.grid, cs.chi[j, beta], pts)
-            grad_loop[j, beta] = mesh.interp_torus(
-                cs.grid, cs.chi_grad[j, beta].reshape(cs.grid.nnodes, -1), pts).reshape(dm.nnodes, 2, m)
-    assert np.array_equal(correctors.chi_on_domain(cs, dm, eps), chi_loop)
-    assert np.array_equal(correctors._on_domain(cs.grid, cs.chi_grad, pts), grad_loop)
+    for cell_n in (20, 16):
+        cs = cell.solve(coeff.builtin("layered", m=m), cell_n)
+        chi_loop = np.empty((2, m, dm.nnodes, m))
+        grad_loop = np.empty((2, m, dm.nnodes, 2, m))
+        for j in range(2):
+            for beta in range(m):
+                chi_loop[j, beta] = mesh.interp_torus(cs.grid, cs.chi[j, beta], pts)
+                grad_loop[j, beta] = mesh.interp_torus(
+                    cs.grid, cs.chi_grad[j, beta].reshape(cs.grid.nnodes, -1), pts).reshape(dm.nnodes, 2, m)
+        chi = correctors.chi_on_domain(cs, dm, eps)
+        grad = correctors._on_domain(cs.grid, cs.chi_grad, dm, eps)
+        assert np.abs(chi - chi_loop).max() <= 1e-14
+        assert np.abs(grad - grad_loop).max() <= 1e-14
+        if cell_n == 16:
+            k = np.arange(dm.n + 1) * 2 % cell_n          # x/eps = 2k torus cells
+            nodes = (k[:, None] * cell_n + k).ravel()
+            assert np.array_equal(chi, cs.chi[:, :, nodes])
+            assert np.array_equal(grad, cs.chi_grad[:, :, nodes])
+
+
+def _broadcast_distances(dm, dist):
+    """The mask and node distances from the (nnodes, 4, 2) corner table."""
+    pts = dm.nodes
+    d = dm.dist_to_boundary(pts)
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    cd = np.min(np.linalg.norm(pts[:, None, :] - corners[None], axis=2), axis=1)
+    return (d >= dist - 1e-12) & (cd >= 4 * dm.h - 1e-12), d
+
+
+@pytest.mark.parametrize("n", [8, 12, 64, 256])
+def test_trusted_mask_and_node_distances_are_the_broadcast_formulas(n):
+    dm = mesh.DomainMesh(n)
+    a = dm.line_dist()
+    for dist in (0.0, 0.1, 0.25):
+        mask, d = _broadcast_distances(dm, dist)
+        assert np.array_equal(correctors.trusted_interior_mask(dm, dist), mask)
+        assert np.array_equal(np.minimum.outer(a, a).ravel(), d)
+
+
+def _traced_peak(f, *args):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trusted_mask_needs_about_one_nodal_table_of_memory():
+    # the (nnodes, 4, 2) corner table peaked at about 25 float tables of
+    # the nodes; the closed form needs 1.3 at n = 512 (one corner-distance
+    # table and the booleans)
+    dm = mesh.DomainMesh(512)
+    _, peak = _traced_peak(correctors.trusted_interior_mask, dm)
+    assert peak <= 1.5 * 8 * dm.nnodes
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_chi_read_needs_few_outputs_of_memory(m):
+    # measured at n = 512: 2.1 (m = 1) and 1.5 (m = 2) outputs
+    cs = cell.solve(coeff.builtin("layered", m=m), 64)
+    chi, peak = _traced_peak(correctors.chi_on_domain, cs, mesh.DomainMesh(512), 1 / 32)
+    assert peak <= 2.5 * chi.nbytes

@@ -240,3 +240,37 @@ def test_cell_of_a_constant_is_solved_by_transform(monkeypatch, m):
     cs = cell.solve(coeff.builtin("constant", value=np.diag([2.0, 1.0]), m=m), 16)
     assert built == [("periodic", 1, "constant", "transform")] * 2     # cell and flux corrector
     assert np.abs(cs.chi).max() < 1e-14
+
+
+def test_equal_columns_of_a_shared_block_are_solved_once(monkeypatch):
+    # the sweeps' Neumann source is the same in every component: a block
+    # that both components share solves it once, so no conjugate-gradient
+    # call sees two equal columns, and each component is the block's own
+    # solve bit for bit; a column whose components differ is solved per
+    # component, beside it
+    dm = mesh.DomainMesh(32)
+    op = mesh.assemble(coeff.rescale(coeff.builtin("layered", m=2), 1 / 4), dm, mode="neumann")
+    [(_, block)] = op.blocks
+    widths = []
+    cg = mesh.Solver._cg
+    monkeypatch.setattr(mesh.Solver, "_cg", lambda self, x, *rest: widths.append(x.shape[1]) or cg(self, x, *rest))
+    f = np.tile(np.cos(np.pi * dm.nodes[:, :1]), (1, 2))
+    u = mesh.solve_neumann(op, f)
+    assert widths == [1]
+    expect = mesh.solve_neumann(block, f[:, :1])
+    assert np.array_equal(u[:, :1], expect) and np.array_equal(u[:, 1:], expect)
+
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((dm.nnodes, 2, 3))
+    B -= B.mean(axis=0)                                      # compatible data
+    B[:, 1, 0] = B[:, 0, 0]
+    B[:, :, 2] = 0.0
+    widths.clear()
+    X = op.factorization().solve(B.reshape(-1, 3)).reshape(dm.nnodes, 2, 3)
+    assert sorted(widths) == [1, 2]
+    ref = block.factorization()
+    assert np.array_equal(X[:, 0, 0], ref.solve(B[:, 0, 0])) and np.array_equal(X[:, 1, 0], X[:, 0, 0])
+    for a in range(2):
+        expect = ref.solve(B[:, a, 1])
+        assert np.abs(X[:, a, 1] - expect).max() <= 1e-10 * np.abs(expect).max()
+    assert not X[:, :, 2].any()
