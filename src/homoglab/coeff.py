@@ -3,10 +3,9 @@
 Coefficient fields are supplied as analytic evaluators (pure functions of
 the sample point), never as gridded data, so every mesh resolution samples
 them exactly.  A field is 1-periodic by construction: it reads its
-evaluator at y mod 1 only.  It carries a symmetry flag meaning
-a_ij^{ab}(y) = a_ji^{ba}(y), and its period: 1 (epsilon None), or epsilon
-for the field A(x/eps) that rescale returns.  Ellipticity is measured by
-validate, never declared.
+evaluator at y mod 1 only.  It carries its period: 1 (epsilon None), or
+epsilon for the field A(x/eps) that rescale returns.  Neither ellipticity
+(validate) nor symmetry (symmetric_table, at assembly) is declared.
 
 Index convention throughout the package: a tensor value at a point has
 shape (d, d, m, m) indexed [i, j, alpha, beta], acting on gradients as
@@ -32,10 +31,12 @@ __all__ = [
     "diagonal_blocks",
     "from_expression",
     "rescale",
+    "symmetric_table",
     "validate",
 ]
 
 BUILTIN_FAMILIES = ("constant", "layered", "trigonometric", "smoothed-checkerboard", "user")
+_XI_SEED, _XI_SAMPLES = 0, 32      # validate's fixed random directions xi
 
 
 class CoefficientError(ValueError):
@@ -48,7 +49,7 @@ class EllipticityError(CoefficientError):
 
 
 class CoefficientField:
-    """Periodic tensor field with its symmetry flag and its period.
+    """Periodic tensor field with its period.
 
     The evaluator maps an (npts, d) array of points of the unit cell to an
     (npts, d, d, m, m) array, with d = 2 (every mesh is
@@ -63,7 +64,7 @@ class CoefficientField:
 
     d = 2
 
-    def __init__(self, evaluator, m=1, family="user", symmetric=True, params=None, epsilon=None):
+    def __init__(self, evaluator, m=1, family="user", params=None, epsilon=None):
         if m < 1:
             raise CoefficientError(f"need m >= 1, got m={m}")
         if epsilon is not None and not 0.0 < epsilon < np.inf:
@@ -71,7 +72,6 @@ class CoefficientField:
         self._evaluator = evaluator
         self.m = int(m)
         self.family = family
-        self.symmetric = bool(symmetric)
         self.params = dict(params or {})
         self.epsilon = None if epsilon is None else float(epsilon)
 
@@ -93,16 +93,19 @@ class CoefficientField:
         return vals[0] if squeeze else vals
 
     def adjoint(self):
-        """Coefficient of the adjoint operator: a*_ij^{ab}(y) = a_ji^{ba}(y)."""
-        if self.symmetric:
-            return self
+        """Coefficient of the adjoint operator: a*_ij^{ab}(y) = a_ji^{ba}(y); a
+        constant's is the transposed constant, any other flips an "adjoint" param."""
+        if self.family == "constant" and "value" in self.params:
+            star = _constant_field(np.asarray(self.params["value"]).transpose(1, 0, 3, 2), self.m)
+            return star if self.epsilon is None else rescale(star, self.epsilon)
         base = self._evaluator
 
         def star(pts):
             return np.transpose(np.asarray(base(pts)), (0, 2, 1, 4, 3))
 
-        return CoefficientField(star, m=self.m, family=self.family, symmetric=False,
-                                params={**self.params, "adjoint": True}, epsilon=self.epsilon)
+        params = {**self.params, "adjoint": not self.params.get("adjoint", False)}
+        return CoefficientField(star, m=self.m, family=self.family, params=params,
+                                epsilon=self.epsilon)
 
     def key(self):
         """Hashable identity used for caching cell solutions.
@@ -135,13 +138,13 @@ def rescale(field: CoefficientField, epsilon: float) -> CoefficientField:
     if not isinstance(field, CoefficientField) or field.epsilon is not None:
         raise CoefficientError("rescale expects a CoefficientField of period 1")
     return CoefficientField(field._evaluator, m=field.m, family=field.family,
-                            symmetric=field.symmetric, params=field.params, epsilon=epsilon)
+                            params=field.params, epsilon=epsilon)
 
 
 def component_field(field: CoefficientField, a: int) -> CoefficientField:
     """The m = 1 field a^{aa} of component a of field, over its evaluator
-    and with its period and symmetry flag: the field of the diagonal block a
-    of a component-decoupled system.  The component of a constant is the
+    and with its period: the field of the diagonal block a of a
+    component-decoupled system.  The component of a constant is the
     constant (a, a) block of its tensor; any other is a "user" field, keyed
     on its evaluator."""
     ev = field._evaluator
@@ -150,8 +153,7 @@ def component_field(field: CoefficientField, a: int) -> CoefficientField:
         family = "constant"
         params = {"value": np.asarray(field.params["value"])[:, :, a:a + 1, a:a + 1].tolist()}
     return CoefficientField(lambda y: np.asarray(ev(y))[..., a:a + 1, a:a + 1], m=1,
-                            family=family, symmetric=field.symmetric, params=params,
-                            epsilon=field.epsilon)
+                            family=family, params=params, epsilon=field.epsilon)
 
 
 def diagonal_blocks(*tables):
@@ -181,6 +183,17 @@ def diagonal_blocks(*tables):
     return [(a, tuple(components)) for a, components in groups]
 
 
+def symmetric_table(table):
+    """The one symmetry rule, max |a_ij^{ab} - a_ji^{ba}| <= 1e-12 max |a| (a
+    computed hatA counts), of a table (..., 2, 2, m, m): assembly applies it
+    to its block table and each decoupled block's slice.  It compares slices
+    (a_12 with a_21, a_ii with its m x m transpose), never a transposed copy."""
+    tol = 1e-12 * max(table.max(), -table.min())
+    skews = (table[..., i, j, :, :] - table[..., j, i, :, :].swapaxes(-1, -2)
+             for i, j in ([(0, 1)] if table.shape[-1] == 1 else [(0, 1), (0, 0), (1, 1)]))
+    return all(max(skew.max(), -skew.min()) <= tol for skew in skews)
+
+
 # ---------------------------------------------------------------------------
 # builtin families
 
@@ -207,9 +220,6 @@ def _constant_field(value, m):
         tensor = value.copy()
     else:
         raise CoefficientError(f"constant family takes a scalar, ({d},{d}) or ({d},{d},{m},{m}) array")
-    # a computed tensor (hatA) is symmetric only to roundoff
-    skew = np.abs(tensor - tensor.transpose(1, 0, 3, 2)).max()
-    sym = bool(skew <= 1e-12 * np.abs(tensor).max())
     mat = tensor.transpose(0, 2, 1, 3).reshape(d * m, d * m)
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     if eigs.min() <= 0.0:
@@ -218,8 +228,7 @@ def _constant_field(value, m):
     def ev(pts):
         return np.broadcast_to(tensor, (pts.shape[0],) + tensor.shape).copy()
 
-    return CoefficientField(ev, m=m, family="constant", symmetric=sym,
-                            params={"value": tensor.tolist()})
+    return CoefficientField(ev, m=m, family="constant", params={"value": tensor.tolist()})
 
 
 def _layered_field(base, amp, axis, wavevector, m):
@@ -238,7 +247,7 @@ def _layered_field(base, amp, axis, wavevector, m):
     def scalar(pts):
         return base + amp * np.sin(2.0 * np.pi * (pts @ kvec))
 
-    return CoefficientField(_isotropic(scalar, m), m=m, family="layered", symmetric=True,
+    return CoefficientField(_isotropic(scalar, m), m=m, family="layered",
                             params={"base": base, "amp": amp, "wavevector": wavevector})
 
 
@@ -250,7 +259,7 @@ def _trigonometric_field(base, amp, m):
         out = base + amp * np.cos(2.0 * np.pi * pts[:, 0]) * np.cos(2.0 * np.pi * pts[:, 1])
         return out
 
-    return CoefficientField(_isotropic(scalar, m), m=m, family="trigonometric", symmetric=True,
+    return CoefficientField(_isotropic(scalar, m), m=m, family="trigonometric",
                             params={"base": base, "amp": amp})
 
 
@@ -272,7 +281,6 @@ def _checkerboard_field(contrast, width, m):
         return 1.0 + (contrast - 1.0) * mask
 
     return CoefficientField(_isotropic(scalar, m), m=m, family="smoothed-checkerboard",
-                            symmetric=True,
                             params={"contrast": contrast, "width": width})
 
 
@@ -360,8 +368,7 @@ def from_expression(expr: str, m=1) -> CoefficientField:
         out = eval(code, {"__builtins__": {}}, env)
         return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],))
 
-    field = CoefficientField(_isotropic(scalar, m), m=m, family="user", symmetric=True,
-                             params={"expr": expr})
+    field = CoefficientField(_isotropic(scalar, m), m=m, family="user", params={"expr": expr})
     validate(field)
     return field
 
@@ -382,7 +389,7 @@ class ValidationReport:
         return min(self.rayleigh_min, 1.0 / self.rayleigh_max)
 
 
-def validate(field, samples=16, seed=0, xi_samples=32) -> ValidationReport:
+def validate(field, samples=16) -> ValidationReport:
     """Sampled ellipticity diagnostics for a field.
 
     Raises CoefficientError on non-finite values and EllipticityError when
@@ -391,14 +398,14 @@ def validate(field, samples=16, seed=0, xi_samples=32) -> ValidationReport:
     if samples < 2:
         raise CoefficientError("need at least 2 samples per axis")
     d, m = field.d, field.m
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_XI_SEED)
     axes = [np.linspace(0.0, 1.0, samples, endpoint=False) + 0.5 / samples for _ in range(d)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     vals = field(grid)
     if not np.all(np.isfinite(vals)):
         raise CoefficientError("evaluator returned non-finite values")
 
-    xi = rng.standard_normal((xi_samples, d, m))
+    xi = rng.standard_normal((_XI_SAMPLES, d, m))
     xi /= np.sqrt(np.einsum("kia,kia->k", xi, xi))[:, None, None]
     quot = np.einsum("nijab,kia,kjb->nk", vals, xi, xi)
     rmin, rmax = float(quot.min()), float(quot.max())

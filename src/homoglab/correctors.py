@@ -10,8 +10,8 @@ linear monomials P of the same layout are mesh.monomial_table(mesh, m).
 The solvers take the assembled operator of the scaled coefficient (a
 Dirichlet one for Phi, a Neumann one for Psi); the caller owns it and
 releases its factorization.  Only the adjoint operator of a non-symmetric
-coefficient (op.adjoint(), the transposed matrix) is built here, and
-dropped when the solves that need it return.
+op (op.adjoint(), the transposed matrix) is built here, and dropped when
+the solves that need it return.
 """
 
 from __future__ import annotations
@@ -43,15 +43,12 @@ def dirichlet_correctors(op):
     """Solve the d*m Dirichlet corrector columns against the Dirichlet
     operator op, and the adjoint family.
 
-    For symmetric coefficients the adjoint family coincides with phi and is
+    For a symmetric op the adjoint family coincides with phi and is
     not re-solved; otherwise it is solved against op.adjoint(), which is
     dropped, factorization and all, when this returns.
     """
     phi = _monomial_solves(op)
-    adjoint = op.adjoint()
-    if adjoint is op:
-        return phi, phi.copy()
-    return phi, _monomial_solves(adjoint)
+    return phi, phi.copy() if op.symmetric else _monomial_solves(op.adjoint())
 
 
 def neumann_correctors(op, hatA, x0=None):
@@ -65,9 +62,9 @@ def neumann_correctors(op, hatA, x0=None):
     takes psi(x0) to x0_j e_beta, and psi(x0) is then set to x0_j e_beta,
     so the pin holds exactly, whatever the shift rounds to; solve_neumann
     checks that the flux is balanced, as for any Neumann data.  Requires a
-    symmetric coefficient.
+    symmetric op (op.symmetric).
     """
-    if not op.coeff.symmetric:
+    if not op.symmetric:
         raise CorrectorError("Neumann correctors require a symmetric coefficient (A* = A)")
     mesh, d, m = op.mesh, 2, op.m
     if x0 is None:

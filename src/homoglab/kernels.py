@@ -9,8 +9,8 @@ only off-diagonal: |x - y| >= max(4h, 0.02), and for interior estimates
 dist(x, boundary) >= 0.1.  Corner nodes never carry kernel values.
 
 Every kernel takes the assembled operator it solves with (mesh.assemble)
-and reads the mesh and the number of components from it and the symmetry
-flag from its coefficient, op.coeff.symmetric; the caller owns the
+and reads the mesh, the number of components and whether it is symmetric
+(op.symmetric, decided at assembly) from it; the caller owns the
 operator and releases its factorization.  A kernel column is the nodal
 array (nnodes, m) of its solve, and the boundary weight omega is the
 array (n_boundary, m, m) with its corners filled.  A source or evaluation
@@ -113,9 +113,9 @@ def green(op, y, beta=0) -> np.ndarray:
 def neumann_fn(op, y, beta=0) -> np.ndarray:
     """Neumann-function column: unit nodal load at y, constant compensating
     boundary flux -1/|boundary|, pinned to zero boundary mean.  op is a
-    Neumann operator whose coefficient must be symmetric (op.coeff.symmetric);
-    for the homogenized operator that is the flag of the constant hatA field."""
-    if not op.coeff.symmetric:
+    Neumann operator that must be symmetric (op.symmetric); the homogenized
+    operator is, since its hatA is symmetric to roundoff."""
+    if not op.symmetric:
         raise KernelError("Neumann functions require a symmetric coefficient (A* = A)")
     mesh, m = op.mesh, op.m
     node = _as_node(mesh, y)
@@ -167,7 +167,7 @@ def omega(op, hatA, phi_star) -> np.ndarray:
     tangential part is known exactly since Phi* has linear boundary
     values); this is consistent with how the discrete kernels are built and
     tracks them markedly better than recovered gradients.  The adjoint
-    operator is op.adjoint(), op itself for a symmetric coefficient, and A*
+    operator is op.adjoint(), op itself when op.symmetric, and A*
     is the transpose of A's values, so nothing is assembled, evaluated
     again or factored here.
     """

@@ -9,13 +9,12 @@ after construction; solves are pure functions of (operator, data).
 
 Every operator is assembled from a CoefficientField, rescaled
 (coeff.rescale) for an eps-operator; a constant tensor enters as
-coeff.builtin("constant", value=..., m=...).  The operator's coefficient
-is the one place that says how many components it has (op.m) and whether
-it is symmetric (op.coeff.symmetric).  assemble evaluates it on one block
-of c x c elements that the mesh repeats (one element of a constant, one
-period of an aligned eps-periodic field, else the whole mesh), sums that
-block's element matrices straight into the grid's 9-point CSR pattern and
-records c on the operator (op.cells), which the solver reads.  The
+coeff.builtin("constant", value=..., m=...).  assemble evaluates it on one
+block of c x c elements that the mesh repeats (one element of a constant,
+one period of an aligned eps-periodic field, else the whole mesh), reads
+from that table whether the operator is symmetric (op.symmetric, by
+coeff.symmetric_table), sums its element matrices straight into the
+grid's 9-point CSR pattern and records c as op.cells.  The
 cell's torus operator (_torus_operator) reads that block out of the table
 of the coefficient at every Gauss point that the cell already holds.
 
@@ -36,8 +35,8 @@ The cell template of an eps-periodic Dirichlet operator on a mesh of
 per level and class of equal blocks (base blocks of at most 16 cells), and
 factors the top block, the whole mesh's cross.  A sparse LU
 (AssembledOperator._factor) solves any system as it stands.
-factorization() picks the part.  Every Neumann operator, whose coefficient
-must be symmetric, goes through a transform: a constant tensor (the
+factorization() picks the part.  Every Neumann operator, which must be
+symmetric (op.symmetric), goes through a transform: a constant tensor (the
 homogenized operator) through its own tensor, a variable one through its
 Gauss-point mean.  In the 'dirichlet' and 'periodic' modes a constant
 tensor with a symmetric constrained block (the homogenized operator, the
@@ -97,7 +96,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coeff import CoefficientField, component_field, diagonal_blocks
+from .coeff import CoefficientField, component_field, diagonal_blocks, symmetric_table
 
 __all__ = [
     "TorusGrid", "DomainMesh", "AssembledOperator", "SolveError", "write_nodal_csv",
@@ -319,7 +318,8 @@ class AssembledOperator:
     coeff_mean is the (2, 2, m, m) mean of the coefficient over the Gauss
     points of that block, the cell mean when the mesh holds whole periods;
     it sets the transform that solves a variable Neumann coefficient, which
-    has no other solve.
+    has no other solve.  symmetric is coeff.symmetric_table of that block
+    table (A* = A); in_mode keeps it, and an adjoint() other than self is not.
 
     blocks is None, or for a decoupled operator (m > 1, every a^{ab},
     a != b, exactly zero in the block table; coeff.diagonal_blocks) one
@@ -337,7 +337,7 @@ class AssembledOperator:
     coefficient again.
     """
 
-    def __init__(self, mesh, matrix, mode, coeff, coeff_mean, cells, blocks=None,
+    def __init__(self, mesh, matrix, mode, coeff, coeff_mean, cells, symmetric, blocks=None,
                  element_matrices=None):
         self.mesh = mesh
         self.matrix = matrix
@@ -345,6 +345,7 @@ class AssembledOperator:
         self.coeff = coeff
         self.coeff_mean = coeff_mean
         self.cells = cells
+        self.symmetric = symmetric
         self.blocks = blocks
         self.element_matrices = element_matrices
         self._solver = None
@@ -388,21 +389,21 @@ class AssembledOperator:
         blocks = None if self.blocks is None else tuple(
             (comps, op.in_mode(mode)) for comps, op in self.blocks)
         return AssembledOperator(self.mesh, self.matrix, mode, self.coeff, self.coeff_mean,
-                                 self.cells, blocks, self.element_matrices)
+                                 self.cells, self.symmetric, blocks, self.element_matrices)
 
     def adjoint(self):
         """The operator of the adjoint coefficient A* in the same mode: self
-        for a symmetric coefficient, otherwise the transposed matrix, which
+        when op.symmetric, otherwise the transposed matrix, which
         is what assembling A* gives (to roundoff), so nothing is assembled;
         each block is its block's adjoint, and each element matrix its
         transpose."""
-        if self.coeff.symmetric:
+        if self.symmetric:
             return self
         blocks = None if self.blocks is None else tuple(
             (comps, op.adjoint()) for comps, op in self.blocks)
         Kloc = self.element_matrices
         return AssembledOperator(self.mesh, self.matrix.T.tocsr(), self.mode, self.coeff.adjoint(),
-                                 self.coeff_mean.transpose(1, 0, 3, 2), self.cells, blocks,
+                                 self.coeff_mean.transpose(1, 0, 3, 2), self.cells, False, blocks,
                                  None if Kloc is None else Kloc.transpose(0, 3, 4, 1, 2))
 
     def _factor(self, matrix):
@@ -422,8 +423,8 @@ class AssembledOperator:
         interior dofs too), solves those of every component that shares a
         block in one batched call, and puts them back.  A Neumann
         operator is solved through the transform of its own tensor if the
-        coefficient is constant, of coeff_mean otherwise; its coefficient
-        must be symmetric (A* = A) and it must have one of the two tensors
+        coefficient is constant, of coeff_mean otherwise; it must be
+        symmetric (op.symmetric) and it must have one of the two tensors
         (coeff_mean None of a variable coefficient has none), or
         ValueError is raised.  In the 'dirichlet' and 'periodic' modes a
         constant tensor, at any period, whose constrained block is
@@ -437,7 +438,7 @@ class AssembledOperator:
         if self._solver is None:
             tensor, cells = _constant_tensor(self.coeff), None
             if self.mode == "neumann":
-                if not self.coeff.symmetric:
+                if not self.symmetric:
                     raise ValueError("a Neumann operator needs a symmetric coefficient (A* = A)")
                 if tensor is None:
                     tensor = self.coeff_mean
@@ -466,12 +467,7 @@ _TRANSFORM_MAXITER = 200
 
 
 def _constant_tensor(coeff):
-    """The (2, 2, m, m) tensor of a constant coefficient, at any period, or None.
-
-    The adjoint of a constant field keeps the untransposed value; the solver
-    reads only the parts of it that a symmetric constrained block leaves
-    unchanged.
-    """
+    """The (2, 2, m, m) tensor of a constant coefficient, at any period, or None."""
     if coeff.family != "constant" or "value" not in coeff.params:
         return None
     return np.asarray(coeff.params["value"], dtype=float)
@@ -1148,11 +1144,11 @@ def assemble(coeff, mesh, mode="dirichlet") -> AssembledOperator:
     per period, the whole mesh otherwise; the operator records c as
     op.cells.  The element matrices of the block are summed straight into
     the grid's 9-point CSR pattern (_stencil_matrix), and coeff_mean is the
-    block's mean.  When the block table is decoupled (coeff.diagonal_blocks)
-    the operator also carries the m = 1 operator of each distinct diagonal
-    block, built from the same table (op.blocks).  An under-resolved oscillation (h > eps/8) of a
-    non-constant coefficient is reported by warnings.warn, not a failure;
-    a rescaled constant does not oscillate.
+    block's mean, op.symmetric its symmetry (coeff.symmetric_table), and
+    op.blocks, for a decoupled table (coeff.diagonal_blocks), the m = 1
+    operator of each distinct diagonal block.  An under-resolved
+    oscillation (h > eps/8) of a non-constant coefficient is reported by
+    warnings.warn, not a failure; a rescaled constant does not oscillate.
     """
     if not isinstance(coeff, CoefficientField):
         raise TypeError(f"assemble takes a coefficient object, got {type(coeff).__name__}; "
@@ -1180,8 +1176,8 @@ def _torus_operator(coeff, grid, A_quad):
 
 def _operator(coeff, mesh, mode, A_quad=None):
     """What assemble and _torus_operator share: the operator of coeff's
-    block table (_element_table), evaluated or read out of A_quad, with the
-    blocks of a decoupled one (_blocks)."""
+    block table (_element_table), evaluated or read out of A_quad, with its
+    symmetry and the blocks of a decoupled one (_blocks)."""
     eps = coeff.epsilon
     if eps is not None and coeff.family != "constant" and mesh.h > eps / 8.0 + 1e-14:
         warnings.warn(f"under-resolved oscillation: h={mesh.h:.4g} > eps/8={eps / 8.0:.4g}",
@@ -1191,36 +1187,36 @@ def _operator(coeff, mesh, mode, A_quad=None):
     if not np.all(np.isfinite(A)):
         raise ValueError("coefficient evaluated to non-finite values")
     blocks = _blocks(coeff, mesh, mode, c, A)
-    coeff_mean = A.mean(axis=(0, 1))
+    coeff_mean, symmetric = A.mean(axis=(0, 1)), symmetric_table(A)
     Kloc = _element_matrices(A)
     del A
-    return _assembled(mesh, Kloc, mode, coeff, coeff_mean, c, blocks)
+    return _assembled(mesh, Kloc, mode, coeff, coeff_mean, c, symmetric, blocks)
 
 
-def _assembled(mesh, Kloc, mode, coeff, coeff_mean, c, blocks=None):
+def _assembled(mesh, Kloc, mode, coeff, coeff_mean, c, symmetric, blocks=None):
     """The operator of the element matrices Kloc of a block of c x c
     elements, which keeps them (element_matrices) for its cell template
     when the template rule admits the block and the operator is not solved
     block by block."""
     keep = blocks is None and _template_admits(mesh, c)
     return AssembledOperator(mesh, _stencil_matrix(mesh, Kloc, c), mode, coeff, coeff_mean, c,
-                             blocks, Kloc if keep else None)
+                             symmetric, blocks, Kloc if keep else None)
 
 
 def _blocks(coeff, mesh, mode, c, A):
     """op.blocks of the operator of coeff's block table A: None unless
     coeff.diagonal_blocks finds A decoupled, else the m = 1 operator of each
     distinct diagonal block, built from its slice of A as assemble builds
-    it from coeff.component_field's own table (bit for bit), with the
-    components it serves."""
+    it from coeff.component_field's own table (bit for bit), symmetric by
+    that slice, with the components it serves."""
     groups = diagonal_blocks(A)
     if groups is None:
         return None
     blocks = []
     for a, comps in groups:
         Aa = np.ascontiguousarray(A[..., a:a + 1, a:a + 1])
-        blocks.append((comps, _assembled(mesh, _element_matrices(Aa), mode,
-                                         component_field(coeff, a), Aa.mean(axis=(0, 1)), c)))
+        blocks.append((comps, _assembled(mesh, _element_matrices(Aa), mode, component_field(coeff, a),
+                                         Aa.mean(axis=(0, 1)), c, symmetric_table(Aa))))
     return tuple(blocks)
 
 

@@ -86,7 +86,7 @@ class EpsilonContext:
         self.cell = cell
         self.hatA = hatA
         self.m = cell.coeff.m
-        # L_0 is assembled from this constant field, which carries hatA's symmetry
+        # L_0's constant field: assembly finds it symmetric, as hatA is to roundoff
         self.hatA_field = builtin("constant", value=hatA, m=self.m)
         self._ops = {}
         self.data = {}

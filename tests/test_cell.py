@@ -149,7 +149,7 @@ def _nonsymmetric_field():
         out[:, 1, 1, 0, 0] = a22
         return out
 
-    return coeff.CoefficientField(ev, symmetric=False, family="user", params={"id": "ns"})
+    return coeff.CoefficientField(ev, family="user", params={"id": "ns"})
 
 
 def test_adjoint_consistency_of_homogenization():
@@ -167,10 +167,13 @@ def test_hatA_symmetric_for_symmetric_field(layered_cell64):
 
 
 def test_hatA_field_symmetry_flag(layered_cell64):
-    # the computed hatA is symmetric only to roundoff; its constant field is
-    # still symmetric, and a genuinely non-symmetric constant is not
-    assert coeff.builtin("constant", value=layered_cell64.hatA).symmetric
-    assert not coeff.builtin("constant", value=np.array([[1.0, 0.5], [-0.5, 1.0]])).symmetric
+    # the computed hatA is symmetric only to roundoff; its constant field
+    # still assembles to a symmetric operator, and a genuinely non-symmetric
+    # constant does not
+    dm = mesh.DomainMesh(8)
+    assert mesh.assemble(coeff.builtin("constant", value=layered_cell64.hatA), dm).symmetric
+    skew = coeff.builtin("constant", value=np.array([[1.0, 0.5], [-0.5, 1.0]]))
+    assert not mesh.assemble(skew, dm).symmetric
 
 
 def test_grid_convergence_richardson(layered_field):
@@ -228,7 +231,7 @@ def _two_block_field(first, second, off=None):
             out[:, :, :, 0, 1] = out[:, :, :, 1, 0] = eye
         return out
 
-    return coeff.CoefficientField(ev, m=2, symmetric=True)
+    return coeff.CoefficientField(ev, m=2)
 
 
 def test_decoupled_system_blocks_equal_scalar_runs(monkeypatch):

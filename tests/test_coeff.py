@@ -87,8 +87,8 @@ def test_rescale_composition(layered_field):
 def test_rescaled_field_carries_its_period(layered_field):
     sc = coeff.rescale(layered_field, 0.25)
     assert layered_field.epsilon is None and sc.epsilon == 0.25
-    assert (sc.family, sc.params, sc.m, sc.symmetric) == (
-        layered_field.family, layered_field.params, layered_field.m, layered_field.symmetric)
+    assert (sc.family, sc.params, sc.m) == (layered_field.family, layered_field.params,
+                                            layered_field.m)
     # a cache never confuses a rescaled field with its base or another period
     keys = {layered_field.key(), sc.key(), coeff.rescale(layered_field, 0.5).key()}
     assert len(keys) == 3
@@ -134,8 +134,8 @@ def _skewed_adjoint():
     """The adjoint of a non-symmetric hand-built field whose skew part grows
     with y2."""
     skew = np.array([[0.0, 0.8], [-0.8, 0.0]])[None, :, :, None, None]
-    return coeff.CoefficientField(lambda y: 2.0 * _EYE + y[:, 1, None, None, None, None] * skew,
-                                  symmetric=False).adjoint()
+    return coeff.CoefficientField(
+        lambda y: 2.0 * _EYE + y[:, 1, None, None, None, None] * skew).adjoint()
 
 
 @pytest.mark.parametrize("tag,params", [
@@ -168,21 +168,50 @@ def test_symmetry_flag_transpose(layered_field):
     rng = np.random.default_rng(4)
     pts = rng.random((200, 2))
     vals = layered_field(pts)
-    assert layered_field.symmetric
+    assert coeff.symmetric_table(vals)
     assert np.array_equal(vals, vals.transpose(0, 2, 1, 4, 3))
 
 
 def test_adjoint_of_nonsymmetric_constant():
     A = np.array([[2.0, 0.5], [0.0, 1.0]])
     field = coeff.builtin("constant", value=A)
-    assert not field.symmetric
-    star = field.adjoint()
     pts = np.random.default_rng(5).random((10, 2))
+    assert not coeff.symmetric_table(field(pts))
+    star = field.adjoint()
     assert np.allclose(star(pts)[:, :, :, 0, 0], A.T)
     # the adjoint of A(x/eps) keeps the period
     star = coeff.rescale(field, 0.125).adjoint()
-    assert star.epsilon == 0.125 and not star.symmetric
+    assert star.epsilon == 0.125 and not coeff.symmetric_table(star(pts))
     assert np.allclose(star(pts)[:, :, :, 0, 0], A.T)
+
+
+def test_adjoint_keys_are_equal_only_for_equal_values():
+    # f, f* and f**: a key shared by two of them is shared only by equal
+    # values, so a cell cache never hands the cell of A to A^T
+    pts = np.random.default_rng(6).random((10, 2))
+    for field in (coeff.builtin("constant", value=[[2.0, 0.5], [0.0, 1.0]]),
+                  coeff.rescale(coeff.builtin("constant", value=[[2.0, 0.5], [0.0, 1.0]]), 0.25),
+                  _skewed_adjoint()):
+        chain = [field, field.adjoint(), field.adjoint().adjoint()]
+        for f in chain:
+            for g in chain:
+                if f.key() == g.key():
+                    assert np.array_equal(f(pts), g(pts))
+        assert not np.array_equal(chain[0](pts), chain[1](pts))
+        assert np.array_equal(chain[0](pts), chain[2](pts))
+
+
+def test_symmetric_table_is_the_constant_rule():
+    # max |a_ij^{ab} - a_ji^{ba}| <= 1e-12 max |a|: a tensor symmetric to
+    # roundoff counts as symmetric, a skew a_12 or a skew m x m block does not
+    A = np.einsum("ij,ab->ijab", [[2.0, 0.3], [0.3, 1.0]], np.eye(2))
+    table = np.broadcast_to(A, (5, 4, 2, 2, 2, 2))
+    assert coeff.symmetric_table(table)
+    assert coeff.symmetric_table(table + 1e-13 * np.arange(16.0).reshape(2, 2, 2, 2))
+    for index in [(0, 1, 0, 0), (0, 0, 0, 1), (1, 1, 1, 0)]:
+        skew = np.zeros((2, 2, 2, 2))
+        skew[index] = 1e-10
+        assert not coeff.symmetric_table(table + skew)
 
 
 def test_builtin_rejects_bad_parameters():

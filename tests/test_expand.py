@@ -197,8 +197,7 @@ def _coupled_nonsymmetric_field():
         return ((2.0 + np.sin(2 * np.pi * y1)) * iso
                 + (1.0 + 0.5 * np.cos(2 * np.pi * (y1 + 2 * y2))) * R)
 
-    return coeff.CoefficientField(ev, m=2, symmetric=False, family="user",
-                                  params={"id": "coupled-nonsymmetric"})
+    return coeff.CoefficientField(ev, m=2, family="user", params={"id": "coupled-nonsymmetric"})
 
 
 @pytest.mark.parametrize("n, eps", [(48, 1 / 4), (40, 3 / 10), (20, 1 / 8)])

@@ -193,7 +193,7 @@ def test_omega_of_a_nonsymmetric_field_reads_the_adjoint_flux():
     skew = np.array([[0.0, 0.8], [-0.8, 0.0]])[:, :, None, None]
     field = coeff.CoefficientField(
         lambda pts: base(pts) + np.cos(2 * np.pi * pts[:, 1])[:, None, None, None, None] * skew,
-        symmetric=False, params={"skew": 0.8})
+        params={"skew": 0.8})
     eps_list, values = [1 / 4, 1 / 8, 1 / 16], []
     for eps in eps_list:
         ctx = EpsilonContext(cell_solution(field, 128), cell_solution(field, 16).hatA, eps, 16)

@@ -874,9 +874,9 @@ def test_nonsymmetric_constant_solves(monkeypatch, m):
         value[1, 1] = [[1.5, 0.2], [0.2, 1.0]]
         value[0, 1] = [[0.1, 0.0], [0.2, 0.1]]
     field = coeff.builtin("constant", value=value, m=m)
-    assert not field.symmetric
     dm = mesh.DomainMesh(16)
     op = mesh.assemble(field, dm)
+    assert not op.symmetric
     factored = _record_factors(monkeypatch)
     op.factorization()
     assert factored == ([] if m == 1 else ["dirichlet"])
@@ -892,8 +892,7 @@ def _skewed_field():
     base = coeff.builtin("layered", wavevector=(1, 1))
     skew = np.array([[0.0, 0.8], [-0.8, 0.0]])[:, :, None, None]
     return coeff.CoefficientField(
-        lambda pts: base(pts) + np.cos(2 * np.pi * pts[:, 1])[:, None, None, None, None] * skew,
-        symmetric=False)
+        lambda pts: base(pts) + np.cos(2 * np.pi * pts[:, 1])[:, None, None, None, None] * skew)
 
 
 def test_adjoint_operator_is_the_transposed_matrix():
@@ -904,9 +903,20 @@ def test_adjoint_operator_is_the_transposed_matrix():
     assert layered.adjoint() is layered
     op = mesh.assemble(coeff.rescale(_skewed_field(), 1 / 4), dm)
     star = op.adjoint()
-    assert (star.mode, star.coeff.epsilon, star.coeff.symmetric) == ("dirichlet", 0.25, False)
+    assert (star.mode, star.coeff.epsilon, star.symmetric) == ("dirichlet", 0.25, False)
     assembled = mesh.assemble(op.coeff.adjoint(), dm).matrix
     assert abs(star.matrix - assembled).max() <= 1e-14 * abs(assembled).max()
+
+
+def test_skewed_field_without_a_flag_gets_the_transposed_adjoint():
+    # symmetry is read from the assembled values: the skewed field, which
+    # declares nothing, is not symmetric, and its adjoint solves K^T, not K
+    # (max |K - K^T| is 0.76 here)
+    op = mesh.assemble(coeff.rescale(_skewed_field(), 1 / 4), mesh.DomainMesh(32))
+    star = op.adjoint()
+    assert not op.symmetric and star is not op
+    assert abs(op.matrix - op.matrix.T).max() > 0.5
+    assert abs(star.matrix - op.matrix.T).max() == 0.0
 
 
 def test_constant_dirichlet_operators_never_factor(monkeypatch, transform_tensors):
@@ -1075,7 +1085,7 @@ def test_cell_template_matches_superlu(monkeypatch, name, c, periods):
     dm = mesh.DomainMesh(periods * c)
     op = mesh.assemble(coeff.rescale(field, 1 / periods), dm)
     factored, templated = _record_factors(monkeypatch), _record_templates(monkeypatch)
-    ops = [op] if field.symmetric else [op, op.adjoint()]
+    ops = [op] if op.symmetric else [op, op.adjoint()]
     for each in ops:
         solver = each.factorization()
         Kii = each.interior_matrix()
@@ -1128,7 +1138,7 @@ def test_template_set_up_evaluates_no_coefficient(monkeypatch, name):
         return call(self, pts)
 
     monkeypatch.setattr(coeff.CoefficientField, "__call__", counting)
-    ops = [op] if field.symmetric else [op, op.adjoint()]
+    ops = [op] if op.symmetric else [op, op.adjoint()]
     for each in ops:
         each.factorization()
         each.release()
@@ -1277,7 +1287,7 @@ def test_cell_template_of_a_field_that_is_not_periodic_fails_residual_check():
     first = coeff.rescale(coeff.CoefficientField(
         lambda y: (1.0 + 0.25 * y[:, 0])[:, None, None, None, None] * eye[None]), eps)
     op = mesh.AssembledOperator(dm, _coo_assembly(dm, A), "dirichlet", first,
-                                A.mean(axis=(0, 1)), 8)
+                                A.mean(axis=(0, 1)), 8, coeff.symmetric_table(A))
     with pytest.raises(mesh.SolveError, match="cell template .* repeats in every period"):
         mesh.solve_dirichlet(op, np.ones((dm.nnodes, 1)))
 
@@ -1323,9 +1333,9 @@ def _grounded_reference(op, B):
 @pytest.mark.parametrize("n", [2, 3, 16, 33])
 def test_neumann_transform_matches_grounded_spsolve(monkeypatch, transform_tensors, name, n):
     field = _neumann_fields(transform_tensors)[name]
-    assert field.symmetric
     dm = mesh.DomainMesh(n)
     op = mesh.assemble(field, dm, mode="neumann")
+    assert op.symmetric
     factored = _record_factors(monkeypatch)
     solver = op.factorization()
     assert factored == []
@@ -1362,12 +1372,28 @@ def test_neumann_data_just_under_the_compatibility_bound_solves(transform_tensor
         assert np.abs(dm.arc_weights @ u[dm.boundary_nodes]).max() <= 1e-12 * np.abs(u).max()
 
 
-def test_nonsymmetric_neumann_operator_is_refused():
+def test_nonsymmetric_neumann_operator_is_refused(monkeypatch):
+    # a skew constant, and the skewed variable field that declares nothing:
+    # the Neumann solve, Neumann functions and Neumann correctors each refuse
+    # it up front, before any conjugate-gradient step
+    steps = []
+    cg = mesh.Solver._cg
+    monkeypatch.setattr(mesh.Solver, "_cg", lambda self, *args: steps.append(1) or cg(self, *args))
     skewed = coeff.builtin("constant", value=np.array([[1.0, 0.5], [-0.5, 1.0]]))
-    assert not skewed.symmetric
     op = mesh.assemble(skewed, mesh.DomainMesh(8), mode="neumann")
+    assert not op.symmetric
     with pytest.raises(ValueError, match="symmetric coefficient"):
         mesh.solve_neumann(op)
+    dm = mesh.DomainMesh(32)
+    op = mesh.assemble(coeff.rescale(_skewed_field(), 1 / 4), dm, mode="neumann")
+    assert not op.symmetric
+    with pytest.raises(ValueError, match="symmetric coefficient"):
+        mesh.solve_neumann(op)
+    with pytest.raises(kernels.KernelError, match="symmetric coefficient"):
+        kernels.neumann_fn(op, dm.nearest_node((0.5, 0.5)))
+    with pytest.raises(correctors.CorrectorError, match="symmetric coefficient"):
+        correctors.neumann_correctors(op, np.eye(2))
+    assert steps == []
 
 
 def test_variable_neumann_operator_needs_its_coefficient_mean(monkeypatch, layered_field):
@@ -1378,7 +1404,8 @@ def test_variable_neumann_operator_needs_its_coefficient_mean(monkeypatch, layer
     with pytest.raises(TypeError, match="coeff_mean"):
         mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff)
     factored = _record_factors(monkeypatch)
-    bare = mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff, None, op.cells)
+    bare = mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff, None, op.cells,
+                                  op.symmetric)
     with pytest.raises(ValueError, match="Neumann operator is solved by transform"):
         bare.factorization()
     assert factored == []

@@ -420,7 +420,7 @@ def test_context_rejects_neumann_function_of_nonsymmetric_field():
 
 
 def test_context_homogenized_operator_is_symmetric():
-    # L_0 is assembled from the hatA field, whose flag spares the adjoint solves
+    # L_0 is assembled from the hatA field, symmetric, which spares the adjoint solves
     from homoglab import correctors
     from homoglab.coeff import builtin
 
@@ -428,7 +428,7 @@ def test_context_homogenized_operator_is_symmetric():
     op0 = ctx.op("dir_0")
     phi, phi_star = correctors.dirichlet_correctors(op0)
     assert np.array_equal(phi_star, phi)
-    assert op0.coeff.symmetric and op0.m == 1
+    assert op0.symmetric and op0.m == 1
     ctx.release()
 
 

@@ -18,8 +18,7 @@ def two_copy_field(layered_field):
         out[:, :, :, 1, 1] = base[:, :, :, 0, 0]
         return out
 
-    return coeff.CoefficientField(ev, m=2, symmetric=True, family="user",
-                                  params={"id": "two-copy-layered"})
+    return coeff.CoefficientField(ev, m=2, family="user", params={"id": "two-copy-layered"})
 
 
 def test_validate_two_component(two_copy_field):
@@ -76,7 +75,7 @@ def test_coupled_constant_system_correctors():
     A[1, 1] = [[1.8, 0.2], [0.2, 2.2]]
     A[0, 1] = A[1, 0] = [[0.2, 0.1], [0.1, 0.2]]
     field = coeff.builtin("constant", value=A, m=2)
-    assert field.symmetric
+    assert mesh.assemble(field, mesh.TorusGrid(16)).symmetric
     cs = cell.solve(field, 16)
     assert np.abs(cs.chi).max() < 1e-14   # roundoff only: the load cancels
     assert np.abs(cs.hatA - A).max() < 1e-13
@@ -117,7 +116,7 @@ def _two_media(first, second):
         out[..., 1, 1] = second(pts)[..., 0, 0]
         return out
 
-    return coeff.CoefficientField(ev, m=2, symmetric=first.symmetric and second.symmetric)
+    return coeff.CoefficientField(ev, m=2)
 
 
 def _constant_blocks(media):
@@ -203,7 +202,7 @@ def test_blocks_are_carried_to_the_other_mode_and_the_adjoint():
 
     layered = coeff.builtin("layered")
     skew = np.array([[0.0, 0.5], [-0.5, 0.0]])[:, :, None, None]
-    skewed = coeff.CoefficientField(lambda pts: layered(pts) + skew, symmetric=False)
+    skewed = coeff.CoefficientField(lambda pts: layered(pts) + skew)
     op = mesh.assemble(coeff.rescale(_two_media(skewed, skewed), 1 / 4), dm)
     [(comps, block)] = op.blocks
     star = op.adjoint()
