@@ -3,8 +3,10 @@
 Sweep experiments measure one or more scalar quantities per epsilon and are
 checked by log-log slope fits (or boundedness/monotonicity).  Refine
 experiments fix epsilon and halve h.  Fixed experiments run once at a fixed
-resolution.  Thresholds marked 'acceptance' are pinned by the acceptance
-suite; the others are harness choices consistent with the expected rates.
+resolution.  CRITERIA maps each acceptance criterion to the experiments
+whose checks decide it, and verdict() reads its pass or fail off their
+reports; the other thresholds are harness choices consistent with the
+expected rates.
 """
 
 from __future__ import annotations
@@ -452,3 +454,33 @@ EXPERIMENTS["leibniz-2"] = Experiment(
     id="leibniz-2", kind="fixed", coefficient={"family": "constant", "params": {}},
     description="coordinate commutator of the Dirichlet-to-Neumann map is order zero",
     runner=run_leibniz_coordinate)
+
+
+# acceptance criterion -> (title, the experiments whose checks decide it);
+# 02 and 03 are decided by named checks of the acceptance suite alone, and
+# 12 and 14 add one there to their experiments
+CRITERIA = {
+    1: ("cell oracle", ("cell-oracle",)),
+    2: ("exact cell identities", ()),
+    3: ("constant-coefficient degenerate run", ()),
+    4: ("Green function size rate", ("thmA-green-size",)),
+    5: ("Green gradient comparison rate", ("thmA-green-grad",)),
+    6: ("Neumann function size rate", ("thmB-neumann-size",)),
+    7: ("Neumann gradient comparison rate", ("thmB-neumann-grad",)),
+    8: ("W1p corrector-family separation", ("w1p-dirichlet",)),
+    9: ("distance-weighted gradient rate", ("weighted-h1",)),
+    10: ("L2 rates, Dirichlet and Neumann", ("lp-dirichlet", "lp-neumann")),
+    11: ("Poisson kernel expansion", ("poisson-remainder", "poisson-approx")),
+    12: ("expansion identity checks", ("prop21-residual", "prop24-conormal")),
+    13: ("Leibniz rules for the DtN map", ("leibniz-1", "leibniz-2")),
+    14: ("singular-integral and DtN expansions", ("s-epsilon", "dtn-expansion")),
+    15: ("corrector sup-norm bounds", ("corrector-bounds",)),
+}
+
+
+def verdict(reports):
+    """(ok, detail) of a criterion from the list of its experiments' reports: ok
+    when every report passed and none is degenerate (values all below the
+    floor show no rate), detail 'experiment: its detail' joined by '; '."""
+    ok = all(rep.passed and not rep.degenerate for rep in reports)
+    return ok, "; ".join(f"{rep.experiment}: {rep.detail}" for rep in reports)

@@ -31,6 +31,35 @@ def test_registry_complete():
             assert exp.compute is not None and exp.checks
         else:
             assert exp.runner is not None
+    # each acceptance criterion 1..15 names registry experiments, none twice
+    assert sorted(ratelab.CRITERIA) == list(range(1, 16))
+    named = [e for _, exps in ratelab.CRITERIA.values() for e in exps]
+    assert set(named) <= EXPECTED_IDS
+    assert len(named) == len(set(named))
+
+
+def _report(experiment, passed=True, degenerate=False, detail="fine"):
+    return ratelab.RateReport(experiment=experiment, kind="sweep", rows=[], fits={},
+                              passed=passed, degenerate=degenerate, detail=detail)
+
+
+def test_verdict_passes_only_what_every_report_passed():
+    assert ratelab.verdict([_report("a")]) == (True, "a: fine")
+    assert ratelab.verdict([_report("a", passed=False)])[0] is False
+    # values all below the floor pass their experiment but show no rate
+    assert ratelab.verdict([_report("a", degenerate=True)])[0] is False
+    assert ratelab.verdict([_report("a", detail="x"), _report("b", detail="y")]) == (True, "a: x; b: y")
+    assert ratelab.verdict([_report("a"), _report("b", passed=False)])[0] is False
+
+
+def test_verdict_refuses_a_sweep_without_a_fit():
+    # a quantity whose values cannot be rate-fitted fails the slope check
+    # that reads it, and with it the criterion
+    check = ratelab.experiments.slope_at_least("q", 0.8)
+    passed, detail = check({"q": None}, {"q": [0.0, 1.0, 2.0]})
+    rep = _report("a", passed=passed, detail=detail)
+    rep.fits = {"q": None}
+    assert ratelab.verdict([rep]) == (False, "a: q: no fit")
 
 
 def test_fit_exact_powers():
@@ -125,6 +154,14 @@ def test_degenerate_pass_constant_coefficient():
     rep = ratelab.run(cfg)
     assert rep.passed and rep.degenerate
     assert all(abs(v) <= 1e-9 for v in rep.values("green_diff"))
+    # the identities of a refine run hold exactly: its residuals are roundoff
+    cfg = ratelab.ExperimentConfig("prop21-residual",
+                                   coefficient={"family": "constant", "params": {}},
+                                   eps_list=(1 / 8,), cells_per_period=8, cell_n=16)
+    rep = ratelab.run(cfg)
+    assert rep.passed and rep.degenerate
+    assert rep.detail == "degenerate-pass: all values below 1e-9"
+    assert all(abs(v) <= 1e-9 for v in rep.values("interior_identity_residual"))
 
 
 def test_determinism_same_config_same_bytes(tmp_path):

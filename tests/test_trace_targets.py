@@ -9,9 +9,11 @@ factorization with tracing.factor_kind(op) and adds the .nnz of what
 AssembledOperator._factor returns; its other wrappers add
 assemble(...).matrix.nnz and kernels.dtn(op).mat.shape[1].
 
-The last test runs the benchmark's systems workload (perfbench/workloads.py,
-loaded the same way, read only) on its tiny inputs and checks that no
-column of zeros reaches the exact part of any Solver.
+The last two tests load the benchmark's workloads (perfbench/workloads.py,
+loaded the same way, read only).  One runs the systems workload on its tiny
+inputs and checks that no column of zeros reaches the exact part of any
+Solver; the other checks that the sweep workload times every sweep
+experiment that an acceptance criterion reads.
 """
 
 import importlib
@@ -182,3 +184,11 @@ def test_the_systems_workload_sends_no_zero_column_to_an_exact_part(exact_part_c
     ratelab.run_many(configs)
     assert sum(cols for cols, _ in exact_part_calls) > 0
     assert sum(zero for _, zero in exact_part_calls) == 0
+
+
+def test_the_sweep_workload_runs_every_sweep_of_the_acceptance_criteria():
+    from homoglab import ratelab
+    ids = _load_perfbench("workloads").WORKLOADS["sweep"]["ids"]
+    sweeps = {e for _, exps in ratelab.CRITERIA.values() for e in exps
+              if ratelab.EXPERIMENTS[e].kind == "sweep"}
+    assert sweeps <= set(ids)
