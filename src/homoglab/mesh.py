@@ -30,19 +30,24 @@ raise SolveError before any solve.  Its exact part is one of three.
 The transform of a constant tensor (DST-I on the square's interior, a real
 FFT on the torus, DCT-I on the square's nodes) solves the tensor's
 separable part, and preconditioned conjugate gradients take up the rest.
-The cell template of an eps-periodic Dirichlet operator on a mesh of
-2^k x 2^k whole periods eliminates K_ii by nested blocks, one dense matrix
-per level and class of equal blocks (base blocks of at most 16 cells), and
-factors the top block, the whole mesh's cross.  A sparse LU
-(AssembledOperator._factor) solves any system as it stands.
-factorization() picks the part.  Every Neumann operator, which must be
-symmetric (op.symmetric), goes through a transform: a constant tensor (the
-homogenized operator) through its own tensor, a variable one through its
-Gauss-point mean.  In the 'dirichlet' and 'periodic' modes a constant
-tensor with a symmetric constrained block (the homogenized operator, the
-Laplacian) goes through its transform.  A variable Dirichlet operator
-goes through its cell template where _template_cells admits it, and every
-other operator through LU.
+The cell template of an eps-periodic operator on a mesh of 2^k x 2^k
+whole periods eliminates it by nested blocks, one dense matrix per level
+and class of equal blocks (base blocks of at most 16 cells), up to the
+four quadrants of the mesh; those levels eliminate no boundary node, so
+the Dirichlet and the Neumann operator of one assembly share them
+(_TemplateLevels, built once).  Only the top differs: the Dirichlet top
+factors the cross where the quadrants meet, and the Neumann top, on all
+(n + 1)^2 nodes, eliminates each quadrant's stretch of the boundary and
+factors the cross with its four boundary ends, bordered by each
+component's constants.  A sparse LU (AssembledOperator._factor) solves any
+system as it stands.  factorization() picks the part.  Every Neumann
+operator must be symmetric (op.symmetric).  A constant tensor (the
+homogenized operator, the Laplacian) goes through its transform, in the
+'dirichlet' and 'periodic' modes when its constrained block is symmetric.
+A variable operator, Dirichlet or Neumann, goes through its cell template
+where _template_cells admits it; any other variable Neumann operator
+goes through the transform of its Gauss-point mean, and every other
+operator through LU.
 
 A decoupled operator, m > 1 with a^{ab} = 0 exactly for a != b on the
 block table that assemble evaluates (coeff.diagonal_blocks), is solved
@@ -302,6 +307,55 @@ def monomial_table(mesh, m):
 # assembly
 
 
+# rows per block of the one-copy principal submatrix
+_SUBMATRIX_ROWS = 1 << 14
+
+
+def _principal_submatrix(K, keep):
+    """K[keep][:, keep] of a CSR matrix K for sorted indices keep, with the
+    data, indices and indptr of that two-step slice, in one copy: the slice
+    copies K's kept rows whole before it drops their columns.  The kept
+    rows are read in blocks, and a column remap, -1 off keep, marks each
+    entry of a block as kept or dropped, once to count the kept entries of
+    each row and once to copy them into arrays of their final size, made
+    between the two passes."""
+    index = K.indices.dtype
+    remap = np.full(K.shape[1], -1, dtype=index)
+    remap[keep] = np.arange(keep.size, dtype=index)
+    blocks = [keep[a:a + _SUBMATRIX_ROWS] for a in range(0, keep.size, _SUBMATRIX_ROWS)]
+
+    def kept(rows):
+        """(first entry, column remap, kept mask) of the entries from the
+        first to the last of rows, of those rows only."""
+        lo, hi = K.indptr[rows[0]], K.indptr[rows[-1] + 1]
+        cols = remap[K.indices[lo:hi]]
+        ok = np.repeat(remap[rows[0]:rows[-1] + 1] >= 0, np.diff(K.indptr[rows[0]:rows[-1] + 2]))
+        ok &= cols >= 0
+        return lo, cols, ok
+
+    indptr = np.zeros(keep.size + 1, dtype=index)
+    at = 1
+    for rows in blocks:
+        lo, _, ok = kept(rows)
+        # each row's length less its dropped entries, which are few, each
+        # counted in the kept row it falls in (none in a dropped row)
+        starts, ends = K.indptr[rows] - lo, K.indptr[rows + 1] - lo
+        bad = np.flatnonzero(~ok)
+        row = np.searchsorted(starts, bad, side="right") - 1
+        indptr[at:at + rows.size] = (ends - starts
+                                     - np.bincount(row[bad < ends[row]], minlength=rows.size))
+        at += rows.size
+    np.cumsum(indptr, out=indptr)
+    data, indices = np.empty(indptr[-1], dtype=K.dtype), np.empty(indptr[-1], dtype=index)
+    end = 0
+    for rows in blocks:
+        lo, cols, ok = kept(rows)
+        out = slice(end, end + np.count_nonzero(ok))
+        data[out], indices[out] = K.data[lo:lo + ok.size][ok], cols[ok]
+        end = out.stop
+    return sp.csr_matrix((data, indices, indptr), shape=(keep.size, keep.size))
+
+
 class AssembledOperator:
     """Sparse matrix of the form integral a_ij^{ab} dU^b/dx_j dV^a/dx_i.
 
@@ -317,9 +371,10 @@ class AssembledOperator:
     cells per period of an aligned eps-periodic field, n otherwise.
     coeff_mean is the (2, 2, m, m) mean of the coefficient over the Gauss
     points of that block, the cell mean when the mesh holds whole periods;
-    it sets the transform that solves a variable Neumann coefficient, which
-    has no other solve.  symmetric is coeff.symmetric_table of that block
-    table (A* = A); in_mode keeps it, and an adjoint() other than self is not.
+    it sets the transform that solves a variable Neumann coefficient
+    outside the cell template rule, which has no other solve.  symmetric is
+    coeff.symmetric_table of that block table (A* = A); in_mode keeps it,
+    and an adjoint() other than self is not.
 
     blocks is None, or for a decoupled operator (m > 1, every a^{ab},
     a != b, exactly zero in the block table; coeff.diagonal_blocks) one
@@ -334,11 +389,14 @@ class AssembledOperator:
     operator whose block the template rule admits (_template_admits) and
     that is not solved block by block, in either mode of the square, and
     in_mode and adjoint carry them over, so no set-up evaluates the
-    coefficient again.
+    coefficient again.  The operators that in_mode makes of one assembly
+    also share the template's levels below its top (_template_levels):
+    release(shared=False) frees an operator's own solver and keeps them
+    for the other mode, release() frees them too.
     """
 
     def __init__(self, mesh, matrix, mode, coeff, coeff_mean, cells, symmetric, blocks=None,
-                 element_matrices=None):
+                 element_matrices=None, shared=None):
         self.mesh = mesh
         self.matrix = matrix
         self.mode = mode
@@ -348,6 +406,9 @@ class AssembledOperator:
         self.symmetric = symmetric
         self.blocks = blocks
         self.element_matrices = element_matrices
+        # what the operators that in_mode makes of one assembly share: the
+        # levels of its cell template (_template_levels)
+        self._shared = {} if shared is None else shared
         self._solver = None
         self._interior_dofs = None
         self._boundary_dofs = None
@@ -372,24 +433,31 @@ class AssembledOperator:
         return self._interior_dofs, self._boundary_dofs
 
     def interior_matrix(self):
+        """K_ii, the CSR block of the interior dofs, cached until release()."""
         if self._Kii is None:
-            inter, _ = self.dof_split()
-            self._Kii = self.matrix[inter][:, inter].tocsr()
+            self._Kii = _principal_submatrix(self.matrix.tocsr(), self.dof_split()[0])
         return self._Kii
 
-    def release(self):
+    def release(self, shared=True):
+        """Free the solver and K_ii, and with shared also what the
+        operators of this assembly share (the cell template's levels), of
+        the blocks too."""
         self._solver = None
         self._Kii = None
+        if shared:
+            self._shared.clear()
         for _, block in self.blocks or ():
-            block.release()
+            block.release(shared)
 
     def in_mode(self, mode):
         """The operator of the same matrix, coefficient and blocks in another
-        constraint mode, so nothing is assembled again."""
+        constraint mode, so nothing is assembled again; it shares the cell
+        template's levels with this one."""
         blocks = None if self.blocks is None else tuple(
             (comps, op.in_mode(mode)) for comps, op in self.blocks)
         return AssembledOperator(self.mesh, self.matrix, mode, self.coeff, self.coeff_mean,
-                                 self.cells, self.symmetric, blocks, self.element_matrices)
+                                 self.cells, self.symmetric, blocks, self.element_matrices,
+                                 self._shared)
 
     def adjoint(self):
         """The operator of the adjoint coefficient A* in the same mode: self
@@ -421,33 +489,42 @@ class AssembledOperator:
         operator, picked by the rules below, and solve(b) takes each
         component's columns of b (dof = node * m + component, on the
         interior dofs too), solves those of every component that shares a
-        block in one batched call, and puts them back.  A Neumann
-        operator is solved through the transform of its own tensor if the
-        coefficient is constant, of coeff_mean otherwise; it must be
-        symmetric (op.symmetric) and it must have one of the two tensors
-        (coeff_mean None of a variable coefficient has none), or
-        ValueError is raised.  In the 'dirichlet' and 'periodic' modes a
-        constant tensor, at any period, whose constrained block is
-        symmetric is solved through its transform.  A variable Dirichlet
-        operator that _template_cells admits is solved by nested
-        elimination of its cell template; every other operator goes through
-        the sparse LU of _factor.
+        block in one batched call, and puts them back.  A Neumann operator
+        must be symmetric (op.symmetric), or ValueError is raised.  A
+        constant tensor, at any period, is solved through its transform:
+        always in mode 'neumann', in the 'dirichlet' and 'periodic' modes
+        when its constrained block is symmetric.  A variable operator that
+        _template_cells admits, Dirichlet or Neumann, is solved by nested
+        elimination of its cell template, on
+        the levels that the operators of its assembly share
+        (_template_levels).  Any other variable Neumann operator is solved
+        through the transform of coeff_mean, and must have it (coeff_mean
+        None raises ValueError); every other operator goes through the
+        sparse LU of _factor.
         """
         if self._solver is None and self.blocks is not None:
             self._solver = _BlockSolver(self)
         if self._solver is None:
+            if self.mode == "neumann" and not self.symmetric:
+                raise ValueError("a Neumann operator needs a symmetric coefficient (A* = A)")
             tensor, cells = _constant_tensor(self.coeff), None
-            if self.mode == "neumann":
-                if not self.symmetric:
-                    raise ValueError("a Neumann operator needs a symmetric coefficient (A* = A)")
-                if tensor is None:
-                    tensor = self.coeff_mean
-            elif tensor is None:
+            if tensor is None:
                 cells = _template_cells(self)
-            elif not _symmetric_block(tensor):
+                if cells is None and self.mode == "neumann":
+                    tensor = self.coeff_mean
+            elif self.mode != "neumann" and not _symmetric_block(tensor):
                 tensor = None
             self._solver = Solver(self, tensor, cells)
         return self._solver
+
+    def _template_levels(self, c):
+        """The levels below the top of the cell template of c cells per
+        period (_TemplateLevels), built by the first operator of this
+        assembly that needs them and shared by every operator that in_mode
+        makes of it, until a release() that frees them."""
+        if "levels" not in self._shared:
+            self._shared["levels"] = _TemplateLevels(self, c)
+        return self._shared["levels"]
 
 
 def _pin_weights(mesh):
@@ -506,9 +583,10 @@ _TEMPLATE_MIN_N = 32
 
 def _template_cells(op):
     """The cell template rule: c = op.cells, the block that assemble
-    evaluated the coefficient on, when op is a Dirichlet operator whose
-    block _template_admits; otherwise None (the sparse LU)."""
-    return op.cells if op.mode == "dirichlet" and _template_admits(op.mesh, op.cells) else None
+    evaluated the coefficient on, when _template_admits that block on op's
+    mesh, in either mode of the square; otherwise None (a sparse LU, or
+    for Neumann the transform of coeff_mean)."""
+    return op.cells if _template_admits(op.mesh, op.cells) else None
 
 
 def _template_admits(mesh, c):
@@ -600,41 +678,51 @@ _TEMPLATE_BASE_CELLS = 16
 # one level of the cell template: the K_ii rows of the dofs each of its
 # blocks eliminates, [class y, class x, dof, by, bx], the children's ring
 # positions in its [ring, eliminated] dofs (None for the base), its ring's
-# dof count, and per class A_EE^-1, A_EE^-1 A_ER and A_RE (all three None
-# for the top block, which the template factors)
+# dof count, and per class A_EE^-1, A_EE^-1 A_ER and A_RE
 _Level = namedtuple("_Level", "elim maps nR inv W A_RE")
 
 
-class _CellTemplate:
-    """K_ii of a Dirichlet operator whose coefficient repeats in every
-    period of c cells, on a mesh of 2^k x 2^k periods, eliminated block by
-    nested block: the exact part of its Solver in place of a sparse LU.
+def _children(a, q):
+    """The four children's views of a level's data a [class y, class x,
+    dof, by, bx, ...] for a parent level of q x q classes: by class while
+    the child level has more classes, else by block."""
+    return _class_children(a, q) if a.shape[0] > q else _block_children(a)
+
+
+class _TemplateLevels:
+    """The levels of a cell template below its top, which no mode changes:
+    K_ii of an operator whose coefficient repeats in every period of c
+    cells, on a mesh of 2^k x 2^k periods, eliminated block by nested
+    block up to the four quadrants of the mesh.  No block below the top
+    holds a boundary node in its eliminated set, so the same levels serve
+    the Dirichlet and the Neumann operator of one assembly
+    (AssembledOperator._template_levels), and only the top differs
+    (_CellTemplate).
 
     Level 0 is the base block of b cells, b = c halved while it is even and
-    above 16, and each level above it doubles the side up to the top block,
-    the whole mesh.  A block's class is its index mod c / s along each
-    axis, (c / s)^2 classes at a level of side s <= c and one above it.
-    Every block of a class has the same matrix, so one dense template per
-    class and level serves them all (nested dissection whose fronts at one
-    level are equal; George, SIAM J. Numer. Anal. 10, 1973).  The template
-    of a base class is the (b + 1)^2 m stiffness matrix of its b x b
-    elements of the period, read from op.element_matrices (2-D stiffness
-    does not depend on the element size), and it eliminates the (b - 1)^2
-    interior nodes.  A block of a higher level scatters its four children's
-    Schur complements onto its ring plus the cross where they meet, and
-    eliminates the cross.  Each level below the top keeps, per class, for
-    its eliminated dofs E and ring dofs R, A_EE^-1, A_EE^-1 A_ER and A_RE.
-    The top block's ring is the Dirichlet boundary, so only its A_EE is
-    kept, factored by LU with partial pivoting, not inverted.
+    above 16, and each level above it doubles the side up to the
+    quadrants, of side n / 2.  A block's class is its index mod c / s
+    along each axis, (c / s)^2 classes at a level of side s <= c and one
+    above it.  Every block of a class has the same matrix, so one dense
+    template per class and level serves them all (nested dissection whose
+    fronts at one level are equal; George, SIAM J. Numer. Anal. 10, 1973).
+    The template of a base class is the (b + 1)^2 m stiffness matrix of
+    its b x b elements of the period, read from op.element_matrices (2-D
+    stiffness does not depend on the element size), and it eliminates the
+    (b - 1)^2 interior nodes.  A block of a higher level scatters its four
+    children's Schur complements onto its ring plus the cross where they
+    meet, and eliminates the cross.  Each level keeps, per class, for its
+    eliminated dofs E and ring dofs R, A_EE^-1, A_EE^-1 A_ER and A_RE; the
+    quadrants' Schur complement on their ring, schur (one class), is kept
+    for the tops.
 
-    solve(B) condenses the data upward, level by level, and substitutes
-    back downward, each step one matmul, batched over the classes, over
-    every block of a level and every column, and at the top one solve with
-    the factor.  The back substitution updates each level's data in place
-    (_subtract_product).  The template holds only for a matrix that
+    condense(B) takes data on the interior dofs (K_ii's rows) up the
+    levels, and substitute() takes the quadrants' ring values back down,
+    each step one matmul, batched over the classes, over every block of a
+    level and every column.  The template holds only for a matrix that
     repeats its first period in every period, as assemble's matrix of
-    op.cells = c does; the Solver's residual check against K_ii is what
-    catches one that does not.
+    op.cells = c does; the Solver's residual check is what catches one
+    that does not.
     """
 
     def __init__(self, op, c):
@@ -642,9 +730,9 @@ class _CellTemplate:
         b = c
         while b > _TEMPLATE_BASE_CELLS and b % 2 == 0:
             b //= 2
-        self._levels = []
+        self.levels = []
         s, ring, schur = b, None, None
-        while True:
+        while s < n:
             q = max(c // s, 1)                            # classes per side
             child_ring = ring
             ring, elim = _block_nodes(s, cell=schur is None)
@@ -653,25 +741,22 @@ class _CellTemplate:
                 M = self._base(op, c, b, np.concatenate([ring, elim]))
             else:
                 maps = _child_maps(s, ring, elim, child_ring, m)
-                # the top block needs only its cross: its ring is the boundary
-                lo = nR if s == n else 0
-                M = np.zeros((q, q) + (nR + elim.size * m - lo,) * 2)
+                M = np.zeros((q, q) + (nR + elim.size * m,) * 2)
                 parts = _class_children(schur, q) if schur.shape[0] > q else [schur] * 4
                 for mp, part in zip(maps, parts):
-                    keep = np.flatnonzero(mp >= lo)
-                    at = mp[keep] - lo
-                    M[..., at[:, None], at] += part[..., keep[:, None], keep]
-            elim = _interior_positions(n, s, elim, m, q)
-            if s == n:
-                self._levels.append(_Level(elim, maps, nR, None, None, None))
-                self._top = scipy.linalg.lu_factor(M[0, 0], check_finite=False)
-                return
+                    M[..., mp[:, None], mp] += part
             inv = np.linalg.inv(M[..., nR:, nR:])
             W = inv @ M[..., nR:, :nR]
             A_RE = M[..., :nR, nR:].copy()
-            schur = M[..., :nR, :nR] - A_RE @ W
-            self._levels.append(_Level(elim, maps, nR, inv, W, A_RE))
+            # M is freed before the product is made (75 MiB at the
+            # quadrants of n = 1024)
+            schur = M[..., :nR, :nR].copy()
+            del M
+            schur -= A_RE @ W
+            self.levels.append(_Level(_interior_positions(n, s, elim, m, q), maps, nR, inv, W,
+                                      A_RE))
             s *= 2
+        self.ring, self.schur = ring, schur[0, 0]
 
     @staticmethod
     def _base(op, c, b, order):
@@ -689,50 +774,162 @@ class _CellTemplate:
         return np.array([[_stencil_matrix(cell, Kc[py, px].reshape(b * b, 4, m, 4, m), b)
                           .toarray()[np.ix_(dofs, dofs)] for px in range(q)] for py in range(q)])
 
-    def solve(self, B):
-        """K_ii^{-1} B for B (ndof, ncols), without a residual check."""
+    def condense(self, B):
+        """The upward pass over B (K_ii rows, ncols): (each level's
+        A_EE^-1 z, in order, and the condensed data on the quadrants'
+        rings, [1, 1, dof, 2, 2, column])."""
         ncols = B.shape[1]
         upward, g = [], None
-        for elim, maps, nR, inv, W, A_RE in self._levels:
+        for elim, maps, nR, inv, W, A_RE in self.levels:
             q, k = elim.shape[0], elim.shape[-1]
             z = B[elim]                        # [class y, class x, dof, by, bx, column]
             if maps is not None:
                 # the children's condensed data, on this block's ring and cross
                 zRE = np.concatenate([np.zeros((q, q, nR, k, k, ncols)), z], axis=2)
-                for mp, child in zip(maps, _class_children(g, q) if g.shape[0] > q
-                                     else _block_children(g)):
+                for mp, child in zip(maps, _children(g, q)):
                     zRE[:, :, mp] += child
                 z = zRE[:, :, nR:]
-            z = z.reshape(q, q, z.shape[2], -1)
-            if inv is None:
-                u = scipy.linalg.lu_solve(self._top, z[0, 0], check_finite=False)[None, None]
-            else:
-                u = inv @ z
+            u = inv @ z.reshape(q, q, z.shape[2], -1)
             upward.append(u)
-            if A_RE is not None:
-                g = -(A_RE @ u) if maps is None else zRE[:, :, :nR].reshape(q, q, nR, -1) - A_RE @ u
-                g = g.reshape(q, q, nR, k, k, ncols)
-        X = np.empty_like(B)
-        xR = None
-        for i in range(len(self._levels) - 1, -1, -1):
-            elim, maps, nR, inv, W, A_RE = self._levels[i]
+            g = -(A_RE @ u) if maps is None else zRE[:, :, :nR].reshape(q, q, nR, -1) - A_RE @ u
+            g = g.reshape(q, q, nR, k, k, ncols)
+        return upward, g
+
+    def substitute(self, upward, xR, X):
+        """The back substitution from the quadrants' ring values xR [1, 1,
+        dof, 2 * 2 * column]: each level's eliminated dofs into X (K_ii
+        rows), updating condense's upward in place (_subtract_product)."""
+        ncols = X.shape[1]
+        for i in range(len(self.levels) - 1, -1, -1):
+            elim, maps, nR, inv, W, A_RE = self.levels[i]
             x = upward.pop()                   # freed once it is in X and the children's rings
-            if W is not None:
-                _subtract_product(x, W, xR)
+            _subtract_product(x, W, xR)
             X[elim] = x.reshape(*elim.shape, ncols)
             if maps is not None:
-                # this block's ring (zero on the boundary) and cross, read
-                # onto each child's ring
+                # this block's ring and cross, read onto each child's ring
                 q, k = elim.shape[0], elim.shape[-1]
-                ring = np.zeros((q, q, nR, x.shape[-1])) if xR is None else xR
-                xRE = np.concatenate([ring, x], axis=2).reshape(q, q, -1, k, k, ncols)
-                cq, _, _, ck, _ = self._levels[i - 1].elim.shape
+                xRE = np.concatenate([xR, x], axis=2).reshape(q, q, -1, k, k, ncols)
+                cq, _, _, ck, _ = self.levels[i - 1].elim.shape
                 child = np.empty((cq, cq, maps[0].size, ck, ck, ncols))
-                for mp, view in zip(maps, _class_children(child, q) if cq > q
-                                    else _block_children(child)):
+                for mp, view in zip(maps, _children(child, q)):
                     view[...] = xRE[:, :, mp]
                 xR = child.reshape(cq, cq, maps[0].size, -1)
-        return X
+
+
+class _CellTemplate:
+    """The exact part of the Solver of a variable operator that
+    _template_cells admits, in place of a sparse LU: the shared levels of
+    its assembly (_TemplateLevels) below a top of its own mode, the whole
+    mesh, which joins the four quadrants.
+
+    The top of a Dirichlet operator keeps only the cross where the
+    quadrants meet, since its ring is the Dirichlet boundary: the
+    quadrants' Schur complements scattered onto the cross, factored by LU
+    with partial pivoting.  The top of a Neumann operator solves on all
+    (n + 1)^2 nodes and never forms the dense system of the boundary ring
+    plus the cross: each quadrant first eliminates its own stretch of the
+    boundary (the dofs of its ring that no other quadrant holds) from the
+    quadrants' Schur complement S, by the Cholesky factor L of that block
+    of S (a Neumann operator is symmetric) and Y = L^-1 S_ER, and what is
+    left, the cross with its four boundary ends, is factored by LU bordered
+    by each component's constants, which K cannot see.  The bordered
+    system takes balanced data (the Solver's) as it stands, and its
+    solution has zero sum over the cross per component; the Solver shifts
+    it to zero boundary mean.
+
+    solve(B) takes the operator's dofs, K_ii's rows for Dirichlet and all
+    nodes for Neumann: the levels condense B's interior rows, the top
+    solves with their condensed data on the quadrants' rings, and the
+    levels substitute back.
+    """
+
+    def __init__(self, op, c):
+        n, m = op.mesh.n, op.m
+        self._shared = shared = op._template_levels(c)
+        self._levels = shared.levels
+        ring, cross = _block_nodes(n, cell=False)
+        self._maps, self._nR = _child_maps(n, ring, cross, shared.ring, m), ring.size * m
+        self._cross = _interior_positions(n, n, cross, m, 1).ravel()
+        nR, S = self._nR, shared.schur
+        if op.mode == "dirichlet":
+            self._inter = None
+            # Fortran order, so the LU overwrites it instead of a copy
+            M = np.zeros((cross.size * m,) * 2, order="F")
+            for mp in self._maps:
+                keep = np.flatnonzero(mp >= nR)
+                at = mp[keep] - nR
+                M[at[:, None], at] += S[keep[:, None], keep]
+            self._top = scipy.linalg.lu_factor(M, overwrite_a=True, check_finite=False)
+            return
+        # the top block's local nodes are the mesh's own
+        self._m, self._inter, self._ring = m, op.dof_split()[0], _dofs(ring, m)
+        iy, ix = np.divmod(ring, n + 1)
+        ends = np.flatnonzero((ix == n // 2) | (iy == n // 2))
+        # the cross with its four boundary ends, by position in [ring, cross]
+        self._tpos = np.concatenate([_dofs(ends, m), nR + np.arange(cross.size * m)])
+        at = np.full(nR + cross.size * m, -1)
+        at[self._tpos] = np.arange(self._tpos.size)
+        T = np.zeros((self._tpos.size + m,) * 2, order="F")
+        T[:-m, -m:] = self._tpos[:, None] % m == np.arange(m)
+        T[-m:, :-m] = T[:-m, -m:].T
+        self._quadrants = []
+        for mp in self._maps:
+            t = at[mp]
+            e, r = np.flatnonzero(t < 0), np.flatnonzero(t >= 0)
+            L = scipy.linalg.cholesky(S[np.ix_(e, e)], lower=True, check_finite=False)
+            Y = scipy.linalg.solve_triangular(L, S[np.ix_(e, r)], lower=True, check_finite=False)
+            T[np.ix_(t[r], t[r])] += S[np.ix_(r, r)] - Y.T @ Y
+            self._quadrants.append((mp[e], t[r], L, Y))
+        self._top = scipy.linalg.lu_factor(T, overwrite_a=True, check_finite=False)
+
+    def solve(self, B):
+        """The solution for B (ndof, ncols), without a residual check."""
+        nR, ncols = self._nR, B.shape[1]
+        inner = B if self._inter is None else B[self._inter]
+        upward, g = self._shared.condense(inner)
+        # the top's data on its [ring, cross]: its own and the quadrants'
+        zRE = np.zeros((nR + self._cross.size, ncols))
+        zRE[nR:] = inner[self._cross]
+        if self._inter is not None:
+            zRE[:nR] = B[self._ring]
+        for mp, child in zip(self._maps, _block_children(g)):
+            zRE[mp] += child[0, 0, :, 0, 0]
+        xRE = self._dirichlet_top(zRE) if self._inter is None else self._neumann_top(zRE)
+        X = np.empty_like(inner)
+        X[self._cross] = xRE[nR:]
+        xR = np.empty(g.shape)
+        for mp, view in zip(self._maps, _block_children(xR)):
+            view[0, 0, :, 0, 0] = xRE[mp]
+        self._shared.substitute(upward, xR.reshape(1, 1, g.shape[2], -1), X)
+        if self._inter is None:
+            return X
+        full = np.empty_like(B)
+        full[self._inter], full[self._ring] = X, xRE[:nR]
+        return full
+
+    def _dirichlet_top(self, zRE):
+        """[ring, cross] values of the Dirichlet top: zero on the ring."""
+        xRE = np.zeros_like(zRE)
+        xRE[self._nR:] = scipy.linalg.lu_solve(self._top, zRE[self._nR:], check_finite=False)
+        return xRE
+
+    def _neumann_top(self, zRE):
+        """[ring, cross] values of the Neumann top: the quadrants' stretches
+        condensed onto the cross and its ends, the bordered solve there, and
+        the stretches back."""
+        m, zT = self._m, zRE[self._tpos]
+        w = []
+        for e, t, L, Y in self._quadrants:
+            w.append(scipy.linalg.solve_triangular(L, zRE[e], lower=True, check_finite=False))
+            zT[t] -= Y.T @ w[-1]
+        xT = scipy.linalg.lu_solve(self._top, np.concatenate([zT, np.zeros((m, zT.shape[1]))]),
+                                   check_finite=False)[:-m]
+        xRE = np.empty_like(zRE)
+        xRE[self._tpos] = xT
+        for (e, t, L, Y), we in zip(self._quadrants, w):
+            we -= Y @ xT[t]
+            xRE[e] = scipy.linalg.solve_triangular(L, we, lower=True, trans="T", check_finite=False)
+        return xRE
 
 
 class Solver:
@@ -773,37 +970,37 @@ class Solver:
 
     With tensor None the part is direct.  Given cells c, it is the nested
     elimination of the operator's eps-periodic cell template
-    (_CellTemplate).  Otherwise it is the sparse LU that op._factor makes
-    of K_ii, or on the torus of the bordered system with the sparse
-    volume-mean pin columns C; a Neumann operator has no direct part and
-    raises ValueError.  The bordered LU takes the data as given, with the
-    zero constraint rows appended, since its multiplier takes off the part
-    C absorbs by itself; the multipliers are dropped from x.  A column of
-    a direct part that misses the rule raises at once: K_ii of a
-    non-symmetric coefficient is not SPD, so conjugate gradients cannot
-    repair it.
+    (_CellTemplate), in either mode of the square; a Neumann template
+    takes the balanced data, and its solution gets the boundary-mean shift
+    below.  Otherwise it is the sparse LU that op._factor makes of K_ii, or
+    on the torus of the bordered system with the sparse volume-mean pin
+    columns C; a Neumann operator has no LU and raises ValueError.  The
+    bordered LU takes the data as given, with the zero constraint rows
+    appended, since its multiplier takes off the part C absorbs by itself;
+    the multipliers are dropped from x.  A column of a direct part that
+    misses the rule raises at once: K_ii of a non-symmetric coefficient is
+    not SPD, so conjugate gradients cannot repair it.
 
-    With a constant tensor a it is the transform of a on the uniform grid.
-    On the grid's dofs, ordered [y, x, component], the Q1 matrix of a is
-    a_11 K1(x) M1(y) + a_22 M1(x) K1(y) plus the mixed a_12 + a_21 term,
-    with K1 = tridiag(-1, 2, -1) and M1 = tridiag(1, 4, 1)/6 (circulant on
-    the torus; on the n + 1 nodes of a Neumann line their two end diagonal
-    entries are halved).  A 1-D basis follows op.mode and diagonalizes K1
-    and M1: the orthonormal DST-I on the square's interior, the real DFT on
-    the torus, and the orthonormal DCT-I on data scaled by W^{-1/2} for
-    Neumann, where W = diag(1/2, 1, ..., 1, 1/2) and, on the cosine of
-    angle theta, K1 v = (2 - 2 cos theta) W v and
-    M1 v = ((4 + 2 cos theta) / 6) W v.  So the preconditioner P, the
-    matrix of a without its mixed term, is solved exactly: a transform, one
-    m x m solve per mode pair, and the transform back.  The mode pair
-    (0, 0), the constants that K cannot see, passes through an identity
-    block of the symbol; the balanced data leave it at roundoff.  a is the
-    operator's constant tensor, or, for a variable Neumann coefficient, its
-    Gauss-point mean (op.coeff_mean).  Whatever P leaves out (the mixed
-    term, the variation of the coefficient) is taken up by conjugate
-    gradients preconditioned by P, batched over the columns; with nothing
-    left out the first solve already meets the rule after one residual
-    product.
+    With a constant tensor a it is the transform of a on the uniform grid. On
+    the grid's dofs, ordered [y, x, component], the Q1 matrix of a is a_11
+    K1(x) M1(y) + a_22 M1(x) K1(y) plus the mixed a_12 + a_21 term, with K1 =
+    tridiag(-1, 2, -1) and M1 = tridiag(1, 4, 1)/6 (circulant on the torus; on
+    the n + 1 nodes of a Neumann line their two end diagonal entries are
+    halved).  A 1-D basis follows op.mode and diagonalizes K1 and M1: the
+    orthonormal DST-I on the square's interior, the real DFT on the torus, and
+    the orthonormal DCT-I on data scaled by W^{-1/2} for Neumann, where W =
+    diag(1/2, 1, ..., 1, 1/2) and, on the cosine of angle theta, K1 v = (2 - 2
+    cos theta) W v and M1 v = ((4 + 2 cos theta) / 6) W v.  So the
+    preconditioner P, the matrix of a without its mixed term, is solved
+    exactly: a transform, one m x m solve per mode pair, and the transform
+    back.  The mode pair (0, 0), the constants that K cannot see, passes
+    through an identity block of the symbol; the balanced data leave it at
+    roundoff.  a is the operator's constant tensor, or, for a variable Neumann
+    coefficient outside the cell template rule, its Gauss-point mean
+    (op.coeff_mean).  Whatever P leaves out (the mixed term, the variation of
+    the coefficient) is taken up by conjugate gradients preconditioned by P,
+    batched over the columns; with nothing left out the first solve already
+    meets the rule after one residual product.
     """
 
     def __init__(self, op, tensor, cells):
@@ -816,14 +1013,15 @@ class Solver:
             nodes, w = _pin_weights(op.mesh)
             self._pin = nodes, w / w.sum()
         if tensor is None:
-            if op.mode == "neumann":
-                raise ValueError("a Neumann operator is solved by transform; it needs a tensor "
-                                 "(its constant value or coeff_mean)")
             self._part = "sparse LU"
             if cells is not None:
                 self._part = (f"the cell template of {cells} cells per period (which holds "
                               "only for a coefficient that repeats in every period)")
                 self._direct = _CellTemplate(op, cells)
+            elif op.mode == "neumann":
+                raise ValueError("a Neumann operator outside the cell template rule is solved "
+                                 "by transform; it needs a tensor (its constant value or "
+                                 "coeff_mean)")
             elif op.mode == "dirichlet":
                 self._direct = op._factor(self._K)
             else:
@@ -863,7 +1061,7 @@ class Solver:
                 # the real DFT keeps the modes x <= n/2
                 symbol = symbol[:, :n // 2 + 1]
             symbol[0, 0] = np.eye(m)
-        self._inv = np.linalg.inv(symbol)
+        self._inv = _symbol_inverse(symbol)
 
     def _precondition(self, v):
         """P^{-1} v for v (ndof, ncols), computed in v's memory."""
@@ -942,6 +1140,8 @@ class Solver:
             x = self._precondition(balanced.copy())
         elif self._pin is None:
             x = self._direct.solve(B)
+        elif self._mode == "neumann":
+            x = self._direct.solve(balanced)
         else:
             x = self._direct.solve(np.concatenate([B, np.zeros((self._m, B.shape[1]))]))[:B.shape[0]]
         r, todo = self._residual(x, balanced, bnorm2)
@@ -976,6 +1176,13 @@ class Solver:
             p -= z
             rz = rz_new
         self._fail(todo, _TRANSFORM_MAXITER)
+
+
+def _symbol_inverse(symbol):
+    """The inverse of each m x m block of a transform's symbol (..., m,
+    m): 1 / symbol for m = 1, which is np.linalg.inv's bit for bit without
+    its per-block set-up."""
+    return 1.0 / symbol if symbol.shape[-1] == 1 else np.linalg.inv(symbol)
 
 
 def _refuse_non_finite(B, what):

@@ -24,10 +24,12 @@ from ..coeff import CoefficientField, builtin, rescale
 from ..mesh import DomainMesh, assemble, solve_dirichlet, solve_neumann, conormal
 
 _CELL_CACHE = {}
-# the finest mesh any level may have.  An aligned level's Dirichlet operator
-# is solved by its cell template (86 MiB stored at n = 1024, 16 cells per
-# period), but a misaligned one still goes through the sparse LU: about 121M
-# nnz (1.4 GB) at n = 1024, against an estimated 0.5G nnz (about 6 GB) at 2048
+# the finest mesh any level may have.  An aligned level's Dirichlet and
+# Neumann operators are solved by their cell templates (at n = 1024, 16
+# cells per period: 94 MiB of shared levels, a 32 MiB Dirichlet top and a
+# 104 MiB Neumann top), but a misaligned Dirichlet operator still goes
+# through the sparse LU: about 121M nnz (1.4 GB) at n = 1024, against an
+# estimated 0.5G nnz (about 6 GB) at 2048
 DEFAULT_MAX_N = 1024
 
 # fixed sample geometry (inside every trusted region, reproducible)
@@ -74,8 +76,10 @@ class EpsilonContext:
     the (2, 2, m, m) tensor of the homogenized operators L_0.  The level
     is the unit square with cells_per_period cells per period eps.
     Operators are built on first use by op(name) and quantities by
-    prepare(needs), into data.  dir_eps is solved by its cell template
-    where mesh._template_cells admits it, else by a sparse LU.
+    prepare(needs), into data.  dir_eps and neu_eps are solved by their
+    cell templates where mesh._template_cells admits them, on the levels
+    that their one assembly shares; else dir_eps by a sparse LU and neu_eps
+    by the transform of its coefficient mean with conjugate gradients.
     """
 
     def __init__(self, cell: cellmod.CellSolution, hatA, eps, cells_per_period):
@@ -98,7 +102,9 @@ class EpsilonContext:
 
         assemble builds the same matrix in both modes, so the Dirichlet and
         the Neumann operator of one coefficient share one assembly
-        (AssembledOperator.in_mode), the blocks of a decoupled one too.
+        (AssembledOperator.in_mode), the blocks of a decoupled one too, and
+        the levels of its cell template: an operator of the same assembly
+        releases its own solver but keeps them, one of another frees them.
         """
         if name not in self._ops:
             mode = _MODES[name]
@@ -106,10 +112,11 @@ class EpsilonContext:
             first = next((op for op in self._ops.values() if op.coeff is coeff), None)
             self._ops[name] = (assemble(coeff, self.mesh, mode=mode) if first is None else
                                first.in_mode(mode))
+        wanted = self._ops[name]
         for other, op in self._ops.items():
             if other != name:
-                op.release()
-        return self._ops[name]
+                op.release(shared=op.matrix is not wanted.matrix)
+        return wanted
 
     def release(self):
         for op in self._ops.values():
@@ -258,13 +265,19 @@ class EpsilonContext:
 
 _MODES = {"dir_eps": "dirichlet", "dir_0": "dirichlet", "neu_eps": "neumann", "neu_0": "neumann"}
 
+# the batches in the order prepare runs them.  The three that read the eps
+# assembly come first, so the cell template's levels that its two modes
+# share are built once, by neu_eps, and freed when dir_0 releases them.
+# neu_eps needs nothing from the others.  Run first, not after post_eps,
+# it kept the sweep workload's peak RSS near 130 MiB in 39 of 40 runs;
+# after post_eps the heap's layout put about half the runs at 143-147 MiB
 _BATCH_ORDER = {
+    "neu_eps": ("psi", "N_eps", "u_neu_eps"),
     "dir_eps": ("phi", "phi_star", "G_eps", "u_dir_eps", "u_poisson_eps",
                 "u_div_eps", "P_eps", "K_eps", "lambda_eps", "s_piece1"),
     "post_eps": ("omega",),
     "dir_0": ("G_0", "u_dir_0", "v_poisson", "v_div", "P_0", "K_0",
               "lambda_0", "s_piece23"),
-    "neu_eps": ("psi", "N_eps", "u_neu_eps"),
     "neu_0": ("N_0", "u_neu_0"),
 }
 

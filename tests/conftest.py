@@ -47,9 +47,10 @@ class _RecordingLU:
 @pytest.fixture
 def exact_part_calls(monkeypatch):
     """The list that gets (columns, all-zero columns) of every call into an
-    exact part of a Solver from now on: the cell template's solve, the
-    transform's _precondition and the solve of a sparse LU, plain or
-    bordered, factored after this fixture is set up."""
+    exact part of a Solver from now on: the solve of a cell template, of a
+    Dirichlet or a Neumann operator, the transform's _precondition and the
+    solve of a sparse LU, plain or bordered, factored after this fixture is
+    set up."""
     from homoglab import mesh
     calls = []
 

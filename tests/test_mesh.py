@@ -799,6 +799,54 @@ def test_solves_and_kernels_return_nodal_arrays(m):
 # transform solver of constant-coefficient Dirichlet and periodic operators
 
 
+@pytest.mark.parametrize("mode", ["dirichlet", "neumann", "periodic"])
+def test_m1_symbol_inverse_is_the_matrix_inverse_bit_for_bit(monkeypatch, mode):
+    # the DST-I, DCT-I and real DFT symbols of an m = 1 tensor: 1 / symbol
+    # is what np.linalg.inv gives on their (N, N, 1, 1) stacks
+    inverse, symbols = mesh._symbol_inverse, []
+    monkeypatch.setattr(mesh, "_symbol_inverse", lambda s: symbols.append(s) or inverse(s))
+    for n in (64, 256, 512):
+        grid = mesh.TorusGrid(n) if mode == "periodic" else mesh.DomainMesh(n)
+        value = np.array([[np.sqrt(3.0), 0.0], [0.0, 2.0]])
+        mesh.assemble(coeff.builtin("constant", value=value), grid, mode=mode).factorization()
+    assert len(symbols) == 3
+    for symbol in symbols:
+        assert symbol.shape[-2:] == (1, 1)
+        assert np.array_equal(inverse(symbol), np.linalg.inv(symbol))
+
+
+@pytest.mark.parametrize("name", ["layered", "coupled-m2", "skewed"])
+@pytest.mark.parametrize("rows", [7, 1 << 14])
+def test_interior_matrix_is_the_two_step_slice(monkeypatch, name, rows):
+    # the one-copy K_ii has the data, indices and indptr of K[inter][:, inter],
+    # read in blocks of any number of rows
+    monkeypatch.setattr(mesh, "_SUBMATRIX_ROWS", rows)
+    op = mesh.assemble(coeff.rescale(_template_fields()[name], 1 / 4), mesh.DomainMesh(40))
+    inter, _ = op.dof_split()
+    expect = op.matrix[inter][:, inter].tocsr()
+    Kii = op.interior_matrix()
+    assert Kii.shape == expect.shape
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(Kii, part), getattr(expect, part)), part
+
+
+def test_interior_matrix_is_built_in_one_copy():
+    # the two-step slice copies the interior rows whole before it drops
+    # their boundary columns (975 MiB for a 432 MiB K_ii at n = 2048); the
+    # one-copy K_ii peaks at about its own size
+    import tracemalloc
+    op = mesh.assemble(coeff.rescale(coeff.builtin("layered"), 1 / 32), mesh.DomainMesh(512))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        Kii = op.interior_matrix()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = Kii.data.nbytes + Kii.indices.nbytes + Kii.indptr.nbytes
+    assert size <= peak <= 1.3 * size
+
+
 def _record_factors(monkeypatch):
     """The list that gets the mode of every operator factored from now on:
     an operator solved through its transform never calls _factor."""
@@ -1100,6 +1148,147 @@ def test_cell_template_matches_superlu(monkeypatch, name, c, periods):
     assert factored == [] and templated == [(c, 2 if name == "coupled-m2" else 1)] * len(ops)
 
 
+def _record_levels(monkeypatch):
+    """The list that gets the mode of the operator that builds each set of
+    shared template levels from now on."""
+    calls = []
+    init = mesh._TemplateLevels.__init__
+
+    def recording(self, op, c):
+        calls.append(op.mode)
+        init(self, op, c)
+
+    monkeypatch.setattr(mesh._TemplateLevels, "__init__", recording)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+@pytest.mark.parametrize("name", ["layered", "layered-diag", "checkerboard-100", "coupled-m2"])
+@pytest.mark.parametrize("c, periods", [(8, 4), (16, 4), (32, 8)])
+def test_neumann_cell_template_matches_grounded_spsolve(monkeypatch, name, c, periods):
+    # at the rule's edges (n = 32 with c = 8, n = c^2/4 with c = 16, 32
+    # cells per period): the Neumann operator on all (n + 1)^2 nodes is
+    # solved by its cell template, with no factorization and no
+    # conjugate-gradient step, to the grounded sparse solve
+    field = _template_fields()[name]
+    dm = mesh.DomainMesh(periods * c)
+    op = mesh.assemble(coeff.rescale(field, 1 / periods), dm, mode="neumann")
+    factored, templated = _record_factors(monkeypatch), _record_templates(monkeypatch)
+    steps = []
+    monkeypatch.setattr(mesh.Solver, "_cg", lambda self, *args: steps.append(1))
+    solver = op.factorization()
+    B = np.random.default_rng(c).standard_normal((op.ndof, 3))
+    B[:, 1] = 0.0                                        # a zero column stays zero
+    nodal = B.reshape(dm.nnodes, op.m, 3)
+    nodal -= nodal.mean(axis=0)                          # balanced data
+    expect = _grounded_reference(op, B)
+    scale = np.abs(expect).max()
+    X = solver.solve(B)
+    assert np.abs(X - expect).max() <= 1e-10 * scale
+    assert np.abs(solver.solve(B[:, 0]) - expect[:, 0]).max() <= 1e-10 * scale
+    assert not X[:, 1].any()
+    means = np.einsum("p,pac->ac", dm.arc_weights, X.reshape(dm.nnodes, op.m, 3)[dm.boundary_nodes])
+    assert np.abs(means).max() <= 1e-12 * scale
+    assert factored == [] and steps == []
+    assert templated == [(c, 2 if name == "coupled-m2" else 1)]
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+@pytest.mark.parametrize("name", ["layered", "layered-m2", "coupled-m2"])
+def test_one_template_set_up_serves_both_modes_of_an_assembly(monkeypatch, name):
+    # the levels below the top are built once per assembly and shared by
+    # the operators that in_mode makes of it, each with a top of its mode;
+    # release(shared=False) keeps them for the other mode, release() frees
+    # them
+    op = mesh.assemble(coeff.rescale(_template_fields()[name], 1 / 4), mesh.DomainMesh(64))
+    levels, templated = _record_levels(monkeypatch), _record_templates(monkeypatch)
+    neumann = op.in_mode("neumann")
+    op.factorization()
+    op.release(shared=False)
+    neumann.factorization()
+    assert levels == ["dirichlet"] and len(templated) == 2
+    dirichlet = neumann.in_mode("dirichlet")
+    neumann.release(shared=False)
+    dirichlet.factorization()
+    assert levels == ["dirichlet"] and len(templated) == 3
+    dirichlet.release()
+    neumann.factorization()
+    assert levels == ["dirichlet", "neumann"] and len(templated) == 4
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+def test_neumann_operator_outside_the_template_rule_runs_conjugate_gradients(monkeypatch,
+                                                                              layered_field):
+    # a period-1 field and a field of 3 x 3 periods: the transform of the
+    # coefficient mean with conjugate gradients, no template, no LU
+    templated, factored = _record_templates(monkeypatch), _record_factors(monkeypatch)
+    steps = []
+    cg = mesh.Solver._cg
+    monkeypatch.setattr(mesh.Solver, "_cg", lambda self, *args: steps.append(1) or cg(self, *args))
+    for field, dm in [(layered_field, mesh.DomainMesh(32)),
+                      (coeff.rescale(layered_field, 1 / 3), mesh.DomainMesh(48))]:
+        op = mesh.assemble(field, dm, mode="neumann")
+        assert mesh._template_cells(op) is None
+        steps.clear()
+        u = mesh.solve_neumann(op, np.cos(np.pi * dm.nodes[:, :1]))
+        assert steps and np.isfinite(u).all()
+    assert templated == [] and factored == []
+
+
+@pytest.mark.parametrize("part", ["L", "Y", "top"])
+def test_neumann_template_with_a_broken_part_fails_residual_check(monkeypatch, layered_field,
+                                                                  part):
+    # the first quadrant's Cholesky factor doubled, its L^-1 S_ER zeroed,
+    # or the bordered cross's factor zeroed: the solve misses the rule and
+    # raises, with no conjugate gradients
+    init = mesh._CellTemplate.__init__
+
+    def breaking(self, op, c):
+        init(self, op, c)
+        if op.mode == "neumann":
+            if part == "top":
+                self._top[0][...] = 0.0
+            elif part == "L":
+                self._quadrants[0][2][...] *= 2.0
+            else:
+                self._quadrants[0][3][...] = 0.0
+
+    monkeypatch.setattr(mesh._CellTemplate, "__init__", breaking)
+    dm = mesh.DomainMesh(32)
+    op = mesh.assemble(coeff.rescale(layered_field, 1 / 4), dm, mode="neumann")
+    with pytest.raises(mesh.SolveError, match=r"neumann solve by the cell template .* failed its "
+                                              r"residual check .* after 0 conjugate"):
+        mesh.solve_neumann(op, np.cos(np.pi * dm.nodes[:, :1]))
+
+
+def _held_by_set_up(op):
+    """The bytes that op.factorization() holds once it returns, by
+    tracemalloc, for an operator none of whose template levels are built."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op.factorization()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_neumann_template_stores_at_most_twice_the_dirichlet_template():
+    # n = 512, 16 cells per period: the Neumann set-up (the shared levels
+    # and the Neumann top: four quadrants' Cholesky factors and L^-1 S_ER
+    # and the bordered cross) holds at most twice what the Dirichlet set-up
+    # (the levels and the factored cross) does; neither forms the dense
+    # system of the boundary ring plus the cross
+    field = coeff.rescale(_template_fields()["layered"], 1 / 32)
+    dirichlet = mesh.assemble(field, mesh.DomainMesh(512))
+    dirichlet.interior_matrix()          # K_ii, which the Dirichlet residual reads
+    held_d = _held_by_set_up(dirichlet)
+    dirichlet.release()
+    held_n = _held_by_set_up(dirichlet.in_mode("neumann"))
+    assert 0 < held_d < held_n <= 2 * held_d
+
+
 @pytest.mark.filterwarnings("ignore:under-resolved oscillation")
 def test_cell_template_only_for_aligned_variable_dirichlet_operators(monkeypatch, layered_field):
     templated, factored = _record_templates(monkeypatch), _record_factors(monkeypatch)
@@ -1397,17 +1586,21 @@ def test_nonsymmetric_neumann_operator_is_refused(monkeypatch):
 
 
 def test_variable_neumann_operator_needs_its_coefficient_mean(monkeypatch, layered_field):
-    # a Neumann operator is solved by transform only: there is no bordered
-    # Neumann LU to fall back on when the tensor is missing
+    # a variable Neumann operator outside the cell template rule is solved
+    # by the transform of coeff_mean only: there is no bordered Neumann LU
+    # to fall back on when the tensor is missing.  One that the rule
+    # admits is solved by its cell template, which needs no mean
     dm = mesh.DomainMesh(32)
     op = mesh.assemble(coeff.rescale(layered_field, 1 / 4), dm, mode="neumann")
     with pytest.raises(TypeError, match="coeff_mean"):
         mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff)
     factored = _record_factors(monkeypatch)
-    bare = mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff, None, op.cells,
-                                  op.symmetric)
-    with pytest.raises(ValueError, match="Neumann operator is solved by transform"):
+    bare = mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff, None, dm.n, op.symmetric)
+    with pytest.raises(ValueError, match="outside the cell template rule is solved by transform"):
         bare.factorization()
+    aligned = mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff, None, op.cells,
+                                     op.symmetric)
+    assert isinstance(aligned.factorization()._direct, mesh._CellTemplate)
     assert factored == []
 
 
@@ -1451,8 +1644,8 @@ _DIAG = coeff.builtin("constant", value=np.diag([np.sqrt(3.0), 2.0]))
 
 # the operator, by name, whose Solver has each exact part in each mode it
 # serves: the transform with or without conjugate gradients, the cell
-# template, the plain and the bordered sparse LU, and the block-by-block
-# solve of a decoupled m = 2 field
+# template of either mode, the plain and the bordered sparse LU, and the
+# block-by-block solve of a decoupled m = 2 field
 EXACT_PARTS = {
     "transform-dirichlet": lambda: mesh.assemble(_DIAG, mesh.DomainMesh(16)),
     "transform-cg-dirichlet": lambda: mesh.assemble(_MIXED, mesh.DomainMesh(16)),
@@ -1470,6 +1663,10 @@ EXACT_PARTS = {
     "bordered-lu-periodic": lambda: mesh.assemble(_LAYERED, mesh.TorusGrid(16)),
     "blocks-template-dirichlet": lambda: mesh.assemble(
         coeff.rescale(coeff.builtin("layered", m=2), 1 / 4), mesh.DomainMesh(32)),
+    "template-neumann": lambda: mesh.assemble(coeff.rescale(_LAYERED, 1 / 4), mesh.DomainMesh(32),
+                                              mode="neumann"),
+    "blocks-template-neumann": lambda: mesh.assemble(
+        coeff.rescale(coeff.builtin("layered", m=2), 1 / 4), mesh.DomainMesh(32), mode="neumann"),
 }
 
 

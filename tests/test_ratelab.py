@@ -194,7 +194,10 @@ def test_slope_stable_under_refinement():
 
 
 def test_cell_oracle_runner():
-    rep = ratelab.run(ratelab.ExperimentConfig("cell-oracle"))
+    # criterion 01 reads the registry cell's verdict off the acceptance run;
+    # this checks the runner's report at the smallest cell that meets the
+    # oracle's 1e-3 bound (n = 16 misses it, at 3.7e-3)
+    rep = ratelab.run(ratelab.ExperimentConfig("cell-oracle", cell_n=32))
     assert rep.passed
     assert rep.kind == "fixed"
     quantities = {q for (_, _, q, _) in rep.rows}

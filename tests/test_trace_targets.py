@@ -9,11 +9,13 @@ factorization with tracing.factor_kind(op) and adds the .nnz of what
 AssembledOperator._factor returns; its other wrappers add
 assemble(...).matrix.nnz and kernels.dtn(op).mat.shape[1].
 
-The last two tests load the benchmark's workloads (perfbench/workloads.py,
+The last three tests load the benchmark's workloads (perfbench/workloads.py,
 loaded the same way, read only).  One runs the systems workload on its tiny
 inputs and checks that no column of zeros reaches the exact part of any
-Solver; the other checks that the sweep workload times every sweep
-experiment that an acceptance criterion reads.
+Solver; one checks that the sweep workload times every sweep experiment
+that an acceptance criterion reads; and one runs the three workloads and
+checks that every aligned variable Neumann operator is solved by its cell
+template, without conjugate gradients.
 """
 
 import importlib
@@ -192,3 +194,38 @@ def test_the_sweep_workload_runs_every_sweep_of_the_acceptance_criteria():
     sweeps = {e for _, exps in ratelab.CRITERIA.values() for e in exps
               if ratelab.EXPERIMENTS[e].kind == "sweep"}
     assert sweeps <= set(ids)
+
+
+def test_no_aligned_neumann_operator_of_the_workloads_runs_conjugate_gradients(monkeypatch):
+    # every variable Neumann operator of the three workloads that the cell
+    # template rule admits is solved by its template, with no
+    # conjugate-gradient step; in the sweeps, each eps assembly builds the
+    # levels of its template once, for both of its modes
+    from homoglab import mesh, ratelab
+    workloads = _load_perfbench("workloads")
+    templated, steps, levels = [], [], []
+    init, cg, levels_init = mesh.Solver.__init__, mesh.Solver._cg, mesh._TemplateLevels.__init__
+
+    def recording(self, op, tensor, cells):
+        init(self, op, tensor, cells)
+        self.admitted = (op.mode == "neumann" and op.coeff.family != "constant"
+                         and mesh._template_admits(op.mesh, op.cells))
+        if self.admitted:
+            templated.append(isinstance(self._direct, mesh._CellTemplate))
+
+    def counting(self, op, c):
+        levels.append((op.coeff.key(), op.mesh.n))
+        levels_init(self, op, c)
+
+    monkeypatch.setattr(mesh.Solver, "__init__", recording)
+    monkeypatch.setattr(mesh.Solver, "_cg",
+                        lambda self, *args: steps.append(self.admitted) or cg(self, *args))
+    monkeypatch.setattr(mesh._TemplateLevels, "__init__", counting)
+    for name in workloads.WORKLOADS:
+        levels.clear()
+        ratelab.run_many([ratelab.ExperimentConfig(exp, **kwargs)
+                          for exp, kwargs in workloads.plan(name, 0)])
+        if name != "fixed":
+            assert levels and len(set(levels)) == len(levels), name
+    assert templated and all(templated)
+    assert not any(steps)
