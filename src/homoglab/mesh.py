@@ -26,35 +26,26 @@ against one residual rule and raises SolveError when one misses, so a
 caller of .solve gets checked solutions.  It solves only the columns that
 carry data: a column of zeros (-0.0 too) has the zero solution in every
 mode and comes back +0.0 unsolved, and data with a NaN or an infinity
-raise SolveError before any solve.  Its exact part is one of three.
-The transform of a constant tensor (DST-I on the square's interior, a real
-FFT on the torus, DCT-I on the square's nodes) solves the tensor's
-separable part, and preconditioned conjugate gradients take up the rest.
-The cell template of an eps-periodic operator on a mesh of 2^k x 2^k
-whole periods eliminates it by nested blocks, one dense matrix per level
-and class of equal blocks (base blocks of at most 16 cells), up to the
-four quadrants of the mesh; those levels eliminate no boundary node, so
-the Dirichlet and the Neumann operator of one assembly share them
-(_TemplateLevels, built once).  Only the top differs: the Dirichlet top
-factors the cross where the quadrants meet, and the Neumann top, on all
-(n + 1)^2 nodes, eliminates each quadrant's stretch of the boundary and
-factors the cross with its four boundary ends, bordered by each
-component's constants.  A sparse LU (AssembledOperator._factor) solves any
-system as it stands.  factorization() picks the part.  Every Neumann
-operator must be symmetric (op.symmetric).  A constant tensor (the
-homogenized operator, the Laplacian) goes through its transform, in the
-'dirichlet' and 'periodic' modes when its constrained block is symmetric.
-A variable operator, Dirichlet or Neumann, goes through its cell template
-where _template_cells admits it; any other variable Neumann operator
-goes through the transform of its Gauss-point mean, and every other
-operator through LU.
+raise SolveError before any solve.  Its exact part is one of four
+classes, which factorization() picks by one rule: _Transform, for a
+constant tensor (DST-I on the square's interior, a real FFT on the
+torus, DCT-I on the square's nodes) and for a variable Neumann operator
+outside the template rule by its Gauss-point mean, with conjugate
+gradients to take up what the transform leaves; _CellTemplate, for an
+eps-periodic operator on a mesh of 2^k x 2^k whole periods, by nested
+elimination with one dense matrix per level and class of equal blocks,
+on levels that the Dirichlet and the Neumann operator of one assembly
+share (_TemplateLevels) below a top of each mode; and a sparse LU
+(AssembledOperator._factor) of any other system as it stands, _LU of
+K_ii on the square and _BorderedLU of K bordered by the torus's
+volume-mean pin.  Every Neumann operator must be symmetric (op.symmetric).
 
 A decoupled operator, m > 1 with a^{ab} = 0 exactly for a != b on the
 block table that assemble evaluates (coeff.diagonal_blocks), is solved
 block by block.  assemble also builds, from that table, the m = 1
 operator of each distinct diagonal block (op.blocks), and its
 factorization() sends the columns of each block's components, all in one
-batched call, through that block's own Solver, picked by the rules above.
+batched call, through that block's own Solver, picked by the same rule.
 op.matrix stays the whole interleaved matrix.
 
 Solve data comes in fixed layouts, for an operator with m components:
@@ -483,38 +474,43 @@ class AssembledOperator:
         'dirichlet'), 1-D or 2-D, and raises SolveError unless every column
         meets the residual rule.
 
-        This is where the solver's exact part is picked.  A decoupled
-        operator (blocks not None) is solved block by block: its Solver
-        (_BlockSolver) holds the factorization() of each block's m = 1
-        operator, picked by the rules below, and solve(b) takes each
-        component's columns of b (dof = node * m + component, on the
-        interior dofs too), solves those of every component that shares a
-        block in one batched call, and puts them back.  A Neumann operator
-        must be symmetric (op.symmetric), or ValueError is raised.  A
-        constant tensor, at any period, is solved through its transform:
-        always in mode 'neumann', in the 'dirichlet' and 'periodic' modes
-        when its constrained block is symmetric.  A variable operator that
-        _template_cells admits, Dirichlet or Neumann, is solved by nested
-        elimination of its cell template, on
-        the levels that the operators of its assembly share
-        (_template_levels).  Any other variable Neumann operator is solved
-        through the transform of coeff_mean, and must have it (coeff_mean
-        None raises ValueError); every other operator goes through the
-        sparse LU of _factor.
+        This is the one place where the solver's exact part is picked;
+        Solver(op, part) only checks what the part solves.  A decoupled
+        operator (blocks not None) gets a _BlockSolver, which holds the
+        factorization() of each block's m = 1 operator.  A Neumann
+        operator must be symmetric (op.symmetric), or ValueError is raised.
+        A variable operator whose block _template_admits, Dirichlet or
+        Neumann, is solved by its _CellTemplate, on the levels that the
+        operators of its assembly share (_template_levels).  Any other
+        Neumann operator is solved by the _Transform of its constant
+        tensor, at any period, or of coeff_mean, which a variable one must
+        have (coeff_mean None raises ValueError).  A constant tensor whose
+        constrained block is symmetric takes its _Transform in the
+        'dirichlet' and 'periodic' modes too.  Every other operator goes
+        through a sparse LU of _factor: the _BorderedLU on the torus, the
+        _LU of K_ii on the square.
         """
         if self._solver is None and self.blocks is not None:
             self._solver = _BlockSolver(self)
-        if self._solver is None:
-            if self.mode == "neumann" and not self.symmetric:
-                raise ValueError("a Neumann operator needs a symmetric coefficient (A* = A)")
-            tensor, cells = _constant_tensor(self.coeff), None
+        if self._solver is not None:
+            return self._solver
+        if self.mode == "neumann" and not self.symmetric:
+            raise ValueError("a Neumann operator needs a symmetric coefficient (A* = A)")
+        tensor = _constant_tensor(self.coeff)
+        if tensor is None and _template_admits(self.mesh, self.cells):
+            part = _CellTemplate(self, self.cells)
+        elif self.mode == "neumann":
+            tensor = self.coeff_mean if tensor is None else tensor
             if tensor is None:
-                cells = _template_cells(self)
-                if cells is None and self.mode == "neumann":
-                    tensor = self.coeff_mean
-            elif self.mode != "neumann" and not _symmetric_block(tensor):
-                tensor = None
-            self._solver = Solver(self, tensor, cells)
+                raise ValueError("a Neumann operator outside the cell template rule is solved "
+                                 "by transform; it needs a tensor (its constant value or "
+                                 "coeff_mean)")
+            part = _Transform(self, tensor)
+        elif tensor is not None and _symmetric_block(tensor):
+            part = _Transform(self, tensor)
+        else:
+            part = _BorderedLU(self) if self.mode == "periodic" else _LU(self)
+        self._solver = Solver(self, part)
         return self._solver
 
     def _template_levels(self, c):
@@ -581,18 +577,11 @@ _TEMPLATE_MAX_CELLS = 32
 _TEMPLATE_MIN_N = 32
 
 
-def _template_cells(op):
-    """The cell template rule: c = op.cells, the block that assemble
-    evaluated the coefficient on, when _template_admits that block on op's
-    mesh, in either mode of the square; otherwise None (a sparse LU, or
-    for Neumann the transform of coeff_mean)."""
-    return op.cells if _template_admits(op.mesh, op.cells) else None
-
-
 def _template_admits(mesh, c):
-    """Whether the square mesh holds blocks of c cells that a cell
-    template solves: 2 <= c <= 32, n >= max(32, c^2/4) cells per side, and
-    2^k x 2^k blocks, k >= 1."""
+    """The cell template rule: whether the square mesh holds blocks of c
+    cells (op.cells, the block that assemble evaluated the coefficient on)
+    that a cell template solves, in either mode: 2 <= c <= 32, n >=
+    max(32, c^2/4) cells per side, and 2^k x 2^k blocks, k >= 1."""
     n = mesh.n
     if mesh.is_torus or not 2 <= c <= _TEMPLATE_MAX_CELLS or n < max(_TEMPLATE_MIN_N, c * c / 4):
         return False
@@ -816,11 +805,24 @@ class _TemplateLevels:
                 xR = child.reshape(cq, cq, maps[0].size, -1)
 
 
-class _CellTemplate:
-    """The exact part of the Solver of a variable operator that
-    _template_cells admits, in place of a sparse LU: the shared levels of
-    its assembly (_TemplateLevels) below a top of its own mode, the whole
-    mesh, which joins the four quadrants.
+class _ExactPart:
+    """What a Solver asks of its exact part: solve(B), the solution for B
+    (ndof, ncols) without a residual check, leaving B as it is; name, for
+    messages; steps, the cap on the conjugate-gradient steps preconditioned
+    by solve that may follow it, 0 for a direct part, whose miss raises at
+    once (K_ii of a non-symmetric coefficient is not SPD, so conjugate
+    gradients cannot repair it); and balanced, whether solve takes the data
+    less the part the pin's multiplier absorbs (Solver._balanced)."""
+
+    steps = 0
+    balanced = True
+
+
+class _CellTemplate(_ExactPart):
+    """The exact part of a variable operator that _template_admits, in
+    place of a sparse LU: the shared levels of its assembly
+    (_TemplateLevels) below a top of its own mode, the whole mesh, which
+    joins the four quadrants.
 
     The top of a Dirichlet operator keeps only the cross where the
     quadrants meet, since its ring is the Dirichlet boundary: the
@@ -845,6 +847,8 @@ class _CellTemplate:
 
     def __init__(self, op, c):
         n, m = op.mesh.n, op.m
+        self.name = (f"the cell template of {c} cells per period (which holds only for a "
+                     "coefficient that repeats in every period)")
         self._shared = shared = op._template_levels(c)
         self._levels = shared.levels
         ring, cross = _block_nodes(n, cell=False)
@@ -883,7 +887,6 @@ class _CellTemplate:
         self._top = scipy.linalg.lu_factor(T, overwrite_a=True, check_finite=False)
 
     def solve(self, B):
-        """The solution for B (ndof, ncols), without a residual check."""
         nR, ncols = self._nR, B.shape[1]
         inner = B if self._inter is None else B[self._inter]
         upward, g = self._shared.condense(inner)
@@ -932,105 +935,35 @@ class _CellTemplate:
         return xRE
 
 
-class Solver:
-    """Solves the constrained system of an operator: K_ii x = b on the
-    square's interior (mode 'dirichlet'), the mean-zero x with
-    K x = b - mean(b) on the torus (mode 'periodic'), or the x of zero
-    boundary mean with K x = b - C (sum b / sum C) on the square (mode
-    'neumann'), C the arc weights of the boundary nodes.
-
-    On the torus and for Neumann, K vanishes on the constants of each
-    component.  There is one rule for it: the data loses the part the
-    multiplier of the bordered system [[K, C], [C^T, 0]] absorbs,
-    b - C (sum b / sum C) per component with C the pin weights (h^2 per
-    torus node, the arc weights on the boundary).  This is the torus's
-    volume-mean pin; a Neumann solution is shifted to zero arc-weighted
-    boundary mean at the end.
-
-    Every column x is checked against one residual rule: |K x - b| is
-    within 1e-12 |b|, b the data before the multiplier's part is removed,
-    or within the roundoff floor 1e-14 max|K| |x|, with |x| less the mean
-    of each component on the torus and for Neumann.  A column that misses
-    raises SolveError, so no caller checks a solution again.
-
-    solve(b) solves only the columns that carry data.  A column of zeros
-    (-0.0 included) has the zero solution in every mode: K_ii x = 0 for
-    'dirichlet', and zero balanced data for the pinned solution on the
-    torus and for Neumann.  So it comes back as +0.0, and the exact part
-    sees only the other columns, as one contiguous batch, whose results
-    are scattered back.  Data with a NaN or an infinity raise SolveError,
-    naming the columns, before any work: no solve and no conjugate
-    gradients.  Data of zero columns, (ndof, 0), give (ndof, 0).
-
-    The exact part is one of three, a direct solve or a transform;
-    factorization() picks it.  A decoupled operator has one Solver per
-    distinct diagonal block, each of that block's m = 1 operator
-    (op.blocks), which _BlockSolver holds; so every Solver of a decoupled
-    system is an m = 1 one.
-
-    With tensor None the part is direct.  Given cells c, it is the nested
-    elimination of the operator's eps-periodic cell template
-    (_CellTemplate), in either mode of the square; a Neumann template
-    takes the balanced data, and its solution gets the boundary-mean shift
-    below.  Otherwise it is the sparse LU that op._factor makes of K_ii, or
-    on the torus of the bordered system with the sparse volume-mean pin
-    columns C; a Neumann operator has no LU and raises ValueError.  The
-    bordered LU takes the data as given, with the zero constraint rows
-    appended, since its multiplier takes off the part C absorbs by itself;
-    the multipliers are dropped from x.  A column of a direct part that
-    misses the rule raises at once: K_ii of a non-symmetric coefficient is
-    not SPD, so conjugate gradients cannot repair it.
-
-    With a constant tensor a it is the transform of a on the uniform grid. On
-    the grid's dofs, ordered [y, x, component], the Q1 matrix of a is a_11
-    K1(x) M1(y) + a_22 M1(x) K1(y) plus the mixed a_12 + a_21 term, with K1 =
-    tridiag(-1, 2, -1) and M1 = tridiag(1, 4, 1)/6 (circulant on the torus; on
-    the n + 1 nodes of a Neumann line their two end diagonal entries are
-    halved).  A 1-D basis follows op.mode and diagonalizes K1 and M1: the
-    orthonormal DST-I on the square's interior, the real DFT on the torus, and
-    the orthonormal DCT-I on data scaled by W^{-1/2} for Neumann, where W =
-    diag(1/2, 1, ..., 1, 1/2) and, on the cosine of angle theta, K1 v = (2 - 2
-    cos theta) W v and M1 v = ((4 + 2 cos theta) / 6) W v.  So the
-    preconditioner P, the matrix of a without its mixed term, is solved
-    exactly: a transform, one m x m solve per mode pair, and the transform
-    back.  The mode pair (0, 0), the constants that K cannot see, passes
-    through an identity block of the symbol; the balanced data leave it at
-    roundoff.  a is the operator's constant tensor, or, for a variable Neumann
-    coefficient outside the cell template rule, its Gauss-point mean
-    (op.coeff_mean).  Whatever P leaves out (the mixed term, the variation of
-    the coefficient) is taken up by conjugate gradients preconditioned by P,
-    batched over the columns; with nothing left out the first solve already
-    meets the rule after one residual product.
+class _Transform(_ExactPart):
+    """The exact part of a constant tensor a on the uniform grid: the
+    preconditioner P, the matrix of a without its mixed term, solved
+    exactly.  On the grid's dofs, ordered [y, x, component], the Q1 matrix
+    of a is a_11 K1(x) M1(y) + a_22 M1(x) K1(y) plus the mixed a_12 + a_21
+    term, with K1 = tridiag(-1, 2, -1) and M1 = tridiag(1, 4, 1)/6
+    (circulant on the torus; on the n + 1 nodes of a Neumann line their two
+    end diagonal entries are halved).  A 1-D basis follows op.mode and
+    diagonalizes K1 and M1: the orthonormal DST-I on the square's interior,
+    the real DFT on the torus, and the orthonormal DCT-I on data scaled by
+    W^{-1/2} for Neumann, where W = diag(1/2, 1, ..., 1, 1/2) and, on the
+    cosine of angle theta, K1 v = (2 - 2 cos theta) W v and M1 v = ((4 + 2
+    cos theta) / 6) W v.  So solve is a transform, one m x m solve per mode
+    pair, and the transform back.  The mode pair (0, 0), the constants that
+    K cannot see, passes through an identity block of the symbol; the
+    balanced data leave it at roundoff.  a is the operator's constant
+    tensor, or, for a variable Neumann coefficient outside the cell
+    template rule, its Gauss-point mean (op.coeff_mean).  Whatever P leaves
+    out (the mixed term, the variation of the coefficient) is taken up by
+    the Solver's conjugate gradients, at most _TRANSFORM_MAXITER steps
+    batched over the columns; with nothing left out the first solve
+    already meets the rule after one residual product.
     """
 
-    def __init__(self, op, tensor, cells):
+    name = "transform"
+
+    def __init__(self, op, tensor):
         n, m = op.mesh.n, op.m
-        self._mode, self._m, self._direct, self._scale, self._pin = op.mode, m, None, None, None
-        self._part = "transform"
-        self._K = op.interior_matrix() if op.mode == "dirichlet" else op.matrix
-        self._floor = _FLOOR * np.abs(self._K.data).max()
-        if op.mode != "dirichlet":
-            nodes, w = _pin_weights(op.mesh)
-            self._pin = nodes, w / w.sum()
-        if tensor is None:
-            self._part = "sparse LU"
-            if cells is not None:
-                self._part = (f"the cell template of {cells} cells per period (which holds "
-                              "only for a coefficient that repeats in every period)")
-                self._direct = _CellTemplate(op, cells)
-            elif op.mode == "neumann":
-                raise ValueError("a Neumann operator outside the cell template rule is solved "
-                                 "by transform; it needs a tensor (its constant value or "
-                                 "coeff_mean)")
-            elif op.mode == "dirichlet":
-                self._direct = op._factor(self._K)
-            else:
-                # the sparse (ndof, m) pin columns: column a weights component a
-                rows = _dofs(nodes, m)
-                C = sp.csr_matrix((np.repeat(w, m), (rows, np.tile(np.arange(m), nodes.size))),
-                                  shape=(op.ndof, m))
-                self._direct = op._factor(sp.bmat([[self._K, C], [C.T, None]], format="csc"))
-            return
+        self._m, self._scale, self.steps = m, None, _TRANSFORM_MAXITER
         # imported here, not with the module: scipy.fft adds ~55 ms and ~3 MiB
         # to the start-up of every process that never builds a transform
         from scipy import fft
@@ -1063,9 +996,9 @@ class Solver:
             symbol[0, 0] = np.eye(m)
         self._inv = _symbol_inverse(symbol)
 
-    def _precondition(self, v):
-        """P^{-1} v for v (ndof, ncols), computed in v's memory."""
-        g = v.reshape(*self._grid, -1)
+    def solve(self, B):
+        """P^{-1} B, computed in a copy of B."""
+        g = B.copy().reshape(*self._grid, -1)
         if self._scale is not None:
             g *= self._scale
         g = self._forward(g)
@@ -1076,7 +1009,85 @@ class Solver:
         g = self._backward(g)
         if self._scale is not None:
             g *= self._scale
-        return g.reshape(v.shape)
+        return g.reshape(B.shape)
+
+
+class _LU(_ExactPart):
+    """The exact part of any other Dirichlet operator: the sparse LU that
+    op._factor makes of K_ii."""
+
+    name = "sparse LU"
+
+    def __init__(self, op):
+        self._lu = op._factor(op.interior_matrix())
+
+    def solve(self, B):
+        return self._lu.solve(B)
+
+
+class _BorderedLU(_ExactPart):
+    """The exact part of any other periodic operator: the sparse LU that
+    op._factor makes of the bordered system [[K, C], [C^T, 0]], C the
+    sparse (ndof, m) volume-mean pin columns, column a weighting component
+    a.  It takes the data as given, with the zero constraint rows appended,
+    since its multiplier takes off the part C absorbs by itself, and drops
+    the multipliers from x."""
+
+    name, balanced = "sparse LU", False
+
+    def __init__(self, op):
+        nodes, w = _pin_weights(op.mesh)
+        m = self._m = op.m
+        C = sp.csr_matrix((np.repeat(w, m), (_dofs(nodes, m), np.tile(np.arange(m), nodes.size))),
+                          shape=(op.ndof, m))
+        self._lu = op._factor(sp.bmat([[op.matrix, C], [C.T, None]], format="csc"))
+
+    def solve(self, B):
+        return self._lu.solve(np.concatenate([B, np.zeros((self._m, B.shape[1]))]))[:B.shape[0]]
+
+
+class Solver:
+    """Solves the constrained system of an operator by its exact part
+    (_ExactPart), which factorization() picks, and checks the result:
+    K_ii x = b on the square's interior (mode 'dirichlet'), the mean-zero
+    x with K x = b - mean(b) on the torus (mode 'periodic'), or the x of
+    zero boundary mean with K x = b - C (sum b / sum C) on the square (mode
+    'neumann'), C the arc weights of the boundary nodes.
+
+    On the torus and for Neumann, K vanishes on the constants of each
+    component.  There is one rule for it: the data loses the part the
+    multiplier of the bordered system [[K, C], [C^T, 0]] absorbs,
+    b - C (sum b / sum C) per component with C the pin weights (h^2 per
+    torus node, the arc weights on the boundary).  This is the torus's
+    volume-mean pin; a Neumann solution is shifted to zero arc-weighted
+    boundary mean at the end.
+
+    Every column x is checked against one residual rule: |K x - b| is
+    within 1e-12 |b|, b the data before the multiplier's part is removed,
+    or within the roundoff floor 1e-14 max|K| |x|, with |x| less the mean
+    of each component on the torus and for Neumann.  The columns that miss
+    it after the part's solve go on by conjugate gradients preconditioned
+    by that solve, at most part.steps of them; a column that still misses
+    raises SolveError, so no caller checks a solution again.
+
+    solve(b) solves only the columns that carry data.  A column of zeros
+    (-0.0 included) has the zero solution in every mode: K_ii x = 0 for
+    'dirichlet', and zero balanced data for the pinned solution on the
+    torus and for Neumann.  So it comes back as +0.0, and the exact part
+    sees only the other columns, as one contiguous batch, whose results
+    are scattered back.  Data with a NaN or an infinity raise SolveError,
+    naming the columns, before any work: no solve and no conjugate
+    gradients.  Data of zero columns, (ndof, 0), give (ndof, 0).
+    """
+
+    def __init__(self, op, part):
+        self._mode, self._m, self._part, self._pin = op.mode, op.m, part, None
+        self._K = op.interior_matrix() if op.mode == "dirichlet" else op.matrix
+        # max|K| with no |K| temporary, which would land on the part's set-up
+        self._floor = _FLOOR * max(self._K.data.max(), -self._K.data.min())
+        if op.mode != "dirichlet":
+            nodes, w = _pin_weights(op.mesh)
+            self._pin = nodes, w / w.sum()
 
     def _nodal(self, v):
         """v (ndof, ncols) as its (nnodes, m, ncols) view."""
@@ -1108,16 +1119,12 @@ class Solver:
             floor[by_floor] = self._floor ** 2 * np.einsum("nac,nac->c", xc, xc)
         return r, ~(res2 <= np.maximum(target, floor))
 
-    def _fail(self, todo, steps):
-        raise SolveError(f"{self._mode} solve by {self._part} failed its residual check on "
-                         f"{todo.sum()} of {todo.size} columns after {steps} conjugate-gradient steps")
-
     def solve(self, b):
         """x for b (ndof,) or (ndof, ncols): +0.0 on the columns of zeros,
         the others solved in one batch by _solve."""
         b = np.asarray(b, dtype=float)
         B = b.reshape(b.shape[0], -1)
-        _refuse_non_finite(B, f"{self._mode} solve by {self._part}")
+        _refuse_non_finite(B, f"{self._mode} solve by {self._part.name}")
         live = B.any(axis=0)
         if live.size and live.all():
             return self._solve(B).reshape(b.shape)
@@ -1129,25 +1136,16 @@ class Solver:
 
     def _solve(self, B):
         """x for the (ndof, ncols) data B, every column nonzero: the exact
-        part, conjugate gradients behind a transform, and the residual
-        rule, whose miss raises SolveError."""
+        part, the conjugate gradients it allows, and the residual rule,
+        whose miss raises SolveError."""
         # the target scales with b before the multiplier's part is removed:
         # the load of a constant coefficient's discrepancy is mean-free only
         # to roundoff, and what is left of it past the mean is roundoff too
         bnorm2 = np.einsum("ij,ij->j", B, B)
         balanced = B if self._pin is None else self._balanced(B)
-        if self._direct is None:
-            x = self._precondition(balanced.copy())
-        elif self._pin is None:
-            x = self._direct.solve(B)
-        elif self._mode == "neumann":
-            x = self._direct.solve(balanced)
-        else:
-            x = self._direct.solve(np.concatenate([B, np.zeros((self._m, B.shape[1]))]))[:B.shape[0]]
+        x = self._part.solve(balanced if self._part.balanced else B)
         r, todo = self._residual(x, balanced, bnorm2)
         if todo.any():
-            if self._direct is not None:
-                self._fail(todo, 0)
             self._cg(x, r, todo, balanced, bnorm2)
         if self._mode == "neumann":
             # K x changes only by roundoff when a constant is added
@@ -1156,26 +1154,28 @@ class Solver:
         return x
 
     def _cg(self, x, r, todo, b, bnorm2):
-        """Preconditioned conjugate gradients from x with residual r = K x - b
-        and unconverged columns todo, recomputing the true residual every
-        step; x is updated in place."""
-        z = self._precondition(r.copy())
-        rz = np.einsum("ij,ij->j", r, z)
-        p = -z
-        for _ in range(_TRANSFORM_MAXITER):
-            q = self._K @ p
-            pq = np.einsum("ij,ij->j", p, q)
-            del q, r, z
+        """At most part.steps conjugate-gradient steps from x (r = K x - b,
+        unconverged columns todo), preconditioned by the part's solve, each
+        updating x in place and recomputing the true residual, or SolveError."""
+        steps, p = self._part.steps, None
+        for _ in range(steps):
+            z = self._part.solve(r)
+            rz_new = np.einsum("ij,ij->j", r, z)
+            if p is None:
+                p = -z
+            else:
+                p *= _ratio(rz_new, rz)
+                p -= z
+            rz = rz_new
+            del r, z
+            pq = np.einsum("ij,ij->j", p, self._K @ p)
             x += _ratio(rz, pq) * p
             r, todo = self._residual(x, b, bnorm2)
             if not todo.any():
                 return
-            z = self._precondition(r.copy())
-            rz_new = np.einsum("ij,ij->j", r, z)
-            p *= _ratio(rz_new, rz)
-            p -= z
-            rz = rz_new
-        self._fail(todo, _TRANSFORM_MAXITER)
+        raise SolveError(f"{self._mode} solve by {self._part.name} failed its residual check on "
+                         f"{todo.sum()} of {todo.size} columns after {steps} "
+                         "conjugate-gradient steps")
 
 
 def _symbol_inverse(symbol):

@@ -77,7 +77,7 @@ class EpsilonContext:
     is the unit square with cells_per_period cells per period eps.
     Operators are built on first use by op(name) and quantities by
     prepare(needs), into data.  dir_eps and neu_eps are solved by their
-    cell templates where mesh._template_cells admits them, on the levels
+    cell templates where mesh._template_admits their block, on the levels
     that their one assembly shares; else dir_eps by a sparse LU and neu_eps
     by the transform of its coefficient mean with conjugate gradients.
     """

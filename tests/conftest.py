@@ -33,44 +33,24 @@ def layered_cell128(layered_field):
     return cell.solve(layered_field, 128)
 
 
-class _RecordingLU:
-    """A sparse LU that reports the columns of every solve to record."""
-
-    def __init__(self, lu, record):
-        self.lu, self.nnz, self._record = lu, lu.nnz, record
-
-    def solve(self, b):
-        self._record(b)
-        return self.lu.solve(b)
-
-
 @pytest.fixture
 def exact_part_calls(monkeypatch):
-    """The list that gets (columns, all-zero columns) of every call into an
-    exact part of a Solver from now on: the solve of a cell template, of a
-    Dirichlet or a Neumann operator, the transform's _precondition and the
-    solve of a sparse LU, plain or bordered, factored after this fixture is
-    set up."""
+    """The list that gets (columns, all-zero columns) of every call into the
+    exact part of a Solver built from now on: each solve of its cell
+    template, transform or sparse LU, conjugate-gradient steps included."""
     from homoglab import mesh
     calls = []
+    init = mesh.Solver.__init__
 
-    def record(b):
-        B = np.asarray(b).reshape(b.shape[0], -1)
-        calls.append((B.shape[1], int((~B.any(axis=0)).sum())))
+    def recording(self, op, part):
+        solve = part.solve
 
-    template_solve, precondition = mesh._CellTemplate.solve, mesh.Solver._precondition
-    factor = mesh.AssembledOperator._factor
+        def recorded(B):
+            calls.append((B.shape[1], int((~B.any(axis=0)).sum())))
+            return solve(B)
 
-    def recording_template(self, B):
-        record(B)
-        return template_solve(self, B)
+        part.solve = recorded
+        init(self, op, part)
 
-    def recording_precondition(self, v):
-        record(v)
-        return precondition(self, v)
-
-    monkeypatch.setattr(mesh._CellTemplate, "solve", recording_template)
-    monkeypatch.setattr(mesh.Solver, "_precondition", recording_precondition)
-    monkeypatch.setattr(mesh.AssembledOperator, "_factor",
-                        lambda self, matrix: _RecordingLU(factor(self, matrix), record))
+    monkeypatch.setattr(mesh.Solver, "__init__", recording)
     return calls

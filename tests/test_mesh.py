@@ -1046,14 +1046,13 @@ def test_perturbed_factorization_fails_residual_check(monkeypatch, layered_field
                         lambda self, matrix: _PerturbedLU(factor(self, matrix)))
     # a Neumann operator is solved by transform: one whose symbol has lost
     # its highest mode pair cannot take up the data's part there
-    init = mesh.Solver.__init__
+    init = mesh._Transform.__init__
 
-    def perturbed_init(self, op, tensor, cells):
-        init(self, op, tensor, cells)
-        if self._direct is None:
-            self._inv[-1, -1] = 0.0
+    def perturbed_init(self, op, tensor):
+        init(self, op, tensor)
+        self._inv[-1, -1] = 0.0
 
-    monkeypatch.setattr(mesh.Solver, "__init__", perturbed_init)
+    monkeypatch.setattr(mesh._Transform, "__init__", perturbed_init)
     dm = mesh.DomainMesh(16)
     sc = coeff.rescale(layered_field, 1 / 4)
     # 3 periods per side: the Dirichlet operator is factored, not templated
@@ -1228,7 +1227,7 @@ def test_neumann_operator_outside_the_template_rule_runs_conjugate_gradients(mon
     for field, dm in [(layered_field, mesh.DomainMesh(32)),
                       (coeff.rescale(layered_field, 1 / 3), mesh.DomainMesh(48))]:
         op = mesh.assemble(field, dm, mode="neumann")
-        assert mesh._template_cells(op) is None
+        assert not mesh._template_admits(op.mesh, op.cells)
         steps.clear()
         u = mesh.solve_neumann(op, np.cos(np.pi * dm.nodes[:, :1]))
         assert steps and np.isfinite(u).all()
@@ -1594,14 +1593,14 @@ def test_variable_neumann_operator_needs_its_coefficient_mean(monkeypatch, layer
     op = mesh.assemble(coeff.rescale(layered_field, 1 / 4), dm, mode="neumann")
     with pytest.raises(TypeError, match="coeff_mean"):
         mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff)
-    factored = _record_factors(monkeypatch)
+    factored, templated = _record_factors(monkeypatch), _record_templates(monkeypatch)
     bare = mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff, None, dm.n, op.symmetric)
     with pytest.raises(ValueError, match="outside the cell template rule is solved by transform"):
         bare.factorization()
     aligned = mesh.AssembledOperator(dm, op.matrix, "neumann", op.coeff, None, op.cells,
                                      op.symmetric)
-    assert isinstance(aligned.factorization()._direct, mesh._CellTemplate)
-    assert factored == []
+    aligned.factorization()
+    assert factored == [] and templated == [(op.cells, 1)]
 
 
 def test_periodic_transform_removes_the_data_mean():
@@ -1680,6 +1679,40 @@ def _live_columns(op, ncols, seed):
     if op.blocks is not None:
         B *= (np.arange(op.m)[:, None] == np.arange(ncols) % op.m)
     return B.reshape(ndof, ncols)
+
+
+# the exact part class that each EXACT_PARTS name starts with, past its
+# "blocks-" prefix
+_PART_CLASSES = {"transform-": mesh._Transform, "template-": mesh._CellTemplate,
+                 "lu-": mesh._LU, "bordered-lu-": mesh._BorderedLU}
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+@pytest.mark.parametrize("part", EXACT_PARTS)
+def test_factorization_picks_the_part_its_name_says(part):
+    # a decoupled operator's _BlockSolver holds one Solver per block, each
+    # with the part of its m = 1 operator
+    op = EXACT_PARTS[part]()
+    kind = part.removeprefix("blocks-")
+    [cls] = [c for prefix, c in _PART_CLASSES.items() if kind.startswith(prefix)]
+    solver = op.factorization()
+    assert (op.blocks is not None) == (kind != part)
+    solvers = [each for _, each in solver._blocks] if op.blocks else [solver]
+    assert solvers and all(type(each._part) is cls for each in solvers)
+
+
+@pytest.mark.filterwarnings("ignore:under-resolved oscillation")
+@pytest.mark.parametrize("part", EXACT_PARTS)
+def test_solves_leave_the_callers_data_alone(part):
+    # 2-D data whose columns all carry data reach Solver._solve as they
+    # are, and a 1-D column as a strided view of them: no solve, exact
+    # part or conjugate-gradient step writes into either
+    op = EXACT_PARTS[part]()
+    B = _live_columns(op, 2, seed=2)
+    kept = B.copy()
+    op.factorization().solve(B)
+    op.factorization().solve(B[:, 1])
+    assert B.tobytes() == kept.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:under-resolved oscillation")

@@ -93,15 +93,14 @@ def test_coupled_constant_system_correctors():
 
 
 def _record_solvers(monkeypatch):
-    """The list that gets (mode, m, coefficient family, exact part) of every
-    Solver built from now on."""
+    """The list that gets (mode, m, coefficient family, exact part class)
+    of every Solver built from now on."""
     built = []
     init = mesh.Solver.__init__
 
-    def recording(self, op, tensor, cells):
-        part = "transform" if tensor is not None else "template" if cells else "LU"
-        built.append((op.mode, op.m, op.coeff.family, part))
-        init(self, op, tensor, cells)
+    def recording(self, op, part):
+        built.append((op.mode, op.m, op.coeff.family, type(part)))
+        init(self, op, part)
 
     monkeypatch.setattr(mesh.Solver, "__init__", recording)
     return built
@@ -134,15 +133,16 @@ def _variable_blocks(media, eps):
     return field if eps is None else coeff.rescale(field, eps)
 
 
-# operator kind -> (field of equal or distinct media, grid, mode, exact part)
+# operator kind -> (field of equal or distinct media, grid, mode, exact part class)
 _BLOCK_CASES = {
     "dir_eps": (lambda media: _variable_blocks(media, 1 / 4), mesh.DomainMesh, "dirichlet",
-                "template"),
-    "dir_0": (_constant_blocks, mesh.DomainMesh, "dirichlet", "transform"),
+                mesh._CellTemplate),
+    "dir_0": (_constant_blocks, mesh.DomainMesh, "dirichlet", mesh._Transform),
     "neu_eps": (lambda media: _variable_blocks(media, 1 / 4), mesh.DomainMesh, "neumann",
-                "template"),
-    "neu_0": (_constant_blocks, mesh.DomainMesh, "neumann", "transform"),
-    "torus": (lambda media: _variable_blocks(media, None), mesh.TorusGrid, "periodic", "LU"),
+                mesh._CellTemplate),
+    "neu_0": (_constant_blocks, mesh.DomainMesh, "neumann", mesh._Transform),
+    "torus": (lambda media: _variable_blocks(media, None), mesh.TorusGrid, "periodic",
+              mesh._BorderedLU),
 }
 
 
@@ -237,7 +237,7 @@ def test_cell_of_a_constant_is_solved_by_transform(monkeypatch, m):
     # tensor, so its cell takes the transform as the m = 1 constant does
     built = _record_solvers(monkeypatch)
     cs = cell.solve(coeff.builtin("constant", value=np.diag([2.0, 1.0]), m=m), 16)
-    assert built == [("periodic", 1, "constant", "transform")] * 2     # cell and flux corrector
+    assert built == [("periodic", 1, "constant", mesh._Transform)] * 2    # cell and flux corrector
     assert np.abs(cs.chi).max() < 1e-14
 
 
